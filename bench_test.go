@@ -160,32 +160,10 @@ func BenchmarkExtAutoPlan(b *testing.B) {
 	}
 }
 
-func BenchmarkExtSchedulers(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Schedulers(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, r)
-	}
-}
-
 func BenchmarkExtWeakScaling(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
 		r, err := bench.WeakScaling(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, r)
-	}
-}
-
-func BenchmarkExtTemporalBlocking(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		r, err := bench.TemporalBlocking(p)
 		if err != nil {
 			b.Fatal(err)
 		}

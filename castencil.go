@@ -30,9 +30,6 @@
 //	    castencil.WithSched(castencil.WorkStealing),
 //	    castencil.WithCoalesce(castencil.CoalesceAuto),
 //	    castencil.WithFaultPlan(plan))
-//
-// The earlier RunReal/Simulate entry points and their per-engine option
-// structs remain as deprecated wrappers over the same engines.
 package castencil
 
 import (
@@ -68,26 +65,15 @@ const (
 // internal/core for field documentation.
 type Config = core.Config
 
-// SimOptions configures a virtual-time performance simulation.
-//
-// Deprecated: build options with the functional Option list of Sim
-// (WithMachine, WithRatio, WithCoalesce, WithFaultPlan, ...). SimOptions
-// remains as the engine-level struct behind RunOptions.sim.
-type SimOptions = core.SimOptions
-
 // SimResult reports a simulated run.
 type SimResult = core.SimResult
 
 // RealResult is the outcome of a real execution.
 type RealResult = core.RealResult
 
-// ExecOptions configures the real runtime (workers per node, scheduling
-// policy, tracing, fault injection, message interception).
-//
-// Deprecated: build options with the functional Option list of Run
-// (WithWorkers, WithSched, WithCoalesce, WithFaultPlan, ...). ExecOptions
-// remains as the engine-level struct behind RunOptions.real (RunGraph
-// still accepts it directly).
+// ExecOptions configures RunGraph's runtime (workers per node, scheduling
+// policy, tracing, fault injection, message interception). Run takes the
+// functional Option list instead.
 type ExecOptions = runtime.Options
 
 // Scheduling policies of the real runtime (queue order under the shared
@@ -218,25 +204,6 @@ func HashInit(seed uint64) Init { return stencil.HashInit(seed) }
 
 // NewTrace returns an empty trace collector.
 func NewTrace() *Trace { return trace.New() }
-
-// RunReal executes a stencil variant on the concurrent runtime, returning
-// the exact final grid.
-//
-// Deprecated: use Run with functional options; Run(v, cfg) with no
-// options is equivalent to RunReal(v, cfg, ExecOptions{}) and results are
-// bitwise identical for equivalent settings.
-func RunReal(v Variant, cfg Config, opts ExecOptions) (*RealResult, error) {
-	return core.RunReal(v, cfg, opts)
-}
-
-// Simulate predicts a stencil variant's performance on a machine model.
-//
-// Deprecated: use Sim with functional options; Sim(v, cfg,
-// WithMachine(m)) is equivalent to Simulate(v, cfg, SimOptions{Machine:
-// m}) and produces the identical prediction for equivalent settings.
-func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
-	return core.Simulate(v, cfg, opts)
-}
 
 // Verify runs the sequential reference for the configuration (five- or
 // nine-point, matching cfg) and returns the max-norm difference from a real

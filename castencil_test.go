@@ -9,7 +9,7 @@ import (
 
 func TestFacadeRealRunAndVerify(t *testing.T) {
 	cfg := castencil.Config{N: 24, TileRows: 6, P: 2, Steps: 8, StepSize: 3}
-	res, err := castencil.RunReal(castencil.CA, cfg, castencil.ExecOptions{Workers: 2})
+	res, err := castencil.Run(castencil.CA, cfg, castencil.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestFacadeRealRunAndVerify(t *testing.T) {
 func TestFacadeSimulate(t *testing.T) {
 	cfg := castencil.Config{N: 2880, TileRows: 288, P: 2, Steps: 5, StepSize: 5}
 	for _, v := range []castencil.Variant{castencil.Base, castencil.CA} {
-		res, err := castencil.Simulate(v, cfg, castencil.SimOptions{Machine: castencil.NaCL()})
+		res, err := castencil.Sim(v, cfg, castencil.WithMachine(castencil.NaCL()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,9 +49,8 @@ func TestFacadeMachines(t *testing.T) {
 func TestFacadeTraceAndGantt(t *testing.T) {
 	tr := castencil.NewTrace()
 	cfg := castencil.Config{N: 2880, TileRows: 288, P: 2, Steps: 4, StepSize: 2}
-	_, err := castencil.Simulate(castencil.CA, cfg, castencil.SimOptions{
-		Machine: castencil.NaCL(), Ratio: 0.4, Trace: tr, TraceNode: 0,
-	})
+	_, err := castencil.Sim(castencil.CA, cfg, castencil.WithMachine(castencil.NaCL()),
+		castencil.WithRatio(0.4), castencil.WithTrace(tr), castencil.WithTraceNode(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestFacadeKernelAccess(t *testing.T) {
 
 func TestFacadeVerifyNinePoint(t *testing.T) {
 	cfg := castencil.Config{N: 20, TileRows: 5, P: 2, Steps: 5, StepSize: 2, NinePoint: true}
-	res, err := castencil.RunReal(castencil.CA, cfg, castencil.ExecOptions{Workers: 2})
+	res, err := castencil.Run(castencil.CA, cfg, castencil.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

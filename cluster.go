@@ -11,9 +11,7 @@ import (
 // This file is the unified distribution API: one ClusterOptions bag covers
 // everything a multi-process run needs — membership, transport reuse,
 // inter-node work stealing, and recovery policy — applied with a single
-// WithCluster option. The earlier piecemeal surface (WithRanks,
-// WithTransport, NetConnect's option struct) remains as deprecated wrappers
-// proven bitwise-equivalent by the API-diff suite.
+// WithCluster option.
 //
 //	// One-shot: Run connects the mesh itself and closes it after.
 //	res, err := castencil.Run(castencil.CA, cfg,
@@ -98,7 +96,7 @@ type ClusterOptions struct {
 	// identical list on every rank.
 	Ranks []string
 	// Transport reuses an established conduit instead of connecting per
-	// run (stencild and the bench harness keep one mesh across jobs).
+	// run (stencild keeps one mesh across jobs).
 	Transport Conduit
 	// Steal configures inter-node work stealing (zero value = off).
 	Steal StealPolicy
@@ -108,9 +106,7 @@ type ClusterOptions struct {
 }
 
 // WithCluster configures a multi-process distributed real run from one
-// options bag — membership or transport, work stealing, recovery. It
-// subsumes WithRanks and WithTransport; a WithCluster carrying only
-// Rank/Ranks or only Transport is bitwise-equivalent to them.
+// options bag — membership or transport, work stealing, recovery.
 func WithCluster(c ClusterOptions) Option {
 	return func(o *RunOptions) {
 		o.Rank = c.Rank

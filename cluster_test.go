@@ -2,7 +2,6 @@ package castencil_test
 
 import (
 	"net"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -49,35 +48,11 @@ func connectFacadeMesh(t *testing.T) [2]*castencil.NetTransport {
 	return ts
 }
 
-// TestWithClusterMatchesDeprecatedOptions is the API-diff gate for the
-// unified distribution surface: a WithCluster carrying only membership or
-// only a transport must resolve to the identical RunOptions the deprecated
-// WithRanks/WithTransport wrappers produce — same fields, bit for bit.
-func TestWithClusterMatchesDeprecatedOptions(t *testing.T) {
-	addrs := []string{"127.0.0.1:9001", "127.0.0.1:9002"}
-	oldO := castencil.BuildRunOptions(castencil.WithRanks(1, addrs))
-	newO := castencil.BuildRunOptions(castencil.WithCluster(castencil.ClusterOptions{Rank: 1, Ranks: addrs}))
-	if oldO.Rank != newO.Rank || !reflect.DeepEqual(oldO.RankAddrs, newO.RankAddrs) {
-		t.Errorf("membership differs: WithRanks (%d, %v) vs WithCluster (%d, %v)",
-			oldO.Rank, oldO.RankAddrs, newO.Rank, newO.RankAddrs)
-	}
-	if newO.Steal.Mode != castencil.StealOff || len(newO.Steal.Force) != 0 {
-		t.Errorf("WithCluster without Steal enabled stealing: %+v", newO.Steal)
-	}
-
-	ts := connectFacadeMesh(t)
-	oldO = castencil.BuildRunOptions(castencil.WithTransport(ts[0]))
-	newO = castencil.BuildRunOptions(castencil.WithCluster(castencil.ClusterOptions{Transport: ts[0]}))
-	if oldO.Conduit != newO.Conduit {
-		t.Errorf("transport differs: %v vs %v", oldO.Conduit, newO.Conduit)
-	}
-}
-
 // TestWithClusterStealRun drives the facade's steal plumbing end to end: a
 // two-rank run over WithCluster with each steal mode must stay bitwise
 // identical to the single-process run — on the skewed shape where the two
-// ranks own 15 and 10 tiles — and a WithCluster run with stealing off must
-// match the deprecated WithTransport run exactly.
+// ranks own 15 and 10 tiles — with the same halo message count as a
+// transport-only WithCluster run (stealing never adds halo traffic).
 func TestWithClusterStealRun(t *testing.T) {
 	cfg := castencil.Config{N: 80, TileRows: 16, P: 2, Steps: 6, Wavefront: 2}
 	single, err := castencil.Run(castencil.WF, cfg, castencil.WithWorkers(1))
@@ -106,7 +81,9 @@ func TestWithClusterStealRun(t *testing.T) {
 		return res
 	}
 
-	old := runPair(func(r int) castencil.Option { return castencil.WithTransport(ts[r]) })
+	plain := runPair(func(r int) castencil.Option {
+		return castencil.WithCluster(castencil.ClusterOptions{Transport: ts[r]})
+	})
 	for _, mode := range []castencil.StealMode{castencil.StealOff, castencil.StealGreedy, castencil.StealGated} {
 		neu := runPair(func(r int) castencil.Option {
 			return castencil.WithCluster(castencil.ClusterOptions{
@@ -117,12 +94,12 @@ func TestWithClusterStealRun(t *testing.T) {
 		if !sameGrids(t, single.Grid, neu[0].Grid) {
 			t.Errorf("steal mode %v: cluster grid diverged from single-process run", mode)
 		}
-		if neu[0].Exec.Messages != old[0].Exec.Messages {
-			t.Errorf("steal mode %v: halo messages %d != deprecated-surface run %d",
-				mode, neu[0].Exec.Messages, old[0].Exec.Messages)
+		if neu[0].Exec.Messages != plain[0].Exec.Messages {
+			t.Errorf("steal mode %v: halo messages %d != transport-only run %d",
+				mode, neu[0].Exec.Messages, plain[0].Exec.Messages)
 		}
 	}
-	if !sameGrids(t, single.Grid, old[0].Grid) {
-		t.Error("deprecated WithTransport run diverged from single-process run")
+	if !sameGrids(t, single.Grid, plain[0].Grid) {
+		t.Error("transport-only WithCluster run diverged from single-process run")
 	}
 }

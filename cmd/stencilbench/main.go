@@ -9,8 +9,11 @@
 //	stencilbench -exp fig10 -gantt 120
 //	stencilbench -exp fig10 -cpuprofile cpu.out -memprofile mem.out
 //
-// The experiment list is the bench package's registry; -exp help text,
-// validation, and the "all" execution order all derive from it.
+// The experiment list is the bench package's registry — the paper's own
+// reproductions only (table1, fig5-fig10, roofline, headline, future,
+// ninepoint, autoplan, weak); -exp help text, validation, and the "all"
+// execution order all derive from it. The implementation itself is measured
+// by benchmark/ (see benchmark/README.md), not here.
 package main
 
 import (
@@ -23,7 +26,6 @@ import (
 	"time"
 
 	"castencil/internal/bench"
-	"castencil/internal/cli"
 )
 
 func main() {
@@ -32,11 +34,6 @@ func main() {
 	host := flag.Bool("host", false, "table1: run a real STREAM benchmark on this host too")
 	gantt := flag.Int("gantt", 0, "fig10: also print text Gantt charts of the given width")
 	steps := flag.Int("steps", 0, "override iteration count")
-	sched := cli.SchedVar(flag.CommandLine, "")
-	coalesce := cli.CoalesceVar(flag.CommandLine, "")
-	transform := cli.TransformVar(flag.CommandLine, "")
-	faultSpec := cli.FaultVar(flag.CommandLine)
-	steal := cli.StealVar(flag.CommandLine, "")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken after the experiments to this file")
 	flag.Parse()
@@ -77,11 +74,6 @@ func main() {
 	if *steps > 0 {
 		p.Steps = *steps
 	}
-	p.Sched = sched.Name
-	p.Coalesce = coalesce.Name
-	p.Transform = transform.Name
-	p.Fault = faultSpec.Spec
-	p.Steal = steal.Name
 	o := bench.ExpOpts{Host: *host, GanttWidth: *gantt}
 
 	valid := bench.ExperimentIDs()

@@ -44,7 +44,6 @@ func main() {
 	tenants := cli.TenantsVar(flag.CommandLine)
 	cacheEntries := flag.Int("cache-entries", 512, "result-cache entry cap")
 	cacheBytes := cli.SizeVar(flag.CommandLine, "cache-bytes", 256<<20, "result-cache byte cap (k/m/g suffixes)")
-	cacheOff := flag.Bool("cache-off", false, "disable the result cache and singleflight entirely")
 	tenantQueue := flag.Int("tenant-queue", 64, "per-tenant admission queue bound (past it: 429)")
 	inflight := flag.Int("inflight", 0, "jobs dispatched onto the fleet concurrently (0 = 2x backends)")
 	retries := flag.Int("retries", 3, "failover attempts per job past the first")
@@ -61,7 +60,6 @@ func main() {
 		Backends:      backends.Addrs,
 		CacheEntries:  *cacheEntries,
 		CacheBytes:    cacheBytes.Bytes,
-		CacheOff:      *cacheOff,
 		TenantWeights: tenants.Weights,
 		TenantQueue:   *tenantQueue,
 		MaxInflight:   *inflight,

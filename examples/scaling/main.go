@@ -33,11 +33,11 @@ func main() {
 				p++
 			}
 			cfg := castencil.Config{N: w.n, TileRows: w.tile, P: p, Steps: steps, StepSize: stepSize}
-			base, err := castencil.Simulate(castencil.Base, cfg, castencil.SimOptions{Machine: w.m})
+			base, err := castencil.Sim(castencil.Base, cfg, castencil.WithMachine(w.m))
 			if err != nil {
 				log.Fatal(err)
 			}
-			ca, err := castencil.Simulate(castencil.CA, cfg, castencil.SimOptions{Machine: w.m})
+			ca, err := castencil.Sim(castencil.CA, cfg, castencil.WithMachine(w.m))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -56,11 +56,11 @@ func main() {
 		fmt.Println("\nkernel-ratio crossover on 16 nodes (where CA starts to win):")
 		cfg := castencil.Config{N: w.n, TileRows: w.tile, P: 4, Steps: steps, StepSize: stepSize}
 		for _, ratio := range []float64{1.0, 0.8, 0.6, 0.4, 0.3, 0.2} {
-			base, err := castencil.Simulate(castencil.Base, cfg, castencil.SimOptions{Machine: w.m, Ratio: ratio})
+			base, err := castencil.Sim(castencil.Base, cfg, castencil.WithMachine(w.m), castencil.WithRatio(ratio))
 			if err != nil {
 				log.Fatal(err)
 			}
-			ca, err := castencil.Simulate(castencil.CA, cfg, castencil.SimOptions{Machine: w.m, Ratio: ratio})
+			ca, err := castencil.Sim(castencil.CA, cfg, castencil.WithMachine(w.m), castencil.WithRatio(ratio))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -26,9 +26,8 @@ func main() {
 
 	for _, v := range []castencil.Variant{castencil.Base, castencil.CA} {
 		tr := castencil.NewTrace()
-		res, err := castencil.Simulate(v, cfg, castencil.SimOptions{
-			Machine: m, Ratio: 0.4, Trace: tr, TraceNode: node,
-		})
+		res, err := castencil.Sim(v, cfg, castencil.WithMachine(m),
+			castencil.WithRatio(0.4), castencil.WithTrace(tr), castencil.WithTraceNode(node))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,9 @@
-// Package bench is the experiment harness: one runner per table and figure
-// of the paper's evaluation (section VI), each returning a structured Report
-// that prints as aligned text. cmd/stencilbench drives it; bench_test.go at
-// the repository root wraps each runner in a testing.B benchmark.
+// Package bench regenerates the paper: one runner per table and figure of
+// its evaluation (section VI) plus the section-VII studies (future,
+// ninepoint, autoplan, weak), each returning a structured Report that prints
+// as aligned text. cmd/stencilbench drives it; bench_test.go at the
+// repository root wraps each runner in a testing.B benchmark. Measuring this
+// implementation itself is not done here: that is benchmark/ (BENCHMARK.json).
 package bench
 
 import (
@@ -96,21 +98,6 @@ type Params struct {
 	Ratios    []float64
 	StepSizes []int // Fig. 9 sweep (paper: 5, 15, 25, 40)
 	TileSweep []int // Fig. 6 tile sizes (0 = per-machine defaults)
-	// Sched filters the real-runtime scheduler comparison to one named
-	// scheduler ("steal", "fifo", "lifo", "priority"); empty runs them all.
-	Sched string
-	// Coalesce filters the halo-coalescing ablation to one mode ("off",
-	// "step", "auto"); empty runs the full off-vs-step comparison.
-	Coalesce string
-	// Fault, when non-empty, replaces the fault ablation's canned plans
-	// with this spec (fault.SpecSyntax grammar, e.g. "drop=0.01,seed=7").
-	Fault string
-	// Transform filters the overlap ablation to one graph-transform mode
-	// ("none", "split"); empty runs the full split-vs-unsplit comparison.
-	Transform string
-	// Steal filters the work-stealing ablation's real arms to one policy
-	// ("off", "greedy", "gated", "forced"); empty runs them all.
-	Steal string
 }
 
 // PaperParams returns the paper's exact experimental configuration.

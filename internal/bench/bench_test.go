@@ -240,3 +240,13 @@ func TestPaperParamsComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryIsPaperReproductions pins the -exp list to the paper's own
+// tables, figures and section-VII studies, so a later cleanup cannot
+// silently drop one (and nothing per-PR creeps back in).
+func TestRegistryIsPaperReproductions(t *testing.T) {
+	want := "all table1 fig5 roofline fig6 fig7 fig8 fig9 fig10 headline future ninepoint autoplan weak"
+	if got := strings.Join(ExperimentIDs(), " "); got != want {
+		t.Errorf("experiment ids:\n got %s\nwant %s", got, want)
+	}
+}

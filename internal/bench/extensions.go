@@ -2,12 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"castencil/internal/core"
 	"castencil/internal/machine"
-	"castencil/internal/ptg"
-	"castencil/internal/runtime"
 )
 
 // ScaleBandwidth returns a copy of a machine model with its memory
@@ -146,153 +143,6 @@ func AutoPlanReport(p Params) (*Report, error) {
 		}
 		r.Tables = append(r.Tables, t)
 	}
-	return r, nil
-}
-
-// Schedulers compares scheduling policies on both engines: the virtual-time
-// engine (FIFO vs priority list scheduling) and the real runtime
-// (FIFO/LIFO/priority wall-clock on a small problem).
-func Schedulers(p Params) (*Report, error) {
-	r := &Report{
-		ID:    "sched",
-		Title: "Scheduler ablation (PaRSEC-style pluggable schedulers)",
-	}
-	if len(p.Workloads) == 0 || len(p.Nodes) == 0 {
-		return r, nil
-	}
-	w := p.Workloads[0]
-	pg, err := squareGrid(p.Nodes[0])
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Config{N: w.N, TileRows: w.Tile, P: pg, Steps: p.Steps, StepSize: p.StepSize}
-	t := Table{
-		Title:   fmt.Sprintf("virtual time: %s, %d nodes, ratio 0.3", w.Machine.Name, pg*pg),
-		Columns: []string{"Variant", "Priority GF", "FIFO GF", "priority gain"},
-	}
-	for _, v := range []core.Variant{core.Base, core.CA} {
-		prio, err := core.Simulate(v, cfg, core.SimOptions{Machine: w.Machine, Ratio: 0.3})
-		if err != nil {
-			return nil, err
-		}
-		fifo, err := core.Simulate(v, cfg, core.SimOptions{Machine: w.Machine, Ratio: 0.3, FIFO: true})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(v.String(), f1(prio.GFLOPS), f1(fifo.GFLOPS), pct(prio.GFLOPS/fifo.GFLOPS))
-	}
-	r.Tables = append(r.Tables, t)
-
-	// Real runtime: wall-clock of a small problem under each scheduler —
-	// the shared queue in its three orderings plus the work-stealing
-	// scheduler, with the stealing observability counters alongside.
-	rt := Table{
-		Title:   "real runtime: N=480 tile=48, 4 nodes x 4 workers, CA s=6",
-		Columns: []string{"Scheduler", "Elapsed", "Messages", "LocalHits", "Steals", "Parks"},
-	}
-	small := core.Config{N: 480, TileRows: 48, P: 2, Steps: 30, StepSize: 6}
-	for _, name := range []string{"fifo", "lifo", "priority", "steal"} {
-		if p.Sched != "" && name != p.Sched {
-			continue
-		}
-		s, pol, err := runtime.ParseSched(name)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.RunReal(core.CA, small, runtime.Options{Workers: 4, Sched: s, Policy: pol})
-		if err != nil {
-			return nil, err
-		}
-		hits, steals, parks := 0, 0, 0
-		for n := range res.Exec.NodeLocalHits {
-			hits += res.Exec.NodeLocalHits[n]
-			steals += res.Exec.NodeSteals[n]
-			parks += res.Exec.NodeParks[n]
-		}
-		rt.AddRow(name, res.Exec.Elapsed.Round(time.Millisecond).String(), itoa(res.Exec.Messages),
-			itoa(hits), itoa(steals), itoa(parks))
-	}
-	r.Tables = append(r.Tables, rt)
-	r.Notes = append(r.Notes, "real-runtime wall clock is host-dependent; it demonstrates scheduler plumbing, not cluster performance")
-	r.Notes = append(r.Notes, "LocalHits and Steals are zero under the shared-queue schedulers by construction; Parks counts idle waits for every scheduler")
-	return r, nil
-}
-
-// Coalesce is the halo-coalescing ablation: the same problems with
-// point-to-point delivery versus per-neighbor bundle aggregation, on both
-// engines. The virtual-time table shows the message-count collapse and its
-// makespan effect on the paper's machines; the real-runtime table shows the
-// wall-clock effect on a communication-bound shape (many small tiles, so
-// per-message overhead dominates).
-func Coalesce(p Params) (*Report, error) {
-	r := &Report{
-		ID:    "coalesce",
-		Title: "Halo coalescing ablation: per-neighbor bundles vs point-to-point",
-		Paper: "§IV-B: PaRSEC's communication engine aggregates the halo propagation toward one successor node; bundling amortizes the per-message overhead the CA scheme leaves behind",
-	}
-	modes := []struct {
-		name string
-		mode ptg.CoalesceMode
-	}{{"off", ptg.CoalesceOff}, {"step", ptg.CoalesceStep}}
-	wantMode := func(name string) bool { return p.Coalesce == "" || p.Coalesce == name }
-	if len(p.Workloads) == 0 || len(p.Nodes) == 0 {
-		return r, nil
-	}
-	w := p.Workloads[0]
-	pg, err := squareGrid(p.Nodes[0])
-	if err != nil {
-		return nil, err
-	}
-	t := Table{
-		Title:   fmt.Sprintf("virtual time: %s, N=%d tile=%d, %d nodes, ratio 0.3", w.Machine.Name, w.N, w.Tile, pg*pg),
-		Columns: []string{"Variant", "Coalesce", "Msgs", "Bundle fill", "GFLOP/s", "gain"},
-	}
-	for _, v := range []core.Variant{core.Base, core.CA} {
-		cfg := core.Config{N: w.N, TileRows: w.Tile, P: pg, Steps: p.Steps, StepSize: p.StepSize}
-		var off float64
-		for _, m := range modes {
-			if !wantMode(m.name) {
-				continue
-			}
-			res, err := core.Simulate(v, cfg, core.SimOptions{Machine: w.Machine, Ratio: 0.3, Coalesce: m.mode})
-			if err != nil {
-				return nil, err
-			}
-			if m.mode == ptg.CoalesceOff {
-				off = res.GFLOPS
-			}
-			gain := "-"
-			if m.mode != ptg.CoalesceOff && off > 0 {
-				gain = pct(res.GFLOPS / off)
-			}
-			t.AddRow(v.String(), m.name, itoa(res.Messages), f1(res.BundleFill()), f1(res.GFLOPS), gain)
-		}
-	}
-	r.Tables = append(r.Tables, t)
-
-	// Real runtime: a communication-bound shape — tiles small enough that
-	// per-message handling, not the kernel, dominates.
-	rt := Table{
-		Title:   "real runtime: N=256 tile=8, 4 nodes x 2 workers, CA s=4",
-		Columns: []string{"Variant", "Coalesce", "Elapsed", "Msgs", "Bundle fill"},
-	}
-	small := core.Config{N: 256, TileRows: 8, P: 2, Steps: 20, StepSize: 4}
-	for _, v := range []core.Variant{core.Base, core.CA} {
-		for _, m := range modes {
-			if !wantMode(m.name) {
-				continue
-			}
-			res, err := core.RunReal(v, small, runtime.Options{Workers: 2, Coalesce: m.mode})
-			if err != nil {
-				return nil, err
-			}
-			rt.AddRow(v.String(), m.name, res.Exec.Elapsed.Round(time.Millisecond).String(),
-				itoa(res.Exec.Messages), f1(res.Exec.BundleFill()))
-		}
-	}
-	r.Tables = append(r.Tables, rt)
-	r.Notes = append(r.Notes, "coalescing is bitwise-invisible: grids are identical across modes (see the determinism suite)")
-	r.Notes = append(r.Notes, "real-runtime wall clock is host-dependent; the message-count collapse is the portable signal")
 	return r, nil
 }
 

@@ -100,29 +100,6 @@ func TestAutoPlanReport(t *testing.T) {
 	}
 }
 
-func TestSchedulers(t *testing.T) {
-	p := quick()
-	r, err := Schedulers(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Tables) != 2 {
-		t.Fatalf("tables = %d", len(r.Tables))
-	}
-	if len(r.Tables[1].Rows) != 4 {
-		t.Errorf("real-runtime rows = %d, want 4 schedulers", len(r.Tables[1].Rows))
-	}
-
-	p.Sched = "steal"
-	r, err = Schedulers(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Tables[1].Rows) != 1 || r.Tables[1].Rows[0][0] != "steal" {
-		t.Errorf("Sched filter: rows = %v, want the single steal row", r.Tables[1].Rows)
-	}
-}
-
 func TestWeakScaling(t *testing.T) {
 	p := quick()
 	p.Nodes = []int{4}

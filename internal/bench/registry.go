@@ -74,27 +74,12 @@ var experiments = []Experiment{
 	{"ninepoint", "5-point vs 9-point arithmetic-intensity ablation (§VII)",
 		func(p Params, o ExpOpts, w io.Writer) error { r, err := NinePoint(p); return writeReport(r, err, w) }},
 	{"autoplan", "automatic kernel-family planning (§VII future work)",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := AutoPlanReport(p); return writeReport(r, err, w) }},
-	{"sched", "scheduler ablation on both engines",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := Schedulers(p); return writeReport(r, err, w) }},
+		func(p Params, o ExpOpts, w io.Writer) error {
+			r, err := AutoPlanReport(p)
+			return writeReport(r, err, w)
+		}},
 	{"weak", "weak scaling with constant per-node work",
 		func(p Params, o ExpOpts, w io.Writer) error { r, err := WeakScaling(p); return writeReport(r, err, w) }},
-	{"coalesce", "halo-coalescing ablation: bundles vs point-to-point",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := Coalesce(p); return writeReport(r, err, w) }},
-	{"tb", "temporal-blocking crossover: base vs CA vs wavefront",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := TemporalBlocking(p); return writeReport(r, err, w) }},
-	{"fault", "fault injection and recovery ablation",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := FaultAblation(p); return writeReport(r, err, w) }},
-	{"overlap", "inner/border split: communication-computation overlap",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := Overlap(p); return writeReport(r, err, w) }},
-	{"serve", "stencild job-manager throughput",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := Serve(p); return writeReport(r, err, w) }},
-	{"fleet", "fleet gateway: result cache over sharded backends",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := Fleet(p); return writeReport(r, err, w) }},
-	{"lanes", "distributed transport: persistent lanes vs per-message connections",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := Lanes(p); return writeReport(r, err, w) }},
-	{"dsteal", "inter-node work stealing on a skewed decomposition",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := Dsteal(p); return writeReport(r, err, w) }},
 }
 
 // Experiments returns the registered experiments in "-exp all" execution

@@ -55,11 +55,9 @@ type Config struct {
 	// gateway shards across. At least one is required.
 	Backends []string
 	// CacheEntries / CacheBytes bound the result cache (defaults 512
-	// entries, 256 MiB). CacheOff disables the cache and singleflight
-	// entirely (ablation arm of the fleet bench).
+	// entries, 256 MiB).
 	CacheEntries int
 	CacheBytes   int64
-	CacheOff     bool
 	// TenantWeights are the fair-share weights; tenants not listed weigh
 	// 1. The per-tenant queue bound is TenantQueue (default 64).
 	TenantWeights map[string]int
@@ -339,7 +337,7 @@ func (g *Gateway) Submit(spec server.Spec) (*Job, error) {
 	bypass := strings.EqualFold(spec.Cache, server.CacheBypass)
 	noBypass := spec
 	noBypass.Cache = ""
-	safe := noBypass.CacheSafe() && !g.cfg.CacheOff
+	safe := noBypass.CacheSafe()
 
 	j := &Job{
 		Spec:        spec,

@@ -221,21 +221,6 @@ func TestGatewayBypassForcesReexecution(t *testing.T) {
 	}
 }
 
-func TestGatewayCacheOff(t *testing.T) {
-	b := startBackend(t, 2, 16)
-	g := startGateway(t, Config{CacheOff: true}, b)
-
-	waitDone(t, mustSubmit(t, g, quickSpec(17)))
-	j := mustSubmit(t, g, quickSpec(17))
-	waitDone(t, j)
-	if j.CacheStatus() != "uncacheable" {
-		t.Fatalf("cache-off status %q, want uncacheable", j.CacheStatus())
-	}
-	if b.submitted() != 2 {
-		t.Fatalf("cache-off gateway made %d submissions, want 2", b.submitted())
-	}
-}
-
 func TestGatewayTenantBackpressure(t *testing.T) {
 	b := startBackend(t, 1, 16)
 	g := startGateway(t, Config{TenantQueue: 1, MaxInflight: 1}, b)

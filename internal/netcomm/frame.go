@@ -37,6 +37,8 @@ import (
 //
 //	[u32 magic] [u16 version] [u16 rank] [u16 ranks] [u8 flags]
 //
+// No hello flag is defined; a hello with any flag bit set is refused.
+//
 // kindCtl body (membership/collective control plane):
 //
 //	[u16 fromRank] [u8 op] [u16 tagLen] [tag ...] [payload ...]
@@ -68,10 +70,6 @@ const (
 	flagAck = byte(1 << 0)
 	// stealForced marks a steal frame whose StealMsg.Forced flag is set.
 	stealForced = byte(1 << 0)
-	// helloTransient marks a per-message connection (the lanes ablation's
-	// non-persistent mode): the acceptor reads frames until EOF instead of
-	// attaching the connection as the peer's lane.
-	helloTransient = byte(1 << 0)
 
 	helloMagic   = uint32(0x43415354) // "CAST"
 	protoVersion = uint16(1)
@@ -95,7 +93,6 @@ const (
 type Hello struct {
 	Rank, Ranks int
 	Version     uint16
-	Transient   bool
 }
 
 // Ctl is a decoded control frame.
@@ -217,7 +214,7 @@ func appendDataFrame(dst []byte, epoch uint32, m runtime.Message) []byte {
 }
 
 // appendHelloFrame appends a handshake frame.
-func appendHelloFrame(dst []byte, rank, ranks int, transient bool) []byte {
+func appendHelloFrame(dst []byte, rank, ranks int) []byte {
 	le := binary.LittleEndian
 	var b [prefixLen + helloLen]byte
 	le.PutUint32(b[:], helloLen)
@@ -227,9 +224,6 @@ func appendHelloFrame(dst []byte, rank, ranks int, transient bool) []byte {
 	le.PutUint16(b[13:], protoVersion)
 	le.PutUint16(b[15:], uint16(rank))
 	le.PutUint16(b[17:], uint16(ranks))
-	if transient {
-		b[19] = helloTransient
-	}
 	return append(dst, b[:]...)
 }
 
@@ -343,13 +337,15 @@ func readFrame(r io.Reader, st *readState, getBuf func(int) []byte, maxFrame int
 			return Frame{}, fmt.Errorf("netcomm: bad hello magic %#x", m)
 		}
 		f.Hello = Hello{
-			Version:   le.Uint16(b[4:]),
-			Rank:      int(le.Uint16(b[6:])),
-			Ranks:     int(le.Uint16(b[8:])),
-			Transient: b[10]&helloTransient != 0,
+			Version: le.Uint16(b[4:]),
+			Rank:    int(le.Uint16(b[6:])),
+			Ranks:   int(le.Uint16(b[8:])),
 		}
 		if f.Hello.Version != protoVersion {
 			return Frame{}, fmt.Errorf("netcomm: protocol version %d, want %d", f.Hello.Version, protoVersion)
+		}
+		if b[10] != 0 {
+			return Frame{}, fmt.Errorf("netcomm: hello flags %#x, want 0", b[10])
 		}
 	case kindCtl:
 		if body < 5 {

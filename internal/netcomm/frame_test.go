@@ -66,8 +66,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 // TestFrameRoundTripHelloCtl pins the cold-path codecs.
 func TestFrameRoundTripHelloCtl(t *testing.T) {
-	h := mustFrame(t, appendHelloFrame(nil, 3, 8, true))
-	if h.Kind != kindHello || h.Hello.Rank != 3 || h.Hello.Ranks != 8 || !h.Hello.Transient {
+	h := mustFrame(t, appendHelloFrame(nil, 3, 8))
+	if h.Kind != kindHello || h.Hello.Rank != 3 || h.Hello.Ranks != 8 {
 		t.Fatalf("hello round trip: %+v", h.Hello)
 	}
 	c := mustFrame(t, appendCtlFrame(nil, 9, 2, opGather, "stats", []byte("payload")))
@@ -91,7 +91,7 @@ func TestTornFrames(t *testing.T) {
 		{Src: 0, Dst: 1, Bundle: 3, Data: bytes.Repeat([]byte{7}, 129)},
 	}
 	var stream []byte
-	stream = appendHelloFrame(stream, 1, 2, false)
+	stream = appendHelloFrame(stream, 1, 2)
 	for _, m := range msgs {
 		stream = appendDataFrame(stream, 4, m)
 	}
@@ -175,13 +175,13 @@ func TestBadFrames(t *testing.T) {
 		t.Error("unknown kind accepted")
 	}
 	// Bad hello magic.
-	raw = appendHelloFrame(nil, 0, 2, false)
+	raw = appendHelloFrame(nil, 0, 2)
 	raw[prefixLen] ^= 0xFF
 	if err := decode(raw, 0); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Wrong protocol version.
-	raw = appendHelloFrame(nil, 0, 2, false)
+	raw = appendHelloFrame(nil, 0, 2)
 	raw[prefixLen+4] = 0xFF
 	if err := decode(raw, 0); err == nil {
 		t.Error("wrong version accepted")

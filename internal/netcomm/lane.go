@@ -153,7 +153,7 @@ func (l *lane) redial(gen uint64) {
 			l.t.peerDead(l, errPeerGone)
 			return
 		}
-		c, err := l.t.dialPeer(l.peer, false)
+		c, err := l.t.dialPeer(l.peer)
 		if err == nil {
 			l.mu.Lock()
 			stale = l.gen != gen

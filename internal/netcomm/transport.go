@@ -42,10 +42,6 @@ type Options struct {
 	// address (tests bind 127.0.0.1:0 themselves to dodge port races). When
 	// nil, Connect listens on Addrs[Rank].
 	Listener net.Listener
-	// PerMessage switches data frames to a fresh connection per message —
-	// the non-persistent arm of the lanes ablation. The control plane stays
-	// on persistent lanes.
-	PerMessage bool
 	// Recovery bounds reconnection: a lane down for longer than
 	// Recovery.Deadline declares the peer dead. Zero value uses
 	// fault.DefaultRecovery().
@@ -88,7 +84,6 @@ type Stats struct {
 type Transport struct {
 	rank  int
 	addrs []string
-	o     Options
 
 	ln       net.Listener
 	lanes    []*lane // indexed by rank; lanes[rank] == nil
@@ -138,7 +133,6 @@ func Connect(o Options) (*Transport, error) {
 	t := &Transport{
 		rank:     o.Rank,
 		addrs:    o.Addrs,
-		o:        o,
 		deadline: rec.Deadline,
 		maxFrame: o.MaxFrame,
 		jobs:     make(chan []byte, 8),
@@ -182,7 +176,7 @@ func Connect(o Options) (*Transport, error) {
 	for p := 0; p < t.rank; p++ {
 		backoff := 10 * time.Millisecond
 		for {
-			c, err := t.dialPeer(p, false)
+			c, err := t.dialPeer(p)
 			if err == nil {
 				t.lanes[p].attach(c)
 				break
@@ -217,15 +211,14 @@ func Connect(o Options) (*Transport, error) {
 	return t, nil
 }
 
-// dialPeer opens one connection to peer and speaks the hello. transient
-// marks a per-message connection the acceptor must not attach as a lane.
-func (t *Transport) dialPeer(peer int, transient bool) (net.Conn, error) {
+// dialPeer opens one connection to peer and speaks the hello.
+func (t *Transport) dialPeer(peer int) (net.Conn, error) {
 	c, err := net.DialTimeout("tcp", t.addrs[peer], 2*time.Second)
 	if err != nil {
 		return nil, err
 	}
 	t.dials.Add(1)
-	hello := appendHelloFrame(nil, t.rank, len(t.addrs), transient)
+	hello := appendHelloFrame(nil, t.rank, len(t.addrs))
 	if _, err := c.Write(hello); err != nil {
 		c.Close()
 		return nil, err
@@ -256,8 +249,8 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
-// handleInbound reads the hello and either attaches the connection as the
-// peer's lane or (transient mode) drains data frames until EOF.
+// handleInbound reads the hello and attaches the connection as the peer's
+// lane; anything but a well-formed hello from a known rank is refused.
 func (t *Transport) handleInbound(c net.Conn) {
 	var st readState
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -272,16 +265,11 @@ func (t *Transport) handleInbound(c net.Conn) {
 		c.Close()
 		return
 	}
-	if h.Transient {
-		t.readLoop(nil, c)
-		return
-	}
 	t.lanes[h.Rank].attach(c)
 }
 
-// readLoop decodes and dispatches frames from one connection until it drops.
-// l is nil for transient (per-message) connections, which end at EOF without
-// recovery.
+// readLoop decodes and dispatches frames from lane l's connection until it
+// drops.
 func (t *Transport) readLoop(l *lane, c net.Conn) {
 	var st readState
 	var sr *stampReader
@@ -297,7 +285,7 @@ func (t *Transport) readLoop(l *lane, c net.Conn) {
 		f, err := readFrame(r, &st, runtime.GetBuf, t.maxFrame)
 		if err != nil {
 			c.Close()
-			if l != nil && !t.closed.Load() {
+			if !t.closed.Load() {
 				l.drop(c, err)
 			}
 			return
@@ -342,12 +330,8 @@ func (t *Transport) dispatch(l *lane, f Frame, sr *stampReader) {
 		t.stealBytesRecv.Add(int64(wire))
 		if sr != nil {
 			t0 := t.runT0()
-			peer := -1
-			if l != nil {
-				peer = l.peer
-			}
 			t.tr.Record(trace.Event{
-				ID:   ptg.TaskID{Class: "wire:steal", I: peer, J: t.rank, K: int(f.Steal.Task)},
+				ID:   ptg.TaskID{Class: "wire:steal", I: l.peer, J: t.rank, K: int(f.Steal.Task)},
 				Kind: ptg.KindComm, Node: int32(t.rank), Core: 0,
 				Start: sr.stamp.Sub(t0), End: time.Since(t0), Msgs: 1, Bytes: wire,
 			})
@@ -369,12 +353,8 @@ func (t *Transport) dispatch(l *lane, f Frame, sr *stampReader) {
 	case kindData:
 		if sr != nil {
 			t0 := t.runT0()
-			peer := -1
-			if l != nil {
-				peer = l.peer
-			}
 			t.tr.Record(trace.Event{
-				ID:   ptg.TaskID{Class: "wire:recv", I: peer, J: t.rank, K: int(f.Msg.Bundle)},
+				ID:   ptg.TaskID{Class: "wire:recv", I: l.peer, J: t.rank, K: int(f.Msg.Bundle)},
 				Kind: ptg.KindComm, Node: int32(t.rank), Core: 0,
 				Start: sr.stamp.Sub(t0), End: time.Since(t0), Msgs: 1, Bytes: wire,
 			})
@@ -386,7 +366,7 @@ func (t *Transport) dispatch(l *lane, f Frame, sr *stampReader) {
 			}
 			return
 		}
-		if l != nil && f.Msg.Ack && t.nm != nil {
+		if f.Msg.Ack && t.nm != nil {
 			l.noteRTTAck(f.Msg)
 		}
 		b := t.bind.Load()
@@ -509,9 +489,8 @@ func (t *Transport) Bind(numNodes int, deliver func(runtime.Message), fail func(
 // Unbind detaches the bound run.
 func (t *Transport) Unbind() { t.bind.Store(nil) }
 
-// Send ships m to the rank owning m.Dst (runtime.Conduit). The persistent
-// path is allocation-free; the per-message path (lanes ablation) dials a
-// fresh connection per frame.
+// Send ships m to the rank owning m.Dst (runtime.Conduit) over the pair's
+// persistent lane; the path is allocation-free.
 func (t *Transport) Send(m runtime.Message) error {
 	b := t.bind.Load()
 	if b == nil {
@@ -521,18 +500,12 @@ func (t *Transport) Send(m runtime.Message) error {
 	if r == t.rank {
 		return fmt.Errorf("netcomm: message for node %d routes to own rank %d", m.Dst, t.rank)
 	}
-	l := t.lanes[r]
-	ep := t.epoch.Load()
-	if t.o.PerMessage {
-		return t.sendPerMessage(l, ep, m)
-	}
-	return l.sendData(ep, m)
+	return t.lanes[r].sendData(t.epoch.Load(), m)
 }
 
 // SendSteal ships a steal-protocol message to the given rank
-// (runtime.StealConduit). Steal frames always ride the persistent lane, even
-// in per-message mode: the protocol is latency-bound control traffic, and the
-// retransmit layer above assumes FIFO delivery per rank pair.
+// (runtime.StealConduit). The retransmit layer above assumes the lane's FIFO
+// delivery per rank pair.
 func (t *Transport) SendSteal(dst int, m runtime.StealMsg) error {
 	if dst < 0 || dst >= len(t.addrs) || dst == t.rank {
 		return fmt.Errorf("netcomm: steal frame for invalid rank %d", dst)
@@ -549,34 +522,6 @@ func (t *Transport) BindSteal(h func(runtime.StealMsg)) {
 		return
 	}
 	t.stealBind.Store(&h)
-}
-
-// sendPerMessage is the ablation's non-persistent data path: dial, hello,
-// one frame, close. Failures defer to the persistent control lane's health —
-// if the peer is dead its lane says so; otherwise the dial error surfaces.
-func (t *Transport) sendPerMessage(l *lane, epoch uint32, m runtime.Message) error {
-	l.mu.Lock()
-	dead := l.dead
-	l.mu.Unlock()
-	if dead != nil {
-		return dead
-	}
-	c, err := t.dialPeer(l.peer, true)
-	if err != nil {
-		return fmt.Errorf("netcomm: per-message dial rank %d: %w", l.peer, err)
-	}
-	defer c.Close()
-	frame := appendDataFrame(nil, epoch, m)
-	if _, err := c.Write(frame); err != nil {
-		return fmt.Errorf("netcomm: per-message send to rank %d: %w", l.peer, err)
-	}
-	t.framesSent.Add(1)
-	t.bytesSent.Add(int64(len(frame)))
-	if t.nm != nil {
-		t.nm.framesSent.Inc()
-		t.nm.bytesSent.Add(int64(len(frame)))
-	}
-	return nil
 }
 
 // Barrier blocks until every rank entered the barrier with this tag in the

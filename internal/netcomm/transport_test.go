@@ -163,47 +163,48 @@ func TestSendDeliver(t *testing.T) {
 	}
 }
 
-// TestPerMessageMode covers the lanes ablation's non-persistent arm: data
-// frames ride fresh connections, the control plane stays on lanes.
-func TestPerMessageMode(t *testing.T) {
-	ts := newMesh(t, 2, func(r int, o *Options) { o.PerMessage = true })
+// TestTransientHelloRefused dials a live transport with a hello carrying the
+// retired transient flag followed by a data frame: the connection must be
+// closed like any other bad hello, and the frame must not reach the run.
+func TestTransientHelloRefused(t *testing.T) {
+	ts := newMesh(t, 2, nil)
 	for _, tr := range ts {
 		tr.Begin()
 	}
 	_, _ = bindSink(t, ts[0], 2)
 	got1, _ := bindSink(t, ts[1], 2)
-	for i := 0; i < 10; i++ {
-		if err := ts[0].Send(runtime.Message{Src: 0, Dst: 1, Task: int32(i), Data: []byte("x")}); err != nil {
-			t.Fatal(err)
+
+	c, err := net.Dial("tcp", ts[1].Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := appendHelloFrame(nil, 0, 2)
+	buf[len(buf)-1] = 1 // the old helloTransient bit
+	buf = appendDataFrame(buf, ts[1].epoch.Load(), runtime.Message{Src: 0, Dst: 1, Task: 666, Data: []byte("x")})
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if _, err := c.Read(make([]byte, 1)); err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("transient-bit hello not refused: read err = %v", err)
+	}
+
+	// The refused connection is closed, so nothing more is read from it; the
+	// next delivery must be the lane's own frame.
+	if err := ts[0].Send(runtime.Message{Src: 0, Dst: 1, Task: 1, Data: []byte("y")}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-got1:
+		if m.Task != 1 {
+			t.Fatalf("frame behind a refused hello was delivered: %+v", m)
 		}
+		runtime.PutBuf(m.Data)
+	case <-time.After(5 * time.Second):
+		t.Fatal("lane delivery missing after a refused hello")
 	}
-	seen := map[int32]bool{}
-	for i := 0; i < 10; i++ {
-		select {
-		case m := <-got1:
-			if seen[m.Task] {
-				t.Fatalf("task %d delivered twice", m.Task)
-			}
-			seen[m.Task] = true
-			runtime.PutBuf(m.Data)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("missing delivery %d of 10", i)
-		}
-	}
-	if d := ts[0].Stats().Dials; d < 10 {
-		t.Errorf("per-message mode dialed %d times for 10 sends", d)
-	}
-	var wg sync.WaitGroup
-	for _, tr := range ts {
-		wg.Add(1)
-		go func(tr *Transport) {
-			defer wg.Done()
-			if err := tr.Barrier("drain"); err != nil {
-				t.Errorf("rank %d barrier: %v", tr.Rank(), err)
-			}
-		}(tr)
-	}
-	wg.Wait()
 }
 
 // TestZeroAllocLaneRoundTrip is the ISSUE's steady-state allocation budget:

@@ -20,11 +20,11 @@ import (
 //     what the terminal result reports.
 //   - Excluded (execution-affecting only): workers, sched, coalesce, steal,
 //     transform, ranks — the determinism suites prove the grid is bitwise
-//     identical across every value of these (BENCH_2/3/7/8/9), so two specs
-//     differing only here are the same result.
+//     identical across every value of these, so two specs differing only
+//     here are the same result.
 //   - Excluded (policy-only): tenant, cache, priority, timeout_ms, fault,
 //     machine, ratio. Fault injection is fully masked by the recovery layer
-//     (bitwise-equal grids, BENCH_4); machine/ratio price simulations. Jobs
+//     (bitwise-equal grids); machine/ratio price simulations. Jobs
 //     whose *reported* result still depends on one of these (sim makespans,
 //     plan=auto decisions under a non-default model, injected-fault
 //     counters) are marked not cache-safe by CacheSafe instead of widening

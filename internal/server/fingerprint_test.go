@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/hex"
+	"encoding/json"
 	"testing"
 )
 
@@ -144,4 +145,46 @@ func TestSpecValidate(t *testing.T) {
 	if err := neg.Validate(); err == nil {
 		t.Fatal("n=0 accepted")
 	}
+}
+
+// FuzzSpecFingerprint drives the gateway's front-door path on arbitrary
+// client bytes: JSON -> Spec -> Validate -> Fingerprint never panics, and the
+// fingerprint survives re-encoding the decoded spec (the gateway forwards the
+// re-encoded spec to a backend, which must address the same cache entry).
+func FuzzSpecFingerprint(f *testing.F) {
+	wf := fpBaseSpec()
+	wf.Variant, wf.Wavefront, wf.StepSize = "wf", 4, 0
+	for _, s := range []Spec{
+		fpBaseSpec(),
+		wf,
+		{N: 256, Tile: 32, Nodes: 4, Steps: 40, StepSize: 4},
+		{Engine: "run", Variant: "CA", N: 256, Tile: 32, Nodes: 1, Steps: 40, Seed: 1},
+		{Engine: "sim", Plan: "auto", N: 256, Tile: 32, Steps: 40, Machine: "Stampede2", Ratio: 0.4},
+	} {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"n":-1,"tile":0,"nodes":3,"fault":"drop=2","cache":"maybe"}`))
+	f.Add([]byte(`{"n":"256"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		_ = s.Validate() // any verdict is fine; it must not panic
+		again, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("decoded spec does not re-encode: %v", err)
+		}
+		var s2 Spec
+		if err := json.Unmarshal(again, &s2); err != nil {
+			t.Fatalf("re-encoded spec does not decode: %v", err)
+		}
+		if a, b := s.Fingerprint(), s2.Fingerprint(); a != b {
+			t.Errorf("fingerprint changed across re-encoding: %s != %s (%s)", a, b, again)
+		}
+	})
 }

@@ -4,20 +4,15 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"castencil/internal/ptg"
 )
 
-// csvHeader is the column layout of the on-disk trace format. The "stolen"
-// column was added with the work-stealing scheduler and the "msgs"/"bytes"
-// comm-counter columns with halo-bundle coalescing; ReadCSV still accepts
-// the earlier nine- and ten-column files.
+// csvHeader is the column layout of the on-disk trace format; ReadCSV
+// accepts exactly this header.
 var csvHeader = []string{"class", "i", "j", "k", "kind", "node", "core", "start_ns", "end_ns", "stolen", "msgs", "bytes"}
-
-// csvWidths lists the accepted column counts, newest first: the full
-// format, the pre-comm-counter format, and the pre-stolen format.
-var csvWidths = []int{len(csvHeader), len(csvHeader) - 2, len(csvHeader) - 3}
 
 // WriteCSV serializes the trace (sorted by start time) for later rendering
 // with cmd/traceview.
@@ -48,75 +43,36 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV loads a trace previously written with WriteCSV, accepting every
-// historical width: nine columns (pre-"stolen"), ten (pre-comm-counter) and
-// the current twelve.
+// ReadCSV loads a trace previously written with WriteCSV.
 func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	rows, err := cr.ReadAll()
+	rows, err := csv.NewReader(r).ReadAll() // rejects rows whose width differs from the header's
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("trace: empty CSV")
 	}
-	widthOK := false
-	for _, w := range csvWidths {
-		if len(rows[0]) == w {
-			widthOK = true
-		}
-	}
-	if !widthOK || rows[0][0] != "class" {
-		return nil, fmt.Errorf("trace: unrecognized header %v (want %d, %d or %d columns starting with %q)",
-			rows[0], csvWidths[2], csvWidths[1], csvWidths[0], "class")
+	if !slices.Equal(rows[0], csvHeader) {
+		return nil, fmt.Errorf("trace: unrecognized header %v, want %v", rows[0], csvHeader)
 	}
 	t := New()
 	for ln, rec := range rows[1:] {
-		if len(rec) != len(rows[0]) {
-			return nil, fmt.Errorf("trace: line %d has %d columns, want %d", ln+2, len(rec), len(rows[0]))
-		}
-		ints := make([]int64, 8)
-		for i := 1; i < 9; i++ {
-			v, err := strconv.ParseInt(rec[i], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d column %s: %v", ln+2, csvHeader[i], err)
+		var v [11]int64 // every column after "class"
+		for i := range v {
+			if v[i], err = strconv.ParseInt(rec[i+1], 10, 64); err != nil {
+				return nil, fmt.Errorf("trace: line %d column %s: %v", ln+2, csvHeader[i+1], err)
 			}
-			ints[i-1] = v
-		}
-		// Trailing columns are optional by format generation.
-		opt := func(col int) (int64, error) {
-			if len(rec) <= col {
-				return 0, nil
-			}
-			v, err := strconv.ParseInt(rec[col], 10, 64)
-			if err != nil {
-				return 0, fmt.Errorf("trace: line %d column %s: %v", ln+2, csvHeader[col], err)
-			}
-			return v, nil
-		}
-		stolen, err := opt(9)
-		if err != nil {
-			return nil, err
-		}
-		msgs, err := opt(10)
-		if err != nil {
-			return nil, err
-		}
-		bytes, err := opt(11)
-		if err != nil {
-			return nil, err
 		}
 		t.Record(Event{
-			ID:     ptg.TaskID{Class: rec[0], I: int(ints[0]), J: int(ints[1]), K: int(ints[2])},
-			Kind:   ptg.Kind(ints[3]),
-			Node:   int32(ints[4]),
-			Core:   int32(ints[5]),
-			Start:  timeDuration(ints[6]),
-			End:    timeDuration(ints[7]),
-			Stolen: stolen != 0,
-			Msgs:   int(msgs),
-			Bytes:  int(bytes),
+			ID:     ptg.TaskID{Class: rec[0], I: int(v[0]), J: int(v[1]), K: int(v[2])},
+			Kind:   ptg.Kind(v[3]),
+			Node:   int32(v[4]),
+			Core:   int32(v[5]),
+			Start:  timeDuration(v[6]),
+			End:    timeDuration(v[7]),
+			Stolen: v[8] != 0,
+			Msgs:   int(v[9]),
+			Bytes:  int(v[10]),
 		})
 	}
 	return t, nil

@@ -41,7 +41,7 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader("a,b\n1,2\n")); err == nil {
 		t.Error("wrong header must fail")
 	}
-	bad := "class,i,j,k,kind,node,core,start_ns,end_ns\nst,x,0,0,1,0,0,0,1\n"
+	bad := strings.Join(csvHeader, ",") + "\nst,x,0,0,1,0,0,0,1,0,0,0\n"
 	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
 		t.Error("non-numeric field must fail")
 	}
@@ -87,39 +87,44 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
-// TestReadCSVBackCompat pins the on-disk format evolution: nine-column
-// (pre-stolen), ten-column (pre-comm-counter) and the current twelve-column
-// files must all load, with absent trailing columns defaulting to zero.
+// TestReadCSVBackCompat pins the on-disk format: the twelve-column fixture
+// loads, and a file in the retired nine-column layout is refused by header
+// rather than half-read.
 func TestReadCSVBackCompat(t *testing.T) {
+	v12, err := os.ReadFile("testdata/trace_v12.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		file   string
-		events int
-		comm   int // KindComm events expected
+		name, data string
+		events     int
+		comm       int    // KindComm events expected
+		wantErr    string // substring of the expected error, "" for success
 	}{
-		{"testdata/trace_v9.csv", 3, 0},
-		{"testdata/trace_v10.csv", 3, 0},
-		{"testdata/trace_v12.csv", 5, 2},
+		{"v12", string(v12), 5, 2, ""},
+		{"v9", "class,i,j,k,kind,node,core,start_ns,end_ns\ninit,0,0,0,0,0,0,0,1000000\n", 0, 0, "unrecognized header"},
 	}
 	for _, c := range cases {
-		f, err := os.Open(c.file)
-		if err != nil {
-			t.Fatal(err)
+		tr, err := ReadCSV(strings.NewReader(c.data))
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.wantErr)
+			}
+			continue
 		}
-		tr, err := ReadCSV(f)
-		f.Close()
 		if err != nil {
-			t.Fatalf("%s: %v", c.file, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		if tr.Len() != c.events {
-			t.Errorf("%s: %d events, want %d", c.file, tr.Len(), c.events)
+			t.Errorf("%s: %d events, want %d", c.name, tr.Len(), c.events)
 		}
 		_, comm := SplitComm(tr.Events())
 		if len(comm) != c.comm {
-			t.Errorf("%s: %d comm events, want %d", c.file, len(comm), c.comm)
+			t.Errorf("%s: %d comm events, want %d", c.name, len(comm), c.comm)
 		}
 		for _, e := range tr.Events() {
 			if e.Kind != ptg.KindComm && (e.Msgs != 0 || e.Bytes != 0) {
-				t.Errorf("%s: compute event %v carries comm counters", c.file, e.ID)
+				t.Errorf("%s: compute event %v carries comm counters", c.name, e.ID)
 			}
 		}
 	}

@@ -13,13 +13,14 @@ import (
 
 // This file is the facade over the distributed transport: the handful of
 // types a multi-process caller needs without importing internal packages.
-// The one-shot path is WithRanks (Run connects and closes the mesh itself);
-// long-lived processes (stencild, benchmarks) connect once with NetConnect
-// and pass the transport to each run with WithTransport.
+// The one-shot path is WithCluster with Rank/Ranks (Run connects and closes
+// the mesh itself); long-lived processes (stencild, benchmarks) connect once
+// with NetConnect and pass the transport to each run in
+// ClusterOptions.Transport.
 
-// Conduit is the wire transport of a distributed run — what WithTransport
-// accepts. NetTransport is the TCP implementation; tests may substitute
-// their own.
+// Conduit is the wire transport of a distributed run — what
+// ClusterOptions.Transport accepts. NetTransport is the TCP implementation;
+// tests may substitute their own.
 type Conduit = runtime.Conduit
 
 // NetTransport is the TCP conduit: one persistent connection per rank pair,
@@ -32,7 +33,7 @@ type NetTransport = netcomm.Transport
 // Deprecated: for per-run distribution use
 // WithCluster(ClusterOptions{Rank: ..., Ranks: ...}); NetOptions remains
 // for long-lived processes that tune the transport (listener reuse,
-// per-message mode, metrics) before handing it to WithCluster.
+// metrics) before handing it to WithCluster.
 type NetOptions = netcomm.Options
 
 // NetMetricsRegistry is the metrics registry type NetOptions.Metrics

@@ -13,10 +13,7 @@ import (
 
 // This file is the redesigned run API: one RunOptions bag configured by
 // functional options, consumed by the Run (real execution) and Sim
-// (virtual-time prediction) entry points. The older RunReal/Simulate
-// entry points with their engine-specific option structs remain as thin
-// deprecated wrappers; both APIs drive the same engines and produce
-// bitwise-identical results for equivalent settings.
+// (virtual-time prediction) entry points.
 //
 //	res, err := castencil.Run(castencil.CA, cfg,
 //	    castencil.WithSched(castencil.WorkStealing),
@@ -123,8 +120,8 @@ type RunOptions struct {
 	Rank      int
 	RankAddrs []string
 	// Conduit reuses an already-established transport for a distributed
-	// run instead of connecting per run (stencild and the bench harness
-	// keep one mesh across many jobs). Overrides RankAddrs.
+	// run instead of connecting per run (stencild keeps one mesh across
+	// many jobs). Overrides RankAddrs.
 	Conduit Conduit
 	// Steal configures inter-node work stealing for a distributed run
 	// (zero value = off). Requires a transport implementing steal frames
@@ -220,29 +217,6 @@ func WithWavefront(w int) Option { return func(o *RunOptions) { o.Wavefront = w 
 // identical to the untransformed graph.
 func WithTransform(m TransformMode) Option { return func(o *RunOptions) { o.Transform = m } }
 
-// WithRanks configures a multi-process distributed real run: addrs is the
-// full static member list (one host:port per rank, the same list on every
-// rank) and rank is this process's index into it. Run connects the mesh —
-// one persistent TCP lane per rank pair — runs this rank's slice of the
-// graph, and closes the mesh when the run returns. See DESIGN.md
-// ("Distributed transport") for the wire protocol and failure semantics.
-//
-// Deprecated: use WithCluster(ClusterOptions{Rank: rank, Ranks: addrs}) —
-// the unified distribution option, bitwise-equivalent for these settings
-// and the only surface carrying the newer cluster knobs (work stealing,
-// recovery).
-func WithRanks(rank int, addrs []string) Option {
-	return func(o *RunOptions) { o.Rank, o.RankAddrs = rank, addrs }
-}
-
-// WithTransport runs distributed over an already-connected transport (see
-// NetConnect), reusing one mesh across many runs — the daemon's and bench
-// harness's mode. The transport is not closed by Run.
-//
-// Deprecated: use WithCluster(ClusterOptions{Transport: c}) — bitwise-
-// equivalent, and the only surface carrying the newer cluster knobs.
-func WithTransport(c Conduit) Option { return func(o *RunOptions) { o.Conduit = c } }
-
 // WithContext bounds the run with ctx on either engine: cancellation or a
 // deadline stops the run promptly (nothing new starts, communication
 // drains) and Run/Sim return a *CancelError that wraps the context error —
@@ -296,8 +270,8 @@ func (o RunOptions) real() ExecOptions {
 }
 
 // sim converts the unified options to the simulator's option struct.
-func (o RunOptions) sim() SimOptions {
-	return SimOptions{
+func (o RunOptions) sim() core.SimOptions {
+	return core.SimOptions{
 		Machine:    o.Machine,
 		Ratio:      o.Ratio,
 		FIFO:       o.SimFIFO,
@@ -330,7 +304,7 @@ func (o RunOptions) simSteal() *core.SimSteal {
 
 // Run executes a stencil variant on the concurrent runtime — numerically
 // exact, bitwise identical to the sequential reference whatever the
-// scheduling, coalescing or (masked) fault injection. It replaces RunReal.
+// scheduling, coalescing or (masked) fault injection.
 func Run(v Variant, cfg Config, opts ...Option) (*RealResult, error) {
 	o := BuildRunOptions(opts...)
 	if o.Wavefront > 0 {
@@ -379,7 +353,7 @@ func traceForComm(o RunOptions) *Trace {
 }
 
 // Sim predicts a stencil variant's performance on a machine model in
-// virtual time. WithMachine is required. It replaces Simulate.
+// virtual time. WithMachine is required.
 func Sim(v Variant, cfg Config, opts ...Option) (*SimResult, error) {
 	o := BuildRunOptions(opts...)
 	if o.Machine == nil {

@@ -58,96 +58,6 @@ func TestBuildRunOptions(t *testing.T) {
 	}
 }
 
-// TestRunMatchesDeprecatedRunReal drives the deprecated wrapper and the new
-// entry point with equivalent settings across the option surface the real
-// engine understands: results must be bitwise identical, wire accounting
-// equal.
-func TestRunMatchesDeprecatedRunReal(t *testing.T) {
-	cfg := castencil.Config{N: 48, TileRows: 6, P: 2, Steps: 10, StepSize: 3}
-	plan := &castencil.FaultPlan{Seed: 11, Drop: 0.1, Dup: 0.1, Delay: 0.2, DelayBy: 100 * time.Microsecond}
-	cases := []struct {
-		name string
-		opts []castencil.Option
-		old  castencil.ExecOptions
-	}{
-		{"defaults", nil, castencil.ExecOptions{}},
-		{"steal+coalesce",
-			[]castencil.Option{castencil.WithWorkers(2), castencil.WithSched(castencil.WorkStealing), castencil.WithCoalesce(castencil.CoalesceStep)},
-			castencil.ExecOptions{Workers: 2, Sched: castencil.WorkStealing, Coalesce: castencil.CoalesceStep}},
-		{"lifo-policy",
-			[]castencil.Option{castencil.WithPolicy(castencil.LIFO)},
-			castencil.ExecOptions{Policy: castencil.LIFO}},
-		{"faulty",
-			[]castencil.Option{castencil.WithWorkers(2), castencil.WithCoalesce(castencil.CoalesceStep), castencil.WithFaultPlan(plan)},
-			castencil.ExecOptions{Workers: 2, Coalesce: castencil.CoalesceStep, Fault: plan}},
-	}
-	for _, v := range []castencil.Variant{castencil.Base, castencil.CA} {
-		for _, c := range cases {
-			neu, err := castencil.Run(v, cfg, c.opts...)
-			if err != nil {
-				t.Fatalf("%v/%s: Run: %v", v, c.name, err)
-			}
-			old, err := castencil.RunReal(v, cfg, c.old)
-			if err != nil {
-				t.Fatalf("%v/%s: RunReal: %v", v, c.name, err)
-			}
-			if !sameGrids(t, neu.Grid, old.Grid) {
-				t.Errorf("%v/%s: grids differ between Run and RunReal", v, c.name)
-			}
-			if d := castencil.Verify(cfg, neu); d != 0 {
-				t.Errorf("%v/%s: max diff vs oracle = %v, want 0", v, c.name, d)
-			}
-			if neu.Exec.Messages != old.Exec.Messages || neu.Exec.BytesSent != old.Exec.BytesSent {
-				t.Errorf("%v/%s: wire accounting differs: (%d msgs, %d B) vs (%d msgs, %d B)",
-					v, c.name, neu.Exec.Messages, neu.Exec.BytesSent, old.Exec.Messages, old.Exec.BytesSent)
-			}
-			if neu.Exec.Fault != old.Exec.Fault {
-				t.Errorf("%v/%s: fault stats differ: %v vs %v", v, c.name, neu.Exec.Fault, old.Exec.Fault)
-			}
-		}
-	}
-}
-
-// TestSimMatchesDeprecatedSimulate drives the deprecated wrapper and the
-// new entry point with equivalent settings: virtual-time predictions are
-// deterministic, so every field must match exactly.
-func TestSimMatchesDeprecatedSimulate(t *testing.T) {
-	cfg := castencil.Config{N: 2880, TileRows: 288, P: 2, Steps: 5, StepSize: 5}
-	plan := &castencil.FaultPlan{Seed: 5, Drop: 0.05}
-	cases := []struct {
-		name string
-		opts []castencil.Option
-		old  castencil.SimOptions
-	}{
-		{"plain",
-			[]castencil.Option{castencil.WithMachine(castencil.NaCL())},
-			castencil.SimOptions{Machine: castencil.NaCL()}},
-		{"ratio+fifo+coalesce",
-			[]castencil.Option{castencil.WithMachine(castencil.Stampede2()), castencil.WithRatio(0.4), castencil.WithSimFIFO(), castencil.WithCoalesce(castencil.CoalesceStep)},
-			castencil.SimOptions{Machine: castencil.Stampede2(), Ratio: 0.4, FIFO: true, Coalesce: castencil.CoalesceStep}},
-		{"faulty",
-			[]castencil.Option{castencil.WithMachine(castencil.NaCL()), castencil.WithFaultPlan(plan)},
-			castencil.SimOptions{Machine: castencil.NaCL(), Fault: plan}},
-	}
-	for _, v := range []castencil.Variant{castencil.Base, castencil.CA} {
-		for _, c := range cases {
-			neu, err := castencil.Sim(v, cfg, c.opts...)
-			if err != nil {
-				t.Fatalf("%v/%s: Sim: %v", v, c.name, err)
-			}
-			old, err := castencil.Simulate(v, cfg, c.old)
-			if err != nil {
-				t.Fatalf("%v/%s: Simulate: %v", v, c.name, err)
-			}
-			if neu.Makespan != old.Makespan || neu.Messages != old.Messages ||
-				neu.BytesSent != old.BytesSent || neu.Bundles != old.Bundles ||
-				neu.Fault != old.Fault {
-				t.Errorf("%v/%s: Sim and Simulate disagree:\n  new %+v\n  old %+v", v, c.name, neu, old)
-			}
-		}
-	}
-}
-
 func TestSimRequiresMachine(t *testing.T) {
 	cfg := castencil.Config{N: 2880, TileRows: 288, P: 2, Steps: 5, StepSize: 5}
 	if _, err := castencil.Sim(castencil.CA, cfg); err == nil {
