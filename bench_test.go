@@ -282,14 +282,23 @@ func BenchmarkDESEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphBuild measures task-graph construction (cost-only).
+// BenchmarkGraphBuild measures task-graph construction, cost-only (what
+// the simulator builds) and with bodies (what the real runtime builds).
 func BenchmarkGraphBuild(b *testing.B) {
-	cfg := core.Config{N: 5760, TileRows: 288, P: 4, Steps: 10, StepSize: 5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildGraph(core.CA, cfg); err != nil {
-			b.Fatal(err)
+	for _, bodies := range []bool{false, true} {
+		name := "cost-only"
+		if bodies {
+			name = "bodies"
 		}
+		b.Run(name, func(b *testing.B) {
+			cfg := core.Config{N: 5760, TileRows: 288, P: 4, Steps: 10, StepSize: 5, WithBodies: bodies}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.BuildGraph(core.CA, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

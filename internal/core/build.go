@@ -18,6 +18,9 @@ type tileInfo struct {
 	// deep ghost region and phase-based communication.
 	boundary bool
 	halo     int
+	// nbr[d] is the neighboring tile in direction d, nil past the global
+	// boundary.
+	nbr [grid.NumDirs]*tileInfo
 
 	// Store slots of the zero-copy fast path, reserved at build time when
 	// the graph carries bodies; base -1 selects the keyed fallback.
@@ -37,13 +40,24 @@ type tileInfo struct {
 type slotRange struct{ base, depth int32 }
 
 type builder struct {
-	v    Variant
-	cfg  Config
-	part *grid.Partition
-	info [][]*tileInfo
+	v     Variant
+	cfg   Config
+	part  *grid.Partition
+	tiles []tileInfo // row-major, TR x TC
 	// epochs is the number of compute tasks per tile: Steps for the
 	// per-step variants, ceil(Steps/w) wavefront blocks for WF.
 	epochs int
+}
+
+// tile returns the geometry of tile (ti, tj).
+func (b *builder) tile(ti, tj int) *tileInfo {
+	return &b.tiles[ti*b.part.TC+tj]
+}
+
+// task returns the graph index of tile inf's task at iteration t: BuildGraph
+// adds tasks tile by tile in row-major order, epochs+1 per tile.
+func (b *builder) task(inf *tileInfo, t int) int32 {
+	return int32((inf.ti*b.part.TC+inf.tj)*(b.epochs+1) + t)
 }
 
 // effWidth returns the number of time steps WF block t (1-based) advances:
@@ -65,14 +79,13 @@ func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	bd := &builder{v: v, cfg: cfg, part: part}
-	bd.info = make([][]*tileInfo, part.TR)
+	bd := &builder{v: v, cfg: cfg, part: part, tiles: make([]tileInfo, part.TR*part.TC)}
 	for ti := 0; ti < part.TR; ti++ {
-		bd.info[ti] = make([]*tileInfo, part.TC)
 		for tj := 0; tj < part.TC; tj++ {
 			rows, cols := part.TileDims(ti, tj)
 			r0, c0 := part.TileOrigin(ti, tj)
-			inf := &tileInfo{
+			inf := bd.tile(ti, tj)
+			*inf = tileInfo{
 				ti: ti, tj: tj, rows: rows, cols: cols, r0: r0, c0: c0,
 				node:     int32(part.Owner(ti, tj)),
 				boundary: part.IsNodeBoundary(ti, tj),
@@ -91,7 +104,11 @@ func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
 				inf.sendSlot[d] = slotRange{base: -1}
 				inf.recvSlot[d] = slotRange{base: -1}
 			}
-			bd.info[ti][tj] = inf
+			for _, d := range grid.AllDirs {
+				if ni, nj, ok := part.Neighbor(ti, tj, d); ok {
+					inf.nbr[d] = bd.tile(ni, nj)
+				}
+			}
 		}
 	}
 
@@ -100,95 +117,109 @@ func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
 		bd.epochs = (cfg.Steps + cfg.Wavefront - 1) / cfg.Wavefront
 	}
 	gb := ptg.NewBuilder(part.Nodes())
+	gb.Grow(len(bd.tiles)*(bd.epochs+1), 0)
 	if cfg.WithBodies {
 		bd.allocSlots(gb)
 	}
 	// Tasks: one chain per tile, epochs 0 (init) .. epochs — one task per
-	// step for Base/CA, one per wavefront block for WF.
-	for ti := 0; ti < part.TR; ti++ {
-		for tj := 0; tj < part.TC; tj++ {
-			inf := bd.info[ti][tj]
-			for t := 0; t <= bd.epochs; t++ {
-				task := ptg.Task{
-					ID:       taskID(ti, tj, t),
-					Node:     inf.node,
-					Kind:     bd.kind(inf, t),
-					Priority: bd.priority(inf, t),
-					// The iteration index is the exchange epoch: all halo
-					// payloads a node produces at one iteration toward one
-					// neighbor may ride a single coalesced bundle.
-					Epoch: int32(t),
-					Hint:  bd.hint(inf, t),
-				}
-				if cfg.WithBodies {
-					task.Run = bd.body(inf, t)
-				}
-				task.Mig = bd.migration(inf, t)
-				if _, err := gb.AddTask(task); err != nil {
-					return nil, err
-				}
+	// step for Base/CA, one per wavefront block for WF. Their migration
+	// sizes share one backing array, sized exactly so the pointers into it
+	// stay valid.
+	migs := make([]ptg.Migration, 0, len(bd.tiles)*bd.epochs)
+	deps := 0
+	for i := range bd.tiles {
+		inf := &bd.tiles[i]
+		for t := 0; t <= bd.epochs; t++ {
+			task := ptg.Task{
+				ID:       taskID(inf.ti, inf.tj, t),
+				Node:     inf.node,
+				Kind:     bd.kind(inf, t),
+				Priority: bd.priority(inf, t),
+				// The iteration index is the exchange epoch: all halo
+				// payloads a node produces at one iteration toward one
+				// neighbor may ride a single coalesced bundle.
+				Epoch: int32(t),
+			}
+			in, out, flows := bd.haloPoints(inf, t)
+			task.Hint = bd.hint(inf, t, in+out)
+			if cfg.WithBodies {
+				task.Run = bd.body(inf, t)
+			}
+			if t > 0 {
+				// The full ghost-inclusive tile plus every consumed halo
+				// travel to a thief, the tile plus every produced halo
+				// travel back (see migHooks); init never migrates.
+				full := fullRect(inf).Bytes()
+				migs = append(migs, ptg.Migration{InBytes: full + 8*in, OutBytes: full + 8*out})
+				task.Mig = &migs[len(migs)-1]
+				deps += 1 + flows
+			}
+			if _, err := gb.AddTask(task); err != nil {
+				return nil, err
 			}
 		}
 	}
-	// Dependencies.
-	for ti := 0; ti < part.TR; ti++ {
-		for tj := 0; tj < part.TC; tj++ {
-			inf := bd.info[ti][tj]
-			for t := 1; t <= bd.epochs; t++ {
-				// Serial self-dependency: the tile's double buffer.
-				if err := gb.AddDep(taskID(ti, tj, t), taskID(ti, tj, t-1), ptg.Dep{}); err != nil {
-					return nil, err
+	// Dependencies, each consumer's together and in task order.
+	gb.Grow(0, deps)
+	for i := range bd.tiles {
+		inf := &bd.tiles[i]
+		for t := 1; t <= bd.epochs; t++ {
+			c := bd.task(inf, t)
+			// Serial self-dependency: the tile's double buffer.
+			if err := gb.AddDepIdx(c, c-1, ptg.Dep{}); err != nil {
+				return nil, err
+			}
+			for _, d := range grid.AllDirs {
+				p := inf.nbr[d]
+				if p == nil {
+					continue
 				}
-				for _, d := range grid.AllDirs {
-					p := bd.neighbor(inf, d)
-					if p == nil {
-						continue
-					}
-					depth, ok := bd.flow(p, d.Opposite(), t-1)
-					if !ok {
-						continue
-					}
-					dep := ptg.Dep{}
-					if p.node != inf.node {
-						rect := bd.sendRect(p, d.Opposite(), depth)
-						dep.Bytes = rect.Bytes()
-						if cfg.WithBodies {
-							key := BufKey{TI: p.ti, TJ: p.tj, Step: t - 1, Dir: d.Opposite()}
-							ss, rs := int32(-1), int32(-1)
-							if p.sendSlot[d.Opposite()].base >= 0 {
-								ss = bd.slotOf(p.sendSlot[d.Opposite()], inf, t-1)
-								rs = bd.slotOf(inf.recvSlot[d], inf, t-1)
+				depth, ok := bd.flow(p, d.Opposite(), t-1)
+				if !ok {
+					continue
+				}
+				dep := ptg.Dep{}
+				if p.node != inf.node {
+					dep.Bytes = bd.sendRect(p, d.Opposite(), depth).Bytes()
+					if cfg.WithBodies {
+						key := BufKey{TI: p.ti, TJ: p.tj, Step: t - 1, Dir: d.Opposite()}
+						ss, rs := int32(-1), int32(-1)
+						if p.sendSlot[d.Opposite()].base >= 0 {
+							ss = bd.slotOf(p.sendSlot[d.Opposite()], inf, t-1)
+							rs = bd.slotOf(inf.recvSlot[d], inf, t-1)
+						}
+						dep.Pack = func(e ptg.Env) []byte {
+							if se, ok := e.(ptg.SlotEnv); ok && ss >= 0 {
+								return se.TakeBufSlot(ss)
 							}
-							dep.Pack = func(e ptg.Env) []byte {
-								if se, ok := e.(ptg.SlotEnv); ok && ss >= 0 {
-									return se.TakeBufSlot(ss)
-								}
-								return EncodeFloats(e.Take(key).([]float64))
+							return EncodeFloats(e.Take(key).([]float64))
+						}
+						dep.Unpack = func(e ptg.Env, data []byte) {
+							if se, ok := e.(ptg.SlotEnv); ok && rs >= 0 {
+								// Zero-copy: the in-flight payload itself
+								// becomes the consumer-side buffer.
+								se.PutBufSlot(rs, data)
+								return
 							}
-							dep.Unpack = func(e ptg.Env, data []byte) {
-								if se, ok := e.(ptg.SlotEnv); ok && rs >= 0 {
-									// Zero-copy: the in-flight payload itself
-									// becomes the consumer-side buffer.
-									se.PutBufSlot(rs, data)
-									return
-								}
-								e.Put(key, DecodeFloats(data))
-							}
+							e.Put(key, DecodeFloats(data))
 						}
 					}
-					if err := gb.AddDep(taskID(ti, tj, t), taskID(p.ti, p.tj, t-1), dep); err != nil {
-						return nil, err
-					}
+				}
+				if err := gb.AddDepIdx(c, bd.task(p, t-1), dep); err != nil {
+					return nil, err
 				}
 			}
 		}
 	}
 	g, err := gb.Build()
+	if err == nil && cfg.Transform == TransformSplit {
+		g, err = ptg.ApplyTransforms(g, &splitPass{b: bd})
+	}
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Transform == TransformSplit {
-		return ptg.ApplyTransforms(g, &splitPass{b: bd})
+	if cfg.WithBodies {
+		g.Hooks = bd.migHooks
 	}
 	return g, nil
 }
@@ -203,10 +234,8 @@ func taskID(ti, tj, t int) ptg.TaskID {
 // cross-node flows get a range on each side (Pack drains the producer's,
 // Unpack fills the consumer's).
 func (b *builder) allocSlots(gb *ptg.Builder) {
-	for ti := 0; ti < b.part.TR; ti++ {
-		for tj := 0; tj < b.part.TC; tj++ {
-			b.info[ti][tj].stateSlot = gb.AllocSlot(b.info[ti][tj].node)
-		}
+	for i := range b.tiles {
+		b.tiles[i].stateSlot = gb.AllocSlot(b.tiles[i].node)
 	}
 	alloc := func(node int32, depth int) slotRange {
 		r := slotRange{depth: int32(depth)}
@@ -217,29 +246,27 @@ func (b *builder) allocSlots(gb *ptg.Builder) {
 		}
 		return r
 	}
-	for ti := 0; ti < b.part.TR; ti++ {
-		for tj := 0; tj < b.part.TC; tj++ {
-			cons := b.info[ti][tj]
-			for _, d := range grid.AllDirs {
-				p := b.neighbor(cons, d)
-				if p == nil {
-					continue
-				}
-				// Every flow kind fires after iteration 0, so existence at
-				// t == 0 means the flow exists at all.
-				if _, ok := b.flow(p, d.Opposite(), 0); !ok {
-					continue
-				}
-				if !b.slottable(p, cons, d) {
-					continue
-				}
-				depth := b.slotDepth(p, cons)
-				p.sendSlot[d.Opposite()] = alloc(p.node, depth)
-				if cons.node == p.node {
-					cons.recvSlot[d] = p.sendSlot[d.Opposite()]
-				} else {
-					cons.recvSlot[d] = alloc(cons.node, depth)
-				}
+	for i := range b.tiles {
+		cons := &b.tiles[i]
+		for _, d := range grid.AllDirs {
+			p := cons.nbr[d]
+			if p == nil {
+				continue
+			}
+			// Every flow kind fires after iteration 0, so existence at
+			// t == 0 means the flow exists at all.
+			if _, ok := b.flow(p, d.Opposite(), 0); !ok {
+				continue
+			}
+			if !b.slottable(p, cons, d) {
+				continue
+			}
+			depth := b.slotDepth(p, cons)
+			p.sendSlot[d.Opposite()] = alloc(p.node, depth)
+			if cons.node == p.node {
+				cons.recvSlot[d] = p.sendSlot[d.Opposite()]
+			} else {
+				cons.recvSlot[d] = alloc(cons.node, depth)
 			}
 		}
 	}
@@ -290,14 +317,6 @@ func (b *builder) slotOf(r slotRange, cons *tileInfo, t int) int32 {
 	return r.base + int32(k)%r.depth
 }
 
-func (b *builder) neighbor(inf *tileInfo, d grid.Dir) *tileInfo {
-	ni, nj, ok := b.part.Neighbor(inf.ti, inf.tj, d)
-	if !ok {
-		return nil
-	}
-	return b.info[ni][nj]
-}
-
 // flow is the single source of truth for the dataflow: does tile prod
 // produce a halo buffer toward direction d after iteration t, and how deep?
 //
@@ -320,8 +339,7 @@ func (b *builder) flow(prod *tileInfo, d grid.Dir, t int) (depth int, ok bool) {
 		if t >= b.epochs {
 			return 0, false
 		}
-		cons := b.neighbor(prod, d)
-		if cons == nil {
+		if prod.nbr[d] == nil {
 			return 0, false
 		}
 		depth = b.effWidth(t + 1)
@@ -333,7 +351,7 @@ func (b *builder) flow(prod *tileInfo, d grid.Dir, t int) (depth int, ok bool) {
 	if t >= b.cfg.Steps {
 		return 0, false
 	}
-	cons := b.neighbor(prod, d)
+	cons := prod.nbr[d]
 	if cons == nil {
 		return 0, false
 	}
@@ -406,7 +424,7 @@ func (b *builder) region(inf *tileInfo, t int) grid.Rect {
 	sp, k := b.phaseGeom(t)
 	ext := sp - k
 	extOf := func(d grid.Dir) int {
-		if ext <= 0 || b.neighbor(inf, d) == nil {
+		if ext <= 0 || inf.nbr[d] == nil {
 			return 0
 		}
 		return ext
@@ -419,29 +437,32 @@ func (b *builder) region(inf *tileInfo, t int) grid.Rect {
 	}
 }
 
-// hint computes the DES cost quantities of a task.
-func (b *builder) hint(inf *tileInfo, t int) ptg.CostHint {
-	h := ptg.CostHint{Rows: inf.rows, Cols: inf.cols}
-	// Points packed for outgoing flows.
+// haloPoints returns the halo points tile inf unpacks from its incoming
+// flows of iteration t, the points it packs into its outgoing flows after
+// it, and the number of incoming flows.
+func (b *builder) haloPoints(inf *tileInfo, t int) (in, out, flows int) {
 	for _, d := range grid.AllDirs {
+		if p := inf.nbr[d]; p != nil {
+			if depth, ok := b.flow(p, d.Opposite(), t-1); ok {
+				in += b.sendRect(p, d.Opposite(), depth).Size()
+				flows++
+			}
+		}
 		if depth, ok := b.flow(inf, d, t); ok {
-			h.CopyPoints += b.sendRect(inf, d, depth).Size()
+			out += b.sendRect(inf, d, depth).Size()
 		}
 	}
+	return in, out, flows
+}
+
+// hint computes the DES cost quantities of a task whose incoming and
+// outgoing halos (see haloPoints) total halo points.
+func (b *builder) hint(inf *tileInfo, t, halo int) ptg.CostHint {
+	h := ptg.CostHint{Rows: inf.rows, Cols: inf.cols, CopyPoints: halo}
 	if t == 0 {
 		// Init writes the tile once.
 		h.CopyPoints += inf.rows * inf.cols
 		return h
-	}
-	// Points unpacked from incoming flows.
-	for _, d := range grid.AllDirs {
-		p := b.neighbor(inf, d)
-		if p == nil {
-			continue
-		}
-		if depth, ok := b.flow(p, d.Opposite(), t-1); ok {
-			h.CopyPoints += b.sendRect(p, d.Opposite(), depth).Size()
-		}
 	}
 	h.Updates = inf.rows * inf.cols
 	if b.v == CA && inf.boundary {
@@ -466,7 +487,7 @@ func (b *builder) hint(inf *tileInfo, t int) ptg.CostHint {
 // with neighbors).
 func (b *builder) wfRegions(inf *tileInfo, wb int) []grid.Rect {
 	return stencil.WavefrontRegions(inf.rows, inf.cols, wb, func(d grid.Dir) bool {
-		return b.neighbor(inf, d) != nil
+		return inf.nbr[d] != nil
 	})
 }
 
@@ -571,9 +592,8 @@ func (b *builder) produce(e ptg.Env, st *tileState, inf *tileInfo, t int) {
 		}
 		rc := st.cur.SendRect(d, depth)
 		if slotted && inf.sendSlot[d].base >= 0 {
-			cons := b.neighbor(inf, d)
 			buf := st.cur.PackBytes(rc, runtime.GetBuf(rc.Bytes()))
-			se.PutBufSlot(b.slotOf(inf.sendSlot[d], cons, t), buf)
+			se.PutBufSlot(b.slotOf(inf.sendSlot[d], inf.nbr[d], t), buf)
 			continue
 		}
 		buf := st.cur.Pack(rc, nil)
@@ -596,7 +616,7 @@ func (b *builder) consume(e ptg.Env, st *tileState, inf *tileInfo, t int) {
 // consume exactly the halo they are gated on; the unsplit path loops it
 // over all directions.
 func (b *builder) consumeDir(e ptg.Env, st *tileState, inf *tileInfo, d grid.Dir, t int) {
-	p := b.neighbor(inf, d)
+	p := inf.nbr[d]
 	if p == nil {
 		return
 	}
@@ -617,34 +637,19 @@ func (b *builder) consumeDir(e ptg.Env, st *tileState, inf *tileInfo, d grid.Dir
 }
 
 // migFlow is one halo flow a migrating task consumes or produces, resolved
-// to its transfer mechanics at build time: the exact payload size, the slot
-// it rides on the fast path, and the key of the slow-path fallback.
+// to its transfer mechanics: the exact payload size, the slot it rides on
+// the fast path, and the key of the slow-path fallback.
 type migFlow struct {
 	slot  int32 // -1 selects the keyed fallback
 	key   BufKey
 	bytes int
 }
 
-// migration builds the steal-protocol hooks of the compute task at iteration
-// t (see ptg.Migration): the full ghost-inclusive tile contents plus every
-// consumed input halo travel to the thief, the post-step tile contents plus
-// every produced output halo travel back. Byte geometry is derived from the
-// same flow() truth the dependency graph uses, so InBytes/OutBytes are exact
-// on cost-only graphs too — the simulator prices migrations identically.
-//
-// Determinism argument: the payload ships cur's complete storage (interior
-// and every ghost cell), so the thief executes the byte-identical kernel
-// input a local run would have. The thief-side next buffer differs from the
-// victim's only in ghost cells that are provably dead — every later read of
-// a ghost is preceded by a halo consume or an in-task write — so the grid a
-// committed migration leaves behind is bitwise-identical to local execution.
-func (b *builder) migration(inf *tileInfo, t int) *ptg.Migration {
-	if t == 0 {
-		return nil // init allocates the tile state; it never migrates
-	}
-	var ins, outs []migFlow
+// migFlows returns the halo flows the compute task of tile inf at iteration
+// t consumes and those it produces — the flows haloPoints counts.
+func (b *builder) migFlows(inf *tileInfo, t int) (ins, outs []migFlow) {
 	for _, d := range grid.AllDirs {
-		if p := b.neighbor(inf, d); p != nil {
+		if p := inf.nbr[d]; p != nil {
 			if depth, ok := b.flow(p, d.Opposite(), t-1); ok {
 				f := migFlow{
 					slot:  -1,
@@ -664,98 +669,93 @@ func (b *builder) migration(inf *tileInfo, t int) *ptg.Migration {
 				bytes: b.sendRect(inf, d, depth).Bytes(),
 			}
 			if inf.sendSlot[d].base >= 0 {
-				f.slot = b.slotOf(inf.sendSlot[d], b.neighbor(inf, d), t)
+				f.slot = b.slotOf(inf.sendSlot[d], inf.nbr[d], t)
 			}
 			outs = append(outs, f)
 		}
 	}
-	full := grid.Rect{
+	return ins, outs
+}
+
+// fullRect is tile inf's complete ghost-inclusive storage.
+func fullRect(inf *tileInfo) grid.Rect {
+	return grid.Rect{
 		R0: -inf.halo, C0: -inf.halo,
 		H: inf.rows + 2*inf.halo, W: inf.cols + 2*inf.halo,
 	}
-	mig := &ptg.Migration{InBytes: full.Bytes(), OutBytes: full.Bytes()}
-	for _, f := range ins {
-		mig.InBytes += f.bytes
+}
+
+// migHooks builds the steal-protocol hooks of a migratable stencil task
+// (see ptg.MigrationHooks); the graph calls it only when a steal is granted.
+//
+// Determinism argument: the payload ships cur's complete storage (interior
+// and every ghost cell), so the thief executes the byte-identical kernel
+// input a local run would have. The thief-side next buffer differs from the
+// victim's only in ghost cells that are provably dead — every later read of
+// a ghost is preceded by a halo consume or an in-task write — so the grid a
+// committed migration leaves behind is bitwise-identical to local execution.
+func (b *builder) migHooks(task *ptg.Task) ptg.MigrationHooks {
+	inf := b.tile(task.ID.I, task.ID.J)
+	ins, outs := b.migFlows(inf, task.ID.K)
+	full := fullRect(inf)
+	inBytes, outBytes := task.Mig.InBytes, task.Mig.OutBytes
+	return ptg.MigrationHooks{
+		PackIn: func(e ptg.Env) []byte {
+			return packMig(e, b.state(e, inf).cur, full, ins, inBytes)
+		},
+		Deposit: func(e ptg.Env, data []byte) {
+			unpackMig(e, migState(e, inf, b.cfg).cur, full, ins, data)
+		},
+		PackOut: func(e ptg.Env) []byte {
+			return packMig(e, b.state(e, inf).cur, full, outs, outBytes)
+		},
+		Commit: func(e ptg.Env, data []byte) {
+			// The shipped result lands in next and the double buffer swaps,
+			// so cur holds exactly what a local execution's swap would have
+			// left.
+			st := b.state(e, inf)
+			unpackMig(e, st.next, full, outs, data)
+			st.cur, st.next = st.next, st.cur
+		},
 	}
-	for _, f := range outs {
-		mig.OutBytes += f.bytes
-	}
-	if !b.cfg.WithBodies {
-		return mig
-	}
-	cfg := b.cfg
-	mig.PackIn = func(e ptg.Env) []byte {
-		st := b.state(e, inf)
-		data := runtime.GetBuf(mig.InBytes)[:mig.InBytes]
-		off := full.Bytes()
-		st.cur.PackBytes(full, data[:off])
-		for _, f := range ins {
-			seg := data[off : off+f.bytes]
-			if se, ok := e.(ptg.SlotEnv); ok && f.slot >= 0 {
-				buf := se.TakeBufSlot(f.slot)
-				copy(seg, buf)
-				runtime.PutBuf(buf)
-			} else {
-				copy(seg, EncodeFloats(e.Take(f.key).([]float64)))
-			}
-			off += f.bytes
+}
+
+// packMig serializes a size-byte migration payload: the full storage of
+// tile, then the payloads of flows, which it consumes.
+func packMig(e ptg.Env, tile *grid.Tile, full grid.Rect, flows []migFlow, size int) []byte {
+	data := runtime.GetBuf(size)[:size]
+	off := full.Bytes()
+	tile.PackBytes(full, data[:off])
+	for _, f := range flows {
+		seg := data[off : off+f.bytes]
+		if se, ok := e.(ptg.SlotEnv); ok && f.slot >= 0 {
+			buf := se.TakeBufSlot(f.slot)
+			copy(seg, buf)
+			runtime.PutBuf(buf)
+		} else {
+			copy(seg, EncodeFloats(e.Take(f.key).([]float64)))
 		}
-		return data
+		off += f.bytes
 	}
-	mig.Deposit = func(e ptg.Env, data []byte) {
-		st := migState(e, inf, cfg)
-		off := full.Bytes()
-		st.cur.UnpackBytes(full, data[:off])
-		for _, f := range ins {
-			seg := data[off : off+f.bytes]
-			if se, ok := e.(ptg.SlotEnv); ok && f.slot >= 0 {
-				buf := runtime.GetBuf(f.bytes)[:f.bytes]
-				copy(buf, seg)
-				se.PutBufSlot(f.slot, buf)
-			} else {
-				e.Put(f.key, DecodeFloats(seg))
-			}
-			off += f.bytes
+	return data
+}
+
+// unpackMig installs a packMig payload: the full storage into tile, the
+// flow payloads into their slots (or keys).
+func unpackMig(e ptg.Env, tile *grid.Tile, full grid.Rect, flows []migFlow, data []byte) {
+	off := full.Bytes()
+	tile.UnpackBytes(full, data[:off])
+	for _, f := range flows {
+		seg := data[off : off+f.bytes]
+		if se, ok := e.(ptg.SlotEnv); ok && f.slot >= 0 {
+			buf := runtime.GetBuf(f.bytes)[:f.bytes]
+			copy(buf, seg)
+			se.PutBufSlot(f.slot, buf)
+		} else {
+			e.Put(f.key, DecodeFloats(seg))
 		}
+		off += f.bytes
 	}
-	mig.PackOut = func(e ptg.Env) []byte {
-		st := b.state(e, inf)
-		data := runtime.GetBuf(mig.OutBytes)[:mig.OutBytes]
-		off := full.Bytes()
-		st.cur.PackBytes(full, data[:off])
-		for _, f := range outs {
-			seg := data[off : off+f.bytes]
-			if se, ok := e.(ptg.SlotEnv); ok && f.slot >= 0 {
-				buf := se.TakeBufSlot(f.slot)
-				copy(seg, buf)
-				runtime.PutBuf(buf)
-			} else {
-				copy(seg, EncodeFloats(e.Take(f.key).([]float64)))
-			}
-			off += f.bytes
-		}
-		return data
-	}
-	mig.Commit = func(e ptg.Env, data []byte) {
-		st := b.state(e, inf)
-		off := full.Bytes()
-		// The shipped result lands in next and the double buffer swaps, so
-		// cur holds exactly what a local execution's swap would have left.
-		st.next.UnpackBytes(full, data[:off])
-		st.cur, st.next = st.next, st.cur
-		for _, f := range outs {
-			seg := data[off : off+f.bytes]
-			if se, ok := e.(ptg.SlotEnv); ok && f.slot >= 0 {
-				buf := runtime.GetBuf(f.bytes)[:f.bytes]
-				copy(buf, seg)
-				se.PutBufSlot(f.slot, buf)
-			} else {
-				e.Put(f.key, DecodeFloats(seg))
-			}
-			off += f.bytes
-		}
-	}
-	return mig
 }
 
 // migState fetches — or, on a thief rank executing its first migrated task

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 
 	"castencil/internal/grid"
 	"castencil/internal/ptg"
@@ -62,12 +62,12 @@ func cornerSides(d grid.Dir) (grid.Dir, grid.Dir) {
 
 // splitGeom is the region decomposition of one (tile, iteration) task.
 type splitGeom struct {
-	ok     bool                     // task is splittable
-	update grid.Rect                // full update rect (CA trapezoid region or interior)
-	inner  grid.Rect                // halo-independent interior part
-	has    [grid.NumDirs]bool       // incoming halo flow from direction d
-	part   [grid.NumDirs]bool       // border part d exists (edges cardinal, corners diagonal)
-	rects  [grid.NumDirs]grid.Rect  // border part update rects
+	ok     bool                    // task is splittable
+	update grid.Rect               // full update rect (CA trapezoid region or interior)
+	inner  grid.Rect               // halo-independent interior part
+	has    [grid.NumDirs]bool      // incoming halo flow from direction d
+	part   [grid.NumDirs]bool      // border part d exists (edges cardinal, corners diagonal)
+	rects  [grid.NumDirs]grid.Rect // border part update rects
 }
 
 // splitGeom decomposes tile inf's iteration-t update rectangle. The
@@ -90,7 +90,7 @@ func (b *builder) splitGeom(inf *tileInfo, t int) splitGeom {
 	}
 	any := false
 	for _, d := range grid.AllDirs {
-		p := b.neighbor(inf, d)
+		p := inf.nbr[d]
 		if p == nil {
 			continue
 		}
@@ -163,20 +163,6 @@ func interiorOverlap(rc grid.Rect, inf *tileInfo) int {
 	return (r1 - r0) * (c1 - c0)
 }
 
-// recvPoints is the number of halo points arriving from direction d at
-// iteration t (0 when no flow).
-func (b *builder) recvPoints(inf *tileInfo, d grid.Dir, t int) int {
-	p := b.neighbor(inf, d)
-	if p == nil {
-		return 0
-	}
-	depth, ok := b.flow(p, d.Opposite(), t-1)
-	if !ok {
-		return 0
-	}
-	return b.sendRect(p, d.Opposite(), depth).Size()
-}
-
 // partBody is the executable closure of a split part: unpack the one halo
 // the part is gated on (if any), then apply the stencil to the part's
 // rectangle. Same row kernels, same cells, same order as the unsplit task.
@@ -207,14 +193,15 @@ func (b *builder) commitBody(inf *tileInfo, t int) func(ptg.Env) {
 	}
 }
 
-// Apply rewrites the stencil graph with inner/border splitting. Unsplit
-// tasks (init, CA boundary mid-phase steps, degenerate thin tiles) are
-// copied verbatim — bodies, hints, and dependency closures included.
+// Apply rewrites the stencil graph b built (so b.task indexes it) with
+// inner/border splitting. Unsplit tasks (init, CA boundary mid-phase steps,
+// degenerate thin tiles) are copied verbatim — bodies, hints, and
+// dependency closures included.
 func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 	b := p.b
 	nb := ptg.NewBuilder(g.NumNodes)
 	nb.PresetSlots(g.NodeSlots, g.NodeBufSlots)
-	geoms := make([][][]splitGeom, b.part.TR)
+	geoms := make([]splitGeom, len(g.Tasks))
 	// Pass 1: tasks. Split hints partition the original exactly: the
 	// interior and border Updates/RedundantUpdates sum to the unsplit
 	// task's, incoming CopyPoints land on the border task that unpacks
@@ -222,18 +209,12 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 	// engines price the split graph with the same machine model, plus one
 	// honest per-part task overhead.
 	for ti := 0; ti < b.part.TR; ti++ {
-		geoms[ti] = make([][]splitGeom, b.part.TC)
 		for tj := 0; tj < b.part.TC; tj++ {
-			inf := b.info[ti][tj]
-			geoms[ti][tj] = make([]splitGeom, b.epochs+1)
+			inf := b.tile(ti, tj)
 			for t := 0; t <= b.epochs; t++ {
-				idx, ok := g.Lookup(taskID(ti, tj, t))
-				if !ok {
-					return nil, fmt.Errorf("split: missing task %v", taskID(ti, tj, t))
-				}
-				orig := g.Tasks[idx]
+				orig := g.Tasks[b.task(inf, t)]
 				sg := b.splitGeom(inf, t)
-				geoms[ti][tj][t] = sg
+				geoms[b.task(inf, t)] = sg
 				if !sg.ok {
 					if _, err := nb.AddTask(orig); err != nil {
 						return nil, err
@@ -273,7 +254,9 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 						},
 					}
 					if sg.has[d] {
-						bt.Hint.CopyPoints = b.recvPoints(inf, d, t)
+						p := inf.nbr[d]
+						depth, _ := b.flow(p, d.Opposite(), t-1)
+						bt.Hint.CopyPoints = b.sendRect(p, d.Opposite(), depth).Size()
 					}
 					if withBodies {
 						bt.Run = b.partBody(inf, t, rc, d, sg.has[d])
@@ -287,12 +270,8 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 				// The commit task only merges partial buffers; its Run is not
 				// the original kernel, so the migration hooks don't apply.
 				ct.Mig = nil
-				ct.Hint = ptg.CostHint{Rows: inf.rows, Cols: inf.cols}
-				for _, d := range grid.AllDirs {
-					if depth, ok := b.flow(inf, d, t); ok {
-						ct.Hint.CopyPoints += b.sendRect(inf, d, depth).Size()
-					}
-				}
+				_, out, _ := b.haloPoints(inf, t)
+				ct.Hint = ptg.CostHint{Rows: inf.rows, Cols: inf.cols, CopyPoints: out}
 				if withBodies {
 					ct.Run = b.commitBody(inf, t)
 				}
@@ -305,11 +284,10 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 	// Pass 2: dependencies.
 	for ti := 0; ti < b.part.TR; ti++ {
 		for tj := 0; tj < b.part.TC; tj++ {
-			inf := b.info[ti][tj]
+			inf := b.tile(ti, tj)
 			for t := 0; t <= b.epochs; t++ {
-				idx, _ := g.Lookup(taskID(ti, tj, t))
-				orig := &g.Tasks[idx]
-				sg := &geoms[ti][tj][t]
+				orig := &g.Tasks[b.task(inf, t)]
+				sg := &geoms[b.task(inf, t)]
 				if !sg.ok {
 					// Replay the original dependencies verbatim; producer
 					// IDs are unchanged whether or not the producer was
@@ -354,13 +332,11 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 						}
 					}
 					if sg.has[d] {
-						nb1 := b.neighbor(inf, d)
-						pid := taskID(nb1.ti, nb1.tj, t-1)
-						dp, err := findFlowDep(g, orig, pid)
-						if err != nil {
-							return nil, err
-						}
-						if err := nb.AddDep(bid, pid, dp); err != nil {
+						// Each (consumer, producer) tile pair carries exactly
+						// one flow per iteration.
+						pi := b.task(inf.nbr[d], t-1)
+						i := slices.IndexFunc(orig.Deps, func(dp ptg.Dep) bool { return dp.Producer == pi })
+						if err := nb.AddDep(bid, g.Tasks[pi].ID, orig.Deps[i]); err != nil {
 							return nil, err
 						}
 					}
@@ -372,15 +348,4 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 		}
 	}
 	return nb.Build()
-}
-
-// findFlowDep locates orig's dependency whose producer is pid; each
-// (consumer, producer) tile pair carries exactly one flow per iteration.
-func findFlowDep(g *ptg.Graph, orig *ptg.Task, pid ptg.TaskID) (ptg.Dep, error) {
-	for _, dp := range orig.Deps {
-		if g.Tasks[dp.Producer].ID == pid {
-			return dp, nil
-		}
-	}
-	return ptg.Dep{}, fmt.Errorf("split: task %v has no dependency on %v", orig.ID, pid)
 }

@@ -8,11 +8,21 @@
 // Two engines consume a Graph: internal/runtime executes it for real
 // (concurrent workers per node, byte-serialized inter-node messages) and
 // internal/desim replays it in virtual time against machine cost models.
+//
+// Layout and ordering contract: Build stores all Deps in one array and all
+// Succs in another (compressed sparse row form), each Task's being a
+// capacity-clamped window. Task.Deps keeps the order in which the task's
+// dependencies were added, however calls for different consumers
+// interleave; Task.Succs lists each consumer once, in increasing task index
+// (engines scan all matching Deps per entry). Engines rely on this order
+// for determinism; internal/core's golden graph test pins it.
 package ptg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // TaskID names a task instance: a class (e.g. "jacobi") plus up to three
@@ -134,23 +144,24 @@ type CostHint struct {
 // node's store.
 type Dep struct {
 	Producer int32 // task index
+	consumer int32 // the dependent task's index, recorded by the Builder
 	Bytes    int   // payload size; 0 for pure-ordering local deps
 	Pack     func(env Env) []byte
 	Unpack   func(env Env, data []byte)
 }
 
-// Migration makes a task stealable across ranks of a distributed run: it
-// describes how to serialize the task's entire input state out of its home
-// node's store (PackIn), materialize it on a remote rank (Deposit), ship the
-// results back (PackOut) and install them at home exactly as a local
-// execution would have (Commit). A task with a nil Mig never migrates.
-//
-// InBytes and OutBytes are the exact payload sizes PackIn and PackOut
-// produce; they are populated even on cost-only graphs so the virtual-time
-// engine prices migrations identically to the real one.
+// Migration makes a task stealable across ranks of a distributed run: the
+// exact sizes of its input state going out and its results coming back,
+// which both engines price identically. Graph.Hooks builds the code that
+// moves the bytes. A task with a nil Mig never migrates.
 type Migration struct {
 	InBytes  int
 	OutBytes int
+}
+
+// MigrationHooks move one task's state between ranks. PackIn and PackOut
+// produce exactly Migration.InBytes and OutBytes bytes.
+type MigrationHooks struct {
 	// PackIn serializes the task's input state (tile contents plus every
 	// already-delivered input payload, which it consumes) from the home
 	// store. Runs on the victim rank before the task leaves.
@@ -199,8 +210,12 @@ type Graph struct {
 	// these.
 	NodeSlots    []int
 	NodeBufSlots []int
-	index        map[TaskID]int32
-	stats        *Stats
+	// Hooks returns the migration hooks of a task whose Mig is non-nil;
+	// engines call it only once a steal is granted. Nil on graphs without
+	// bodies.
+	Hooks func(t *Task) MigrationHooks
+	index map[TaskID]int32
+	stats *Stats
 }
 
 // Lookup returns the index of a task by ID.
@@ -221,11 +236,10 @@ func (g *Graph) Roots() []int32 {
 }
 
 // CrossNodeDeps counts dependencies whose producer and consumer live on
-// different nodes, and the total payload bytes they carry. It reads the
-// stats computed at Build time (see ComputeStats).
+// different nodes, and the total payload bytes they carry, from the stats
+// computed at Build time.
 func (g *Graph) CrossNodeDeps() (count, bytes int) {
-	s := g.ComputeStats()
-	return s.CrossDeps, s.CrossBytes
+	return g.stats.CrossDeps, g.stats.CrossBytes
 }
 
 // Builder accumulates tasks and dependencies and validates the result.
@@ -233,6 +247,7 @@ type Builder struct {
 	numNodes int
 	tasks    []Task
 	index    map[TaskID]int32
+	deps     []Dep // every recorded dependency, in insertion order
 	slots    []int
 	bufSlots []int
 }
@@ -242,8 +257,19 @@ func NewBuilder(numNodes int) *Builder {
 	return &Builder{numNodes: numNodes, index: make(map[TaskID]int32)}
 }
 
+// Grow reserves room for tasks more tasks and deps more dependencies, so a
+// caller that knows its graph's size builds it in a fixed number of
+// allocations.
+func (b *Builder) Grow(tasks, deps int) {
+	b.tasks = slices.Grow(b.tasks, tasks)
+	b.deps = slices.Grow(b.deps, deps)
+	if len(b.index) == 0 {
+		b.index = make(map[TaskID]int32, tasks)
+	}
+}
+
 // AddTask registers a task instance and returns its index. The Deps and
-// Succs fields of the argument are ignored; use AddDep.
+// Succs fields of the argument are ignored; use AddDep or AddDepIdx.
 func (b *Builder) AddTask(t Task) (int32, error) {
 	if _, dup := b.index[t.ID]; dup {
 		return 0, fmt.Errorf("ptg: duplicate task %v", t.ID)
@@ -297,9 +323,8 @@ func (b *Builder) PresetSlots(slots, bufSlots []int) {
 	}
 }
 
-// AddDep records that consumer depends on producer. Cross-node dependencies
-// must carry a positive payload size; Pack/Unpack may be nil when the graph
-// is cost-only (no bodies).
+// AddDep records that consumer depends on producer, naming both by ID; see
+// AddDepIdx.
 func (b *Builder) AddDep(consumer, producer TaskID, d Dep) error {
 	ci, ok := b.index[consumer]
 	if !ok {
@@ -309,69 +334,84 @@ func (b *Builder) AddDep(consumer, producer TaskID, d Dep) error {
 	if !ok {
 		return fmt.Errorf("ptg: unknown producer %v", producer)
 	}
-	if b.tasks[ci].Node != b.tasks[pi].Node && d.Bytes <= 0 {
-		return fmt.Errorf("ptg: cross-node dep %v -> %v needs payload bytes", producer, consumer)
+	return b.AddDepIdx(ci, pi, d)
+}
+
+// AddDepIdx records that task consumer depends on task producer, both given
+// by the index AddTask returned. Cross-node dependencies must carry a
+// positive payload size; Pack/Unpack may be nil when the graph is cost-only
+// (no bodies).
+func (b *Builder) AddDepIdx(consumer, producer int32, d Dep) error {
+	if n := int32(len(b.tasks)); consumer < 0 || consumer >= n || producer < 0 || producer >= n {
+		return fmt.Errorf("ptg: dependency %d -> %d out of range (have %d tasks)", producer, consumer, n)
 	}
-	d.Producer = pi
-	b.tasks[ci].Deps = append(b.tasks[ci].Deps, d)
+	if b.tasks[consumer].Node != b.tasks[producer].Node && d.Bytes <= 0 {
+		return fmt.Errorf("ptg: cross-node dep %v -> %v needs payload bytes",
+			b.tasks[producer].ID, b.tasks[consumer].ID)
+	}
+	d.Producer, d.consumer = producer, consumer
+	b.deps = append(b.deps, d)
 	return nil
 }
 
-// Build validates the graph (acyclicity via topological sort) and freezes
-// it, computing successor lists.
+// Build lays the dependencies out in CSR form (see the package comment),
+// validates acyclicity and computes the graph's Stats in one topological
+// pass, and freezes the graph.
 func (b *Builder) Build() (*Graph, error) {
-	n := len(b.tasks)
-	indeg := make([]int, n)
-	for i := range b.tasks {
-		t := &b.tasks[i]
-		indeg[i] = len(t.Deps)
-		for _, d := range t.Deps {
-			// A consumer appears once in the producer's successor list even
-			// when it has several dependencies on it (e.g. an edge and a
-			// corner flow); the engines scan all matching deps per entry.
-			succs := b.tasks[d.Producer].Succs
-			if n := len(succs); n > 0 && succs[n-1] == int32(i) {
-				continue
-			}
-			b.tasks[d.Producer].Succs = append(succs, int32(i))
+	tasks, deps := b.tasks, b.deps
+	// Deps: each task's window is its run of the consumer-sorted array.
+	// Builders adding dependencies in consumer order (core's) skip the sort,
+	// which is stable, so every consumer keeps its insertion order.
+	byConsumer := func(x, y Dep) int { return cmp.Compare(x.consumer, y.consumer) }
+	if !slices.IsSortedFunc(deps, byConsumer) {
+		slices.SortStableFunc(deps, byConsumer)
+	}
+	for lo := 0; lo < len(deps); {
+		c, hi := deps[lo].consumer, lo+1
+		for hi < len(deps) && deps[hi].consumer == c {
+			hi++
+		}
+		tasks[c].Deps = deps[lo:hi:hi]
+		lo = hi
+	}
+	// Succs: scanning deps in consumer order, a consumer a producer already
+	// lists is its last one, which last[producer] marks (index plus one).
+	n := len(tasks)
+	last := make([]int32, n)
+	off := make([]int32, n+1)
+	for _, d := range deps {
+		if last[d.Producer] != d.consumer+1 {
+			last[d.Producer] = d.consumer + 1
+			off[d.Producer+1]++
 		}
 	}
-	// Kahn's algorithm to verify acyclicity.
-	queue := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, int32(i))
+	for i := range n {
+		off[i+1] += off[i]
+	}
+	succs := make([]int32, off[n])
+	next := slices.Clone(off[:n])
+	clear(last)
+	for _, d := range deps {
+		if p := d.Producer; last[p] != d.consumer+1 {
+			last[p] = d.consumer + 1
+			succs[next[p]] = d.consumer
+			next[p]++
 		}
 	}
-	visited := 0
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		visited++
-		for _, s := range b.tasks[u].Succs {
-			for _, d := range b.tasks[s].Deps {
-				if d.Producer != u {
-					continue
-				}
-				indeg[s]--
-				if indeg[s] == 0 {
-					queue = append(queue, s)
-				}
-			}
-		}
-	}
-	if visited != n {
-		return nil, fmt.Errorf("ptg: graph has a dependency cycle (%d of %d tasks reachable)", visited, n)
+	for i := range tasks {
+		tasks[i].Succs = succs[off[i]:off[i+1]:off[i+1]]
 	}
 	g := &Graph{
-		NumNodes: b.numNodes, Tasks: b.tasks, index: b.index,
+		NumNodes: b.numNodes, Tasks: tasks, index: b.index,
 		NodeSlots: b.slots, NodeBufSlots: b.bufSlots,
 	}
 	// Stats are computed eagerly so transforms cannot leave stale summaries
 	// behind: every (re)build refreshes them, and readers share the memo.
-	g.stats = g.computeStats()
-	b.tasks = nil
-	b.index = nil
+	var err error
+	if g.stats, err = g.analyze(); err != nil {
+		return nil, err
+	}
+	b.tasks, b.index, b.deps = nil, nil, nil
 	return g, nil
 }
 
@@ -389,82 +429,68 @@ type Stats struct {
 // ComputeStats returns the graph's summary statistics, including the length
 // (in tasks) of the longest dependency chain. Stats are computed eagerly at
 // Build() and memoized; a rewrite pass that mutates a graph in place must
-// call InvalidateStats (ApplyTransforms handles this). The returned value
-// owns its KindCounts map, so callers may mutate it freely.
+// call InvalidateStats. The returned value owns its KindCounts map, so
+// callers may mutate it freely.
 func (g *Graph) ComputeStats() Stats {
-	if g.stats == nil {
-		g.stats = g.computeStats()
-	}
 	s := *g.stats
-	kc := make(map[string]int, len(s.KindCounts))
-	for k, v := range s.KindCounts {
-		kc[k] = v
-	}
-	s.KindCounts = kc
+	s.KindCounts = maps.Clone(s.KindCounts)
 	return s
 }
 
-// InvalidateStats drops the memoized stats so the next ComputeStats (or the
-// next Build of a derived graph) recomputes them from the task list.
+// InvalidateStats recomputes the memoized stats from the task list. A built
+// graph is acyclic, so the recomputation cannot fail.
 func (g *Graph) InvalidateStats() {
-	g.stats = nil
+	g.stats, _ = g.analyze()
 }
 
-func (g *Graph) computeStats() *Stats {
-	s := Stats{KindCounts: make(map[string]int)}
+// analyze is the graph's one topological pass (Kahn's algorithm over
+// Succs): it rejects dependency cycles and computes Stats, the critical
+// path depth included, along the way.
+func (g *Graph) analyze() (*Stats, error) {
+	n := len(g.Tasks)
+	s := Stats{Tasks: n, KindCounts: make(map[string]int)}
 	perNode := make([]int, g.NumNodes)
-	depth := make([]int, len(g.Tasks))
-	// Tasks are not stored topologically; compute depth by processing in
-	// topological order (Kahn again).
-	indeg := make([]int, len(g.Tasks))
+	indeg := make([]int32, n)
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
 		s.Deps += len(t.Deps)
 		perNode[t.Node]++
 		s.KindCounts[t.Kind.String()]++
-		indeg[i] = len(t.Deps)
 		for _, d := range t.Deps {
 			if g.Tasks[d.Producer].Node != t.Node {
 				s.CrossDeps++
 				s.CrossBytes += d.Bytes
 			}
 		}
+		for _, v := range t.Succs {
+			indeg[v]++
+		}
 	}
-	var queue []int32
-	for i := range indeg {
-		if indeg[i] == 0 {
+	// depth[i] is the longest chain ending at task i; queue doubles as the
+	// visit order, so everything before head has been processed.
+	depth := make([]int32, n)
+	queue := make([]int32, 0, n)
+	for i, d := range indeg {
+		if d == 0 {
 			queue = append(queue, int32(i))
 			depth[i] = 1
 		}
 	}
-	maxDepth := 0
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if depth[u] > maxDepth {
-			maxDepth = depth[u]
-		}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		s.CriticalPathTasks = max(s.CriticalPathTasks, int(depth[u]))
 		for _, v := range g.Tasks[u].Succs {
-			if d := depth[u] + 1; d > depth[v] {
-				depth[v] = d
-			}
-			for _, dep := range g.Tasks[v].Deps {
-				if dep.Producer != u {
-					continue
-				}
-				indeg[v]--
-				if indeg[v] == 0 {
-					queue = append(queue, v)
-				}
+			depth[v] = max(depth[v], depth[u]+1)
+			if indeg[v]--; indeg[v] == 0 {
+				queue = append(queue, v)
 			}
 		}
 	}
-	s.Tasks = len(g.Tasks)
-	s.CriticalPathTasks = maxDepth
-	if g.NumNodes > 0 {
-		sort.Ints(perNode)
-		s.TasksPerNodeMin = perNode[0]
-		s.TasksPerNodeMax = perNode[len(perNode)-1]
+	if len(queue) != n {
+		return nil, fmt.Errorf("ptg: graph has a dependency cycle (%d of %d tasks reachable)", len(queue), n)
 	}
-	return &s
+	if g.NumNodes > 0 {
+		s.TasksPerNodeMin, s.TasksPerNodeMax = slices.Min(perNode), slices.Max(perNode)
+	}
+	return &s, nil
 }

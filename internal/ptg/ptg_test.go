@@ -1,6 +1,7 @@
 package ptg
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -204,5 +205,69 @@ func TestWriteDOT(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("DOT output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCSRLayoutOrder pins the ordering contract of the package comment:
+// with dependencies added for interleaved consumers, each Task.Deps keeps
+// its own insertion order, each Task.Succs lists its consumers once in
+// increasing index, and every window is capacity-clamped so an append
+// cannot overwrite a neighbor's entries.
+func TestCSRLayoutOrder(t *testing.T) {
+	b := NewBuilder(1)
+	b.Grow(4, 6)
+	for i := 0; i < 4; i++ {
+		if _, err := b.AddTask(Task{ID: id("t", i, 0, 0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]int32{{3, 1}, {2, 0}, {3, 0}, {2, 1}, {3, 1}, {1, 0}} {
+		if err := b.AddDepIdx(e[0], e[1], Dep{Bytes: int(10*e[0] + e[1])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps := func(i int) (out []int) {
+		for _, d := range g.Tasks[i].Deps {
+			out = append(out, int(d.Producer), d.Bytes)
+		}
+		return out
+	}
+	for i, want := range [][]int{nil, {0, 10}, {0, 20, 1, 21}, {1, 31, 0, 30, 1, 31}} {
+		if got := deps(i); !slices.Equal(got, want) {
+			t.Errorf("task %d Deps (producer, bytes) = %v, want %v", i, got, want)
+		}
+	}
+	for i, want := range [][]int32{{1, 2, 3}, {2, 3}, nil, nil} {
+		if got := g.Tasks[i].Succs; !slices.Equal(got, want) {
+			t.Errorf("task %d Succs = %v, want %v", i, got, want)
+		}
+	}
+	for i := range g.Tasks {
+		if tk := &g.Tasks[i]; cap(tk.Deps) != len(tk.Deps) || cap(tk.Succs) != len(tk.Succs) {
+			t.Errorf("task %d windows not capacity-clamped", i)
+		}
+	}
+}
+
+// TestAddDepIdxChecks checks the index-addressed edge keeps AddDep's
+// validation: indices in range, and a payload on cross-node edges.
+func TestAddDepIdxChecks(t *testing.T) {
+	b := NewBuilder(2)
+	b.AddTask(Task{ID: id("a", 0, 0, 0), Node: 0})
+	b.AddTask(Task{ID: id("b", 0, 0, 0), Node: 1})
+	for _, e := range [][2]int32{{2, 0}, {0, -1}, {-1, 0}} {
+		if err := b.AddDepIdx(e[0], e[1], Dep{Bytes: 8}); err == nil {
+			t.Errorf("AddDepIdx(%d, %d) accepted an out-of-range index", e[0], e[1])
+		}
+	}
+	if err := b.AddDepIdx(1, 0, Dep{}); err == nil || !strings.Contains(err.Error(), "payload") {
+		t.Errorf("cross-node edge without payload: err = %v", err)
+	}
+	if err := b.AddDepIdx(1, 0, Dep{Bytes: 8}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -27,10 +27,10 @@ type Transform interface {
 	Apply(g *Graph) (*Graph, error)
 }
 
-// ApplyTransforms runs a pipeline of rewrite passes in order. Each pass
-// output is validated: passes built through Builder.Build have already run
-// the Kahn check, and ApplyTransforms refreshes the stats memo so no stale
-// pre-rewrite summary can leak through ComputeStats or CrossNodeDeps.
+// ApplyTransforms runs a pipeline of rewrite passes in order. Every pass
+// output comes from Builder.Build, which has already run the Kahn check and
+// computed fresh stats, so no stale pre-rewrite summary can leak through
+// ComputeStats or CrossNodeDeps.
 func ApplyTransforms(g *Graph, passes ...Transform) (*Graph, error) {
 	for _, p := range passes {
 		out, err := p.Apply(g)
@@ -39,12 +39,6 @@ func ApplyTransforms(g *Graph, passes ...Transform) (*Graph, error) {
 		}
 		if out == nil {
 			return nil, fmt.Errorf("ptg: transform %s returned nil graph", p.Name())
-		}
-		if out != g && out.stats == nil {
-			// A pass that bypassed Builder.Build (hand-assembled Graph)
-			// has no memoized stats yet; compute them so downstream
-			// readers see the rewritten graph eagerly summarized.
-			out.ComputeStats()
 		}
 		g = out
 	}

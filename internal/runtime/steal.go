@@ -20,7 +20,8 @@ import (
 // conduit's steal frames (StealReq/StealRsp/StealRet/StealAck). As a thief,
 // the agent probes data-affine victims when the rank's workers starve; a
 // victim answers by popping a migratable ready task and shipping its entire
-// input state (tile contents plus delivered halo payloads — ptg.Migration).
+// input state (tile contents plus delivered halo payloads — the hooks
+// ptg.Graph.Hooks builds for the task once its steal is granted).
 // The thief executes the task against its replica store of the victim's node
 // (every rank allocates stores for all nodes) and ships the results back;
 // the victim commits them into the home store bitwise-identically to local
@@ -716,7 +717,7 @@ func (ag *stealAgent) onReq(m StealMsg) {
 	if idx, ok := ex.stealPop(); ok {
 		t := &ex.g.Tasks[idx]
 		rsp.Task = idx
-		rsp.Data = t.Mig.PackIn(ex.nodes[t.Node].env)
+		rsp.Data = ex.g.Hooks(t).PackIn(ex.nodes[t.Node].env)
 		cp := rsp
 		vp.rsp = &cp
 	}
@@ -796,7 +797,7 @@ func (ag *stealAgent) sendForced(thief int, vf *victimForced, idx int32) {
 	now := time.Now()
 	vf.msg = StealMsg{
 		Kind: StealRsp, From: ex.dist.Rank, ID: vf.nextID,
-		Task: idx, Forced: true, Data: t.Mig.PackIn(ex.nodes[t.Node].env),
+		Task: idx, Forced: true, Data: ex.g.Hooks(t).PackIn(ex.nodes[t.Node].env),
 	}
 	vf.inFlight = true
 	vf.attempt = 0
@@ -898,12 +899,13 @@ func (ex *executor) execMigrated(idx int32, in []byte) (out []byte) {
 	t := &ex.g.Tasks[idx]
 	nd := ex.nodes[t.Node]
 	start := time.Since(ex.t0)
-	t.Mig.Deposit(nd.env, in)
+	hooks := ex.g.Hooks(t)
+	hooks.Deposit(nd.env, in)
 	PutBuf(in)
 	if t.Run != nil {
 		t.Run(nd.env)
 	}
-	out = t.Mig.PackOut(nd.env)
+	out = hooks.PackOut(nd.env)
 	ex.stealsRemote.Add(1)
 	if ex.opts.Trace != nil {
 		// The migrated execution happens on this rank's agent, off the home
@@ -930,7 +932,7 @@ func (ex *executor) commitMigrated(idx int32, out []byte) {
 	}()
 	t := &ex.g.Tasks[idx]
 	nd := ex.nodes[t.Node]
-	t.Mig.Commit(nd.env, out)
+	ex.g.Hooks(t).Commit(nd.env, out)
 	PutBuf(out)
 	ex.migratedTasks.Add(1)
 	ex.migratedBytes.Add(int64(t.Mig.InBytes + t.Mig.OutBytes))

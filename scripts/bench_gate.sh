@@ -2,13 +2,15 @@
 # Gates a benchmark result set (`bash benchmark/run.sh -all -o FILE`) against
 # the committed baseline on what is exact: no failed operation, no pack
 # allocation, no dropped message, and every deterministic counter of the
-# traced runs equal to the baseline's. Timings are printed, never gated.
+# traced runs equal to the baseline's — desim.makespan_s included: it is
+# virtual time, as deterministic as a count. Timings are printed, never gated.
 set -euo pipefail
 new="${1:?usage: bench_gate.sh results.json [baseline.json]}"
 base="${2:-$(dirname "$0")/../benchmark/results/baseline.json}"
 zero='["grid.pack_allocs","runtime.dropped"]'
 exact='["core.tasks","core.cross_deps","core.cross_bytes","ptg.bundles","runtime.messages",
-  "runtime.bytes_sent","netcomm.frames_solve","netcomm.wire_bytes_solve","desim.messages"]'
+  "runtime.bytes_sent","netcomm.frames_solve","netcomm.wire_bytes_solve","desim.messages",
+  "desim.makespan_s"]'
 
 jq -r '.runs[] | select(.trace != true) | .metrics as $m
   | "\(.workload): solve_s_p50 \($m.solve_s_p50.value) s, alloc \($m.alloc_mb_per_solve.value) MB/solve, jobs/s \($m.jobs_per_s.value)"' "$new"
