@@ -22,8 +22,7 @@ type tileInfo struct {
 	// boundary.
 	nbr [grid.NumDirs]*tileInfo
 
-	// Store slots of the zero-copy fast path, reserved at build time when
-	// the graph carries bodies; base -1 selects the keyed fallback.
+	// Store slots, reserved at build time when the graph carries bodies.
 	// stateSlot holds the tile's *tileState; sendSlot[d]/recvSlot[d] are
 	// the slot ranges holding packed halo payloads flowing toward/arriving
 	// from direction d, indexed round-robin by step or phase (see slotOf).
@@ -38,6 +37,13 @@ type tileInfo struct {
 // slotRange is a run of depth consecutive buffer slots cycled round-robin by
 // one halo flow.
 type slotRange struct{ base, depth int32 }
+
+// tileState is the double-buffered tile a task chain owns. Only the tasks
+// of tile (ti, tj) ever touch it; neighbors see packed copies.
+type tileState struct {
+	cur, next *grid.Tile
+	r0, c0    int // global origin
+}
 
 type builder struct {
 	v     Variant
@@ -98,11 +104,6 @@ func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
 				// Every tile carries the deep ghost region: all flows —
 				// intra-node ones included — happen once per block.
 				inf.halo = cfg.Wavefront
-			}
-			inf.stateSlot = -1
-			for d := range inf.sendSlot {
-				inf.sendSlot[d] = slotRange{base: -1}
-				inf.recvSlot[d] = slotRange{base: -1}
 			}
 			for _, d := range grid.AllDirs {
 				if ni, nj, ok := part.Neighbor(ti, tj, d); ok {
@@ -182,27 +183,12 @@ func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
 				if p.node != inf.node {
 					dep.Bytes = bd.sendRect(p, d.Opposite(), depth).Bytes()
 					if cfg.WithBodies {
-						key := BufKey{TI: p.ti, TJ: p.tj, Step: t - 1, Dir: d.Opposite()}
-						ss, rs := int32(-1), int32(-1)
-						if p.sendSlot[d.Opposite()].base >= 0 {
-							ss = bd.slotOf(p.sendSlot[d.Opposite()], inf, t-1)
-							rs = bd.slotOf(inf.recvSlot[d], inf, t-1)
-						}
-						dep.Pack = func(e ptg.Env) []byte {
-							if se, ok := e.(ptg.SlotEnv); ok && ss >= 0 {
-								return se.TakeBufSlot(ss)
-							}
-							return EncodeFloats(e.Take(key).([]float64))
-						}
-						dep.Unpack = func(e ptg.Env, data []byte) {
-							if se, ok := e.(ptg.SlotEnv); ok && rs >= 0 {
-								// Zero-copy: the in-flight payload itself
-								// becomes the consumer-side buffer.
-								se.PutBufSlot(rs, data)
-								return
-							}
-							e.Put(key, DecodeFloats(data))
-						}
+						ss := bd.slotOf(p.sendSlot[d.Opposite()], inf, t-1)
+						rs := bd.slotOf(inf.recvSlot[d], inf, t-1)
+						dep.Pack = func(e ptg.Env) []byte { return e.TakeBufSlot(ss) }
+						// Zero-copy: the in-flight payload itself becomes the
+						// consumer-side buffer.
+						dep.Unpack = func(e ptg.Env, data []byte) { e.PutBufSlot(rs, data) }
 					}
 				}
 				if err := gb.AddDepIdx(c, bd.task(p, t-1), dep); err != nil {
@@ -228,14 +214,32 @@ func taskID(ti, tj, t int) ptg.TaskID {
 	return ptg.TaskID{Class: "st", I: ti, J: tj, K: t}
 }
 
-// allocSlots reserves store slots for the zero-copy fast path: one general
-// slot per tile for its state, and one buffer-slot range per halo flow.
+// stateSlots returns, by row-major tile index, the general slot holding each
+// tile's state in its owner node's store. A node's first general slots are
+// its tiles' states, in row-major tile order: allocSlots reserves them by
+// this rule, and Gather reads them back from the partition alone.
+func stateSlots(p *grid.Partition) []int32 {
+	next := make([]int32, p.Nodes())
+	out := make([]int32, 0, p.Tiles())
+	for ti := 0; ti < p.TR; ti++ {
+		for tj := 0; tj < p.TC; tj++ {
+			n := p.Owner(ti, tj)
+			out = append(out, next[n])
+			next[n]++
+		}
+	}
+	return out
+}
+
+// allocSlots reserves the graph's store slots: one general slot per tile
+// for its state (see stateSlots), and one buffer-slot range per halo flow.
 // Same-node flows share a single range (producer deposits, consumer takes);
 // cross-node flows get a range on each side (Pack drains the producer's,
 // Unpack fills the consumer's).
 func (b *builder) allocSlots(gb *ptg.Builder) {
-	for i := range b.tiles {
-		b.tiles[i].stateSlot = gb.AllocSlot(b.tiles[i].node)
+	for i, s := range stateSlots(b.part) {
+		b.tiles[i].stateSlot = s
+		gb.AllocSlot(b.tiles[i].node) // returns s: state slots come first
 	}
 	alloc := func(node int32, depth int) slotRange {
 		r := slotRange{depth: int32(depth)}
@@ -258,10 +262,7 @@ func (b *builder) allocSlots(gb *ptg.Builder) {
 			if _, ok := b.flow(p, d.Opposite(), 0); !ok {
 				continue
 			}
-			if !b.slottable(p, cons, d) {
-				continue
-			}
-			depth := b.slotDepth(p, cons)
+			depth := b.slotDepth(p, cons, d)
 			p.sendSlot[d.Opposite()] = alloc(p.node, depth)
 			if cons.node == p.node {
 				cons.recvSlot[d] = p.sendSlot[d.Opposite()]
@@ -287,23 +288,22 @@ func (b *builder) allocSlots(gb *ptg.Builder) {
 //     phase — it can run a full phase (s productions) past a stalled
 //     consumer, on top of the one unconsumed payload from the previous
 //     phase boundary. s+1 slots.
-func (b *builder) slotDepth(prod, cons *tileInfo) int {
-	if b.v == CA && !cons.boundary && prod.boundary {
+//   - The CA corner flow with step size 1 from an interior producer into a
+//     boundary tile (arriving from diagonal d): under the five-point
+//     stencil the consumer sends nothing back along the diagonal, so the
+//     throttle takes two cardinal hops. The producer's iteration t needs a
+//     shared cardinal neighbor's t-1, which needs the consumer's t-2, which
+//     took payload t-3. Three slots: when the producer refills slot t mod
+//     3, payload t-3 is gone.
+func (b *builder) slotDepth(prod, cons *tileInfo, d grid.Dir) int {
+	switch {
+	case b.v != CA:
+	case !cons.boundary && prod.boundary:
 		return b.cfg.StepSize + 1
+	case cons.boundary && !prod.boundary && !d.Cardinal() && b.cfg.StepSize == 1:
+		return 3
 	}
 	return 2
-}
-
-// slottable reports whether the flow prod -> cons arriving from direction d
-// may use round-robin slots. The lone exception is the CA corner flow with
-// StepSize 1 from an interior producer into a boundary tile: the producer
-// has no reverse flow from the consumer (diagonal flows into interior tiles
-// do not exist), so the take-before-reuse round-trip needs two cardinal
-// hops — t+3 — while the producer refills the slot at t+2. Those rare 1x1
-// corner payloads stay on the keyed fallback.
-func (b *builder) slottable(prod, cons *tileInfo, d grid.Dir) bool {
-	return d.Cardinal() || b.v != CA || !cons.boundary || prod.boundary ||
-		b.cfg.StepSize >= 2
 }
 
 // slotOf indexes a flow's slot range for the payload produced at iteration
@@ -518,13 +518,7 @@ func (b *builder) initBody(inf *tileInfo) func(ptg.Env) {
 		stencil.FillBoundary(cur, inf.r0, inf.c0, cfg.N, cfg.Boundary)
 		stencil.FillBoundary(next, inf.r0, inf.c0, cfg.N, cfg.Boundary)
 		st := &tileState{cur: cur, next: next, r0: inf.r0, c0: inf.c0}
-		// The keyed entry stays authoritative for out-of-graph readers
-		// (Gather, hygiene tests); the slot gives compute tasks lock-free
-		// access on the hot path.
-		e.Put(TileKey{TI: inf.ti, TJ: inf.tj}, st)
-		if se, ok := e.(ptg.SlotEnv); ok && inf.stateSlot >= 0 {
-			se.PutSlot(inf.stateSlot, st)
-		}
+		e.PutSlot(inf.stateSlot, st)
 		b.produce(e, st, inf, 0)
 	}
 }
@@ -579,32 +573,24 @@ func (b *builder) wavefrontBody(inf *tileInfo, t int) func(ptg.Env) {
 	}
 }
 
-// produce packs and publishes every outgoing flow of iteration t. On the
-// fast path the halo is serialized straight into a pooled wire buffer
-// (Tile.PackBytes) and deposited in the flow's parity slot; the float64
-// round-trip and its allocations exist only on the keyed fallback.
+// produce packs and publishes every outgoing flow of iteration t: each halo
+// is serialized straight into a pooled wire buffer (Tile.PackBytes) and
+// deposited in the flow's ring slot.
 func (b *builder) produce(e ptg.Env, st *tileState, inf *tileInfo, t int) {
-	se, slotted := e.(ptg.SlotEnv)
 	for _, d := range grid.AllDirs {
 		depth, ok := b.flow(inf, d, t)
 		if !ok {
 			continue
 		}
 		rc := st.cur.SendRect(d, depth)
-		if slotted && inf.sendSlot[d].base >= 0 {
-			buf := st.cur.PackBytes(rc, runtime.GetBuf(rc.Bytes()))
-			se.PutBufSlot(b.slotOf(inf.sendSlot[d], inf.nbr[d], t), buf)
-			continue
-		}
-		buf := st.cur.Pack(rc, nil)
-		e.Put(BufKey{TI: inf.ti, TJ: inf.tj, Step: t, Dir: d}, buf)
+		buf := st.cur.PackBytes(rc, runtime.GetBuf(rc.Bytes()))
+		e.PutBufSlot(b.slotOf(inf.sendSlot[d], inf.nbr[d], t), buf)
 	}
 }
 
-// consume takes and unpacks every incoming flow feeding iteration t. Fast
-// path: the wire buffer is deserialized in place into the ghost region and
-// immediately recycled into the runtime arena — steady state allocates
-// nothing.
+// consume takes and unpacks every incoming flow feeding iteration t: the
+// wire buffer is deserialized in place into the ghost region and immediately
+// recycled into the runtime arena — steady state allocates nothing.
 func (b *builder) consume(e ptg.Env, st *tileState, inf *tileInfo, t int) {
 	for _, d := range grid.AllDirs {
 		b.consumeDir(e, st, inf, d, t)
@@ -625,23 +611,15 @@ func (b *builder) consumeDir(e ptg.Env, st *tileState, inf *tileInfo, d grid.Dir
 		return
 	}
 	rc := st.cur.RecvRect(d, depth)
-	if se, slotted := e.(ptg.SlotEnv); slotted && inf.recvSlot[d].base >= 0 {
-		buf := se.TakeBufSlot(b.slotOf(inf.recvSlot[d], inf, t-1))
-		st.cur.UnpackBytes(rc, buf)
-		runtime.PutBuf(buf)
-		return
-	}
-	key := BufKey{TI: p.ti, TJ: p.tj, Step: t - 1, Dir: d.Opposite()}
-	vals := e.Take(key).([]float64)
-	st.cur.Unpack(rc, vals)
+	buf := e.TakeBufSlot(b.slotOf(inf.recvSlot[d], inf, t-1))
+	st.cur.UnpackBytes(rc, buf)
+	runtime.PutBuf(buf)
 }
 
-// migFlow is one halo flow a migrating task consumes or produces, resolved
-// to its transfer mechanics: the exact payload size, the slot it rides on
-// the fast path, and the key of the slow-path fallback.
+// migFlow is one halo flow a migrating task consumes or produces: the slot
+// it rides on and its exact payload size.
 type migFlow struct {
-	slot  int32 // -1 selects the keyed fallback
-	key   BufKey
+	slot  int32
 	bytes int
 }
 
@@ -651,27 +629,17 @@ func (b *builder) migFlows(inf *tileInfo, t int) (ins, outs []migFlow) {
 	for _, d := range grid.AllDirs {
 		if p := inf.nbr[d]; p != nil {
 			if depth, ok := b.flow(p, d.Opposite(), t-1); ok {
-				f := migFlow{
-					slot:  -1,
-					key:   BufKey{TI: p.ti, TJ: p.tj, Step: t - 1, Dir: d.Opposite()},
+				ins = append(ins, migFlow{
+					slot:  b.slotOf(inf.recvSlot[d], inf, t-1),
 					bytes: b.sendRect(p, d.Opposite(), depth).Bytes(),
-				}
-				if inf.recvSlot[d].base >= 0 {
-					f.slot = b.slotOf(inf.recvSlot[d], inf, t-1)
-				}
-				ins = append(ins, f)
+				})
 			}
 		}
 		if depth, ok := b.flow(inf, d, t); ok {
-			f := migFlow{
-				slot:  -1,
-				key:   BufKey{TI: inf.ti, TJ: inf.tj, Step: t, Dir: d},
+			outs = append(outs, migFlow{
+				slot:  b.slotOf(inf.sendSlot[d], inf.nbr[d], t),
 				bytes: b.sendRect(inf, d, depth).Bytes(),
-			}
-			if inf.sendSlot[d].base >= 0 {
-				f.slot = b.slotOf(inf.sendSlot[d], inf.nbr[d], t)
-			}
-			outs = append(outs, f)
+			})
 		}
 	}
 	return ins, outs
@@ -727,33 +695,23 @@ func packMig(e ptg.Env, tile *grid.Tile, full grid.Rect, flows []migFlow, size i
 	off := full.Bytes()
 	tile.PackBytes(full, data[:off])
 	for _, f := range flows {
-		seg := data[off : off+f.bytes]
-		if se, ok := e.(ptg.SlotEnv); ok && f.slot >= 0 {
-			buf := se.TakeBufSlot(f.slot)
-			copy(seg, buf)
-			runtime.PutBuf(buf)
-		} else {
-			copy(seg, EncodeFloats(e.Take(f.key).([]float64)))
-		}
+		buf := e.TakeBufSlot(f.slot)
+		copy(data[off:off+f.bytes], buf)
+		runtime.PutBuf(buf)
 		off += f.bytes
 	}
 	return data
 }
 
 // unpackMig installs a packMig payload: the full storage into tile, the
-// flow payloads into their slots (or keys).
+// flow payloads into their slots.
 func unpackMig(e ptg.Env, tile *grid.Tile, full grid.Rect, flows []migFlow, data []byte) {
 	off := full.Bytes()
 	tile.UnpackBytes(full, data[:off])
 	for _, f := range flows {
-		seg := data[off : off+f.bytes]
-		if se, ok := e.(ptg.SlotEnv); ok && f.slot >= 0 {
-			buf := runtime.GetBuf(f.bytes)[:f.bytes]
-			copy(buf, seg)
-			se.PutBufSlot(f.slot, buf)
-		} else {
-			e.Put(f.key, DecodeFloats(seg))
-		}
+		buf := runtime.GetBuf(f.bytes)[:f.bytes]
+		copy(buf, data[off:off+f.bytes])
+		e.PutBufSlot(f.slot, buf)
 		off += f.bytes
 	}
 }
@@ -764,31 +722,20 @@ func unpackMig(e ptg.Env, tile *grid.Tile, full grid.Rect, flows []migFlow, data
 // fills them exactly once in a local run); its remaining cells are dead
 // until written, per the determinism argument above.
 func migState(e ptg.Env, inf *tileInfo, cfg Config) *tileState {
-	if se, ok := e.(ptg.SlotEnv); ok && inf.stateSlot >= 0 {
-		if v := se.GetSlot(inf.stateSlot); v != nil {
-			return v.(*tileState)
-		}
-	} else if v := e.Get(TileKey{TI: inf.ti, TJ: inf.tj}); v != nil {
+	if v := e.GetSlot(inf.stateSlot); v != nil {
 		return v.(*tileState)
 	}
 	cur := grid.NewTile(inf.rows, inf.cols, inf.halo)
 	next := grid.NewTile(inf.rows, inf.cols, inf.halo)
 	stencil.FillBoundary(next, inf.r0, inf.c0, cfg.N, cfg.Boundary)
 	st := &tileState{cur: cur, next: next, r0: inf.r0, c0: inf.c0}
-	e.Put(TileKey{TI: inf.ti, TJ: inf.tj}, st)
-	if se, ok := e.(ptg.SlotEnv); ok && inf.stateSlot >= 0 {
-		se.PutSlot(inf.stateSlot, st)
-	}
+	e.PutSlot(inf.stateSlot, st)
 	return st
 }
 
-// state fetches the tile's double-buffer state: slot fast path, keyed
-// fallback.
+// state fetches the tile's double-buffer state.
 func (b *builder) state(e ptg.Env, inf *tileInfo) *tileState {
-	if se, ok := e.(ptg.SlotEnv); ok && inf.stateSlot >= 0 {
-		return se.GetSlot(inf.stateSlot).(*tileState)
-	}
-	return e.Get(TileKey{TI: inf.ti, TJ: inf.tj}).(*tileState)
+	return e.GetSlot(inf.stateSlot).(*tileState)
 }
 
 // GraphStats builds the graph (cost-only) and returns its statistics;

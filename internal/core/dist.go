@@ -52,17 +52,16 @@ func encodeLocalTiles(p *grid.Partition, stores []*runtime.Store, d *runtime.Dis
 	var out []byte
 	var buf [8]byte
 	le := binary.LittleEndian
+	slots := stateSlots(p)
 	for ti := 0; ti < p.TR; ti++ {
 		for tj := 0; tj < p.TC; tj++ {
-			owner := p.Owner(ti, tj)
-			if runtime.RankOfNode(owner, p.Nodes(), d.Ranks) != d.Rank {
+			if runtime.RankOfNode(p.Owner(ti, tj), p.Nodes(), d.Ranks) != d.Rank {
 				continue
 			}
-			v := stores[owner].Get(TileKey{TI: ti, TJ: tj})
-			if v == nil {
-				return nil, fmt.Errorf("core: tile (%d,%d) missing from its owner's store", ti, tj)
+			st, err := finalState(p, stores, slots, ti, tj)
+			if err != nil {
+				return nil, err
 			}
-			st := v.(*tileState)
 			le.PutUint32(buf[:4], uint32(ti))
 			out = append(out, buf[:4]...)
 			le.PutUint32(buf[:4], uint32(tj))

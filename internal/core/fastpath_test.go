@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"castencil/internal/grid"
 	"castencil/internal/runtime"
+	"castencil/internal/stencil"
 )
 
 func randomHaloTile(rng *rand.Rand, n, halo int) *grid.Tile {
@@ -22,10 +24,7 @@ func randomHaloTile(rng *rand.Rand, n, halo int) *grid.Tile {
 // TestMessageRoundTripZeroAlloc walks one halo payload through the entire
 // steady-state fast path — pooled buffer, row-wise byte serialization,
 // producer slot, (in-process) wire, consumer slot, in-place deserialization,
-// pool return — and pins it at zero heap allocations. This is the
-// acceptance criterion replacing the old four-copy chain
-// (Pack -> EncodeFloats -> DecodeFloats -> Unpack), which allocated a slice
-// at every arrow.
+// pool return — and pins it at zero heap allocations.
 func TestMessageRoundTripZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	src := randomHaloTile(rng, 128, 1)
@@ -62,27 +61,8 @@ func TestMessageRoundTripZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkMsgRoundTripLegacy measures the pre-fast-path four-copy chain the
-// keyed fallback still uses: float64 staging, byte encoding, byte decoding,
-// float64 unpacking — three allocations per hop.
-func BenchmarkMsgRoundTripLegacy(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src := randomHaloTile(rng, 128, 1)
-	dst := grid.NewTile(128, 128, 1)
-	sendRc := src.SendRect(grid.North, 1)
-	recvRc := dst.RecvRect(grid.South, 1)
-	b.SetBytes(int64(sendRc.Bytes()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vals := src.Pack(sendRc, nil)
-		wire := EncodeFloats(vals)
-		dst.Unpack(recvRc, DecodeFloats(wire))
-	}
-}
-
-// BenchmarkMsgRoundTripZeroCopy measures the slot-based fast path on the
-// same payload.
+// BenchmarkMsgRoundTripZeroCopy measures one halo message hop through the
+// slots.
 func BenchmarkMsgRoundTripZeroCopy(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	src := randomHaloTile(rng, 128, 1)
@@ -188,4 +168,54 @@ func BenchmarkExecutorWavefront(b *testing.B) {
 func TestFastPathStaysOnOracle(t *testing.T) {
 	assertMatchesReference(t, CA, Config{N: 30, TileRows: 5, P: 3, Q: 2, Steps: 10, StepSize: 4}, 3)
 	assertMatchesReference(t, CA, Config{N: 24, TileRows: 4, P: 2, Steps: 7, StepSize: 1}, 2)
+}
+
+// TestCornerRing pins the three-slot ring of the CA step-size-1 corner flow
+// from an interior producer into a boundary tile (see slotDepth). Under
+// every scheduler at 1, 2 and 4 workers, runs with the five- and nine-point
+// kernels, the split transform and a ragged 3x2-node grid must match the
+// oracle bitwise and consume every payload. With a two-slot ring the
+// producer refills a slot its consumer has not taken yet, which fails even
+// the one-worker FIFO run.
+func TestCornerRing(t *testing.T) {
+	five := Config{N: 24, TileRows: 4, P: 2, Steps: 9, StepSize: 1}
+	nine := five
+	nine.NinePoint = true
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"5pt", five},
+		{"9pt", nine},
+		{"split", splitCfg(five)},
+		{"ragged", Config{N: 26, TileRows: 4, P: 3, Q: 2, Steps: 9, StepSize: 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			full := c.cfg.withDefaults()
+			var want interface{ At(r, c int) float64 }
+			if full.NinePoint {
+				ref := stencil.NewReference9(full.N, full.Weights9, full.Init, full.Boundary)
+				ref.Run(full.Steps)
+				want = ref
+			} else {
+				want = referenceFor(t, full)
+			}
+			for _, sched := range schedVariants() {
+				for _, workers := range []int{1, 2, 4} {
+					res := runSched(t, CA, c.cfg, sched, workers)
+					for r := 0; r < full.N; r++ {
+						for col := 0; col < full.N; col++ {
+							if got := res.Grid.At(r, col); math.Float64bits(got) != math.Float64bits(want.At(r, col)) {
+								t.Fatalf("%s w=%d: (%d,%d) = %v, want %v (bitwise)", sched, workers, r, col, got, want.At(r, col))
+							}
+						}
+					}
+					if n := LeftoverBuffers(res.Exec.Stores); n != 0 {
+						t.Errorf("%s w=%d: %d unconsumed buffers", sched, workers, n)
+					}
+				}
+			}
+		})
+	}
 }

@@ -65,14 +65,13 @@ func RunReal(v Variant, cfg Config, opts runtime.Options) (*RealResult, error) {
 // completed real execution.
 func Gather(p *grid.Partition, stores []*runtime.Store) (*grid.Tile, error) {
 	out := grid.NewTile(p.N, p.N, 0)
+	slots := stateSlots(p)
 	for ti := 0; ti < p.TR; ti++ {
 		for tj := 0; tj < p.TC; tj++ {
-			store := stores[p.Owner(ti, tj)]
-			v := store.Get(TileKey{TI: ti, TJ: tj})
-			if v == nil {
-				return nil, fmt.Errorf("core: tile (%d,%d) missing from its owner's store", ti, tj)
+			st, err := finalState(p, stores, slots, ti, tj)
+			if err != nil {
+				return nil, err
 			}
-			st := v.(*tileState)
 			for r := 0; r < st.cur.Rows; r++ {
 				copy(out.Row(st.r0+r, st.c0, st.cur.Cols), st.cur.Row(r, 0, st.cur.Cols))
 			}
@@ -81,18 +80,22 @@ func Gather(p *grid.Partition, stores []*runtime.Store) (*grid.Tile, error) {
 	return out, nil
 }
 
-// LeftoverBuffers counts non-tile values remaining in the stores after a
-// run — keyed entries other than tile states plus occupied buffer slots. A
-// correct dataflow consumes every halo buffer exactly once, so this must be
-// zero (used by hygiene tests).
+// finalState returns tile (ti, tj)'s state from its owner's store, given
+// the partition's stateSlots.
+func finalState(p *grid.Partition, stores []*runtime.Store, slots []int32, ti, tj int) (*tileState, error) {
+	v := stores[p.Owner(ti, tj)].GetSlot(slots[ti*p.TC+tj])
+	if v == nil {
+		return nil, fmt.Errorf("core: tile (%d,%d) missing from its owner's store", ti, tj)
+	}
+	return v.(*tileState), nil
+}
+
+// LeftoverBuffers counts halo payloads left in the stores' buffer slots
+// after a run. A correct dataflow consumes every payload exactly once, so
+// this must be zero (used by hygiene tests).
 func LeftoverBuffers(stores []*runtime.Store) int {
 	n := 0
 	for _, s := range stores {
-		for _, k := range s.Keys() {
-			if _, isTile := k.(TileKey); !isTile {
-				n++
-			}
-		}
 		n += s.LiveBufSlots()
 	}
 	return n

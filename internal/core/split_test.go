@@ -294,7 +294,7 @@ func assertStatsEqual(t *testing.T, label string, a, b ptg.Stats) {
 
 // TestSplitLeftoverBuffers checks buffer hygiene under the split dataflow:
 // every halo buffer a border task consumes must be recycled, leaving no
-// keyed values or live buffer slots after the run.
+// live buffer slots after the run.
 func TestSplitLeftoverBuffers(t *testing.T) {
 	res, err := RunReal(CA, splitCfg(Config{N: 48, TileRows: 8, P: 2, Steps: 10, StepSize: 2}),
 		runtime.Options{Workers: 2})
@@ -302,7 +302,7 @@ func TestSplitLeftoverBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := LeftoverBuffers(res.Exec.Stores); n != 0 {
-		t.Fatalf("%d leftover buffers/keyed values after a split run", n)
+		t.Fatalf("%d leftover buffers after a split run", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package desim
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -138,40 +137,48 @@ func TestFaultTimeDomainVirtualTime(t *testing.T) {
 
 // parityGraph builds one graph usable by both engines: a cross-node chain
 // whose deps carry real Pack/Unpack closures (exercised by the real
-// runtime, ignored by the simulator).
+// runtime, ignored by the simulator). Step i keeps its result in general
+// slot i/nodes of node i%nodes.
 func parityGraph(t *testing.T, length, nodes int) *ptg.Graph {
 	t.Helper()
 	b := ptg.NewBuilder(nodes)
 	for i := 0; i < length; i++ {
 		i := i
+		node := int32(i % nodes)
+		own, prev := b.AllocSlot(node), int32((i-1)/nodes)
+		cross := i > 0 && (i-1)%nodes != i%nodes
+		var in int32
+		if cross {
+			in = b.AllocBufSlot(node)
+		}
 		if _, err := b.AddTask(ptg.Task{
-			ID: tid("t", i, 0, 0), Node: int32(i % nodes), Epoch: int32(i),
+			ID: tid("t", i, 0, 0), Node: node, Epoch: int32(i),
 			Run: func(e ptg.Env) {
 				v := 0
-				if i > 0 {
-					v = e.Take(fmt.Sprintf("v%d", i-1)).(int)
+				if cross {
+					buf := e.TakeBufSlot(in)
+					v = int(binary.LittleEndian.Uint64(buf))
+					runtime.PutBuf(buf)
+				} else if i > 0 {
+					v = e.GetSlot(prev).(int)
 				}
-				e.Put(fmt.Sprintf("v%d", i), v+1)
+				e.PutSlot(own, v+1)
 			},
 		}); err != nil {
 			t.Fatal(err)
 		}
 		if i > 0 {
-			prev := i - 1
 			d := ptg.Dep{}
-			if prev%nodes != i%nodes {
+			if cross {
 				d.Bytes = 8
 				d.Pack = func(e ptg.Env) []byte {
 					buf := runtime.GetBuf(8)
-					binary.LittleEndian.PutUint64(buf, uint64(e.Take(fmt.Sprintf("v%d", prev)).(int)))
+					binary.LittleEndian.PutUint64(buf, uint64(e.GetSlot(prev).(int)))
 					return buf
 				}
-				d.Unpack = func(e ptg.Env, data []byte) {
-					e.Put(fmt.Sprintf("v%d", prev), int(binary.LittleEndian.Uint64(data)))
-					runtime.PutBuf(data)
-				}
+				d.Unpack = func(e ptg.Env, data []byte) { e.PutBufSlot(in, data) }
 			}
-			if err := b.AddDep(tid("t", i, 0, 0), tid("t", prev, 0, 0), d); err != nil {
+			if err := b.AddDep(tid("t", i, 0, 0), tid("t", i-1, 0, 0), d); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -224,7 +231,7 @@ func TestFaultScheduleParityWithRealEngine(t *testing.T) {
 	if sim.Messages != real.Messages {
 		t.Errorf("message counts diverged: sim %d, real %d", sim.Messages, real.Messages)
 	}
-	if got := real.Stores[(length-1)%nodes].Take(fmt.Sprintf("v%d", length-1)).(int); got != length {
+	if got := real.Stores[(length-1)%nodes].GetSlot(int32((length - 1) / nodes)).(int); got != length {
 		t.Errorf("real run computed %d, want %d", got, length)
 	}
 }

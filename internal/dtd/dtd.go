@@ -8,13 +8,16 @@
 // Data versions are immutable: each write creates a new version of a key,
 // so readers of version v are never disturbed by a later writer producing
 // v+1 (the copy semantics a dataflow runtime needs anyway). Values are
-// []float64 slices.
+// []float64 slices. Insertion resolves every version to store slots, the
+// way PaRSEC DTD hands tasks data handles: the writer's slot on its node,
+// plus one copy slot on each remote node that reads the version.
 package dtd
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
-	"castencil/internal/core"
 	"castencil/internal/ptg"
 	"castencil/internal/runtime"
 )
@@ -54,18 +57,13 @@ func R(key any) Access  { return Access{Key: key, Mode: In} }
 func W(key any) Access  { return Access{Key: key, Mode: Out} }
 func RW(key any) Access { return Access{Key: key, Mode: InOut} }
 
-// VKey is the versioned store key under which DTD values live.
-type VKey struct {
-	Key     any
-	Version int
-}
-
 // Ctx is the view a task body gets: reads resolve to the versions current
-// at insertion time; writes produce the next version.
+// at insertion time; writes produce the next version. Both maps give the
+// slot on the executing node that holds the key's version.
 type Ctx struct {
 	env    ptg.Env
-	reads  map[any]int
-	writes map[any]int
+	reads  map[any]int32
+	writes map[any]int32
 }
 
 // Node returns the executing node's id.
@@ -73,28 +71,29 @@ func (c Ctx) Node() int { return c.env.NodeID() }
 
 // Read returns the declared input value of a key.
 func (c Ctx) Read(key any) []float64 {
-	ver, ok := c.reads[key]
+	slot, ok := c.reads[key]
 	if !ok {
 		panic(fmt.Sprintf("dtd: task reads undeclared key %v", key))
 	}
-	return c.env.Get(VKey{Key: key, Version: ver}).([]float64)
+	return c.env.GetSlot(slot).([]float64)
 }
 
 // Write publishes the new version of a declared output key.
 func (c Ctx) Write(key any, vals []float64) {
-	ver, ok := c.writes[key]
+	slot, ok := c.writes[key]
 	if !ok {
 		panic(fmt.Sprintf("dtd: task writes undeclared key %v", key))
 	}
-	c.env.Put(VKey{Key: key, Version: ver}, vals)
+	c.env.PutSlot(slot, vals)
 }
 
 // keyState tracks the dataflow frontier of one key.
 type keyState struct {
-	version    int
 	writer     ptg.TaskID // producer of the current version
 	writerNode int32
 	hasWriter  bool
+	slot       int32           // the current version's slot on writerNode
+	copies     map[int32]int32 // remote reader node -> its copy's slot
 	// readers of the current version since the last write (for
 	// anti-dependency ordering).
 	readers []reader
@@ -142,8 +141,8 @@ func (ins *Inserter) Insert(name string, node int, body func(Ctx), accesses ...A
 	ins.seq++
 	id := ptg.TaskID{Class: name, I: ins.seq}
 
-	reads := make(map[any]int)
-	writes := make(map[any]int)
+	reads := make(map[any]int32)
+	writes := make(map[any]int32)
 	type depSpec struct {
 		producer ptg.TaskID
 		dep      ptg.Dep
@@ -166,22 +165,33 @@ func (ins *Inserter) Insert(name string, node int, body func(Ctx), accesses ...A
 				ins.fail(fmt.Errorf("dtd: task %q declares key %v twice", name, a.Key))
 				return
 			}
-			reads[a.Key] = ks.version
-			d := ptg.Dep{}
+			d, slot := ptg.Dep{}, ks.slot
 			if ks.writerNode != int32(node) {
-				vk := VKey{Key: a.Key, Version: ks.version}
+				// The first remote reader on a node reserves the copy slot
+				// every later reader of the version on that node shares.
+				dst, ok := ks.copies[int32(node)]
+				if !ok {
+					if ks.copies == nil {
+						ks.copies = make(map[int32]int32)
+					}
+					dst = ins.b.AllocSlot(int32(node))
+					ks.copies[int32(node)] = dst
+				}
+				src := ks.slot
+				slot = dst
 				d.Bytes = 1 // sized at pack time; graph needs positivity
 				d.Pack = func(e ptg.Env) []byte {
-					return encode(e.Get(vk).([]float64))
+					return encode(e.GetSlot(src).([]float64))
 				}
 				d.Unpack = func(e ptg.Env, data []byte) {
 					// Another reader on this node may have delivered the
 					// version already; the first arrival wins.
-					if e.Get(vk) == nil {
-						e.Put(vk, decode(data))
+					if e.GetSlot(dst) == nil {
+						e.PutSlot(dst, decode(data))
 					}
 				}
 			}
+			reads[a.Key] = slot
 			deps = append(deps, depSpec{producer: ks.writer, dep: d})
 			ks.readers = append(ks.readers, reader{id: id, node: int32(node)})
 		}
@@ -204,12 +214,13 @@ func (ins *Inserter) Insert(name string, node int, body func(Ctx), accesses ...A
 				}
 				deps = append(deps, depSpec{producer: rd.id, dep: tokenDep(rd.node, int32(node))})
 			}
-			ks.version++
 			ks.writer = id
 			ks.writerNode = int32(node)
 			ks.hasWriter = true
+			ks.slot = ins.b.AllocSlot(int32(node))
+			ks.copies = nil
 			ks.readers = nil
-			writes[a.Key] = ks.version
+			writes[a.Key] = ks.slot
 		}
 		if a.Mode != In && a.Mode != Out && a.Mode != InOut {
 			ins.fail(fmt.Errorf("dtd: task %q: invalid access mode %d", name, a.Mode))
@@ -257,29 +268,38 @@ func (ins *Inserter) Graph() (*ptg.Graph, error) {
 	return ins.b.Build()
 }
 
-// FinalKey returns the store key and owning node holding the last-written
-// version of a key.
-func (ins *Inserter) FinalKey(key any) (VKey, int, error) {
+// Fetch reads the final version of a key from the stores of a completed
+// run (the value lives in its last writer's slot).
+func (ins *Inserter) Fetch(stores []*runtime.Store, key any) ([]float64, error) {
 	ks := ins.keys[key]
 	if ks == nil || !ks.hasWriter {
-		return VKey{}, 0, fmt.Errorf("dtd: key %v was never written", key)
+		return nil, fmt.Errorf("dtd: key %v was never written", key)
 	}
-	return VKey{Key: key, Version: ks.version}, int(ks.writerNode), nil
-}
-
-// Fetch reads the final version of a key from the stores of a completed
-// run (the value lives on the node that last wrote it).
-func (ins *Inserter) Fetch(stores []*runtime.Store, key any) ([]float64, error) {
-	vk, node, err := ins.FinalKey(key)
-	if err != nil {
-		return nil, err
-	}
-	v := stores[node].Get(vk)
+	v := stores[ks.writerNode].GetSlot(ks.slot)
 	if v == nil {
-		return nil, fmt.Errorf("dtd: %v missing from node %d", vk, node)
+		return nil, fmt.Errorf("dtd: final version of %v missing from node %d", key, ks.writerNode)
 	}
 	return v.([]float64), nil
 }
 
-func encode(vals []float64) []byte { return core.EncodeFloats(vals) }
-func decode(data []byte) []float64 { return core.DecodeFloats(data) }
+// encode serializes a value for inter-node transport: little-endian
+// IEEE-754 bits, in order.
+func encode(vals []float64) []byte {
+	out := make([]byte, 8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+	}
+	return out
+}
+
+// decode deserializes an encode payload.
+func decode(data []byte) []float64 {
+	if len(data)%8 != 0 {
+		panic("dtd: payload length not a multiple of 8")
+	}
+	out := make([]float64, len(data)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
+	}
+	return out
+}

@@ -8,6 +8,9 @@
 // Two engines consume a Graph: internal/runtime executes it for real
 // (concurrent workers per node, byte-serialized inter-node messages) and
 // internal/desim replays it in virtual time against machine cost models.
+// Task bodies exchange data only through per-node store slots the graph
+// reserves at build time (see Env), so every flow is resolved before the
+// graph runs.
 //
 // Layout and ordering contract: Build stores all Deps in one array and all
 // Succs in another (compressed sparse row form), each Task's being a
@@ -73,36 +76,18 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// Env is the node-local execution environment handed to task bodies by the
-// real runtime. Get/Put/Take operate on the node's private store; tasks of
-// one node never see another node's store (node isolation — the analog of
-// distributed memory).
-type Env interface {
-	NodeID() int
-	// Put stores a write-once value under a key. Putting an existing key
-	// panics: dataflow values are produced exactly once.
-	Put(key, val any)
-	// Take removes and returns a value, panicking if absent: by
-	// construction a task only runs when its inputs have been produced.
-	Take(key any) any
-	// Get returns a value without removing it (nil if absent).
-	Get(key any) any
-}
-
-// SlotEnv is an optional extension of Env offered by engines that support
-// precomputed key slots. When a graph's dataflow keys are static (known at
-// build time, as in the stencil graphs), the builder can reserve integer
-// slots via Builder.AllocSlot/AllocBufSlot and task bodies can exchange
-// values through direct array indexing instead of the mutex-protected key
-// map — removing per-Put/Take lock and hash traffic from the hot path.
-// Bodies must fall back to the keyed Env methods when the assertion to
-// SlotEnv fails, so graphs stay runnable on engines without slot support.
+// Env is the node-local execution environment handed to task bodies and
+// Pack/Unpack closures by the real runtime. Bodies exchange data only
+// through the node's private slots, which the graph reserves at build time
+// (Builder.AllocSlot/AllocBufSlot) — the way PaRSEC resolves every flow
+// when a task is created. Tasks of one node never see another node's slots
+// (node isolation — the analog of distributed memory).
 //
 // Slot accesses carry no locking of their own: the runtime's scheduling
 // edges (ready-queue handoff, send/inbox channels, pending-counter atomics)
 // already order every producer before its consumer.
-type SlotEnv interface {
-	Env
+type Env interface {
+	NodeID() int
 	// PutSlot stores a write-once value in a general slot (persistent
 	// state such as tile buffers). Reusing an occupied slot panics.
 	PutSlot(slot int32, v any)
@@ -205,9 +190,8 @@ type Graph struct {
 	NumNodes int
 	Tasks    []Task
 	// NodeSlots and NodeBufSlots are the per-node counts of general and
-	// buffer slots reserved at build time (nil when the graph uses keyed
-	// dataflow only). Engines with slot support size their stores from
-	// these.
+	// buffer slots reserved at build time (nil when the graph reserves
+	// none). Engines size their stores from these.
 	NodeSlots    []int
 	NodeBufSlots []int
 	// Hooks returns the migration hooks of a task whose Mig is non-nil;
@@ -285,9 +269,8 @@ func (b *Builder) AddTask(t Task) (int32, error) {
 	return idx, nil
 }
 
-// AllocSlot reserves a general store slot on a node and returns its index.
-// Slots let bodies bypass the keyed store for dataflow values whose keys
-// are static at build time (see SlotEnv).
+// AllocSlot reserves a general store slot on a node and returns its index
+// (see Env).
 func (b *Builder) AllocSlot(node int32) int32 {
 	if b.slots == nil {
 		b.slots = make([]int, b.numNodes)

@@ -29,14 +29,15 @@ func TestDroppedCountsDiscardedTransfers(t *testing.T) {
 	}
 	mustAdd(ptg.Task{ID: tid("R", 0, 0, 0), Node: 0, Run: func(ptg.Env) {}})
 	mustAdd(ptg.Task{ID: tid("P", 0, 0, 0), Node: 0, Run: func(ptg.Env) { panic("boom") }})
-	mustAdd(ptg.Task{ID: tid("A", 0, 0, 0), Node: 0, Run: func(e ptg.Env) { e.Put("a", []byte{1}) }})
+	a := b.AllocBufSlot(0)
+	mustAdd(ptg.Task{ID: tid("A", 0, 0, 0), Node: 0, Run: func(e ptg.Env) { e.PutBufSlot(a, []byte{1}) }})
 	mustAdd(ptg.Task{ID: tid("B", 0, 0, 0), Node: 1, Run: func(ptg.Env) {}})
 	if err := b.AddDep(tid("A", 0, 0, 0), tid("R", 0, 0, 0), ptg.Dep{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.AddDep(tid("B", 0, 0, 0), tid("A", 0, 0, 0), ptg.Dep{
 		Bytes: 1,
-		Pack:  func(e ptg.Env) []byte { return e.Take("a").([]byte) },
+		Pack:  func(e ptg.Env) []byte { return e.TakeBufSlot(a) },
 		Unpack: func(e ptg.Env, data []byte) {
 			t.Error("payload of the failed run was delivered to its consumer")
 		},

@@ -347,13 +347,7 @@ type env struct {
 	store *Store
 }
 
-func (e env) NodeID() int    { return int(e.node) }
-func (e env) Put(k, v any)   { e.store.Put(k, v) }
-func (e env) Take(k any) any { return e.store.Take(k) }
-func (e env) Get(k any) any  { return e.store.Get(k) }
-
-// env implements ptg.SlotEnv: slot traffic goes straight to the store's
-// preallocated arrays, skipping the keyed map's mutex and hashing.
+func (e env) NodeID() int                     { return int(e.node) }
 func (e env) PutSlot(slot int32, v any)       { e.store.PutSlot(slot, v) }
 func (e env) GetSlot(slot int32) any          { return e.store.GetSlot(slot) }
 func (e env) PutBufSlot(slot int32, b []byte) { e.store.PutBufSlot(slot, b) }
@@ -547,6 +541,15 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		}()
 	}
 
+	// Seed the local roots before any worker starts, so the first worker to
+	// pop already chooses among all of them (queue policy holds from the
+	// first task on).
+	for _, r := range g.Roots() {
+		if ex.localNode(g.Tasks[r].Node) {
+			ex.enqueue(r)
+		}
+	}
+
 	var wg sync.WaitGroup
 	for _, nd := range ex.nodes {
 		if !ex.localNode(nd.id) {
@@ -562,13 +565,6 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	if ex.agent != nil {
 		wg.Add(1)
 		go ex.agent.run(&wg)
-	}
-
-	// Seed the local roots.
-	for _, r := range g.Roots() {
-		if ex.localNode(g.Tasks[r].Node) {
-			ex.enqueue(r)
-		}
 	}
 	if ex.total == 0 {
 		// An idle rank (more ranks than populated nodes, or a graph whose

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,43 +17,47 @@ import (
 func tid(class string, i, j, k int) ptg.TaskID { return ptg.TaskID{Class: class, I: i, J: j, K: k} }
 
 // buildChain makes a cross-node pipeline: t0 on node 0 produces a counter,
-// each subsequent task (alternating nodes) increments it.
+// each subsequent task (alternating nodes) increments it. Step i keeps its
+// result in general slot i/nodes of node i%nodes (see chainValue); a hop
+// across nodes arrives in a buffer slot of the consumer's node.
 func buildChain(t *testing.T, length, nodes int) *ptg.Graph {
 	t.Helper()
 	b := ptg.NewBuilder(nodes)
 	for i := 0; i < length; i++ {
 		i := i
 		node := int32(i % nodes)
+		own, prev := b.AllocSlot(node), int32((i-1)/nodes)
+		cross := i > 0 && (i-1)%nodes != i%nodes
+		var in int32
+		if cross {
+			in = b.AllocBufSlot(node)
+		}
 		_, err := b.AddTask(ptg.Task{
 			ID:   tid("step", i, 0, 0),
 			Node: node,
 			Run: func(e ptg.Env) {
 				v := 0
-				if i > 0 {
-					v = e.Take(fmt.Sprintf("v%d", i-1)).(int)
+				if cross {
+					v = int(binary.LittleEndian.Uint64(e.TakeBufSlot(in)))
+				} else if i > 0 {
+					v = e.GetSlot(prev).(int)
 				}
-				e.Put(fmt.Sprintf("v%d", i), v+1)
+				e.PutSlot(own, v+1)
 			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i > 0 {
-			prev := i - 1
 			dep := ptg.Dep{}
-			if prev%nodes != i%nodes {
+			if cross {
 				dep.Bytes = 8
 				dep.Pack = func(e ptg.Env) []byte {
-					v := e.Take(fmt.Sprintf("v%d", prev)).(int)
-					var buf [8]byte
-					binary.LittleEndian.PutUint64(buf[:], uint64(v))
-					return buf[:]
+					return binary.LittleEndian.AppendUint64(nil, uint64(e.GetSlot(prev).(int)))
 				}
-				dep.Unpack = func(e ptg.Env, data []byte) {
-					e.Put(fmt.Sprintf("v%d", prev), int(binary.LittleEndian.Uint64(data)))
-				}
+				dep.Unpack = func(e ptg.Env, data []byte) { e.PutBufSlot(in, data) }
 			}
-			if err := b.AddDep(tid("step", i, 0, 0), tid("step", prev, 0, 0), dep); err != nil {
+			if err := b.AddDep(tid("step", i, 0, 0), tid("step", i-1, 0, 0), dep); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -62,6 +67,12 @@ func buildChain(t *testing.T, length, nodes int) *ptg.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// chainValue reads step i's result from a finished buildChain run over
+// nodes nodes.
+func chainValue(res *Result, i, nodes int) int {
+	return res.Stores[i%nodes].GetSlot(int32(i / nodes)).(int)
 }
 
 func TestRunSingleNodeChain(t *testing.T) {
@@ -76,7 +87,7 @@ func TestRunSingleNodeChain(t *testing.T) {
 	if res.Messages != 0 {
 		t.Errorf("single node sent %d messages", res.Messages)
 	}
-	if got := res.Stores[0].Take("v9").(int); got != 10 {
+	if got := chainValue(res, 9, 1); got != 10 {
 		t.Errorf("final value = %d, want 10", got)
 	}
 }
@@ -94,8 +105,7 @@ func TestRunCrossNodeChain(t *testing.T) {
 	if res.BytesSent != 19*8 {
 		t.Errorf("bytes = %d, want %d", res.BytesSent, 19*8)
 	}
-	final := res.Stores[(20-1)%3].Take("v19").(int)
-	if final != 20 {
+	if final := chainValue(res, 19, 3); final != 20 {
 		t.Errorf("final value = %d, want 20", final)
 	}
 }
@@ -104,11 +114,15 @@ func TestRunFanOutFanIn(t *testing.T) {
 	// One producer, N parallel consumers on other nodes, one reducer.
 	const fan = 16
 	b := ptg.NewBuilder(4)
+	src := make([]int32, fan) // node 0's slot for consumer i's input
+	for i := range src {
+		src[i] = b.AllocBufSlot(0)
+	}
 	b.AddTask(ptg.Task{
 		ID: tid("src", 0, 0, 0), Node: 0,
 		Run: func(e ptg.Env) {
-			for i := 0; i < fan; i++ {
-				e.Put(fmt.Sprintf("in%d", i), i)
+			for i, s := range src {
+				e.PutBufSlot(s, binary.LittleEndian.AppendUint64(nil, uint64(i)))
 			}
 		},
 	})
@@ -116,26 +130,21 @@ func TestRunFanOutFanIn(t *testing.T) {
 	for i := 0; i < fan; i++ {
 		i := i
 		node := int32(i % 4)
+		in := src[i]
+		if node != 0 {
+			in = b.AllocBufSlot(node)
+		}
 		b.AddTask(ptg.Task{
 			ID: tid("mid", i, 0, 0), Node: node,
 			Run: func(e ptg.Env) {
-				v := e.Take(fmt.Sprintf("in%d", i)).(int)
-				sum.Add(int64(v))
-				e.Put(fmt.Sprintf("out%d", i), v*2)
+				sum.Add(int64(binary.LittleEndian.Uint64(e.TakeBufSlot(in))))
 			},
 		})
 		dep := ptg.Dep{}
 		if node != 0 {
 			dep.Bytes = 8
-			dep.Pack = func(e ptg.Env) []byte {
-				v := e.Take(fmt.Sprintf("in%d", i)).(int)
-				var buf [8]byte
-				binary.LittleEndian.PutUint64(buf[:], uint64(v))
-				return buf[:]
-			}
-			dep.Unpack = func(e ptg.Env, data []byte) {
-				e.Put(fmt.Sprintf("in%d", i), int(binary.LittleEndian.Uint64(data)))
-			}
+			dep.Pack = func(e ptg.Env) []byte { return e.TakeBufSlot(src[i]) }
+			dep.Unpack = func(e ptg.Env, data []byte) { e.PutBufSlot(in, data) }
 		}
 		b.AddDep(tid("mid", i, 0, 0), tid("src", 0, 0, 0), dep)
 	}
@@ -190,11 +199,9 @@ func TestPriorityOrderRespected(t *testing.T) {
 	if _, err := Run(g, Options{Workers: 1, Policy: PriorityOrder}); err != nil {
 		t.Fatal(err)
 	}
-	// The first task popped may race with seeding order, but after seeding
-	// completes the highest priorities must dominate: check the last task
-	// run is the lowest priority.
-	if order[len(order)-1] != 0 {
-		t.Errorf("lowest priority should run last: %v", order)
+	// Every root is queued before the worker starts, so the order is exact.
+	if !slices.Equal(order, []int{7, 6, 5, 4, 3, 2, 1, 0}) {
+		t.Errorf("tasks ran in order %v, want descending priority", order)
 	}
 }
 
@@ -245,25 +252,19 @@ func TestInterceptorReordering(t *testing.T) {
 	b := ptg.NewBuilder(2)
 	for i := 0; i < pairs; i++ {
 		i := i
+		out, in := b.AllocBufSlot(0), b.AllocBufSlot(1)
 		b.AddTask(ptg.Task{ID: tid("p", i, 0, 0), Node: 0, Run: func(e ptg.Env) {
-			e.Put(fmt.Sprintf("x%d", i), i)
+			e.PutBufSlot(out, binary.LittleEndian.AppendUint64(nil, uint64(i)))
 		}})
 		b.AddTask(ptg.Task{ID: tid("c", i, 0, 0), Node: 1, Run: func(e ptg.Env) {
-			if got := e.Take(fmt.Sprintf("x%d", i)).(int); got != i {
+			if got := int(binary.LittleEndian.Uint64(e.TakeBufSlot(in))); got != i {
 				panic(fmt.Sprintf("pair %d got %d", i, got))
 			}
 		}})
 		b.AddDep(tid("c", i, 0, 0), tid("p", i, 0, 0), ptg.Dep{
-			Bytes: 8,
-			Pack: func(e ptg.Env) []byte {
-				v := e.Take(fmt.Sprintf("x%d", i)).(int)
-				var buf [8]byte
-				binary.LittleEndian.PutUint64(buf[:], uint64(v))
-				return buf[:]
-			},
-			Unpack: func(e ptg.Env, data []byte) {
-				e.Put(fmt.Sprintf("x%d", i), int(binary.LittleEndian.Uint64(data)))
-			},
+			Bytes:  8,
+			Pack:   func(e ptg.Env) []byte { return e.TakeBufSlot(out) },
+			Unpack: func(e ptg.Env, data []byte) { e.PutBufSlot(in, data) },
 		})
 	}
 	g, err := b.Build()
@@ -322,11 +323,13 @@ func TestEmptyGraph(t *testing.T) {
 }
 
 func TestNodeIsolation(t *testing.T) {
-	// A value Put on node 0 must not be visible on node 1.
+	// A value stored on node 0 must not be visible on node 1, even under the
+	// same slot index.
 	b := ptg.NewBuilder(2)
-	b.AddTask(ptg.Task{ID: tid("a", 0, 0, 0), Node: 0, Run: func(e ptg.Env) { e.Put("secret", 42) }})
+	secret, probe := b.AllocSlot(0), b.AllocSlot(1)
+	b.AddTask(ptg.Task{ID: tid("a", 0, 0, 0), Node: 0, Run: func(e ptg.Env) { e.PutSlot(secret, 42) }})
 	b.AddTask(ptg.Task{ID: tid("b", 0, 0, 0), Node: 1, Run: func(e ptg.Env) {
-		if e.Get("secret") != nil {
+		if e.GetSlot(probe) != nil {
 			panic("node isolation violated")
 		}
 	}})
@@ -404,12 +407,35 @@ func TestPerNodeStats(t *testing.T) {
 func TestDuplicatedMessageIsDetected(t *testing.T) {
 	// The transport contract is exactly-once delivery. A faulty
 	// interceptor that duplicates a message must surface as an error
-	// (write-once store violation), never as silent corruption.
+	// (write-once slot violation), never as silent corruption. The consumer
+	// also waits on a second message, which reaches its node's inbox only
+	// after both copies of the first: the duplicate always lands while the
+	// first copy still occupies the slot.
+	var once sync.Once
 	intercept := func(m Message, deliver func(Message)) {
 		deliver(m)
-		deliver(m)
+		once.Do(func() { deliver(m) })
 	}
-	g := buildChain(t, 4, 2)
+	b := ptg.NewBuilder(2)
+	in := []int32{b.AllocBufSlot(1), b.AllocBufSlot(1)}
+	b.AddTask(ptg.Task{ID: tid("c", 0, 0, 0), Node: 1, Run: func(e ptg.Env) {
+		for _, s := range in {
+			e.TakeBufSlot(s)
+		}
+	}})
+	for i, s := range in {
+		s := s
+		b.AddTask(ptg.Task{ID: tid("p", i, 0, 0), Node: 0})
+		b.AddDep(tid("c", 0, 0, 0), tid("p", i, 0, 0), ptg.Dep{
+			Bytes:  1,
+			Pack:   func(ptg.Env) []byte { return []byte{1} },
+			Unpack: func(e ptg.Env, data []byte) { e.PutBufSlot(s, data) },
+		})
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Run(g, Options{Workers: 1, Intercept: intercept}); err == nil {
 		t.Error("duplicated delivery must fail the run")
 	}

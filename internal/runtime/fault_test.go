@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -54,7 +53,7 @@ func TestFaultDelayOnlyUnreliable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Stores[19%3].Take("v19").(int); got != 20 {
+	if got := chainValue(res, 19, 3); got != 20 {
 		t.Errorf("final value = %d, want 20", got)
 	}
 	if res.Messages != 19 {
@@ -75,7 +74,7 @@ func TestFaultDropRecoveryExactCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Stores[19%3].Take("v19").(int); got != 20 {
+	if got := chainValue(res, 19, 3); got != 20 {
 		t.Errorf("final value = %d, want 20", got)
 	}
 	if res.Fault.Dropped == 0 {
@@ -109,7 +108,7 @@ func TestFaultDupDelayExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Stores[29%3].Take("v29").(int); got != 30 {
+	if got := chainValue(res, 29, 3); got != 30 {
 		t.Errorf("final value = %d, want 30 (lost or double-applied delivery)", got)
 	}
 	if res.Fault.Duplicated == 0 {
@@ -184,7 +183,7 @@ func TestFaultReliableNoPlanClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Stores[19%3].Take("v19").(int); got != 20 {
+	if got := chainValue(res, 19, 3); got != 20 {
 		t.Errorf("final value = %d, want 20", got)
 	}
 	if res.Messages != 19 || res.Fault.Any() {
@@ -204,7 +203,7 @@ func TestFaultSlowCoreAndStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Stores[11%2].Take("v11").(int); got != 12 {
+	if got := chainValue(res, 11, 2); got != 12 {
 		t.Errorf("final value = %d, want 12", got)
 	}
 	if res.Messages != 11 || res.Fault.Any() {
@@ -251,7 +250,7 @@ func TestFaultNumericsBitwiseStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Stores[23%3].Take(fmt.Sprintf("v%d", 23)).(int)
+		return chainValue(res, 23, 3)
 	}
 	clean := value(Options{Workers: 2})
 	plan := &fault.Plan{Seed: 21, Drop: 0.2, Dup: 0.2, Delay: 0.2}

@@ -78,14 +78,6 @@ func TestStoreSlots(t *testing.T) {
 	if got := s.GetSlot(0).(string); got != "x" {
 		t.Errorf("GetSlot = %q", got)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("double PutSlot did not panic")
-			}
-		}()
-		s.PutSlot(0, "y")
-	}()
 
 	buf := []byte{1, 2, 3}
 	s.PutBufSlot(1, buf)
@@ -98,23 +90,6 @@ func TestStoreSlots(t *testing.T) {
 	if s.LiveBufSlots() != 0 {
 		t.Errorf("LiveBufSlots after take = %d, want 0", s.LiveBufSlots())
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("TakeBufSlot of empty slot did not panic")
-			}
-		}()
-		s.TakeBufSlot(1)
-	}()
-	s.PutBufSlot(2, buf)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("double PutBufSlot did not panic")
-			}
-		}()
-		s.PutBufSlot(2, buf)
-	}()
 }
 
 // TestSlotRoundTripZeroAlloc pins the full slot-based message hop — pooled

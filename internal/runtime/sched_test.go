@@ -48,7 +48,7 @@ func TestWorkStealingChain(t *testing.T) {
 			t.Fatalf("workers=%d: completed=%d messages=%d dropped=%d",
 				workers, res.Completed, res.Messages, res.Dropped)
 		}
-		if got := res.Stores[19%3].Take("v19").(int); got != 20 {
+		if got := chainValue(res, 19, 3); got != 20 {
 			t.Errorf("workers=%d: final value = %d, want 20", workers, got)
 		}
 	}
@@ -232,7 +232,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 			if res.Completed != 24 || res.Dropped != 0 {
 				t.Fatalf("%s w=%d: completed=%d dropped=%d", sv.Name, workers, res.Completed, res.Dropped)
 			}
-			if got := res.Stores[23%3].Take("v23").(int); got != 24 {
+			if got := chainValue(res, 23, 3); got != 24 {
 				t.Errorf("%s w=%d: final value = %d, want 24", sv.Name, workers, got)
 			}
 		}

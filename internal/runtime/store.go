@@ -1,43 +1,23 @@
 package runtime
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// Store is a node-private key/value space holding dataflow values (tile
-// states, packed halo buffers). Values are write-once: producing the same
-// key twice is a dataflow bug and panics. Take removes a value, enforcing
-// the single-consumer discipline of halo buffers.
-//
-// In addition to the keyed map, a store can carry preallocated slots —
-// fixed arrays of general values and message-payload buffers reserved at
-// graph-build time (ptg.SlotEnv). Slot accesses are plain array indexing
-// with no lock or hash: the runtime's scheduling edges already order every
-// slot producer before its consumer, which is exactly the property that
-// makes the keyed map's mutex redundant on the hot path.
+// Store is a node-private dataflow store: the general and message-payload
+// buffer slots a graph reserves at build time (see ptg.Env). Values are
+// write-once: producing into an occupied slot is a dataflow bug and panics,
+// and TakeBufSlot empties a buffer slot, enforcing the single-consumer
+// discipline of halo payloads. Slot accesses are plain array indexing with
+// no lock or hash: the runtime's scheduling edges already order every slot
+// producer before its consumer.
 type Store struct {
-	mu sync.Mutex
-	m  map[any]any
-
 	slots    []any
 	bufSlots [][]byte
 }
 
-// NewStore returns an empty store with no slots.
-func NewStore() *Store { return &Store{m: make(map[any]any)} }
-
 // NewStoreWithSlots returns an empty store carrying the given numbers of
 // general and buffer slots.
 func NewStoreWithSlots(general, buf int) *Store {
-	s := NewStore()
-	if general > 0 {
-		s.slots = make([]any, general)
-	}
-	if buf > 0 {
-		s.bufSlots = make([][]byte, buf)
-	}
-	return s
+	return &Store{slots: make([]any, general), bufSlots: make([][]byte, buf)}
 }
 
 // PutSlot stores a write-once value in a general slot.
@@ -88,52 +68,4 @@ func (s *Store) LiveBufSlots() int {
 		}
 	}
 	return n
-}
-
-// Put stores a value under key; the key must not already exist.
-func (s *Store) Put(key, val any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.m[key]; dup {
-		panic(fmt.Sprintf("runtime: value %v produced twice", key))
-	}
-	s.m[key] = val
-}
-
-// Take removes and returns the value under key, panicking if absent.
-func (s *Store) Take(key any) any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[key]
-	if !ok {
-		panic(fmt.Sprintf("runtime: value %v consumed before production", key))
-	}
-	delete(s.m, key)
-	return v
-}
-
-// Get returns the value under key without removing it, or nil.
-func (s *Store) Get(key any) any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[key]
-}
-
-// Len returns the number of live values (useful to assert buffer hygiene:
-// after a run only persistent tile states should remain).
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
-// Keys returns a snapshot of the stored keys.
-func (s *Store) Keys() []any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]any, 0, len(s.m))
-	for k := range s.m {
-		out = append(out, k)
-	}
-	return out
 }

@@ -1,77 +1,36 @@
 package runtime
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
-func TestStorePutTakeGet(t *testing.T) {
-	s := NewStore()
-	s.Put("k", 7)
-	if got := s.Get("k"); got != 7 {
-		t.Errorf("Get = %v", got)
-	}
-	if got := s.Take("k"); got != 7 {
-		t.Errorf("Take = %v", got)
-	}
-	if got := s.Get("k"); got != nil {
-		t.Errorf("Get after Take = %v, want nil", got)
-	}
-	if s.Len() != 0 {
-		t.Errorf("Len = %d", s.Len())
-	}
+// mustPanic reports an error unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
 }
 
+// TestStorePutDuplicatePanics pins the write-once guard of both slot kinds:
+// a dataflow value is produced exactly once.
 func TestStorePutDuplicatePanics(t *testing.T) {
-	s := NewStore()
-	s.Put("k", 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Put must panic")
-		}
-	}()
-	s.Put("k", 2)
+	s := NewStoreWithSlots(1, 1)
+	s.PutSlot(0, "x")
+	mustPanic(t, "double PutSlot", func() { s.PutSlot(0, "y") })
+	s.PutBufSlot(0, []byte{1})
+	mustPanic(t, "double PutBufSlot", func() { s.PutBufSlot(0, []byte{2}) })
 }
 
+// TestStoreTakeMissingPanics pins the guard against consuming a payload
+// before it was produced, or twice.
 func TestStoreTakeMissingPanics(t *testing.T) {
-	s := NewStore()
-	defer func() {
-		if recover() == nil {
-			t.Error("Take of missing key must panic")
-		}
-	}()
-	s.Take("nope")
-}
-
-func TestStoreConcurrentDisjointKeys(t *testing.T) {
-	s := NewStore()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := [2]int{w, i}
-				s.Put(k, i)
-				if s.Take(k) != i {
-					t.Error("value mismatch")
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.Len() != 0 {
-		t.Errorf("leftover keys: %v", s.Keys())
-	}
-}
-
-func TestStoreKeys(t *testing.T) {
-	s := NewStore()
-	s.Put("a", 1)
-	s.Put("b", 2)
-	if got := len(s.Keys()); got != 2 {
-		t.Errorf("Keys len = %d", got)
-	}
+	s := NewStoreWithSlots(0, 1)
+	mustPanic(t, "TakeBufSlot of an empty slot", func() { s.TakeBufSlot(0) })
+	s.PutBufSlot(0, []byte{1})
+	s.TakeBufSlot(0)
+	mustPanic(t, "second TakeBufSlot", func() { s.TakeBufSlot(0) })
 }
 
 func TestPolicyString(t *testing.T) {

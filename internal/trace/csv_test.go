@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -128,6 +129,36 @@ func TestReadCSVBackCompat(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzReadCSV drives the trace reader (traceview's input) on arbitrary
+// bytes: ReadCSV never panics, and any input it accepts is a fixed point —
+// writing the loaded trace and reading it back yields the same events.
+func FuzzReadCSV(f *testing.F) {
+	v12, err := os.ReadFile("testdata/trace_v12.csv")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v12)
+	f.Add([]byte("class,i,j,k,kind,node,core,start_ns,end_ns\ninit,0,0,0,0,0,0,0,1000000\n"))
+	f.Add([]byte(strings.Join(csvHeader, ",") + "\n\"a,\"\"b\",1,-2,3,300,5000000000,7,+8,9,2,0,-1\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteCSV(&buf); err != nil {
+			t.Fatalf("accepted trace does not write: %v", err)
+		}
+		again, err := ReadCSV(&buf)
+		if err != nil {
+			t.Fatalf("written trace does not read back: %v\n%s", err, buf.Bytes())
+		}
+		if a, b := tr.Events(), again.Events(); !slices.Equal(a, b) {
+			t.Errorf("events changed across a write/read cycle:\n%+v\n%+v", a, b)
+		}
+	})
 }
 
 // TestReadCSVCommCounters checks the comm columns survive a fixture load and
