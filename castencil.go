@@ -22,12 +22,12 @@
 //	cfg := castencil.Config{N: 2880, TileRows: 288, P: 2, Steps: 100, StepSize: 15}
 //	res, err := castencil.Sim(castencil.CA, cfg, castencil.WithMachine(castencil.NaCL()))
 //
-// Real execution with work stealing, coalesced halo lanes and an injected
-// fault schedule masked by the reliable transport:
+// Real execution with four workers per node, coalesced halo lanes and an
+// injected fault schedule masked by the reliable transport:
 //
 //	plan, _ := castencil.ParseFaultPlan("drop=0.01,dup=0.01,seed=7")
 //	out, err := castencil.Run(castencil.CA, cfg,
-//	    castencil.WithSched(castencil.WorkStealing),
+//	    castencil.WithWorkers(4),
 //	    castencil.WithCoalesce(castencil.CoalesceAuto),
 //	    castencil.WithFaultPlan(plan))
 package castencil
@@ -76,32 +76,20 @@ type RealResult = core.RealResult
 // functional Option list instead.
 type ExecOptions = runtime.Options
 
-// Scheduling policies of the real runtime (queue order under the shared
-// scheduler; injection-queue order under work stealing).
+// Scheduling policies of the real runtime: the order of each node's
+// injection queue.
 const (
 	FIFO          = runtime.FIFO
 	LIFO          = runtime.LIFO
 	PriorityOrder = runtime.PriorityOrder
 )
 
-// Sched selects the scheduler architecture of the real runtime: SharedQueue
-// (one locked per-node queue, the compatibility scheduler) or WorkStealing
-// (per-worker lock-free deques with locality-first successor placement).
-// Scheduler choice never changes numerics — only performance.
-type Sched = runtime.Sched
+// PolicyNames lists the policy names ParsePolicy accepts, for flag help.
+const PolicyNames = runtime.PolicyNames
 
-// Scheduler architectures.
-const (
-	SharedQueue  = runtime.SharedQueue
-	WorkStealing = runtime.WorkStealing
-)
-
-// SchedNames lists the scheduler names ParseSched accepts, for flag help.
-const SchedNames = runtime.SchedNames
-
-// ParseSched maps a command-line scheduler name ("steal", "fifo", "lifo",
-// "priority", ...) to a scheduler architecture and queue policy.
-func ParseSched(name string) (Sched, Policy, error) { return runtime.ParseSched(name) }
+// ParsePolicy maps a command-line policy name ("fifo", "lifo",
+// "priority") to a Policy.
+func ParsePolicy(name string) (Policy, error) { return runtime.ParsePolicy(name) }
 
 // CoalesceMode selects halo-bundle coalescing: all cross-node payloads one
 // node produces in one epoch toward one neighbor travel as a single wire
@@ -148,8 +136,10 @@ const TransformNames = core.TransformNames
 // TransformMode.
 func ParseTransform(name string) (TransformMode, error) { return core.ParseTransform(name) }
 
-// Policy orders the shared ready queue (or the injection queue under work
-// stealing).
+// Policy orders the real runtime's injection queues: roots and tasks made
+// ready by messages. Every worker also owns a work-stealing deque that
+// holds the successors it releases. Policy choice never changes
+// numerics — only performance.
 type Policy = runtime.Policy
 
 // Machine is a calibrated cluster model.

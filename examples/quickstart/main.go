@@ -49,7 +49,6 @@ func main() {
 	}
 	res, err := castencil.Run(castencil.CA, cfg,
 		castencil.WithWorkers(3),
-		castencil.WithSched(castencil.WorkStealing),
 		castencil.WithCoalesce(castencil.CoalesceStep),
 		castencil.WithFaultPlan(plan))
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package cli is the shared flag registry for the stencil command-line
 // binaries. Each engine-facing flag is defined exactly once here as a
-// flag.Value wrapping the canonical parser (runtime.ParseSched,
+// flag.Value wrapping the canonical parser (runtime.ParsePolicy,
 // ptg.ParseCoalesce, machine.ByName, fault.ParsePlan), so every binary
 // accepts identical spellings with identical help text, typos fail at
 // flag-parse time instead of deep inside a run, and adding a spelling in
@@ -20,31 +20,29 @@ import (
 	"castencil/internal/runtime"
 )
 
-// SchedFlag is the -sched flag: a scheduler spelling resolved through
-// runtime.ParseSched. The zero value means "not set" (bench experiments
-// read that as "all schedulers").
+// SchedFlag is the -sched flag: the real engine's injection-queue policy
+// resolved through runtime.ParsePolicy. The zero value means "not set",
+// which runs FIFO.
 type SchedFlag struct {
 	// Name is the raw spelling as passed ("" when unset).
 	Name string
-	// Sched and Policy are the resolved configuration (valid when Name
-	// is non-empty).
-	Sched  runtime.Sched
+	// Policy is the resolved policy (FIFO when Name is empty).
 	Policy runtime.Policy
 }
 
 func (f *SchedFlag) String() string { return f.Name }
 
-// Set parses and validates a scheduler spelling; "" resets to unset.
+// Set parses and validates a policy spelling; "" resets to unset.
 func (f *SchedFlag) Set(s string) error {
 	if s == "" {
 		*f = SchedFlag{}
 		return nil
 	}
-	sc, pol, err := runtime.ParseSched(s)
+	pol, err := runtime.ParsePolicy(s)
 	if err != nil {
 		return err
 	}
-	f.Name, f.Sched, f.Policy = s, sc, pol
+	f.Name, f.Policy = s, pol
 	return nil
 }
 
@@ -55,7 +53,7 @@ func SchedVar(fs *flag.FlagSet, def string) *SchedFlag {
 	if err := f.Set(def); err != nil {
 		panic(fmt.Sprintf("cli: bad default -sched %q: %v", def, err))
 	}
-	fs.Var(f, "sched", "real-engine scheduler: "+runtime.SchedNames)
+	fs.Var(f, "sched", "real-engine scheduler policy: "+runtime.PolicyNames)
 	return f
 }
 
@@ -77,8 +75,8 @@ func ParseSteal(s string) (runtime.StealMode, error) {
 }
 
 // StealFlag is the -steal flag: an inter-node work-stealing mode resolved
-// through ParseSteal. Name keeps the raw spelling so bench experiments can
-// distinguish "unset" from an explicit "off".
+// through ParseSteal. Name keeps the raw spelling ("" when unset) for
+// messages.
 type StealFlag struct {
 	Name string
 	Mode runtime.StealMode
@@ -112,9 +110,8 @@ func StealVar(fs *flag.FlagSet, def string) *StealFlag {
 }
 
 // CoalesceFlag is the -coalesce flag: a halo-bundle coalescing mode
-// resolved through ptg.ParseCoalesce. Name keeps the raw spelling so
-// bench experiments can distinguish "unset" (run every mode) from an
-// explicit "off".
+// resolved through ptg.ParseCoalesce. Name keeps the raw spelling (""
+// when unset).
 type CoalesceFlag struct {
 	Name string
 	Mode ptg.CoalesceMode
@@ -148,9 +145,8 @@ func CoalesceVar(fs *flag.FlagSet, def string) *CoalesceFlag {
 }
 
 // TransformFlag is the -transform flag: a graph-transformation mode
-// resolved through core.ParseTransform. Name keeps the raw spelling so
-// bench experiments can distinguish "unset" (run both) from an explicit
-// "none".
+// resolved through core.ParseTransform. Name keeps the raw spelling (""
+// when unset).
 type TransformFlag struct {
 	Name string
 	Mode core.TransformMode

@@ -16,18 +16,20 @@ func newSet(t *testing.T) *flag.FlagSet {
 
 func TestSchedFlag(t *testing.T) {
 	fs := newSet(t)
-	f := SchedVar(fs, "steal")
-	if f.Sched != runtime.WorkStealing {
-		t.Fatalf("default: got %v, want WorkStealing", f.Sched)
+	f := SchedVar(fs, "lifo")
+	if f.Policy != runtime.LIFO {
+		t.Fatalf("default: got %v, want LIFO", f.Policy)
 	}
 	if err := fs.Parse([]string{"-sched", "priority"}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Sched != runtime.SharedQueue || f.Policy != runtime.PriorityOrder {
-		t.Fatalf("got (%v, %v), want (SharedQueue, PriorityOrder)", f.Sched, f.Policy)
+	if f.Policy != runtime.PriorityOrder || f.Name != "priority" {
+		t.Fatalf("got (%v, %q), want (PriorityOrder, priority)", f.Policy, f.Name)
 	}
-	if err := fs.Parse([]string{"-sched", "bogus"}); err == nil {
-		t.Fatal("bad spelling accepted")
+	for _, bad := range []string{"bogus", "steal"} {
+		if err := fs.Parse([]string{"-sched", bad}); err == nil {
+			t.Fatalf("bad spelling %q accepted", bad)
+		}
 	}
 }
 

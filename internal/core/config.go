@@ -133,7 +133,7 @@ type Config struct {
 	// execution. Cost-only graphs (for the simulator) are much lighter.
 	WithBodies bool
 	// Transform selects an optional graph rewrite pass (default none).
-	// TransformSplit composes with Base and CA and every scheduler,
+	// TransformSplit composes with Base and CA and every scheduler policy,
 	// coalescing, and fault mode; WF tasks are already fused across steps
 	// and are not splittable.
 	Transform TransformMode

@@ -83,9 +83,8 @@ func BenchmarkMsgRoundTripZeroCopy(b *testing.B) {
 	}
 }
 
-// benchSchedCases enumerates the scheduler configurations the executor
-// benchmarks compare: the shared-queue compatibility scheduler vs the
-// work-stealing scheduler, at 2 and 4 workers per node.
+// benchSchedCases enumerates the executor benchmarks' worker counts: 2 and
+// 4 workers per node.
 func benchSchedCases() []struct {
 	Name string
 	Opts runtime.Options
@@ -94,10 +93,8 @@ func benchSchedCases() []struct {
 		Name string
 		Opts runtime.Options
 	}{
-		{"shared-w2", runtime.Options{Workers: 2}},
-		{"steal-w2", runtime.Options{Workers: 2, Sched: runtime.WorkStealing}},
-		{"shared-w4", runtime.Options{Workers: 4}},
-		{"steal-w4", runtime.Options{Workers: 4, Sched: runtime.WorkStealing}},
+		{"w2", runtime.Options{Workers: 2}},
+		{"w4", runtime.Options{Workers: 4}},
 	}
 }
 
@@ -124,7 +121,7 @@ func benchExecutor(b *testing.B, v Variant, cfg Config, opts runtime.Options) {
 }
 
 // BenchmarkExecutorReal runs the full concurrent engine on a task-rich base
-// graph (1024 tiles, 20 steps, ~21k stencil tasks) under each scheduler —
+// graph (1024 tiles, 20 steps, ~21k stencil tasks) at each worker count —
 // scheduling + packing + kernels, graph prebuilt. The n1 shape keeps every
 // dependency node-local (scheduler-bound); n4 adds the serialized
 // inter-node transport (comm-inclusive).
@@ -172,7 +169,7 @@ func TestFastPathStaysOnOracle(t *testing.T) {
 
 // TestCornerRing pins the three-slot ring of the CA step-size-1 corner flow
 // from an interior producer into a boundary tile (see slotDepth). Under
-// every scheduler at 1, 2 and 4 workers, runs with the five- and nine-point
+// every policy at 1, 2 and 4 workers, runs with the five- and nine-point
 // kernels, the split transform and a ragged 3x2-node grid must match the
 // oracle bitwise and consume every payload. With a two-slot ring the
 // producer refills a slot its consumer has not taken yet, which fails even

@@ -10,13 +10,13 @@ import (
 	"castencil/internal/runtime"
 )
 
-// schedVariants enumerates every scheduler the runtime offers, by the names
-// ParseSched accepts on the command line.
+// schedVariants enumerates every injection-queue policy of the runtime's
+// scheduler, by the names ParsePolicy accepts on the command line.
 func schedVariants() []string {
-	return []string{"fifo", "lifo", "priority", "steal"}
+	return []string{"fifo", "lifo", "priority"}
 }
 
-// runSched executes a variant under one named scheduler and worker count.
+// runSched executes a variant under one named policy and worker count.
 func runSched(t *testing.T, v Variant, cfg Config, sched string, workers int) *RealResult {
 	t.Helper()
 	return runSchedCoalesce(t, v, cfg, sched, workers, ptg.CoalesceOff)
@@ -25,11 +25,11 @@ func runSched(t *testing.T, v Variant, cfg Config, sched string, workers int) *R
 // runSchedCoalesce is runSched with an explicit halo-coalescing mode.
 func runSchedCoalesce(t *testing.T, v Variant, cfg Config, sched string, workers int, coal ptg.CoalesceMode) *RealResult {
 	t.Helper()
-	s, p, err := runtime.ParseSched(sched)
+	p, err := runtime.ParsePolicy(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunReal(v, cfg, runtime.Options{Workers: workers, Sched: s, Policy: p, Coalesce: coal})
+	res, err := RunReal(v, cfg, runtime.Options{Workers: workers, Policy: p, Coalesce: coal})
 	if err != nil {
 		t.Fatalf("%s w=%d coalesce=%v: %v", sched, workers, coal, err)
 	}
@@ -60,12 +60,12 @@ func assertGridsBitwiseEqual(t *testing.T, label string, want, got *grid.Tile) {
 	}
 }
 
-// TestSchedulerDeterminism is the cross-scheduler determinism suite: the
-// Base and CA pipelines, run under every scheduler at 1, 2 and 4 workers
-// per node and with halo coalescing both off and on, must produce
-// bitwise-identical grids with zero dropped transfers. The reference is the
-// shared FIFO queue with one worker and point-to-point delivery — the most
-// sequential schedule the runtime can produce. Coalescing rides in the
+// TestSchedulerDeterminism is the cross-schedule determinism suite: the
+// Base and CA pipelines, run under every policy at 1, 2 and 4 workers per
+// node and with halo coalescing both off and on, must produce
+// bitwise-identical grids with zero dropped transfers. The reference is one
+// FIFO worker per node with point-to-point delivery — the most sequential
+// schedule the runtime can produce. Coalescing rides in the
 // sweep because it must be invisible to numerics: it reorders and batches
 // message traffic but never changes any task's inputs.
 func TestSchedulerDeterminism(t *testing.T) {
@@ -96,11 +96,11 @@ func TestSchedulerDeterminism(t *testing.T) {
 	}
 }
 
-// TestSchedulerDeterminismObservability spot-checks that the steal-mode
+// TestSchedulerDeterminismObservability spot-checks that the deque
 // counters surface through RunReal: a multi-worker CA run must account
 // every task to either a local deque hit, a steal, or the injection queue.
 func TestSchedulerDeterminismObservability(t *testing.T) {
-	res := runSched(t, CA, Config{N: 24, TileRows: 6, P: 2, Steps: 8, StepSize: 3}, "steal", 4)
+	res := runSched(t, CA, Config{N: 24, TileRows: 6, P: 2, Steps: 8, StepSize: 3}, "fifo", 4)
 	hits, steals := 0, 0
 	for n := range res.Exec.NodeLocalHits {
 		hits += res.Exec.NodeLocalHits[n]

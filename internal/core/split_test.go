@@ -36,7 +36,7 @@ func TestSplitMatchesReference9Point(t *testing.T) {
 }
 
 // TestSplitDeterminism is the acceptance criterion of the split transform:
-// across both variants, every scheduler, 1/2/4 workers per node and halo
+// across both variants, every policy, 1/2/4 workers per node and halo
 // coalescing off and on, the split run's grid is bitwise identical to the
 // unsplit FIFO single-worker reference. Splitting re-partitions each tile
 // update into disjoint rect sweeps of the same read-only inputs, so any
@@ -350,7 +350,7 @@ func BenchmarkExecutorSplit(b *testing.B) {
 			cfg := sh.cfg
 			cfg.Transform = tr
 			b.Run(sh.name+"-"+tr.String(), func(b *testing.B) {
-				benchExecutor(b, sh.v, cfg, runtime.Options{Workers: 2, Sched: runtime.WorkStealing})
+				benchExecutor(b, sh.v, cfg, runtime.Options{Workers: 2})
 			})
 		}
 	}

@@ -132,7 +132,7 @@ func TestDistributedStealDeterminism(t *testing.T) {
 		{"gated", &runtime.StealPolicy{Mode: runtime.StealGated, Gate: gate.MigrationTime}},
 	}
 	for _, mode := range []ptg.CoalesceMode{ptg.CoalesceOff, ptg.CoalesceStep} {
-		base := runtime.Options{Workers: 1, Sched: runtime.WorkStealing, Coalesce: mode}
+		base := runtime.Options{Workers: 1, Coalesce: mode}
 		single, err := RunReal(WF, cfg, base)
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +164,7 @@ func TestDistributedStealDeterminism(t *testing.T) {
 func TestDistributedStealFourRanks(t *testing.T) {
 	cfg := Config{N: 48, TileRows: 16, P: 3, Steps: 6, Wavefront: 2}
 	ts := connectMeshN(t, 4)
-	base := runtime.Options{Workers: 1, Sched: runtime.WorkStealing}
+	base := runtime.Options{Workers: 1}
 	single, err := RunReal(WF, cfg, base)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestDistributedStealForcedParity(t *testing.T) {
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%v", c.v), func(t *testing.T) {
 			plan := forcedPlan(t, c.v, c.cfg, 2, 0, 1, 3)
-			base := runtime.Options{Workers: 1, Sched: runtime.WorkStealing}
+			base := runtime.Options{Workers: 1}
 			single, err := RunReal(c.v, c.cfg, base)
 			if err != nil {
 				t.Fatal(err)
@@ -245,7 +245,7 @@ func TestDistributedStealExactlyOnce(t *testing.T) {
 	cfg := stealSkewed()
 	plan := forcedPlan(t, WF, cfg, 2, 0, 1, 3)
 	ts := connectMeshN(t, 2)
-	base := runtime.Options{Workers: 1, Sched: runtime.WorkStealing}
+	base := runtime.Options{Workers: 1}
 	single, err := RunReal(WF, cfg, base)
 	if err != nil {
 		t.Fatal(err)

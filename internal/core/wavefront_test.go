@@ -97,7 +97,7 @@ func TestWFRandomizedEquivalence(t *testing.T) {
 }
 
 // TestWFSchedulerDeterminism extends the cross-scheduler determinism suite
-// to the wavefront pipeline: every scheduler at 1, 2 and 4 workers per node,
+// to the wavefront pipeline: every policy at 1, 2 and 4 workers per node,
 // with halo coalescing off and on, must reproduce the single-worker FIFO
 // point-to-point run bitwise, at two widths and two grid shapes.
 func TestWFSchedulerDeterminism(t *testing.T) {

@@ -137,7 +137,7 @@ func (p *Plan) Validate() error {
 		name string
 		v    float64
 	}{{"drop", p.Drop}, {"dup", p.Dup}, {"delay", p.Delay}, {"reorder", p.Reorder}} {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) { // written so NaN fails too
 			return fmt.Errorf("fault: %s probability %v outside [0,1]", pr.name, pr.v)
 		}
 	}
@@ -449,13 +449,13 @@ func ParsePlan(spec string) (*Plan, error) {
 		var err error
 		switch k {
 		case "drop":
-			p.Drop, err = parseProb(k, v)
+			p.Drop, err = strconv.ParseFloat(v, 64)
 		case "dup":
-			p.Dup, err = parseProb(k, v)
+			p.Dup, err = strconv.ParseFloat(v, 64)
 		case "delay":
-			p.Delay, err = parseProb(k, v)
+			p.Delay, err = strconv.ParseFloat(v, 64)
 		case "reorder":
-			p.Reorder, err = parseProb(k, v)
+			p.Reorder, err = strconv.ParseFloat(v, 64)
 		case "delayby":
 			p.DelayBy, err = time.ParseDuration(v)
 		case "reorderby":
@@ -489,17 +489,6 @@ func ParsePlan(spec string) (*Plan, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-func parseProb(key, v string) (float64, error) {
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, err
-	}
-	if f < 0 || f > 1 {
-		return 0, fmt.Errorf("probability outside [0,1]")
-	}
-	return f, nil
 }
 
 func parseSlow(v string) (SlowCore, error) {

@@ -107,11 +107,16 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	}
 }
 
+// badSpecs are fault specs ParsePlan must reject.
+var badSpecs = []string{
+	"drop=1.5", "drop=x", "nope=1", "drop", "delayby=zz",
+	"pause=1:2", "slow=1:2:3", "drop=1",
+	// NaN compares false against both bounds of [0,1].
+	"drop=NaN", "dup=nan", "delay=NaN,delayby=1ms",
+}
+
 func TestParsePlanErrors(t *testing.T) {
-	for _, spec := range []string{
-		"drop=1.5", "drop=x", "nope=1", "drop", "delayby=zz",
-		"pause=1:2", "slow=1:2:3", "drop=1",
-	} {
+	for _, spec := range badSpecs {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", spec)
 		}
@@ -122,6 +127,36 @@ func TestParsePlanErrors(t *testing.T) {
 			t.Errorf("ParsePlan(%q) = %v, %v; want nil, nil", spec, p, err)
 		}
 	}
+}
+
+// FuzzParsePlan: ParsePlan never panics; an accepted plan has every
+// probability in [0,1] and renders through String() to a spec that parses
+// back to the same rendering.
+func FuzzParsePlan(f *testing.F) {
+	f.Add("drop=0.01,dup=0.02,delay=0.05,delayby=200µs,seed=7,pause=2:10:50ms,stall=1:5:2ms,slow=0:1:50µs:100")
+	f.Add("reorder=0.5,reorderby=1ms,seed=0x10")
+	for _, s := range append(badSpecs, "", "off", "none") {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil || p == nil {
+			return
+		}
+		for _, v := range []float64{p.Drop, p.Dup, p.Delay, p.Reorder} {
+			if !(v >= 0 && v <= 1) {
+				t.Fatalf("ParsePlan(%q) accepted probability %v", spec, v)
+			}
+		}
+		s := p.String()
+		p2, err := ParsePlan(s)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q).String() = %q does not re-parse: %v", spec, s, err)
+		}
+		if s2 := p2.String(); s2 != s {
+			t.Fatalf("round trip of %q: %q -> %q", spec, s, s2)
+		}
+	})
 }
 
 func TestRecoveryBackoff(t *testing.T) {

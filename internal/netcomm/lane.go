@@ -44,7 +44,7 @@ type lane struct {
 	// from bufArr on every send: net.Buffers.WriteTo consumes the slice
 	// (advances it past its backing array), so appending to the leftover
 	// would reallocate per send.
-	hdr    [prefixLen + dataHdrLen]byte
+	hdr    [laneHdrLen]byte
 	bufArr [2][]byte
 	bufs   net.Buffers
 
@@ -204,60 +204,17 @@ func (l *lane) close() {
 // what the kernel already buffered (which the runtime's reliable transport
 // recovers — see DESIGN.md on failure semantics).
 func (l *lane) sendData(epoch uint32, m runtime.Message) error {
-	tr := l.t.tr
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if l.dead != nil {
-			return l.dead
-		}
-		if l.t.closed.Load() {
-			return errClosed
-		}
-		c := l.conn
-		if c == nil {
-			l.cond.Wait()
-			continue
-		}
-		var start time.Time
-		if tr != nil {
-			start = time.Now()
-		}
-		n := putDataHeader(l.hdr[:], epoch, m)
-		var err error
-		if len(m.Data) == 0 {
-			_, err = c.Write(l.hdr[:n])
-		} else {
-			l.bufArr[0] = l.hdr[:n]
-			l.bufArr[1] = m.Data
-			l.bufs = net.Buffers(l.bufArr[:])
-			_, err = l.bufs.WriteTo(c)
-			l.bufArr[1] = nil // do not retain the payload past the send
-		}
-		if err != nil {
-			l.noteDropLocked(c, err)
-			continue
-		}
-		wire := n + len(m.Data)
-		l.t.framesSent.Add(1)
-		l.t.bytesSent.Add(int64(wire))
-		if nm := l.t.nm; nm != nil {
-			nm.framesSent.Inc()
-			nm.bytesSent.Add(int64(wire))
-			if m.Seq != 0 && !m.Ack {
-				l.noteRTTSend(m)
-			}
-		}
-		if tr != nil {
-			t0 := l.t.runT0()
-			tr.Record(trace.Event{
-				ID:   ptg.TaskID{Class: "wire:send", I: l.t.rank, J: l.peer, K: int(m.Bundle)},
-				Kind: ptg.KindComm, Node: int32(l.t.rank), Core: 0,
-				Start: start.Sub(t0), End: time.Since(t0), Msgs: 1, Bytes: wire,
-			})
-		}
-		return nil
+	var hdr [laneHdrLen]byte
+	n := putDataHeader(hdr[:], epoch, m)
+	start, err := l.write(hdr[:n], m.Data)
+	if err != nil {
+		return err
 	}
+	if l.t.nm != nil && m.Seq != 0 && !m.Ack {
+		l.noteRTTSend(m)
+	}
+	l.traceSend(start, "wire:send", int(m.Bundle), n+len(m.Data))
+	return nil
 }
 
 // sendSteal ships one steal-protocol message on the persistent connection,
@@ -267,32 +224,66 @@ func (l *lane) sendData(epoch uint32, m runtime.Message) error {
 // halo-exchange wire numbers, but they also count in the general frame/byte
 // totals — they are real bytes on the same socket.
 func (l *lane) sendSteal(epoch uint32, m runtime.StealMsg) error {
-	tr := l.t.tr
+	var hdr [laneHdrLen]byte
+	n := putStealHeader(hdr[:], epoch, m)
+	start, err := l.write(hdr[:n], m.Data)
+	if err != nil {
+		return err
+	}
+	wire := n + len(m.Data)
+	l.t.stealFramesSent.Add(1)
+	l.t.stealBytesSent.Add(int64(wire))
+	l.traceSend(start, "wire:steal", int(m.Task), wire)
+	return nil
+}
+
+// sendBytes writes a pre-encoded frame (hello/ctl — cold path) with the same
+// block-until-up discipline as sendData.
+func (l *lane) sendBytes(b []byte) error {
+	_, err := l.write(nil, b)
+	return err
+}
+
+// laneHdrLen sizes the lane's header scratch: the largest header a lane
+// encodes (data frames; steal headers are shorter).
+const laneHdrLen = prefixLen + dataHdrLen
+
+// write is the lane's one send path: it waits for a live connection (or the
+// lane's death report, or transport shutdown), writes hdr followed by
+// payload — one writev when both are present, so the payload reaches the
+// kernel without a copy — and on a write error starts drop recovery and
+// retries on the next connection. Callers encode hdr into scratch of their
+// own: it is copied into the lane's header array only after the wait,
+// because another sender may reuse that array while this one is blocked.
+// The general frame and byte counters are kept here; start is when the
+// successful attempt began (set only when the transport traces).
+func (l *lane) write(hdr, payload []byte) (start time.Time, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for {
 		if l.dead != nil {
-			return l.dead
+			return start, l.dead
 		}
 		if l.t.closed.Load() {
-			return errClosed
+			return start, errClosed
 		}
 		c := l.conn
 		if c == nil {
 			l.cond.Wait()
 			continue
 		}
-		var start time.Time
-		if tr != nil {
+		if l.t.tr != nil {
 			start = time.Now()
 		}
-		n := putStealHeader(l.hdr[:], epoch, m)
-		var err error
-		if len(m.Data) == 0 {
+		n := copy(l.hdr[:], hdr)
+		switch {
+		case len(payload) == 0:
 			_, err = c.Write(l.hdr[:n])
-		} else {
+		case n == 0:
+			_, err = c.Write(payload)
+		default:
 			l.bufArr[0] = l.hdr[:n]
-			l.bufArr[1] = m.Data
+			l.bufArr[1] = payload
 			l.bufs = net.Buffers(l.bufArr[:])
 			_, err = l.bufs.WriteTo(c)
 			l.bufArr[1] = nil // do not retain the payload past the send
@@ -301,56 +292,30 @@ func (l *lane) sendSteal(epoch uint32, m runtime.StealMsg) error {
 			l.noteDropLocked(c, err)
 			continue
 		}
-		wire := n + len(m.Data)
+		wire := int64(n + len(payload))
 		l.t.framesSent.Add(1)
-		l.t.bytesSent.Add(int64(wire))
-		l.t.stealFramesSent.Add(1)
-		l.t.stealBytesSent.Add(int64(wire))
+		l.t.bytesSent.Add(wire)
 		if nm := l.t.nm; nm != nil {
 			nm.framesSent.Inc()
-			nm.bytesSent.Add(int64(wire))
+			nm.bytesSent.Add(wire)
 		}
-		if tr != nil {
-			t0 := l.t.runT0()
-			tr.Record(trace.Event{
-				ID:   ptg.TaskID{Class: "wire:steal", I: l.t.rank, J: l.peer, K: int(m.Task)},
-				Kind: ptg.KindComm, Node: int32(l.t.rank), Core: 0,
-				Start: start.Sub(t0), End: time.Since(t0), Msgs: 1, Bytes: wire,
-			})
-		}
-		return nil
+		return start, nil
 	}
 }
 
-// sendBytes writes a pre-encoded frame (hello/ctl — cold path) with the same
-// block-until-up discipline as sendData.
-func (l *lane) sendBytes(b []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if l.dead != nil {
-			return l.dead
-		}
-		if l.t.closed.Load() {
-			return errClosed
-		}
-		c := l.conn
-		if c == nil {
-			l.cond.Wait()
-			continue
-		}
-		if _, err := c.Write(b); err != nil {
-			l.noteDropLocked(c, err)
-			continue
-		}
-		l.t.framesSent.Add(1)
-		l.t.bytesSent.Add(int64(len(b)))
-		if nm := l.t.nm; nm != nil {
-			nm.framesSent.Inc()
-			nm.bytesSent.Add(int64(len(b)))
-		}
-		return nil
+// traceSend records one sent frame as a wire event of the given class when
+// the transport traces.
+func (l *lane) traceSend(start time.Time, class string, k, wire int) {
+	tr := l.t.tr
+	if tr == nil {
+		return
 	}
+	t0 := l.t.runT0()
+	tr.Record(trace.Event{
+		ID:   ptg.TaskID{Class: class, I: l.t.rank, J: l.peer, K: k},
+		Kind: ptg.KindComm, Node: int32(l.t.rank), Core: 0,
+		Start: start.Sub(t0), End: time.Since(t0), Msgs: 1, Bytes: wire,
+	})
 }
 
 // noteDropLocked starts drop recovery from the send path (mu held): the

@@ -207,10 +207,11 @@ func TestTransientHelloRefused(t *testing.T) {
 	}
 }
 
-// TestZeroAllocLaneRoundTrip is the ISSUE's steady-state allocation budget:
+// TestZeroAllocLaneRoundTrip is the lane's steady-state allocation budget:
 // after warm-up, sending a payload-bearing message and receiving one back
 // performs zero heap allocations on the persistent lane (header array +
-// writev on the way out, pooled size-classed buffer on the way in).
+// writev on the way out, pooled size-classed buffer on the way in) — for
+// data frames and for steal frames alike.
 func TestZeroAllocLaneRoundTrip(t *testing.T) {
 	ts := newMesh(t, 2, nil)
 	for _, tr := range ts {
@@ -244,6 +245,38 @@ func TestZeroAllocLaneRoundTrip(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Errorf("lane round trip allocates %.1f times per message pair, want 0", allocs)
+	}
+
+	// The same budget for a migration round trip: an offer carrying task
+	// inputs out, a return carrying results back.
+	steals0 := make(chan runtime.StealMsg, 1)
+	steals1 := make(chan runtime.StealMsg, 1)
+	ts[0].BindSteal(func(m runtime.StealMsg) { steals0 <- m })
+	ts[1].BindSteal(func(m runtime.StealMsg) { steals1 <- m })
+	defer ts[0].BindSteal(nil)
+	defer ts[1].BindSteal(nil)
+	stealTrip := func() {
+		out := runtime.GetBuf(payloadLen)
+		if err := ts[0].SendSteal(1, runtime.StealMsg{Kind: runtime.StealRsp, From: 0, ID: 1, Task: 3, Data: out}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.PutBuf(out)
+		in := <-steals1
+		ret := runtime.GetBuf(payloadLen)
+		copy(ret, in.Data)
+		runtime.PutBuf(in.Data)
+		if err := ts[1].SendSteal(0, runtime.StealMsg{Kind: runtime.StealRet, From: 1, ID: 1, Task: 3, Data: ret}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.PutBuf(ret)
+		back := <-steals0
+		runtime.PutBuf(back.Data)
+	}
+	for i := 0; i < 100; i++ {
+		stealTrip()
+	}
+	if allocs := testing.AllocsPerRun(200, stealTrip); allocs != 0 {
+		t.Errorf("lane steal round trip allocates %.1f times per frame pair, want 0", allocs)
 	}
 }
 

@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -65,46 +64,44 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 func TestRunContextCancelStopsPromptly(t *testing.T) {
-	for _, sched := range []Sched{SharedQueue, WorkStealing} {
-		t.Run(fmt.Sprintf("sched=%v", sched), func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			g := buildSlowChain(t, 200, 2, time.Millisecond)
-			ctx, cancel := context.WithCancel(context.Background())
-			started := make(chan struct{})
-			var once sync.Once
-			go func() {
-				<-started
-				cancel()
-			}()
-			_, err := Run(g, Options{
-				Workers: 2,
-				Sched:   sched,
-				Ctx:     ctx,
-				OnProgress: func(done, total int64) {
-					once.Do(func() { close(started) })
-				},
-			})
-			// Run is synchronous: by the time it returns, either the cancel
-			// fired mid-run (expected) or the run somehow finished first.
-			if err == nil {
-				t.Fatal("run completed despite cancellation")
-			}
-			var ce *ptg.CancelError
-			if !errors.As(err, &ce) {
-				t.Fatalf("error %v is not a *ptg.CancelError", err)
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("error %v does not unwrap to context.Canceled", err)
-			}
-			if ce.Engine != "runtime" {
-				t.Errorf("engine = %q", ce.Engine)
-			}
-			if ce.Done >= ce.Total {
-				t.Errorf("cancelled run claims %d of %d tasks done", ce.Done, ce.Total)
-			}
-			waitGoroutines(t, before)
+	// The runtime schedules on per-worker work-stealing deques.
+	t.Run("sched=steal", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		g := buildSlowChain(t, 200, 2, time.Millisecond)
+		ctx, cancel := context.WithCancel(context.Background())
+		started := make(chan struct{})
+		var once sync.Once
+		go func() {
+			<-started
+			cancel()
+		}()
+		_, err := Run(g, Options{
+			Workers: 2,
+			Ctx:     ctx,
+			OnProgress: func(done, total int64) {
+				once.Do(func() { close(started) })
+			},
 		})
-	}
+		// Run is synchronous: by the time it returns, either the cancel fired
+		// mid-run (expected) or the run somehow finished first.
+		if err == nil {
+			t.Fatal("run completed despite cancellation")
+		}
+		var ce *ptg.CancelError
+		if !errors.As(err, &ce) {
+			t.Fatalf("error %v is not a *ptg.CancelError", err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("error %v does not unwrap to context.Canceled", err)
+		}
+		if ce.Engine != "runtime" {
+			t.Errorf("engine = %q", ce.Engine)
+		}
+		if ce.Done >= ce.Total {
+			t.Errorf("cancelled run claims %d of %d tasks done", ce.Done, ce.Total)
+		}
+		waitGoroutines(t, before)
+	})
 }
 
 func TestRunContextCancelBeforeStart(t *testing.T) {
@@ -126,7 +123,7 @@ func TestRunContextDeadline(t *testing.T) {
 	g := buildSlowChain(t, 500, 1, time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := Run(g, Options{Workers: 1, Sched: WorkStealing, Ctx: ctx})
+	_, err := Run(g, Options{Workers: 1, Ctx: ctx})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error %v does not unwrap to context.DeadlineExceeded", err)
 	}

@@ -12,13 +12,14 @@ import (
 // the transfer in Result.Dropped instead of silently discarding it.
 //
 // The construction is deterministic with one worker per node: on node 0 the
-// root R enqueues A (so A is already queued when the panic hits), then P
-// panics — failing the run — and then A still executes (queued work keeps
-// draining after failure) and posts its send request strictly after
-// shutdown. Whichever way the communication goroutine meets that request —
-// draining it unpacked, or packing it and having delivery refused after
-// completion (possibly delayed through the interceptor) — exactly one
-// transfer is dropped.
+// panicking root P is added first, so it is the first task the injection
+// queue hands out and fails the run before anything else executes. The
+// root R then still runs (queued work keeps draining after failure) and
+// readies A onto the worker's deque; A runs and posts its send request
+// strictly after shutdown. Whichever way the communication goroutine meets
+// that request — draining it unpacked, or packing it and having delivery
+// refused after completion (possibly delayed through the interceptor) —
+// exactly one transfer is dropped.
 func TestDroppedCountsDiscardedTransfers(t *testing.T) {
 	b := ptg.NewBuilder(2)
 	mustAdd := func(task ptg.Task) {
@@ -27,8 +28,8 @@ func TestDroppedCountsDiscardedTransfers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mustAdd(ptg.Task{ID: tid("R", 0, 0, 0), Node: 0, Run: func(ptg.Env) {}})
 	mustAdd(ptg.Task{ID: tid("P", 0, 0, 0), Node: 0, Run: func(ptg.Env) { panic("boom") }})
+	mustAdd(ptg.Task{ID: tid("R", 0, 0, 0), Node: 0, Run: func(ptg.Env) {}})
 	a := b.AllocBufSlot(0)
 	mustAdd(ptg.Task{ID: tid("A", 0, 0, 0), Node: 0, Run: func(e ptg.Env) { e.PutBufSlot(a, []byte{1}) }})
 	mustAdd(ptg.Task{ID: tid("B", 0, 0, 0), Node: 1, Run: func(ptg.Env) {}})

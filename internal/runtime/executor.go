@@ -60,13 +60,8 @@ type Interceptor func(m Message, deliver func(Message))
 type Options struct {
 	// Workers is the number of compute goroutines per node (default 1).
 	Workers int
-	// Sched selects the scheduler architecture (default SharedQueue;
-	// WorkStealing is the per-worker-deque scheduler). The choice never
-	// changes numerics — only who runs what, when.
-	Sched Sched
-	// Policy selects the ready-queue discipline (default FIFO): the
-	// shared queue's order under SharedQueue, the injection queue's
-	// order under WorkStealing.
+	// Policy orders each node's injection queue (default FIFO). The
+	// choice never changes numerics — only who runs what, when.
 	Policy Policy
 	// Coalesce selects halo-bundle coalescing (default CoalesceOff). With
 	// CoalesceStep/CoalesceAuto, all cross-node payloads one node produces
@@ -159,8 +154,8 @@ type Result struct {
 	NodeBusy  []time.Duration
 	// Scheduler observability, per node. NodeLocalHits counts tasks a
 	// worker popped from its own deque, NodeSteals tasks taken from a
-	// sibling worker's deque (both zero under SharedQueue). NodeParks
-	// counts worker park episodes on the node condvar (all schedulers).
+	// sibling worker's deque. NodeParks counts worker park episodes on
+	// the node condvar.
 	NodeLocalHits []int
 	NodeSteals    []int
 	NodeParks     []int
@@ -211,15 +206,14 @@ type execNode struct {
 	env   ptg.Env // the node's environment, boxed once
 	mu    sync.Mutex
 	cond  *sync.Cond
-	// queue is the node-level ready queue: the one shared queue under
-	// SharedQueue; the overflow/injection queue (comm goroutine + root
-	// seeding) under WorkStealing. Guarded by mu.
+	// queue is the node-level injection queue (root seeding, the comm
+	// goroutine, the steal agent). Guarded by mu.
 	queue readyQueue
 	// wakeSeq, guarded by mu, is bumped by deque producers that want to
 	// wake parked workers; a parker re-checks it before sleeping, which
 	// closes the lost-wakeup race with lock-free deque pushes.
 	wakeSeq uint64
-	// deques holds one Chase-Lev deque per worker (WorkStealing only).
+	// deques holds one Chase-Lev deque per worker.
 	deques []*deque
 	parked atomic.Int32 // workers currently in (or entering) the park path
 
@@ -263,7 +257,6 @@ func (nd *execNode) wake(n int) {
 type executor struct {
 	g         *ptg.Graph
 	opts      Options
-	steal     bool // opts.Sched == WorkStealing
 	traceComm bool // opts.Trace != nil && opts.TraceComm
 	nodes     []*execNode
 	pending   []int32 // remaining dep count per task (atomic)
@@ -377,7 +370,6 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	ex := &executor{
 		g:         g,
 		opts:      opts,
-		steal:     opts.Sched == WorkStealing,
 		traceComm: opts.Trace != nil && opts.TraceComm,
 		pending:   make([]int32, len(g.Tasks)),
 		total:     int64(len(g.Tasks)),
@@ -457,17 +449,15 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 			bufSlots = g.NodeBufSlots[n]
 		}
 		nd := &execNode{
-			id:    int32(n),
-			store: NewStoreWithSlots(slots, bufSlots),
-			queue: newReadyQueue(opts.Policy),
-			sendQ: make(chan sendReq, sendNeed[n]+1),
-			inbox: make(chan Message, inboxNeed[n]+1),
+			id:     int32(n),
+			store:  NewStoreWithSlots(slots, bufSlots),
+			queue:  newReadyQueue(opts.Policy),
+			deques: make([]*deque, opts.Workers),
+			sendQ:  make(chan sendReq, sendNeed[n]+1),
+			inbox:  make(chan Message, inboxNeed[n]+1),
 		}
-		if ex.steal {
-			nd.deques = make([]*deque, opts.Workers)
-			for w := range nd.deques {
-				nd.deques[w] = newDeque()
-			}
+		for w := range nd.deques {
+			nd.deques[w] = newDeque()
 		}
 		if ex.reliable {
 			nd.rel = newRelState(g.NumNodes)
@@ -731,9 +721,10 @@ func (ex *executor) enqueue(idx int32) {
 	nd.mu.Unlock()
 }
 
-// enqueueBatch makes several tasks ready on one node under a single lock
-// acquisition — the batched successor release that keeps per-task lock
-// traffic at one queue-push critical section per completion.
+// enqueueBatch makes several tasks ready on one node's injection queue under
+// a single lock acquisition — the batched release of goroutines that own no
+// deque (a bundle fan-out on the comm goroutine, a migration commit on the
+// steal agent).
 func (ex *executor) enqueueBatch(nd *execNode, tasks []int32) {
 	if ex.forcedSteal != nil {
 		kept := tasks[:0]
@@ -765,54 +756,18 @@ func (ex *executor) satisfy(idx int32) {
 	}
 }
 
-func (ex *executor) worker(nd *execNode, core int32, wg *sync.WaitGroup) {
-	defer wg.Done()
-	if ex.steal {
-		ex.workerSteal(nd, core)
-		return
-	}
-	var ready []int32 // per-worker scratch for batched successor release
-	for {
-		if ex.cancelled.Load() {
-			return
-		}
-		ex.maybePause(nd)
-		nd.mu.Lock()
-		if nd.queue.size() == 0 && !ex.done.Load() {
-			nd.parks.Add(1)
-			ex.noteStarve()
-			for nd.queue.size() == 0 && !ex.done.Load() {
-				nd.cond.Wait()
-			}
-		}
-		idx, ok := nd.queue.pop()
-		nd.mu.Unlock()
-		if !ok {
-			if ex.done.Load() {
-				return
-			}
-			continue
-		}
-		if ex.cancelled.Load() {
-			// A context stop discards ready work instead of draining it —
-			// promptness is the contract, the accounting sweep owns the
-			// leftovers.
-			return
-		}
-		ready = ex.runTask(nd, core, idx, false, ready[:0])
-	}
-}
-
-// workerSteal is the work-stealing compute loop: own deque first (LIFO,
+// worker is the compute loop, mirroring the paper's PaRSEC configuration
+// (per-core task queues with job stealing): own deque first (LIFO,
 // cache-hot successors), then siblings' deques (FIFO steal), then the
 // node-level injection queue, then park. The park protocol pairs the
 // atomic parked counter with a re-scan: a deque producer either sees
 // parked > 0 (and bumps wakeSeq under the lock) or its push is ordered
 // before the parker's final scan — sequential consistency of both atomics
 // rules out the lost wakeup.
-func (ex *executor) workerSteal(nd *execNode, core int32) {
+func (ex *executor) worker(nd *execNode, core int32, wg *sync.WaitGroup) {
+	defer wg.Done()
 	own := nd.deques[core]
-	var ready []int32
+	var ready []int32 // per-worker scratch for successor release
 	for {
 		if ex.cancelled.Load() {
 			return
@@ -844,6 +799,9 @@ func (ex *executor) workerSteal(nd *execNode, core int32) {
 			nd.parked.Add(-1)
 		}
 		if ex.cancelled.Load() {
+			// A context stop discards ready work instead of draining it —
+			// promptness is the contract, the accounting sweep owns the
+			// leftovers.
 			return
 		}
 		ready = ex.runTask(nd, core, idx, stolen, ready[:0])
@@ -918,27 +876,20 @@ func (ex *executor) runTask(nd *execNode, core int32, idx int32, stolen bool, re
 		})
 	}
 
+	// Locality-first successor placement: newly-ready local successors go
+	// straight onto this worker's own deque — no lock, no wakeup. The
+	// worker pops one back immediately (LIFO), so siblings only need waking
+	// when there is surplus beyond that.
 	ready = ex.releaseSuccs(nd, idx, ready)
-	if len(ready) > 0 {
-		if ex.steal {
-			// Locality-first successor placement: newly-ready local
-			// successors go straight onto this worker's own deque — no
-			// lock, no wakeup. The worker pops one back immediately
-			// (LIFO), so siblings only need waking when there is
-			// surplus beyond that.
-			d := nd.deques[core]
-			for _, s := range ready {
-				d.push(s)
-			}
-			if p := int(nd.parked.Load()); p > 0 && len(ready) > 1 {
-				if surplus := len(ready) - 1; surplus < p {
-					p = surplus
-				}
-				nd.wake(p)
-			}
-		} else {
-			ex.enqueueBatch(nd, ready)
+	d := nd.deques[core]
+	for _, s := range ready {
+		d.push(s)
+	}
+	if p := int(nd.parked.Load()); p > 0 && len(ready) > 1 {
+		if surplus := len(ready) - 1; surplus < p {
+			p = surplus
 		}
+		nd.wake(p)
 	}
 
 	ex.completeTask()

@@ -6,59 +6,25 @@ import (
 	"strings"
 )
 
-// Sched selects the scheduler architecture, the analog of swapping
-// PaRSEC's scheduler module.
-type Sched int
+// PolicyNames lists the values ParsePolicy accepts, for flag usage strings.
+const PolicyNames = "fifo, lifo, priority"
 
-const (
-	// SharedQueue is one Policy-ordered ready queue per node, shared by
-	// all of the node's workers under a mutex (the pre-work-stealing
-	// design, kept as the compatibility scheduler).
-	SharedQueue Sched = iota
-	// WorkStealing gives each worker a Chase-Lev deque: newly-ready
-	// local successors go straight onto the completing worker's own
-	// deque (lock-free LIFO, cache locality on tile chains); idle
-	// workers steal from siblings (FIFO), then fall back to a node-level
-	// Policy-ordered injection queue fed by the communication goroutine
-	// and root seeding, then park. This mirrors the paper's PaRSEC
-	// configuration: per-core task queues with job stealing.
-	WorkStealing
-)
-
-func (s Sched) String() string {
-	switch s {
-	case SharedQueue:
-		return "shared"
-	case WorkStealing:
-		return "steal"
-	}
-	return "unknown"
-}
-
-// SchedNames lists the values ParseSched accepts, for flag usage strings.
-const SchedNames = "steal, fifo, lifo, priority"
-
-// ParseSched maps a -sched flag value to a scheduler configuration:
-// "steal" selects the work-stealing scheduler (Policy orders its injection
-// queue); "fifo", "lifo" and "priority" select the shared-queue scheduler
-// with that discipline.
-func ParseSched(name string) (Sched, Policy, error) {
+// ParsePolicy maps a -sched flag value to the injection-queue discipline.
+func ParsePolicy(name string) (Policy, error) {
 	switch strings.ToLower(name) {
-	case "steal", "ws", "work-stealing":
-		return WorkStealing, FIFO, nil
-	case "shared", "fifo":
-		return SharedQueue, FIFO, nil
+	case "fifo":
+		return FIFO, nil
 	case "lifo":
-		return SharedQueue, LIFO, nil
-	case "priority", "prio":
-		return SharedQueue, PriorityOrder, nil
+		return LIFO, nil
+	case "priority":
+		return PriorityOrder, nil
 	}
-	return 0, 0, fmt.Errorf("runtime: unknown scheduler %q (valid: %s)", name, SchedNames)
+	return 0, fmt.Errorf("runtime: unknown scheduler policy %q (valid: %s)", name, PolicyNames)
 }
 
-// Policy selects the per-node ready-queue discipline, the analog of
-// PaRSEC's pluggable schedulers. Under SharedQueue it orders the node's
-// one shared queue; under WorkStealing it orders the injection queue.
+// Policy selects the order of a node's injection queue — roots, and tasks
+// delivered by the communication goroutine or the steal agent — the analog
+// of PaRSEC's pluggable schedulers.
 type Policy int
 
 const (
@@ -84,8 +50,8 @@ func (p Policy) String() string {
 	return "unknown"
 }
 
-// readyQueue is a non-thread-safe queue of ready task indices; callers hold
-// the node lock.
+// readyQueue is a non-thread-safe queue of ready task indices (a node's
+// injection queue); callers hold the node lock.
 type readyQueue interface {
 	push(task int32, prio int32)
 	pop() (int32, bool)

@@ -9,38 +9,35 @@ import (
 	"castencil/internal/trace"
 )
 
-func TestParseSched(t *testing.T) {
+func TestParsePolicy(t *testing.T) {
 	cases := []struct {
 		in     string
-		sched  Sched
 		policy Policy
 	}{
-		{"steal", WorkStealing, FIFO},
-		{"ws", WorkStealing, FIFO},
-		{"work-stealing", WorkStealing, FIFO},
-		{"fifo", SharedQueue, FIFO},
-		{"shared", SharedQueue, FIFO},
-		{"LIFO", SharedQueue, LIFO},
-		{"priority", SharedQueue, PriorityOrder},
-		{"prio", SharedQueue, PriorityOrder},
+		{"fifo", FIFO},
+		{"LIFO", LIFO},
+		{"priority", PriorityOrder},
 	}
 	for _, c := range cases {
-		s, p, err := ParseSched(c.in)
-		if err != nil || s != c.sched || p != c.policy {
-			t.Errorf("ParseSched(%q) = %v,%v,%v; want %v,%v", c.in, s, p, err, c.sched, c.policy)
+		p, err := ParsePolicy(c.in)
+		if err != nil || p != c.policy {
+			t.Errorf("ParsePolicy(%q) = %v,%v; want %v", c.in, p, err, c.policy)
 		}
 	}
-	if _, _, err := ParseSched("bogus"); err == nil {
-		t.Error("ParseSched accepted a bogus name")
+	// The scheduler-architecture spellings are gone: one scheduler remains.
+	for _, bad := range []string{"steal", "ws", "work-stealing", "shared", "prio", "bogus", ""} {
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Errorf("ParsePolicy accepted %q", bad)
+		}
 	}
 }
 
-// TestWorkStealingChain re-runs the cross-node pipeline tests under the
-// work-stealing scheduler: same result, same message accounting.
+// TestWorkStealingChain re-runs the cross-node pipeline tests at several
+// worker counts: same result, same message accounting.
 func TestWorkStealingChain(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		g := buildChain(t, 20, 3)
-		res, err := Run(g, Options{Workers: workers, Sched: WorkStealing})
+		res, err := Run(g, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -92,7 +89,7 @@ func fanOutGraph(t testing.TB, fan, depth int, body func()) *ptg.Graph {
 func TestWorkStealingActuallySteals(t *testing.T) {
 	g := fanOutGraph(t, 32, 0, func() { time.Sleep(time.Millisecond) })
 	tr := trace.New()
-	res, err := Run(g, Options{Workers: 4, Sched: WorkStealing, Trace: tr})
+	res, err := Run(g, Options{Workers: 4, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +114,7 @@ func TestWorkStealingActuallySteals(t *testing.T) {
 // worker running chains must take nearly everything from its own deque.
 func TestWorkStealingLocalityChains(t *testing.T) {
 	g := fanOutGraph(t, 4, 50, nil)
-	res, err := Run(g, Options{Workers: 1, Sched: WorkStealing})
+	res, err := Run(g, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +138,7 @@ func TestWorkStealingLocalityChains(t *testing.T) {
 func TestStealStormTinyTasks(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		g := fanOutGraph(t, 500, 3, nil)
-		res, err := Run(g, Options{Workers: 8, Sched: WorkStealing})
+		res, err := Run(g, Options{Workers: 8})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -160,7 +157,7 @@ func TestStealStormTinyTasks(t *testing.T) {
 // sleeps so the run outlives worker spin-up and the idle 15 must park.
 func TestWorkStealingWorkersOutnumberTasks(t *testing.T) {
 	g := fanOutGraph(t, 1, 5, func() { time.Sleep(time.Millisecond) })
-	res, err := Run(g, Options{Workers: 16, Sched: WorkStealing})
+	res, err := Run(g, Options{Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +169,13 @@ func TestWorkStealingWorkersOutnumberTasks(t *testing.T) {
 	}
 }
 
-// TestWorkStealingRandomDAGStress mirrors TestRandomDAGStress under the
-// work-stealing scheduler, cross-node messages included.
+// TestWorkStealingRandomDAGStress mirrors TestRandomDAGStress across the
+// injection-queue policies, cross-node messages included.
 func TestWorkStealingRandomDAGStress(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		nodes := trial%3 + 1
 		g := buildChain(t, 40, nodes)
-		res, err := Run(g, Options{Workers: trial%4 + 1, Sched: WorkStealing, Policy: Policy(trial % 3)})
+		res, err := Run(g, Options{Workers: trial%4 + 1, Policy: Policy(trial % 3)})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -188,52 +185,34 @@ func TestWorkStealingRandomDAGStress(t *testing.T) {
 	}
 }
 
-// TestWorkStealingPanicPropagates: failure handling must survive the new
+// TestWorkStealingPanicPropagates: failure handling must survive the deque
 // worker loop (parked siblings wake and exit).
 func TestWorkStealingPanicPropagates(t *testing.T) {
 	b := ptg.NewBuilder(1)
 	b.AddTask(ptg.Task{ID: ptg.TaskID{Class: "boom"}, Node: 0, Run: func(ptg.Env) { panic("kaboom") }})
 	g, _ := b.Build()
-	if _, err := Run(g, Options{Workers: 4, Sched: WorkStealing}); err == nil {
-		t.Error("panic not propagated under work stealing")
+	if _, err := Run(g, Options{Workers: 4}); err == nil {
+		t.Error("panic not propagated with four workers")
 	}
 }
 
-// schedulerVariants enumerates every scheduler configuration the runtime
-// offers, for equivalence sweeps.
-func schedulerVariants() []struct {
-	Name string
-	Opts Options
-} {
-	return []struct {
-		Name string
-		Opts Options
-	}{
-		{"shared-fifo", Options{Policy: FIFO}},
-		{"shared-lifo", Options{Policy: LIFO}},
-		{"shared-priority", Options{Policy: PriorityOrder}},
-		{"steal", Options{Sched: WorkStealing}},
-	}
-}
-
-// TestSchedulerEquivalence runs the same dataflow under every scheduler and
-// checks the computed values agree — the runtime-level half of the
-// determinism invariant (the stencil-level half lives in internal/core).
+// TestSchedulerEquivalence runs the same dataflow under every policy and
+// worker count and checks the computed values agree — the runtime-level
+// half of the determinism invariant (the stencil-level half lives in
+// internal/core).
 func TestSchedulerEquivalence(t *testing.T) {
-	for _, sv := range schedulerVariants() {
+	for _, pol := range []Policy{FIFO, LIFO, PriorityOrder} {
 		for _, workers := range []int{1, 2, 4} {
 			g := buildChain(t, 24, 3)
-			opts := sv.Opts
-			opts.Workers = workers
-			res, err := Run(g, opts)
+			res, err := Run(g, Options{Workers: workers, Policy: pol})
 			if err != nil {
-				t.Fatalf("%s w=%d: %v", sv.Name, workers, err)
+				t.Fatalf("%v w=%d: %v", pol, workers, err)
 			}
 			if res.Completed != 24 || res.Dropped != 0 {
-				t.Fatalf("%s w=%d: completed=%d dropped=%d", sv.Name, workers, res.Completed, res.Dropped)
+				t.Fatalf("%v w=%d: completed=%d dropped=%d", pol, workers, res.Completed, res.Dropped)
 			}
 			if got := chainValue(res, 23, 3); got != 24 {
-				t.Errorf("%s w=%d: final value = %d, want 24", sv.Name, workers, got)
+				t.Errorf("%v w=%d: final value = %d, want 24", pol, workers, got)
 			}
 		}
 	}
@@ -241,32 +220,22 @@ func TestSchedulerEquivalence(t *testing.T) {
 
 // BenchmarkSchedulerThroughput measures pure scheduling overhead: a
 // prebuilt single-node graph of tiny tasks (wide fan-out, short chains) run
-// to completion, shared queue vs work stealing across worker counts.
+// to completion across worker counts.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, sv := range []struct {
-			name string
-			opts Options
-		}{
-			{"shared", Options{Policy: FIFO}},
-			{"steal", Options{Sched: WorkStealing}},
-		} {
-			b.Run(fmt.Sprintf("%s-w%d", sv.name, workers), func(b *testing.B) {
-				g := fanOutGraph(b, 64, 30, nil)
-				opts := sv.opts
-				opts.Workers = workers
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := Run(g, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Dropped != 0 {
-						b.Fatalf("dropped %d", res.Dropped)
-					}
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			g := fanOutGraph(b, 64, 30, nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(g, Options{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(64*31+1), "tasks/op")
-			})
-		}
+				if res.Dropped != 0 {
+					b.Fatalf("dropped %d", res.Dropped)
+				}
+			}
+			b.ReportMetric(float64(64*31+1), "tasks/op")
+		})
 	}
 }

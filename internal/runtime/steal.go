@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the runtime's inter-node work-stealing layer: the intra-node
-// Chase-Lev deques of PR 2 extended across ranks of a distributed run, per
+// Chase-Lev deques extended across ranks of a distributed run, per
 // "Distributed Work Stealing in a Task-Based Dataflow Runtime".
 //
 // One steal agent goroutine per rank speaks a four-message protocol over the
@@ -49,8 +49,8 @@ import (
 type StealMode int
 
 const (
-	// StealOff disables inter-node stealing (the default). Intra-node
-	// stealing (Sched == WorkStealing) is unaffected.
+	// StealOff disables inter-node stealing (the default). Stealing
+	// between a node's own workers is unaffected.
 	StealOff StealMode = iota
 	// StealGreedy migrates any ready migratable task to a starving rank.
 	StealGreedy
@@ -152,16 +152,59 @@ func stealMsgID(src, dst int, m StealMsg) fault.MsgID {
 	return fault.MsgID{Src: int32(src), Dst: int32(dst), Task: m.Task, Dep: -kind, Bundle: -int32(m.ID)}
 }
 
-// stealExch is the thief's single in-flight pull exchange: a probe awaiting
-// an offer (task == -1), or an executed task awaiting its return ack.
-type stealExch struct {
-	victim  int
-	id      uint64
-	task    int32
-	msg     StealMsg // last sent message, retained for retransmission
+// retained is the retransmit state of one timer-owned exchange: the last
+// message sent, kept until the peer's answer retires it, its delivery
+// attempt and its deadlines.
+type retained struct {
+	msg     StealMsg
 	attempt int32
 	firstAt time.Time
 	nextAt  time.Time
+}
+
+// arm retains m as attempt 0 of a fresh exchange and transmits it to peer.
+func (r *retained) arm(ag *stealAgent, peer int, m StealMsg, now time.Time) {
+	*r = retained{msg: m, firstAt: now, nextAt: now.Add(ag.rec.TimeoutAt(0))}
+	ag.transmit(peer, m, 0)
+}
+
+// resend transmits the retained message to peer as its next attempt.
+func (r *retained) resend(ag *stealAgent, peer int) {
+	r.attempt++
+	ag.transmit(peer, r.msg, r.attempt)
+}
+
+// tick retransmits the message when its timer is due and re-arms the
+// timer with the backed-off timeout. It reports true when the exchange
+// outlived the recovery deadline instead, which has failed the run.
+func (r *retained) tick(ag *stealAgent, peer int, now time.Time) (failed bool) {
+	if !now.After(r.nextAt) {
+		return false
+	}
+	if ag.expired(peer, r.firstAt, now, r.msg) {
+		return true
+	}
+	ag.ex.fStats.retransmits.Add(1)
+	r.resend(ag, peer)
+	r.nextAt = now.Add(ag.rec.TimeoutAt(r.attempt))
+	return false
+}
+
+// release recycles the retained message's payload.
+func (r *retained) release() {
+	if r.msg.Data != nil {
+		PutBuf(r.msg.Data)
+		r.msg.Data = nil
+	}
+}
+
+// stealExch is the thief's single in-flight pull exchange: a probe awaiting
+// an offer (task == -1), or an executed task awaiting its return ack.
+type stealExch struct {
+	victim int
+	id     uint64
+	task   int32
+	retained
 }
 
 // victimPull is the victim side of one thief's pull stream.
@@ -179,22 +222,16 @@ type victimForced struct {
 	nextID   uint64
 	doneID   uint64
 	inFlight bool
-	msg      StealMsg
-	attempt  int32
-	firstAt  time.Time
-	nextAt   time.Time
-	queue    []int32
+	retained
+	queue []int32
 }
 
 // thiefForced is the thief side of one victim's forced stream: the cached
 // return awaiting its ack (re-sent on duplicated offers and on the timer).
 type thiefForced struct {
-	lastID  uint64
-	have    bool
-	msg     StealMsg
-	attempt int32
-	firstAt time.Time
-	nextAt  time.Time
+	lastID uint64
+	have   bool
+	retained
 }
 
 // stealAgent is a rank's steal-protocol endpoint, one goroutine per
@@ -408,9 +445,8 @@ func (ag *stealAgent) drain() {
 				PutBuf(m.Data)
 			}
 		default:
-			if c := ag.cur; c != nil && c.msg.Data != nil {
-				PutBuf(c.msg.Data)
-				c.msg.Data = nil
+			if c := ag.cur; c != nil {
+				c.release()
 			}
 			for _, vp := range ag.pull {
 				if vp.rsp != nil && vp.rsp.Data != nil {
@@ -419,15 +455,13 @@ func (ag *stealAgent) drain() {
 				}
 			}
 			for _, vf := range ag.fOut {
-				if vf.inFlight && vf.msg.Data != nil {
-					PutBuf(vf.msg.Data)
-					vf.msg.Data = nil
+				if vf.inFlight {
+					vf.release()
 				}
 			}
 			for _, tf := range ag.fIn {
-				if tf.have && tf.msg.Data != nil {
-					PutBuf(tf.msg.Data)
-					tf.msg.Data = nil
+				if tf.have {
+					tf.release()
 				}
 			}
 			return
@@ -477,35 +511,17 @@ func (ag *stealAgent) handle(m StealMsg) {
 // recovering peers' exchanges past its own local completion.
 func (ag *stealAgent) tick() {
 	now := time.Now()
-	if c := ag.cur; c != nil && now.After(c.nextAt) {
-		if ag.expired(c.victim, c.firstAt, now, c.msg) {
-			return
-		}
-		c.attempt++
-		c.nextAt = now.Add(ag.rec.TimeoutAt(c.attempt))
-		ag.ex.fStats.retransmits.Add(1)
-		ag.transmit(c.victim, c.msg, c.attempt)
+	if c := ag.cur; c != nil && c.tick(ag, c.victim, now) {
+		return
 	}
 	for thief, vf := range ag.fOut {
-		if vf.inFlight && now.After(vf.nextAt) {
-			if ag.expired(thief, vf.firstAt, now, vf.msg) {
-				return
-			}
-			vf.attempt++
-			vf.nextAt = now.Add(ag.rec.TimeoutAt(vf.attempt))
-			ag.ex.fStats.retransmits.Add(1)
-			ag.transmit(thief, vf.msg, vf.attempt)
+		if vf.inFlight && vf.tick(ag, thief, now) {
+			return
 		}
 	}
 	for victim, tf := range ag.fIn {
-		if tf.have && now.After(tf.nextAt) {
-			if ag.expired(victim, tf.firstAt, now, tf.msg) {
-				return
-			}
-			tf.attempt++
-			tf.nextAt = now.Add(ag.rec.TimeoutAt(tf.attempt))
-			ag.ex.fStats.retransmits.Add(1)
-			ag.transmit(victim, tf.msg, tf.attempt)
+		if tf.have && tf.tick(ag, victim, now) {
+			return
 		}
 	}
 	if ag.hungry && ag.cur == nil && now.After(ag.nextProbe) {
@@ -566,12 +582,8 @@ func (ag *stealAgent) maybeProbe() {
 	v := ag.victims[ag.vIdx%len(ag.victims)]
 	ag.vIdx++
 	ag.pullID++
-	m := StealMsg{Kind: StealReq, From: ex.dist.Rank, ID: ag.pullID, Task: -1}
-	ag.cur = &stealExch{
-		victim: v, id: ag.pullID, task: -1, msg: m,
-		firstAt: now, nextAt: now.Add(ag.rec.TimeoutAt(0)),
-	}
-	ag.transmit(v, m, 0)
+	ag.cur = &stealExch{victim: v, id: ag.pullID, task: -1}
+	ag.cur.arm(ag, v, StealMsg{Kind: StealReq, From: ex.dist.Rank, ID: ag.pullID, Task: -1}, now)
 }
 
 // onPullRsp handles the victim's answer to this rank's probe: execute the
@@ -609,13 +621,8 @@ func (ag *stealAgent) onPullRsp(m StealMsg) {
 		ag.cur = nil
 		return
 	}
-	now := time.Now()
 	c.task = m.Task
-	c.msg = StealMsg{Kind: StealRet, From: ag.ex.dist.Rank, ID: c.id, Task: m.Task, Data: out}
-	c.attempt = 0
-	c.firstAt = now
-	c.nextAt = now.Add(ag.rec.TimeoutAt(0))
-	ag.transmit(c.victim, c.msg, 0)
+	c.arm(ag, c.victim, StealMsg{Kind: StealRet, From: ag.ex.dist.Rank, ID: c.id, Task: m.Task, Data: out}, time.Now())
 }
 
 // onPullAck retires the thief's completed pull exchange.
@@ -624,9 +631,7 @@ func (ag *stealAgent) onPullAck(m StealMsg) {
 	if c == nil || c.task < 0 || m.ID != c.id || m.From != c.victim {
 		return
 	}
-	if c.msg.Data != nil {
-		PutBuf(c.msg.Data)
-	}
+	c.release()
 	ag.cur = nil
 	ag.maybeProbe()
 }
@@ -648,8 +653,7 @@ func (ag *stealAgent) onForcedRsp(m StealMsg) {
 		if tf.have && m.ID == tf.lastID {
 			// Our return is still unacked — the duplicated offer doubles as
 			// a retransmission prompt.
-			tf.attempt++
-			ag.transmit(m.From, tf.msg, tf.attempt)
+			tf.resend(ag, m.From)
 		}
 		return
 	}
@@ -657,14 +661,9 @@ func (ag *stealAgent) onForcedRsp(m StealMsg) {
 	if out == nil {
 		return
 	}
-	now := time.Now()
 	tf.lastID = m.ID
 	tf.have = true
-	tf.msg = StealMsg{Kind: StealRet, From: ag.ex.dist.Rank, ID: m.ID, Task: m.Task, Forced: true, Data: out}
-	tf.attempt = 0
-	tf.firstAt = now
-	tf.nextAt = now.Add(ag.rec.TimeoutAt(0))
-	ag.transmit(m.From, tf.msg, 0)
+	tf.arm(ag, m.From, StealMsg{Kind: StealRet, From: ag.ex.dist.Rank, ID: m.ID, Task: m.Task, Forced: true, Data: out}, time.Now())
 }
 
 // onForcedAck frees the thief's cached forced return.
@@ -673,10 +672,7 @@ func (ag *stealAgent) onForcedAck(m StealMsg) {
 	if tf == nil || !tf.have || m.ID != tf.lastID {
 		return
 	}
-	if tf.msg.Data != nil {
-		PutBuf(tf.msg.Data)
-		tf.msg.Data = nil
-	}
+	tf.release()
 	tf.have = false
 }
 
@@ -742,10 +738,7 @@ func (ag *stealAgent) onRet(m StealMsg) {
 		ex.commitMigrated(vf.msg.Task, m.Data)
 		vf.doneID = m.ID
 		vf.inFlight = false
-		if vf.msg.Data != nil {
-			PutBuf(vf.msg.Data)
-			vf.msg.Data = nil
-		}
+		vf.release()
 		ag.transmit(m.From, StealMsg{Kind: StealAck, From: ex.dist.Rank, ID: m.ID, Task: m.Task, Forced: true}, 0)
 		if len(vf.queue) > 0 {
 			idx := vf.queue[0]
@@ -794,16 +787,11 @@ func (ag *stealAgent) sendForced(thief int, vf *victimForced, idx int32) {
 	ex := ag.ex
 	t := &ex.g.Tasks[idx]
 	vf.nextID++
-	now := time.Now()
-	vf.msg = StealMsg{
+	vf.inFlight = true
+	vf.arm(ag, thief, StealMsg{
 		Kind: StealRsp, From: ex.dist.Rank, ID: vf.nextID,
 		Task: idx, Forced: true, Data: ex.g.Hooks(t).PackIn(ex.nodes[t.Node].env),
-	}
-	vf.inFlight = true
-	vf.attempt = 0
-	vf.firstAt = now
-	vf.nextAt = now.Add(ag.rec.TimeoutAt(0))
-	ag.transmit(thief, vf.msg, 0)
+	}, time.Now())
 }
 
 // --- executor-side mechanics ---

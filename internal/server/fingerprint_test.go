@@ -25,7 +25,7 @@ func TestFingerprintIgnoresNonResultFields(t *testing.T) {
 		perturbed[name] = s
 	}
 	add("workers", func(s *Spec) { s.Workers = 7 })
-	add("sched", func(s *Spec) { s.Sched = "steal" })
+	add("sched", func(s *Spec) { s.Sched = "lifo" })
 	add("coalesce", func(s *Spec) { s.Coalesce = "step" })
 	add("steal", func(s *Spec) { s.Steal = "greedy"; s.Ranks = 4 })
 	add("transform", func(s *Spec) { s.Transform = "split" })

@@ -108,18 +108,20 @@ type Spec struct {
 	Seed uint64 `json:"seed,omitempty"`
 
 	// Workers is the per-node worker count for real jobs; 0 lets the
-	// manager divide its worker budget across concurrent jobs.
-	Workers  int     `json:"workers,omitempty"`
-	Sched    string  `json:"sched,omitempty"`
-	Coalesce string  `json:"coalesce,omitempty"`
+	// manager divide its worker budget across concurrent jobs. Sched is
+	// the real engine's injection-queue policy: "fifo" (default), "lifo"
+	// or "priority".
+	Workers  int    `json:"workers,omitempty"`
+	Sched    string `json:"sched,omitempty"`
+	Coalesce string `json:"coalesce,omitempty"`
 	// Transform selects a graph-transformation pass ("none" or "split":
 	// inner/border task splitting for communication–computation overlap).
 	// Rejected at admission for the wf variant and for plan=auto (the
 	// planner may pick wf).
-	Transform string `json:"transform,omitempty"`
-	Fault     string `json:"fault,omitempty"`
-	Machine  string  `json:"machine,omitempty"` // sim + plan=auto; default NaCL
-	Ratio    float64 `json:"ratio,omitempty"`
+	Transform string  `json:"transform,omitempty"`
+	Fault     string  `json:"fault,omitempty"`
+	Machine   string  `json:"machine,omitempty"` // sim + plan=auto; default NaCL
+	Ratio     float64 `json:"ratio,omitempty"`
 
 	// Ranks marks the job distributed: it runs across this many stencild
 	// processes over the daemon's -ranks mesh (rank 0 broadcasts the spec,
@@ -161,9 +163,7 @@ type buildSpec struct {
 	prio     Priority
 	timeout  time.Duration
 	workers  int
-	sched    castencil.Sched
 	policy   castencil.Policy
-	schedSet bool
 	coalesce castencil.CoalesceMode
 	fault    *castencil.FaultPlan
 	machine  *castencil.Machine
@@ -232,10 +232,9 @@ func (s Spec) build() (*buildSpec, error) {
 	}
 	b.workers = s.Workers
 	if s.Sched != "" {
-		if b.sched, b.policy, err = castencil.ParseSched(s.Sched); err != nil {
+		if b.policy, err = castencil.ParsePolicy(s.Sched); err != nil {
 			return nil, err
 		}
-		b.schedSet = true
 	}
 	if s.Coalesce != "" {
 		if b.coalesce, err = castencil.ParseCoalesce(s.Coalesce); err != nil {

@@ -444,13 +444,11 @@ func (m *Manager) runJob(j *Job) {
 	default:
 		opts := []castencil.Option{
 			castencil.WithWorkers(m.workersFor(b)),
+			castencil.WithPolicy(b.policy),
 			castencil.WithCoalesce(b.coalesce),
 			castencil.WithFaultPlan(b.fault),
 			castencil.WithContext(ctx),
 			castencil.WithProgress(progress),
-		}
-		if b.schedSet {
-			opts = append(opts, castencil.WithSched(b.sched), castencil.WithPolicy(b.policy))
 		}
 		if b.ranks > 0 {
 			// Distributed: broadcast the spec so every follower enters the

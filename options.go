@@ -16,7 +16,7 @@ import (
 // (virtual-time prediction) entry points.
 //
 //	res, err := castencil.Run(castencil.CA, cfg,
-//	    castencil.WithSched(castencil.WorkStealing),
+//	    castencil.WithWorkers(4),
 //	    castencil.WithCoalesce(castencil.CoalesceAuto),
 //	    castencil.WithFaultPlan(plan))
 
@@ -67,19 +67,18 @@ func DefaultFaultRecovery() *FaultRecovery { return fault.DefaultRecovery() }
 type Interceptor = runtime.Interceptor
 
 // RunOptions is the unified option bag for both execution engines. The
-// zero value is a sensible default (one worker per node, shared-queue
-// FIFO scheduling, no coalescing, no faults). Construct it through
+// zero value is a sensible default (one worker per node, FIFO injection
+// queues, no coalescing, no faults). Construct it through
 // functional options to Run and Sim rather than literally — new fields
 // will be added without breaking that style.
 type RunOptions struct {
 	// Workers is the number of compute goroutines per virtual node in a
 	// real run (default 1).
 	Workers int
-	// Sched and Policy select the real runtime's scheduler architecture
-	// and ready-queue discipline. SimFIFO orders the simulator's wait
-	// queue FIFO instead of its default priority discipline (the
-	// simulator's scheduling is a separate, simpler model).
-	Sched   Sched
+	// Policy orders the real runtime's injection queues. SimFIFO orders
+	// the simulator's wait queue FIFO instead of its default priority
+	// discipline (the simulator's scheduling is a separate, simpler
+	// model).
 	Policy  Policy
 	SimFIFO bool
 	// Coalesce selects halo-bundle coalescing on either engine.
@@ -147,23 +146,9 @@ type Option func(*RunOptions)
 // real run.
 func WithWorkers(n int) Option { return func(o *RunOptions) { o.Workers = n } }
 
-// WithSched selects the scheduler architecture (SharedQueue or
-// WorkStealing) for a real run.
-func WithSched(s Sched) Option { return func(o *RunOptions) { o.Sched = s } }
-
-// WithPolicy selects the ready-queue discipline (FIFO, LIFO,
-// PriorityOrder).
+// WithPolicy selects the injection-queue discipline (FIFO, LIFO,
+// PriorityOrder) of a real run.
 func WithPolicy(p Policy) Option { return func(o *RunOptions) { o.Policy = p } }
-
-// WithSchedSpec applies a command-line scheduler name ("steal", "fifo",
-// "priority", ...) — the functional-option form of ParseSched.
-func WithSchedSpec(name string) (Option, error) {
-	s, p, err := runtime.ParseSched(name)
-	if err != nil {
-		return nil, err
-	}
-	return func(o *RunOptions) { o.Sched, o.Policy = s, p }, nil
-}
 
 // WithSimFIFO orders the simulator's oversubscribed-core wait queue FIFO
 // instead of the default priority discipline.
@@ -255,7 +240,6 @@ func BuildRunOptions(opts ...Option) RunOptions {
 func (o RunOptions) real() ExecOptions {
 	return ExecOptions{
 		Workers:    o.Workers,
-		Sched:      o.Sched,
 		Policy:     o.Policy,
 		Coalesce:   o.Coalesce,
 		Fault:      o.Fault,

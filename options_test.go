@@ -36,25 +36,21 @@ func TestBuildRunOptions(t *testing.T) {
 	o = castencil.BuildRunOptions(
 		castencil.WithWorkers(4),
 		nil, // nil options are skipped, so conditional chains compose
-		castencil.WithSched(castencil.WorkStealing),
+		castencil.WithPolicy(castencil.LIFO),
 		castencil.WithCoalesce(castencil.CoalesceStep),
 		castencil.WithFaultPlan(plan),
 		castencil.WithSimFIFO(),
 	)
-	if o.Workers != 4 || o.Sched != castencil.WorkStealing ||
+	if o.Workers != 4 || o.Policy != castencil.LIFO ||
 		o.Coalesce != castencil.CoalesceStep || o.Fault != plan || !o.SimFIFO {
 		t.Errorf("options not applied: %+v", o)
 	}
-	sched, err := castencil.WithSchedSpec("priority")
-	if err != nil {
-		t.Fatal(err)
+	pol, err := castencil.ParsePolicy("priority")
+	if err != nil || pol != castencil.PriorityOrder {
+		t.Errorf("ParsePolicy(priority) = %v, %v", pol, err)
 	}
-	o = castencil.BuildRunOptions(sched)
-	if o.Sched != castencil.SharedQueue || o.Policy != castencil.PriorityOrder {
-		t.Errorf("WithSchedSpec: %+v", o)
-	}
-	if _, err := castencil.WithSchedSpec("bogus"); err == nil {
-		t.Error("WithSchedSpec accepted a bad name")
+	if _, err := castencil.ParsePolicy("steal"); err == nil {
+		t.Error("ParsePolicy accepted the removed scheduler name steal")
 	}
 }
 
