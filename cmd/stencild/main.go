@@ -104,7 +104,7 @@ func main() {
 			}
 		}()
 	}
-	srv := &http.Server{Addr: listen.Addr, Handler: server.Handler(mgr)}
+	srv := &http.Server{Addr: listen.Addr, Handler: server.Handler(mgr), ReadHeaderTimeout: 10 * time.Second}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()

@@ -71,7 +71,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	srv := &http.Server{Addr: listen.Addr, Handler: gateway.Handler(g)}
+	srv := &http.Server{Addr: listen.Addr, Handler: gateway.Handler(g), ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	log.Printf("stencilgate listening on %s (%d backends, cache %d entries / %d bytes)",

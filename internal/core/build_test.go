@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"castencil/internal/ptg"
+	"castencil/internal/runtime"
 )
 
 // graphHash folds everything the engines read from a built graph into one
 // FNV-64a sum: per task its ID, node, kind, priority, epoch and cost hint;
 // its Deps in order (producer, bytes, which of Pack/Unpack are set); its
-// Succs in order; its migration sizes; and the graph's Stats. Any reordering of dependencies or
-// successors changes the sum.
+// successors in out-edge order, each consumer once; its migration sizes; and
+// the graph's Stats. Any reordering of dependencies or successors changes
+// the sum.
 func graphHash(g *ptg.Graph) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -27,6 +29,7 @@ func graphHash(g *ptg.Graph) uint64 {
 			put(0)
 		}
 	}
+	plan, _ := g.Plan(ptg.CoalesceOff)
 	put(g.NumNodes)
 	put(len(g.Tasks))
 	for i := range g.Tasks {
@@ -52,8 +55,9 @@ func graphHash(g *ptg.Graph) uint64 {
 			flag(d.Pack != nil)
 			flag(d.Unpack != nil)
 		}
-		put(len(t.Succs))
-		for _, s := range t.Succs {
+		succs := succsOf(plan.Out(int32(i)))
+		put(len(succs))
+		for _, s := range succs {
 			put(int(s))
 		}
 		flag(t.Mig != nil)
@@ -73,8 +77,20 @@ func graphHash(g *ptg.Graph) uint64 {
 	return h.Sum64()
 }
 
+// succsOf lists the consumers of a producer's out-edges once each, in edge
+// order.
+func succsOf(out []ptg.OutEdge) []int32 {
+	var succs []int32
+	for _, e := range out {
+		if n := len(succs); n == 0 || succs[n-1] != e.Consumer {
+			succs = append(succs, e.Consumer)
+		}
+	}
+	return succs
+}
+
 // TestGoldenGraphs pins the exact graphs BuildGraph produces — tasks, the
-// order of every task's Deps and Succs, hints and migration sizes — for
+// order of every task's Deps and successors, hints and migration sizes — for
 // every variant, both stencils, split on and off, with and without bodies.
 // The constants were captured before the flat (CSR) graph build landed; a
 // graph-representation change must reproduce them bit for bit.
@@ -181,6 +197,35 @@ func TestBuildAllocsPerTask(t *testing.T) {
 		if per > limit {
 			t.Errorf("%s: %.3f allocations per added task (%v for %d tasks, %v for %d), want <= %.3f",
 				c.name, per, a1, n1, a2, n2, limit)
+		}
+	}
+}
+
+// TestRunAllocsPerTask is the execution-side twin of TestBuildAllocsPerTask:
+// running a cost-only graph allocates a fixed number of objects, not a few
+// per task, with coalescing off and on. Each task added by running more
+// steps of the same shape may cost at most 0.05 allocations.
+func TestRunAllocsPerTask(t *testing.T) {
+	for _, v := range []Variant{Base, CA} {
+		for _, mode := range []ptg.CoalesceMode{ptg.CoalesceOff, ptg.CoalesceStep} {
+			run := func(steps int) (allocs float64, tasks int) {
+				g, err := BuildGraph(v, Config{N: 256, TileRows: 8, P: 2, Steps: steps, StepSize: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				allocs = testing.AllocsPerRun(2, func() {
+					if _, err := runtime.Run(g, runtime.Options{Coalesce: mode}); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return allocs, len(g.Tasks)
+			}
+			a1, n1 := run(4)
+			a2, n2 := run(12)
+			if per := (a2 - a1) / float64(n2-n1); per > 0.05 {
+				t.Errorf("%v/%v: %.3f allocations per added task (%v for %d tasks, %v for %d), want <= 0.05",
+					v, mode, per, a1, n1, a2, n2)
+			}
 		}
 	}
 }

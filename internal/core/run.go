@@ -242,14 +242,10 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 	if opts.Steal != nil && len(opts.Steal.Force) > 0 {
 		nodes := part.Nodes()
 		ranks := opts.Steal.Ranks
-		force := make([]desim.ForcedSteal, len(opts.Steal.Force))
-		for i, f := range opts.Steal.Force {
-			force[i] = desim.ForcedSteal{Task: f.Task, Thief: f.Thief}
-		}
 		steal = &desim.StealOpts{
 			Ranks:  ranks,
 			RankOf: func(node int) int { return runtime.RankOfNode(node, nodes, ranks) },
-			Force:  force,
+			Force:  opts.Steal.Force,
 		}
 	}
 	res, err := desim.Run(g, desim.Options{

@@ -13,7 +13,6 @@
 package desim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"time"
@@ -44,11 +43,11 @@ type Options struct {
 	// large runs are expensive.
 	Trace     *trace.Trace
 	TraceNode int32
-	// Coalesce selects halo-bundle aggregation, mirroring the real
-	// runtime: all cross-node payloads sharing a (src node, dst node,
-	// epoch) triple travel as one wire message, costing one NIC occupancy
-	// per side and one wire latency instead of one per dependency.
-	// CoalesceStep fails the run when the graph does not admit a
+	// Coalesce selects halo-bundle aggregation through the graph's
+	// ptg.Plan, as in the real runtime: all cross-node payloads sharing a
+	// (src node, dst node, epoch) triple travel as one wire message, costing
+	// one NIC occupancy per side and one wire latency instead of one per
+	// dependency. CoalesceStep fails the run when the graph does not admit a
 	// deadlock-free bundle plan; CoalesceAuto silently falls back to
 	// point-to-point delivery.
 	Coalesce ptg.CoalesceMode
@@ -93,14 +92,7 @@ type StealOpts struct {
 	RankOf func(node int) int
 	// Force lists the scripted migrations: task (by graph index) and the
 	// thief rank that executes it.
-	Force []ForcedSteal
-}
-
-// ForcedSteal scripts one migration. It intentionally duplicates the
-// runtime's type rather than importing it: desim depends only on the graph.
-type ForcedSteal struct {
-	Task  int32
-	Thief int
+	Force []ptg.ForcedSteal
 }
 
 // Policy mirrors the real runtime's scheduling disciplines.
@@ -193,76 +185,83 @@ type event struct {
 	core int32
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 type waitItem struct {
 	task int32
 	prio int32
 	seq  int64
 }
 
-type waitHeap struct {
-	items  []waitItem
-	byPrio bool
+// minHeap is a binary min-heap under less. It moves values, not
+// interfaces, so a push allocates only when the backing array grows. Every
+// key the simulator uses ends in a unique sequence number, so the pop order
+// is fully determined.
+type minHeap[T any] struct {
+	items []T
+	less  func(a, b T) bool
 }
 
-func (h waitHeap) Len() int { return len(h.items) }
-func (h waitHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if h.byPrio && a.prio != b.prio {
-		return a.prio > b.prio
+func (h *minHeap[T]) len() int { return len(h.items) }
+
+func (h *minHeap[T]) push(x T) {
+	h.items = append(h.items, x)
+	for i := len(h.items) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(h.items[i], h.items[p]) {
+			break
+		}
+		h.items[i], h.items[p] = h.items[p], h.items[i]
+		i = p
 	}
-	return a.seq < b.seq
 }
-func (h waitHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *waitHeap) Push(x any)   { h.items = append(h.items, x.(waitItem)) }
-func (h *waitHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+
+func (h *minHeap[T]) pop() T {
+	top, n := h.items[0], len(h.items)-1
+	h.items[0] = h.items[n]
+	h.items = h.items[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h.less(h.items[c+1], h.items[c]) {
+			c++
+		}
+		if !h.less(h.items[c], h.items[i]) {
+			break
+		}
+		h.items[i], h.items[c] = h.items[c], h.items[i]
+		i = c
+	}
+	return top
+}
+
+// schedule queues an event, stamping the sequence number that orders it
+// after every event scheduled before it at the same virtual time.
+func (s *sim) schedule(ev event) {
+	s.seq++
+	ev.seq = s.seq
+	s.events.push(ev)
 }
 
 type simNode struct {
 	idleCores []int32 // stack of idle core ids
-	waiting   waitHeap
+	waiting   minHeap[waitItem]
 	busy      time.Duration
 }
 
 type sim struct {
 	g      *ptg.Graph
+	plan   *ptg.Plan
 	opts   Options
-	events eventHeap
+	events minHeap[event]
 	seq    int64
 	nodes  []*simNode
 	// pending deps per task; ready time accumulates the max input arrival.
 	pending []int32
 	ready   []time.Duration
 	done    int
-	// Bundle plan (nil when coalescing is off or the graph has no cross
-	// deps): bundles is the plan, bundleRem the per-bundle countdown of
-	// members not yet produced, depBundle maps task<<32|dep to its bundle.
-	bundles   []ptg.Bundle
+	// bundleRem counts, per plan bundle, the members not yet produced.
 	bundleRem []int32
-	depBundle map[int64]int32
 	// Fault mirror state (see fault.go): the armed plan and recovery
 	// policy, injected-schedule counters, per-(node,core) executed-task
 	// counters for slow cores, per-node outgoing-message counters for comm
@@ -322,30 +321,16 @@ func (s *sim) stealInit() error {
 			s.rankNode[r] = int32(n)
 		}
 	}
-	s.forced = make(map[int32]int, len(so.Force))
-	s.agentFree = make([]time.Duration, so.Ranks)
-	for _, f := range so.Force {
-		if f.Task < 0 || int(f.Task) >= len(s.g.Tasks) {
-			return fmt.Errorf("desim: forced steal task %d out of range", f.Task)
-		}
-		t := &s.g.Tasks[f.Task]
-		if t.Mig == nil {
-			return fmt.Errorf("desim: forced steal task %d is not migratable", f.Task)
-		}
-		if f.Thief < 0 || f.Thief >= so.Ranks {
-			return fmt.Errorf("desim: forced steal thief rank %d out of range [0,%d)", f.Thief, so.Ranks)
-		}
-		if f.Thief == so.RankOf(int(t.Node)) {
-			return fmt.Errorf("desim: forced steal task %d already lives on rank %d", f.Task, f.Thief)
-		}
-		if s.rankNode[f.Thief] < 0 {
-			return fmt.Errorf("desim: thief rank %d owns no nodes", f.Thief)
-		}
-		if _, dup := s.forced[f.Task]; dup {
-			return fmt.Errorf("desim: task %d forced twice", f.Task)
-		}
-		s.forced[f.Task] = f.Thief
+	var err error
+	if s.forced, err = s.g.PinForced(so.Force, so.Ranks, so.RankOf); err != nil {
+		return err
 	}
+	for _, thief := range s.forced {
+		if s.rankNode[thief] < 0 {
+			return fmt.Errorf("desim: thief rank %d owns no nodes", thief)
+		}
+	}
+	s.agentFree = make([]time.Duration, so.Ranks)
 	return nil
 }
 
@@ -375,8 +360,7 @@ func (s *sim) migrate(idx int32, thief int, at time.Duration) {
 			ID: t.ID, Kind: t.Kind, Node: t.Node, Core: int32(s.opts.Cores), Start: start, End: end, Stolen: true,
 		})
 	}
-	s.seq++
-	heap.Push(&s.events, event{at: back, seq: s.seq, kind: evStealReturn, task: idx, node: t.Node})
+	s.schedule(event{at: back, kind: evStealReturn, task: idx, node: t.Node})
 }
 
 // Run simulates the graph and returns the makespan and statistics.
@@ -398,19 +382,38 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 			return nil, &ptg.CancelError{Engine: "desim", Total: len(g.Tasks), Err: err}
 		}
 	}
+	plan, err := g.Plan(opts.Coalesce)
+	if err != nil {
+		return nil, err
+	}
 	s := &sim{
 		g:       g,
+		plan:    plan,
 		opts:    opts,
 		nodes:   make([]*simNode, g.NumNodes),
 		pending: make([]int32, len(g.Tasks)),
 		ready:   make([]time.Duration, len(g.Tasks)),
+	}
+	s.events.less = func(a, b event) bool {
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		return a.seq < b.seq
 	}
 	for n := range s.nodes {
 		nd := &simNode{idleCores: make([]int32, 0, opts.Cores)}
 		for c := opts.Cores - 1; c >= 0; c-- {
 			nd.idleCores = append(nd.idleCores, int32(c))
 		}
-		nd.waiting.byPrio = opts.Policy == Priority
+		nd.waiting.less = func(a, b waitItem) bool { return a.seq < b.seq }
+		if opts.Policy == Priority {
+			nd.waiting.less = func(a, b waitItem) bool {
+				if a.prio != b.prio {
+					return a.prio > b.prio
+				}
+				return a.seq < b.seq
+			}
+		}
 		s.nodes[n] = nd
 	}
 	for i := range g.Tasks {
@@ -425,8 +428,9 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	if err := s.stealInit(); err != nil {
 		return nil, err
 	}
-	if err := s.planBundles(); err != nil {
-		return nil, err
+	s.bundleRem = make([]int32, len(plan.Bundles))
+	for i := range plan.Bundles {
+		s.bundleRem[i] = int32(len(plan.Bundles[i].Members))
 	}
 	for _, r := range g.Roots() {
 		s.taskReady(r, 0)
@@ -438,7 +442,7 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	}
 	var makespan time.Duration
 	var polled int
-	for s.events.Len() > 0 && s.ferr == nil {
+	for s.events.len() > 0 && s.ferr == nil {
 		// Poll the context every few hundred events: cheap enough to be
 		// invisible, fine enough that a cancelled simulation stops within
 		// microseconds of real time.
@@ -447,7 +451,7 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 				return nil, &ptg.CancelError{Engine: "desim", Done: s.done, Total: len(g.Tasks), Err: err}
 			}
 		}
-		ev := heap.Pop(&s.events).(event)
+		ev := s.events.pop()
 		switch ev.kind {
 		case evTaskDone:
 			if ev.at > makespan {
@@ -462,14 +466,13 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 			// Free the core and pull the next waiter if any.
 			nd := s.nodes[ev.node]
 			nd.idleCores = append(nd.idleCores, ev.core)
-			if nd.waiting.Len() > 0 {
-				it := heap.Pop(&nd.waiting).(waitItem)
-				s.start(it.task, ev.at)
+			if nd.waiting.len() > 0 {
+				s.start(nd.waiting.pop().task, ev.at)
 			}
 		case evMsgArrive:
 			s.satisfy(ev.task, ev.at)
 		case evBundleArrive:
-			for _, m := range s.bundles[ev.task].Members {
+			for _, m := range plan.Bundles[ev.task].Members {
 				s.satisfy(m.Task, ev.at)
 			}
 		case evSendMsg:
@@ -523,35 +526,6 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// planBundles mirrors the real runtime's coalescing plan: resolve
-// Options.Coalesce against the graph and materialize the per-bundle member
-// countdowns and the dependency-to-bundle index.
-func (s *sim) planBundles() error {
-	if s.opts.Coalesce == ptg.CoalesceOff {
-		return nil
-	}
-	plan, err := s.g.Bundles()
-	if err != nil {
-		if s.opts.Coalesce == ptg.CoalesceAuto {
-			return nil
-		}
-		return err
-	}
-	if len(plan) == 0 {
-		return nil
-	}
-	s.bundles = plan
-	s.bundleRem = make([]int32, len(plan))
-	s.depBundle = make(map[int64]int32, len(plan))
-	for i := range plan {
-		s.bundleRem[i] = int32(len(plan[i].Members))
-		for _, m := range plan[i].Members {
-			s.depBundle[int64(m.Task)<<32|int64(m.Dep)] = int32(i)
-		}
-	}
-	return nil
-}
-
 // taskReady is called when a task's last input arrived at time at.
 func (s *sim) taskReady(idx int32, at time.Duration) {
 	if thief, ok := s.forced[idx]; ok {
@@ -565,7 +539,7 @@ func (s *sim) taskReady(idx int32, at time.Duration) {
 		return
 	}
 	s.seq++
-	heap.Push(&nd.waiting, waitItem{task: idx, prio: t.Priority, seq: s.seq})
+	nd.waiting.push(waitItem{task: idx, prio: t.Priority, seq: s.seq})
 }
 
 // start runs the task on an idle core of its node beginning at time at.
@@ -599,35 +573,26 @@ func (s *sim) start(idx int32, at time.Duration) {
 			ID: t.ID, Kind: t.Kind, Node: t.Node, Core: core, Start: at, End: end,
 		})
 	}
-	s.seq++
-	heap.Push(&s.events, event{at: end, seq: s.seq, kind: evTaskDone, task: idx, node: t.Node, core: core})
+	s.schedule(event{at: end, kind: evTaskDone, task: idx, node: t.Node, core: core})
 }
 
-// release propagates a finished task's outputs to its consumers.
+// release propagates a finished task's outputs along its out-edges, in plan
+// order.
 func (s *sim) release(idx int32, at time.Duration) {
-	t := &s.g.Tasks[idx]
-	for _, sIdx := range t.Succs {
-		c := &s.g.Tasks[sIdx]
-		for di := range c.Deps {
-			d := &c.Deps[di]
-			if d.Producer != idx {
-				continue
+	node := s.g.Tasks[idx].Node
+	for _, e := range s.plan.Out(idx) {
+		switch {
+		case e.Bundle >= 0:
+			// The bundle leaves when its last member is produced; events
+			// process in time order, so the decrement that reaches zero
+			// carries the departure time.
+			if s.bundleRem[e.Bundle]--; s.bundleRem[e.Bundle] == 0 {
+				s.sendBundleAt(e.Bundle, at)
 			}
-			if c.Node == t.Node {
-				s.satisfy(sIdx, at)
-				continue
-			}
-			if bi, ok := s.depBundle[int64(sIdx)<<32|int64(di)]; ok {
-				// The bundle leaves when its last member is produced;
-				// events process in time order, so the decrement that
-				// reaches zero carries the departure time.
-				s.bundleRem[bi]--
-				if s.bundleRem[bi] == 0 {
-					s.sendBundleAt(bi, at)
-				}
-				continue
-			}
-			s.sendMsg(sIdx, int32(di), at)
+		case s.g.Tasks[e.Consumer].Node != node:
+			s.sendMsg(e.Consumer, e.Dep, at)
+		default:
+			s.satisfy(e.Consumer, at)
 		}
 	}
 }
@@ -639,8 +604,7 @@ func (s *sim) deferPastPause(src int32, at time.Duration, kind evKind, task, cor
 	if s.fplan == nil || s.pauseUntil[src] <= at {
 		return false
 	}
-	s.seq++
-	heap.Push(&s.events, event{at: s.pauseUntil[src], seq: s.seq, kind: kind, task: task, node: src, core: core})
+	s.schedule(event{at: s.pauseUntil[src], kind: kind, task: task, node: src, core: core})
 	return true
 }
 
@@ -654,8 +618,7 @@ func (s *sim) sendMsg(sIdx, di int32, at time.Duration) {
 	if s.deferPastPause(src, at, evSendMsg, sIdx, di) {
 		return
 	}
-	// Fault identity: exactly the fields the real engine's Message carries.
-	id := fault.MsgID{Src: src, Dst: c.Node, Task: sIdx, Dep: di}
+	id := fault.EdgeMsgID(src, c.Node, sIdx, di)
 	arrive, ok := s.sendCross(id, d.Bytes, 0, at)
 	if !ok {
 		return
@@ -663,20 +626,17 @@ func (s *sim) sendMsg(sIdx, di int32, at time.Duration) {
 	if s.overlapOn {
 		s.commIv = append(s.commIv, trace.Span{Start: int64(at), End: int64(arrive)})
 	}
-	s.seq++
-	heap.Push(&s.events, event{at: arrive, seq: s.seq, kind: evMsgArrive, task: sIdx, node: c.Node})
+	s.schedule(event{at: arrive, kind: evMsgArrive, task: sIdx, node: c.Node})
 }
 
 // sendBundleAt prices one coalesced bundle departing at time at (deferring
 // first if the source node is paused) and schedules its arrival.
 func (s *sim) sendBundleAt(bi int32, at time.Duration) {
-	b := &s.bundles[bi]
+	b := &s.plan.Bundles[bi]
 	if s.deferPastPause(b.Src, at, evSendBundle, bi, 0) {
 		return
 	}
-	// Bundle fault identity: 1-based plan index, exactly the
-	// Message.Bundle the real engine hashes.
-	id := fault.MsgID{Src: b.Src, Dst: b.Dst, Bundle: bi + 1}
+	id := fault.BundleMsgID(b.Src, b.Dst, bi)
 	arrive, ok := s.sendCross(id, b.WireBytes(), len(b.Members), at)
 	if !ok {
 		return
@@ -684,8 +644,7 @@ func (s *sim) sendBundleAt(bi int32, at time.Duration) {
 	if s.overlapOn {
 		s.commIv = append(s.commIv, trace.Span{Start: int64(at), End: int64(arrive)})
 	}
-	s.seq++
-	heap.Push(&s.events, event{at: arrive, seq: s.seq, kind: evBundleArrive, task: bi, node: b.Dst})
+	s.schedule(event{at: arrive, kind: evBundleArrive, task: bi, node: b.Dst})
 }
 
 // satisfy accounts one input arrival for a task.

@@ -28,13 +28,32 @@ import (
 // MsgID is the engine-independent identity of one wire transfer: the
 // consumer task and dependency index for a point-to-point message, or the
 // 1-based bundle id for a coalesced halo bundle (Task/Dep zero). Both
-// engines build the same graph and the same bundle plan, so the identity —
-// and every fault decision keyed on it — is identical across them.
+// engines build their identities with EdgeMsgID and BundleMsgID from the
+// same ptg.Plan, so the identity — and every fault decision keyed on it —
+// is identical across them.
 type MsgID struct {
 	Src, Dst  int32
 	Task, Dep int32
 	Bundle    int32
 }
+
+// EdgeMsgID is the identity of the point-to-point transfer of consumer
+// task's dependency dep.
+func EdgeMsgID(src, dst, task, dep int32) MsgID {
+	return MsgID{Src: src, Dst: dst, Task: task, Dep: dep}
+}
+
+// BundleMsgID is the identity of the message carrying bundle bi of an
+// execution plan (an index into ptg.Plan.Bundles). Bundle ids are the index
+// plus one, so a zero Bundle marks a point-to-point transfer; BundleIndex
+// inverts the numbering.
+func BundleMsgID(src, dst, bi int32) MsgID {
+	return MsgID{Src: src, Dst: dst, Bundle: bi + 1}
+}
+
+// BundleIndex is the plan index of the bundle the identity names, or -1
+// for a point-to-point transfer.
+func (id MsgID) BundleIndex() int32 { return id.Bundle - 1 }
 
 func (id MsgID) String() string {
 	if id.Bundle != 0 {

@@ -334,6 +334,28 @@ func TestGatewayCancelQueued(t *testing.T) {
 	}
 }
 
+// TestGatewayBodyTooLarge checks the gateway bounds submit bodies like a
+// backend does: 2 MiB answers 413, and the next valid submit is accepted.
+func TestGatewayBodyTooLarge(t *testing.T) {
+	g := startGateway(t, Config{}, startBackend(t, 1, 4))
+	front := httptest.NewServer(Handler(g))
+	t.Cleanup(front.Close)
+	post := func(body string) int {
+		resp, err := http.Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(`{"variant":"` + strings.Repeat("x", 2<<20) + `"}`); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB body: %d, want 413", code)
+	}
+	if code := post(`{"engine":"real","variant":"ca","n":64,"tile":16,"steps":6,"step_size":3,"seed":7,"workers":1}`); code != http.StatusAccepted {
+		t.Errorf("submit after the oversized body: %d, want 202", code)
+	}
+}
+
 func TestGatewayHTTPSurface(t *testing.T) {
 	b := startBackend(t, 2, 16)
 	g := startGateway(t, Config{}, b)

@@ -106,10 +106,7 @@ func Handler(g *Gateway) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec server.Spec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if !server.DecodeSpec(w, r, &spec) {
 			return
 		}
 		j, err := g.Submit(spec)

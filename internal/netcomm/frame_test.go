@@ -64,6 +64,41 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzStealFrameRoundTrip is FuzzFrameRoundTrip for the four steal kinds:
+// encoding a steal message and decoding it must give back the identical
+// message, and the raw fuzz bytes fed to the decoder must never panic.
+func FuzzStealFrameRoundTrip(f *testing.F) {
+	f.Add(uint32(1), byte(0), uint16(1), uint64(7), int32(-1), false, int32(0), []byte{})
+	f.Add(uint32(3), byte(1), uint16(0), uint64(1<<40), int32(42), true, int32(2), []byte("tile inputs"))
+	f.Add(uint32(0), byte(2), uint16(65535), uint64(0), int32(1<<30), false, int32(-3), bytes.Repeat([]byte{0x5A}, 300))
+	f.Add(uint32(9), byte(3), uint16(5), uint64(1<<63), int32(0), true, int32(1), []byte{kindStealAck})
+	f.Fuzz(func(t *testing.T, epoch uint32, kind byte, from uint16, id uint64, task int32, forced bool, attempt int32, payload []byte) {
+		m := runtime.StealMsg{
+			Kind: runtime.StealReq + kind%4, From: int(from), ID: id,
+			Task: task, Forced: forced, Attempt: attempt,
+		}
+		if len(payload) > 0 {
+			m.Data = payload
+		}
+		var st readState
+		got, err := readFrame(bytes.NewReader(appendStealFrame(nil, epoch, m)), &st, nil, 0)
+		if err != nil {
+			t.Fatalf("round trip failed: %v", err)
+		}
+		s := got.Steal
+		if !stealFrame(got.Kind) || got.Epoch != epoch || s.Kind != m.Kind || s.From != m.From || s.ID != m.ID ||
+			s.Task != m.Task || s.Forced != m.Forced || s.Attempt != m.Attempt || !bytes.Equal(s.Data, m.Data) {
+			t.Fatalf("round trip mutated the frame: sent %+v epoch %d, got %+v epoch %d", m, epoch, s, got.Epoch)
+		}
+		var st2 readState
+		for r := bytes.NewReader(payload); ; {
+			if _, err := readFrame(r, &st2, nil, 1<<20); err != nil {
+				break
+			}
+		}
+	})
+}
+
 // TestFrameRoundTripHelloCtl pins the cold-path codecs.
 func TestFrameRoundTripHelloCtl(t *testing.T) {
 	h := mustFrame(t, appendHelloFrame(nil, 3, 8))

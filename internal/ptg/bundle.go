@@ -83,113 +83,16 @@ type Bundle struct {
 // size so virtual and real byte accounting agree.
 func (b *Bundle) WireBytes() int { return 4*(1+len(b.Members)) + b.Bytes }
 
-// bundleKey groups cross-node deps by (source node, destination node,
-// producer epoch).
-type bundleKey struct {
-	src, dst, epoch int32
-}
-
-// Bundles plans the halo bundles of the graph: every cross-node dependency
-// is assigned to the bundle of its (producer node, consumer node, producer
-// epoch) triple. The returned slice is in deterministic first-seen order.
-//
-// Bundling tightens the dependency structure: a bundle is sent only when
-// all of its member payloads have been produced, so every member consumer
-// transitively waits on every member producer. For graphs whose epochs
-// advance with logical time (the stencil graphs stamp the iteration index)
-// this adds no ordering that the step structure did not already imply; but
-// a graph with degenerate epochs (e.g. all zero) can become cyclic — a
-// chain bouncing between two nodes would wait on its own future. Bundles
-// therefore validates the bundled graph with a topological sort over tasks
-// plus bundle barrier nodes and returns an error when bundling would
-// deadlock, leaving callers to fall back to point-to-point delivery.
+// Bundles plans the halo bundles of the graph: the Bundles of its
+// CoalesceStep plan. Bundling tightens the dependency structure — a bundle
+// is sent only once all of its members are produced — so a graph whose
+// epochs do not advance with logical time can deadlock under it; Bundles
+// then returns an error, leaving callers to fall back to point-to-point
+// delivery.
 func (g *Graph) Bundles() ([]Bundle, error) {
-	var bundles []Bundle
-	byKey := map[bundleKey]int32{}
-	// memberOf maps a cross dep (task<<32 | dep) to its bundle index.
-	memberOf := map[int64]int32{}
-	for i := range g.Tasks {
-		t := &g.Tasks[i]
-		for di := range t.Deps {
-			d := &t.Deps[di]
-			p := &g.Tasks[d.Producer]
-			if p.Node == t.Node {
-				continue
-			}
-			k := bundleKey{src: p.Node, dst: t.Node, epoch: p.Epoch}
-			bi, ok := byKey[k]
-			if !ok {
-				bi = int32(len(bundles))
-				byKey[k] = bi
-				bundles = append(bundles, Bundle{Src: k.src, Dst: k.dst, Epoch: k.epoch})
-			}
-			b := &bundles[bi]
-			b.Members = append(b.Members, BundleMember{Task: int32(i), Dep: int32(di)})
-			b.Bytes += d.Bytes
-			memberOf[int64(i)<<32|int64(di)] = bi
-		}
+	p, err := g.Plan(CoalesceStep)
+	if err != nil {
+		return nil, err
 	}
-	if len(bundles) == 0 {
-		return nil, nil
-	}
-
-	// Kahn's algorithm over the augmented graph: producer -> bundle edges
-	// (one per member) and bundle -> consumer edges (one per member), local
-	// deps unchanged. The graph deadlocks under bundling iff this does not
-	// visit every task.
-	taskIndeg := make([]int32, len(g.Tasks))
-	bundleIndeg := make([]int32, len(bundles))
-	for i := range g.Tasks {
-		taskIndeg[i] = int32(len(g.Tasks[i].Deps))
-	}
-	for bi := range bundles {
-		bundleIndeg[bi] = int32(len(bundles[bi].Members))
-	}
-	queue := make([]int32, 0, len(g.Tasks))
-	for i := range taskIndeg {
-		if taskIndeg[i] == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	visited := 0
-	releaseBundle := func(bi int32) []int32 {
-		var ready []int32
-		for _, m := range bundles[bi].Members {
-			taskIndeg[m.Task]--
-			if taskIndeg[m.Task] == 0 {
-				ready = append(ready, m.Task)
-			}
-		}
-		return ready
-	}
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		visited++
-		for _, s := range g.Tasks[u].Succs {
-			st := &g.Tasks[s]
-			for di := range st.Deps {
-				if st.Deps[di].Producer != u {
-					continue
-				}
-				if st.Node == g.Tasks[u].Node {
-					taskIndeg[s]--
-					if taskIndeg[s] == 0 {
-						queue = append(queue, s)
-					}
-					continue
-				}
-				bi := memberOf[int64(s)<<32|int64(di)]
-				bundleIndeg[bi]--
-				if bundleIndeg[bi] == 0 {
-					queue = append(queue, releaseBundle(bi)...)
-				}
-			}
-		}
-	}
-	if visited != len(g.Tasks) {
-		return nil, fmt.Errorf("ptg: bundling by epoch deadlocks the graph (%d of %d tasks reachable); run with coalescing off",
-			visited, len(g.Tasks))
-	}
-	return bundles, nil
+	return p.Bundles, nil
 }

@@ -1,0 +1,228 @@
+package ptg
+
+import (
+	"fmt"
+	"slices"
+)
+
+// OutEdge is one dependency seen from its producer: the consumer task, the
+// index of the dependency in the consumer's Deps, and the bundle that
+// carries it.
+type OutEdge struct {
+	Consumer int32
+	Dep      int32
+	// Bundle indexes Plan.Bundles; -1 marks a local or point-to-point edge.
+	Bundle int32
+}
+
+// Plan is the execution plan of a graph under one coalescing mode: what
+// both engines derive from the graph before running it, resolved once.
+// Each engine adds only its own clock and mutable state (bundle countdowns,
+// pending counters). A Plan is immutable and may be shared by concurrent
+// runs.
+type Plan struct {
+	// Bundles is the resolved bundle list, in first-seen order over
+	// consumers and their deps. It is nil when coalescing is off, when the
+	// graph has no cross-node dependency, or when CoalesceAuto fell back.
+	// Wire messages number bundle i as i+1 (see fault.BundleMsgID).
+	Bundles []Bundle
+	// CrossIn and CrossOut count, per node, the wire messages the node
+	// receives and sends in one run: one per point-to-point edge, one per
+	// bundle.
+	CrossIn, CrossOut []int
+	out               []OutEdge
+	outOff            []int32 // task i's out-edges are out[outOff[i]:outOff[i+1]]
+	laneMax           []int   // nodes x nodes, row = source; nil without bundles
+}
+
+// Out returns the out-edges of task producer, ordered by consumer index,
+// then dependency index.
+func (p *Plan) Out(producer int32) []OutEdge {
+	lo, hi := p.outOff[producer], p.outOff[producer+1]
+	return p.out[lo:hi:hi]
+}
+
+// LaneMax is the wire size of the largest bundle node src sends node dst
+// (0 when the pair exchanges no bundle).
+func (p *Plan) LaneMax(src, dst int32) int {
+	if p.laneMax == nil {
+		return 0
+	}
+	return p.laneMax[int(src)*len(p.CrossIn)+int(dst)]
+}
+
+// Plan resolves a coalescing mode against the graph. CoalesceOff returns
+// the point-to-point plan Build computed. CoalesceStep bundles every
+// cross-node dependency by (producer node, consumer node, producer epoch)
+// and fails when bundling would deadlock the graph (see Bundles);
+// CoalesceAuto falls back to the point-to-point plan instead.
+func (g *Graph) Plan(mode CoalesceMode) (*Plan, error) {
+	if mode == CoalesceOff || g.stats.CrossDeps == 0 {
+		return g.plan, nil
+	}
+	p, err := g.bundled()
+	if err != nil {
+		if mode == CoalesceAuto {
+			return g.plan, nil
+		}
+		return nil, err
+	}
+	return p, nil
+}
+
+// pointToPoint lays out the graph's out-edges in CSR form and counts one
+// wire message per cross-node dependency: the CoalesceOff plan, computed
+// once by Build and shared by every plan of the graph.
+func (g *Graph) pointToPoint() *Plan {
+	n := len(g.Tasks)
+	p := &Plan{
+		CrossIn:  make([]int, g.NumNodes),
+		CrossOut: make([]int, g.NumNodes),
+		outOff:   make([]int32, n+1),
+	}
+	for i := range g.Tasks {
+		t := &g.Tasks[i]
+		for di := range t.Deps {
+			prod := t.Deps[di].Producer
+			p.outOff[prod+1]++
+			if src := g.Tasks[prod].Node; src != t.Node {
+				p.CrossOut[src]++
+				p.CrossIn[t.Node]++
+			}
+		}
+	}
+	for i := range n {
+		p.outOff[i+1] += p.outOff[i]
+	}
+	// Walking consumers in index order fills each producer's window in
+	// (consumer, dep) order.
+	p.out = make([]OutEdge, p.outOff[n])
+	next := slices.Clone(p.outOff[:n])
+	for i := range g.Tasks {
+		for di := range g.Tasks[i].Deps {
+			prod := g.Tasks[i].Deps[di].Producer
+			p.out[next[prod]] = OutEdge{Consumer: int32(i), Dep: int32(di), Bundle: -1}
+			next[prod]++
+		}
+	}
+	return p
+}
+
+// bundleKey groups cross deps by (source node, destination node, producer
+// epoch).
+type bundleKey struct {
+	src, dst, epoch int32
+}
+
+// bundled builds the CoalesceStep plan: every cross-node dependency joins
+// the bundle of its (producer node, consumer node, producer epoch) triple.
+func (g *Graph) bundled() (*Plan, error) {
+	base := g.plan
+	key := func(prod, cons int32) (bundleKey, bool) {
+		p, c := &g.Tasks[prod], &g.Tasks[cons]
+		return bundleKey{src: p.Node, dst: c.Node, epoch: p.Epoch}, p.Node != c.Node
+	}
+	// Number the bundles in first-seen order and size them, then carve
+	// every bundle's member list out of one array and fill it in the same
+	// (task, dep) order.
+	byKey := map[bundleKey]int32{}
+	var bundles []Bundle
+	var count []int
+	for i := range g.Tasks {
+		for _, d := range g.Tasks[i].Deps {
+			k, cross := key(d.Producer, int32(i))
+			if !cross {
+				continue
+			}
+			bi, ok := byKey[k]
+			if !ok {
+				bi = int32(len(bundles))
+				byKey[k] = bi
+				bundles = append(bundles, Bundle{Src: k.src, Dst: k.dst, Epoch: k.epoch})
+				count = append(count, 0)
+			}
+			bundles[bi].Bytes += d.Bytes
+			count[bi]++
+		}
+	}
+	members := make([]BundleMember, g.stats.CrossDeps)
+	for bi := range bundles {
+		bundles[bi].Members, members = members[:0:count[bi]], members[count[bi]:]
+	}
+	for i := range g.Tasks {
+		for di, d := range g.Tasks[i].Deps {
+			if k, cross := key(d.Producer, int32(i)); cross {
+				b := &bundles[byKey[k]]
+				b.Members = append(b.Members, BundleMember{Task: int32(i), Dep: int32(di)})
+			}
+		}
+	}
+
+	p := &Plan{
+		Bundles:  bundles,
+		CrossIn:  make([]int, g.NumNodes),
+		CrossOut: make([]int, g.NumNodes),
+		out:      slices.Clone(base.out),
+		outOff:   base.outOff,
+		laneMax:  make([]int, g.NumNodes*g.NumNodes),
+	}
+	for prod := range g.Tasks {
+		for k := p.outOff[prod]; k < p.outOff[prod+1]; k++ {
+			if bk, cross := key(int32(prod), p.out[k].Consumer); cross {
+				p.out[k].Bundle = byKey[bk]
+			}
+		}
+	}
+	for i := range bundles {
+		b := &bundles[i]
+		p.CrossOut[b.Src]++
+		p.CrossIn[b.Dst]++
+		lane := &p.laneMax[int(b.Src)*g.NumNodes+int(b.Dst)]
+		*lane = max(*lane, b.WireBytes())
+	}
+	if reached := p.reachable(g); reached != len(g.Tasks) {
+		return nil, fmt.Errorf("ptg: bundling by epoch deadlocks the graph (%d of %d tasks reachable); run with coalescing off",
+			reached, len(g.Tasks))
+	}
+	return p, nil
+}
+
+// reachable counts the tasks a bundled run can reach: Kahn's algorithm over
+// the tasks plus one barrier per bundle, which a bundle's member edges
+// enter and its member consumers leave. A bundle is sent only once all its
+// members are produced, so every member consumer waits on every member
+// producer; with degenerate epochs (a chain bouncing between two nodes
+// within one epoch) that wait is cyclic and the count falls short.
+func (p *Plan) reachable(g *Graph) int {
+	n := len(g.Tasks)
+	indeg := make([]int32, n+len(p.Bundles)) // tasks, then bundles
+	queue := make([]int32, 0, n)
+	for i := range g.Tasks {
+		if indeg[i] = int32(len(g.Tasks[i].Deps)); indeg[i] == 0 {
+			queue = append(queue, int32(i))
+		}
+	}
+	for bi := range p.Bundles {
+		indeg[n+bi] = int32(len(p.Bundles[bi].Members))
+	}
+	release := func(t int32) {
+		if indeg[t]--; indeg[t] == 0 {
+			queue = append(queue, t)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		for _, e := range p.Out(queue[head]) {
+			if e.Bundle < 0 {
+				release(e.Consumer)
+				continue
+			}
+			b := n + int(e.Bundle)
+			if indeg[b]--; indeg[b] == 0 {
+				for _, m := range p.Bundles[e.Bundle].Members {
+					release(m.Task)
+				}
+			}
+		}
+	}
+	return len(queue)
+}

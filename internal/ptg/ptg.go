@@ -12,13 +12,16 @@
 // reserves at build time (see Env), so every flow is resolved before the
 // graph runs.
 //
-// Layout and ordering contract: Build stores all Deps in one array and all
-// Succs in another (compressed sparse row form), each Task's being a
-// capacity-clamped window. Task.Deps keeps the order in which the task's
-// dependencies were added, however calls for different consumers
-// interleave; Task.Succs lists each consumer once, in increasing task index
-// (engines scan all matching Deps per entry). Engines rely on this order
-// for determinism; internal/core's golden graph test pins it.
+// Layout and ordering contract: Build stores all Deps in one array
+// (compressed sparse row form), each Task's being a capacity-clamped
+// window, and keeps the order in which a task's dependencies were added,
+// however calls for different consumers interleave. The successor side
+// lives in the graph's execution plan (see Plan): Plan.Out lists each
+// producer's out-edges ordered by consumer index, then dependency index, one
+// edge per dependency — a consumer with two deps on one producer appears
+// twice. Engines release successors in that order, so it fixes their event
+// sequence numbers and injection order; internal/core's golden graph test
+// pins it.
 package ptg
 
 import (
@@ -163,6 +166,40 @@ type MigrationHooks struct {
 	Commit func(env Env, data []byte)
 }
 
+// ForcedSteal pins one migratable task (by graph index) to a thief rank of
+// a distributed run: once ready, the task executes there instead of on its
+// home rank. Both engines follow the same script, which is what makes
+// migration deterministic.
+type ForcedSteal struct {
+	Task  int32
+	Thief int
+}
+
+// PinForced validates a forced-steal script against the graph, whose nodes
+// rankOf places on ranks ranks, and indexes it by task: every task must
+// exist, be migratable and move to another rank, at most once.
+func (g *Graph) PinForced(force []ForcedSteal, ranks int, rankOf func(node int) int) (map[int32]int, error) {
+	pins := make(map[int32]int, len(force))
+	for _, f := range force {
+		if f.Task < 0 || int(f.Task) >= len(g.Tasks) {
+			return nil, fmt.Errorf("ptg: forced steal task %d out of range", f.Task)
+		}
+		t := &g.Tasks[f.Task]
+		switch _, dup := pins[f.Task]; {
+		case t.Mig == nil:
+			return nil, fmt.Errorf("ptg: forced steal task %v is not migratable", t.ID)
+		case f.Thief < 0 || f.Thief >= ranks:
+			return nil, fmt.Errorf("ptg: forced steal thief rank %d out of range [0,%d)", f.Thief, ranks)
+		case f.Thief == rankOf(int(t.Node)):
+			return nil, fmt.Errorf("ptg: forced steal task %v already lives on rank %d", t.ID, f.Thief)
+		case dup:
+			return nil, fmt.Errorf("ptg: task %v forced twice", t.ID)
+		}
+		pins[f.Task] = f.Thief
+	}
+	return pins, nil
+}
+
 // Task is one node of the graph.
 type Task struct {
 	ID       TaskID
@@ -177,7 +214,6 @@ type Task struct {
 	Epoch int32
 	Hint  CostHint
 	Deps  []Dep
-	Succs []int32 // consumer task indices, filled by Build
 	Run   func(env Env)
 	// Mig, when non-nil, lets a distributed run migrate this task to
 	// another rank (see Migration). Kept out of the hot path: engines only
@@ -200,6 +236,7 @@ type Graph struct {
 	Hooks func(t *Task) MigrationHooks
 	index map[TaskID]int32
 	stats *Stats
+	plan  *Plan // the point-to-point plan, which holds the out-edges
 }
 
 // Lookup returns the index of a task by ID.
@@ -252,8 +289,8 @@ func (b *Builder) Grow(tasks, deps int) {
 	}
 }
 
-// AddTask registers a task instance and returns its index. The Deps and
-// Succs fields of the argument are ignored; use AddDep or AddDepIdx.
+// AddTask registers a task instance and returns its index. The Deps field
+// of the argument is ignored; use AddDep or AddDepIdx.
 func (b *Builder) AddTask(t Task) (int32, error) {
 	if _, dup := b.index[t.ID]; dup {
 		return 0, fmt.Errorf("ptg: duplicate task %v", t.ID)
@@ -262,7 +299,6 @@ func (b *Builder) AddTask(t Task) (int32, error) {
 		return 0, fmt.Errorf("ptg: task %v on invalid node %d (have %d)", t.ID, t.Node, b.numNodes)
 	}
 	t.Deps = nil
-	t.Succs = nil
 	idx := int32(len(b.tasks))
 	b.tasks = append(b.tasks, t)
 	b.index[t.ID] = idx
@@ -337,9 +373,9 @@ func (b *Builder) AddDepIdx(consumer, producer int32, d Dep) error {
 	return nil
 }
 
-// Build lays the dependencies out in CSR form (see the package comment),
-// validates acyclicity and computes the graph's Stats in one topological
-// pass, and freezes the graph.
+// Build lays the dependencies and out-edges out in CSR form (see the
+// package comment), validates acyclicity and computes the graph's Stats in
+// one topological pass, and freezes the graph.
 func (b *Builder) Build() (*Graph, error) {
 	tasks, deps := b.tasks, b.deps
 	// Deps: each task's window is its run of the consumer-sorted array.
@@ -357,37 +393,11 @@ func (b *Builder) Build() (*Graph, error) {
 		tasks[c].Deps = deps[lo:hi:hi]
 		lo = hi
 	}
-	// Succs: scanning deps in consumer order, a consumer a producer already
-	// lists is its last one, which last[producer] marks (index plus one).
-	n := len(tasks)
-	last := make([]int32, n)
-	off := make([]int32, n+1)
-	for _, d := range deps {
-		if last[d.Producer] != d.consumer+1 {
-			last[d.Producer] = d.consumer + 1
-			off[d.Producer+1]++
-		}
-	}
-	for i := range n {
-		off[i+1] += off[i]
-	}
-	succs := make([]int32, off[n])
-	next := slices.Clone(off[:n])
-	clear(last)
-	for _, d := range deps {
-		if p := d.Producer; last[p] != d.consumer+1 {
-			last[p] = d.consumer + 1
-			succs[next[p]] = d.consumer
-			next[p]++
-		}
-	}
-	for i := range tasks {
-		tasks[i].Succs = succs[off[i]:off[i+1]:off[i+1]]
-	}
 	g := &Graph{
 		NumNodes: b.numNodes, Tasks: tasks, index: b.index,
 		NodeSlots: b.slots, NodeBufSlots: b.bufSlots,
 	}
+	g.plan = g.pointToPoint()
 	// Stats are computed eagerly so transforms cannot leave stale summaries
 	// behind: every (re)build refreshes them, and readers share the memo.
 	var err error
@@ -426,8 +436,8 @@ func (g *Graph) InvalidateStats() {
 	g.stats, _ = g.analyze()
 }
 
-// analyze is the graph's one topological pass (Kahn's algorithm over
-// Succs): it rejects dependency cycles and computes Stats, the critical
+// analyze is the graph's one topological pass (Kahn's algorithm over the
+// out-edges): it rejects dependency cycles and computes Stats, the critical
 // path depth included, along the way.
 func (g *Graph) analyze() (*Stats, error) {
 	n := len(g.Tasks)
@@ -445,9 +455,7 @@ func (g *Graph) analyze() (*Stats, error) {
 				s.CrossBytes += d.Bytes
 			}
 		}
-		for _, v := range t.Succs {
-			indeg[v]++
-		}
+		indeg[i] = int32(len(t.Deps))
 	}
 	// depth[i] is the longest chain ending at task i; queue doubles as the
 	// visit order, so everything before head has been processed.
@@ -462,7 +470,8 @@ func (g *Graph) analyze() (*Stats, error) {
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		s.CriticalPathTasks = max(s.CriticalPathTasks, int(depth[u]))
-		for _, v := range g.Tasks[u].Succs {
+		for _, e := range g.plan.Out(u) {
+			v := e.Consumer
 			depth[v] = max(depth[v], depth[u]+1)
 			if indeg[v]--; indeg[v] == 0 {
 				queue = append(queue, v)

@@ -27,8 +27,9 @@ func TestBuilderBasicChain(t *testing.T) {
 	if len(g.Tasks) != 2 {
 		t.Fatalf("tasks = %d", len(g.Tasks))
 	}
-	if len(g.Tasks[0].Succs) != 1 || g.Tasks[0].Succs[0] != 1 {
-		t.Errorf("successor list wrong: %v", g.Tasks[0].Succs)
+	p, _ := g.Plan(CoalesceOff)
+	if out := p.Out(0); len(out) != 1 || out[0] != (OutEdge{Consumer: 1, Dep: 0, Bundle: -1}) {
+		t.Errorf("out-edges wrong: %v", out)
 	}
 	roots := g.Roots()
 	if len(roots) != 1 || roots[0] != 0 {
@@ -131,8 +132,8 @@ func TestComputeStats(t *testing.T) {
 
 func TestMultipleDepsFromSameProducer(t *testing.T) {
 	// A CA boundary task consumes both an edge and a corner flow from the
-	// same producer: the successor list must stay deduplicated and the
-	// topological machinery must still see both dependencies.
+	// same producer: the producer gets one out-edge per dependency and the
+	// topological machinery must see both.
 	b := NewBuilder(2)
 	b.AddTask(Task{ID: id("p", 0, 0, 0), Node: 0})
 	b.AddTask(Task{ID: id("c", 0, 0, 0), Node: 1})
@@ -142,8 +143,9 @@ func TestMultipleDepsFromSameProducer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Tasks[0].Succs) != 1 {
-		t.Errorf("Succs = %v, want a single deduplicated entry", g.Tasks[0].Succs)
+	p, _ := g.Plan(CoalesceOff)
+	if out := p.Out(0); !slices.Equal(out, []OutEdge{{1, 0, -1}, {1, 1, -1}}) {
+		t.Errorf("Out(0) = %v, want one edge per dependency", out)
 	}
 	if len(g.Tasks[1].Deps) != 2 {
 		t.Errorf("Deps = %d, want 2", len(g.Tasks[1].Deps))
@@ -210,9 +212,9 @@ func TestWriteDOT(t *testing.T) {
 
 // TestCSRLayoutOrder pins the ordering contract of the package comment:
 // with dependencies added for interleaved consumers, each Task.Deps keeps
-// its own insertion order, each Task.Succs lists its consumers once in
-// increasing index, and every window is capacity-clamped so an append
-// cannot overwrite a neighbor's entries.
+// its own insertion order, each producer's out-edges run in increasing
+// consumer, then dependency index, and every window is capacity-clamped so
+// an append cannot overwrite a neighbor's entries.
 func TestCSRLayoutOrder(t *testing.T) {
 	b := NewBuilder(1)
 	b.Grow(4, 6)
@@ -241,13 +243,18 @@ func TestCSRLayoutOrder(t *testing.T) {
 			t.Errorf("task %d Deps (producer, bytes) = %v, want %v", i, got, want)
 		}
 	}
-	for i, want := range [][]int32{{1, 2, 3}, {2, 3}, nil, nil} {
-		if got := g.Tasks[i].Succs; !slices.Equal(got, want) {
-			t.Errorf("task %d Succs = %v, want %v", i, got, want)
+	p, _ := g.Plan(CoalesceOff)
+	for i, want := range [][]OutEdge{
+		{{1, 0, -1}, {2, 0, -1}, {3, 1, -1}},
+		{{2, 1, -1}, {3, 0, -1}, {3, 2, -1}},
+		nil, nil,
+	} {
+		if got := p.Out(int32(i)); !slices.Equal(got, want) {
+			t.Errorf("task %d Out = %v, want %v", i, got, want)
 		}
 	}
 	for i := range g.Tasks {
-		if tk := &g.Tasks[i]; cap(tk.Deps) != len(tk.Deps) || cap(tk.Succs) != len(tk.Succs) {
+		if tk, out := &g.Tasks[i], p.Out(int32(i)); cap(tk.Deps) != len(tk.Deps) || cap(out) != len(out) {
 			t.Errorf("task %d windows not capacity-clamped", i)
 		}
 	}

@@ -7,14 +7,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"castencil/internal/fault"
 	"castencil/internal/ptg"
 )
 
 // This file implements the coalesced halo-exchange transport: instead of one
 // message per cross-node dependency, all payloads a node produces in one
 // epoch toward one destination travel as a single *halo bundle* over a
-// persistent per-(src,dst) communication lane. The bundle plan comes from
-// ptg.Bundles; the wire format is
+// persistent per-(src,dst) communication lane. The bundles and lane sizes
+// come from the run's ptg.Plan; the wire format is
 //
 //	[u32 count] [u32 len_0] ... [u32 len_{count-1}] [payload_0] ... [payload_{count-1}]
 //
@@ -36,14 +37,13 @@ const laneDepth = 2
 // bundle the pair exchanges. Get/put race only between the two endpoint comm
 // goroutines, so a mutex-protected stack is plenty.
 type commLane struct {
-	src, dst int32
-	maxWire  int // wire size of the pair's largest bundle
-	mu       sync.Mutex
-	free     [][]byte
+	maxWire int // wire size of the pair's largest bundle
+	mu      sync.Mutex
+	free    [][]byte
 }
 
-func newCommLane(src, dst int32, maxWire int) *commLane {
-	l := &commLane{src: src, dst: dst, maxWire: maxWire}
+func newCommLane(maxWire int) *commLane {
+	l := &commLane{maxWire: maxWire}
 	for i := 0; i < laneDepth; i++ {
 		l.free = append(l.free, GetBuf(maxWire)[:0])
 	}
@@ -84,77 +84,38 @@ func (l *commLane) put(b []byte) {
 	PutBuf(b)
 }
 
-// execBundle is the runtime state of one planned bundle: the immutable plan
-// entry plus the countdown of members not yet produced. When remaining hits
-// zero the producing node's comm goroutine packs and sends the bundle.
+// execBundle is the run state of one plan bundle: the countdown of members
+// not yet produced, and the lane it travels on. When remaining hits zero the
+// producing node's comm goroutine packs and sends the bundle.
 type execBundle struct {
-	src, dst  int32
-	members   []ptg.BundleMember
-	wireBytes int
 	lane      *commLane
 	remaining atomic.Int32
 }
 
-// planBundles resolves Options.Coalesce against the graph: CoalesceStep
-// requires a deadlock-free plan (and fails the run otherwise), CoalesceAuto
-// falls back to point-to-point delivery when the graph does not admit one.
-// With a plan in hand it materializes the per-bundle countdowns, the
-// per-dependency bundle index table used on the completion hot path, and the
-// persistent lanes with their preallocated wire buffers.
-func (ex *executor) planBundles() error {
-	if ex.opts.Coalesce == ptg.CoalesceOff {
+// newExecBundles arms the plan's bundle countdowns and opens one lane per
+// node pair that exchanges bundles, sized by the plan's lane maximum. It
+// also sizes each node's fan-out scratch for its largest inbound bundle, so
+// the batched release never grows it mid-run.
+func newExecBundles(plan *ptg.Plan, nodes []*execNode) []execBundle {
+	if len(plan.Bundles) == 0 {
 		return nil
 	}
-	plan, err := ex.g.Bundles()
-	if err != nil {
-		if ex.opts.Coalesce == ptg.CoalesceAuto {
-			return nil
+	n := len(nodes)
+	bundles := make([]execBundle, len(plan.Bundles))
+	lanes := make([]*commLane, n*n)
+	for i := range plan.Bundles {
+		b := &plan.Bundles[i]
+		k := int(b.Src)*n + int(b.Dst)
+		if lanes[k] == nil {
+			lanes[k] = newCommLane(plan.LaneMax(b.Src, b.Dst))
 		}
-		return err
-	}
-	if len(plan) == 0 {
-		return nil
-	}
-	lanes := map[uint64]*commLane{}
-	laneMax := map[uint64]int{}
-	laneKey := func(src, dst int32) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
-	for i := range plan {
-		b := &plan[i]
-		k := laneKey(b.Src, b.Dst)
-		if w := b.WireBytes(); w > laneMax[k] {
-			laneMax[k] = w
+		bundles[i].lane = lanes[k]
+		bundles[i].remaining.Store(int32(len(b.Members)))
+		if nd := nodes[b.Dst]; cap(nd.commReady) < len(b.Members) {
+			nd.commReady = make([]int32, 0, len(b.Members))
 		}
 	}
-	ex.bundles = make([]execBundle, len(plan))
-	ex.depBundle = make([][]int32, len(ex.g.Tasks))
-	for i := range ex.g.Tasks {
-		if n := len(ex.g.Tasks[i].Deps); n > 0 {
-			row := make([]int32, n)
-			for j := range row {
-				row[j] = -1
-			}
-			ex.depBundle[i] = row
-		}
-	}
-	for i := range plan {
-		b := &plan[i]
-		k := laneKey(b.Src, b.Dst)
-		lane := lanes[k]
-		if lane == nil {
-			lane = newCommLane(b.Src, b.Dst, laneMax[k])
-			lanes[k] = lane
-		}
-		eb := &ex.bundles[i]
-		eb.src, eb.dst = b.Src, b.Dst
-		eb.members = b.Members
-		eb.wireBytes = b.WireBytes()
-		eb.lane = lane
-		eb.remaining.Store(int32(len(b.Members)))
-		for _, m := range b.Members {
-			ex.depBundle[m.Task][m.Dep] = int32(i)
-		}
-	}
-	return nil
+	return bundles
 }
 
 // packBundle serializes every member payload of a bundle into buf (which
@@ -223,47 +184,47 @@ func fanOutBundle(e ptg.Env, tasks []ptg.Task, members []ptg.BundleMember, data 
 
 // sendBundle packs a completed bundle into a lane buffer and ships it as one
 // wire message.
-func (ex *executor) sendBundle(e ptg.Env, nd *execNode, bi int32) (segs, bytes int) {
+func (ex *executor) sendBundle(e ptg.Env, nd *execNode, bi int32) (id fault.MsgID, segs, bytes int) {
+	b := &ex.plan.Bundles[bi]
+	id = fault.BundleMsgID(b.Src, b.Dst, bi)
 	defer func() {
 		if r := recover(); r != nil {
-			ex.fail(fmt.Errorf("runtime: packing bundle %d->%d panicked: %v",
-				ex.bundles[bi].src, ex.bundles[bi].dst, r))
+			ex.fail(fmt.Errorf("runtime: packing bundle %d->%d panicked: %v", b.Src, b.Dst, r))
 		}
 	}()
-	b := &ex.bundles[bi]
-	buf := packBundle(b.lane.get(), e, ex.g.Tasks, b.members)
-	m := Message{Src: b.src, Dst: b.dst, Bundle: bi + 1, Data: buf}
+	buf := packBundle(ex.bundles[bi].lane.get(), e, ex.g.Tasks, b.Members)
+	m := newMessage(id, buf)
 	if ex.overlapOn {
 		m.SentNanos = int64(time.Since(ex.t0))
 	}
 	ex.messages.Add(1)
 	ex.bytesSent.Add(int64(len(buf)))
 	ex.bundlesSent.Add(1)
-	ex.bundleSegments.Add(int64(len(b.members)))
+	ex.bundleSegments.Add(int64(len(b.Members)))
 	ex.dispatch(nd, m)
-	return len(b.members), len(buf)
+	return id, len(b.Members), len(buf)
 }
 
 // receiveBundle fans a bundle's segments out on the destination node,
 // returns the wire buffer to its lane, and releases every newly-ready
 // consumer in one batched enqueue.
-func (ex *executor) receiveBundle(nd *execNode, m Message) (segs, bytes int) {
+func (ex *executor) receiveBundle(nd *execNode, m Message, bi int32) (segs, bytes int) {
 	defer func() {
 		if r := recover(); r != nil {
 			ex.fail(fmt.Errorf("runtime: unpacking bundle %d->%d panicked: %v", m.Src, m.Dst, r))
 		}
 	}()
-	b := &ex.bundles[m.Bundle-1]
-	if err := fanOutBundle(nd.env, ex.g.Tasks, b.members, m.Data); err != nil {
+	members := ex.plan.Bundles[bi].Members
+	if err := fanOutBundle(nd.store, ex.g.Tasks, members, m.Data); err != nil {
 		ex.fail(err)
-		return len(b.members), len(m.Data)
+		return len(members), len(m.Data)
 	}
 	// All segments are copied out: the wire buffer can rejoin its lane
 	// before the consumers run, keeping the lane's free list warm.
 	bytes = len(m.Data)
-	b.lane.put(m.Data)
+	ex.bundles[bi].lane.put(m.Data)
 	ready := nd.commReady[:0]
-	for _, mb := range b.members {
+	for _, mb := range members {
 		if atomic.AddInt32(&ex.pending[mb.Task], -1) == 0 {
 			ready = append(ready, mb.Task)
 		}
@@ -272,28 +233,26 @@ func (ex *executor) receiveBundle(nd *execNode, m Message) (segs, bytes int) {
 		ex.enqueueBatch(nd, ready)
 	}
 	nd.commReady = ready[:0]
-	return len(b.members), bytes
+	return len(members), bytes
 }
 
-// transfers returns the number of member payloads a queued send request
-// stands for — the unit Result.Dropped counts.
-func (ex *executor) reqTransfers(r sendReq) int64 {
-	if r.bundle != 0 {
-		return int64(len(ex.bundles[r.bundle-1].members))
+// transfers is the number of member payloads a send request or wire
+// message for bundle bi (-1: point to point) stands for — the unit
+// Result.Dropped counts.
+func (ex *executor) transfers(bi int32) int64 {
+	if bi < 0 {
+		return 1
 	}
-	return 1
+	return int64(len(ex.plan.Bundles[bi].Members))
 }
 
-// msgTransfers is reqTransfers for an in-flight message. Acks are control
+// msgTransfers is transfers for an in-flight message. Acks are control
 // traffic, not data transfers, so a discarded ack counts for nothing.
 func (ex *executor) msgTransfers(m Message) int64 {
 	if m.Ack {
 		return 0
 	}
-	if m.Bundle != 0 {
-		return int64(len(ex.bundles[m.Bundle-1].members))
-	}
-	return 1
+	return ex.transfers(msgIDOf(m).BundleIndex())
 }
 
 // droppedTransfers is the Result.Dropped weight of an undeliverable

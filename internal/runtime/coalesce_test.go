@@ -219,7 +219,7 @@ func TestBundleRoundTripZeroAlloc(t *testing.T) {
 		members[i] = ptg.BundleMember{Task: int32(i), Dep: 0}
 	}
 	wire := 4*(1+segs) + segs*segBytes
-	lane := newCommLane(0, 1, wire)
+	lane := newCommLane(wire)
 	var fanErr error
 	allocs := testing.AllocsPerRun(100, func() {
 		buf := packBundle(lane.get(), nil, tasks, members)
@@ -252,7 +252,7 @@ func BenchmarkBundleRoundTrip(b *testing.B) {
 		members[i] = ptg.BundleMember{Task: int32(i), Dep: 0}
 	}
 	wire := 4*(1+segs) + segs*segBytes
-	lane := newCommLane(0, 1, wire)
+	lane := newCommLane(wire)
 	b.SetBytes(int64(wire))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,9 +3,6 @@ package runtime
 import (
 	"encoding/json"
 	"fmt"
-	"time"
-
-	"castencil/internal/fault"
 )
 
 // This file is the runtime's multi-process distribution layer. A distributed
@@ -136,11 +133,7 @@ func (ex *executor) localNode(n int32) bool {
 // in-process receive path applies, the copy this rank holds is dead.
 func (ex *executor) sendRemote(m Message) {
 	err := ex.dist.Net.Send(m)
-	if m.Bundle != 0 {
-		ex.bundles[m.Bundle-1].lane.put(m.Data)
-	} else if m.Data != nil {
-		PutBuf(m.Data)
-	}
+	ex.recycle(m)
 	if err != nil {
 		ex.fail(err)
 	}
@@ -159,24 +152,12 @@ func (ex *executor) distDrain() {
 	if runErr == nil && ex.reliable {
 		// The recovery layer's own deadline machinery (retransmitDue) bounds
 		// this wait: a peer that never acks fails the run with a
-		// *fault.Report, which the loop observes as runErr.
-		for {
-			pending := int64(0)
-			for _, nd := range ex.nodes {
-				if nd.rel != nil {
-					pending += nd.relPending.Load()
-				}
-			}
-			if pending == 0 {
-				break
-			}
+		// *fault.Report, which raises drainSig and shows up as runErr.
+		for runErr == nil && ex.relPending() > 0 {
+			<-ex.drainSig
 			ex.errMu.Lock()
 			runErr = ex.runErr
 			ex.errMu.Unlock()
-			if runErr != nil {
-				break
-			}
-			time.Sleep(200 * time.Microsecond)
 		}
 	}
 	if runErr != nil {
@@ -188,57 +169,33 @@ func (ex *executor) distDrain() {
 	}
 }
 
-// distStats is the per-rank counter snapshot exchanged at the end of a
-// successful distributed run (epilogue traffic, not the hot path — JSON is
-// plenty).
-type distStats struct {
-	Messages       int64       `json:"messages"`
-	BytesSent      int64       `json:"bytes_sent"`
-	BundlesSent    int64       `json:"bundles_sent"`
-	BundleSegments int64       `json:"bundle_segments"`
-	Completed      int64       `json:"completed"`
-	Dropped        int64       `json:"dropped"`
-	InteriorTasks  int64       `json:"interior_tasks"`
-	BorderTasks    int64       `json:"border_tasks"`
-	StealsRemote   int64       `json:"steals_remote"`
-	MigratedTasks  int64       `json:"migrated_tasks"`
-	MigratedBytes  int64       `json:"migrated_bytes"`
-	Fault          fault.Stats `json:"fault"`
-	NodeTasks      []int       `json:"node_tasks"`
-	NodeBusy       []int64     `json:"node_busy"`
-	NodeLocalHits  []int       `json:"node_local_hits"`
-	NodeSteals     []int       `json:"node_steals"`
-	NodeParks      []int       `json:"node_parks"`
+// relPending sums the reliable messages this rank sent that are still
+// unacknowledged.
+func (ex *executor) relPending() int64 {
+	pending := int64(0)
+	for _, nd := range ex.nodes {
+		pending += nd.relPending.Load()
+	}
+	return pending
+}
+
+// signalDrain wakes the distributed drain to re-check its condition. The
+// signal is level-triggered through a one-slot buffer: one raised while
+// the drain is busy is seen by its next wait.
+func (ex *executor) signalDrain() {
+	select {
+	case ex.drainSig <- struct{}{}:
+	default:
+	}
 }
 
 // distExchangeStats folds every rank's counters into rank 0's Result, so the
 // distributed totals are exactly the single-process (and simulator) numbers.
-// Non-zero ranks keep their local view. Per-node arrays merge by addition:
+// Ranks ship their Results as JSON (epilogue traffic, not the hot path);
+// non-zero ranks keep their local view. Per-node arrays merge by addition:
 // each rank reports nonzero entries only for the nodes it owns.
 func (ex *executor) distExchangeStats(res *Result) error {
-	mine := distStats{
-		Messages:       ex.messages.Load(),
-		BytesSent:      ex.bytesSent.Load(),
-		BundlesSent:    ex.bundlesSent.Load(),
-		BundleSegments: ex.bundleSegments.Load(),
-		Completed:      ex.completed.Load(),
-		Dropped:        ex.dropped.Load(),
-		InteriorTasks:  int64(res.InteriorTasks),
-		BorderTasks:    int64(res.BorderTasks),
-		StealsRemote:   int64(res.StealsRemote),
-		MigratedTasks:  int64(res.MigratedTasks),
-		MigratedBytes:  int64(res.MigratedBytes),
-		Fault:          res.Fault,
-		NodeTasks:      res.NodeTasks,
-		NodeLocalHits:  res.NodeLocalHits,
-		NodeSteals:     res.NodeSteals,
-		NodeParks:      res.NodeParks,
-	}
-	mine.NodeBusy = make([]int64, len(res.NodeBusy))
-	for i, d := range res.NodeBusy {
-		mine.NodeBusy[i] = int64(d)
-	}
-	payload, err := json.Marshal(&mine)
+	payload, err := json.Marshal(res)
 	if err != nil {
 		return err
 	}
@@ -253,37 +210,37 @@ func (ex *executor) distExchangeStats(res *Result) error {
 		if r == ex.dist.Rank || blob == nil {
 			continue
 		}
-		var s distStats
-		if err := json.Unmarshal(blob, &s); err != nil {
+		var o Result
+		if err := json.Unmarshal(blob, &o); err != nil {
 			return fmt.Errorf("runtime: bad stats payload from rank %d: %v", r, err)
 		}
-		res.Messages += int(s.Messages)
-		res.BytesSent += int(s.BytesSent)
-		res.BundlesSent += int(s.BundlesSent)
-		res.BundleSegments += int(s.BundleSegments)
-		res.Completed += int(s.Completed)
-		res.Dropped += int(s.Dropped)
-		res.InteriorTasks += int(s.InteriorTasks)
-		res.BorderTasks += int(s.BorderTasks)
-		res.StealsRemote += int(s.StealsRemote)
-		res.MigratedTasks += int(s.MigratedTasks)
-		res.MigratedBytes += int(s.MigratedBytes)
-		res.Fault.Add(s.Fault)
+		res.Messages += o.Messages
+		res.BytesSent += o.BytesSent
+		res.BundlesSent += o.BundlesSent
+		res.BundleSegments += o.BundleSegments
+		res.Completed += o.Completed
+		res.Dropped += o.Dropped
+		res.InteriorTasks += o.InteriorTasks
+		res.BorderTasks += o.BorderTasks
+		res.StealsRemote += o.StealsRemote
+		res.MigratedTasks += o.MigratedTasks
+		res.MigratedBytes += o.MigratedBytes
+		res.Fault.Add(o.Fault)
 		for i := range res.NodeTasks {
-			if i < len(s.NodeTasks) {
-				res.NodeTasks[i] += s.NodeTasks[i]
+			if i < len(o.NodeTasks) {
+				res.NodeTasks[i] += o.NodeTasks[i]
 			}
-			if i < len(s.NodeBusy) {
-				res.NodeBusy[i] += time.Duration(s.NodeBusy[i])
+			if i < len(o.NodeBusy) {
+				res.NodeBusy[i] += o.NodeBusy[i]
 			}
-			if i < len(s.NodeLocalHits) {
-				res.NodeLocalHits[i] += s.NodeLocalHits[i]
+			if i < len(o.NodeLocalHits) {
+				res.NodeLocalHits[i] += o.NodeLocalHits[i]
 			}
-			if i < len(s.NodeSteals) {
-				res.NodeSteals[i] += s.NodeSteals[i]
+			if i < len(o.NodeSteals) {
+				res.NodeSteals[i] += o.NodeSteals[i]
 			}
-			if i < len(s.NodeParks) {
-				res.NodeParks[i] += s.NodeParks[i]
+			if i < len(o.NodeParks) {
+				res.NodeParks[i] += o.NodeParks[i]
 			}
 		}
 	}

@@ -133,7 +133,7 @@ type Options struct {
 // Result summarizes a completed execution.
 type Result struct {
 	Elapsed   time.Duration
-	Stores    []*Store // per-node stores, for gathering output data
+	Stores    []*Store `json:"-"` // per-node stores, for gathering output data
 	Messages  int      // inter-node wire messages sent (a bundle counts once)
 	BytesSent int
 	// BundlesSent counts coalesced messages among Messages; BundleSegments
@@ -192,18 +192,9 @@ func (r *Result) BundleFill() float64 {
 	return float64(r.BundleSegments) / float64(r.BundlesSent)
 }
 
-type sendReq struct {
-	task int32 // consumer task (point-to-point only)
-	dep  int32
-	// bundle is the 1-based id of a completed bundle to pack and send;
-	// 0 marks a point-to-point request.
-	bundle int32
-}
-
 type execNode struct {
 	id    int32
-	store *Store
-	env   ptg.Env // the node's environment, boxed once
+	store *Store // also the node's ptg.Env
 	mu    sync.Mutex
 	cond  *sync.Cond
 	// queue is the node-level injection queue (root seeding, the comm
@@ -221,7 +212,9 @@ type execNode struct {
 	steals    atomic.Int64
 	parks     atomic.Int64
 
-	sendQ chan sendReq
+	// sendQ carries the out-edges the comm goroutine must send: a
+	// point-to-point edge, or any member edge of a completed bundle.
+	sendQ chan ptg.OutEdge
 	inbox chan Message
 	// commReady is the comm goroutine's scratch for batched successor
 	// release after a bundle fan-out (only that goroutine touches it).
@@ -236,8 +229,8 @@ type execNode struct {
 	coreSeq    []int
 	pauseUntil atomic.Int64
 	// relPending mirrors len(rel.outstanding) for readers outside the comm
-	// goroutine: the distributed drain (dist.go) polls it to learn when
-	// every reliable send has been acknowledged.
+	// goroutine: the distributed drain (dist.go) waits for it to reach zero
+	// on every node.
 	relPending atomic.Int64
 }
 
@@ -256,16 +249,15 @@ func (nd *execNode) wake(n int) {
 
 type executor struct {
 	g         *ptg.Graph
+	plan      *ptg.Plan
 	opts      Options
 	traceComm bool // opts.Trace != nil && opts.TraceComm
 	nodes     []*execNode
 	pending   []int32 // remaining dep count per task (atomic)
 	t0        time.Time
 
-	// Coalescing state (nil/empty with coalescing off): the bundle plan,
-	// and per task/dep the bundle index (-1 = unbundled). See coalesce.go.
-	bundles   []execBundle
-	depBundle [][]int32
+	// bundles[i] is the run state of plan.Bundles[i] (see coalesce.go).
+	bundles []execBundle
 
 	nodeTasks []atomic.Int64
 	nodeBusy  []atomic.Int64 // nanoseconds
@@ -300,6 +292,9 @@ type executor struct {
 	nodeRank   []int32
 	commStop   chan struct{}
 	commClosed atomic.Bool
+	// drainSig is raised when a node's unacknowledged reliable count drops
+	// to zero and when the run fails: the distributed drain waits on it.
+	drainSig chan struct{}
 
 	// Inter-node work stealing (see steal.go; all nil/zero unless
 	// Options.Steal is active). stealAvg[n] is a per-node EWMA of task
@@ -335,28 +330,31 @@ type executor struct {
 	runErr error
 }
 
-type env struct {
-	node  int32
-	store *Store
-}
-
-func (e env) NodeID() int                     { return int(e.node) }
-func (e env) PutSlot(slot int32, v any)       { e.store.PutSlot(slot, v) }
-func (e env) GetSlot(slot int32) any          { return e.store.GetSlot(slot) }
-func (e env) PutBufSlot(slot int32, b []byte) { e.store.PutBufSlot(slot, b) }
-func (e env) TakeBufSlot(slot int32) []byte   { return e.store.TakeBufSlot(slot) }
-
 // Run executes the graph to completion and returns the result. It is an
 // error if the graph deadlocks due to a malformed dependency structure
 // (detected as global quiescence before completion) or if a task panics.
 func Run(g *ptg.Graph, opts Options) (*Result, error) {
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
 	if opts.Ctx != nil {
 		if err := opts.Ctx.Err(); err != nil {
 			return nil, &ptg.CancelError{Engine: "runtime", Total: len(g.Tasks), Err: err}
 		}
+	}
+	plan, err := g.Plan(opts.Coalesce)
+	if err != nil {
+		return nil, err
+	}
+	ex, err := newExecutor(g, plan, opts)
+	if err != nil {
+		return nil, err
+	}
+	return ex.run()
+}
+
+// newExecutor validates the options and sets up one run of g under plan:
+// per-node stores, queues and channels, and the bundle countdowns and lanes.
+func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) {
+	if opts.Workers <= 0 {
+		opts.Workers = 1
 	}
 	if err := opts.Fault.Validate(); err != nil {
 		return nil, err
@@ -369,11 +367,13 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	}
 	ex := &executor{
 		g:         g,
+		plan:      plan,
 		opts:      opts,
 		traceComm: opts.Trace != nil && opts.TraceComm,
 		pending:   make([]int32, len(g.Tasks)),
 		total:     int64(len(g.Tasks)),
 		finished:  make(chan struct{}),
+		drainSig:  make(chan struct{}, 1),
 		nodeTasks: make([]atomic.Int64, g.NumNodes),
 		nodeBusy:  make([]atomic.Int64, g.NumNodes),
 	}
@@ -410,13 +410,10 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		}
 		ex.agent = ag
 	}
-	if err := ex.planBundles(); err != nil {
-		return nil, err
-	}
 	for i := range g.Tasks {
+		ex.pending[i] = int32(len(g.Tasks[i].Deps))
 		if g.Tasks[i].Kind == ptg.KindInner {
 			ex.overlapOn = true
-			break
 		}
 	}
 	if ex.overlapOn {
@@ -424,23 +421,8 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		ex.commIv = make([][]span, g.NumNodes)
 	}
 
-	// Size inboxes and send queues so channel operations never block
-	// indefinitely: one slot per cross-node dependency.
-	inboxNeed := make([]int, g.NumNodes)
-	sendNeed := make([]int, g.NumNodes)
-	for i := range g.Tasks {
-		t := &g.Tasks[i]
-		ex.pending[i] = int32(len(t.Deps))
-		for _, d := range t.Deps {
-			p := &g.Tasks[d.Producer]
-			if p.Node != t.Node {
-				inboxNeed[t.Node]++
-				sendNeed[p.Node]++
-			}
-		}
-	}
 	ex.nodes = make([]*execNode, g.NumNodes)
-	for n := 0; n < g.NumNodes; n++ {
+	for n := range ex.nodes {
 		slots, bufSlots := 0, 0
 		if g.NodeSlots != nil {
 			slots = g.NodeSlots[n]
@@ -448,13 +430,24 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		if g.NodeBufSlots != nil {
 			bufSlots = g.NodeBufSlots[n]
 		}
+		// Send queues and inboxes hold every wire message a node sends and
+		// receives in the run (plus, under recovery, the acks for what it
+		// sends), so channel operations never block indefinitely. Nodes of
+		// other ranks never use theirs.
+		sends, recvs := 0, 0
+		if ex.localNode(int32(n)) {
+			sends, recvs = plan.CrossOut[n], plan.CrossIn[n]
+			if ex.reliable {
+				recvs += sends
+			}
+		}
 		nd := &execNode{
 			id:     int32(n),
 			store:  NewStoreWithSlots(slots, bufSlots),
 			queue:  newReadyQueue(opts.Policy),
 			deques: make([]*deque, opts.Workers),
-			sendQ:  make(chan sendReq, sendNeed[n]+1),
-			inbox:  make(chan Message, inboxNeed[n]+1),
+			sendQ:  make(chan ptg.OutEdge, sends+1),
+			inbox:  make(chan Message, recvs+1),
 		}
 		for w := range nd.deques {
 			nd.deques[w] = newDeque()
@@ -465,27 +458,23 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		if ex.fplan != nil {
 			nd.coreSeq = make([]int, opts.Workers)
 		}
-		nd.env = env{node: nd.id, store: nd.store}
+		nd.store.node = n
 		nd.cond = sync.NewCond(&nd.mu)
 		ex.nodes[n] = nd
 	}
-	// Size each node's fan-out scratch for its largest inbound bundle, so
-	// the batched release never grows it mid-run.
-	for i := range ex.bundles {
-		b := &ex.bundles[i]
-		nd := ex.nodes[b.dst]
-		if cap(nd.commReady) < len(b.members) {
-			nd.commReady = make([]int32, 0, len(b.members))
-		}
-	}
+	ex.bundles = newExecBundles(plan, ex.nodes)
+	return ex, nil
+}
 
+// run executes the prepared run: it starts the workers, comm goroutines and
+// steal agent of the local nodes, waits for completion (and, distributed,
+// for the drain), and settles the accounting into the Result.
+func (ex *executor) run() (*Result, error) {
+	g, opts := ex.g, ex.opts
 	if ex.total == 0 && ex.dist == nil {
 		return &Result{Stores: ex.stores()}, nil
 	}
-	ex.progressEvery = ex.total / 128
-	if ex.progressEvery == 0 {
-		ex.progressEvery = 1
-	}
+	ex.progressEvery = max(ex.total/128, 1)
 
 	// Distributed runs bind the conduit and hold the start barrier before
 	// epoch 0: every rank's lanes are up and bound before any data frame can
@@ -576,17 +565,38 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	// Wait out background deliveries (injected delays, overflow enqueues)
 	// so the final accounting sweep below sees every in-flight copy.
 	ex.bgWg.Wait()
+	ex.sweepDropped()
 
-	// Final sweep: workers may post send requests after their node's comm
-	// goroutine has drained and exited (queued tasks keep running after a
-	// failure). With all goroutines gone the leftovers sit in the buffered
-	// channels; count them so Dropped is exact. A queued bundle stands for
-	// all of its member transfers.
+	ex.errMu.Lock()
+	err := ex.runErr
+	ex.errMu.Unlock()
+	res := ex.result(elapsed)
+	if ex.dist != nil {
+		if err == nil {
+			err = ex.distExchangeStats(res)
+		}
+		if ex.agent != nil {
+			ex.agent.sc.BindSteal(nil)
+		}
+		ex.dist.Net.Unbind()
+	}
+	// On error the partial result accompanies it, so callers can audit
+	// what moved (and what was dropped) in the failed run.
+	return res, err
+}
+
+// sweepDropped completes Dropped once every goroutine of the run is gone.
+func (ex *executor) sweepDropped() {
+	// Requests and messages still queued when the comm goroutines stopped —
+	// or posted after, by queued tasks that keep running after a failure —
+	// sit in the buffered channels: a dropped transfer is data the
+	// accounting says moved (or was about to move) but that never reached
+	// its consumer. A queued bundle stands for all of its member transfers.
 	for _, nd := range ex.nodes {
 		for drained := true; drained; {
 			select {
 			case r := <-nd.sendQ:
-				ex.dropped.Add(ex.reqTransfers(r))
+				ex.dropped.Add(ex.transfers(r.Bundle))
 			case m := <-nd.inbox:
 				ex.dropped.Add(ex.droppedTransfers(m))
 			default:
@@ -597,7 +607,6 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	// Under the reliable transport a logical transfer is lost exactly when
 	// its sender still holds it unacknowledged and its receiver never saw
 	// the sequence number (however many physical copies were in flight).
-	// All goroutines are gone, so both tables are quiescent.
 	if ex.reliable {
 		for _, nd := range ex.nodes {
 			for k, p := range nd.rel.outstanding {
@@ -610,17 +619,18 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	// Partially filled bundles hold produced payloads that never earned a
 	// send request (the bundle waits for its last member); count them too,
 	// so Dropped keeps the invariant produced = delivered + dropped on
-	// failed runs. Workers are gone, so the countdowns are settled.
+	// failed runs.
 	for i := range ex.bundles {
-		b := &ex.bundles[i]
-		if rem := b.remaining.Load(); rem > 0 && rem < int32(len(b.members)) {
-			ex.dropped.Add(int64(len(b.members)) - int64(rem))
+		members := int32(len(ex.plan.Bundles[i].Members))
+		if rem := ex.bundles[i].remaining.Load(); rem > 0 && rem < members {
+			ex.dropped.Add(int64(members - rem))
 		}
 	}
+}
 
-	ex.errMu.Lock()
-	err := ex.runErr
-	ex.errMu.Unlock()
+// result assembles the run's Result from the settled counters.
+func (ex *executor) result(elapsed time.Duration) *Result {
+	n := ex.g.NumNodes
 	res := &Result{
 		Elapsed:        elapsed,
 		Stores:         ex.stores(),
@@ -630,22 +640,22 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		BundleSegments: int(ex.bundleSegments.Load()),
 		Completed:      int(ex.completed.Load()),
 		Dropped:        int(ex.dropped.Load()),
-		NodeTasks:      make([]int, g.NumNodes),
-		NodeBusy:       make([]time.Duration, g.NumNodes),
-		NodeLocalHits:  make([]int, g.NumNodes),
-		NodeSteals:     make([]int, g.NumNodes),
-		NodeParks:      make([]int, g.NumNodes),
+		NodeTasks:      make([]int, n),
+		NodeBusy:       make([]time.Duration, n),
+		NodeLocalHits:  make([]int, n),
+		NodeSteals:     make([]int, n),
+		NodeParks:      make([]int, n),
 		Fault:          ex.faultStats(),
 		StealsRemote:   int(ex.stealsRemote.Load()),
 		MigratedTasks:  int(ex.migratedTasks.Load()),
 		MigratedBytes:  int(ex.migratedBytes.Load()),
 	}
-	for n := 0; n < g.NumNodes; n++ {
-		res.NodeTasks[n] = int(ex.nodeTasks[n].Load())
-		res.NodeBusy[n] = time.Duration(ex.nodeBusy[n].Load())
-		res.NodeLocalHits[n] = int(ex.nodes[n].localHits.Load())
-		res.NodeSteals[n] = int(ex.nodes[n].steals.Load())
-		res.NodeParks[n] = int(ex.nodes[n].parks.Load())
+	for i, nd := range ex.nodes {
+		res.NodeTasks[i] = int(ex.nodeTasks[i].Load())
+		res.NodeBusy[i] = time.Duration(ex.nodeBusy[i].Load())
+		res.NodeLocalHits[i] = int(nd.localHits.Load())
+		res.NodeSteals[i] = int(nd.steals.Load())
+		res.NodeParks[i] = int(nd.parks.Load())
 	}
 	if ex.overlapOn {
 		var comm, inner []span
@@ -659,23 +669,7 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		res.InteriorTasks = int(ex.interiorTasks.Load())
 		res.BorderTasks = int(ex.borderTasks.Load())
 	}
-	if ex.dist != nil {
-		if err == nil {
-			if gerr := ex.distExchangeStats(res); gerr != nil {
-				err = gerr
-			}
-		}
-		if ex.agent != nil {
-			ex.agent.sc.BindSteal(nil)
-		}
-		ex.dist.Net.Unbind()
-	}
-	if err != nil {
-		// The partial result accompanies the error so callers can audit
-		// what moved (and what was dropped) in the failed run.
-		return res, err
-	}
-	return res, nil
+	return res
 }
 
 func (ex *executor) stores() []*Store {
@@ -693,6 +687,7 @@ func (ex *executor) fail(err error) {
 	}
 	ex.errMu.Unlock()
 	ex.finish()
+	ex.signalDrain()
 }
 
 // finish marks the execution complete and wakes everything up.
@@ -747,13 +742,6 @@ func (ex *executor) enqueueBatch(nd *execNode, tasks []int32) {
 		nd.cond.Broadcast()
 	}
 	nd.mu.Unlock()
-}
-
-// satisfy decrements a task's pending count and enqueues it at zero.
-func (ex *executor) satisfy(idx int32) {
-	if atomic.AddInt32(&ex.pending[idx], -1) == 0 {
-		ex.enqueue(idx)
-	}
 }
 
 // worker is the compute loop, mirroring the paper's PaRSEC configuration
@@ -842,7 +830,7 @@ func (ex *executor) runTask(nd *execNode, core int32, idx int32, stolen bool, re
 		ex.sleepInterruptible(extra)
 	}
 	if t.Run != nil {
-		t.Run(nd.env)
+		t.Run(nd.store)
 	}
 	end := time.Since(ex.t0)
 	completed := ex.nodeTasks[nd.id].Add(1)
@@ -896,36 +884,23 @@ func (ex *executor) runTask(nd *execNode, core int32, idx int32, stolen bool, re
 	return ready
 }
 
-// releaseSuccs releases a completed task's successors: local deps are
-// satisfied directly (newly ready tasks appended to ready, unless pinned to
-// a remote thief — those divert to the steal agent), cross-node deps are
-// handed to the communication goroutine. Under coalescing a cross dep only
-// decrements its bundle's countdown; the completion that zeroes it posts one
-// send request for the whole bundle. Shared by runTask and the migration
-// commit.
+// releaseSuccs walks a completed task's out-edges in plan order: local deps
+// are satisfied directly (newly ready tasks appended to ready, unless pinned
+// to a remote thief — those divert to the steal agent), cross-node deps are
+// handed to the communication goroutine. A bundled edge only decrements its
+// bundle's countdown; the completion that zeroes it posts one send request
+// for the whole bundle. Shared by runTask and the migration commit.
 func (ex *executor) releaseSuccs(nd *execNode, idx int32, ready []int32) []int32 {
-	t := &ex.g.Tasks[idx]
-	for _, sIdx := range t.Succs {
-		s := &ex.g.Tasks[sIdx]
-		for dIdx := range s.Deps {
-			if s.Deps[dIdx].Producer != idx {
-				continue
+	for _, e := range ex.plan.Out(idx) {
+		switch {
+		case e.Bundle >= 0:
+			if ex.bundles[e.Bundle].remaining.Add(-1) == 0 {
+				nd.sendQ <- e
 			}
-			if s.Node == t.Node {
-				if atomic.AddInt32(&ex.pending[sIdx], -1) == 0 {
-					if ex.divert(sIdx) {
-						continue
-					}
-					ready = append(ready, sIdx)
-				}
-			} else if ex.depBundle != nil && ex.depBundle[sIdx][dIdx] >= 0 {
-				bi := ex.depBundle[sIdx][dIdx]
-				if ex.bundles[bi].remaining.Add(-1) == 0 {
-					nd.sendQ <- sendReq{bundle: bi + 1}
-				}
-			} else {
-				nd.sendQ <- sendReq{task: sIdx, dep: int32(dIdx)}
-			}
+		case ex.g.Tasks[e.Consumer].Node != nd.id:
+			nd.sendQ <- e
+		case atomic.AddInt32(&ex.pending[e.Consumer], -1) == 0 && !ex.divert(e.Consumer):
+			ready = append(ready, e.Consumer)
 		}
 	}
 	return ready
@@ -948,7 +923,7 @@ func (ex *executor) completeTask() {
 // dedicated communication thread.
 func (ex *executor) comm(nd *execNode, wg *sync.WaitGroup) {
 	defer wg.Done()
-	e := nd.env
+	e := nd.store
 	// The reliable transport drives retransmission off a ticker at a
 	// quarter of the initial ack timeout: fine enough that a timeout is
 	// noticed promptly, coarse enough that an idle run stays idle.
@@ -973,20 +948,7 @@ func (ex *executor) comm(nd *execNode, wg *sync.WaitGroup) {
 		case <-tickC:
 			ex.retransmitDue(nd)
 		case <-ex.commStop:
-			// Drain anything already queued, counting the discards: a
-			// dropped transfer is data the accounting says moved (or was
-			// about to move) but that never reached its consumer. A bundle
-			// counts once per member payload it stands for.
-			for {
-				select {
-				case r := <-nd.sendQ:
-					ex.dropped.Add(ex.reqTransfers(r))
-				case m := <-nd.inbox:
-					ex.dropped.Add(ex.droppedTransfers(m))
-				default:
-					return
-				}
-			}
+			return // what is still queued, sweepDropped counts
 		}
 	}
 }
@@ -1033,50 +995,49 @@ func (ex *executor) deliver(m Message) {
 // send dispatches one send request — a coalesced bundle or a point-to-point
 // payload — and, when comm tracing is on, records the handling as a
 // KindComm event on the node's comm pseudo-core (index Workers).
-func (ex *executor) send(e ptg.Env, nd *execNode, req sendReq) {
+func (ex *executor) send(e ptg.Env, nd *execNode, req ptg.OutEdge) {
 	ex.maybeStall(nd)
 	var start time.Duration
 	if ex.traceComm {
 		start = time.Since(ex.t0)
 	}
-	var dst int32
+	var id fault.MsgID
 	var segs, bytes int
-	if req.bundle != 0 {
-		dst = ex.bundles[req.bundle-1].dst
-		segs, bytes = ex.sendBundle(e, nd, req.bundle-1)
+	if req.Bundle >= 0 {
+		id, segs, bytes = ex.sendBundle(e, nd, req.Bundle)
 	} else {
-		dst = ex.g.Tasks[req.task].Node
-		segs, bytes = ex.sendOne(e, nd, req)
+		id, segs, bytes = ex.sendOne(e, nd, req)
 	}
 	if ex.traceComm {
 		ex.opts.Trace.Record(trace.Event{
-			ID:   ptg.TaskID{Class: "send", I: int(dst), J: segs, K: int(req.bundle)},
+			ID:   ptg.TaskID{Class: "send", I: int(id.Dst), J: segs, K: int(id.Bundle)},
 			Kind: ptg.KindComm, Node: nd.id, Core: int32(ex.opts.Workers),
 			Start: start, End: time.Since(ex.t0), Msgs: segs, Bytes: bytes,
 		})
 	}
 }
 
-func (ex *executor) sendOne(e ptg.Env, nd *execNode, req sendReq) (segs, bytes int) {
+func (ex *executor) sendOne(e ptg.Env, nd *execNode, req ptg.OutEdge) (id fault.MsgID, segs, bytes int) {
+	consumer := &ex.g.Tasks[req.Consumer]
+	id = fault.EdgeMsgID(nd.id, consumer.Node, req.Consumer, req.Dep)
 	defer func() {
 		if r := recover(); r != nil {
-			ex.fail(fmt.Errorf("runtime: pack for %v panicked: %v", ex.g.Tasks[req.task].ID, r))
+			ex.fail(fmt.Errorf("runtime: pack for %v panicked: %v", consumer.ID, r))
 		}
 	}()
-	consumer := &ex.g.Tasks[req.task]
-	dep := &consumer.Deps[req.dep]
+	dep := &consumer.Deps[req.Dep]
 	var data []byte
 	if dep.Pack != nil {
 		data = dep.Pack(e)
 	}
-	m := Message{Src: nd.id, Dst: consumer.Node, Task: req.task, Dep: req.dep, Data: data}
+	m := newMessage(id, data)
 	if ex.overlapOn {
 		m.SentNanos = int64(time.Since(ex.t0))
 	}
 	ex.messages.Add(1)
 	ex.bytesSent.Add(int64(len(data)))
 	ex.dispatch(nd, m)
-	return 1, len(data)
+	return id, 1, len(data)
 }
 
 // receive dispatches one inbound message, with the same optional comm
@@ -1097,8 +1058,8 @@ func (ex *executor) receive(nd *execNode, m Message) {
 		start = time.Since(ex.t0)
 	}
 	var segs, bytes int
-	if m.Bundle != 0 {
-		segs, bytes = ex.receiveBundle(nd, m)
+	if bi := msgIDOf(m).BundleIndex(); bi >= 0 {
+		segs, bytes = ex.receiveBundle(nd, m, bi)
 	} else {
 		segs, bytes = ex.receiveOne(nd, m)
 	}
@@ -1119,8 +1080,10 @@ func (ex *executor) receiveOne(nd *execNode, m Message) (segs, bytes int) {
 	}()
 	dep := &ex.g.Tasks[m.Task].Deps[m.Dep]
 	if dep.Unpack != nil {
-		dep.Unpack(nd.env, m.Data)
+		dep.Unpack(nd.store, m.Data)
 	}
-	ex.satisfy(m.Task)
+	if atomic.AddInt32(&ex.pending[m.Task], -1) == 0 {
+		ex.enqueue(m.Task)
+	}
 	return 1, len(m.Data)
 }

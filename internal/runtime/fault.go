@@ -77,6 +77,12 @@ func msgIDOf(m Message) fault.MsgID {
 	return fault.MsgID{Src: m.Src, Dst: m.Dst, Task: m.Task, Dep: m.Dep, Bundle: m.Bundle}
 }
 
+// newMessage addresses a payload by its fault identity, the inverse of
+// msgIDOf.
+func newMessage(id fault.MsgID, data []byte) Message {
+	return Message{Src: id.Src, Dst: id.Dst, Task: id.Task, Dep: id.Dep, Bundle: id.Bundle, Data: data}
+}
+
 // traceFault records one fault/recovery event when tracing is on: Class
 // "fault:<what>", I/J the node pair, K the lane sequence number, on the
 // comm pseudo-core of the node where the event happened.
@@ -109,14 +115,13 @@ func (ex *executor) track(nd *execNode, m Message) Message {
 	return m
 }
 
-// release recycles the retained payload of an acknowledged (or abandoned)
-// pending message: bundle wire buffers rejoin their lane, point-to-point
-// payloads rejoin the arena.
-func (ex *executor) releasePending(p *pendingMsg) {
-	if p.m.Bundle != 0 {
-		ex.bundles[p.m.Bundle-1].lane.put(p.m.Data)
-	} else if p.m.Data != nil {
-		PutBuf(p.m.Data)
+// recycle returns the payload of a message this node is done with: a
+// bundle's wire buffer rejoins its lane, a point-to-point payload the arena.
+func (ex *executor) recycle(m Message) {
+	if bi := msgIDOf(m).BundleIndex(); bi >= 0 {
+		ex.bundles[bi].lane.put(m.Data)
+	} else if m.Data != nil {
+		PutBuf(m.Data)
 	}
 }
 
@@ -240,8 +245,10 @@ func (ex *executor) handleAck(nd *execNode, m Message) {
 	k := laneSeq{peer: m.Src, seq: m.Seq}
 	if p, ok := nd.rel.outstanding[k]; ok {
 		delete(nd.rel.outstanding, k)
-		nd.relPending.Add(-1)
-		ex.releasePending(p)
+		if nd.relPending.Add(-1) == 0 {
+			ex.signalDrain()
+		}
+		ex.recycle(p.m) // the retained original
 	}
 }
 

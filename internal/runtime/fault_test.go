@@ -143,11 +143,15 @@ func TestFaultCoalescedExactlyOnce(t *testing.T) {
 func TestFaultPausedNodePastDeadlineReports(t *testing.T) {
 	// Node 1 freezes for far longer than the recovery deadline after its
 	// second task. Senders waiting on its acks must fail the run fast with
-	// a structured report instead of hanging.
+	// a structured report instead of hanging. Every transfer is delayed
+	// well past the moment node 1 finishes its two roots, so the other
+	// nodes' epoch-0 payloads reach it paused; undelayed, node 1 could ack
+	// them all first, owe nobody an ack and sit out its pause.
 	plan := &fault.Plan{
+		Delay: 1, DelayBy: 50 * time.Millisecond,
 		Pauses: []fault.NodePause{{Node: 1, AfterTasks: 2, Pause: 10 * time.Second}},
 	}
-	rec := &fault.Recovery{Timeout: 5 * time.Millisecond, Deadline: 40 * time.Millisecond}
+	rec := &fault.Recovery{Timeout: 5 * time.Millisecond, Deadline: 250 * time.Millisecond}
 	eg := buildEpochGrid(t, 3, 4, 2, ptg.TaskID{})
 	start := time.Now()
 	res, err := Run(eg.g, Options{Workers: 2, Fault: plan, Recovery: rec})
@@ -155,7 +159,7 @@ func TestFaultPausedNodePastDeadlineReports(t *testing.T) {
 		t.Fatal("run with a dead node completed without error")
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
-		t.Errorf("degradation took %v, deadline was 40ms", waited)
+		t.Errorf("degradation took %v, deadline was %v", waited, rec.Deadline)
 	}
 	var rep *fault.Report
 	if !errors.As(err, &rep) {

@@ -104,43 +104,25 @@ func (p *slicePool[T]) put(b []T) {
 	cl.mu.Unlock()
 }
 
-// BytePool is a size-classed arena of []byte message payloads.
-type BytePool struct{ p slicePool[byte] }
-
-// Get returns a payload buffer of length n with arbitrary contents.
-func (bp *BytePool) Get(n int) []byte { return bp.p.get(n) }
-
-// Put recycles a buffer obtained from Get (or any byte slice).
-func (bp *BytePool) Put(b []byte) { bp.p.put(b) }
-
-// FloatPool is a size-classed arena of []float64 scatter buffers (used by
-// the PETSc analog's VecScatter, whose in-process wire format is float64).
-type FloatPool struct{ p slicePool[float64] }
-
-// Get returns a buffer of length n with arbitrary contents.
-func (fp *FloatPool) Get(n int) []float64 { return fp.p.get(n) }
-
-// Put recycles a buffer obtained from Get (or any float64 slice).
-func (fp *FloatPool) Put(b []float64) { fp.p.put(b) }
-
-// The process-wide default pools. Sharing one arena across all virtual
+// The process-wide arenas: payload bytes, and the float64 scatter buffers
+// of the PETSc analog's VecScatter. Sharing one arena across all virtual
 // nodes is a deliberate physical shortcut (the nodes share a heap anyway);
 // the dataflow discipline guarantees a buffer is owned by exactly one side
 // at a time, so isolation semantics are unaffected.
 var (
-	defaultBytePool  BytePool
-	defaultFloatPool FloatPool
+	defaultBytes  slicePool[byte]
+	defaultFloats slicePool[float64]
 )
 
 // GetBuf returns an n-byte payload buffer from the default arena.
-func GetBuf(n int) []byte { return defaultBytePool.Get(n) }
+func GetBuf(n int) []byte { return defaultBytes.get(n) }
 
 // PutBuf recycles a payload buffer into the default arena. Callers must not
 // touch the buffer afterwards.
-func PutBuf(b []byte) { defaultBytePool.Put(b) }
+func PutBuf(b []byte) { defaultBytes.put(b) }
 
 // GetFloats returns an n-element float64 buffer from the default arena.
-func GetFloats(n int) []float64 { return defaultFloatPool.Get(n) }
+func GetFloats(n int) []float64 { return defaultFloats.get(n) }
 
 // PutFloats recycles a float64 buffer into the default arena.
-func PutFloats(b []float64) { defaultFloatPool.Put(b) }
+func PutFloats(b []float64) { defaultFloats.put(b) }

@@ -28,13 +28,13 @@ func TestSizeClasses(t *testing.T) {
 }
 
 func TestPoolReuse(t *testing.T) {
-	var p BytePool
-	a := p.Get(100)
+	var p slicePool[byte]
+	a := p.get(100)
 	if len(a) != 100 {
 		t.Fatalf("Get(100) returned len %d", len(a))
 	}
-	p.Put(a)
-	b := p.Get(80) // same class (65..128): must reuse a's backing array
+	p.put(a)
+	b := p.get(80) // same class (65..128): must reuse a's backing array
 	if &a[0] != &b[0] {
 		t.Error("pool did not reuse the recycled buffer for a same-class Get")
 	}
@@ -57,14 +57,14 @@ func TestPoolOversizedBypass(t *testing.T) {
 }
 
 func TestPoolSteadyStateZeroAlloc(t *testing.T) {
-	var p BytePool
-	p.Put(p.Get(3000)) // warm up the class
-	if n := testing.AllocsPerRun(50, func() { p.Put(p.Get(3000)) }); n != 0 {
+	var p slicePool[byte]
+	p.put(p.get(3000)) // warm up the class
+	if n := testing.AllocsPerRun(50, func() { p.put(p.get(3000)) }); n != 0 {
 		t.Errorf("steady-state Get/Put: %v allocs per run, want 0", n)
 	}
-	var fp FloatPool
-	fp.Put(fp.Get(500))
-	if n := testing.AllocsPerRun(50, func() { fp.Put(fp.Get(500)) }); n != 0 {
+	var fp slicePool[float64]
+	fp.put(fp.get(500))
+	if n := testing.AllocsPerRun(50, func() { fp.put(fp.get(500)) }); n != 0 {
 		t.Errorf("steady-state float Get/Put: %v allocs per run, want 0", n)
 	}
 }
@@ -118,9 +118,9 @@ func TestPoolBundleClasses(t *testing.T) {
 	if c := sizeClass(bundleSized); c < 0 {
 		t.Fatalf("sizeClass(%d) = %d: bundle-sized buffers bypass the pool", bundleSized, c)
 	}
-	var p BytePool
-	p.Put(p.Get(bundleSized)) // warm the class
-	if n := testing.AllocsPerRun(10, func() { p.Put(p.Get(bundleSized)) }); n != 0 {
+	var p slicePool[byte]
+	p.put(p.get(bundleSized)) // warm the class
+	if n := testing.AllocsPerRun(10, func() { p.put(p.get(bundleSized)) }); n != 0 {
 		t.Errorf("bundle-sized Get/Put: %v allocs per run, want 0", n)
 	}
 }

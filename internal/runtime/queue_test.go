@@ -83,3 +83,20 @@ func TestPrioQueueShrinksAfterBurst(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParsePolicy checks the -sched parser never panics and that every
+// accepted name's canonical String re-parses to the same policy.
+func FuzzParsePolicy(f *testing.F) {
+	for _, s := range []string{"fifo", "LIFO", "priority", "", "prio", "Fifo\x00"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		p, err := ParsePolicy(name)
+		if err != nil {
+			return
+		}
+		if back, err := ParsePolicy(p.String()); err != nil || back != p {
+			t.Fatalf("ParsePolicy(%q) = %v, but its String %q re-parses to %v, %v", name, p, p.String(), back, err)
+		}
+	})
+}

@@ -75,14 +75,10 @@ func (m StealMode) String() string {
 // StealNames lists the values the -steal flag accepts.
 const StealNames = "off, greedy, gated"
 
-// ForcedSteal pins one task's execution to a thief rank: when the task
-// becomes ready on its owning rank it is migrated unconditionally instead of
-// queued. Forced steals make migration deterministic — the simulator mirrors
-// them exactly, which is what the sim==real parity suite leans on.
-type ForcedSteal struct {
-	Task  int32
-	Thief int
-}
+// ForcedSteal pins one task's execution to a thief rank (see
+// ptg.ForcedSteal): the simulator follows the same script exactly, which is
+// what the sim==real parity suite leans on.
+type ForcedSteal = ptg.ForcedSteal
 
 // StealPolicy configures inter-node work stealing for a distributed run.
 // Every rank must be handed the same policy (ranks agree on forced
@@ -277,25 +273,9 @@ func newStealAgent(ex *executor) (*stealAgent, error) {
 	if !ok {
 		return nil, fmt.Errorf("runtime: conduit %T does not support steal frames (StealConduit)", ex.dist.Net)
 	}
-	forced := make(map[int32]int, len(pol.Force))
-	for _, f := range pol.Force {
-		if f.Task < 0 || int(f.Task) >= len(ex.g.Tasks) {
-			return nil, fmt.Errorf("runtime: forced steal task %d out of range", f.Task)
-		}
-		t := &ex.g.Tasks[f.Task]
-		if t.Mig == nil {
-			return nil, fmt.Errorf("runtime: forced steal task %v is not migratable", t.ID)
-		}
-		if f.Thief < 0 || f.Thief >= ex.dist.Ranks {
-			return nil, fmt.Errorf("runtime: forced steal thief rank %d out of range [0,%d)", f.Thief, ex.dist.Ranks)
-		}
-		if int(ex.nodeRank[t.Node]) == f.Thief {
-			return nil, fmt.Errorf("runtime: forced steal task %v already lives on rank %d", t.ID, f.Thief)
-		}
-		if _, dup := forced[f.Task]; dup {
-			return nil, fmt.Errorf("runtime: task %v forced twice", t.ID)
-		}
-		forced[f.Task] = f.Thief
+	forced, err := ex.g.PinForced(pol.Force, ex.dist.Ranks, func(n int) int { return int(ex.nodeRank[n]) })
+	if err != nil {
+		return nil, err
 	}
 	if len(forced) > 0 {
 		ex.forcedSteal = forced
@@ -713,7 +693,7 @@ func (ag *stealAgent) onReq(m StealMsg) {
 	if idx, ok := ex.stealPop(); ok {
 		t := &ex.g.Tasks[idx]
 		rsp.Task = idx
-		rsp.Data = ex.g.Hooks(t).PackIn(ex.nodes[t.Node].env)
+		rsp.Data = ex.g.Hooks(t).PackIn(ex.nodes[t.Node].store)
 		cp := rsp
 		vp.rsp = &cp
 	}
@@ -790,7 +770,7 @@ func (ag *stealAgent) sendForced(thief int, vf *victimForced, idx int32) {
 	vf.inFlight = true
 	vf.arm(ag, thief, StealMsg{
 		Kind: StealRsp, From: ex.dist.Rank, ID: vf.nextID,
-		Task: idx, Forced: true, Data: ex.g.Hooks(t).PackIn(ex.nodes[t.Node].env),
+		Task: idx, Forced: true, Data: ex.g.Hooks(t).PackIn(ex.nodes[t.Node].store),
 	}, time.Now())
 }
 
@@ -888,12 +868,12 @@ func (ex *executor) execMigrated(idx int32, in []byte) (out []byte) {
 	nd := ex.nodes[t.Node]
 	start := time.Since(ex.t0)
 	hooks := ex.g.Hooks(t)
-	hooks.Deposit(nd.env, in)
+	hooks.Deposit(nd.store, in)
 	PutBuf(in)
 	if t.Run != nil {
-		t.Run(nd.env)
+		t.Run(nd.store)
 	}
-	out = hooks.PackOut(nd.env)
+	out = hooks.PackOut(nd.store)
 	ex.stealsRemote.Add(1)
 	if ex.opts.Trace != nil {
 		// The migrated execution happens on this rank's agent, off the home
@@ -920,7 +900,7 @@ func (ex *executor) commitMigrated(idx int32, out []byte) {
 	}()
 	t := &ex.g.Tasks[idx]
 	nd := ex.nodes[t.Node]
-	ex.g.Hooks(t).Commit(nd.env, out)
+	ex.g.Hooks(t).Commit(nd.store, out)
 	PutBuf(out)
 	ex.migratedTasks.Add(1)
 	ex.migratedBytes.Add(int64(t.Mig.InBytes + t.Mig.OutBytes))

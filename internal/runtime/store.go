@@ -8,11 +8,16 @@ import "fmt"
 // and TakeBufSlot empties a buffer slot, enforcing the single-consumer
 // discipline of halo payloads. Slot accesses are plain array indexing with
 // no lock or hash: the runtime's scheduling edges already order every slot
-// producer before its consumer.
+// producer before its consumer. A node's Store is the ptg.Env its task
+// bodies and Pack/Unpack closures run against.
 type Store struct {
+	node     int
 	slots    []any
 	bufSlots [][]byte
 }
+
+// NodeID is the node the store belongs to.
+func (s *Store) NodeID() int { return s.node }
 
 // NewStoreWithSlots returns an empty store carrying the given numbers of
 // general and buffer slots.

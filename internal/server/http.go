@@ -24,15 +24,12 @@ import (
 //
 // Backpressure is explicit: a full admission queue answers 429 with
 // Retry-After, a draining daemon 503. Malformed or invalid specs answer
-// 400 before anything queues.
+// 400, bodies over MaxSpecBytes 413, before anything queues.
 func Handler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if !DecodeSpec(w, r, &spec) {
 			return
 		}
 		j, err := m.Submit(spec)
@@ -208,6 +205,27 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// MaxSpecBytes bounds a POST /v1/jobs body. A Spec is a few hundred bytes;
+// a body past the bound answers 413 and is not read further.
+const MaxSpecBytes = 1 << 20
+
+// DecodeSpec reads the Spec of a POST /v1/jobs request, rejecting unknown
+// fields. On failure it has answered the request — 413 for a body over
+// MaxSpecBytes, 400 for anything else malformed — and returns false.
+func DecodeSpec(w http.ResponseWriter, r *http.Request, spec *Spec) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, fmt.Errorf("bad request body: %w", err))
+		return false
+	}
+	return true
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

@@ -182,6 +182,20 @@ func TestHTTPErrors(t *testing.T) {
 	waitState(t, blocker, StateCancelled, 30*time.Second)
 }
 
+// TestHTTPBodyTooLarge checks a submit body past MaxSpecBytes answers 413
+// without being read in full, and the handler keeps serving: the next
+// valid submit is accepted.
+func TestHTTPBodyTooLarge(t *testing.T) {
+	_, srv := newTestServer(t, Config{MaxJobs: 1, QueueSize: 4})
+	huge := `{"variant":"` + strings.Repeat("x", 2<<20) + `"}`
+	if resp, body := postJSON(t, srv.URL+"/v1/jobs", huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB body: %d %s, want 413", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, srv.URL+"/v1/jobs", `{"n":64,"tile":16,"steps":6,"step_size":3}`); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("submit after the oversized body: %d %s, want 202", resp.StatusCode, body)
+	}
+}
+
 // TestHTTPMetricsAndHealth checks the observability endpoints: Prometheus
 // exposition with the service families, healthz flipping to 503 on drain.
 func TestHTTPMetricsAndHealth(t *testing.T) {
