@@ -1,0 +1,178 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	goruntime "runtime"
+	"testing"
+
+	"castencil/internal/grid"
+	"castencil/internal/runtime"
+	"castencil/internal/stencil"
+)
+
+// oracle runs the sequential reference matching cfg's stencil.
+func oracle(t *testing.T, cfg Config) interface{ At(r, c int) float64 } {
+	t.Helper()
+	full := cfg.withDefaults()
+	if full.NinePoint {
+		ref := stencil.NewReference9(full.N, full.Weights9, full.Init, full.Boundary)
+		ref.Run(full.Steps)
+		return ref
+	}
+	return referenceFor(t, full)
+}
+
+// assertOracleBitwise checks a gathered grid against the oracle bit for bit.
+func assertOracleBitwise(t *testing.T, label string, want interface{ At(r, c int) float64 }, got *grid.Tile) {
+	t.Helper()
+	for r := 0; r < got.Rows; r++ {
+		for c := 0; c < got.Cols; c++ {
+			if g, w := got.At(r, c), want.At(r, c); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: (%d,%d) = %v, want %v (bitwise)", label, r, c, g, w)
+			}
+		}
+	}
+}
+
+// poisonArena makes every tile buffer handed out NaN-filled until the test
+// ends.
+func poisonArena(t *testing.T) {
+	poisonTiles = true
+	t.Cleanup(func() { poisonTiles = false })
+}
+
+// TestPoisonedArena is the proof that reused tile storage needs no
+// clearing: with every tile buffer NaN-filled when handed out, each
+// configuration runs twice — the second run on the first run's recycled
+// buffers — and both must equal the sequential oracle bitwise. A kernel
+// reading a ghost cell no init, boundary fill or halo unpack wrote would
+// carry a NaN into the grid.
+func TestPoisonedArena(t *testing.T) {
+	poisonArena(t)
+	type run struct {
+		name string
+		v    Variant
+		cfg  Config
+	}
+	var runs []run
+	for _, nine := range []bool{false, true} {
+		cfg := Config{N: 40, TileRows: 8, P: 2, Steps: 9, NinePoint: nine}
+		ca := func(s int) Config { c := cfg; c.StepSize = s; return c }
+		wf := cfg
+		wf.Wavefront = 4
+		for _, c := range []run{
+			{"base", Base, cfg},
+			{"ca/s1", CA, ca(1)},
+			{"ca/s4", CA, ca(4)},
+			{"wf/w4", WF, wf},
+		} {
+			c.name = fmt.Sprintf("%s/nine=%v", c.name, nine)
+			runs = append(runs, c)
+			if c.v != WF {
+				runs = append(runs, run{c.name + "/split", c.v, splitCfg(c.cfg)})
+			}
+		}
+	}
+	ragged := Config{N: 26, TileRows: 4, P: 3, Q: 2, Steps: 9, StepSize: 2}
+	runs = append(runs, run{"ragged/base", Base, ragged}, run{"ragged/ca", CA, ragged})
+	for _, c := range runs {
+		t.Run(c.name, func(t *testing.T) {
+			want := oracle(t, c.cfg)
+			for i := 1; i <= 2; i++ {
+				res, err := RunReal(c.v, c.cfg, runtime.Options{Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertOracleBitwise(t, fmt.Sprintf("run %d", i), want, res.Grid)
+			}
+		})
+	}
+	t.Run("forced-steal", func(t *testing.T) {
+		cfg := stealSkewed()
+		ts := connectMeshN(t, 2)
+		opts := runtime.Options{Workers: 1, Steal: &runtime.StealPolicy{Force: forcedPlan(t, WF, cfg, 2, 0, 1, 3)}}
+		want := oracle(t, cfg)
+		for i := 1; i <= 2; i++ {
+			dist := runStealMesh(t, WF, cfg, opts, ts)
+			if dist[0].Exec.MigratedTasks == 0 {
+				t.Fatal("the forced plan migrated nothing")
+			}
+			assertOracleBitwise(t, fmt.Sprintf("run %d", i), want, dist[0].Grid)
+		}
+	})
+}
+
+// allocBytes returns the heap bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var m0, m1 goruntime.MemStats
+	goruntime.ReadMemStats(&m0)
+	f()
+	goruntime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestRunReusesTileStores gates the tile arena: once a first run has
+// returned its tile stores, a second run of the same shape allocates its
+// graph and its gathered answer and, beyond those, under 5% of its tile
+// pairs' bytes.
+func TestRunReusesTileStores(t *testing.T) {
+	cfg := Config{N: 256, TileRows: 64, P: 2, Steps: 4}
+	opts := runtime.Options{Workers: 1}
+	solve := func() {
+		if _, err := RunReal(Base, cfg, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	built := cfg
+	built.WithBodies = true
+	graph := allocBytes(func() {
+		if _, err := BuildGraph(Base, built); err != nil {
+			t.Fatal(err)
+		}
+	})
+	run := allocBytes(solve)
+	tiles := 16 * 2 * 66 * 66 * 8 // 4 x 4 tiles of 64 x 64, one-deep ghosts
+	answer := cfg.N * cfg.N * 8
+	extra := int64(run) - int64(graph) - int64(answer)
+	if 20*extra > int64(tiles) {
+		t.Errorf("second run allocated %d B beyond its graph (%d B) and answer (%d B), want <= 5%% of the %d B of tile pairs",
+			extra, graph, answer, tiles)
+	}
+}
+
+// TestBuildBytesPerTask is the byte-count twin of TestBuildAllocsPerTask,
+// on its shapes: what bodies add to a graph — per task its body closure, per
+// cross-node edge its Pack/Unpack pair — may cost at most 48 B per added
+// task. A body capturing its weights and update rectangle costs ~190 B.
+// Each build is measured as its smallest of five: the growth of the
+// builder's task-index map varies with its hash seed, by up to ~200 KB from
+// one build to the next.
+func TestBuildBytesPerTask(t *testing.T) {
+	for _, v := range []Variant{Base, CA} {
+		build := func(steps int, bodies bool) (bytes float64, tasks int) {
+			cfg := Config{N: 256, TileRows: 8, P: 2, Steps: steps, StepSize: 4, WithBodies: bodies}
+			least := uint64(math.MaxUint64)
+			for i := 0; i < 5; i++ {
+				least = min(least, allocBytes(func() {
+					g, err := BuildGraph(v, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tasks = len(g.Tasks)
+				}))
+			}
+			return float64(least), tasks
+		}
+		c1, n1 := build(4, false)
+		c2, _ := build(12, false)
+		b1, _ := build(4, true)
+		b2, n2 := build(12, true)
+		per := ((b2 - c2) - (b1 - c1)) / float64(n2-n1)
+		if per > 48 {
+			t.Errorf("%v: bodies cost %.1f B per added task (%.0f B over cost-only at %d tasks, %.0f B at %d), want <= 48",
+				v, per, b1-c1, n1, b2-c2, n2)
+		}
+	}
+}

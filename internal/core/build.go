@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"castencil/internal/grid"
 	"castencil/internal/ptg"
 	"castencil/internal/runtime"
@@ -502,11 +504,15 @@ func (b *builder) body(inf *tileInfo, t int) func(ptg.Env) {
 	return b.computeBody(inf, t)
 }
 
+// Task bodies capture only the builder, the tile and the iteration, and
+// derive the rest — weights, the kernel, the update rectangle — when they
+// run: one closure per task is the with-bodies graph's per-task cost (see
+// TestBuildBytesPerTask).
+
 func (b *builder) initBody(inf *tileInfo) func(ptg.Env) {
-	cfg := b.cfg
 	return func(e ptg.Env) {
-		cur := grid.NewTile(inf.rows, inf.cols, inf.halo)
-		next := grid.NewTile(inf.rows, inf.cols, inf.halo)
+		cfg := &b.cfg
+		cur, next := arenaTile(inf), arenaTile(inf)
 		for r := 0; r < inf.rows; r++ {
 			row := cur.Row(r, 0, inf.cols)
 			for c := range row {
@@ -524,26 +530,31 @@ func (b *builder) initBody(inf *tileInfo) func(ptg.Env) {
 }
 
 func (b *builder) computeBody(inf *tileInfo, t int) func(ptg.Env) {
-	w := b.cfg.Weights
-	w9 := b.cfg.Weights9
-	nine := b.cfg.NinePoint
-	deepTile := b.v == CA && inf.boundary
-	var rect grid.Rect
-	if deepTile {
-		rect = b.region(inf, t)
-	} else {
-		rect = grid.Rect{R0: 0, C0: 0, H: inf.rows, W: inf.cols}
-	}
 	return func(e ptg.Env) {
 		st := b.state(e, inf)
 		b.consume(e, st, inf, t)
-		if nine {
-			stencil.Apply9(w9, st.next, st.cur, rect)
-		} else {
-			stencil.Apply(w, st.next, st.cur, rect)
-		}
+		b.apply(st, b.updateRect(inf, t))
 		st.cur, st.next = st.next, st.cur
 		b.produce(e, st, inf, t)
+	}
+}
+
+// updateRect returns the rectangle tile inf updates at iteration t: the CA
+// trapezoid region on a boundary tile, the interior otherwise.
+func (b *builder) updateRect(inf *tileInfo, t int) grid.Rect {
+	if b.v == CA && inf.boundary {
+		return b.region(inf, t)
+	}
+	return grid.Rect{R0: 0, C0: 0, H: inf.rows, W: inf.cols}
+}
+
+// apply runs the configured stencil over rect, reading st.cur and writing
+// st.next.
+func (b *builder) apply(st *tileState, rect grid.Rect) {
+	if b.cfg.NinePoint {
+		stencil.Apply9(b.cfg.Weights9, st.next, st.cur, rect)
+	} else {
+		stencil.Apply(b.cfg.Weights, st.next, st.cur, rect)
 	}
 }
 
@@ -553,18 +564,15 @@ func (b *builder) computeBody(inf *tileInfo, t int) func(ptg.Env) {
 // kernel leaves the final level in whichever buffer the depth's parity picks,
 // so the double-buffer swap is conditional.
 func (b *builder) wavefrontBody(inf *tileInfo, t int) func(ptg.Env) {
-	w := b.cfg.Weights
-	w9 := b.cfg.Weights9
-	nine := b.cfg.NinePoint
 	regions := b.wfRegions(inf, b.effWidth(t))
 	return func(e ptg.Env) {
 		st := b.state(e, inf)
 		b.consume(e, st, inf, t)
 		var res *grid.Tile
-		if nine {
-			res = stencil.Wavefront9(w9, st.cur, st.next, regions)
+		if b.cfg.NinePoint {
+			res = stencil.Wavefront9(b.cfg.Weights9, st.cur, st.next, regions)
 		} else {
-			res = stencil.Wavefront(w, st.cur, st.next, regions)
+			res = stencil.Wavefront(b.cfg.Weights, st.cur, st.next, regions)
 		}
 		if res != st.cur {
 			st.cur, st.next = st.next, st.cur
@@ -725,12 +733,31 @@ func migState(e ptg.Env, inf *tileInfo, cfg Config) *tileState {
 	if v := e.GetSlot(inf.stateSlot); v != nil {
 		return v.(*tileState)
 	}
-	cur := grid.NewTile(inf.rows, inf.cols, inf.halo)
-	next := grid.NewTile(inf.rows, inf.cols, inf.halo)
+	cur, next := arenaTile(inf), arenaTile(inf)
 	stencil.FillBoundary(next, inf.r0, inf.c0, cfg.N, cfg.Boundary)
 	st := &tileState{cur: cur, next: next, r0: inf.r0, c0: inf.c0}
 	e.PutSlot(inf.stateSlot, st)
 	return st
+}
+
+// poisonTiles, set only by tests, fills every tile buffer arenaTile hands
+// out with NaN, so a read of a cell no task wrote poisons the grid.
+var poisonTiles bool
+
+// arenaTile builds one of tile inf's two buffers over storage from the
+// runtime arena, which RunReal returns after the gather. The storage is not
+// cleared, and need not be: init writes the interior, FillBoundary the
+// out-of-domain ghosts, and every other ghost cell is written by a halo
+// unpack before any kernel reads it (the argument migHooks makes for a
+// thief's fresh buffers).
+func arenaTile(inf *tileInfo) *grid.Tile {
+	data := runtime.GetFloats(fullRect(inf).Size())
+	if poisonTiles {
+		for i := range data {
+			data[i] = math.NaN()
+		}
+	}
+	return grid.TileOver(inf.rows, inf.cols, inf.halo, data)
 }
 
 // state fetches the tile's double-buffer state.

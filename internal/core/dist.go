@@ -47,15 +47,28 @@ func gatherDistributed(p *grid.Partition, stores []*runtime.Store, d *runtime.Di
 }
 
 // encodeLocalTiles serializes every tile owned by this rank's nodes as
-// [i32 ti][i32 tj][i32 rows][i32 cols][float64-LE data...] records.
+// [i32 ti][i32 tj][i32 rows][i32 cols][float64-LE data...] records, into a
+// payload sized exactly up front.
 func encodeLocalTiles(p *grid.Partition, stores []*runtime.Store, d *runtime.Dist) ([]byte, error) {
-	var out []byte
+	local := func(ti, tj int) bool {
+		return runtime.RankOfNode(p.Owner(ti, tj), p.Nodes(), d.Ranks) == d.Rank
+	}
+	size := 0
+	for ti := 0; ti < p.TR; ti++ {
+		for tj := 0; tj < p.TC; tj++ {
+			if local(ti, tj) {
+				rows, cols := p.TileDims(ti, tj)
+				size += 16 + 8*rows*cols
+			}
+		}
+	}
+	out := make([]byte, 0, size)
 	var buf [8]byte
 	le := binary.LittleEndian
 	slots := stateSlots(p)
 	for ti := 0; ti < p.TR; ti++ {
 		for tj := 0; tj < p.TC; tj++ {
-			if runtime.RankOfNode(p.Owner(ti, tj), p.Nodes(), d.Ranks) != d.Rank {
+			if !local(ti, tj) {
 				continue
 			}
 			st, err := finalState(p, stores, slots, ti, tj)

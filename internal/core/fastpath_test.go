@@ -1,13 +1,12 @@
 package core
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"castencil/internal/grid"
 	"castencil/internal/runtime"
-	"castencil/internal/stencil"
 )
 
 func randomHaloTile(rng *rand.Rand, n, halo int) *grid.Tile {
@@ -189,25 +188,11 @@ func TestCornerRing(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			full := c.cfg.withDefaults()
-			var want interface{ At(r, c int) float64 }
-			if full.NinePoint {
-				ref := stencil.NewReference9(full.N, full.Weights9, full.Init, full.Boundary)
-				ref.Run(full.Steps)
-				want = ref
-			} else {
-				want = referenceFor(t, full)
-			}
+			want := oracle(t, c.cfg)
 			for _, sched := range schedVariants() {
 				for _, workers := range []int{1, 2, 4} {
 					res := runSched(t, CA, c.cfg, sched, workers)
-					for r := 0; r < full.N; r++ {
-						for col := 0; col < full.N; col++ {
-							if got := res.Grid.At(r, col); math.Float64bits(got) != math.Float64bits(want.At(r, col)) {
-								t.Fatalf("%s w=%d: (%d,%d) = %v, want %v (bitwise)", sched, workers, r, col, got, want.At(r, col))
-							}
-						}
-					}
+					assertOracleBitwise(t, fmt.Sprintf("%s w=%d", sched, workers), want, res.Grid)
 					if n := LeftoverBuffers(res.Exec.Stores); n != 0 {
 						t.Errorf("%s w=%d: %d unconsumed buffers", sched, workers, n)
 					}

@@ -21,14 +21,19 @@ import (
 type RealResult struct {
 	// Grid holds the final iterate over the whole domain, gathered from
 	// all node stores. In a distributed run only rank 0 materializes it;
-	// on other ranks Grid is nil.
+	// on other ranks Grid is nil. It is the only copy of the tile data:
+	// once gathered, the tiles' storage goes back to the runtime arena.
 	Grid      *grid.Tile
 	Partition *grid.Partition
-	Exec      *runtime.Result
+	// Exec carries the run's counters. Its Stores keep their slots, but
+	// the tile states in them no longer hold buffers.
+	Exec *runtime.Result
 }
 
 // RunReal builds the graph with bodies and executes it on the concurrent
-// runtime, gathering the final grid.
+// runtime, gathering the final grid. The tile stores come from the runtime
+// arena and return to it after the gather, so a process solving many
+// problems reuses one set of tile buffers.
 func RunReal(v Variant, cfg Config, opts runtime.Options) (*RealResult, error) {
 	cfg = cfg.withDefaults()
 	cfg.WithBodies = true
@@ -58,7 +63,24 @@ func RunReal(v Variant, cfg Config, opts runtime.Options) (*RealResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	releaseTiles(part, res.Stores)
 	return &RealResult{Grid: full, Partition: part, Exec: res}, nil
+}
+
+// releaseTiles returns the buffers of every tile state in the stores — the
+// owner's, and on a thief rank the ones its migrated tasks created — to the
+// runtime arena, and clears the states so nothing aliases recycled memory.
+func releaseTiles(p *grid.Partition, stores []*runtime.Store) {
+	for i, slot := range stateSlots(p) {
+		v := stores[p.Owner(i/p.TC, i%p.TC)].GetSlot(slot)
+		if v == nil {
+			continue
+		}
+		st := v.(*tileState)
+		runtime.PutFloats(st.cur.Storage())
+		runtime.PutFloats(st.next.Storage())
+		st.cur, st.next = nil, nil
+	}
 }
 
 // Gather assembles the final global grid from the per-node stores of a

@@ -5,7 +5,6 @@ import (
 
 	"castencil/internal/grid"
 	"castencil/internal/ptg"
-	"castencil/internal/stencil"
 )
 
 // splitPass is the inner/border splitting rewrite (Eijkhout's latency-
@@ -102,10 +101,7 @@ func (b *builder) splitGeom(inf *tileInfo, t int) splitGeom {
 	if !any {
 		return sg
 	}
-	r := grid.Rect{R0: 0, C0: 0, H: inf.rows, W: inf.cols}
-	if b.v == CA && inf.boundary {
-		r = b.region(inf, t)
-	}
+	r := b.updateRect(inf, t)
 	sg.update = r
 	shrink := func(d grid.Dir, ext int) int {
 		if sg.has[d] {
@@ -167,19 +163,12 @@ func interiorOverlap(rc grid.Rect, inf *tileInfo) int {
 // the part is gated on (if any), then apply the stencil to the part's
 // rectangle. Same row kernels, same cells, same order as the unsplit task.
 func (b *builder) partBody(inf *tileInfo, t int, rect grid.Rect, d grid.Dir, consume bool) func(ptg.Env) {
-	w := b.cfg.Weights
-	w9 := b.cfg.Weights9
-	nine := b.cfg.NinePoint
 	return func(e ptg.Env) {
 		st := b.state(e, inf)
 		if consume {
 			b.consumeDir(e, st, inf, d, t)
 		}
-		if nine {
-			stencil.Apply9(w9, st.next, st.cur, rect)
-		} else {
-			stencil.Apply(w, st.next, st.cur, rect)
-		}
+		b.apply(st, rect)
 	}
 }
 

@@ -106,18 +106,39 @@ type Tile struct {
 
 // NewTile allocates a tile with all values (including ghosts) zero.
 func NewTile(rows, cols, halo int) *Tile {
+	return TileOver(rows, cols, halo, make([]float64, storageLen(rows, cols, halo)))
+}
+
+// storageLen returns the number of values of a tile's ghost-inclusive
+// storage, panicking on an invalid shape.
+func storageLen(rows, cols, halo int) int {
 	if rows <= 0 || cols <= 0 || halo < 0 {
 		panic(fmt.Sprintf("grid: invalid tile %dx%d halo %d", rows, cols, halo))
 	}
-	stride := cols + 2*halo
+	return (rows + 2*halo) * (cols + 2*halo)
+}
+
+// TileOver builds a tile over caller-provided storage of at least
+// (rows+2*halo)*(cols+2*halo) values, which it uses as is: nothing is
+// cleared. Storage hands the slice back at its full capacity, so the caller
+// can recycle it.
+func TileOver(rows, cols, halo int, data []float64) *Tile {
+	n := storageLen(rows, cols, halo)
+	if len(data) < n {
+		panic(fmt.Sprintf("grid: tile %dx%d halo %d needs %d values, got %d", rows, cols, halo, n, len(data)))
+	}
 	return &Tile{
 		Rows:   rows,
 		Cols:   cols,
 		Halo:   halo,
-		data:   make([]float64, (rows+2*halo)*stride),
-		stride: stride,
+		data:   data[:n],
+		stride: cols + 2*halo,
 	}
 }
+
+// Storage returns the tile's backing slice at its full capacity — the
+// storage TileOver was given, or NewTile allocated.
+func (t *Tile) Storage() []float64 { return t.data[:cap(t.data)] }
 
 // index maps interior coordinates (ghost-inclusive) to the storage offset.
 func (t *Tile) index(r, c int) int {

@@ -2,25 +2,35 @@ package runtime
 
 import "testing"
 
+// TestSizeClasses checks the eight-per-octave classes: every request above
+// the smallest class gets a capacity within 1/8 of it, and every class's
+// capacity returns home to that same class, so a recycled buffer serves the
+// next request of its size.
 func TestSizeClasses(t *testing.T) {
-	cases := []struct{ n, class int }{
-		{1, 0}, {63, 0}, {64, 0}, {65, 1}, {128, 1}, {129, 2},
-		{1 << poolMinBits << poolMaxClass, poolMaxClass},
-		{(1 << poolMinBits << poolMaxClass) + 1, -1},
-	}
-	for _, c := range cases {
-		if got := sizeClass(c.n); got != c.class {
-			t.Errorf("sizeClass(%d) = %d, want %d", c.n, got, c.class)
+	for n := 1; n <= 1<<poolMinBits; n++ {
+		if got := sizeClass(n); got != 0 {
+			t.Fatalf("sizeClass(%d) = %d, want 0", n, got)
 		}
+	}
+	for n := 1<<poolMinBits + 1; n <= 1<<22; n++ {
+		c := sizeClass(n)
+		if c < 0 || classCap(c) < n || 8*classCap(c) > 9*n {
+			t.Fatalf("sizeClass(%d) = %d with capacity %d, want a capacity in [n, 1.125n]", n, c, classCap(c))
+		}
+	}
+	for c := 0; c <= poolMaxClass; c++ {
+		if got := homeClass(classCap(c)); got != c {
+			t.Errorf("homeClass(classCap(%d) = %d) = %d, want %d", c, classCap(c), got, c)
+		}
+		if c > 0 && homeClass(classCap(c)-1) != c-1 {
+			t.Errorf("homeClass(%d) = %d, want %d (round down)", classCap(c)-1, homeClass(classCap(c)-1), c-1)
+		}
+	}
+	if got := classCap(poolMaxClass); got != 1<<poolMaxBits {
+		t.Errorf("largest class holds %d elements, want %d", got, 1<<poolMaxBits)
 	}
 	if got := homeClass(63); got != -1 {
 		t.Errorf("homeClass(63) = %d, want -1 (below smallest class)", got)
-	}
-	if got := homeClass(64); got != 0 {
-		t.Errorf("homeClass(64) = %d, want 0", got)
-	}
-	if got := homeClass(127); got != 0 {
-		t.Errorf("homeClass(127) = %d, want 0 (round down)", got)
 	}
 	if got := homeClass(1 << 40); got != -1 {
 		t.Errorf("homeClass(1<<40) = %d, want -1 (beyond largest class)", got)
@@ -34,12 +44,12 @@ func TestPoolReuse(t *testing.T) {
 		t.Fatalf("Get(100) returned len %d", len(a))
 	}
 	p.put(a)
-	b := p.get(80) // same class (65..128): must reuse a's backing array
+	b := p.get(97) // same class (97..104): must reuse a's backing array
 	if &a[0] != &b[0] {
 		t.Error("pool did not reuse the recycled buffer for a same-class Get")
 	}
-	if len(b) != 80 {
-		t.Errorf("reused Get(80) has len %d", len(b))
+	if len(b) != 97 {
+		t.Errorf("reused Get(97) has len %d", len(b))
 	}
 }
 
@@ -47,12 +57,42 @@ func TestPoolReuse(t *testing.T) {
 // on: a size beyond the largest class maps to no class, so get allocates it
 // directly and put drops it. (Materialising such a buffer costs 2 GiB.)
 func TestPoolOversizedBypass(t *testing.T) {
-	huge := 1 << poolMinBits << poolMaxClass << 1
+	if c := sizeClass(1<<poolMaxBits + 1); c != -1 {
+		t.Errorf("sizeClass(%d) = %d, want -1 (bypass the pool)", 1<<poolMaxBits+1, c)
+	}
+	huge := 1 << poolMaxBits << 1
 	if c := sizeClass(huge); c != -1 {
 		t.Errorf("sizeClass(%d) = %d, want -1 (bypass the pool)", huge, c)
 	}
 	if c := homeClass(huge); c != -1 {
 		t.Errorf("homeClass(%d) = %d, want -1 (never retained)", huge, c)
+	}
+}
+
+// TestPoolRetainedCap checks the arena's retention bound: a put that would
+// take the free lists past poolMaxRetained bytes drops the buffer, and one
+// that fits is kept. The accounting starts just below the cap, so the test
+// needs no half-gigabyte of real buffers.
+func TestPoolRetainedCap(t *testing.T) {
+	var p slicePool[float64]
+	small, big := p.get(100), p.get(1000) // capacities 104 and 1024
+	p.retained.Store(poolMaxRetained - 8*200)
+	p.put(big)
+	if got := p.retained.Load(); got != poolMaxRetained-8*200 {
+		t.Errorf("put past the cap: retained %d bytes, want %d", got, poolMaxRetained-8*200)
+	}
+	if b := p.get(1000); &b[0] == &big[0] {
+		t.Error("a buffer put past the cap was retained")
+	}
+	p.put(small)
+	if got := p.retained.Load(); got != poolMaxRetained-8*200+8*104 {
+		t.Errorf("put under the cap: retained %d bytes, want %d", got, poolMaxRetained-8*200+8*104)
+	}
+	if b := p.get(100); &b[0] != &small[0] {
+		t.Error("a buffer put under the cap was not retained")
+	}
+	if got := p.retained.Load(); got != poolMaxRetained-8*200 {
+		t.Errorf("get: retained %d bytes, want %d", got, poolMaxRetained-8*200)
 	}
 }
 
