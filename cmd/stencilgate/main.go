@@ -18,8 +18,10 @@
 //	curl -s localhost:8420/v1/jobs -d '{"n":960,"tile":48,"steps":60,"step_size":6,"tenant":"prod"}'
 //	curl -s localhost:8420/v1/jobs/gw-000001/result
 //
-// SIGTERM or SIGINT starts a graceful drain: admission closes, queued jobs
-// cancel (no backend ever saw them), running jobs get the -drain window.
+// SIGTERM or SIGINT starts a graceful drain, the same as stencild's:
+// admission closes, queued and running jobs get the -drain window to finish,
+// then whatever is left is cancelled (running jobs forward the cancel to
+// their backend).
 package main
 
 import (

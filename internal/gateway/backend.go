@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"hash/fnv"
@@ -13,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"castencil/internal/metrics"
 	"castencil/internal/server"
 )
 
@@ -27,6 +27,8 @@ type backend struct {
 	health   atomic.Pointer[server.Health] // last load payload (nil before first parse)
 	inflight atomic.Int64                  // gateway jobs currently on this backend
 	fails    int                           // consecutive probe failures (prober-only)
+
+	jobs, errs *metrics.Counter // stencilgate_backend_{jobs,errors}_total
 }
 
 // pool owns the backend set, the persistent HTTP client every gateway
@@ -55,8 +57,12 @@ func normalizeAddr(a string) (string, string) {
 	return a, "http://" + a
 }
 
-func newPool(addrs []string, client *http.Client, probe time.Duration) *pool {
-	p := &pool{client: client, probe: probe, stopCh: make(chan struct{})}
+func newPool(addrs []string, probe time.Duration) *pool {
+	p := &pool{probe: probe, stopCh: make(chan struct{}), client: &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        64,
+		MaxIdleConnsPerHost: 8,
+		IdleConnTimeout:     90 * time.Second,
+	}}}
 	for _, a := range addrs {
 		addr, base := normalizeAddr(a)
 		b := &backend{addr: addr, base: base}
@@ -77,11 +83,12 @@ func (p *pool) start() {
 	}
 }
 
-// stop halts the probers; safe to call more than once (Shutdown is
-// idempotent).
+// stop halts the probers and drops idle connections; safe to call more
+// than once (Shutdown is idempotent).
 func (p *pool) stop() {
 	p.stopOnce.Do(func() { close(p.stopCh) })
 	p.wg.Wait()
+	p.client.CloseIdleConnections()
 }
 
 // prober polls one backend's /healthz: two consecutive failures (connection
@@ -103,62 +110,39 @@ func (p *pool) prober(b *backend) {
 	}
 }
 
+// probeOnce runs one probe. Draining or degraded backends answer 503 with
+// a payload: it is kept, but they must not receive new jobs.
 func (p *pool) probeOnce(b *backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, "GET", b.base+"/healthz", nil)
-	if err != nil {
-		p.probeFailed(b)
-		return
+	var resp *http.Response
+	if err == nil {
+		resp, err = p.client.Do(req)
 	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		p.probeFailed(b)
-		return
-	}
-	h, parsed := parseHealth(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// Draining or degraded backends answer 503 with a payload; either
-		// way they must not receive new jobs.
-		p.probeFailed(b)
-		if parsed {
+	if err == nil {
+		if h, parsed := parseHealth(resp.Body); parsed {
 			b.health.Store(h)
+		}
+		resp.Body.Close()
+	}
+	if err != nil || resp.StatusCode != http.StatusOK {
+		if b.fails++; b.fails >= 2 {
+			b.healthy.Store(false)
 		}
 		return
 	}
 	b.fails = 0
 	b.healthy.Store(true)
-	if parsed {
-		b.health.Store(h)
-	}
-}
-
-func (p *pool) probeFailed(b *backend) {
-	b.fails++
-	if b.fails >= 2 {
-		b.healthy.Store(false)
-	}
 }
 
 // parseHealth extracts the machine-readable Health object from a healthz
-// body: the last line that parses as JSON (the endpoint's text lines come
-// first for back-compat).
+// body: its last line (the endpoint's text lines come first).
 func parseHealth(r io.Reader) (*server.Health, bool) {
+	body, _ := io.ReadAll(io.LimitReader(r, 64<<10)) // a short read fails the parse below
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
 	var h server.Health
-	found := false
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "{") {
-			continue
-		}
-		var cand server.Health
-		if err := json.Unmarshal([]byte(line), &cand); err == nil {
-			h, found = cand, true
-		}
-	}
-	return &h, found
+	return &h, json.Unmarshal([]byte(lines[len(lines)-1]), &h) == nil
 }
 
 // rendezvousScore is the highest-random-weight hash of (fingerprint,

@@ -2,12 +2,16 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,9 +55,6 @@ func startGateway(t *testing.T, cfg Config, backends ...*fleetBackend) *Gateway 
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 20 * time.Millisecond
-	}
-	if cfg.PollInterval == 0 {
-		cfg.PollInterval = 5 * time.Millisecond
 	}
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = 10 * time.Millisecond
@@ -472,5 +473,152 @@ func TestGatewayShutdownDrains(t *testing.T) {
 	}
 	if _, err := g.Submit(quickSpec(43)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-shutdown submit: got %v, want ErrDraining", err)
+	}
+}
+
+// TestGatewayMissMakesNoStatusPolls pins the event-driven miss path: the
+// gateway follows the backend's stream to its terminal line and never reads
+// GET /v1/jobs/{id}.
+func TestGatewayMissMakesNoStatusPolls(t *testing.T) {
+	reg := metrics.NewRegistry()
+	mgr := server.New(server.Config{MaxJobs: 2, QueueSize: 16, Registry: reg})
+	h := server.Handler(mgr)
+	var polls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == "GET" && strings.HasPrefix(r.URL.Path, "/v1/jobs/") && strings.Count(r.URL.Path, "/") == 3 {
+			polls.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	b := &fleetBackend{mgr: mgr, reg: reg, srv: srv}
+	t.Cleanup(b.close)
+	g := startGateway(t, Config{}, b)
+	if res := waitDone(t, mustSubmit(t, g, quickSpec(51))); res.GridSHA256 == "" {
+		t.Fatal("miss result has no grid sha")
+	}
+	if n := polls.Load(); n != 0 {
+		t.Fatalf("a miss made %d status requests, want 0", n)
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count settles back to
+// at most base.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d > %d\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// hostileBackend accepts every job and serves its stream with stream.
+func hostileBackend(t *testing.T, stream func(http.ResponseWriter, *http.Request)) (*httptest.Server, *atomic.Int64) {
+	var streams atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == "POST" && r.URL.Path == "/v1/jobs":
+			w.WriteHeader(http.StatusAccepted)
+			_ = json.NewEncoder(w).Encode(server.View{ID: "job-000001", State: server.StateQueued})
+		case strings.HasSuffix(r.URL.Path, "/stream"):
+			streams.Add(1)
+			stream(w, r)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv, &streams
+}
+
+// ownedBy returns a quick spec whose rendezvous owner is addr among addrs.
+func ownedBy(addr string, addrs ...string) server.Spec {
+	for seed := uint64(1); ; seed++ {
+		spec := quickSpec(seed)
+		fp, best := spec.Fingerprint(), true
+		for _, other := range addrs {
+			best = best && rendezvousScore(fp, addr) > rendezvousScore(fp, other)
+		}
+		if best {
+			return spec
+		}
+	}
+}
+
+// TestGatewayHostileStreamFailsOver: a backend whose stream sends a non-JSON
+// line, a line over 1 MiB, or stalls past the request timeout costs one lost
+// read per stream request. Three fail the job over to a healthy backend,
+// whose grid it returns, and no goroutine is left behind.
+func TestGatewayHostileStreamFailsOver(t *testing.T) {
+	for name, stream := range map[string]func(http.ResponseWriter, *http.Request){
+		"non-JSON line": func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintln(w, "not a job view")
+		},
+		"line over 1 MiB": func(w http.ResponseWriter, r *http.Request) {
+			_, _ = w.Write(append(bytes.Repeat([]byte("x"), 1<<20+1), '\n'))
+		},
+		"stalled stream": func(w http.ResponseWriter, r *http.Request) {
+			w.(http.Flusher).Flush()
+			<-r.Context().Done()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			good := startBackend(t, 1, 16)
+			hostile, streams := hostileBackend(t, stream)
+			g := startGateway(t, Config{Backends: []string{hostile.URL}}, good)
+			g.timeout = 200 * time.Millisecond
+			hostileAddr, _ := normalizeAddr(hostile.URL)
+			goodAddr, _ := normalizeAddr(good.srv.URL)
+
+			got := waitDone(t, mustSubmit(t, g, ownedBy(hostileAddr, goodAddr)))
+			if got.GridSHA256 == "" {
+				t.Fatal("failed-over job has no grid sha")
+			}
+			if n := streams.Load(); n != 3 {
+				t.Fatalf("hostile stream read %d times, want 3 lost reads", n)
+			}
+			if fo, _ := g.Metrics().CounterValue("stencilgate_failovers_total", nil); fo != 1 {
+				t.Fatalf("stencilgate_failovers_total = %d, want 1", fo)
+			}
+			if err := g.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			hostile.Close()
+			good.close()
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// TestGatewayCancelDuringRetryAfter: a backend's Retry-After wait is bound
+// to the job's context, so a cancel ends the job at once.
+func TestGatewayCancelDuringRetryAfter(t *testing.T) {
+	posted := make(chan struct{}, 1)
+	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == "POST" {
+			w.Header().Set("Retry-After", "5")
+			w.WriteHeader(http.StatusTooManyRequests)
+			select {
+			case posted <- struct{}{}:
+			default:
+			}
+		}
+	}))
+	t.Cleanup(busy.Close)
+	g := startGateway(t, Config{Backends: []string{busy.URL}})
+	j := mustSubmit(t, g, quickSpec(61))
+	<-posted
+	if err := g.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancel did not interrupt the Retry-After wait")
+	}
+	if j.State() != server.StateCancelled {
+		t.Fatalf("state %s, want cancelled", j.State())
 	}
 }

@@ -1,25 +1,13 @@
-package gateway
+package server
 
-import (
-	"errors"
-	"fmt"
-
-	"castencil/internal/server"
-)
-
-// ErrQueueFull is the gateway's own backpressure signal: the submitting
-// tenant's admission queue is at capacity. HTTP maps it to 429 +
-// Retry-After, the same contract a stencild backend exposes — backpressure
-// composes through the fleet instead of disappearing into it.
-var ErrQueueFull = errors.New("gateway: tenant admission queue full")
+import "fmt"
 
 // tenantQ is one tenant's admission state: a bounded queue split by the
-// backend priority classes plus the deficit-round-robin accounting.
+// priority classes plus the deficit-round-robin accounting.
 type tenantQ struct {
-	name    string
 	weight  int
 	deficit int
-	queues  [3][]*Job // indexed by server.Priority (high, normal, low)
+	queues  [numPriorities][]*Job
 	count   int
 }
 
@@ -41,27 +29,22 @@ func (t *tenantQ) pop() *Job {
 // per-visit quantum equal to the tenant's weight, layered over the
 // high/normal/low priority classes *within* each tenant. A tenant with
 // weight w drains w jobs per DRR round while every backlogged competitor
-// drains in proportion to its own weight — one tenant's burst can no longer
-// starve another's queue, whatever priorities the burst claims. The zero
-// deficit is reset whenever a tenant's queue empties (no credit hoarding
-// across idle periods), which is what bounds DRR's unfairness to one
-// quantum. All methods require the gateway mutex.
+// drains in proportion to its own weight — one tenant's burst cannot starve
+// another's queue, whatever priorities the burst claims. The deficit is
+// reset whenever a tenant's queue empties (no credit hoarding across idle
+// periods), which is what bounds DRR's unfairness to one quantum. A daemon
+// admits every job under the one tenant "", which reduces the admitter to a
+// bounded strict-priority FIFO. All methods require the core mutex.
 type admitter struct {
 	bound   int            // per-tenant queue capacity
-	weights map[string]int // configured weights; absent tenants weigh 1
+	weights map[string]int // configured weights; absent or non-positive weigh 1
 	tenants map[string]*tenantQ
 	ring    []*tenantQ // active (backlogged) tenants, DRR visit order
 	total   int
 }
 
 func newAdmitter(bound int, weights map[string]int) *admitter {
-	w := make(map[string]int, len(weights))
-	for k, v := range weights {
-		if v > 0 {
-			w[k] = v
-		}
-	}
-	return &admitter{bound: bound, weights: w, tenants: make(map[string]*tenantQ)}
+	return &admitter{bound: bound, weights: weights, tenants: make(map[string]*tenantQ)}
 }
 
 func (a *admitter) tenant(name string) *tenantQ {
@@ -71,7 +54,7 @@ func (a *admitter) tenant(name string) *tenantQ {
 		if weight <= 0 {
 			weight = 1
 		}
-		t = &tenantQ{name: name, weight: weight}
+		t = &tenantQ{weight: weight}
 		a.tenants[name] = t
 	}
 	return t
@@ -89,7 +72,7 @@ func (a *admitter) enqueue(j *Job, force bool) error {
 	if t.count == 0 {
 		a.ring = append(a.ring, t)
 	}
-	t.queues[int(j.prio)] = append(t.queues[int(j.prio)], j)
+	t.queues[j.prio] = append(t.queues[j.prio], j)
 	t.count++
 	a.total++
 	return nil
@@ -133,10 +116,10 @@ func (a *admitter) remove(j *Job) bool {
 	if !ok {
 		return false
 	}
-	q := t.queues[int(j.prio)]
+	q := t.queues[j.prio]
 	for i, cand := range q {
 		if cand == j {
-			t.queues[int(j.prio)] = append(q[:i], q[i+1:]...)
+			t.queues[j.prio] = append(q[:i], q[i+1:]...)
 			t.count--
 			a.total--
 			return true
@@ -162,12 +145,3 @@ func (a *admitter) drainAll() []*Job {
 
 // depth is the total queued jobs across tenants.
 func (a *admitter) depth() int { return a.total }
-
-// prioIndex bounds a parsed priority into the queue array (defensive; the
-// parser only yields the three classes).
-func prioIndex(p server.Priority) server.Priority {
-	if p < 0 || int(p) >= 3 {
-		return server.PriorityNormal
-	}
-	return p
-}

@@ -1,13 +1,11 @@
-package gateway
+package server
 
 import (
 	"errors"
 	"testing"
-
-	"castencil/internal/server"
 )
 
-func qj(tenant string, prio server.Priority) *Job {
+func qj(tenant string, prio Priority) *Job {
 	return &Job{Tenant: tenant, prio: prio, done: make(chan struct{})}
 }
 
@@ -28,12 +26,12 @@ func TestAdmitDRRWeights(t *testing.T) {
 	// "big" then one of "small" — bandwidth in proportion to weight.
 	a := newAdmitter(16, map[string]int{"big": 3, "small": 1})
 	for i := 0; i < 6; i++ {
-		if err := a.enqueue(qj("big", server.PriorityNormal), false); err != nil {
+		if err := a.enqueue(qj("big", PriorityNormal), false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if err := a.enqueue(qj("small", server.PriorityNormal), false); err != nil {
+		if err := a.enqueue(qj("small", PriorityNormal), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,11 +52,11 @@ func TestAdmitDRRFairnessUnderBurst(t *testing.T) {
 	// few dispatches the competing tenant is served.
 	a := newAdmitter(100, nil) // equal weights
 	for i := 0; i < 50; i++ {
-		if err := a.enqueue(qj("noisy", server.PriorityHigh), false); err != nil {
+		if err := a.enqueue(qj("noisy", PriorityHigh), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := a.enqueue(qj("quiet", server.PriorityLow), false); err != nil {
+	if err := a.enqueue(qj("quiet", PriorityLow), false); err != nil {
 		t.Fatal(err)
 	}
 	// Equal weights -> quantum 1 each: the second dispatch is quiet's,
@@ -73,9 +71,9 @@ func TestAdmitDRRFairnessUnderBurst(t *testing.T) {
 
 func TestAdmitPriorityWithinTenant(t *testing.T) {
 	a := newAdmitter(16, nil)
-	low := qj("t", server.PriorityLow)
-	norm := qj("t", server.PriorityNormal)
-	high := qj("t", server.PriorityHigh)
+	low := qj("t", PriorityLow)
+	norm := qj("t", PriorityNormal)
+	high := qj("t", PriorityHigh)
 	for _, j := range []*Job{low, norm, high} {
 		if err := a.enqueue(j, false); err != nil {
 			t.Fatal(err)
@@ -90,22 +88,22 @@ func TestAdmitPriorityWithinTenant(t *testing.T) {
 
 func TestAdmitBound(t *testing.T) {
 	a := newAdmitter(2, nil)
-	if err := a.enqueue(qj("t", server.PriorityNormal), false); err != nil {
+	if err := a.enqueue(qj("t", PriorityNormal), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.enqueue(qj("t", server.PriorityNormal), false); err != nil {
+	if err := a.enqueue(qj("t", PriorityNormal), false); err != nil {
 		t.Fatal(err)
 	}
-	err := a.enqueue(qj("t", server.PriorityNormal), false)
+	err := a.enqueue(qj("t", PriorityNormal), false)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third enqueue: got %v, want ErrQueueFull", err)
 	}
 	// The bound is per tenant: another tenant still gets in.
-	if err := a.enqueue(qj("other", server.PriorityNormal), false); err != nil {
+	if err := a.enqueue(qj("other", PriorityNormal), false); err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
 	}
 	// force bypasses the bound (waiter promotion path).
-	if err := a.enqueue(qj("t", server.PriorityNormal), true); err != nil {
+	if err := a.enqueue(qj("t", PriorityNormal), true); err != nil {
 		t.Fatalf("forced enqueue rejected: %v", err)
 	}
 	if a.depth() != 4 {
@@ -115,8 +113,8 @@ func TestAdmitBound(t *testing.T) {
 
 func TestAdmitRemove(t *testing.T) {
 	a := newAdmitter(8, nil)
-	j1 := qj("t", server.PriorityNormal)
-	j2 := qj("t", server.PriorityNormal)
+	j1 := qj("t", PriorityNormal)
+	j2 := qj("t", PriorityNormal)
 	if err := a.enqueue(j1, false); err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +141,11 @@ func TestAdmitRemove(t *testing.T) {
 func TestAdmitDrainAll(t *testing.T) {
 	a := newAdmitter(8, nil)
 	for i := 0; i < 3; i++ {
-		if err := a.enqueue(qj("a", server.PriorityNormal), false); err != nil {
+		if err := a.enqueue(qj("a", PriorityNormal), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := a.enqueue(qj("b", server.PriorityHigh), false); err != nil {
+	if err := a.enqueue(qj("b", PriorityHigh), false); err != nil {
 		t.Fatal(err)
 	}
 	drained := a.drainAll()

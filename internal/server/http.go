@@ -11,111 +11,127 @@ import (
 	castencil "castencil"
 )
 
-// Handler returns the daemon's HTTP API over the manager:
+// MaxSpecBytes bounds a POST /v1/jobs body. A Spec is a few hundred bytes;
+// a body past the bound answers 413 and is not read further.
+const MaxSpecBytes = 1 << 20
+
+// Handler returns the daemon's HTTP API over the manager: the job routes
+// of Routes plus
+//
+//	GET  /healthz              200 ok / 503 draining or degraded
+func Handler(m *Manager) http.Handler {
+	mux := Routes(m.Core, m.Submit)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		// A degraded mesh cannot run distributed jobs: it answers 503 like
+		// draining does, so the gap shows before a run hangs on it.
+		h := m.Health()
+		var detail []string
+		if m.cfg.Transport != nil {
+			detail = append(detail, fmt.Sprintf("transport: rank %d, %d/%d ranks connected", h.Rank, h.RanksConnected, h.Ranks))
+		}
+		WriteHealth(w, h.Status, h, detail...)
+	})
+	return mux
+}
+
+// Routes returns the job API both services serve over a core, so clients
+// point at a fleet gateway the way they point at one daemon:
 //
 //	POST /v1/jobs              submit a Spec (JSON body) -> 202 + job view
-//	GET  /v1/jobs              list all jobs
+//	GET  /v1/jobs              list the job table
 //	GET  /v1/jobs/{id}         one job's live view
 //	GET  /v1/jobs/{id}/stream  NDJSON progress stream until terminal
 //	POST /v1/jobs/{id}/cancel  request cancellation
 //	GET  /v1/jobs/{id}/result  terminal result (add ?grid=1 for the field data)
 //	GET  /metrics              Prometheus text exposition
-//	GET  /healthz              200 ok / 503 draining
 //
 // Backpressure is explicit: a full admission queue answers 429 with
-// Retry-After, a draining daemon 503. Malformed or invalid specs answer
-// 400, bodies over MaxSpecBytes 413, before anything queues.
-func Handler(m *Manager) http.Handler {
+// Retry-After, a draining service 503. Malformed or invalid specs answer
+// 400, bodies over MaxSpecBytes 413, before anything queues. The caller
+// adds GET /healthz.
+func Routes(c *Core, submit func(Spec) (*Job, error)) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		if !DecodeSpec(w, r, &spec) {
-			return
+		var j *Job
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&spec)
+		if err == nil {
+			j, err = submit(spec)
+		} else {
+			err = fmt.Errorf("bad request body: %w", err)
 		}
-		j, err := m.Submit(spec)
-		if err != nil {
-			switch {
-			case errors.Is(err, ErrQueueFull):
-				w.Header().Set("Retry-After", "1")
-				writeErr(w, http.StatusTooManyRequests, err)
-			case errors.Is(err, ErrDraining):
-				writeErr(w, http.StatusServiceUnavailable, err)
-			default:
-				writeErr(w, http.StatusBadRequest, err)
-			}
-			return
+		tooBig := (*http.MaxBytesError)(nil)
+		switch {
+		case err == nil:
+			writeJSON(w, http.StatusAccepted, j.Snapshot())
+		case errors.As(err, &tooBig):
+			writeErr(w, http.StatusRequestEntityTooLarge, err)
+		case errors.Is(err, ErrQueueFull):
+			w.Header().Set("Retry-After", "1")
+			writeErr(w, http.StatusTooManyRequests, err)
+		case errors.Is(err, ErrDraining):
+			writeErr(w, http.StatusServiceUnavailable, err)
+		default:
+			writeErr(w, http.StatusBadRequest, err)
 		}
-		writeJSON(w, http.StatusAccepted, j.Snapshot())
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		jobs := m.Jobs()
+		jobs := c.Jobs()
 		views := make([]View, len(jobs))
 		for i, j := range jobs {
 			views[i] = j.Snapshot()
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		j, ok := m.Get(r.PathValue("id"))
-		if !ok {
-			writeErr(w, http.StatusNotFound, ErrNotFound)
-			return
+	// job serves one job's endpoint, answering 404 for an unknown id.
+	job := func(serve func(http.ResponseWriter, *http.Request, *Job)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			j, ok := c.Get(r.PathValue("id"))
+			if !ok {
+				writeErr(w, http.StatusNotFound, ErrNotFound)
+				return
+			}
+			serve(w, r, j)
 		}
+	}
+	mux.HandleFunc("GET /v1/jobs/{id}", job(func(w http.ResponseWriter, r *http.Request, j *Job) {
 		writeJSON(w, http.StatusOK, j.Snapshot())
-	})
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
-		if err := m.Cancel(r.PathValue("id")); err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		j, _ := m.Get(r.PathValue("id"))
+	}))
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", job(func(w http.ResponseWriter, r *http.Request, j *Job) {
+		_ = c.Cancel(j.ID) // the job was just found; an eviction since still answers its snapshot
 		writeJSON(w, http.StatusAccepted, j.Snapshot())
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		j, ok := m.Get(r.PathValue("id"))
-		if !ok {
-			writeErr(w, http.StatusNotFound, ErrNotFound)
-			return
-		}
+	}))
+	mux.HandleFunc("GET /v1/jobs/{id}/result", job(func(w http.ResponseWriter, r *http.Request, j *Job) {
 		if !j.State().Terminal() {
 			writeErr(w, http.StatusConflict, fmt.Errorf("job %s is %s, not terminal", j.ID, j.State()))
 			return
 		}
 		writeJSON(w, http.StatusOK, buildResult(j, r.URL.Query().Get("grid") != ""))
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		j, ok := m.Get(r.PathValue("id"))
-		if !ok {
-			writeErr(w, http.StatusNotFound, ErrNotFound)
-			return
-		}
-		streamJob(w, r, j)
-	})
+	}))
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", job(streamJob))
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = m.Metrics().WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		// The first line stays the plain status word ("ok" / "draining" /
-		// "degraded") for back-compat with scripts that `head -n 1` it; the
-		// last line is the machine-readable Health JSON the fleet gateway
-		// parses for load-aware routing. A degraded mesh cannot accept
-		// distributed jobs, so it is surfaced the same way draining is —
-		// load balancers and the smoke tests see the gap before a run
-		// hangs on it.
-		h := m.Health()
-		status := http.StatusOK
-		if h.Status != "ok" {
-			status = http.StatusServiceUnavailable
-		}
-		w.WriteHeader(status)
-		fmt.Fprintln(w, h.Status)
-		if t := m.Transport(); t != nil {
-			fmt.Fprintf(w, "transport: rank %d, %d/%d ranks connected\n", h.Rank, h.RanksConnected, h.Ranks)
-		}
-		_ = json.NewEncoder(w).Encode(h)
+		_ = c.Metrics().WritePrometheus(w)
 	})
 	return mux
+}
+
+// WriteHealth answers /healthz: the plain status word as the first line
+// (for scripts that `head -n 1` it; 200 when "ok", else 503), then any
+// detail lines, then payload as the machine-readable JSON last line.
+func WriteHealth(w http.ResponseWriter, status string, payload any, detail ...string) {
+	code := http.StatusOK
+	if status != "ok" {
+		code = http.StatusServiceUnavailable
+	}
+	w.WriteHeader(code)
+	fmt.Fprintln(w, status)
+	for _, d := range detail {
+		fmt.Fprintln(w, d)
+	}
+	_ = json.NewEncoder(w).Encode(payload)
 }
 
 // Result is the terminal report served by /v1/jobs/{id}/result. For real
@@ -140,7 +156,18 @@ type Result struct {
 	GFLOPS     float64 `json:"gflops,omitempty"`
 }
 
+// buildResult is a terminal job's report. A stored result (a fleet job's
+// backend result) is served under the job's own view, its field bytes
+// stripped unless asked for.
 func buildResult(j *Job, withGrid bool) Result {
+	if res := j.Result(); res != nil {
+		out := *res
+		out.View = j.Snapshot()
+		if !withGrid {
+			out.GridData = ""
+		}
+		return out
+	}
 	out := Result{View: j.Snapshot()}
 	if res := j.RealResult(); res != nil {
 		// A distributed follower's result has no grid (rank 0 holds the
@@ -205,27 +232,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// MaxSpecBytes bounds a POST /v1/jobs body. A Spec is a few hundred bytes;
-// a body past the bound answers 413 and is not read further.
-const MaxSpecBytes = 1 << 20
-
-// DecodeSpec reads the Spec of a POST /v1/jobs request, rejecting unknown
-// fields. On failure it has answered the request — 413 for a body over
-// MaxSpecBytes, 400 for anything else malformed — and returns false.
-func DecodeSpec(w http.ResponseWriter, r *http.Request, spec *Spec) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(spec); err != nil {
-		code := http.StatusBadRequest
-		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, code, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

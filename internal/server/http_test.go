@@ -314,3 +314,38 @@ func TestHTTPStream(t *testing.T) {
 		t.Errorf("final progress %v, want 1", last.Progress)
 	}
 }
+
+// TestJobTableRetention: the table keeps retainJobs terminal jobs, evicting
+// the oldest-finished first, and an evicted id answers 404. A running job
+// is never evicted, however many finish around it.
+func TestJobTableRetention(t *testing.T) {
+	m, srv := newTestServer(t, Config{MaxJobs: 2, QueueSize: 8})
+	blocker, err := m.Submit(Spec{N: 256, Tile: 32, Steps: 4000, StepSize: 8, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, blocker, StateRunning, 10*time.Second)
+	var first *Job
+	for i := 0; i < retainJobs+20; i++ {
+		j, err := m.Submit(Spec{N: 16, Tile: 8, Steps: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if first == nil {
+			first = j
+		}
+	}
+	if n := len(m.Jobs()); n != retainJobs+1 {
+		t.Errorf("table holds %d jobs, want %d terminal + 1 running", n, retainJobs)
+	}
+	if _, ok := m.Get(blocker.ID); !ok {
+		t.Error("running job was evicted")
+	}
+	if resp := getJSON(t, srv.URL+"/v1/jobs/"+first.ID, nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("evicted job: %d, want 404", resp.StatusCode)
+	}
+	if err := m.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,11 +1,11 @@
-// Package server is the stencil-as-a-service layer: a job manager over the
-// castencil.Run/Sim facade with a bounded admission queue (explicit
-// backpressure instead of hangs), priority classes, a concurrency-limited
-// executor pool that shares the host's worker budget across jobs, per-job
-// lifecycle state machines with deadlines and cancellation (context
-// threading through both engines), streaming progress, live metrics, and a
-// graceful drain for daemon shutdown. cmd/stencild fronts it with HTTP
-// (http.go).
+// Package server is the stencil-as-a-service layer. Core (core.go) is the
+// job-lifecycle core both services share: the job table, the state machine,
+// bounded DRR-over-priority admission (explicit backpressure instead of
+// hangs), a slot-bounded dispatcher, per-job contexts as the one
+// cancellation path, a graceful drain and one HTTP skeleton (http.go).
+// Manager runs jobs on the castencil.Run/Sim facade, sharing the host's
+// worker budget across them; cmd/stencild fronts it with HTTP, and the
+// fleet gateway (internal/gateway) puts a remote executor on the same core.
 package server
 
 import (
@@ -21,7 +21,7 @@ import (
 // State is a job's lifecycle position. The machine is strictly
 //
 //	queued -> running -> done | failed | cancelled
-//	queued -> cancelled            (cancelled before an executor picked it up)
+//	queued -> cancelled            (cancelled before a slot picked it up)
 //
 // and terminal states never transition again.
 type State string
@@ -318,14 +318,22 @@ func (s Spec) build() (*buildSpec, error) {
 }
 
 // Job is one unit of service work: a Spec moving through the lifecycle
-// state machine under the manager's executor pool.
+// state machine of a Core.
 type Job struct {
-	// ID is the manager-assigned identifier ("job-000001", monotone).
+	// ID is the core-assigned identifier ("job-000001", monotone).
 	ID string
 	// Spec is the request as submitted.
 	Spec Spec
+	// Tenant is the job's admission key and Fingerprint its content
+	// address. The fleet gateway sets both before admission; a daemon
+	// admits every job under the tenant "" and leaves Fingerprint empty.
+	Tenant      string
+	Fingerprint string
 
-	build *buildSpec
+	build   *buildSpec
+	prio    Priority
+	timeout time.Duration // run deadline (0 = none)
+	seq     uint64        // submission order
 
 	mu        sync.Mutex
 	state     State
@@ -333,60 +341,99 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	cancelReq bool
-	cancelFn  func() // cancels the running job's context (nil until running)
+	cancel    func() // cancels the job's context (nil until running)
 	real      *castencil.RealResult
 	sim       *castencil.SimResult
 	plan      *castencil.Plan
+	res       *Result // stored by a remote executor or a cache hit
 
-	// done closes when the job reaches a terminal state.
-	done chan struct{}
+	// The fleet gateway's record: cache disposition and routing.
+	cache     string
+	backend   string
+	backendID string
+	retries   int
+
+	done chan struct{} // closed on reaching a terminal state
 
 	progDone  atomic.Int64
 	progTotal atomic.Int64
+}
+
+// NewJob validates spec and returns it as a queued job, not yet admitted.
+func NewJob(spec Spec) (*Job, error) {
+	b, err := spec.build()
+	if err != nil {
+		return nil, err
+	}
+	return &Job{Spec: spec, build: b, prio: b.prio, state: StateQueued, submitted: time.Now(), done: make(chan struct{})}, nil
+}
+
+// read returns *p under the job lock.
+func read[T any](j *Job, p *T) T {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return *p
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // State returns the job's current lifecycle state.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
+func (j *Job) State() State { return read(j, &j.state) }
 
 // Err returns the terminal error of a failed job (nil otherwise).
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
+func (j *Job) Err() error { return read(j, &j.err) }
 
 // RealResult returns the exact-execution result of a done real job.
-func (j *Job) RealResult() *castencil.RealResult {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.real
-}
+func (j *Job) RealResult() *castencil.RealResult { return read(j, &j.real) }
 
 // SimResult returns the virtual-time result of a done sim job.
-func (j *Job) SimResult() *castencil.SimResult {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.sim
-}
+func (j *Job) SimResult() *castencil.SimResult { return read(j, &j.sim) }
 
 // Plan returns the AutoPlan outcome of a plan=auto job (nil otherwise or
 // before planning ran).
-func (j *Job) Plan() *castencil.Plan {
+func (j *Job) Plan() *castencil.Plan { return read(j, &j.plan) }
+
+// Result returns the terminal result stored on the job: a fleet job's
+// backend result (grid data included). A daemon job stores none; its
+// result is built from RealResult or SimResult.
+func (j *Job) Result() *Result { return read(j, &j.res) }
+
+// CacheStatus reports how the fleet cache treated this job: "hit", "miss",
+// "coalesced" (merged into an identical in-flight job), "bypass", or
+// "uncacheable" ("" on a daemon).
+func (j *Job) CacheStatus() string { return read(j, &j.cache) }
+
+// SetCacheStatus records the fleet cache disposition.
+func (j *Job) SetCacheStatus(s string) {
+	j.mu.Lock()
+	j.cache = s
+	j.mu.Unlock()
+}
+
+// Route records the backend executing the job, its backend-side id ("" until
+// the backend accepted it) and the failover attempts so far.
+func (j *Job) Route(backend, backendID string, retries int) {
+	j.mu.Lock()
+	j.backend, j.backendID, j.retries = backend, backendID, retries
+	j.mu.Unlock()
+}
+
+// QueueWait is the time from submission to start, for a started job.
+func (j *Job) QueueWait() time.Duration {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.plan
+	return j.started.Sub(j.submitted)
+}
+
+// ReportProgress records the live task counters of the run.
+func (j *Job) ReportProgress(done, total int64) {
+	j.progDone.Store(done)
+	j.progTotal.Store(total)
 }
 
 // View is a JSON-ready snapshot of a job, served by the status endpoints
-// and the progress stream.
+// and the progress stream. The fleet fields are set on gateway jobs only.
 type View struct {
 	ID       string `json:"id"`
 	State    State  `json:"state"`
@@ -394,12 +441,22 @@ type View struct {
 	Engine   string `json:"engine"`
 	Error    string `json:"error,omitempty"`
 
+	// Fleet: admission tenant, content address, cache disposition (hit,
+	// miss, coalesced, bypass or uncacheable) and routing.
+	Tenant      string `json:"tenant,omitempty"`
+	Fingerprint string `json:"fingerprint,omitempty"`
+	Cache       string `json:"cache,omitempty"`
+	Backend     string `json:"backend,omitempty"`
+	BackendJob  string `json:"backend_job,omitempty"`
+	Retries     int    `json:"retries,omitempty"`
+
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 
 	// TasksDone/TasksTotal are the live progress counters streamed from
-	// the engine; Progress is their ratio in [0,1].
+	// the engine (on the gateway, from the backend's stream); Progress is
+	// their ratio in [0,1].
 	TasksDone  int64   `json:"tasks_done"`
 	TasksTotal int64   `json:"tasks_total"`
 	Progress   float64 `json:"progress"`
@@ -420,8 +477,14 @@ func (j *Job) Snapshot() View {
 	v := View{
 		ID:          j.ID,
 		State:       j.state,
-		Priority:    j.build.prio.String(),
+		Priority:    j.prio.String(),
 		Engine:      j.build.engine,
+		Tenant:      j.Tenant,
+		Fingerprint: j.Fingerprint,
+		Cache:       j.cache,
+		Backend:     j.backend,
+		BackendJob:  j.backendID,
+		Retries:     j.retries,
 		SubmittedAt: j.submitted,
 	}
 	if !j.started.IsZero() {
@@ -448,8 +511,8 @@ func (j *Job) Snapshot() View {
 		// The engines throttle progress callbacks; a finished job is by
 		// definition fully progressed.
 		v.TasksDone = v.TasksTotal
-	}
-	if v.TasksTotal > 0 {
+		v.Progress = 1
+	} else if v.TasksTotal > 0 {
 		v.Progress = float64(v.TasksDone) / float64(v.TasksTotal)
 	}
 	return v
