@@ -100,6 +100,24 @@ func TestFingerprintNormalizesDefaults(t *testing.T) {
 	}
 }
 
+// The fingerprint is the fleet cache key: these hex values are pinned so a
+// refactor of how it is derived cannot move a stored key.
+func TestFingerprintGolden(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{N: 256, Tile: 32, Nodes: 4, Steps: 40, StepSize: 4}, "45bf7e1f49ffacec61b26559374295e7ae9582af96df3fbc1d2ea858f9cfd2eb"},
+		{Spec{Variant: "wf", N: 256, Tile: 32, Nodes: 4, Steps: 40, Wavefront: 4, Seed: 7}, "7aec028fe71f08033cb80185b21384ae0ffeb4ed042df1320145dc9179f5f0c1"},
+		{Spec{Engine: "sim", Plan: "auto", N: 256, Tile: 32, Steps: 40}, "f03ddc2d8e85d1b2adabbd02e562fe158912e726b9638006189fd5095c827fa3"},
+		{Spec{Engine: "real", Variant: "base", N: 128, Tile: 32, Steps: 20, Seed: 42}, "979ed26a1a2fbec14c15379c783371a103c3abde2455fcd19a75f888bf8c0986"},
+	} {
+		if got := c.spec.Fingerprint(); got != c.want {
+			t.Errorf("%+v: fingerprint %s, want %s", c.spec, got, c.want)
+		}
+	}
+}
+
 func TestCacheSafe(t *testing.T) {
 	cases := []struct {
 		name string
