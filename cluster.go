@@ -3,7 +3,6 @@ package castencil
 import (
 	"time"
 
-	"castencil/internal/cli"
 	"castencil/internal/machine"
 	"castencil/internal/runtime"
 )
@@ -39,7 +38,7 @@ const StealNames = runtime.StealNames
 
 // ParseSteal maps a command-line steal-mode name ("off", "greedy",
 // "gated") to a StealMode.
-func ParseSteal(name string) (StealMode, error) { return cli.ParseSteal(name) }
+func ParseSteal(name string) (StealMode, error) { return runtime.ParseSteal(name) }
 
 // ForcedSteal pins one task (by graph index) to a thief rank: when it
 // becomes ready on its owning rank it migrates unconditionally. Forced

@@ -27,28 +27,47 @@ func fail(err error) {
 }
 
 func main() {
-	impl := flag.String("impl", "ca", "implementation: base, ca, wf, petsc")
-	machineFlag := cli.MachineVar(flag.CommandLine, "NaCL")
-	engine := flag.String("engine", "sim", "engine: sim (virtual time) or real (actual execution)")
-	n := flag.Int("n", 23040, "global grid extent (N x N)")
-	tile := flag.Int("tile", 288, "tile size")
-	nodes := flag.Int("nodes", 16, "node count (perfect square)")
-	steps := flag.Int("steps", 100, "iterations")
-	stepSize := flag.Int("stepsize", 15, "CA step size")
-	wavefrontFlag := cli.WavefrontVar(flag.CommandLine, 10)
-	ratio := flag.Float64("ratio", 1, "kernel adjustment ratio (sim only)")
-	workers := flag.Int("workers", 2, "workers per node (real engine)")
-	schedFlag := cli.SchedVar(flag.CommandLine, "fifo")
-	coalesceFlag := cli.CoalesceVar(flag.CommandLine, "off")
-	transformFlag := cli.TransformVar(flag.CommandLine, "none")
-	faultFlag := cli.FaultVar(flag.CommandLine)
-	stealFlag := cli.StealVar(flag.CommandLine, "")
+	// The run flags: each binds one Spec field, so a flag accepts exactly
+	// the spellings the job-spec field of stencild and stencilgate does.
+	var s castencil.Spec
+	for _, f := range []struct {
+		name  string
+		def   any
+		usage string
+		field any
+	}{
+		{"impl", "ca", "implementation: base, ca, wf, petsc", &s.Variant},
+		{"machine", "NaCL", "machine model: NaCL or Stampede2", &s.Machine},
+		{"engine", "sim", "engine: sim (virtual time) or real (actual execution)", &s.Engine},
+		{"n", 23040, "global grid extent (N x N)", &s.N},
+		{"tile", 288, "tile size", &s.Tile},
+		{"nodes", 16, "node count (perfect square)", &s.Nodes},
+		{"steps", 100, "iterations", &s.Steps},
+		{"stepsize", 15, "CA step size", &s.StepSize},
+		{"wavefront", 10, "WF block width w (steps per fused wavefront task)", &s.Wavefront},
+		{"ratio", 1.0, "kernel adjustment ratio (sim only)", &s.Ratio},
+		{"workers", 2, "workers per node (real engine)", &s.Workers},
+		{"sched", "fifo", "real-engine scheduler policy: " + castencil.PolicyNames, &s.Sched},
+		{"coalesce", "off", "halo-bundle coalescing: " + castencil.CoalesceNames, &s.Coalesce},
+		{"transform", "none", "graph transformation: " + castencil.TransformNames + " (split = inner/border overlap)", &s.Transform},
+		{"fault", "", "fault-injection spec, e.g. \"drop=0.01,seed=7\"; grammar: " + castencil.FaultSpecSyntax, &s.Fault},
+		{"steal", "", "inter-node work stealing (distributed runs): " + castencil.StealNames, &s.Steal},
+	} {
+		switch p := f.field.(type) {
+		case *string:
+			flag.StringVar(p, f.name, f.def.(string), f.usage)
+		case *int:
+			flag.IntVar(p, f.name, f.def.(int), f.usage)
+		case *float64:
+			flag.Float64Var(p, f.name, f.def.(float64), f.usage)
+		}
+	}
+	autoPlan := flag.Bool("autoplan", false, "plan first, then execute the recommended configuration (overrides -impl/-stepsize)")
 	rankFlag := cli.RankVar(flag.CommandLine)
 	ranksFlag := cli.RanksVar(flag.CommandLine)
 	verify := flag.Bool("verify", false, "real engine: compare against the sequential oracle")
 	traceOut := flag.String("trace", "", "write a CSV trace to this file (sim: node 0; real: all nodes)")
 	planMode := flag.Bool("plan", false, "run the automatic step-size planner instead of a single config")
-	autoPlan := flag.Bool("autoplan", false, "plan first, then execute the recommended configuration (overrides -impl/-stepsize)")
 	dotOut := flag.String("dot", "", "write the task graph in Graphviz DOT format to this file and exit (small configs only)")
 	flag.Parse()
 
@@ -56,32 +75,22 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if distributed && *engine != "real" {
-		fail(fmt.Errorf("-ranks needs -engine real (the simulator is single-process)"))
+	s.Ranks = len(rankAddrs)
+	if *autoPlan || *planMode {
+		s.Plan = "auto" // planning skips the variant-specific rules
 	}
-	if stealFlag.Mode != castencil.StealOff && !distributed {
-		fail(fmt.Errorf("-steal %s needs -ranks (inter-node stealing is a distributed-run feature)", stealFlag.Name))
+	petscImpl := s.Variant == "petsc"
+	if petscImpl {
+		s.Variant = "base" // the geometry checks still apply
 	}
-
-	p := 1
-	for p*p < *nodes {
-		p++
+	r, err := s.Options()
+	if err != nil {
+		fail(err)
 	}
-	if p*p != *nodes {
-		fail(fmt.Errorf("nodes = %d is not a perfect square", *nodes))
-	}
-	m := machineFlag.Model
-	cfg := castencil.Config{N: *n, TileRows: *tile, P: p, Steps: *steps, StepSize: *stepSize, Wavefront: wavefrontFlag.N, Transform: transformFlag.Mode}
+	m := r.Machine
 
 	if *dotOut != "" {
-		variant := castencil.Base
-		switch *impl {
-		case "ca":
-			variant = castencil.CA
-		case "wf":
-			variant = castencil.WF
-		}
-		g, err := core.BuildGraph(variant, cfg)
+		g, err := core.BuildGraph(r.Variant, r.Config)
 		if err != nil {
 			fail(err)
 		}
@@ -93,7 +102,7 @@ func main() {
 			fail(err)
 		}
 		defer f.Close()
-		if err := g.WriteDOT(f, fmt.Sprintf("%s N=%d", *impl, *n)); err != nil {
+		if err := g.WriteDOT(f, fmt.Sprintf("%s N=%d", r.Variant, s.N)); err != nil {
 			fail(err)
 		}
 		fmt.Printf("wrote %s (%d tasks)\n", *dotOut, len(g.Tasks))
@@ -101,11 +110,11 @@ func main() {
 	}
 
 	if *planMode {
-		plan, err := castencil.AutoPlan(cfg, m, *ratio, nil)
+		plan, err := castencil.AutoPlan(r.Config, m, s.Ratio, nil)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("plan for %s, %d nodes, N=%d tile=%d ratio=%.2f:\n", m.Name, *nodes, *n, *tile, *ratio)
+		fmt.Printf("plan for %s, %d nodes, N=%d tile=%d ratio=%.2f:\n", m.Name, s.Nodes, s.N, s.Tile, s.Ratio)
 		for i, c := range plan.Candidates {
 			marker := ""
 			if i == 0 {
@@ -116,84 +125,62 @@ func main() {
 		return
 	}
 
-	if *autoPlan {
-		plan, err := castencil.AutoPlan(cfg, m, *ratio, nil)
-		if err != nil {
-			fail(err)
-		}
-		switch {
-		case plan.UseCA():
-			*impl = "ca"
-			cfg.StepSize = plan.BestStepSize
-			fmt.Printf("autoplan: CA s=%d (%.1f GFLOP/s predicted on %s)\n", plan.BestStepSize, plan.BestGFLOPS, m.Name)
-		case plan.UseWavefront():
-			*impl = "wf"
-			cfg.Wavefront = plan.BestWidth
-			fmt.Printf("autoplan: WF w=%d (%.1f GFLOP/s predicted on %s)\n", plan.BestWidth, plan.BestGFLOPS, m.Name)
-		default:
-			*impl = "base"
-			fmt.Printf("autoplan: base (%.1f GFLOP/s predicted on %s)\n", plan.BestGFLOPS, m.Name)
-		}
-	}
-
-	if *impl == "petsc" {
-		perf, err := petsc.ModelPerf(m, *n, *nodes, *steps)
+	if petscImpl {
+		perf, err := petsc.ModelPerf(m, s.N, s.Nodes, s.Steps)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Printf("petsc on %s, %d nodes (%d ranks): %.1f GFLOP/s, iter %v (kernel %v, comm %v)\n",
-			m.Name, *nodes, perf.Ranks, perf.GFLOPS, perf.IterTime, perf.KernelTime, perf.CommTime)
+			m.Name, s.Nodes, perf.Ranks, perf.GFLOPS, perf.IterTime, perf.KernelTime, perf.CommTime)
 		return
 	}
 
-	var variant castencil.Variant
-	switch *impl {
-	case "base":
-		variant = castencil.Base
-	case "ca":
-		variant = castencil.CA
-	case "wf":
-		variant = castencil.WF
-	default:
-		fail(fmt.Errorf("unknown impl %q", *impl))
+	plan, err := r.AutoPlan()
+	if err != nil {
+		fail(err)
+	}
+	if plan != nil {
+		fmt.Printf("autoplan: %s (%.1f GFLOP/s predicted on %s)\n", plan.Candidates[0], plan.BestGFLOPS, m.Name)
+	}
+	variant, cfg := r.Variant, r.Config
+	opts := r.Options
+	if distributed {
+		opts = append(opts, castencil.WithCluster(castencil.ClusterOptions{
+			Rank:  rank,
+			Ranks: rankAddrs,
+			Steal: castencil.StealPolicy{Mode: r.Steal, Machine: m},
+		}))
+	}
+	var tr *castencil.Trace
+	if *traceOut != "" {
+		tr = castencil.NewTrace()
+		opts = append(opts, castencil.WithTrace(tr), castencil.WithTraceNode(0), castencil.WithTraceComm())
 	}
 
-	switch *engine {
-	case "sim":
-		opts := []castencil.Option{
-			castencil.WithMachine(m),
-			castencil.WithRatio(*ratio),
-			castencil.WithCoalesce(coalesceFlag.Mode),
-			castencil.WithFaultPlan(faultFlag.Plan),
-		}
-		var tr *castencil.Trace
-		if *traceOut != "" {
-			tr = castencil.NewTrace()
-			opts = append(opts, castencil.WithTrace(tr), castencil.WithTraceNode(0))
-		}
+	if r.Engine == "sim" {
 		res, err := castencil.Sim(variant, cfg, opts...)
 		if err != nil {
 			reportFault(err)
 			fail(err)
 		}
-		fmt.Printf("%s on %s, %d nodes, N=%d tile=%d steps=%d", variant, m.Name, *nodes, *n, *tile, *steps)
+		fmt.Printf("%s on %s, %d nodes, N=%d tile=%d steps=%d", variant, m.Name, s.Nodes, s.N, s.Tile, s.Steps)
 		if variant == castencil.CA {
 			fmt.Printf(" s=%d", cfg.StepSize)
 		}
 		if variant == castencil.WF {
 			fmt.Printf(" w=%d", cfg.Wavefront)
 		}
-		if *ratio != 1 {
-			fmt.Printf(" ratio=%.2f", *ratio)
+		if s.Ratio != 1 {
+			fmt.Printf(" ratio=%.2f", s.Ratio)
 		}
 		fmt.Printf("\n  %.1f GFLOP/s, makespan %v, %d messages, %.1f MB sent\n",
 			res.GFLOPS, res.Makespan, res.Messages, float64(res.BytesSent)/1e6)
 		if res.Bundles > 0 {
 			fmt.Printf("  coalescing (%s): %d bundles carrying %d transfers, fill %.1f\n",
-				coalesceFlag.Mode, res.Bundles, res.Segments, res.BundleFill())
+				s.Coalesce, res.Bundles, res.Segments, res.BundleFill())
 		}
 		if res.Fault.Any() {
-			fmt.Printf("  fault plan %q masked: %v\n", faultFlag.Spec, res.Fault)
+			fmt.Printf("  fault plan %q masked: %v\n", s.Fault, res.Fault)
 		}
 		if res.InteriorTasks > 0 {
 			fmt.Printf("  split: %d interior + %d border tasks, overlap ratio %.2f\n",
@@ -202,80 +189,61 @@ func main() {
 		if tr != nil {
 			writeTrace(tr, *traceOut, "trace of node 0")
 		}
-	case "real":
-		opts := []castencil.Option{
-			castencil.WithWorkers(*workers),
-			castencil.WithPolicy(schedFlag.Policy),
-			castencil.WithCoalesce(coalesceFlag.Mode),
-			castencil.WithFaultPlan(faultFlag.Plan),
-		}
-		if distributed {
-			opts = append(opts, castencil.WithCluster(castencil.ClusterOptions{
-				Rank:  rank,
-				Ranks: rankAddrs,
-				Steal: castencil.StealPolicy{Mode: stealFlag.Mode, Machine: m},
-			}))
-		}
-		var tr *castencil.Trace
-		if *traceOut != "" {
-			tr = castencil.NewTrace()
-			opts = append(opts, castencil.WithTrace(tr), castencil.WithTraceComm())
-		}
-		res, err := castencil.Run(variant, cfg, opts...)
-		if err != nil {
-			reportFault(err)
-			fail(err)
-		}
-		if distributed && rank != 0 {
-			// Followers hold no grid and only their local counter slice;
-			// rank 0 prints the run's global view.
-			fmt.Printf("%s rank %d/%d done: elapsed %v, local %d messages, %.1f MB sent\n",
-				variant, rank, len(rankAddrs), res.Exec.Elapsed, res.Exec.Messages, float64(res.Exec.BytesSent)/1e6)
-			if tr != nil {
-				writeTrace(tr, *traceOut, "trace")
-			}
-			return
-		}
-		fmt.Printf("%s real run (%s): %d nodes x %d workers, elapsed %v, %d messages, %.1f MB sent\n",
-			variant, schedFlag.Policy, *nodes, *workers, res.Exec.Elapsed, res.Exec.Messages, float64(res.Exec.BytesSent)/1e6)
-		if distributed {
-			fmt.Printf("  distributed: %d ranks, grid sha256 %s\n", len(rankAddrs), castencil.GridSHA256(res.Grid))
-			if stealFlag.Mode != castencil.StealOff || res.Exec.MigratedTasks > 0 {
-				fmt.Printf("  steal (%s): %d tasks migrated, %.1f KB migration traffic, %d remote steals\n",
-					stealFlag.Mode, res.Exec.MigratedTasks, float64(res.Exec.MigratedBytes)/1e3, res.Exec.StealsRemote)
-			}
-		}
-		if res.Exec.BundlesSent > 0 {
-			fmt.Printf("  coalescing (%s): %d bundles carrying %d transfers, fill %.1f\n",
-				coalesceFlag.Mode, res.Exec.BundlesSent, res.Exec.BundleSegments, res.Exec.BundleFill())
-		}
-		if res.Exec.Fault.Any() {
-			fmt.Printf("  fault plan %q masked: %v\n", faultFlag.Spec, res.Exec.Fault)
-		}
-		if res.Exec.InteriorTasks > 0 {
-			fmt.Printf("  split: %d interior + %d border tasks, overlap ratio %.2f\n",
-				res.Exec.InteriorTasks, res.Exec.BorderTasks, res.Exec.OverlapRatio)
-		}
-		hits, steals, parks := 0, 0, 0
-		for n := range res.Exec.NodeLocalHits {
-			hits += res.Exec.NodeLocalHits[n]
-			steals += res.Exec.NodeSteals[n]
-			parks += res.Exec.NodeParks[n]
-		}
-		fmt.Printf("  scheduler: %d local deque hits, %d steals, %d parks across %d tasks\n",
-			hits, steals, parks, res.Exec.Completed)
+		return
+	}
+
+	res, err := castencil.Run(variant, cfg, opts...)
+	if err != nil {
+		reportFault(err)
+		fail(err)
+	}
+	if distributed && rank != 0 {
+		// Followers hold no grid and only their local counter slice;
+		// rank 0 prints the run's global view.
+		fmt.Printf("%s rank %d/%d done: elapsed %v, local %d messages, %.1f MB sent\n",
+			variant, rank, len(rankAddrs), res.Exec.Elapsed, res.Exec.Messages, float64(res.Exec.BytesSent)/1e6)
 		if tr != nil {
 			writeTrace(tr, *traceOut, "trace")
 		}
-		if *verify {
-			if d := castencil.Verify(cfg, res); d == 0 {
-				fmt.Println("  verified: bitwise identical to the sequential oracle")
-			} else {
-				fail(fmt.Errorf("verification failed: max diff %v", d))
-			}
+		return
+	}
+	fmt.Printf("%s real run (%s): %d nodes x %d workers, elapsed %v, %d messages, %.1f MB sent\n",
+		variant, s.Sched, s.Nodes, s.Workers, res.Exec.Elapsed, res.Exec.Messages, float64(res.Exec.BytesSent)/1e6)
+	if distributed {
+		fmt.Printf("  distributed: %d ranks, grid sha256 %s\n", len(rankAddrs), castencil.GridSHA256(res.Grid))
+		if r.Steal != castencil.StealOff || res.Exec.MigratedTasks > 0 {
+			fmt.Printf("  steal (%s): %d tasks migrated, %.1f KB migration traffic, %d remote steals\n",
+				r.Steal, res.Exec.MigratedTasks, float64(res.Exec.MigratedBytes)/1e3, res.Exec.StealsRemote)
 		}
-	default:
-		fail(fmt.Errorf("unknown engine %q", *engine))
+	}
+	if res.Exec.BundlesSent > 0 {
+		fmt.Printf("  coalescing (%s): %d bundles carrying %d transfers, fill %.1f\n",
+			s.Coalesce, res.Exec.BundlesSent, res.Exec.BundleSegments, res.Exec.BundleFill())
+	}
+	if res.Exec.Fault.Any() {
+		fmt.Printf("  fault plan %q masked: %v\n", s.Fault, res.Exec.Fault)
+	}
+	if res.Exec.InteriorTasks > 0 {
+		fmt.Printf("  split: %d interior + %d border tasks, overlap ratio %.2f\n",
+			res.Exec.InteriorTasks, res.Exec.BorderTasks, res.Exec.OverlapRatio)
+	}
+	hits, steals, parks := 0, 0, 0
+	for n := range res.Exec.NodeLocalHits {
+		hits += res.Exec.NodeLocalHits[n]
+		steals += res.Exec.NodeSteals[n]
+		parks += res.Exec.NodeParks[n]
+	}
+	fmt.Printf("  scheduler: %d local deque hits, %d steals, %d parks across %d tasks\n",
+		hits, steals, parks, res.Exec.Completed)
+	if tr != nil {
+		writeTrace(tr, *traceOut, "trace")
+	}
+	if *verify {
+		if d := castencil.Verify(cfg, res); d == 0 {
+			fmt.Println("  verified: bitwise identical to the sequential oracle")
+		} else {
+			fail(fmt.Errorf("verification failed: max diff %v", d))
+		}
 	}
 }
 

@@ -28,11 +28,12 @@ func main() {
 		fmt.Printf("%-6s %12s %12s %12s %10s\n", "nodes", "PETSc GF/s", "base GF/s", "CA GF/s", "vs PETSc")
 		var base1 float64
 		for _, nodes := range []int{1, 4, 16, 64} {
-			p := 1
-			for p*p < nodes {
-				p++
+			s := castencil.Spec{N: w.n, Tile: w.tile, Nodes: nodes, Steps: steps, StepSize: stepSize}
+			r, err := s.Options()
+			if err != nil {
+				log.Fatal(err)
 			}
-			cfg := castencil.Config{N: w.n, TileRows: w.tile, P: p, Steps: steps, StepSize: stepSize}
+			cfg := r.Config
 			base, err := castencil.Sim(castencil.Base, cfg, castencil.WithMachine(w.m))
 			if err != nil {
 				log.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"castencil/internal/grid"
 )
 
 // quick returns a very small parameter set for unit tests.
@@ -199,12 +201,33 @@ func TestHeadline(t *testing.T) {
 	}
 }
 
+// TestSquareGrid checks that the node-sweeping experiments take their
+// process grid from grid.SquareGrid: a non-square node count is an error
+// before anything runs, and a square one gives the P x P grid (Fig10 traces
+// the interior node (P/2)*P + P/2 of it).
 func TestSquareGrid(t *testing.T) {
-	if _, err := squareGrid(5); err == nil {
-		t.Error("5 nodes must fail")
+	p := quick()
+	p.Nodes = []int{5}
+	for name, run := range map[string]func(Params) error{
+		"fig7":     func(p Params) error { _, err := Fig7(p); return err },
+		"fig8":     func(p Params) error { _, err := Fig8(p); return err },
+		"fig9":     func(p Params) error { _, err := Fig9(p); return err },
+		"fig10":    func(p Params) error { _, _, err := Fig10(p, 0); return err },
+		"headline": func(p Params) error { _, err := Headline(p); return err },
+	} {
+		if err := run(p); err == nil {
+			t.Errorf("%s: 5 nodes must fail", name)
+		}
 	}
-	if pg, err := squareGrid(64); err != nil || pg != 8 {
-		t.Errorf("squareGrid(64) = %d, %v", pg, err)
+	p.Nodes = []int{64}
+	_, results, err := Fig10(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range results {
+		if res.TraceNode != 4*8+4 {
+			t.Errorf("%v: 64 nodes traced node %d, want 36 (interior of 8x8)", res.Variant, res.TraceNode)
+		}
 	}
 }
 
@@ -235,7 +258,7 @@ func TestPaperParamsComplete(t *testing.T) {
 		t.Errorf("paper problem sizes wrong")
 	}
 	for _, n := range p.Nodes {
-		if _, err := squareGrid(n); err != nil {
+		if _, _, err := grid.SquareGrid(n); err != nil {
 			t.Errorf("node count %d not square", n)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"castencil/internal/core"
+	"castencil/internal/grid"
 	"castencil/internal/machine"
 	"castencil/internal/membench"
 	"castencil/internal/memmodel"
@@ -12,18 +13,6 @@ import (
 	"castencil/internal/petsc"
 	"castencil/internal/trace"
 )
-
-// squareGrid returns the square process-grid side for a node count.
-func squareGrid(nodes int) (int, error) {
-	p := 1
-	for p*p < nodes {
-		p++
-	}
-	if p*p != nodes {
-		return 0, fmt.Errorf("bench: %d nodes is not a perfect square", nodes)
-	}
-	return p, nil
-}
 
 // TableI regenerates the STREAM table. The machine-model values ARE the
 // paper's Table I (they are model inputs); when host is true a real STREAM
@@ -145,7 +134,7 @@ func Fig7(p Params) (*Report, error) {
 			return nil, err
 		}
 		for _, nodes := range append([]int{1}, p.Nodes...) {
-			pg, err := squareGrid(nodes)
+			pg, _, err := grid.SquareGrid(nodes)
 			if err != nil {
 				return nil, err
 			}
@@ -188,7 +177,7 @@ func Fig8(p Params) (*Report, error) {
 			Columns: []string{"Nodes", "Ratio", "Base GF", "CA GF", "CA gain"},
 		}
 		for _, nodes := range p.Nodes {
-			pg, err := squareGrid(nodes)
+			pg, _, err := grid.SquareGrid(nodes)
 			if err != nil {
 				return nil, err
 			}
@@ -225,7 +214,7 @@ func Fig9(p Params) (*Report, error) {
 	}
 	for _, w := range p.Workloads {
 		for _, nodes := range p.Nodes {
-			pg, err := squareGrid(nodes)
+			pg, _, err := grid.SquareGrid(nodes)
 			if err != nil {
 				return nil, err
 			}
@@ -289,7 +278,7 @@ func Fig10(p Params, ganttWidth int) (*Report, []Fig10Result, error) {
 			nodes = 16
 		}
 	}
-	pg, err := squareGrid(nodes)
+	pg, _, err := grid.SquareGrid(nodes)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -371,7 +360,7 @@ func Headline(p Params) (*Report, error) {
 		}
 		best, bestAt := 0.0, ""
 		for _, nodes := range p.Nodes {
-			pg, err := squareGrid(nodes)
+			pg, _, err := grid.SquareGrid(nodes)
 			if err != nil {
 				return nil, err
 			}

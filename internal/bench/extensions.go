@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"castencil/internal/core"
+	"castencil/internal/grid"
 	"castencil/internal/machine"
 )
 
@@ -43,7 +44,7 @@ func Future(p Params) (*Report, error) {
 		for _, f := range []float64{1, 1.5, 3, 6} {
 			m := ScaleBandwidth(w.Machine, f)
 			for _, nodes := range p.Nodes {
-				pg, err := squareGrid(nodes)
+				pg, _, err := grid.SquareGrid(nodes)
 				if err != nil {
 					return nil, err
 				}
@@ -81,7 +82,7 @@ func NinePoint(p Params) (*Report, error) {
 			Columns: []string{"Nodes", "Stencil", "Base GF", "CA GF", "CA gain"},
 		}
 		for _, nodes := range p.Nodes {
-			pg, err := squareGrid(nodes)
+			pg, _, err := grid.SquareGrid(nodes)
 			if err != nil {
 				return nil, err
 			}
@@ -122,7 +123,7 @@ func AutoPlanReport(p Params) (*Report, error) {
 			Columns: []string{"Nodes", "Ratio", "Plan", "Plan GF", "Base GF", "gain"},
 		}
 		for _, nodes := range p.Nodes {
-			pg, err := squareGrid(nodes)
+			pg, _, err := grid.SquareGrid(nodes)
 			if err != nil {
 				return nil, err
 			}
@@ -160,7 +161,7 @@ func WeakScaling(p Params) (*Report, error) {
 	for _, w := range p.Workloads {
 		perNode := w.N
 		for _, n := range p.Nodes { // shrink so the largest run matches w.N
-			pg, _ := squareGrid(n)
+			pg, _, _ := grid.SquareGrid(n)
 			if pg > 0 && w.N/pg < perNode {
 				perNode = w.N / pg
 			}
@@ -171,7 +172,7 @@ func WeakScaling(p Params) (*Report, error) {
 		}
 		var base1, ca1 float64
 		for _, nodes := range append([]int{1}, p.Nodes...) {
-			pg, err := squareGrid(nodes)
+			pg, _, err := grid.SquareGrid(nodes)
 			if err != nil {
 				return nil, err
 			}

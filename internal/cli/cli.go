@@ -1,10 +1,9 @@
-// Package cli is the shared flag registry for the stencil command-line
-// binaries. Each engine-facing flag is defined exactly once here as a
-// flag.Value wrapping the canonical parser (runtime.ParsePolicy,
-// ptg.ParseCoalesce, machine.ByName, fault.ParsePlan), so every binary
-// accepts identical spellings with identical help text, typos fail at
-// flag-parse time instead of deep inside a run, and adding a spelling in
-// one parser updates every command at once.
+// Package cli is the shared registry of deployment flags for the stencil
+// command-line binaries: listen addresses, the rank mesh, daemon sizing,
+// gateway backends, tenants and byte sizes. Each flag validates at parse
+// time, so a bad deployment fails before it binds or connects. Run knobs
+// are not here: they are castencil.Spec fields, each resolved by its one
+// canonical parser.
 package cli
 
 import (
@@ -12,227 +11,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-
-	"castencil/internal/core"
-	"castencil/internal/fault"
-	"castencil/internal/machine"
-	"castencil/internal/ptg"
-	"castencil/internal/runtime"
 )
-
-// SchedFlag is the -sched flag: the real engine's injection-queue policy
-// resolved through runtime.ParsePolicy. The zero value means "not set",
-// which runs FIFO.
-type SchedFlag struct {
-	// Name is the raw spelling as passed ("" when unset).
-	Name string
-	// Policy is the resolved policy (FIFO when Name is empty).
-	Policy runtime.Policy
-}
-
-func (f *SchedFlag) String() string { return f.Name }
-
-// Set parses and validates a policy spelling; "" resets to unset.
-func (f *SchedFlag) Set(s string) error {
-	if s == "" {
-		*f = SchedFlag{}
-		return nil
-	}
-	pol, err := runtime.ParsePolicy(s)
-	if err != nil {
-		return err
-	}
-	f.Name, f.Policy = s, pol
-	return nil
-}
-
-// SchedVar registers -sched on fs with the given default spelling (""
-// leaves it unset). A bad default is a programmer error and panics.
-func SchedVar(fs *flag.FlagSet, def string) *SchedFlag {
-	f := &SchedFlag{}
-	if err := f.Set(def); err != nil {
-		panic(fmt.Sprintf("cli: bad default -sched %q: %v", def, err))
-	}
-	fs.Var(f, "sched", "real-engine scheduler policy: "+runtime.PolicyNames)
-	return f
-}
-
-// ParseSteal is the canonical parser for inter-node work-stealing modes:
-// "off" (or ""), "greedy", "gated". Every surface that accepts a steal
-// spelling — the -steal flag here, the job-spec "steal" field in
-// internal/server, the facade's cluster options — resolves through it, so
-// the accepted vocabulary is defined exactly once.
-func ParseSteal(s string) (runtime.StealMode, error) {
-	switch s {
-	case "", "off":
-		return runtime.StealOff, nil
-	case "greedy":
-		return runtime.StealGreedy, nil
-	case "gated":
-		return runtime.StealGated, nil
-	}
-	return runtime.StealOff, fmt.Errorf("unknown steal mode %q (want %s)", s, runtime.StealNames)
-}
-
-// StealFlag is the -steal flag: an inter-node work-stealing mode resolved
-// through ParseSteal. Name keeps the raw spelling ("" when unset) for
-// messages.
-type StealFlag struct {
-	Name string
-	Mode runtime.StealMode
-}
-
-func (f *StealFlag) String() string { return f.Name }
-
-// Set parses and validates a steal mode; "" resets to unset.
-func (f *StealFlag) Set(s string) error {
-	if s == "" {
-		*f = StealFlag{}
-		return nil
-	}
-	m, err := ParseSteal(s)
-	if err != nil {
-		return err
-	}
-	f.Name, f.Mode = s, m
-	return nil
-}
-
-// StealVar registers -steal on fs with the given default spelling (""
-// leaves it unset). A bad default panics.
-func StealVar(fs *flag.FlagSet, def string) *StealFlag {
-	f := &StealFlag{}
-	if err := f.Set(def); err != nil {
-		panic(fmt.Sprintf("cli: bad default -steal %q: %v", def, err))
-	}
-	fs.Var(f, "steal", "inter-node work stealing (distributed runs): "+runtime.StealNames)
-	return f
-}
-
-// CoalesceFlag is the -coalesce flag: a halo-bundle coalescing mode
-// resolved through ptg.ParseCoalesce. Name keeps the raw spelling (""
-// when unset).
-type CoalesceFlag struct {
-	Name string
-	Mode ptg.CoalesceMode
-}
-
-func (f *CoalesceFlag) String() string { return f.Name }
-
-// Set parses and validates a coalescing mode; "" resets to unset.
-func (f *CoalesceFlag) Set(s string) error {
-	if s == "" {
-		*f = CoalesceFlag{}
-		return nil
-	}
-	m, err := ptg.ParseCoalesce(s)
-	if err != nil {
-		return err
-	}
-	f.Name, f.Mode = s, m
-	return nil
-}
-
-// CoalesceVar registers -coalesce on fs with the given default spelling
-// ("" leaves it unset). A bad default panics.
-func CoalesceVar(fs *flag.FlagSet, def string) *CoalesceFlag {
-	f := &CoalesceFlag{}
-	if err := f.Set(def); err != nil {
-		panic(fmt.Sprintf("cli: bad default -coalesce %q: %v", def, err))
-	}
-	fs.Var(f, "coalesce", "halo-bundle coalescing: "+ptg.CoalesceNames)
-	return f
-}
-
-// TransformFlag is the -transform flag: a graph-transformation mode
-// resolved through core.ParseTransform. Name keeps the raw spelling (""
-// when unset).
-type TransformFlag struct {
-	Name string
-	Mode core.TransformMode
-}
-
-func (f *TransformFlag) String() string { return f.Name }
-
-// Set parses and validates a transform mode; "" resets to unset.
-func (f *TransformFlag) Set(s string) error {
-	if s == "" {
-		*f = TransformFlag{}
-		return nil
-	}
-	m, err := core.ParseTransform(s)
-	if err != nil {
-		return err
-	}
-	f.Name, f.Mode = s, m
-	return nil
-}
-
-// TransformVar registers -transform on fs with the given default spelling
-// ("" leaves it unset). A bad default panics.
-func TransformVar(fs *flag.FlagSet, def string) *TransformFlag {
-	f := &TransformFlag{}
-	if err := f.Set(def); err != nil {
-		panic(fmt.Sprintf("cli: bad default -transform %q: %v", def, err))
-	}
-	fs.Var(f, "transform", "graph transformation: "+core.TransformNames+" (split = inner/border overlap)")
-	return f
-}
-
-// MachineFlag is the -machine flag: a built-in cluster model resolved
-// through machine.ByName.
-type MachineFlag struct {
-	Name  string
-	Model *machine.Model
-}
-
-func (f *MachineFlag) String() string { return f.Name }
-
-func (f *MachineFlag) Set(s string) error {
-	m, err := machine.ByName(s)
-	if err != nil {
-		return err
-	}
-	f.Name, f.Model = s, m
-	return nil
-}
-
-// MachineVar registers -machine on fs with the given default model name.
-// A bad default panics.
-func MachineVar(fs *flag.FlagSet, def string) *MachineFlag {
-	f := &MachineFlag{}
-	if err := f.Set(def); err != nil {
-		panic(fmt.Sprintf("cli: bad default -machine %q: %v", def, err))
-	}
-	fs.Var(f, "machine", "machine model: NaCL or Stampede2")
-	return f
-}
-
-// FaultFlag is the -fault flag: a deterministic fault-injection spec
-// parsed through fault.ParsePlan. Plan is nil when unset (or when the
-// spec is "off"/"none").
-type FaultFlag struct {
-	Spec string
-	Plan *fault.Plan
-}
-
-func (f *FaultFlag) String() string { return f.Spec }
-
-func (f *FaultFlag) Set(s string) error {
-	p, err := fault.ParsePlan(s)
-	if err != nil {
-		return err
-	}
-	f.Spec, f.Plan = s, p
-	return nil
-}
-
-// FaultVar registers -fault on fs (default: no fault injection).
-func FaultVar(fs *flag.FlagSet) *FaultFlag {
-	f := &FaultFlag{}
-	fs.Var(f, "fault", "fault-injection spec, e.g. \"drop=0.01,seed=7\"; grammar: "+fault.SpecSyntax)
-	return f
-}
 
 // ListenFlag is the -listen flag: a TCP listen address validated at
 // flag-parse time (net.SplitHostPort rules, port required), so a daemon
@@ -378,16 +157,6 @@ func (f *PosIntFlag) Set(s string) error {
 	}
 	f.N = n
 	return nil
-}
-
-// WavefrontVar registers -wavefront: the WF variant's block width (time
-// steps per fused wavefront task, ghost depth, exchange period). The
-// registry reuses the positive-integer validation of the sizing knobs, so a
-// zero or negative width fails at parse time in every binary identically.
-func WavefrontVar(fs *flag.FlagSet, def int) *PosIntFlag {
-	f := &PosIntFlag{name: "wavefront", N: def}
-	fs.Var(f, "wavefront", "WF block width w (steps per fused wavefront task)")
-	return f
 }
 
 // MaxJobsVar registers -maxjobs: the daemon's executor pool size (jobs

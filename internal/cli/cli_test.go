@@ -4,8 +4,7 @@ import (
 	"flag"
 	"testing"
 
-	"castencil/internal/ptg"
-	"castencil/internal/runtime"
+	castencil "castencil"
 )
 
 func newSet(t *testing.T) *flag.FlagSet {
@@ -14,88 +13,93 @@ func newSet(t *testing.T) *flag.FlagSet {
 	return fs
 }
 
-func TestSchedFlag(t *testing.T) {
+// The run flags (-sched, -coalesce, -machine, -fault) bind string fields of
+// castencil.Spec, as stencilrun declares them, and a spelling is checked when
+// the spec resolves. runFlag binds one such flag on a small spec that
+// resolves on the real engine.
+func runFlag(t *testing.T, name, def string, field func(*castencil.Spec) *string) (*flag.FlagSet, *castencil.Spec) {
+	t.Helper()
 	fs := newSet(t)
-	f := SchedVar(fs, "lifo")
-	if f.Policy != runtime.LIFO {
-		t.Fatalf("default: got %v, want LIFO", f.Policy)
-	}
-	if err := fs.Parse([]string{"-sched", "priority"}); err != nil {
+	s := &castencil.Spec{Variant: "base", N: 16, Tile: 8, Steps: 1}
+	fs.StringVar(field(s), name, def, "")
+	return fs, s
+}
+
+// resolve parses args and resolves the spec, folding its run options.
+func resolve(t *testing.T, fs *flag.FlagSet, s *castencil.Spec, args ...string) (castencil.RunOptions, *castencil.Resolved, error) {
+	t.Helper()
+	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	if f.Policy != runtime.PriorityOrder || f.Name != "priority" {
-		t.Fatalf("got (%v, %q), want (PriorityOrder, priority)", f.Policy, f.Name)
+	var o castencil.RunOptions
+	r, err := s.Options()
+	if err != nil {
+		return o, nil, err
+	}
+	for _, opt := range r.Options {
+		opt(&o)
+	}
+	return o, r, nil
+}
+
+func TestSchedFlag(t *testing.T) {
+	fs, s := runFlag(t, "sched", "lifo", func(s *castencil.Spec) *string { return &s.Sched })
+	if o, _, err := resolve(t, fs, s); err != nil || o.Policy != castencil.LIFO {
+		t.Fatalf("default: got (%v, %v), want LIFO", o.Policy, err)
+	}
+	if o, _, err := resolve(t, fs, s, "-sched", "priority"); err != nil || o.Policy != castencil.PriorityOrder {
+		t.Fatalf("got (%v, %v), want PriorityOrder", o.Policy, err)
 	}
 	for _, bad := range []string{"bogus", "steal"} {
-		if err := fs.Parse([]string{"-sched", bad}); err == nil {
+		if _, _, err := resolve(t, fs, s, "-sched", bad); err == nil {
 			t.Fatalf("bad spelling %q accepted", bad)
 		}
 	}
 }
 
 func TestCoalesceFlag(t *testing.T) {
-	fs := newSet(t)
-	f := CoalesceVar(fs, "")
-	if f.Name != "" {
-		t.Fatalf("unset default has Name %q", f.Name)
+	fs, s := runFlag(t, "coalesce", "", func(s *castencil.Spec) *string { return &s.Coalesce })
+	if o, _, err := resolve(t, fs, s); err != nil || o.Coalesce != castencil.CoalesceOff {
+		t.Fatalf("unset default: got (%v, %v), want off", o.Coalesce, err)
 	}
-	if err := fs.Parse([]string{"-coalesce", "step"}); err != nil {
-		t.Fatal(err)
+	if o, _, err := resolve(t, fs, s, "-coalesce", "step"); err != nil || o.Coalesce != castencil.CoalesceStep {
+		t.Fatalf("got (%v, %v), want step", o.Coalesce, err)
 	}
-	if f.Mode != ptg.CoalesceStep || f.Name != "step" {
-		t.Fatalf("got (%v, %q)", f.Mode, f.Name)
-	}
-	if err := fs.Parse([]string{"-coalesce", "sideways"}); err == nil {
+	if _, _, err := resolve(t, fs, s, "-coalesce", "sideways"); err == nil {
 		t.Fatal("bad mode accepted")
 	}
 }
 
 func TestMachineFlag(t *testing.T) {
-	fs := newSet(t)
-	f := MachineVar(fs, "NaCL")
-	if f.Model == nil || f.Model.Name != "NaCL" {
-		t.Fatalf("default model = %+v", f.Model)
+	fs, s := runFlag(t, "machine", "NaCL", func(s *castencil.Spec) *string { return &s.Machine })
+	if _, r, err := resolve(t, fs, s); err != nil || r.Machine.Name != "NaCL" {
+		t.Fatalf("default model: %v", err)
 	}
-	if err := fs.Parse([]string{"-machine", "Stampede2"}); err != nil {
-		t.Fatal(err)
+	if o, r, err := resolve(t, fs, s, "-machine", "Stampede2"); err != nil || r.Machine.Name != "Stampede2" || o.Machine != r.Machine {
+		t.Fatalf("Stampede2 not resolved: %v", err)
 	}
-	if f.Model.Name != "Stampede2" {
-		t.Fatalf("got %q", f.Model.Name)
-	}
-	if err := fs.Parse([]string{"-machine", "Frontier"}); err == nil {
+	if _, _, err := resolve(t, fs, s, "-machine", "Frontier"); err == nil {
 		t.Fatal("unknown machine accepted")
 	}
 }
 
 func TestFaultFlag(t *testing.T) {
-	fs := newSet(t)
-	f := FaultVar(fs)
-	if f.Plan != nil {
-		t.Fatal("default plan should be nil")
+	fs, s := runFlag(t, "fault", "", func(s *castencil.Spec) *string { return &s.Fault })
+	if o, _, err := resolve(t, fs, s); err != nil || o.Fault != nil {
+		t.Fatalf("default plan should be nil: (%+v, %v)", o.Fault, err)
 	}
-	if err := fs.Parse([]string{"-fault", "drop=0.01,seed=7"}); err != nil {
-		t.Fatal(err)
+	o, _, err := resolve(t, fs, s, "-fault", "drop=0.01,seed=7")
+	if err != nil || o.Fault == nil || o.Fault.Drop != 0.01 || o.Fault.Seed != 7 {
+		t.Fatalf("plan = (%+v, %v)", o.Fault, err)
 	}
-	if f.Plan == nil || f.Plan.Drop != 0.01 || f.Plan.Seed != 7 {
-		t.Fatalf("plan = %+v", f.Plan)
-	}
-	if err := fs.Parse([]string{"-fault", "drop=2"}); err == nil {
+	if _, _, err := resolve(t, fs, s, "-fault", "drop=2"); err == nil {
 		t.Fatal("out-of-range probability accepted")
 	}
-	if err := fs.Parse([]string{"-fault", "off"}); err != nil {
+	if o, _, err := resolve(t, fs, s, "-fault", "off"); err != nil {
 		t.Fatal(err)
-	} else if f.Plan != nil {
+	} else if o.Fault != nil {
 		t.Fatal("\"off\" should clear the plan")
 	}
-}
-
-func TestBadDefaultsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad default did not panic")
-		}
-	}()
-	SchedVar(newSet(t), "bogus")
 }
 
 func TestListenFlag(t *testing.T) {
@@ -255,21 +259,4 @@ func TestSizeFlag(t *testing.T) {
 			t.Errorf("bad -cache-bytes %q accepted", bad)
 		}
 	}
-}
-
-// FuzzParseSteal checks the steal-mode parser never panics and that every
-// accepted spelling's canonical String re-parses to the same mode.
-func FuzzParseSteal(f *testing.F) {
-	for _, s := range []string{"", "off", "greedy", "gated", "Greedy", "gated "} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, name string) {
-		m, err := ParseSteal(name)
-		if err != nil {
-			return
-		}
-		if back, err := ParseSteal(m.String()); err != nil || back != m {
-			t.Fatalf("ParseSteal(%q) = %v, but its String %q re-parses to %v, %v", name, m, m.String(), back, err)
-		}
-	})
 }

@@ -55,11 +55,17 @@ type Plan struct {
 	Candidates []PlanResult
 }
 
-// UseCA reports whether the plan recommends the CA variant.
-func (p *Plan) UseCA() bool { return p.BestFamily == CA }
-
-// UseWavefront reports whether the plan recommends the WF variant.
-func (p *Plan) UseWavefront() bool { return p.BestFamily == WF }
+// Apply returns the recommended variant and cfg with the winning family's
+// parameter (CA step size or WF width) set.
+func (p *Plan) Apply(cfg Config) (Variant, Config) {
+	switch p.BestFamily {
+	case CA:
+		cfg.StepSize = p.BestStepSize
+	case WF:
+		cfg.Wavefront = p.BestWidth
+	}
+	return p.BestFamily, cfg
+}
 
 // DefaultPlanCandidates is the parameter candidate set AutoPlan probes when
 // none is supplied (the paper's Fig. 9 sweep plus intermediate points); each
@@ -110,7 +116,7 @@ func AutoPlan(cfg Config, m *machine.Model, ratio float64, candidates []int) (*P
 		}
 		c := cfg
 		c.StepSize = s
-		if _, err := c.validate(CA); err == nil {
+		if _, err := c.Validate(CA); err == nil {
 			res, err := Simulate(CA, c, SimOptions{Machine: m, Ratio: ratio})
 			if err != nil {
 				return nil, err
@@ -120,7 +126,7 @@ func AutoPlan(cfg Config, m *machine.Model, ratio float64, candidates []int) (*P
 		}
 		c = cfg
 		c.Wavefront = s
-		if _, err := c.validate(WF); err == nil {
+		if _, err := c.Validate(WF); err == nil {
 			res, err := Simulate(WF, c, SimOptions{Machine: m, Ratio: ratio})
 			if err != nil {
 				return nil, err

@@ -83,7 +83,7 @@ func (b *builder) effWidth(t int) int {
 // a cost-only graph for internal/desim.
 func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
 	cfg = cfg.withDefaults()
-	part, err := cfg.validate(v)
+	part, err := cfg.Validate(v)
 	if err != nil {
 		return nil, err
 	}

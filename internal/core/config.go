@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"castencil/internal/grid"
 	"castencil/internal/stencil"
@@ -51,6 +52,17 @@ func (v Variant) String() string {
 		return "wf"
 	}
 	return "unknown"
+}
+
+// ParseVariant maps a variant name ("base", "ca", "wf"; any case) to a
+// Variant.
+func ParseVariant(name string) (Variant, error) {
+	for _, v := range []Variant{Base, CA, WF} {
+		if strings.EqualFold(name, v.String()) {
+			return v, nil
+		}
+	}
+	return Base, fmt.Errorf("core: unknown variant %q (base, ca, wf)", name)
 }
 
 // TransformMode selects an optional graph rewrite applied after BuildGraph
@@ -183,9 +195,10 @@ func (c Config) Partition() (*grid.Partition, error) {
 	return grid.NewPartition(c.N, c.TileRows, c.TileCols, c.P, c.Q)
 }
 
-// validate checks the configuration for a given variant and returns the
-// partition.
-func (c Config) validate(v Variant) (*grid.Partition, error) {
+// Validate checks the configuration for a given variant and returns the
+// partition: the one source of the geometry rules, including the CA step
+// size and WF width feasibility and the split-vs-wf exclusion.
+func (c Config) Validate(v Variant) (*grid.Partition, error) {
 	c = c.withDefaults()
 	if c.Steps < 1 {
 		return nil, fmt.Errorf("core: Steps must be >= 1, got %d", c.Steps)

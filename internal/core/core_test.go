@@ -120,7 +120,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 		if part, err := cfg.Partition(); err != nil || part.TR < p || part.TC < q {
 			continue
 		}
-		if _, err := cfg.validate(CA); err != nil {
+		if _, err := cfg.Validate(CA); err != nil {
 			continue // step size vs ragged tile; skip
 		}
 		assertMatchesReference(t, Base, cfg, rng.Intn(3)+1)

@@ -37,7 +37,7 @@ type RealResult struct {
 func RunReal(v Variant, cfg Config, opts runtime.Options) (*RealResult, error) {
 	cfg = cfg.withDefaults()
 	cfg.WithBodies = true
-	part, err := cfg.validate(v)
+	part, err := cfg.Validate(v)
 	if err != nil {
 		return nil, err
 	}
@@ -131,9 +131,6 @@ type SimOptions struct {
 	// (ratio*mb) x (ratio*nb) portion of each tile is updated, simulating
 	// a faster memory system / optimized kernel. 0 or 1 = full kernel.
 	Ratio float64
-	// Policy orders oversubscribed cores (default priority, like the
-	// stencil-tuned PaRSEC scheduler).
-	FIFO bool
 	// Trace, when non-nil, collects virtual-time events for TraceNode
 	// (all nodes when TraceNode < 0).
 	Trace     *trace.Trace
@@ -247,17 +244,13 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 	}
 	cfg = cfg.withDefaults()
 	cfg.WithBodies = false
-	part, err := cfg.validate(v)
+	part, err := cfg.Validate(v)
 	if err != nil {
 		return nil, err
 	}
 	g, err := BuildGraph(v, cfg)
 	if err != nil {
 		return nil, err
-	}
-	policy := desim.Priority
-	if opts.FIFO {
-		policy = desim.FIFO
 	}
 	fabric := netsim.NewFabric(opts.Machine.Net, part.Nodes())
 	var steal *desim.StealOpts
@@ -274,7 +267,7 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 		Cores:      opts.Machine.ComputeCores(),
 		Cost:       CostModel(opts.Machine, opts.Ratio),
 		Fabric:     fabric,
-		Policy:     policy,
+		Policy:     desim.Priority,
 		Trace:      opts.Trace,
 		TraceNode:  opts.TraceNode,
 		Coalesce:   opts.Coalesce,

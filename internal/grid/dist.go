@@ -70,21 +70,11 @@ func (p *Partition) TileDims(ti, tj int) (rows, cols int) {
 
 // MinTileDim returns the smallest tile extent of the partition, ragged edge
 // tiles included — the feasibility bound for deep-halo schemes, whose ghost
-// regions are packed out of neighbor interiors.
+// regions are packed out of neighbor interiors. Only the last tile row and
+// column can be ragged, so the corner tile holds both minima.
 func (p *Partition) MinTileDim() int {
-	min := p.N
-	for ti := 0; ti < p.TR; ti++ {
-		for tj := 0; tj < p.TC; tj++ {
-			r, c := p.TileDims(ti, tj)
-			if r < min {
-				min = r
-			}
-			if c < min {
-				min = c
-			}
-		}
-	}
-	return min
+	r, c := p.TileDims(p.TR-1, p.TC-1)
+	return min(r, c)
 }
 
 // TileOrigin returns the global coordinates of tile (ti, tj)'s (0,0) point.

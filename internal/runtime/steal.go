@@ -75,6 +75,20 @@ func (m StealMode) String() string {
 // StealNames lists the values the -steal flag accepts.
 const StealNames = "off, greedy, gated"
 
+// ParseSteal maps a steal-mode name ("off" or "", "greedy", "gated") to a
+// StealMode.
+func ParseSteal(name string) (StealMode, error) {
+	switch name {
+	case "", "off":
+		return StealOff, nil
+	case "greedy":
+		return StealGreedy, nil
+	case "gated":
+		return StealGated, nil
+	}
+	return StealOff, fmt.Errorf("unknown steal mode %q (want %s)", name, StealNames)
+}
+
 // ForcedSteal pins one task's execution to a thief rank (see
 // ptg.ForcedSteal): the simulator follows the same script exactly, which is
 // what the sim==real parity suite leans on.

@@ -187,6 +187,8 @@ func FuzzSpecFingerprint(f *testing.F) {
 	}
 	f.Add([]byte(`{"n":-1,"tile":0,"nodes":3,"fault":"drop=2","cache":"maybe"}`))
 	f.Add([]byte(`{"n":"256"}`))
+	f.Add([]byte(`{"n":1,"tile":1,"steps":1,"nodes":9223372036854775807}`))
+	f.Add([]byte(`{"n":1,"tile":1,"steps":1,"nodes":4611686018427387904}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Spec
 		if json.Unmarshal(data, &s) != nil {

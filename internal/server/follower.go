@@ -60,14 +60,13 @@ func (m *Manager) runBroadcast(ctx context.Context, t *castencil.NetTransport, p
 	ctx, _ = m.startLocked(j, ctx) // a fresh job: always starts
 	m.mu.Unlock()
 
-	variant, cfg, err := m.resolvePlan(j)
-	if err != nil {
+	if err = m.plan(j); err != nil {
 		// Same divergence reasoning as a build failure: fail the epoch
 		// instead of hanging every rank.
 		t.Begin()
 		t.Abort(fmt.Sprintf("rank %d planner rejected broadcast: %v", t.Rank(), err))
 	} else {
-		err = m.execReal(ctx, j, variant, cfg, t)
+		err = m.run(ctx, j, t)
 	}
 	m.end(j, nil, err)
 }

@@ -194,18 +194,18 @@ func TestDistributedAdmission(t *testing.T) {
 
 // TestStealAdmission covers the "steal" spec field: resolved with the
 // canonical parser at admission, refused outside distributed jobs, and
-// carried into the resolved buildSpec so rank 0 and every follower derive
+// carried into the resolved spec so rank 0 and every follower derive
 // the identical policy from the broadcast bytes.
 func TestStealAdmission(t *testing.T) {
 	spec := quickSpec(1)
 	spec.Steal = "greedy"
-	if _, err := spec.build(); err == nil || !strings.Contains(err.Error(), "distributed") {
+	if _, err := spec.Options(); err == nil || !strings.Contains(err.Error(), "distributed") {
 		t.Errorf("single-process steal spec: got %v", err)
 	}
 	spec.Nodes = 4
 	spec.Ranks = 2
 	spec.Steal = "sneaky"
-	if _, err := spec.build(); err == nil {
+	if _, err := spec.Options(); err == nil {
 		t.Error("unknown steal mode accepted")
 	}
 	for name, want := range map[string]castencil.StealMode{
@@ -213,12 +213,12 @@ func TestStealAdmission(t *testing.T) {
 		"greedy": castencil.StealGreedy, "gated": castencil.StealGated,
 	} {
 		spec.Steal = name
-		b, err := spec.build()
+		b, err := spec.Options()
 		if err != nil {
 			t.Fatalf("steal=%q: %v", name, err)
 		}
-		if b.steal != want {
-			t.Errorf("steal=%q resolved to %v, want %v", name, b.steal, want)
+		if b.Steal != want {
+			t.Errorf("steal=%q resolved to %v, want %v", name, b.Steal, want)
 		}
 	}
 }

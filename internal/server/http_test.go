@@ -327,7 +327,7 @@ func TestJobTableRetention(t *testing.T) {
 	waitState(t, blocker, StateRunning, 10*time.Second)
 	var first *Job
 	for i := 0; i < retainJobs+20; i++ {
-		j, err := m.Submit(Spec{N: 16, Tile: 8, Steps: 1, Workers: 1})
+		j, err := m.Submit(Spec{Variant: "base", N: 16, Tile: 8, Steps: 1, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -159,15 +159,15 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if b := j.build; b.ranks > 0 {
+	if n := spec.Ranks; n > 0 {
 		t := m.cfg.Transport
 		switch {
 		case t == nil:
-			return nil, fmt.Errorf("server: distributed job (ranks=%d) needs a daemon started with -ranks", b.ranks)
+			return nil, fmt.Errorf("server: distributed job (ranks=%d) needs a daemon started with -ranks", n)
 		case t.Rank() != 0:
 			return nil, fmt.Errorf("server: distributed jobs are submitted to rank 0 (this daemon is rank %d)", t.Rank())
-		case b.ranks != t.Ranks():
-			return nil, fmt.Errorf("server: spec ranks %d does not match the %d-rank mesh", b.ranks, t.Ranks())
+		case n != t.Ranks():
+			return nil, fmt.Errorf("server: spec ranks %d does not match the %d-rank mesh", n, t.Ranks())
 		}
 	}
 	m.setTimeout(j)
@@ -183,38 +183,20 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 
 // setTimeout applies the spec's deadline, or the daemon's default.
 func (m *Manager) setTimeout(j *Job) {
-	j.timeout = j.build.timeout
+	j.timeout = j.run.Timeout
 	if j.timeout == 0 {
 		j.timeout = m.cfg.DefaultTimeout
 	}
 }
 
-// workersFor resolves a real job's per-node worker count against the
-// manager's budget: an explicit request is honored; otherwise the budget
-// is divided evenly across the job slots and the job's P×P nodes.
-func (m *Manager) workersFor(b *buildSpec) int {
-	if b.workers > 0 {
-		return b.workers
-	}
-	w := m.cfg.WorkerBudget / (m.cfg.MaxJobs * b.cfg.P * b.cfg.P)
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // exec is the local executor: it runs one admitted job on the engines.
 func (m *Manager) exec(ctx context.Context, j *Job) (*Result, error) {
 	m.mQueueWait.Observe(j.QueueWait().Seconds())
-	variant, cfg, err := m.resolvePlan(j)
-	if err != nil {
+	if err := m.plan(j); err != nil {
 		return nil, err
 	}
-	if j.build.engine == "sim" {
-		return nil, m.execSim(ctx, j, variant, cfg)
-	}
 	var t *castencil.NetTransport
-	if j.build.ranks > 0 {
+	if j.Spec.Ranks > 0 {
 		// Distributed: broadcast the spec so every follower enters the
 		// same run, then execute with the shared mesh. The broadcast
 		// carries the raw submitted spec — followers re-validate and
@@ -231,83 +213,60 @@ func (m *Manager) exec(ctx context.Context, j *Job) (*Result, error) {
 		}
 		t = m.cfg.Transport
 	}
-	return nil, m.execReal(ctx, j, variant, cfg, t)
+	return nil, m.run(ctx, j, t)
 }
 
-// execSim runs a sim-engine job and folds its counters into the service's.
-func (m *Manager) execSim(ctx context.Context, j *Job, variant castencil.Variant, cfg castencil.Config) error {
-	b := j.build
-	start := time.Now()
-	res, err := castencil.Sim(variant, cfg,
-		castencil.WithMachine(b.machine),
-		castencil.WithRatio(b.ratio),
-		castencil.WithCoalesce(b.coalesce),
-		castencil.WithFaultPlan(b.fault),
-		castencil.WithContext(ctx),
-		castencil.WithProgress(j.ReportProgress))
-	m.mDuration["sim"].Observe(time.Since(start).Seconds())
-	if err != nil {
-		return err
+// plan applies a plan=auto decision, recording it on the job.
+func (m *Manager) plan(j *Job) error {
+	plan, err := j.run.AutoPlan()
+	if plan != nil {
+		j.mu.Lock()
+		j.plan = plan
+		j.mu.Unlock()
 	}
-	m.account(res.Sim.Tasks, res.Messages, res.BytesSent, res.Bundles, res.Segments, res.Fault.Retransmits, 0)
-	j.mu.Lock()
-	j.sim = res
-	j.mu.Unlock()
-	return nil
+	return err
 }
 
-// resolvePlan applies a plan=auto decision, recording it on the job. The
-// planner is a deterministic function of the spec and machine model, so
-// every rank of a distributed job resolves the identical configuration.
-func (m *Manager) resolvePlan(j *Job) (castencil.Variant, castencil.Config, error) {
-	b := j.build
-	variant, cfg := b.variant, b.cfg
-	if !b.planAuto {
-		return variant, cfg, nil
+// workersFor resolves a job's per-node worker count against the manager's
+// budget: an explicit request is honored; otherwise the budget is divided
+// evenly across the job slots and the job's P×P nodes.
+func (m *Manager) workersFor(j *Job) int {
+	if j.Spec.Workers > 0 {
+		return j.Spec.Workers
 	}
-	plan, err := castencil.AutoPlan(cfg, b.machine, planRatio(b.ratio), nil)
-	if err != nil {
-		return variant, cfg, err
-	}
-	j.mu.Lock()
-	j.plan = plan
-	j.mu.Unlock()
-	switch {
-	case plan.UseCA():
-		variant = castencil.CA
-		cfg.StepSize = plan.BestStepSize
-	case plan.UseWavefront():
-		variant = castencil.WF
-		cfg.Wavefront = plan.BestWidth
-	default:
-		variant = castencil.Base
-	}
-	return variant, cfg, nil
+	return max(1, m.cfg.WorkerBudget/(m.cfg.MaxJobs*j.run.Config.P*j.run.Config.P))
 }
 
-// execReal runs a real-engine job and folds its counters into the
+// run executes a job on its engine and folds its counters into the
 // service's; t is the mesh of a distributed run (nil single-process). On a
-// distributed run, rank 0's result carries the global counters (the runtime
-// folds every rank's slice at the drain gather) while a follower's carries
-// only its local slice — each daemon's metrics report its own rank's view.
-func (m *Manager) execReal(ctx context.Context, j *Job, variant castencil.Variant, cfg castencil.Config, t *castencil.NetTransport) error {
-	b := j.build
-	opts := []castencil.Option{
-		castencil.WithWorkers(m.workersFor(b)),
-		castencil.WithPolicy(b.policy),
-		castencil.WithCoalesce(b.coalesce),
-		castencil.WithFaultPlan(b.fault),
-		castencil.WithContext(ctx),
-		castencil.WithProgress(j.ReportProgress),
-	}
+// distributed run, rank 0's
+// result carries the global counters (the runtime folds every rank's slice
+// at the drain gather) while a follower's carries only its local slice —
+// each daemon's metrics report its own rank's view.
+func (m *Manager) run(ctx context.Context, j *Job, t *castencil.NetTransport) error {
+	r := j.run
+	opts := append([]castencil.Option{castencil.WithContext(ctx), castencil.WithProgress(j.ReportProgress)}, r.Options...)
+	opts = append(opts, castencil.WithWorkers(m.workersFor(j)))
 	if t != nil {
 		opts = append(opts, castencil.WithCluster(castencil.ClusterOptions{
 			Transport: t,
-			Steal:     castencil.StealPolicy{Mode: b.steal, Machine: b.machine},
+			Steal:     castencil.StealPolicy{Mode: r.Steal, Machine: r.Machine},
 		}))
 	}
 	start := time.Now()
-	res, err := castencil.Run(variant, cfg, opts...)
+	if r.Engine == "sim" {
+		res, err := castencil.Sim(r.Variant, r.Config, opts...)
+		m.mDuration["sim"].Observe(time.Since(start).Seconds())
+		if err != nil {
+			return err
+		}
+		m.account(res.Sim.Tasks, res.Messages, res.BytesSent, res.Bundles, res.Segments, res.Fault.Retransmits, 0)
+		j.mu.Lock()
+		j.sim = res
+		j.mu.Unlock()
+		return nil
+	}
+	res, err := castencil.Run(r.Variant, r.Config, opts...)
 	m.mDuration["real"].Observe(time.Since(start).Seconds())
 	if err != nil {
 		return err
@@ -333,13 +292,4 @@ func (m *Manager) account(tasks, messages, bytes, bundles, segments, retransmits
 	m.mSegments.Add(int64(segments))
 	m.mRetransmit.Add(int64(retransmits))
 	m.mSteals.Add(int64(steals))
-}
-
-// planRatio maps the spec's ratio (0 = unset) onto AutoPlan's knob, where
-// 1 means the real kernel.
-func planRatio(r float64) float64 {
-	if r <= 0 {
-		return 1
-	}
-	return r
 }

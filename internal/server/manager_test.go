@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -316,10 +317,27 @@ func TestSpecValidation(t *testing.T) {
 		{N: 64, Tile: 16, Steps: 4, TimeoutMS: -1},
 		{N: 64, Tile: 16, Steps: 4, StepSize: 64, Variant: "ca"},  // step > tile
 		{N: 64, Tile: 16, Steps: 4, Wavefront: 64, Variant: "wf"}, // width > tile
+		{N: 64, Tile: 8, Steps: 2},                                // default CA step 15 > tile
+		{N: 64, Tile: 16, Steps: 4, Coalesce: "sideways"},
+		{N: 64, Tile: 16, Steps: 4, Machine: "Frontier"},
+		{N: 64, Tile: 16, Steps: 4, Fault: "drop=2"},
+		{N: 1, Tile: 1, Steps: 1, Nodes: math.MaxInt64}, // hostile: must not hang
+		{N: 1, Tile: 1, Steps: 1, Nodes: 1 << 62},
 	}
 	for i, spec := range cases {
 		if _, err := m.Submit(spec); err == nil {
 			t.Errorf("case %d (%+v): accepted, want rejection", i, spec)
+		}
+	}
+	for _, nodes := range []int{math.MaxInt64, 1 << 62} { // O(1) rejection
+		best := time.Hour
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			_ = Spec{N: 1, Tile: 1, Steps: 1, Nodes: nodes}.Validate()
+			best = min(best, time.Since(start))
+		}
+		if best > time.Millisecond {
+			t.Errorf("rejecting nodes=%d took %v", nodes, best)
 		}
 	}
 	if n := len(m.Jobs()); n != 0 {
@@ -349,15 +367,7 @@ func TestAutoPlanJob(t *testing.T) {
 		t.Errorf("view plan family = %v, want %q", v.PlanFamily, plan.BestFamily)
 	}
 	// Replay the planner's choice directly: grids must match bitwise.
-	variant, cfg := castencil.Base, castencil.Config{N: 64, TileRows: 16, P: 1, Steps: 6, Init: castencil.HashInit(3)}
-	switch {
-	case plan.UseCA():
-		variant = castencil.CA
-		cfg.StepSize = plan.BestStepSize
-	case plan.UseWavefront():
-		variant = castencil.WF
-		cfg.Wavefront = plan.BestWidth
-	}
+	variant, cfg := plan.Apply(castencil.Config{N: 64, TileRows: 16, P: 1, Steps: 6, Init: castencil.HashInit(3)})
 	res, err := castencil.Run(variant, cfg, castencil.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -444,11 +454,11 @@ func TestWorkerBudgetDivision(t *testing.T) {
 		{0, 16, 1}, // floor at 1
 	} {
 		spec := Spec{N: 64, Tile: 4, Steps: 2, StepSize: 2, Nodes: tc.nodes, Workers: tc.workers}
-		b, err := spec.build()
+		j, err := NewJob(spec)
 		if err != nil {
 			t.Fatalf("nodes=%d: %v", tc.nodes, err)
 		}
-		if got := m.workersFor(b); got != tc.want {
+		if got := m.workersFor(j); got != tc.want {
 			t.Errorf("workers=%d nodes=%d: got %d, want %d", tc.workers, tc.nodes, got, tc.want)
 		}
 	}

@@ -62,8 +62,9 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) { return fault.ParsePlan(sp
 // when no explicit recovery is configured.
 func DefaultFaultRecovery() *FaultRecovery { return fault.DefaultRecovery() }
 
-// Interceptor wraps every inter-node message of a real run (testing hook;
-// recovery traffic such as acks bypasses it).
+// Interceptor wraps every inter-node message of a RunGraph execution
+// (ExecOptions.Intercept; a testing hook — recovery traffic such as acks
+// bypasses it).
 type Interceptor = runtime.Interceptor
 
 // RunOptions is the unified option bag for both execution engines. The
@@ -75,12 +76,8 @@ type RunOptions struct {
 	// Workers is the number of compute goroutines per virtual node in a
 	// real run (default 1).
 	Workers int
-	// Policy orders the real runtime's injection queues. SimFIFO orders
-	// the simulator's wait queue FIFO instead of its default priority
-	// discipline (the simulator's scheduling is a separate, simpler
-	// model).
-	Policy  Policy
-	SimFIFO bool
+	// Policy orders the real runtime's injection queues.
+	Policy Policy
 	// Coalesce selects halo-bundle coalescing on either engine.
 	Coalesce CoalesceMode
 	// Fault injects a deterministic fault schedule; Recovery overrides the
@@ -94,21 +91,12 @@ type RunOptions struct {
 	Trace     *Trace
 	TraceComm bool
 	TraceNode int32
-	// Intercept wraps every inter-node message of a real run.
-	Intercept Interceptor
 	// Machine is the cluster model a simulated run prices against
 	// (required by Sim, unused by Run).
 	Machine *Machine
 	// Ratio is the paper's kernel-adjustment ratio for simulated runs
 	// (0 or 1 = full kernel).
 	Ratio float64
-	// Wavefront, when positive, overrides Config.Wavefront — the WF block
-	// width — for either engine (ignored by the other variants).
-	Wavefront int
-	// Transform, when not TransformNone, overrides Config.Transform — the
-	// graph-transformation pass applied before execution — for either
-	// engine.
-	Transform TransformMode
 	// Rank and RankAddrs configure a true multi-process distributed real
 	// run: RankAddrs is the full static member list (host:port per rank,
 	// identical on every rank) and Rank is this process's index into it.
@@ -150,10 +138,6 @@ func WithWorkers(n int) Option { return func(o *RunOptions) { o.Workers = n } }
 // PriorityOrder) of a real run.
 func WithPolicy(p Policy) Option { return func(o *RunOptions) { o.Policy = p } }
 
-// WithSimFIFO orders the simulator's oversubscribed-core wait queue FIFO
-// instead of the default priority discipline.
-func WithSimFIFO() Option { return func(o *RunOptions) { o.SimFIFO = true } }
-
 // WithCoalesce selects halo-bundle coalescing (CoalesceOff, CoalesceStep,
 // CoalesceAuto).
 func WithCoalesce(m CoalesceMode) Option { return func(o *RunOptions) { o.Coalesce = m } }
@@ -180,27 +164,12 @@ func WithTraceComm() Option { return func(o *RunOptions) { o.TraceComm = true } 
 // (traces of large runs are expensive).
 func WithTraceNode(n int32) Option { return func(o *RunOptions) { o.TraceNode = n } }
 
-// WithIntercept wraps every inter-node message of a real run.
-func WithIntercept(i Interceptor) Option { return func(o *RunOptions) { o.Intercept = i } }
-
 // WithMachine sets the cluster model a simulated run prices against
 // (required by Sim).
 func WithMachine(m *Machine) Option { return func(o *RunOptions) { o.Machine = m } }
 
 // WithRatio sets the paper's kernel-adjustment ratio for simulated runs.
 func WithRatio(r float64) Option { return func(o *RunOptions) { o.Ratio = r } }
-
-// WithWavefront sets the WF variant's block width — the number of time
-// steps one fused wavefront task advances a tile, which is also its ghost
-// depth and exchange period — overriding Config.Wavefront on either engine.
-func WithWavefront(w int) Option { return func(o *RunOptions) { o.Wavefront = w } }
-
-// WithTransform applies a graph-transformation pass (TransformSplit =
-// inner/border task splitting for communication–computation overlap) to
-// the built graph before execution, overriding Config.Transform on either
-// engine. Transforms never change numerics — results stay bitwise
-// identical to the untransformed graph.
-func WithTransform(m TransformMode) Option { return func(o *RunOptions) { o.Transform = m } }
 
 // WithContext bounds the run with ctx on either engine: cancellation or a
 // deadline stops the run promptly (nothing new starts, communication
@@ -224,9 +193,8 @@ func WithProgress(fn func(done, total int64)) Option {
 // context error.
 type CancelError = ptg.CancelError
 
-// BuildRunOptions folds functional options into a RunOptions (exposed so
-// wrappers and tests can inspect the resolved configuration).
-func BuildRunOptions(opts ...Option) RunOptions {
+// buildRunOptions folds functional options into a RunOptions.
+func buildRunOptions(opts ...Option) RunOptions {
 	o := RunOptions{TraceNode: -1}
 	for _, fn := range opts {
 		if fn != nil {
@@ -246,7 +214,6 @@ func (o RunOptions) real() ExecOptions {
 		Recovery:   o.Recovery,
 		Trace:      o.Trace,
 		TraceComm:  o.TraceComm,
-		Intercept:  o.Intercept,
 		Steal:      o.Steal.runtimePolicy(),
 		Ctx:        o.Ctx,
 		OnProgress: o.Progress,
@@ -258,7 +225,6 @@ func (o RunOptions) sim() core.SimOptions {
 	return core.SimOptions{
 		Machine:    o.Machine,
 		Ratio:      o.Ratio,
-		FIFO:       o.SimFIFO,
 		Trace:      o.Trace,
 		TraceNode:  o.TraceNode,
 		Coalesce:   o.Coalesce,
@@ -290,13 +256,7 @@ func (o RunOptions) simSteal() *core.SimSteal {
 // exact, bitwise identical to the sequential reference whatever the
 // scheduling, coalescing or (masked) fault injection.
 func Run(v Variant, cfg Config, opts ...Option) (*RealResult, error) {
-	o := BuildRunOptions(opts...)
-	if o.Wavefront > 0 {
-		cfg.Wavefront = o.Wavefront
-	}
-	if o.Transform != core.TransformNone {
-		cfg.Transform = o.Transform
-	}
+	o := buildRunOptions(opts...)
 	ro := o.real()
 	net := o.Conduit
 	if net == nil && len(o.RankAddrs) > 0 {
@@ -339,15 +299,9 @@ func traceForComm(o RunOptions) *Trace {
 // Sim predicts a stencil variant's performance on a machine model in
 // virtual time. WithMachine is required.
 func Sim(v Variant, cfg Config, opts ...Option) (*SimResult, error) {
-	o := BuildRunOptions(opts...)
+	o := buildRunOptions(opts...)
 	if o.Machine == nil {
 		return nil, fmt.Errorf("castencil: Sim requires WithMachine")
-	}
-	if o.Wavefront > 0 {
-		cfg.Wavefront = o.Wavefront
-	}
-	if o.Transform != core.TransformNone {
-		cfg.Transform = o.Transform
 	}
 	return core.Simulate(v, cfg, o.sim())
 }

@@ -27,33 +27,6 @@ func sameGrids(t *testing.T, a, b *castencil.Tile) bool {
 	return true
 }
 
-func TestBuildRunOptions(t *testing.T) {
-	o := castencil.BuildRunOptions()
-	if o.TraceNode != -1 {
-		t.Errorf("default TraceNode = %d, want -1", o.TraceNode)
-	}
-	plan := &castencil.FaultPlan{Seed: 3, Drop: 0.1}
-	o = castencil.BuildRunOptions(
-		castencil.WithWorkers(4),
-		nil, // nil options are skipped, so conditional chains compose
-		castencil.WithPolicy(castencil.LIFO),
-		castencil.WithCoalesce(castencil.CoalesceStep),
-		castencil.WithFaultPlan(plan),
-		castencil.WithSimFIFO(),
-	)
-	if o.Workers != 4 || o.Policy != castencil.LIFO ||
-		o.Coalesce != castencil.CoalesceStep || o.Fault != plan || !o.SimFIFO {
-		t.Errorf("options not applied: %+v", o)
-	}
-	pol, err := castencil.ParsePolicy("priority")
-	if err != nil || pol != castencil.PriorityOrder {
-		t.Errorf("ParsePolicy(priority) = %v, %v", pol, err)
-	}
-	if _, err := castencil.ParsePolicy("steal"); err == nil {
-		t.Error("ParsePolicy accepted the removed scheduler name steal")
-	}
-}
-
 func TestSimRequiresMachine(t *testing.T) {
 	cfg := castencil.Config{N: 2880, TileRows: 288, P: 2, Steps: 5, StepSize: 5}
 	if _, err := castencil.Sim(castencil.CA, cfg); err == nil {
