@@ -35,19 +35,24 @@ func assertOracleBitwise(t *testing.T, label string, want interface{ At(r, c int
 	}
 }
 
-// poisonArena makes every tile buffer handed out NaN-filled until the test
-// ends.
+// poisonArena makes every tile buffer handed out NaN-filled, and every
+// parked halo buffer 0xFF-filled (a NaN bit pattern) before it is repacked,
+// until the test ends.
 func poisonArena(t *testing.T) {
 	poisonTiles = true
 	t.Cleanup(func() { poisonTiles = false })
 }
 
-// TestPoisonedArena is the proof that reused tile storage needs no
-// clearing: with every tile buffer NaN-filled when handed out, each
+// TestPoisonedArena is the proof that reused tile storage and repacked halo
+// buffers need no clearing: with every tile buffer NaN-filled when handed
+// out and every parked halo buffer poisoned before it is repacked, each
 // configuration runs twice — the second run on the first run's recycled
-// buffers — and both must equal the sequential oracle bitwise. A kernel
-// reading a ghost cell no init, boundary fill or halo unpack wrote would
-// carry a NaN into the grid.
+// buffers — and both must equal the sequential oracle bitwise and leave no
+// payload in a slot. A kernel reading a ghost cell no init, boundary fill or
+// halo unpack wrote, or a pack writing less than its halo, would carry a
+// NaN into the grid. The rectangular tiles' north/south and east/west halos
+// differ in size, and on the 16x10 tiles packs also pick parked buffers of
+// other directions.
 func TestPoisonedArena(t *testing.T) {
 	poisonArena(t)
 	type run struct {
@@ -76,6 +81,13 @@ func TestPoisonedArena(t *testing.T) {
 	}
 	ragged := Config{N: 26, TileRows: 4, P: 3, Q: 2, Steps: 9, StepSize: 2}
 	runs = append(runs, run{"ragged/base", Base, ragged}, run{"ragged/ca", CA, ragged})
+	rect := Config{N: 40, TileRows: 8, TileCols: 5, P: 2, Steps: 9, StepSize: 4}
+	runs = append(runs, run{"rect/base", Base, rect}, run{"rect/ca", CA, rect}, run{"rect/base/split", Base, splitCfg(rect)})
+	// At 16 rows a one-deep east/west halo is as large as a 4x4 corner, so
+	// an interior tile packs the corners it owes its diagonal boundary
+	// neighbors at a phase start into the east/west buffers it unpacked.
+	tall := Config{N: 64, TileRows: 16, TileCols: 10, P: 2, Steps: 9, StepSize: 4}
+	runs = append(runs, run{"rect16x10/ca", CA, tall}, run{"rect16x10/ca/split", CA, splitCfg(tall)})
 	for _, c := range runs {
 		t.Run(c.name, func(t *testing.T) {
 			want := oracle(t, c.cfg)
@@ -85,6 +97,9 @@ func TestPoisonedArena(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertOracleBitwise(t, fmt.Sprintf("run %d", i), want, res.Grid)
+				if n := LeftoverBuffers(res.Exec.Stores); n != 0 {
+					t.Errorf("run %d: %d halo payloads left in slots", i, n)
+				}
 			}
 		})
 	}
@@ -99,6 +114,11 @@ func TestPoisonedArena(t *testing.T) {
 				t.Fatal("the forced plan migrated nothing")
 			}
 			assertOracleBitwise(t, fmt.Sprintf("run %d", i), want, dist[0].Grid)
+			for r, res := range dist {
+				if n := LeftoverBuffers(res.Exec.Stores); n != 0 {
+					t.Errorf("run %d, rank %d: %d halo payloads left in slots", i, r, n)
+				}
+			}
 		}
 	})
 }

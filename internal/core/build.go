@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"castencil/internal/grid"
 	"castencil/internal/ptg"
@@ -45,6 +46,13 @@ type slotRange struct{ base, depth int32 }
 type tileState struct {
 	cur, next *grid.Tile
 	r0, c0    int // global origin
+	// parked[d] is the halo buffer last unpacked from direction d, held
+	// until the same iteration's produce repacks an outgoing halo into it
+	// (see takeParked). produce returns what it leaves to the arena, so
+	// parked is empty between iterations. Split border tasks each park into
+	// their own direction's element; the commit that repacks runs after all
+	// of them.
+	parked [grid.NumDirs][]byte
 }
 
 type builder struct {
@@ -582,8 +590,10 @@ func (b *builder) wavefrontBody(inf *tileInfo, t int) func(ptg.Env) {
 }
 
 // produce packs and publishes every outgoing flow of iteration t: each halo
-// is serialized straight into a pooled wire buffer (Tile.PackBytes) and
-// deposited in the flow's ring slot.
+// is serialized straight into a wire buffer (Tile.PackBytes) — one the tile
+// just unpacked where one is large enough (takeParked), else one from the
+// runtime arena — and deposited in the flow's ring slot. The buffers it
+// does not repack go back to the arena.
 func (b *builder) produce(e ptg.Env, st *tileState, inf *tileInfo, t int) {
 	for _, d := range grid.AllDirs {
 		depth, ok := b.flow(inf, d, t)
@@ -591,14 +601,46 @@ func (b *builder) produce(e ptg.Env, st *tileState, inf *tileInfo, t int) {
 			continue
 		}
 		rc := st.cur.SendRect(d, depth)
-		buf := st.cur.PackBytes(rc, runtime.GetBuf(rc.Bytes()))
+		buf := st.cur.PackBytes(rc, st.takeParked(d, rc.Bytes()))
 		e.PutBufSlot(b.slotOf(inf.sendSlot[d], inf.nbr[d], t), buf)
+	}
+	for d, buf := range st.parked {
+		if buf != nil {
+			runtime.PutBuf(buf)
+			st.parked[d] = nil
+		}
 	}
 }
 
-// consume takes and unpacks every incoming flow feeding iteration t: the
-// wire buffer is deserialized in place into the ghost region and immediately
-// recycled into the runtime arena — steady state allocates nothing.
+// takeParked returns an n-byte buffer for the halo toward d: the one parked
+// from d when its capacity suffices (in the steady state it came from the
+// same neighbor, over the same edge), else any parked buffer large enough,
+// else a fresh one from the arena. A parked buffer's whole capacity is the
+// tile's to overwrite: buffer slots hold whole arena buffers (see
+// ptg.Env.PutBufSlot).
+func (st *tileState) takeParked(d grid.Dir, n int) []byte {
+	i := int(d)
+	if cap(st.parked[i]) < n {
+		i = slices.IndexFunc(st.parked[:], func(buf []byte) bool { return cap(buf) >= n })
+		if i < 0 {
+			return runtime.GetBuf(n)
+		}
+	}
+	buf := st.parked[i][:n]
+	st.parked[i] = nil
+	if poisonTiles {
+		// A pack that writes fewer than n bytes leaves NaNs for the
+		// consumer to unpack into its ghost cells.
+		full := buf[:cap(buf)]
+		for j := range full {
+			full[j] = 0xFF
+		}
+	}
+	return buf
+}
+
+// consume takes and unpacks every incoming flow feeding iteration t (see
+// consumeDir).
 func (b *builder) consume(e ptg.Env, st *tileState, inf *tileInfo, t int) {
 	for _, d := range grid.AllDirs {
 		b.consumeDir(e, st, inf, d, t)
@@ -606,9 +648,11 @@ func (b *builder) consume(e ptg.Env, st *tileState, inf *tileInfo, t int) {
 }
 
 // consumeDir takes and unpacks the single incoming flow arriving from
-// direction d for iteration t, if it exists. Split border tasks use it to
-// consume exactly the halo they are gated on; the unsplit path loops it
-// over all directions.
+// direction d for iteration t, if it exists, deserializing the wire buffer
+// in place into the ghost region and parking it in st.parked[d] for the
+// iteration's produce to repack. Split border tasks use it to consume
+// exactly the halo they are gated on; the unsplit path loops it over all
+// directions.
 func (b *builder) consumeDir(e ptg.Env, st *tileState, inf *tileInfo, d grid.Dir, t int) {
 	p := inf.nbr[d]
 	if p == nil {
@@ -621,7 +665,7 @@ func (b *builder) consumeDir(e ptg.Env, st *tileState, inf *tileInfo, d grid.Dir
 	rc := st.cur.RecvRect(d, depth)
 	buf := e.TakeBufSlot(b.slotOf(inf.recvSlot[d], inf, t-1))
 	st.cur.UnpackBytes(rc, buf)
-	runtime.PutBuf(buf)
+	st.parked[d] = buf
 }
 
 // migFlow is one halo flow a migrating task consumes or produces: the slot

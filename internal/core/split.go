@@ -160,8 +160,10 @@ func interiorOverlap(rc grid.Rect, inf *tileInfo) int {
 }
 
 // partBody is the executable closure of a split part: unpack the one halo
-// the part is gated on (if any), then apply the stencil to the part's
+// the part is gated on (if any), parking its buffer in the tile state's
+// element for that direction, then apply the stencil to the part's
 // rectangle. Same row kernels, same cells, same order as the unsplit task.
+// Border parts write disjoint elements of the parked array.
 func (b *builder) partBody(inf *tileInfo, t int, rect grid.Rect, d grid.Dir, consume bool) func(ptg.Env) {
 	return func(e ptg.Env) {
 		st := b.state(e, inf)
@@ -173,7 +175,9 @@ func (b *builder) partBody(inf *tileInfo, t int, rect grid.Rect, d grid.Dir, con
 }
 
 // commitBody finishes a split iteration: swap the double buffer and publish
-// outgoing halos, exactly as the tail of the unsplit compute body.
+// outgoing halos, exactly as the tail of the unsplit compute body. Its
+// dependency edges order it after every border part, so it repacks into
+// the buffers they parked.
 func (b *builder) commitBody(inf *tileInfo, t int) func(ptg.Env) {
 	return func(e ptg.Env) {
 		st := b.state(e, inf)

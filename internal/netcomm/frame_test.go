@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"testing"
+	"unsafe"
 
 	"castencil/internal/runtime"
 )
@@ -236,5 +237,46 @@ func TestBadFrames(t *testing.T) {
 	// A clean close must not be reported as a torn frame.
 	if err := decode(nil, 0); !errors.Is(err, io.EOF) {
 		t.Errorf("empty stream: got %v, want io.EOF", err)
+	}
+}
+
+// TestDepositedPayloadsOwnTheirStorage pins the buffer-slot ownership rule
+// (ptg.Env.PutBufSlot) on the TCP receive path: each data frame's payload
+// is read into a whole arena buffer of its own, never into a sub-slice of
+// the stream's bytes, so its full capacity is the consumer's to repack into.
+// (runtime pins the same rule for bundle fan-out and fault-layer copies.)
+func TestDepositedPayloadsOwnTheirStorage(t *testing.T) {
+	type storage struct{ lo, hi uintptr }
+	storageOf := func(b []byte) storage {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+		return storage{lo, lo + uintptr(cap(b))}
+	}
+	overlap := func(a, b storage) bool { return a.lo < b.hi && b.lo < a.hi }
+	var wire []byte
+	sizes := []int{8, 120, 64, 2000, 8}
+	for i, n := range sizes {
+		wire = appendDataFrame(wire, 1, runtime.Message{Task: int32(i), Data: bytes.Repeat([]byte{byte(i + 1)}, n)})
+	}
+	r := bytes.NewReader(wire)
+	var st readState
+	var got []storage
+	for i, n := range sizes {
+		f, err := readFrame(r, &st, runtime.GetBuf, 0)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(f.Msg.Data, bytes.Repeat([]byte{byte(i + 1)}, n)) {
+			t.Errorf("frame %d: payload differs from the %d bytes sent", i, n)
+		}
+		s := storageOf(f.Msg.Data)
+		if overlap(s, storageOf(wire)) {
+			t.Errorf("frame %d: payload storage overlaps the wire buffer", i)
+		}
+		for j, o := range got {
+			if overlap(s, o) {
+				t.Errorf("frames %d and %d share payload storage", j, i)
+			}
+		}
+		got = append(got, s)
 	}
 }

@@ -93,8 +93,15 @@ func (l *lane) attach(c net.Conn) {
 	l.gen++
 	l.downSince = time.Time{}
 	l.cond.Broadcast()
-	l.mu.Unlock()
+	// Added under mu, which Close's lane teardown takes after marking the
+	// transport closed: the reader is either counted before Close waits or
+	// never started.
 	l.t.wg.Add(1)
+	l.mu.Unlock()
+	select {
+	case l.t.attached <- struct{}{}:
+	default:
+	}
 	go func() {
 		defer l.t.wg.Done()
 		l.t.readLoop(l, c)
@@ -116,14 +123,23 @@ func (l *lane) drop(c net.Conn, cause error) {
 	l.gen++
 	gen := l.gen
 	l.downSince = time.Now()
+	redial := l.peer < l.t.rank
+	if redial {
+		// Counted under mu for the reason attach gives: Close waits for
+		// the redial goroutine, which a closed transport stops promptly.
+		l.t.wg.Add(1)
+	}
 	l.mu.Unlock()
 	c.Close()
 	l.t.reconnects.Add(1)
 	if l.t.nm != nil {
 		l.t.nm.reconnects.Inc()
 	}
-	if l.peer < l.t.rank {
-		go l.redial(gen)
+	if redial {
+		go func() {
+			defer l.t.wg.Done()
+			l.redial(gen)
+		}()
 	} else {
 		deadline := l.t.deadline
 		time.AfterFunc(deadline, func() {
@@ -138,7 +154,8 @@ func (l *lane) drop(c net.Conn, cause error) {
 }
 
 // redial re-establishes a dropped connection from the dialing side, backing
-// off between attempts, until the recovery deadline declares the peer dead.
+// off between attempts, until the recovery deadline declares the peer dead
+// or the transport closes.
 func (l *lane) redial(gen uint64) {
 	backoff := 5 * time.Millisecond
 	for {
@@ -165,7 +182,9 @@ func (l *lane) redial(gen uint64) {
 			l.attach(c)
 			return
 		}
-		time.Sleep(backoff)
+		if !l.t.pause(backoff) {
+			return
+		}
 		if backoff < 100*time.Millisecond {
 			backoff *= 2
 		}

@@ -98,7 +98,10 @@ type Transport struct {
 	jobs    chan []byte
 	closed  atomic.Bool
 	closeCh chan struct{}
-	wg      sync.WaitGroup
+	// attached is signalled (without blocking) whenever a lane attaches a
+	// connection, so Connect waits for its higher ranks without polling.
+	attached chan struct{}
+	wg       sync.WaitGroup
 
 	t0 atomic.Int64 // run start, unix nanos (trace timestamps)
 	tr *trace.Trace
@@ -137,6 +140,7 @@ func Connect(o Options) (*Transport, error) {
 		maxFrame: o.MaxFrame,
 		jobs:     make(chan []byte, 8),
 		closeCh:  make(chan struct{}),
+		attached: make(chan struct{}, 1),
 		tr:       o.Trace,
 	}
 	if t.maxFrame <= 0 {
@@ -185,21 +189,25 @@ func Connect(o Options) (*Transport, error) {
 				t.Close()
 				return nil, fmt.Errorf("netcomm: rank %d unreachable at %s: %w", p, o.Addrs[p], err)
 			}
-			time.Sleep(backoff)
+			if !t.pause(backoff) {
+				return nil, errClosed
+			}
 			if backoff < 200*time.Millisecond {
 				backoff *= 2
 			}
 		}
 	}
 	// Wait for every higher rank to have attached (they dial us).
-	waitDeadline := start.Add(o.ConnectTimeout)
+	wait := time.NewTimer(time.Until(start.Add(o.ConnectTimeout)))
+	defer wait.Stop()
 	for p := t.rank + 1; p < len(o.Addrs); p++ {
 		for !t.lanes[p].up() {
-			if time.Now().After(waitDeadline) {
+			select {
+			case <-t.attached:
+			case <-wait.C:
 				t.Close()
 				return nil, fmt.Errorf("netcomm: rank %d never connected within %v", p, o.ConnectTimeout)
 			}
-			time.Sleep(5 * time.Millisecond)
 		}
 	}
 	// Hello barrier at epoch 0: nobody returns from Connect before every
@@ -209,6 +217,19 @@ func Connect(o Options) (*Transport, error) {
 		return nil, fmt.Errorf("netcomm: hello barrier: %w", err)
 	}
 	return t, nil
+}
+
+// pause waits d, or less if the transport closes first; it reports whether
+// the transport is still open.
+func (t *Transport) pause(d time.Duration) bool {
+	tm := time.NewTimer(d)
+	defer tm.Stop()
+	select {
+	case <-tm.C:
+		return true
+	case <-t.closeCh:
+		return false
+	}
 }
 
 // dialPeer opens one connection to peer and speaks the hello.

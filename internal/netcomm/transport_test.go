@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	goruntime "runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -378,6 +380,41 @@ func TestReconnectMasksDrop(t *testing.T) {
 		}
 	}
 	t.Fatal("no delivery after reconnect")
+}
+
+// TestCloseStopsRedial closes a transport while its lane is redialing a
+// vanished peer: Close must wait for the redial goroutine, which leaves its
+// backoff as soon as the transport closes, and every goroutine the mesh
+// started must be gone.
+func TestCloseStopsRedial(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	deadline := time.Now().Add(5 * time.Second)
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for !done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	ts := newMesh(t, 2, func(r int, o *Options) {
+		o.Recovery = fault.Recovery{Deadline: time.Minute}
+	})
+	// Rank 1 dials rank 0, so losing rank 0 sends it into redial, whose
+	// dials fail on the closed listener and back off.
+	ts[0].Close()
+	waitFor("rank 1 to notice the drop", func() bool { return ts[1].Stats().Reconnects > 0 })
+	start := time.Now()
+	ts[1].Close()
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Close took %v during a redial backoff", d)
+	}
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:goruntime.Stack(buf, true)]); strings.Contains(stacks, "(*lane).redial") {
+		t.Errorf("redial goroutine outlived Close:\n%s", stacks)
+	}
+	waitFor("the mesh's goroutines to exit", func() bool { return goruntime.NumGoroutine() <= before })
 }
 
 // severLane force-closes the current connection to peer, simulating a

@@ -97,10 +97,15 @@ type Env interface {
 	// GetSlot returns a general slot's value without removing it.
 	GetSlot(slot int32) any
 	// PutBufSlot deposits a message payload in a buffer slot. Occupied
-	// slots panic (a duplicated delivery or a dataflow bug).
+	// slots panic (a duplicated delivery or a dataflow bug). The slot owns
+	// the payload's full capacity, not just its length: a deposit is always
+	// a whole buffer, never a sub-slice of a wire buffer whose capacity
+	// overlaps other payloads.
 	PutBufSlot(slot int32, b []byte)
 	// TakeBufSlot removes and returns a buffer slot's payload, panicking
-	// when empty (consumption before production).
+	// when empty (consumption before production). The consumer takes the
+	// ownership PutBufSlot describes: once it has read the payload it may
+	// repack into the buffer up to its capacity, or recycle it.
 	TakeBufSlot(slot int32) []byte
 }
 
