@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -117,8 +118,8 @@ func forcedPlan(t testing.TB, v Variant, cfg Config, ranks, victim, thief, count
 // TestDistributedStealDeterminism is the steal tentpole's determinism suite:
 // on the skewed two-rank shape, every dynamic policy (off, greedy, gated)
 // crossed with both coalesce modes must produce a grid bitwise identical to
-// the single-process run and keep halo-counter parity — steal traffic rides
-// its own frame kinds and never leaks into Messages/BytesSent.
+// the single-process run and keep halo-counter parity — steal traffic is
+// accounted apart and never leaks into Messages/BytesSent.
 func TestDistributedStealDeterminism(t *testing.T) {
 	cfg := stealSkewed()
 	ts := connectMeshN(t, 2)
@@ -157,10 +158,11 @@ func TestDistributedStealDeterminism(t *testing.T) {
 	}
 }
 
-// TestDistributedStealFourRanks folds 9 nodes onto 4 ranks (3/2/2/2), the
-// smallest mesh where a steal's victim and thief can both be bystanders to
-// rank 0's gather: greedy stealing must keep the grid bitwise identical and
-// the folded counters consistent on the wider mesh too.
+// TestDistributedStealFourRanks folds 9 nodes onto 4 ranks (2/2/2/3, every
+// rank with a steal endpoint), the smallest mesh where a steal's victim and
+// thief can both be bystanders to rank 0's gather: greedy stealing must keep
+// the grid bitwise identical and the folded counters consistent on the
+// wider mesh too.
 func TestDistributedStealFourRanks(t *testing.T) {
 	cfg := Config{N: 48, TileRows: 16, P: 3, Steps: 6, Wavefront: 2}
 	ts := connectMeshN(t, 4)
@@ -234,13 +236,13 @@ func TestDistributedStealForcedParity(t *testing.T) {
 	}
 }
 
-// TestDistributedStealExactlyOnce drops ~30% of all delivery attempts —
-// steal frames included, keyed by the same deterministic fault plan on
-// every rank — and demands exactly-once migration semantics: each scripted
-// task migrates once (retransmits recover lost frames, the victim's
-// same-id-same-answer rule and the thief's dedup suppress replays), the
-// grid stays bitwise identical, and the drop counters prove the schedule
-// actually fired on the steal path.
+// TestDistributedStealExactlyOnce runs a forced plan over a faulty wire —
+// ~30% of all delivery attempts dropped, or ~30% duplicated and delayed,
+// steal messages included — and demands exactly-once migration: each
+// scripted task migrates once, the grid stays bitwise identical, and the
+// counters prove the schedule fired. Steal messages ride the same reliable
+// layer as halos, so on every rank each ack timeout is one retransmit and
+// nothing is dropped.
 func TestDistributedStealExactlyOnce(t *testing.T) {
 	cfg := stealSkewed()
 	plan := forcedPlan(t, WF, cfg, 2, 0, 1, 3)
@@ -250,23 +252,53 @@ func TestDistributedStealExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := base
-	opts.Fault = &fault.Plan{Seed: 7, Drop: 0.3}
-	opts.Steal = &runtime.StealPolicy{Force: plan}
-	dist := runStealMesh(t, WF, cfg, opts, ts)
-	assertGridsBitwiseEqual(t, "lossy forced migration", single.Grid, dist[0].Grid)
-	d := dist[0].Exec
-	if d.MigratedTasks != len(plan) || d.StealsRemote != len(plan) {
-		t.Errorf("lossy wire broke exactly-once: %d migrated / %d remote, plan scripted %d",
-			d.MigratedTasks, d.StealsRemote, len(plan))
-	}
-	if d.Fault.Dropped == 0 {
-		t.Error("drop plan injected nothing; the test exercised a clean wire")
-	}
-	if d.Fault.Retransmits == 0 {
-		t.Error("no retransmits despite injected drops")
+	for _, fp := range []fault.Plan{{Seed: 7, Drop: 0.3}, {Seed: 7, Dup: 0.3, Delay: 0.3}} {
+		opts := base
+		opts.Fault = &fp
+		opts.Steal = &runtime.StealPolicy{Force: plan}
+		dist := runStealMesh(t, WF, cfg, opts, ts)
+		assertGridsBitwiseEqual(t, "faulty forced migration", single.Grid, dist[0].Grid)
+		d := dist[0].Exec
+		if d.MigratedTasks != len(plan) || d.StealsRemote != len(plan) {
+			t.Errorf("%+v broke exactly-once: %d migrated / %d remote, plan scripted %d",
+				fp, d.MigratedTasks, d.StealsRemote, len(plan))
+		}
+		if d.Fault.Dropped+d.Fault.Duplicated == 0 || (fp.Drop > 0 && d.Fault.Retransmits == 0) {
+			t.Errorf("%+v fired no faults or no retransmits: %+v", fp, d.Fault)
+		}
+		for r, res := range dist {
+			if f := res.Exec.Fault; f.Timeouts != f.Retransmits || res.Exec.Dropped != 0 {
+				t.Errorf("%+v rank %d: %d timeouts vs %d retransmits, %d dropped", fp, r, f.Timeouts, f.Retransmits, res.Exec.Dropped)
+			}
+		}
 	}
 	// No Messages parity here: retransmitted deliveries count, so a lossy
 	// wire legitimately carries more messages than a clean one. Exactly-once
 	// is the grid equality plus the exact migration count above.
+}
+
+// TestDistributedStealPolicyMismatch hands only the victim a forced plan:
+// the thief, running without Options.Steal, must fail the run at the first
+// steal message, and the victim with it, instead of stranding the migration.
+func TestDistributedStealPolicyMismatch(t *testing.T) {
+	cfg := stealSkewed()
+	plan := forcedPlan(t, WF, cfg, 2, 0, 1, 1)
+	ts := connectMeshN(t, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range ts {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			opts := runtime.Options{Workers: 1, Dist: &runtime.Dist{Rank: r, Ranks: 2, Net: ts[r]}}
+			if r == 0 {
+				opts.Steal = &runtime.StealPolicy{Force: plan}
+			}
+			_, errs[r] = RunReal(WF, cfg, opts)
+		}(r)
+	}
+	wg.Wait()
+	if errs[0] == nil || errs[1] == nil || !strings.Contains(errs[1].Error(), "without Options.Steal") {
+		t.Fatalf("mismatched policies: victim error %v, thief error %v", errs[0], errs[1])
+	}
 }

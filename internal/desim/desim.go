@@ -287,7 +287,7 @@ type sim struct {
 	borderTasks   int
 	// Forced-migration mirror state (nil/empty without Options.Steal):
 	// forced maps a task index to its thief rank, rankNode each rank to its
-	// first owned node (the endpoint its steal frames travel through), and
+	// first owned node (the endpoint its steal messages travel through), and
 	// agentFree each rank's single steal agent to its next idle time.
 	forced    map[int32]int
 	rankNode  []int32
@@ -343,7 +343,7 @@ func (s *sim) migrate(idx int32, thief int, at time.Duration) {
 	t := &s.g.Tasks[idx]
 	victimNode := int(t.Node)
 	thiefNode := int(s.rankNode[thief])
-	arrive := s.opts.Fabric.SendSteal(victimNode, thiefNode, t.Mig.InBytes, at)
+	arrive := s.opts.Fabric.SendMigration(victimNode, thiefNode, t.Mig.InBytes, at)
 	start := arrive
 	if s.agentFree[thief] > start {
 		start = s.agentFree[thief]
@@ -354,7 +354,7 @@ func (s *sim) migrate(idx int32, thief int, at time.Duration) {
 	}
 	end := start + d
 	s.agentFree[thief] = end
-	back := s.opts.Fabric.SendSteal(thiefNode, victimNode, t.Mig.OutBytes, end)
+	back := s.opts.Fabric.SendMigration(thiefNode, victimNode, t.Mig.OutBytes, end)
 	if s.opts.Trace != nil && (s.opts.TraceNode < 0 || s.opts.TraceNode == t.Node) {
 		s.opts.Trace.Record(trace.Event{
 			ID: t.ID, Kind: t.Kind, Node: t.Node, Core: int32(s.opts.Cores), Start: start, End: end, Stolen: true,

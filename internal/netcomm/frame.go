@@ -5,8 +5,9 @@
 // path produces, pre-negotiated size-classed receive buffers, and a
 // writev-based send path that stays allocation-free in the steady state.
 // The runtime's reliable ack/retransmit/dedup layer rides on top unchanged:
-// acks are ordinary messages routed by destination node, so fault injection
-// and recovery work identically over sockets.
+// acks and inter-node steal messages are ordinary messages routed by
+// destination node, so fault injection and recovery work identically over
+// sockets, and one frame kind carries every runtime.Message.
 package netcomm
 
 import (
@@ -30,8 +31,11 @@ import (
 //	[u64 seq] [i32 attempt] [i64 sentNanos] [payload ...]
 //
 // The payload bytes are exactly what the in-process path would hand the
-// destination inbox: a packed dependency payload or a coalesced bundle in
-// the [u32 count][u32 len_i...][payload_i...] format of coalesce.go.
+// destination inbox: a packed dependency payload, a coalesced bundle in
+// the [u32 count][u32 len_i...][payload_i...] format of coalesce.go, or a
+// steal message's migration blob. A steal message (runtime.Message.IsSteal)
+// carries the negated protocol kind in dep and the negated exchange id in
+// bundle; the transport counts it, and its ack, as steal traffic.
 //
 // kindHello body (handshake, one per fresh connection, dialer speaks first):
 //
@@ -43,36 +47,21 @@ import (
 //
 //	[u16 fromRank] [u8 op] [u16 tagLen] [tag ...] [payload ...]
 //
-// kindStealReq/Rsp/Ret/Ack body — a runtime.StealMsg (the steal kind itself
-// travels in the frame kind byte, so the body layout is shared):
-//
-//	[u8 flags] [u16 from] [u64 id] [i32 task] [i32 attempt] [payload ...]
-//
-// flags bit 0 marks a forced (policy-scripted) migration; the payload is the
-// migration blob (task inputs on Rsp, results on Ret), empty on Req/Ack and
-// on an empty Rsp.
+// Version 1 had four more frame kinds (4-7) for the steal protocol; version
+// 2 retired them, and a decoder rejects them as unknown.
 const (
-	prefixLen   = 9
-	dataHdrLen  = 1 + 5*4 + 8 + 4 + 8
-	helloLen    = 4 + 2 + 2 + 2 + 1
-	stealHdrLen = 1 + 2 + 8 + 4 + 4
+	prefixLen  = 9
+	dataHdrLen = 1 + 5*4 + 8 + 4 + 8
+	helloLen   = 4 + 2 + 2 + 2 + 1
 
 	kindHello = byte(1)
 	kindData  = byte(2)
 	kindCtl   = byte(3)
-	// The four steal frame kinds map 1:1 onto runtime.StealReq..StealAck:
-	// frame kind = kindStealReq + (StealMsg.Kind - runtime.StealReq).
-	kindStealReq = byte(4)
-	kindStealRsp = byte(5)
-	kindStealRet = byte(6)
-	kindStealAck = byte(7)
 
 	flagAck = byte(1 << 0)
-	// stealForced marks a steal frame whose StealMsg.Forced flag is set.
-	stealForced = byte(1 << 0)
 
 	helloMagic   = uint32(0x43415354) // "CAST"
-	protoVersion = uint16(1)
+	protoVersion = uint16(2)
 
 	// DefaultMaxFrame bounds a frame body so a corrupt or hostile length
 	// prefix cannot ask the receiver to allocate unbounded memory. Large
@@ -107,14 +96,10 @@ type Ctl struct {
 type Frame struct {
 	Kind  byte
 	Epoch uint32
-	Msg   runtime.Message  // valid when Kind == kindData
-	Hello Hello            // valid when Kind == kindHello
-	Ctl   Ctl              // valid when Kind == kindCtl
-	Steal runtime.StealMsg // valid when kindStealReq <= Kind <= kindStealAck
+	Msg   runtime.Message // valid when Kind == kindData
+	Hello Hello           // valid when Kind == kindHello
+	Ctl   Ctl             // valid when Kind == kindCtl
 }
-
-// stealFrame reports whether a frame kind carries a steal-protocol message.
-func stealFrame(kind byte) bool { return kind >= kindStealReq && kind <= kindStealAck }
 
 // putDataHeader encodes the frame prefix and fixed message header for m into
 // b (which must have room for prefixLen+dataHdrLen bytes) and returns the
@@ -156,50 +141,6 @@ func parseDataHeader(b []byte) runtime.Message {
 		Attempt:   int32(le.Uint32(b[29:])),
 		SentNanos: int64(le.Uint64(b[33:])),
 	}
-}
-
-// putStealHeader encodes the frame prefix and fixed steal header for m into
-// b (which must have room for prefixLen+stealHdrLen bytes) and returns the
-// header length; the payload travels separately (writev), like putDataHeader.
-func putStealHeader(b []byte, epoch uint32, m runtime.StealMsg) int {
-	le := binary.LittleEndian
-	le.PutUint32(b, uint32(stealHdrLen+len(m.Data)))
-	b[4] = kindStealReq + (m.Kind - runtime.StealReq)
-	le.PutUint32(b[5:], epoch)
-	flags := byte(0)
-	if m.Forced {
-		flags |= stealForced
-	}
-	b[9] = flags
-	le.PutUint16(b[10:], uint16(m.From))
-	le.PutUint64(b[12:], m.ID)
-	le.PutUint32(b[20:], uint32(m.Task))
-	le.PutUint32(b[24:], uint32(m.Attempt))
-	return prefixLen + stealHdrLen
-}
-
-// parseStealHeader decodes the fixed steal header (without payload), the
-// inverse of putStealHeader's body part. frameKind selects which of the four
-// steal frame kinds the body belongs to.
-func parseStealHeader(frameKind byte, b []byte) runtime.StealMsg {
-	le := binary.LittleEndian
-	return runtime.StealMsg{
-		Kind:    runtime.StealReq + (frameKind - kindStealReq),
-		Forced:  b[0]&stealForced != 0,
-		From:    int(le.Uint16(b[1:])),
-		ID:      le.Uint64(b[3:]),
-		Task:    int32(le.Uint32(b[11:])),
-		Attempt: int32(le.Uint32(b[15:])),
-	}
-}
-
-// appendStealFrame appends the complete wire frame for a steal message
-// (codec tests; the persistent-lane path uses putStealHeader plus writev).
-func appendStealFrame(dst []byte, epoch uint32, m runtime.StealMsg) []byte {
-	var hdr [prefixLen + stealHdrLen]byte
-	n := putStealHeader(hdr[:], epoch, m)
-	dst = append(dst, hdr[:n]...)
-	return append(dst, m.Data...)
 }
 
 // appendDataFrame appends the complete wire frame for m (header and payload)
@@ -301,29 +242,6 @@ func readFrame(r io.Reader, st *readState, getBuf func(int) []byte, maxFrame int
 				return Frame{}, errShort(err)
 			}
 			f.Msg.Data = buf
-		}
-	case kindStealReq, kindStealRsp, kindStealRet, kindStealAck:
-		if body < stealHdrLen {
-			return Frame{}, fmt.Errorf("netcomm: steal frame body %d shorter than header %d", body, stealHdrLen)
-		}
-		if _, err := io.ReadFull(r, st.hdr[:stealHdrLen]); err != nil {
-			return Frame{}, errShort(err)
-		}
-		f.Steal = parseStealHeader(f.Kind, st.hdr[:stealHdrLen])
-		if pl := body - stealHdrLen; pl > 0 {
-			var buf []byte
-			if getBuf != nil {
-				buf = getBuf(pl)[:pl]
-			} else {
-				buf = make([]byte, pl)
-			}
-			if _, err := io.ReadFull(r, buf); err != nil {
-				if getBuf != nil {
-					runtime.PutBuf(buf)
-				}
-				return Frame{}, errShort(err)
-			}
-			f.Steal.Data = buf
 		}
 	case kindHello:
 		if body != helloLen {

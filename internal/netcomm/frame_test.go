@@ -36,6 +36,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint32(1), int32(0), int32(1), int32(7), int32(-1), int32(0), uint64(42), false, int32(0), int64(12345), []byte("halo"))
 	f.Add(uint32(0), int32(3), int32(2), int32(0), int32(9), int32(5), uint64(0), true, int32(3), int64(-1), []byte{})
 	f.Add(uint32(7), int32(-2), int32(-3), int32(1<<20), int32(99), int32(-5), uint64(1<<63), false, int32(-1), int64(1<<40), bytes.Repeat([]byte{0xAB}, 300))
+	// Steal messages: a probe, and a forced offer carrying its inputs.
+	f.Add(uint32(2), int32(0), int32(2), int32(-1), int32(-1), int32(-4), uint64(3), false, int32(1), int64(0), []byte{})
+	f.Add(uint32(2), int32(2), int32(0), int32(17), int32(-10), int32(-2), uint64(5), false, int32(0), int64(0), []byte("tile inputs"))
 	f.Fuzz(func(t *testing.T, epoch uint32, src, dst, task, dep, bundle int32, seq uint64, ack bool, attempt int32, sentNanos int64, payload []byte) {
 		m := runtime.Message{
 			Src: src, Dst: dst, Task: task, Dep: dep, Bundle: bundle,
@@ -56,41 +59,6 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// Adversarial decode: the raw fuzz payload as a wire stream. Cap the
 		// frame size so a fuzzed length prefix cannot make ReadFull allocate
 		// wildly; any outcome but a panic is acceptable.
-		var st2 readState
-		for r := bytes.NewReader(payload); ; {
-			if _, err := readFrame(r, &st2, nil, 1<<20); err != nil {
-				break
-			}
-		}
-	})
-}
-
-// FuzzStealFrameRoundTrip is FuzzFrameRoundTrip for the four steal kinds:
-// encoding a steal message and decoding it must give back the identical
-// message, and the raw fuzz bytes fed to the decoder must never panic.
-func FuzzStealFrameRoundTrip(f *testing.F) {
-	f.Add(uint32(1), byte(0), uint16(1), uint64(7), int32(-1), false, int32(0), []byte{})
-	f.Add(uint32(3), byte(1), uint16(0), uint64(1<<40), int32(42), true, int32(2), []byte("tile inputs"))
-	f.Add(uint32(0), byte(2), uint16(65535), uint64(0), int32(1<<30), false, int32(-3), bytes.Repeat([]byte{0x5A}, 300))
-	f.Add(uint32(9), byte(3), uint16(5), uint64(1<<63), int32(0), true, int32(1), []byte{kindStealAck})
-	f.Fuzz(func(t *testing.T, epoch uint32, kind byte, from uint16, id uint64, task int32, forced bool, attempt int32, payload []byte) {
-		m := runtime.StealMsg{
-			Kind: runtime.StealReq + kind%4, From: int(from), ID: id,
-			Task: task, Forced: forced, Attempt: attempt,
-		}
-		if len(payload) > 0 {
-			m.Data = payload
-		}
-		var st readState
-		got, err := readFrame(bytes.NewReader(appendStealFrame(nil, epoch, m)), &st, nil, 0)
-		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		s := got.Steal
-		if !stealFrame(got.Kind) || got.Epoch != epoch || s.Kind != m.Kind || s.From != m.From || s.ID != m.ID ||
-			s.Task != m.Task || s.Forced != m.Forced || s.Attempt != m.Attempt || !bytes.Equal(s.Data, m.Data) {
-			t.Fatalf("round trip mutated the frame: sent %+v epoch %d, got %+v epoch %d", m, epoch, s, got.Epoch)
-		}
 		var st2 readState
 		for r := bytes.NewReader(payload); ; {
 			if _, err := readFrame(r, &st2, nil, 1<<20); err != nil {
@@ -204,11 +172,13 @@ func TestBadFrames(t *testing.T) {
 	if err := decode(huge, 50); err == nil {
 		t.Error("oversized frame accepted")
 	}
-	// Unknown kind.
+	// Unknown kinds, including the steal kinds version 1 had.
 	raw := appendDataFrame(nil, 0, runtime.Message{})
-	raw[4] = 99
-	if err := decode(raw, 0); err == nil {
-		t.Error("unknown kind accepted")
+	for _, kind := range []byte{4, 99} {
+		raw[4] = kind
+		if err := decode(raw, 0); err == nil {
+			t.Errorf("unknown kind %d accepted", kind)
+		}
 	}
 	// Bad hello magic.
 	raw = appendHelloFrame(nil, 0, 2)
@@ -216,11 +186,13 @@ func TestBadFrames(t *testing.T) {
 	if err := decode(raw, 0); err == nil {
 		t.Error("bad magic accepted")
 	}
-	// Wrong protocol version.
+	// Wrong protocol version, including version 1.
 	raw = appendHelloFrame(nil, 0, 2)
-	raw[prefixLen+4] = 0xFF
-	if err := decode(raw, 0); err == nil {
-		t.Error("wrong version accepted")
+	for _, v := range []byte{1, 0xFF} {
+		raw[prefixLen+4] = v
+		if err := decode(raw, 0); err == nil {
+			t.Errorf("protocol version %d accepted", v)
+		}
 	}
 	// Ctl tag length overrunning the body.
 	raw = appendCtlFrame(nil, 0, 1, opBarrier, "tag", nil)

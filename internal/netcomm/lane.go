@@ -221,7 +221,10 @@ func (l *lane) close() {
 // reconnection (or the peer's death report); a frame whose write fails is
 // retried on the next connection, so a transparent reconnect loses at most
 // what the kernel already buffered (which the runtime's reliable transport
-// recovers — see DESIGN.md on failure semantics).
+// recovers — see DESIGN.md on failure semantics). Steal messages are also
+// accounted apart (Stats.StealFramesSent/StealBytesSent and the
+// "wire:steal" trace class), so migration traffic never pollutes the
+// halo-exchange wire numbers.
 func (l *lane) sendData(epoch uint32, m runtime.Message) error {
 	var hdr [laneHdrLen]byte
 	n := putDataHeader(hdr[:], epoch, m)
@@ -232,27 +235,14 @@ func (l *lane) sendData(epoch uint32, m runtime.Message) error {
 	if l.t.nm != nil && m.Seq != 0 && !m.Ack {
 		l.noteRTTSend(m)
 	}
-	l.traceSend(start, "wire:send", int(m.Bundle), n+len(m.Data))
-	return nil
-}
-
-// sendSteal ships one steal-protocol message on the persistent connection,
-// with sendData's exact block-until-up and retry-on-reconnect discipline.
-// Steal frames are accounted separately (Stats.StealFramesSent/StealBytesSent
-// and the "wire:steal" trace class) so migration traffic never pollutes the
-// halo-exchange wire numbers, but they also count in the general frame/byte
-// totals — they are real bytes on the same socket.
-func (l *lane) sendSteal(epoch uint32, m runtime.StealMsg) error {
-	var hdr [laneHdrLen]byte
-	n := putStealHeader(hdr[:], epoch, m)
-	start, err := l.write(hdr[:n], m.Data)
-	if err != nil {
-		return err
-	}
 	wire := n + len(m.Data)
-	l.t.stealFramesSent.Add(1)
-	l.t.stealBytesSent.Add(int64(wire))
-	l.traceSend(start, "wire:steal", int(m.Task), wire)
+	if m.IsSteal() {
+		l.t.stealFramesSent.Add(1)
+		l.t.stealBytesSent.Add(int64(wire))
+		l.traceSend(start, "wire:steal", int(m.Task), wire)
+		return nil
+	}
+	l.traceSend(start, "wire:send", int(m.Bundle), wire)
 	return nil
 }
 
@@ -264,7 +254,7 @@ func (l *lane) sendBytes(b []byte) error {
 }
 
 // laneHdrLen sizes the lane's header scratch: the largest header a lane
-// encodes (data frames; steal headers are shorter).
+// encodes (data frames).
 const laneHdrLen = prefixLen + dataHdrLen
 
 // write is the lane's one send path: it waits for a live connection (or the

@@ -1,52 +1,15 @@
 package netcomm
 
 import (
-	"bytes"
 	"testing"
 
 	"castencil/internal/runtime"
 )
 
-// TestStealFrameRoundTrip pins the steal codec for all four protocol kinds:
-// the frame kind byte carries the steal kind, the body the shared header,
-// and a decode must return the identical message.
-func TestStealFrameRoundTrip(t *testing.T) {
-	msgs := []runtime.StealMsg{
-		{Kind: runtime.StealReq, From: 1, ID: 7, Task: -1},
-		{Kind: runtime.StealRsp, From: 0, ID: 7, Task: 42, Forced: true, Data: bytes.Repeat([]byte{0xC5}, 300)},
-		{Kind: runtime.StealRet, From: 1, ID: 8, Task: 42, Attempt: 3, Data: []byte("result payload")},
-		{Kind: runtime.StealAck, From: 0, ID: 8, Task: 42},
-	}
-	for _, m := range msgs {
-		f := mustFrame(t, appendStealFrame(nil, 5, m))
-		if !stealFrame(f.Kind) {
-			t.Fatalf("kind %d: frame kind %d is not a steal kind", m.Kind, f.Kind)
-		}
-		if f.Epoch != 5 {
-			t.Errorf("kind %d: epoch %d, want 5", m.Kind, f.Epoch)
-		}
-		g := f.Steal
-		if g.Kind != m.Kind || g.From != m.From || g.ID != m.ID || g.Task != m.Task ||
-			g.Forced != m.Forced || g.Attempt != m.Attempt || !bytes.Equal(g.Data, m.Data) {
-			t.Errorf("round trip mutated the message: sent %+v, got %+v", m, g)
-		}
-	}
-}
-
-// TestStealFrameTooShort pins rejection of a steal frame whose declared body
-// is shorter than the fixed header.
-func TestStealFrameTooShort(t *testing.T) {
-	raw := appendStealFrame(nil, 0, runtime.StealMsg{Kind: runtime.StealReq})
-	raw[0] = stealHdrLen - 1 // shrink the length prefix below the header
-	var st readState
-	if _, err := readFrame(bytes.NewReader(raw[:4+1+4+stealHdrLen-1]), &st, nil, 0); err == nil {
-		t.Error("undersized steal frame accepted")
-	}
-}
-
-// TestTransportStealExchange sends steal traffic and data traffic over the
-// same mesh and checks the two are accounted apart: steal frames appear in
-// both the general totals and the Steal* breakdown, so the halo-only view
+// TestTransportStealExchange sends steal messages and halo messages over
+// the same mesh as ordinary data frames and checks the two are accounted
+// apart: steal messages, and the acks of steal messages, appear in both the
+// general totals and the Steal* breakdown, so the halo-only view
 // (FramesSent - StealFramesSent) is unpolluted.
 func TestTransportStealExchange(t *testing.T) {
 	ts := newMesh(t, 2, nil)
@@ -56,84 +19,38 @@ func TestTransportStealExchange(t *testing.T) {
 	bindSink(t, ts[0], 2)
 	got1, _ := bindSink(t, ts[1], 2)
 	base := ts[0].Stats() // mesh bring-up already cost hello frames
-	steals := make(chan runtime.StealMsg, 8)
-	ts[1].BindSteal(func(m runtime.StealMsg) { steals <- m })
-	defer ts[1].BindSteal(nil)
 
-	if err := ts[0].SendSteal(1, runtime.StealMsg{Kind: runtime.StealReq, From: 0, ID: 1, Task: -1}); err != nil {
-		t.Fatal(err)
+	sent := []runtime.Message{
+		{Src: 0, Dst: 1, Task: -1, Dep: -1, Bundle: -1},                                     // probe
+		{Src: 0, Dst: 1, Task: 9, Data: []byte("halo")},                                     // halo
+		{Src: 0, Dst: 1, Task: 9, Dep: -10, Bundle: -1, Seq: 4, Data: []byte("tile bytes")}, // forced offer
+		{Src: 0, Dst: 1, Dep: -3, Seq: 2, Ack: true},                                        // ack of a return
 	}
-	if err := ts[0].Send(runtime.Message{Src: 0, Dst: 1, Task: 9, Data: []byte("halo")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts[0].SendSteal(1, runtime.StealMsg{Kind: runtime.StealRsp, From: 0, ID: 1, Task: 9, Forced: true, Data: []byte("tile bytes")}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		m := <-steals
-		if m.ID != 1 {
-			t.Errorf("steal delivery %d: id %d, want 1", i, m.ID)
+	for _, m := range sent {
+		if err := ts[0].Send(m); err != nil {
+			t.Fatal(err)
 		}
 	}
-	<-got1
-
-	if err := ts[0].SendSteal(0, runtime.StealMsg{}); err == nil {
-		t.Error("self-addressed steal frame accepted")
-	}
-	if err := ts[0].SendSteal(5, runtime.StealMsg{}); err == nil {
-		t.Error("out-of-range steal rank accepted")
+	for i, want := range sent {
+		if m := <-got1; m.Dep != want.Dep || m.IsSteal() != want.IsSteal() || string(m.Data) != string(want.Data) {
+			t.Errorf("delivery %d: got %+v, want %+v", i, m, want)
+		}
 	}
 
 	s := ts[0].Stats()
-	if got := s.StealFramesSent - base.StealFramesSent; got != 2 {
-		t.Errorf("StealFramesSent = %d, want 2", got)
+	if got := s.StealFramesSent - base.StealFramesSent; got != 3 {
+		t.Errorf("StealFramesSent = %d, want 3", got)
 	}
 	halo := (s.FramesSent - base.FramesSent) - (s.StealFramesSent - base.StealFramesSent)
 	if halo != 1 {
-		t.Errorf("halo-only frames = %d, want the 1 data frame", halo)
+		t.Errorf("halo-only frames = %d, want the 1 halo", halo)
 	}
 	stealB, totalB := s.StealBytesSent-base.StealBytesSent, s.BytesSent-base.BytesSent
-	if stealB == 0 || stealB >= totalB {
-		t.Errorf("steal bytes %d not a proper share of total %d", stealB, totalB)
+	if want := totalB - int64(prefixLen+dataHdrLen+len("halo")); stealB != want {
+		t.Errorf("steal bytes %d, want total %d minus the halo frame = %d", stealB, totalB, want)
 	}
 	r := ts[1].Stats()
-	if r.StealFramesRecv != 2 {
-		t.Errorf("receiver StealFramesRecv = %d, want 2", r.StealFramesRecv)
-	}
-}
-
-// BenchmarkStealRoundTrip measures one probe/offer exchange over a real
-// loopback lane: a payload-free StealReq one way, a tile-sized StealRsp
-// back — the latency-bound control path the protocol's timers are tuned to.
-func BenchmarkStealRoundTrip(b *testing.B) {
-	ts := newMesh(b, 2, nil)
-	for _, tr := range ts {
-		tr.Begin()
-	}
-	const tileBytes = 16 * 1024
-	reqs := make(chan runtime.StealMsg, 1)
-	offers := make(chan runtime.StealMsg, 1)
-	ts[1].BindSteal(func(m runtime.StealMsg) { reqs <- m })
-	ts[0].BindSteal(func(m runtime.StealMsg) { offers <- m })
-	defer ts[0].BindSteal(nil)
-	defer ts[1].BindSteal(nil)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		id := uint64(i + 1)
-		if err := ts[0].SendSteal(1, runtime.StealMsg{Kind: runtime.StealReq, From: 0, ID: id, Task: -1}); err != nil {
-			b.Fatal(err)
-		}
-		req := <-reqs
-		payload := runtime.GetBuf(tileBytes)
-		err := ts[1].SendSteal(0, runtime.StealMsg{Kind: runtime.StealRsp, From: 1, ID: req.ID, Task: 3, Data: payload})
-		runtime.PutBuf(payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		offer := <-offers
-		if offer.Data != nil {
-			runtime.PutBuf(offer.Data)
-		}
+	if r.StealFramesRecv != 3 || r.StealBytesRecv != stealB {
+		t.Errorf("receiver steal frames/bytes = %d/%d, want 3/%d", r.StealFramesRecv, r.StealBytesRecv, stealB)
 	}
 }

@@ -66,9 +66,9 @@ type binding struct {
 	fail     func(error)
 }
 
-// Stats is a snapshot of the transport's wire counters. Steal frames count
-// in both the general totals and the Steal* breakdown, so halo-only traffic
-// is FramesSent-StealFramesSent.
+// Stats is a snapshot of the transport's wire counters. Steal messages and
+// their acks (runtime.Message.IsSteal) count in both the general totals and
+// the Steal* breakdown, so halo-only traffic is FramesSent-StealFramesSent.
 type Stats struct {
 	FramesSent, FramesRecv           int64
 	BytesSent, BytesRecv             int64
@@ -90,10 +90,9 @@ type Transport struct {
 	deadline time.Duration
 	maxFrame int
 
-	epoch     atomic.Uint32
-	bind      atomic.Pointer[binding]
-	stealBind atomic.Pointer[func(runtime.StealMsg)]
-	col       *collectives
+	epoch atomic.Uint32
+	bind  atomic.Pointer[binding]
+	col   *collectives
 
 	jobs    chan []byte
 	closed  atomic.Bool
@@ -346,36 +345,18 @@ func (t *Transport) dispatch(l *lane, f Frame, sr *stampReader) {
 		t.nm.framesRecv.Inc()
 		t.nm.bytesRecv.Add(int64(wire))
 	}
-	if stealFrame(f.Kind) {
-		t.stealFramesRecv.Add(1)
-		t.stealBytesRecv.Add(int64(wire))
-		if sr != nil {
-			t0 := t.runT0()
-			t.tr.Record(trace.Event{
-				ID:   ptg.TaskID{Class: "wire:steal", I: l.peer, J: t.rank, K: int(f.Steal.Task)},
-				Kind: ptg.KindComm, Node: int32(t.rank), Core: 0,
-				Start: sr.stamp.Sub(t0), End: time.Since(t0), Msgs: 1, Bytes: wire,
-			})
-		}
-		h := t.stealBind.Load()
-		if f.Epoch != t.epoch.Load() || h == nil {
-			// Stale epoch, or no steal-enabled run is bound (e.g. a retransmit
-			// straggling past the drain barrier). Drop, recycling the payload.
-			t.staleFrames.Add(1)
-			if f.Steal.Data != nil {
-				runtime.PutBuf(f.Steal.Data)
-			}
-			return
-		}
-		(*h)(f.Steal)
-		return
-	}
 	switch f.Kind {
 	case kindData:
+		class, k := "wire:recv", int(f.Msg.Bundle)
+		if f.Msg.IsSteal() {
+			t.stealFramesRecv.Add(1)
+			t.stealBytesRecv.Add(int64(wire))
+			class, k = "wire:steal", int(f.Msg.Task)
+		}
 		if sr != nil {
 			t0 := t.runT0()
 			t.tr.Record(trace.Event{
-				ID:   ptg.TaskID{Class: "wire:recv", I: l.peer, J: t.rank, K: int(f.Msg.Bundle)},
+				ID:   ptg.TaskID{Class: class, I: l.peer, J: t.rank, K: k},
 				Kind: ptg.KindComm, Node: int32(t.rank), Core: 0,
 				Start: sr.stamp.Sub(t0), End: time.Since(t0), Msgs: 1, Bytes: wire,
 			})
@@ -425,12 +406,10 @@ func (t *Transport) dispatch(l *lane, f Frame, sr *stampReader) {
 // frameBodyLen reconstructs the body length of a decoded frame for byte
 // accounting.
 func frameBodyLen(f Frame) int {
-	switch {
-	case f.Kind == kindData:
+	switch f.Kind {
+	case kindData:
 		return dataHdrLen + len(f.Msg.Data)
-	case stealFrame(f.Kind):
-		return stealHdrLen + len(f.Steal.Data)
-	case f.Kind == kindHello:
+	case kindHello:
 		return helloLen
 	default:
 		return 5 + len(f.Ctl.Tag) + len(f.Ctl.Payload)
@@ -522,27 +501,6 @@ func (t *Transport) Send(m runtime.Message) error {
 		return fmt.Errorf("netcomm: message for node %d routes to own rank %d", m.Dst, t.rank)
 	}
 	return t.lanes[r].sendData(t.epoch.Load(), m)
-}
-
-// SendSteal ships a steal-protocol message to the given rank
-// (runtime.StealConduit). The retransmit layer above assumes the lane's FIFO
-// delivery per rank pair.
-func (t *Transport) SendSteal(dst int, m runtime.StealMsg) error {
-	if dst < 0 || dst >= len(t.addrs) || dst == t.rank {
-		return fmt.Errorf("netcomm: steal frame for invalid rank %d", dst)
-	}
-	return t.lanes[dst].sendSteal(t.epoch.Load(), m)
-}
-
-// BindSteal installs (or, with nil, removes) the handler inbound steal frames
-// are delivered to (runtime.StealConduit). The handler runs on the lane's
-// reader goroutine and must not block; it owns m.Data.
-func (t *Transport) BindSteal(h func(runtime.StealMsg)) {
-	if h == nil {
-		t.stealBind.Store(nil)
-		return
-	}
-	t.stealBind.Store(&h)
 }
 
 // Barrier blocks until every rank entered the barrier with this tag in the

@@ -212,8 +212,9 @@ func TestTransientHelloRefused(t *testing.T) {
 // TestZeroAllocLaneRoundTrip is the lane's steady-state allocation budget:
 // after warm-up, sending a payload-bearing message and receiving one back
 // performs zero heap allocations on the persistent lane (header array +
-// writev on the way out, pooled size-classed buffer on the way in) — for
-// data frames and for steal frames alike.
+// writev on the way out, pooled size-classed buffer on the way in) — for a
+// halo and its echo, and for a steal offer carrying task inputs out and its
+// return carrying results back.
 func TestZeroAllocLaneRoundTrip(t *testing.T) {
 	ts := newMesh(t, 2, nil)
 	for _, tr := range ts {
@@ -223,62 +224,35 @@ func TestZeroAllocLaneRoundTrip(t *testing.T) {
 	got1, _ := bindSink(t, ts[1], 2)
 
 	const payloadLen = 512
-	roundTrip := func() {
-		out := runtime.GetBuf(payloadLen)
-		if err := ts[0].Send(runtime.Message{Src: 0, Dst: 1, Task: 1, Data: out}); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name     string
+		out, ret int32 // Dep of the outbound message and of its answer
+	}{{"halo", 0, 0}, {"steal", -2, -3}} {
+		roundTrip := func() {
+			out := runtime.GetBuf(payloadLen)
+			if err := ts[0].Send(runtime.Message{Src: 0, Dst: 1, Task: 1, Dep: c.out, Data: out}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.PutBuf(out)
+			in := <-got1
+			echo := runtime.GetBuf(payloadLen)
+			copy(echo, in.Data)
+			runtime.PutBuf(in.Data)
+			if err := ts[1].Send(runtime.Message{Src: 1, Dst: 0, Task: 2, Dep: c.ret, Data: echo}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.PutBuf(echo)
+			back := <-got0
+			runtime.PutBuf(back.Data)
 		}
-		runtime.PutBuf(out)
-		in := <-got1
-		echo := runtime.GetBuf(payloadLen)
-		copy(echo, in.Data)
-		runtime.PutBuf(in.Data)
-		if err := ts[1].Send(runtime.Message{Src: 1, Dst: 0, Task: 2, Data: echo}); err != nil {
-			t.Fatal(err)
+		// Warm up: first sends populate the kernel iovec cache and the
+		// buffer pool's size classes.
+		for i := 0; i < 100; i++ {
+			roundTrip()
 		}
-		runtime.PutBuf(echo)
-		back := <-got0
-		runtime.PutBuf(back.Data)
-	}
-	// Warm up: first sends populate the kernel iovec cache and the buffer
-	// pool's size classes.
-	for i := 0; i < 100; i++ {
-		roundTrip()
-	}
-	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
-		t.Errorf("lane round trip allocates %.1f times per message pair, want 0", allocs)
-	}
-
-	// The same budget for a migration round trip: an offer carrying task
-	// inputs out, a return carrying results back.
-	steals0 := make(chan runtime.StealMsg, 1)
-	steals1 := make(chan runtime.StealMsg, 1)
-	ts[0].BindSteal(func(m runtime.StealMsg) { steals0 <- m })
-	ts[1].BindSteal(func(m runtime.StealMsg) { steals1 <- m })
-	defer ts[0].BindSteal(nil)
-	defer ts[1].BindSteal(nil)
-	stealTrip := func() {
-		out := runtime.GetBuf(payloadLen)
-		if err := ts[0].SendSteal(1, runtime.StealMsg{Kind: runtime.StealRsp, From: 0, ID: 1, Task: 3, Data: out}); err != nil {
-			t.Fatal(err)
+		if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+			t.Errorf("%s lane round trip allocates %.1f times per message pair, want 0", c.name, allocs)
 		}
-		runtime.PutBuf(out)
-		in := <-steals1
-		ret := runtime.GetBuf(payloadLen)
-		copy(ret, in.Data)
-		runtime.PutBuf(in.Data)
-		if err := ts[1].SendSteal(0, runtime.StealMsg{Kind: runtime.StealRet, From: 1, ID: 1, Task: 3, Data: ret}); err != nil {
-			t.Fatal(err)
-		}
-		runtime.PutBuf(ret)
-		back := <-steals0
-		runtime.PutBuf(back.Data)
-	}
-	for i := 0; i < 100; i++ {
-		stealTrip()
-	}
-	if allocs := testing.AllocsPerRun(200, stealTrip); allocs != 0 {
-		t.Errorf("lane steal round trip allocates %.1f times per frame pair, want 0", allocs)
 	}
 }
 

@@ -68,8 +68,8 @@ type Fabric struct {
 	Segments int
 	// MigMsgs and MigBytes count work-stealing migration transfers (task
 	// state out, results back). They are deliberately NOT folded into
-	// Messages/BytesSent: the real engine keeps steal frames out of its halo
-	// message counters too, so sim==real parity holds for both families.
+	// Messages/BytesSent: the real engine keeps steal messages out of its
+	// halo message counters too, so sim==real parity holds for both families.
 	MigMsgs  int
 	MigBytes int
 }
@@ -107,6 +107,12 @@ func (f *Fabric) Send(src, dst int, bytes int, ready time.Duration) time.Duratio
 	}
 	f.Messages++
 	f.BytesSent += bytes
+	return f.transfer(src, dst, bytes, ready)
+}
+
+// transfer charges one message's NIC occupancy on both sides and its wire
+// latency, returning when it is fully received.
+func (f *Fabric) transfer(src, dst int, bytes int, ready time.Duration) time.Duration {
 	ser := f.Serialization(bytes)
 
 	start := ready
@@ -143,36 +149,18 @@ func (f *Fabric) SendBundle(src, dst int, bytes, segments int, ready time.Durati
 	return done
 }
 
-// SendSteal schedules one work-stealing migration transfer (task inputs
+// SendMigration schedules one work-stealing migration transfer (task inputs
 // toward the thief, or results back toward the victim). The NIC math is
-// exactly Send's — the frames ride the same comm threads and wire — but the
-// traffic is accounted in MigMsgs/MigBytes instead of Messages/BytesSent,
-// mirroring the real transport's separate steal-frame counters.
-func (f *Fabric) SendSteal(src, dst int, bytes int, ready time.Duration) time.Duration {
+// exactly Send's — steal messages ride the same comm threads and wire — but
+// the traffic is accounted in MigMsgs/MigBytes instead of
+// Messages/BytesSent, as the real engine accounts it.
+func (f *Fabric) SendMigration(src, dst int, bytes int, ready time.Duration) time.Duration {
 	if src == dst {
 		return ready
 	}
 	f.MigMsgs++
 	f.MigBytes += bytes
-	ser := f.Serialization(bytes)
-
-	start := ready
-	if f.commFree[src] > start {
-		start = f.commFree[src]
-	}
-	injected := start + ser
-	f.commFree[src] = injected
-	f.commBusy[src] += ser
-
-	arrival := injected + f.net.Latency
-	recvStart := arrival
-	if f.commFree[dst] > recvStart {
-		recvStart = f.commFree[dst]
-	}
-	done := recvStart + ser
-	f.commFree[dst] = done
-	f.commBusy[dst] += ser
-	return done
+	return f.transfer(src, dst, bytes, ready)
 }
 
 // SendDropped charges a transmission that leaves src but never reaches its

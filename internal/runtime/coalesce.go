@@ -247,9 +247,10 @@ func (ex *executor) transfers(bi int32) int64 {
 }
 
 // msgTransfers is transfers for an in-flight message. Acks are control
-// traffic, not data transfers, so a discarded ack counts for nothing.
+// traffic and steal messages migration traffic, not data transfers, so a
+// discarded one counts for nothing.
 func (ex *executor) msgTransfers(m Message) int64 {
-	if m.Ack {
+	if m.Ack || m.IsSteal() {
 		return 0
 	}
 	return ex.transfers(msgIDOf(m).BundleIndex())

@@ -85,19 +85,17 @@ type Dist struct {
 
 // RankOfNode is the static node-placement function shared by every rank (and
 // by internal/netcomm for routing): virtual nodes are dealt to ranks in
-// contiguous blocks of ceil(nodes/ranks). Deterministic placement is what
-// lets every rank build the same graph and agree on ownership without any
-// exchange.
+// balanced contiguous blocks, rank r owning [⌊r·nodes/ranks⌋,
+// ⌊(r+1)·nodes/ranks⌋). Block sizes differ by at most one, so every rank owns
+// a node whenever ranks <= nodes, and an even split deals blocks of
+// nodes/ranks. Deterministic placement is what lets every rank build the
+// same graph and agree on ownership without any exchange.
 func RankOfNode(node, nodes, ranks int) int {
 	if ranks <= 1 || nodes <= 0 {
 		return 0
 	}
-	block := (nodes + ranks - 1) / ranks
-	r := node / block
-	if r >= ranks {
-		r = ranks - 1
-	}
-	return r
+	// The largest r whose block starts at or before node.
+	return ((node+1)*ranks - 1) / nodes
 }
 
 // validateDist sanity-checks a Dist against the graph before the run starts.

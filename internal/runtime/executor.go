@@ -21,9 +21,10 @@ import (
 
 // Message is one inter-node transfer: the payload of a cross-node
 // dependency, addressed by consumer task and dependency index — or, when
-// Bundle is nonzero, a coalesced halo bundle carrying many such payloads as
+// Bundle is positive, a coalesced halo bundle carrying many such payloads as
 // length-prefixed segments (see internal/runtime/coalesce.go for the wire
-// format).
+// format). A negative Dep marks a steal-protocol message instead (IsSteal;
+// see steal.go for how it uses Task, Dep and Bundle).
 type Message struct {
 	Src, Dst int32
 	Task     int32 // consumer task index (point-to-point only)
@@ -122,11 +123,11 @@ type Options struct {
 	Dist *Dist
 	// Steal, when non-nil and active, enables inter-node work stealing on a
 	// distributed run (see steal.go): starving ranks migrate ready tasks —
-	// with their input tiles — from data-affine peers over the conduit's
-	// steal frames. Requires Dist and a conduit implementing StealConduit.
-	// Every rank must be configured with the same policy. Migration never
-	// changes numerics: the final grid is bitwise-identical to a run
-	// without stealing.
+	// with their input tiles — from data-affine peers. Steal messages are
+	// ordinary wire messages, so they are reliable exactly when the run is
+	// (Recovery, or a plan that needs it). Requires Dist. Every rank must be
+	// configured with the same policy. Migration never changes numerics:
+	// the final grid is bitwise-identical to a run without stealing.
 	Steal *StealPolicy
 }
 
@@ -216,6 +217,9 @@ type execNode struct {
 	// point-to-point edge, or any member edge of a completed bundle.
 	sendQ chan ptg.OutEdge
 	inbox chan Message
+	// stealOut carries the steal agent's outbound messages; nil except on
+	// the rank's steal endpoint (see steal.go).
+	stealOut chan Message
 	// commReady is the comm goroutine's scratch for batched successor
 	// release after a bundle fan-out (only that goroutine touches it).
 	commReady []int32
@@ -403,13 +407,6 @@ func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) 
 		ex.reliable = true
 		ex.rec = opts.Recovery.WithDefaults()
 	}
-	if opts.Steal.active() {
-		ag, err := newStealAgent(ex)
-		if err != nil {
-			return nil, err
-		}
-		ex.agent = ag
-	}
 	for i := range g.Tasks {
 		ex.pending[i] = int32(len(g.Tasks[i].Deps))
 		if g.Tasks[i].Kind == ptg.KindInner {
@@ -463,6 +460,13 @@ func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) 
 		ex.nodes[n] = nd
 	}
 	ex.bundles = newExecBundles(plan, ex.nodes)
+	if opts.Steal.active() {
+		ag, err := newStealAgent(ex)
+		if err != nil {
+			return nil, err
+		}
+		ex.agent = ag
+	}
 	return ex, nil
 }
 
@@ -483,15 +487,7 @@ func (ex *executor) run() (*Result, error) {
 		if err := ex.dist.Net.Bind(g.NumNodes, ex.deliver, ex.fail); err != nil {
 			return nil, err
 		}
-		if ex.agent != nil {
-			// Steal frames must have a handler before any peer can probe:
-			// bound before the start barrier, like the data path.
-			ex.agent.sc.BindSteal(ex.agent.inject)
-		}
 		if err := ex.dist.Net.Barrier("start"); err != nil {
-			if ex.agent != nil {
-				ex.agent.sc.BindSteal(nil)
-			}
 			ex.dist.Net.Unbind()
 			return nil, err
 		}
@@ -574,9 +570,6 @@ func (ex *executor) run() (*Result, error) {
 	if ex.dist != nil {
 		if err == nil {
 			err = ex.distExchangeStats(res)
-		}
-		if ex.agent != nil {
-			ex.agent.sc.BindSteal(nil)
 		}
 		ex.dist.Net.Unbind()
 	}
@@ -945,6 +938,9 @@ func (ex *executor) comm(nd *execNode, wg *sync.WaitGroup) {
 		case m := <-nd.inbox:
 			ex.maybePause(nd)
 			ex.receive(nd, m)
+		case m := <-nd.stealOut:
+			ex.maybePause(nd)
+			ex.dispatch(nd, m)
 		case <-tickC:
 			ex.retransmitDue(nd)
 		case <-ex.commStop:
@@ -1048,6 +1044,17 @@ func (ex *executor) receive(nd *execNode, m Message) {
 		return
 	}
 	if ex.reliable && m.Seq != 0 && ex.dedup(nd, m) {
+		return
+	}
+	if m.IsSteal() {
+		if ex.agent == nil {
+			// A peer steals while this rank does not: the ranks were handed
+			// different policies, which would strand the migration.
+			PutBuf(m.Data)
+			ex.fail(fmt.Errorf("runtime: steal message from node %d, but this rank runs without Options.Steal", m.Src))
+			return
+		}
+		ex.agent.post(m)
 		return
 	}
 	if ex.overlapOn && m.SentNanos > 0 {

@@ -37,6 +37,12 @@ import (
 // Options.Intercept hook, and are not counted in Result.Messages/BytesSent
 // (the virtual-time engine models them as free, so the counters stay
 // engine-identical).
+//
+// This is the runtime's only reliable-delivery layer. Steal-protocol
+// messages (steal.go) ride it like halos, through their rank's endpoint
+// node: they are sequenced, injected, acked, deduplicated and retransmitted
+// by the same code and count in Result.Fault, but never in Messages,
+// BytesSent or Dropped — migration traffic is accounted apart.
 
 // laneSeq identifies one sequenced message on one ordered node pair: the
 // peer node (destination for the sender's pending table, source for the
@@ -192,8 +198,7 @@ func (ex *executor) inject(nd *execNode, m Message) {
 			ex.fStats.duplicated.Add(1)
 			ex.traceFault("dup", nd.id, m, 0)
 			// The duplicate is extra physical wire traffic.
-			ex.messages.Add(1)
-			ex.bytesSent.Add(int64(len(m.Data)))
+			ex.countCopy(m)
 		}
 		if delay > 0 {
 			ex.transmitAfter(copyPayload(m), delay)
@@ -233,11 +238,21 @@ func (ex *executor) dispatch(nd *execNode, m Message) {
 	ex.inject(nd, m)
 }
 
+// countCopy counts a duplicated or retransmitted copy of m as wire traffic,
+// unless m is a steal message (see the file comment).
+func (ex *executor) countCopy(m Message) {
+	if !m.IsSteal() {
+		ex.messages.Add(1)
+		ex.bytesSent.Add(int64(len(m.Data)))
+	}
+}
+
 // ack sends the acknowledgement for a received sequenced message. Acks
 // bypass fault injection and interception, and are not counted as wire
-// messages (see the file comment).
+// messages (see the file comment). An ack keeps its message's Dep, so the
+// ack of a steal message is steal traffic on the wire too.
 func (ex *executor) ack(nd *execNode, m Message) {
-	ex.deliver(Message{Src: nd.id, Dst: m.Src, Seq: m.Seq, Ack: true})
+	ex.deliver(Message{Src: nd.id, Dst: m.Src, Dep: m.Dep, Seq: m.Seq, Ack: true})
 }
 
 // handleAck retires the pending entry an ack settles. Comm-goroutine only.
@@ -299,8 +314,7 @@ func (ex *executor) retransmitDue(nd *execNode) {
 		m.Attempt = p.attempt
 		ex.traceFault("retransmit", nd.id, m, 0)
 		// A retransmission is real wire traffic, like in the simulator.
-		ex.messages.Add(1)
-		ex.bytesSent.Add(int64(len(m.Data)))
+		ex.countCopy(m)
 		ex.inject(nd, m)
 	}
 }

@@ -16,33 +16,37 @@ import (
 // Chase-Lev deques extended across ranks of a distributed run, per
 // "Distributed Work Stealing in a Task-Based Dataflow Runtime".
 //
-// One steal agent goroutine per rank speaks a four-message protocol over the
-// conduit's steal frames (StealReq/StealRsp/StealRet/StealAck). As a thief,
-// the agent probes data-affine victims when the rank's workers starve; a
-// victim answers by popping a migratable ready task and shipping its entire
-// input state (tile contents plus delivered halo payloads — the hooks
-// ptg.Graph.Hooks builds for the task once its steal is granted).
-// The thief executes the task against its replica store of the victim's node
-// (every rank allocates stores for all nodes) and ships the results back;
-// the victim commits them into the home store bitwise-identically to local
-// execution and releases the successors. Migration traffic is real wire
-// traffic, accounted separately (Result.StealsRemote/MigratedTasks/
-// MigratedBytes) from the dataflow's Messages/BytesSent.
+// One steal agent goroutine per rank speaks a three-message protocol
+// (request, offer, return). As a thief, the agent probes data-affine victims
+// when the rank's workers starve; a victim answers by popping a migratable
+// ready task and shipping its entire input state (tile contents plus
+// delivered halo payloads — the hooks ptg.Graph.Hooks builds for the task
+// once its steal is granted). The thief executes the task against its
+// replica store of the victim's node (every rank allocates stores for all
+// nodes) and ships the results back; the victim commits them into the home
+// store bitwise-identically to local execution and releases the successors.
+// Forced plans skip the request: the victim offers a pinned task the moment
+// it becomes ready. Migration traffic is real wire traffic, accounted apart
+// (Result.StealsRemote/MigratedTasks/MigratedBytes) from the dataflow's
+// Messages/BytesSent.
 //
-// Exactly-once under drops: each exchange carries a per-(victim,thief)
-// monotonic id. The thief owns the request/return retransmit timers, the
-// victim owns the forced-offer timer; the victim answers a retransmitted
-// request with the cached offer (same id, same task — never a second pop,
-// which could strand the first offer) and a duplicated return with a fresh
-// ack, committing only ids above its watermark. Lanes are FIFO and only
-// sender-side injected drops exist, so stale ids can simply be ignored.
+// A steal message is an ordinary Message between the endpoint nodes of two
+// ranks — each rank's first owned node. Its identity is a fault.MsgID like
+// any halo's: Task is the task (-1 on requests and empty offers), Dep the
+// negated kind (offset by 8 on forced exchanges, so it never collides with a
+// dependency index) and Bundle the negated exchange id. The endpoint's comm
+// goroutine sends, sequences, fault-injects, acks, deduplicates and
+// retransmits it exactly like a halo (fault.go) and hands each delivery to
+// the agent. Steal traffic is therefore reliable exactly when the run is,
+// and the protocol itself keeps no retransmit state: every message arrives
+// once, so a request is answered once and a return commits once.
 //
 // The drain barrier is the completion fence: a migrated task counts toward
 // the victim's total, so the victim cannot enter the "drain" barrier until
-// every migration committed; the thief's agent stays alive until commStop,
-// which closes only after its own barrier returns — which requires the
-// victim to have entered. Mid-flight migrations therefore always complete
-// before any agent shuts down.
+// every migration committed; the thief's agent and comm goroutines stay
+// alive until commStop, which closes only after its own barrier returns —
+// which requires the victim to have entered. Mid-flight migrations therefore
+// always complete before any agent shuts down.
 
 // StealMode selects the inter-node work-stealing policy of a distributed
 // run.
@@ -113,206 +117,94 @@ func (p *StealPolicy) active() bool {
 	return p != nil && (p.Mode != StealOff || len(p.Force) > 0)
 }
 
-// Steal protocol message kinds (StealMsg.Kind).
+// Steal protocol message kinds, carried negated in Message.Dep.
 const (
-	// StealReq is a thief's probe: "have you got a migratable task?".
-	StealReq byte = 1
-	// StealRsp is the victim's answer: a task offer carrying the packed
-	// input state, or an empty answer (Task < 0). With Forced set it is an
-	// unsolicited offer for a pinned task.
-	StealRsp byte = 2
-	// StealRet is the thief's return: the executed task's packed results.
-	StealRet byte = 3
-	// StealAck acknowledges a return, letting the thief free its cache.
-	StealAck byte = 4
+	// stealReq is a thief's probe: "have you got a migratable task?".
+	stealReq = 1
+	// stealRsp is the victim's answer: a task offer carrying the packed
+	// input state, or an empty answer (Task < 0). On a forced exchange it
+	// is an unsolicited offer for a pinned task.
+	stealRsp = 2
+	// stealRet is the thief's return: the executed task's packed results.
+	stealRet = 3
+	// stealForced offsets the kind of a forced exchange's messages.
+	stealForced = 8
 )
 
-// StealMsg is one steal-protocol message. It travels as a dedicated frame
-// kind on the conduit's existing lanes (internal/netcomm) so migration rides
-// the same sockets, buffers and tracing as halo traffic.
-type StealMsg struct {
-	Kind    byte
-	From    int    // sender rank
-	ID      uint64 // per-(victim,thief) exchange id, monotonic per Forced space
-	Task    int32  // task index; -1 on probes and empty answers
-	Forced  bool
-	Attempt int32 // delivery attempt, keying the fault plan
-	Data    []byte
-}
-
-// StealConduit is the optional steal extension of Conduit. A conduit that
-// implements it can carry steal frames; BindSteal's handler runs on the
-// transport's read goroutine and must never block (the agent's inbox send is
-// non-blocking — overflow drops are recovered by the protocol's retransmit
-// timers). BindSteal(nil) unbinds.
-type StealConduit interface {
-	SendSteal(dst int, m StealMsg) error
-	BindSteal(h func(StealMsg))
-}
-
-// stealMsgID maps a steal frame to its engine-independent fault identity:
-// Dep carries the negated protocol kind (forced exchanges offset by 8) so
-// steal decisions never collide with data-message identities, Bundle the
-// negated exchange id.
-func stealMsgID(src, dst int, m StealMsg) fault.MsgID {
-	kind := int32(m.Kind)
-	if m.Forced {
-		kind += 8
-	}
-	return fault.MsgID{Src: int32(src), Dst: int32(dst), Task: m.Task, Dep: -kind, Bundle: -int32(m.ID)}
-}
-
-// retained is the retransmit state of one timer-owned exchange: the last
-// message sent, kept until the peer's answer retires it, its delivery
-// attempt and its deadlines.
-type retained struct {
-	msg     StealMsg
-	attempt int32
-	firstAt time.Time
-	nextAt  time.Time
-}
-
-// arm retains m as attempt 0 of a fresh exchange and transmits it to peer.
-func (r *retained) arm(ag *stealAgent, peer int, m StealMsg, now time.Time) {
-	*r = retained{msg: m, firstAt: now, nextAt: now.Add(ag.rec.TimeoutAt(0))}
-	ag.transmit(peer, m, 0)
-}
-
-// resend transmits the retained message to peer as its next attempt.
-func (r *retained) resend(ag *stealAgent, peer int) {
-	r.attempt++
-	ag.transmit(peer, r.msg, r.attempt)
-}
-
-// tick retransmits the message when its timer is due and re-arms the
-// timer with the backed-off timeout. It reports true when the exchange
-// outlived the recovery deadline instead, which has failed the run.
-func (r *retained) tick(ag *stealAgent, peer int, now time.Time) (failed bool) {
-	if !now.After(r.nextAt) {
-		return false
-	}
-	if ag.expired(peer, r.firstAt, now, r.msg) {
-		return true
-	}
-	ag.ex.fStats.retransmits.Add(1)
-	r.resend(ag, peer)
-	r.nextAt = now.Add(ag.rec.TimeoutAt(r.attempt))
-	return false
-}
-
-// release recycles the retained message's payload.
-func (r *retained) release() {
-	if r.msg.Data != nil {
-		PutBuf(r.msg.Data)
-		r.msg.Data = nil
-	}
-}
-
-// stealExch is the thief's single in-flight pull exchange: a probe awaiting
-// an offer (task == -1), or an executed task awaiting its return ack.
-type stealExch struct {
-	victim int
-	id     uint64
-	task   int32
-	retained
-}
-
-// victimPull is the victim side of one thief's pull stream.
-type victimPull struct {
-	rspID   uint64    // highest probe id answered
-	rsp     *StealMsg // cached offer awaiting its return (nil after commit/empty)
-	attempt int32
-	doneID  uint64 // highest pull id committed
-}
-
-// victimForced is the victim side of the forced stream toward one thief: at
-// most one offer in flight (the victim owns its retransmit timer), later
-// pinned tasks queue behind it.
-type victimForced struct {
-	nextID   uint64
-	doneID   uint64
-	inFlight bool
-	retained
-	queue []int32
-}
-
-// thiefForced is the thief side of one victim's forced stream: the cached
-// return awaiting its ack (re-sent on duplicated offers and on the timer).
-type thiefForced struct {
-	lastID uint64
-	have   bool
-	retained
-}
+// IsSteal reports whether m is a steal-protocol message (see the file
+// comment). The acks of steal messages carry the same Dep, so transports
+// count them as steal traffic too.
+func (m Message) IsSteal() bool { return m.Dep < 0 }
 
 // stealAgent is a rank's steal-protocol endpoint, one goroutine per
 // executor. All fields below the channels are owned by that goroutine.
 type stealAgent struct {
-	ex  *executor
-	sc  StealConduit
-	rec fault.Recovery
+	ex *executor
+	// ep is the rank's endpoint node: its comm goroutine carries every steal
+	// message this rank sends or receives.
+	ep *execNode
 
-	inbox   chan StealMsg // fed by the conduit's read goroutine, non-blocking
-	forcedQ chan int32    // pinned tasks diverted at their readiness site
-	starve  chan struct{} // starvation signal from parking workers
+	inbox   chan Message     // deliveries from the endpoint's comm goroutine
+	forcedQ chan int32       // pinned tasks diverted at their readiness site
+	starve  chan struct{}    // starvation signal from parking workers
+	retry   <-chan time.Time // probe backoff; nil while not backing off
+
+	// nextID numbers the exchanges this rank starts (probes and forced
+	// offers); an answer reuses its request's id.
+	nextID int32
 
 	// Thief state.
-	victims   []int // remote ranks, most data-affine first
-	vIdx      int
-	pullID    uint64
-	cur       *stealExch
-	hungry    bool
-	empties   int
-	backoff   time.Duration
-	nextProbe time.Time
-	fIn       map[int]*thiefForced
-
-	// Victim state.
-	pull map[int]*victimPull
-	fOut map[int]*victimForced
+	victims []int // remote ranks, most data-affine first
+	vIdx    int
+	probing bool
+	hungry  bool
+	empties int
+	backoff time.Duration
 }
 
 const (
 	stealProbeBackoffMin = time.Millisecond
 	stealProbeBackoffMax = 50 * time.Millisecond
+	// stealQueueLen buffers the agent's inbox and its endpoint's outbound
+	// queue. A rank pair has a few steal messages in flight at a time (one
+	// probe per thief, its offer and return, plus forced offers), so the
+	// queues rarely fill; past it the inbox spills (post) and the outbound
+	// queue blocks, which cannot deadlock because the comm goroutine never
+	// blocks on the agent.
+	stealQueueLen = 64
 )
 
 // newStealAgent validates the policy against the run and builds the agent.
-// Called from Run after the distribution state is set up.
+// Called from newExecutor once the nodes exist.
 func newStealAgent(ex *executor) (*stealAgent, error) {
-	pol := ex.opts.Steal
 	if ex.dist == nil {
 		return nil, fmt.Errorf("runtime: Options.Steal requires a distributed run (Options.Dist)")
 	}
-	sc, ok := ex.dist.Net.(StealConduit)
-	if !ok {
-		return nil, fmt.Errorf("runtime: conduit %T does not support steal frames (StealConduit)", ex.dist.Net)
-	}
-	forced, err := ex.g.PinForced(pol.Force, ex.dist.Ranks, func(n int) int { return int(ex.nodeRank[n]) })
+	forced, err := ex.g.PinForced(ex.opts.Steal.Force, ex.dist.Ranks, func(n int) int { return int(ex.nodeRank[n]) })
 	if err != nil {
 		return nil, err
 	}
 	if len(forced) > 0 {
 		ex.forcedSteal = forced
 	}
-	rec := fault.DefaultRecovery().WithDefaults()
-	if ex.reliable {
-		rec = ex.rec
-	}
 	ag := &stealAgent{
 		ex:      ex,
-		sc:      sc,
-		rec:     rec,
-		inbox:   make(chan StealMsg, 256),
+		ep:      ex.nodes[ex.endpoint(ex.dist.Rank)],
+		inbox:   make(chan Message, stealQueueLen),
 		forcedQ: make(chan int32, len(forced)+1),
 		starve:  make(chan struct{}, 1),
 		victims: ex.rankAffinity(),
 		backoff: stealProbeBackoffMin,
-		fIn:     make(map[int]*thiefForced),
-		pull:    make(map[int]*victimPull),
-		fOut:    make(map[int]*victimForced),
 	}
+	ag.ep.stealOut = make(chan Message, stealQueueLen)
 	ex.stealAvg = make([]atomic.Int64, ex.g.NumNodes)
 	return ag, nil
+}
+
+// endpoint returns the steal endpoint of a rank: the first node RankOfNode
+// deals it.
+func (ex *executor) endpoint(rank int) int32 {
+	return int32(rank * ex.g.NumNodes / ex.dist.Ranks)
 }
 
 // rankAffinity orders the remote ranks for victim selection: ranks whose
@@ -373,16 +265,38 @@ func (ex *executor) divert(idx int32) bool {
 	return true
 }
 
-// inject is the conduit's steal-frame handler. It runs on the transport's
-// read goroutine and must never block: an overflowing inbox drops the frame
-// (recycling its payload) and lets the retransmit timers recover.
-func (ag *stealAgent) inject(m StealMsg) {
+// post hands one deduplicated steal delivery from the endpoint's comm
+// goroutine to the agent. The comm goroutine must never block on the agent
+// (the agent blocks on it when sending), so a full inbox spills to a
+// tracked background send, like deliver's.
+func (ag *stealAgent) post(m Message) {
 	select {
 	case ag.inbox <- m:
 	default:
-		if m.Data != nil {
-			PutBuf(m.Data)
-		}
+		ex := ag.ex
+		ex.bgWg.Add(1)
+		go func() {
+			defer ex.bgWg.Done()
+			select {
+			case ag.inbox <- m:
+			case <-ex.commStop:
+				PutBuf(m.Data)
+			}
+		}()
+	}
+}
+
+// send addresses one steal message to a peer endpoint and queues it on this
+// rank's endpoint comm goroutine, which owns the wire from there on.
+func (ag *stealAgent) send(dst int32, kind int32, forced bool, id, task int32, data []byte) {
+	if forced {
+		kind += stealForced
+	}
+	m := newMessage(fault.MsgID{Src: ag.ep.id, Dst: dst, Task: task, Dep: -kind, Bundle: -id}, data)
+	select {
+	case ag.ep.stealOut <- m:
+	case <-ag.ex.commStop:
+		PutBuf(data)
 	}
 }
 
@@ -392,19 +306,13 @@ func (ag *stealAgent) inject(m StealMsg) {
 func (ag *stealAgent) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	ex := ag.ex
-	iv := ag.rec.Timeout / 4
-	if iv < time.Millisecond {
-		iv = time.Millisecond
-	}
-	tick := time.NewTicker(iv)
-	defer tick.Stop()
 	for {
 		select {
 		case <-ex.commStop:
 			ag.drain()
 			return
 		case idx := <-ag.forcedQ:
-			ag.guard(func() { ag.forcedReady(idx) })
+			ag.guard(func() { ag.offerForced(idx) })
 		case m := <-ag.inbox:
 			ag.guard(func() { ag.handle(m) })
 		case <-ag.starve:
@@ -412,8 +320,9 @@ func (ag *stealAgent) run(wg *sync.WaitGroup) {
 			ag.empties = 0
 			ag.backoff = stealProbeBackoffMin
 			ag.guard(ag.maybeProbe)
-		case <-tick.C:
-			ag.guard(ag.tick)
+		case <-ag.retry:
+			ag.retry = nil
+			ag.guard(ag.maybeProbe)
 		}
 	}
 }
@@ -429,121 +338,35 @@ func (ag *stealAgent) guard(f func()) {
 	f()
 }
 
-// drain empties the inbox at shutdown, recycling payload buffers, and frees
-// the retained retransmission caches.
+// drain empties the inbox at shutdown, recycling payload buffers.
 func (ag *stealAgent) drain() {
 	for {
 		select {
 		case m := <-ag.inbox:
-			if m.Data != nil {
-				PutBuf(m.Data)
-			}
+			PutBuf(m.Data)
 		default:
-			if c := ag.cur; c != nil {
-				c.release()
-			}
-			for _, vp := range ag.pull {
-				if vp.rsp != nil && vp.rsp.Data != nil {
-					PutBuf(vp.rsp.Data)
-					vp.rsp = nil
-				}
-			}
-			for _, vf := range ag.fOut {
-				if vf.inFlight {
-					vf.release()
-				}
-			}
-			for _, tf := range ag.fIn {
-				if tf.have {
-					tf.release()
-				}
-			}
 			return
 		}
-	}
-}
-
-// transmit ships one steal frame through the fault plan's wire: steal
-// traffic is droppable like any other frame (identity via stealMsgID), and
-// every drop is recovered by an owner's retransmit timer.
-func (ag *stealAgent) transmit(dst int, m StealMsg, attempt int32) {
-	ex := ag.ex
-	m.Attempt = attempt
-	if ex.fplan != nil && ex.fplan.ShouldDrop(stealMsgID(ex.dist.Rank, dst, m), attempt) {
-		ex.fStats.dropped.Add(1)
-		return
-	}
-	if err := ag.sc.SendSteal(dst, m); err != nil {
-		ex.fail(err)
 	}
 }
 
 // handle dispatches one inbound protocol message.
-func (ag *stealAgent) handle(m StealMsg) {
-	switch m.Kind {
-	case StealReq:
-		ag.onReq(m)
-	case StealRsp:
-		if m.Forced {
-			ag.onForcedRsp(m)
-		} else {
-			ag.onPullRsp(m)
-		}
-	case StealRet:
-		ag.onRet(m)
-	case StealAck:
-		if m.Forced {
-			ag.onForcedAck(m)
-		} else {
-			ag.onPullAck(m)
-		}
+func (ag *stealAgent) handle(m Message) {
+	kind, forced := -m.Dep, false
+	if kind > stealForced {
+		kind, forced = kind-stealForced, true
+	}
+	switch kind {
+	case stealReq:
+		ag.answer(m)
+	case stealRsp:
+		ag.onOffer(m, forced)
+	case stealRet:
+		ag.ex.commitMigrated(m.Task, m.Data)
 	}
 }
 
-// tick drives the retransmit timers (thief-owned probe/return, victim-owned
-// forced offer) and the probe backoff. Runs until commStop: a rank keeps
-// recovering peers' exchanges past its own local completion.
-func (ag *stealAgent) tick() {
-	now := time.Now()
-	if c := ag.cur; c != nil && c.tick(ag, c.victim, now) {
-		return
-	}
-	for thief, vf := range ag.fOut {
-		if vf.inFlight && vf.tick(ag, thief, now) {
-			return
-		}
-	}
-	for victim, tf := range ag.fIn {
-		if tf.have && tf.tick(ag, victim, now) {
-			return
-		}
-	}
-	if ag.hungry && ag.cur == nil && now.After(ag.nextProbe) {
-		ag.maybeProbe()
-	}
-}
-
-// expired fails the run with a structured report when an exchange has been
-// retransmitting past the recovery deadline — the same graceful degradation
-// the reliable data transport applies.
-func (ag *stealAgent) expired(peer int, first, now time.Time, m StealMsg) bool {
-	waited := now.Sub(first)
-	if waited < ag.rec.Deadline {
-		return false
-	}
-	ag.ex.fStats.timeouts.Add(1)
-	ag.ex.fail(&fault.Report{
-		ID:       stealMsgID(ag.ex.dist.Rank, peer, m),
-		Seq:      m.ID,
-		Attempts: m.Attempt + 1,
-		Waited:   waited,
-		Deadline: ag.rec.Deadline,
-		Stats:    ag.ex.faultStats(),
-	})
-	return true
-}
-
-// --- thief: probing ---
+// --- thief ---
 
 // maybeProbe sends the next steal probe if the rank is hungry, idle-handed
 // and actually out of local work. Dynamic pulling is what Mode enables;
@@ -554,11 +377,7 @@ func (ag *stealAgent) maybeProbe() {
 	if ex.opts.Steal.Mode == StealOff {
 		return
 	}
-	if !ag.hungry || ag.cur != nil || len(ag.victims) == 0 || ex.done.Load() {
-		return
-	}
-	now := time.Now()
-	if now.Before(ag.nextProbe) {
+	if !ag.hungry || ag.probing || ag.retry != nil || len(ag.victims) == 0 || ex.done.Load() {
 		return
 	}
 	for _, nd := range ex.nodes {
@@ -575,217 +394,63 @@ func (ag *stealAgent) maybeProbe() {
 	}
 	v := ag.victims[ag.vIdx%len(ag.victims)]
 	ag.vIdx++
-	ag.pullID++
-	ag.cur = &stealExch{victim: v, id: ag.pullID, task: -1}
-	ag.cur.arm(ag, v, StealMsg{Kind: StealReq, From: ex.dist.Rank, ID: ag.pullID, Task: -1}, now)
+	ag.nextID++
+	ag.probing = true
+	ag.send(ex.endpoint(v), stealReq, false, ag.nextID, -1, nil)
 }
 
-// onPullRsp handles the victim's answer to this rank's probe: execute the
-// offer and start the return exchange, or move on (next victim, or backed-off
-// retry after a full empty round).
-func (ag *stealAgent) onPullRsp(m StealMsg) {
-	c := ag.cur
-	if c == nil || c.task != -1 || m.ID != c.id || m.From != c.victim {
-		if m.Data != nil {
-			PutBuf(m.Data)
-		}
-		return
-	}
-	if m.Task < 0 {
-		ag.cur = nil
-		ag.empties++
-		if ag.empties >= len(ag.victims) {
-			// A full round of empty answers: everyone is as poor as we
-			// are — back off before the next round.
-			ag.empties = 0
-			ag.backoff *= 2
-			if ag.backoff > stealProbeBackoffMax {
-				ag.backoff = stealProbeBackoffMax
+// onOffer handles a victim's offer: execute it and return the results. An
+// answer to this rank's probe also moves the probing on — an empty one to
+// the next victim, or to a backed-off retry after a full empty round.
+func (ag *stealAgent) onOffer(m Message, forced bool) {
+	if !forced {
+		ag.probing = false
+		if m.Task < 0 {
+			ag.empties++
+			if ag.empties >= len(ag.victims) {
+				// A full round of empty answers: everyone is as poor as we
+				// are — back off before the next round.
+				ag.empties = 0
+				ag.backoff = min(2*ag.backoff, stealProbeBackoffMax)
+				ag.retry = time.After(ag.backoff)
+				return
 			}
-			ag.nextProbe = time.Now().Add(ag.backoff)
+			ag.maybeProbe()
 			return
 		}
+		ag.empties = 0
+		ag.backoff = stealProbeBackoffMin
+	}
+	out := ag.ex.execMigrated(m.Task, m.Data)
+	if out == nil {
+		return
+	}
+	ag.send(m.Src, stealRet, forced, -m.Bundle, m.Task, out)
+	if !forced {
 		ag.maybeProbe()
-		return
 	}
-	ag.empties = 0
-	ag.backoff = stealProbeBackoffMin
-	out := ag.ex.execMigrated(m.Task, m.Data)
-	if out == nil {
-		ag.cur = nil
-		return
-	}
-	c.task = m.Task
-	c.arm(ag, c.victim, StealMsg{Kind: StealRet, From: ag.ex.dist.Rank, ID: c.id, Task: m.Task, Data: out}, time.Now())
 }
 
-// onPullAck retires the thief's completed pull exchange.
-func (ag *stealAgent) onPullAck(m StealMsg) {
-	c := ag.cur
-	if c == nil || c.task < 0 || m.ID != c.id || m.From != c.victim {
-		return
-	}
-	c.release()
-	ag.cur = nil
-	ag.maybeProbe()
-}
+// --- victim ---
 
-// --- thief: forced offers from victims ---
-
-// onForcedRsp executes an unsolicited pinned-task offer, deduplicating the
-// victim's retransmissions against the per-victim id.
-func (ag *stealAgent) onForcedRsp(m StealMsg) {
-	tf := ag.fIn[m.From]
-	if tf == nil {
-		tf = &thiefForced{}
-		ag.fIn[m.From] = tf
-	}
-	if tf.lastID != 0 && m.ID <= tf.lastID {
-		if m.Data != nil {
-			PutBuf(m.Data)
-		}
-		if tf.have && m.ID == tf.lastID {
-			// Our return is still unacked — the duplicated offer doubles as
-			// a retransmission prompt.
-			tf.resend(ag, m.From)
-		}
-		return
-	}
-	out := ag.ex.execMigrated(m.Task, m.Data)
-	if out == nil {
-		return
-	}
-	tf.lastID = m.ID
-	tf.have = true
-	tf.arm(ag, m.From, StealMsg{Kind: StealRet, From: ag.ex.dist.Rank, ID: m.ID, Task: m.Task, Forced: true, Data: out}, time.Now())
-}
-
-// onForcedAck frees the thief's cached forced return.
-func (ag *stealAgent) onForcedAck(m StealMsg) {
-	tf := ag.fIn[m.From]
-	if tf == nil || !tf.have || m.ID != tf.lastID {
-		return
-	}
-	tf.release()
-	tf.have = false
-}
-
-// --- victim: serving probes and returns ---
-
-func (ag *stealAgent) pullState(thief int) *victimPull {
-	vp := ag.pull[thief]
-	if vp == nil {
-		vp = &victimPull{}
-		ag.pull[thief] = vp
-	}
-	return vp
-}
-
-// onReq answers a thief's probe: pop a migratable ready task and offer it
-// with its packed input state, or answer empty. A retransmitted probe gets
-// the cached answer — never a second pop for the same id, which could strand
-// the first offer at a thief that moved on.
-func (ag *stealAgent) onReq(m StealMsg) {
+// answer serves a thief's probe: pop a migratable ready task and offer it
+// with its packed input state, or answer empty.
+func (ag *stealAgent) answer(m Message) {
 	ex := ag.ex
-	vp := ag.pullState(m.From)
-	if m.ID < vp.rspID || m.ID <= vp.doneID {
-		return // stale duplicate of an exchange the thief completed
-	}
-	if m.ID == vp.rspID {
-		vp.attempt++
-		if vp.rsp != nil {
-			ag.transmit(m.From, *vp.rsp, vp.attempt)
-		} else {
-			ag.transmit(m.From, StealMsg{Kind: StealRsp, From: ex.dist.Rank, ID: m.ID, Task: -1}, vp.attempt)
-		}
-		return
-	}
-	vp.rspID = m.ID
-	vp.attempt = 0
-	vp.rsp = nil
-	rsp := StealMsg{Kind: StealRsp, From: ex.dist.Rank, ID: m.ID, Task: -1}
+	task, in := int32(-1), []byte(nil)
 	if idx, ok := ex.stealPop(); ok {
 		t := &ex.g.Tasks[idx]
-		rsp.Task = idx
-		rsp.Data = ex.g.Hooks(t).PackIn(ex.nodes[t.Node].store)
-		cp := rsp
-		vp.rsp = &cp
+		task, in = idx, ex.g.Hooks(t).PackIn(ex.nodes[t.Node].store)
 	}
-	ag.transmit(m.From, rsp, 0)
+	ag.send(m.Src, stealRsp, false, -m.Bundle, task, in)
 }
 
-// onRet commits a returned migration (forced or pulled) exactly once and
-// acks it, then — on the forced stream — launches the next queued offer.
-func (ag *stealAgent) onRet(m StealMsg) {
-	ex := ag.ex
-	if m.Forced {
-		vf := ag.fOut[m.From]
-		if vf == nil || m.ID <= vf.doneID || !vf.inFlight || m.ID != vf.msg.ID {
-			// Duplicate (or unknown) return: the commit already happened;
-			// re-ack so the thief stops retransmitting.
-			if m.Data != nil {
-				PutBuf(m.Data)
-			}
-			ag.transmit(m.From, StealMsg{Kind: StealAck, From: ex.dist.Rank, ID: m.ID, Task: m.Task, Forced: true}, 0)
-			return
-		}
-		ex.commitMigrated(vf.msg.Task, m.Data)
-		vf.doneID = m.ID
-		vf.inFlight = false
-		vf.release()
-		ag.transmit(m.From, StealMsg{Kind: StealAck, From: ex.dist.Rank, ID: m.ID, Task: m.Task, Forced: true}, 0)
-		if len(vf.queue) > 0 {
-			idx := vf.queue[0]
-			vf.queue = vf.queue[1:]
-			ag.sendForced(m.From, vf, idx)
-		}
-		return
-	}
-	vp := ag.pullState(m.From)
-	if m.ID <= vp.doneID || vp.rsp == nil || vp.rsp.ID != m.ID {
-		if m.Data != nil {
-			PutBuf(m.Data)
-		}
-		ag.transmit(m.From, StealMsg{Kind: StealAck, From: ex.dist.Rank, ID: m.ID, Task: m.Task}, 0)
-		return
-	}
-	task := vp.rsp.Task
-	if vp.rsp.Data != nil {
-		PutBuf(vp.rsp.Data)
-	}
-	vp.rsp = nil
-	vp.doneID = m.ID
-	ex.commitMigrated(task, m.Data)
-	ag.transmit(m.From, StealMsg{Kind: StealAck, From: ex.dist.Rank, ID: m.ID, Task: m.Task}, 0)
-}
-
-// --- victim: forced offers ---
-
-// forcedReady starts (or queues) the forced migration of a pinned task that
-// just became ready.
-func (ag *stealAgent) forcedReady(idx int32) {
-	thief := ag.ex.forcedSteal[idx]
-	vf := ag.fOut[thief]
-	if vf == nil {
-		vf = &victimForced{}
-		ag.fOut[thief] = vf
-	}
-	if vf.inFlight {
-		vf.queue = append(vf.queue, idx)
-		return
-	}
-	ag.sendForced(thief, vf, idx)
-}
-
-func (ag *stealAgent) sendForced(thief int, vf *victimForced, idx int32) {
+// offerForced ships a pinned task that just became ready to its thief.
+func (ag *stealAgent) offerForced(idx int32) {
 	ex := ag.ex
 	t := &ex.g.Tasks[idx]
-	vf.nextID++
-	vf.inFlight = true
-	vf.arm(ag, thief, StealMsg{
-		Kind: StealRsp, From: ex.dist.Rank, ID: vf.nextID,
-		Task: idx, Forced: true, Data: ex.g.Hooks(t).PackIn(ex.nodes[t.Node].store),
-	}, time.Now())
+	ag.nextID++
+	ag.send(ex.endpoint(ex.forcedSteal[idx]), stealRsp, true, ag.nextID, idx, ex.g.Hooks(t).PackIn(ex.nodes[t.Node].store))
 }
 
 // --- executor-side mechanics ---

@@ -78,7 +78,7 @@ func GridSHA256(g *Tile) string {
 }
 
 // RankOfNode is the static node→rank placement every rank agrees on:
-// virtual nodes are dealt to ranks in contiguous blocks of
-// ceil(nodes/ranks). Exposed so callers can predict which rank holds which
-// node's data.
+// virtual nodes are dealt to ranks in balanced contiguous blocks, rank r
+// owning nodes [⌊r·nodes/ranks⌋, ⌊(r+1)·nodes/ranks⌋). Exposed so callers
+// can predict which rank holds which node's data.
 func RankOfNode(node, nodes, ranks int) int { return runtime.RankOfNode(node, nodes, ranks) }

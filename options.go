@@ -111,10 +111,10 @@ type RunOptions struct {
 	// many jobs). Overrides RankAddrs.
 	Conduit Conduit
 	// Steal configures inter-node work stealing for a distributed run
-	// (zero value = off). Requires a transport implementing steal frames
-	// (the TCP conduit does). In Sim, forced migrations are mirrored in
-	// virtual time; dynamic modes have no virtual-time analogue and are
-	// ignored.
+	// (zero value = off). Steal messages ride the transport like halos and
+	// are reliable exactly when the run is. In Sim, forced migrations are
+	// mirrored in virtual time; dynamic modes have no virtual-time analogue
+	// and are ignored.
 	Steal StealPolicy
 	// Ctx bounds the run on either engine: a cancelled or deadline-exceeded
 	// context stops workers and communication goroutines promptly (task
