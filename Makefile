@@ -18,9 +18,10 @@ race:
 	$(GO) test -race ./...
 
 # Short benchmark pass over the hot-path microbenchmarks: exercises the
-# zero-alloc and fast-kernel paths without paper-scale runtimes.
+# zero-alloc and fast-kernel paths and the graph build at three benchmark
+# workload shapes, without paper-scale runtimes.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'MsgRoundTrip|Kernel|PackBytes|UnpackBytes' \
+	$(GO) test -run '^$$' -bench 'MsgRoundTrip|Kernel|PackBytes|UnpackBytes|BuildGraph' \
 		-benchtime 100x -benchmem \
 		./internal/core/ ./internal/stencil/ ./internal/grid/
 

@@ -166,9 +166,8 @@ func TestRunReusesTileStores(t *testing.T) {
 // on its shapes: what bodies add to a graph — per task its body closure, per
 // cross-node edge its Pack/Unpack pair — may cost at most 48 B per added
 // task. A body capturing its weights and update rectangle costs ~190 B.
-// Each build is measured as its smallest of five: the growth of the
-// builder's task-index map varies with its hash seed, by up to ~200 KB from
-// one build to the next.
+// Each build is measured as its smallest of five, since the process-wide
+// allocation counter also counts whatever the runtime allocates meanwhile.
 func TestBuildBytesPerTask(t *testing.T) {
 	for _, v := range []Variant{Base, CA} {
 		build := func(steps int, bodies bool) (bytes float64, tasks int) {

@@ -63,6 +63,9 @@ type builder struct {
 	// epochs is the number of compute tasks per tile: Steps for the
 	// per-step variants, ceil(Steps/w) wavefront blocks for WF.
 	epochs int
+	// keyIter[k] is the first iteration of flow key k (see flowKey), -1
+	// for the key of no flows; -2 marks a key no iteration has.
+	keyIter [numFlowKeys]int
 }
 
 // tile returns the geometry of tile (ti, tj).
@@ -91,6 +94,110 @@ func (b *builder) effWidth(t int) int {
 // a cost-only graph for internal/desim.
 func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
 	cfg = cfg.withDefaults()
+	bd, err := newBuilder(v, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var ins, outs [numFlowKeys]haloFlows
+	gb := ptg.NewBuilder(bd.part.Nodes())
+	gb.Grow(len(bd.tiles)*(bd.epochs+1), 0)
+	if cfg.WithBodies {
+		bd.allocSlots(gb)
+	}
+	// Tasks: one chain per tile, epochs 0 (init) .. epochs — one task per
+	// step for Base/CA, one per wavefront block for WF. Their migration
+	// sizes share one backing array, sized exactly so the pointers into it
+	// stay valid.
+	migs := make([]ptg.Migration, 0, len(bd.tiles)*bd.epochs)
+	deps := 0
+	for i := range bd.tiles {
+		inf := &bd.tiles[i]
+		bd.tileHalo(inf, &ins, &outs)
+		for t := 0; t <= bd.epochs; t++ {
+			task := ptg.Task{
+				ID:       taskID(inf.ti, inf.tj, t),
+				Node:     inf.node,
+				Kind:     bd.kind(inf, t),
+				Priority: bd.priority(inf, t),
+				// The iteration index is the exchange epoch: all halo
+				// payloads a node produces at one iteration toward one
+				// neighbor may ride a single coalesced bundle.
+				Epoch: int32(t),
+			}
+			in, out := &ins[bd.flowKey(t-1)], &outs[bd.flowKey(t)]
+			task.Hint = bd.hint(inf, t, in.points+out.points)
+			if cfg.WithBodies {
+				task.Run = bd.body(inf, t)
+			}
+			if t > 0 {
+				// The full ghost-inclusive tile plus every consumed halo
+				// travel to a thief, the tile plus every produced halo
+				// travel back (see migHooks); init never migrates.
+				full := fullRect(inf).Bytes()
+				migs = append(migs, ptg.Migration{InBytes: full + 8*in.points, OutBytes: full + 8*out.points})
+				task.Mig = &migs[len(migs)-1]
+				deps += 1 + in.count
+			}
+			if _, err := gb.AddTask(task); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// Dependencies, each consumer's together and in task order.
+	gb.Grow(0, deps)
+	for i := range bd.tiles {
+		inf := &bd.tiles[i]
+		bd.tileHalo(inf, &ins, &outs)
+		for t := 1; t <= bd.epochs; t++ {
+			c := bd.task(inf, t)
+			// Serial self-dependency: the tile's double buffer.
+			if err := gb.AddDepIdx(c, c-1, ptg.Dep{}); err != nil {
+				return nil, err
+			}
+			in := &ins[bd.flowKey(t-1)]
+			for _, d := range grid.AllDirs {
+				if in.rect[d].Size() == 0 {
+					continue
+				}
+				p := inf.nbr[d]
+				dep := ptg.Dep{}
+				if p.node != inf.node {
+					dep.Bytes = in.rect[d].Bytes()
+					if cfg.WithBodies {
+						ss := bd.slotOf(p.sendSlot[d.Opposite()], inf, t-1)
+						rs := bd.slotOf(inf.recvSlot[d], inf, t-1)
+						dep.Pack = func(e ptg.Env) []byte { return e.TakeBufSlot(ss) }
+						// Zero-copy: the in-flight payload itself becomes the
+						// consumer-side buffer.
+						dep.Unpack = func(e ptg.Env, data []byte) { e.PutBufSlot(rs, data) }
+					}
+				}
+				if err := gb.AddDepIdx(c, bd.task(p, t-1), dep); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	g, err := gb.Build()
+	if err == nil && cfg.Transform == TransformSplit {
+		g, err = ptg.ApplyTransforms(g, &splitPass{b: bd})
+	}
+	if err != nil {
+		return nil, err
+	}
+	if cfg.WithBodies {
+		g.Hooks = bd.migHooks
+	}
+	return g, nil
+}
+
+func taskID(ti, tj, t int) ptg.TaskID {
+	return ptg.TaskID{Class: "st", I: ti, J: tj, K: t}
+}
+
+// newBuilder lays out the tiles of a variant's graph under cfg (defaults
+// applied) and classes its iterations by flow key.
+func newBuilder(v Variant, cfg Config) (*builder, error) {
 	part, err := cfg.Validate(v)
 	if err != nil {
 		return nil, err
@@ -127,101 +234,13 @@ func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
 	if v == WF {
 		bd.epochs = (cfg.Steps + cfg.Wavefront - 1) / cfg.Wavefront
 	}
-	gb := ptg.NewBuilder(part.Nodes())
-	gb.Grow(len(bd.tiles)*(bd.epochs+1), 0)
-	if cfg.WithBodies {
-		bd.allocSlots(gb)
+	for k := range bd.keyIter {
+		bd.keyIter[k] = -2
 	}
-	// Tasks: one chain per tile, epochs 0 (init) .. epochs — one task per
-	// step for Base/CA, one per wavefront block for WF. Their migration
-	// sizes share one backing array, sized exactly so the pointers into it
-	// stay valid.
-	migs := make([]ptg.Migration, 0, len(bd.tiles)*bd.epochs)
-	deps := 0
-	for i := range bd.tiles {
-		inf := &bd.tiles[i]
-		for t := 0; t <= bd.epochs; t++ {
-			task := ptg.Task{
-				ID:       taskID(inf.ti, inf.tj, t),
-				Node:     inf.node,
-				Kind:     bd.kind(inf, t),
-				Priority: bd.priority(inf, t),
-				// The iteration index is the exchange epoch: all halo
-				// payloads a node produces at one iteration toward one
-				// neighbor may ride a single coalesced bundle.
-				Epoch: int32(t),
-			}
-			in, out, flows := bd.haloPoints(inf, t)
-			task.Hint = bd.hint(inf, t, in+out)
-			if cfg.WithBodies {
-				task.Run = bd.body(inf, t)
-			}
-			if t > 0 {
-				// The full ghost-inclusive tile plus every consumed halo
-				// travel to a thief, the tile plus every produced halo
-				// travel back (see migHooks); init never migrates.
-				full := fullRect(inf).Bytes()
-				migs = append(migs, ptg.Migration{InBytes: full + 8*in, OutBytes: full + 8*out})
-				task.Mig = &migs[len(migs)-1]
-				deps += 1 + flows
-			}
-			if _, err := gb.AddTask(task); err != nil {
-				return nil, err
-			}
-		}
+	for t := bd.epochs - 1; t >= -1; t-- {
+		bd.keyIter[bd.flowKey(t)] = t
 	}
-	// Dependencies, each consumer's together and in task order.
-	gb.Grow(0, deps)
-	for i := range bd.tiles {
-		inf := &bd.tiles[i]
-		for t := 1; t <= bd.epochs; t++ {
-			c := bd.task(inf, t)
-			// Serial self-dependency: the tile's double buffer.
-			if err := gb.AddDepIdx(c, c-1, ptg.Dep{}); err != nil {
-				return nil, err
-			}
-			for _, d := range grid.AllDirs {
-				p := inf.nbr[d]
-				if p == nil {
-					continue
-				}
-				depth, ok := bd.flow(p, d.Opposite(), t-1)
-				if !ok {
-					continue
-				}
-				dep := ptg.Dep{}
-				if p.node != inf.node {
-					dep.Bytes = bd.sendRect(p, d.Opposite(), depth).Bytes()
-					if cfg.WithBodies {
-						ss := bd.slotOf(p.sendSlot[d.Opposite()], inf, t-1)
-						rs := bd.slotOf(inf.recvSlot[d], inf, t-1)
-						dep.Pack = func(e ptg.Env) []byte { return e.TakeBufSlot(ss) }
-						// Zero-copy: the in-flight payload itself becomes the
-						// consumer-side buffer.
-						dep.Unpack = func(e ptg.Env, data []byte) { e.PutBufSlot(rs, data) }
-					}
-				}
-				if err := gb.AddDepIdx(c, bd.task(p, t-1), dep); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	g, err := gb.Build()
-	if err == nil && cfg.Transform == TransformSplit {
-		g, err = ptg.ApplyTransforms(g, &splitPass{b: bd})
-	}
-	if err != nil {
-		return nil, err
-	}
-	if cfg.WithBodies {
-		g.Hooks = bd.migHooks
-	}
-	return g, nil
-}
-
-func taskID(ti, tj, t int) ptg.TaskID {
-	return ptg.TaskID{Class: "st", I: ti, J: tj, K: t}
+	return bd, nil
 }
 
 // stateSlots returns, by row-major tile index, the general slot holding each
@@ -447,26 +466,74 @@ func (b *builder) region(inf *tileInfo, t int) grid.Rect {
 	}
 }
 
-// haloPoints returns the halo points tile inf unpacks from its incoming
-// flows of iteration t, the points it packs into its outgoing flows after
-// it, and the number of incoming flows.
-func (b *builder) haloPoints(inf *tileInfo, t int) (in, out, flows int) {
-	for _, d := range grid.AllDirs {
-		if p := inf.nbr[d]; p != nil {
-			if depth, ok := b.flow(p, d.Opposite(), t-1); ok {
-				in += b.sendRect(p, d.Opposite(), depth).Size()
-				flows++
+// haloFlows is one side of a tile task's halo exchange: the rectangle the
+// flow from or toward each direction packs (empty where none flows; a flow
+// carries at least one point), their count and their total points.
+type haloFlows struct {
+	rect          [grid.NumDirs]grid.Rect
+	count, points int
+}
+
+// flowKey classes iteration t by the flows every tile produces after it.
+// flow depends on t only through whether t lies outside the iterations,
+// starts the truncated final CA phase or the final wavefront block, or
+// starts a CA phase at all: mid-phase a CA tile feeds only its interior
+// neighbors, the same one-deep halos at every step. So there are four
+// keys, and a tile's halo geometry is computed once per key (see
+// tileHalo), not once per task:
+//
+//	0  no flows (t < 0 or past the last iteration)
+//	1  the truncated final CA phase's start, or the final wavefront block
+//	2  a full CA phase's start; every other Base and WF iteration
+//	3  a CA iteration within a phase
+func (b *builder) flowKey(t int) int {
+	switch {
+	case t < 0 || t >= b.epochs:
+		return 0
+	case b.v == WF && t == b.epochs-1:
+		return 1
+	case b.v != CA:
+		return 2
+	case t%b.cfg.StepSize != 0:
+		return 3
+	case b.cfg.Steps-t < b.cfg.StepSize:
+		return 1
+	}
+	return 2
+}
+
+// numFlowKeys is the number of flow keys.
+const numFlowKeys = 4
+
+// tileHalo fills, for every flow key k, in[k] with the halos tile inf
+// unpacks at an iteration t with flowKey(t-1) == k, and out[k] with those
+// it packs after an iteration t with flowKey(t) == k.
+func (b *builder) tileHalo(inf *tileInfo, in, out *[numFlowKeys]haloFlows) {
+	add := func(h *haloFlows, d grid.Dir, rc grid.Rect) {
+		h.rect[d] = rc
+		h.count++
+		h.points += rc.Size()
+	}
+	for k, t := range b.keyIter {
+		in[k], out[k] = haloFlows{}, haloFlows{}
+		if t == -2 {
+			continue
+		}
+		for _, d := range grid.AllDirs {
+			if p := inf.nbr[d]; p != nil {
+				if depth, ok := b.flow(p, d.Opposite(), t); ok {
+					add(&in[k], d, b.sendRect(p, d.Opposite(), depth))
+				}
+			}
+			if depth, ok := b.flow(inf, d, t); ok {
+				add(&out[k], d, b.sendRect(inf, d, depth))
 			}
 		}
-		if depth, ok := b.flow(inf, d, t); ok {
-			out += b.sendRect(inf, d, depth).Size()
-		}
 	}
-	return in, out, flows
 }
 
 // hint computes the DES cost quantities of a task whose incoming and
-// outgoing halos (see haloPoints) total halo points.
+// outgoing halos (see tileHalo) total halo points.
 func (b *builder) hint(inf *tileInfo, t, halo int) ptg.CostHint {
 	h := ptg.CostHint{Rows: inf.rows, Cols: inf.cols, CopyPoints: halo}
 	if t == 0 {
@@ -676,22 +743,17 @@ type migFlow struct {
 }
 
 // migFlows returns the halo flows the compute task of tile inf at iteration
-// t consumes and those it produces — the flows haloPoints counts.
+// t consumes and those it produces — the flows tileHalo counts.
 func (b *builder) migFlows(inf *tileInfo, t int) (ins, outs []migFlow) {
+	var in, out [numFlowKeys]haloFlows
+	b.tileHalo(inf, &in, &out)
+	hin, hout := &in[b.flowKey(t-1)], &out[b.flowKey(t)]
 	for _, d := range grid.AllDirs {
-		if p := inf.nbr[d]; p != nil {
-			if depth, ok := b.flow(p, d.Opposite(), t-1); ok {
-				ins = append(ins, migFlow{
-					slot:  b.slotOf(inf.recvSlot[d], inf, t-1),
-					bytes: b.sendRect(p, d.Opposite(), depth).Bytes(),
-				})
-			}
+		if rc := hin.rect[d]; rc.Size() > 0 {
+			ins = append(ins, migFlow{slot: b.slotOf(inf.recvSlot[d], inf, t-1), bytes: rc.Bytes()})
 		}
-		if depth, ok := b.flow(inf, d, t); ok {
-			outs = append(outs, migFlow{
-				slot:  b.slotOf(inf.sendSlot[d], inf.nbr[d], t),
-				bytes: b.sendRect(inf, d, depth).Bytes(),
-			})
+		if rc := hout.rect[d]; rc.Size() > 0 {
+			outs = append(outs, migFlow{slot: b.slotOf(inf.sendSlot[d], inf.nbr[d], t), bytes: rc.Bytes()})
 		}
 	}
 	return ins, outs

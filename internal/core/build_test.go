@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"testing"
 
+	"castencil/internal/grid"
 	"castencil/internal/ptg"
 	"castencil/internal/runtime"
 )
@@ -49,8 +51,9 @@ func graphHash(g *ptg.Graph) uint64 {
 		put(t.Hint.CopyPoints)
 		flag(t.Run != nil)
 		put(len(t.Deps))
-		for _, d := range t.Deps {
-			put(int(d.Producer))
+		for _, e := range t.Deps {
+			d := g.Dep(e)
+			put(int(e.Producer))
 			put(d.Bytes)
 			flag(d.Pack != nil)
 			flag(d.Unpack != nil)
@@ -201,6 +204,39 @@ func TestBuildAllocsPerTask(t *testing.T) {
 	}
 }
 
+// TestBuildGraphBytesPerTask gates the size of the cost-only graph, on
+// TestBuildAllocsPerTask's shape and by its two-Steps method: each added
+// task may cost at most 330 bytes in all — the task, its migration sizes,
+// its edges and out-edges, its slots in the task index and what Build's
+// one topological pass allocates. Each build is measured as its smallest
+// of three, as in TestBuildBytesPerTask.
+func TestBuildGraphBytesPerTask(t *testing.T) {
+	for _, v := range []Variant{Base, CA} {
+		build := func(steps int) (bytes float64, tasks int) {
+			cfg := Config{N: 256, TileRows: 8, P: 2, Steps: steps, StepSize: 4}
+			least := uint64(math.MaxUint64)
+			for i := 0; i < 3; i++ {
+				least = min(least, allocBytes(func() {
+					g, err := BuildGraph(v, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tasks = len(g.Tasks)
+				}))
+			}
+			return float64(least), tasks
+		}
+		b1, n1 := build(4)
+		b2, n2 := build(12)
+		per := (b2 - b1) / float64(n2-n1)
+		t.Logf("%v: %.1f B per added task", v, per)
+		if per > 330 {
+			t.Errorf("%v: %.1f B per added task (%.0f B for %d tasks, %.0f B for %d), want <= 330",
+				v, per, b1, n1, b2, n2)
+		}
+	}
+}
+
 // TestRunAllocsPerTask is the execution-side twin of TestBuildAllocsPerTask:
 // running a cost-only graph allocates a fixed number of objects, not a few
 // per task, with coalescing off and on. Each task added by running more
@@ -225,6 +261,83 @@ func TestRunAllocsPerTask(t *testing.T) {
 			if per := (a2 - a1) / float64(n2-n1); per > 0.05 {
 				t.Errorf("%v/%v: %.3f allocations per added task (%v for %d tasks, %v for %d), want <= 0.05",
 					v, mode, per, a1, n1, a2, n2)
+			}
+		}
+	}
+}
+
+// BenchmarkBuildGraph times graph construction at three benchmark workload
+// shapes: ca-small-tiles and mesh-base-p2p build with bodies for the real
+// engine, sim-paper builds the cost-only graph the simulator replays.
+func BenchmarkBuildGraph(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		v    Variant
+		cfg  Config
+	}{
+		{"ca-small-tiles", CA, Config{N: 512, TileRows: 16, P: 2, Steps: 48, StepSize: 4, WithBodies: true}},
+		{"mesh-base-p2p", Base, Config{N: 512, TileRows: 32, P: 2, Steps: 100, WithBodies: true}},
+		{"sim-paper", CA, Config{N: 11520, TileRows: 288, P: 2, Steps: 50, StepSize: 15}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildGraph(c.v, c.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestTileHaloMatchesFlows checks the claim flowKey rests on: on every
+// tile, at every iteration, the halos tileHalo computes once per flow key
+// are exactly those flow yields for that iteration — across variants,
+// both stencils, step sizes and widths that divide the step count or
+// truncate the final phase or block, and ragged edge tiles.
+func TestTileHaloMatchesFlows(t *testing.T) {
+	for _, v := range []Variant{Base, CA, WF} {
+		for _, nine := range []bool{false, true} {
+			for _, steps := range []int{1, 2, 5, 6, 12} {
+				for _, s := range []int{1, 2, 3, 4} {
+					cfg := Config{N: 52, TileRows: 8, P: 2, Steps: steps, StepSize: s, Wavefront: s, NinePoint: nine}
+					bd, err := newBuilder(v, cfg.withDefaults())
+					if err != nil {
+						t.Fatalf("%v %+v: %v", v, cfg, err)
+					}
+					checkTileHalo(t, bd)
+				}
+			}
+		}
+	}
+}
+
+func checkTileHalo(t *testing.T, bd *builder) {
+	t.Helper()
+	direct := func(inf *tileInfo, it int) (in, out haloFlows) {
+		for _, d := range grid.AllDirs {
+			if p := inf.nbr[d]; p != nil {
+				if depth, ok := bd.flow(p, d.Opposite(), it-1); ok {
+					rc := bd.sendRect(p, d.Opposite(), depth)
+					in.rect[d], in.count, in.points = rc, in.count+1, in.points+rc.Size()
+				}
+			}
+			if depth, ok := bd.flow(inf, d, it); ok {
+				rc := bd.sendRect(inf, d, depth)
+				out.rect[d], out.count, out.points = rc, out.count+1, out.points+rc.Size()
+			}
+		}
+		return in, out
+	}
+	var ins, outs [numFlowKeys]haloFlows
+	for i := range bd.tiles {
+		inf := &bd.tiles[i]
+		bd.tileHalo(inf, &ins, &outs)
+		for it := 0; it <= bd.epochs; it++ {
+			in, out := direct(inf, it)
+			if ins[bd.flowKey(it-1)] != in || outs[bd.flowKey(it)] != out {
+				t.Fatalf("%v %+v: tile (%d,%d) iteration %d: tileHalo gives in %+v out %+v, flow gives in %+v out %+v",
+					bd.v, bd.cfg, inf.ti, inf.tj, it, ins[bd.flowKey(it-1)], outs[bd.flowKey(it)], in, out)
 			}
 		}
 	}

@@ -66,9 +66,9 @@ func runSerially(t *testing.T, g *ptg.Graph) handoff {
 		i := ready[0]
 		ready = ready[1:]
 		task := &g.Tasks[i]
-		for _, d := range task.Deps {
-			if d.Pack != nil {
-				d.Unpack(h.stores[task.Node], d.Pack(h.stores[g.Tasks[d.Producer].Node]))
+		for _, e := range task.Deps {
+			if d := g.Dep(e); d.Pack != nil {
+				d.Unpack(h.stores[task.Node], d.Pack(h.stores[g.Tasks[e.Producer].Node]))
 			}
 		}
 		env := &recordingEnv{Store: h.stores[task.Node]}

@@ -81,19 +81,16 @@ type splitGeom struct {
 // are never shrunk: there the update rect ends at the global boundary,
 // whose ghost cells are time-invariant. A task with no incoming flows
 // (init, CA boundary mid-phase) or a tile too thin to hold a non-empty
-// interior stays unsplit.
-func (b *builder) splitGeom(inf *tileInfo, t int) splitGeom {
+// interior stays unsplit. halo holds the iteration's incoming halos (see
+// tileHalo).
+func (b *builder) splitGeom(inf *tileInfo, t int, halo *haloFlows) splitGeom {
 	var sg splitGeom
 	if b.v == WF || t < 1 || t > b.epochs {
 		return sg
 	}
 	any := false
 	for _, d := range grid.AllDirs {
-		p := inf.nbr[d]
-		if p == nil {
-			continue
-		}
-		if _, ok := b.flow(p, d.Opposite(), t-1); ok {
+		if halo.rect[d].Size() > 0 {
 			sg.has[d] = true
 			any = true
 		}
@@ -195,6 +192,7 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 	nb := ptg.NewBuilder(g.NumNodes)
 	nb.PresetSlots(g.NodeSlots, g.NodeBufSlots)
 	geoms := make([]splitGeom, len(g.Tasks))
+	var ins, outs [numFlowKeys]haloFlows
 	// Pass 1: tasks. Split hints partition the original exactly: the
 	// interior and border Updates/RedundantUpdates sum to the unsplit
 	// task's, incoming CopyPoints land on the border task that unpacks
@@ -204,9 +202,11 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 	for ti := 0; ti < b.part.TR; ti++ {
 		for tj := 0; tj < b.part.TC; tj++ {
 			inf := b.tile(ti, tj)
+			b.tileHalo(inf, &ins, &outs)
 			for t := 0; t <= b.epochs; t++ {
 				orig := g.Tasks[b.task(inf, t)]
-				sg := b.splitGeom(inf, t)
+				halo := &ins[b.flowKey(t-1)]
+				sg := b.splitGeom(inf, t, halo)
 				geoms[b.task(inf, t)] = sg
 				if !sg.ok {
 					if _, err := nb.AddTask(orig); err != nil {
@@ -247,9 +247,7 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 						},
 					}
 					if sg.has[d] {
-						p := inf.nbr[d]
-						depth, _ := b.flow(p, d.Opposite(), t-1)
-						bt.Hint.CopyPoints = b.sendRect(p, d.Opposite(), depth).Size()
+						bt.Hint.CopyPoints = halo.rect[d].Size()
 					}
 					if withBodies {
 						bt.Run = b.partBody(inf, t, rc, d, sg.has[d])
@@ -263,8 +261,7 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 				// The commit task only merges partial buffers; its Run is not
 				// the original kernel, so the migration hooks don't apply.
 				ct.Mig = nil
-				_, out, _ := b.haloPoints(inf, t)
-				ct.Hint = ptg.CostHint{Rows: inf.rows, Cols: inf.cols, CopyPoints: out}
+				ct.Hint = ptg.CostHint{Rows: inf.rows, Cols: inf.cols, CopyPoints: outs[b.flowKey(t)].points}
 				if withBodies {
 					ct.Run = b.commitBody(inf, t)
 				}
@@ -286,7 +283,7 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 					// IDs are unchanged whether or not the producer was
 					// split (its commit keeps the ID).
 					for _, dp := range orig.Deps {
-						if err := nb.AddDep(orig.ID, g.Tasks[dp.Producer].ID, dp); err != nil {
+						if err := nb.AddDep(orig.ID, g.Tasks[dp.Producer].ID, g.Dep(dp)); err != nil {
 							return nil, err
 						}
 					}
@@ -328,8 +325,8 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 						// Each (consumer, producer) tile pair carries exactly
 						// one flow per iteration.
 						pi := b.task(inf.nbr[d], t-1)
-						i := slices.IndexFunc(orig.Deps, func(dp ptg.Dep) bool { return dp.Producer == pi })
-						if err := nb.AddDep(bid, g.Tasks[pi].ID, orig.Deps[i]); err != nil {
+						i := slices.IndexFunc(orig.Deps, func(dp ptg.Edge) bool { return dp.Producer == pi })
+						if err := nb.AddDep(bid, g.Tasks[pi].ID, g.Dep(orig.Deps[i])); err != nil {
 							return nil, err
 						}
 					}

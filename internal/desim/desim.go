@@ -619,7 +619,7 @@ func (s *sim) sendMsg(sIdx, di int32, at time.Duration) {
 		return
 	}
 	id := fault.EdgeMsgID(src, c.Node, sIdx, di)
-	arrive, ok := s.sendCross(id, d.Bytes, 0, at)
+	arrive, ok := s.sendCross(id, int(d.Bytes), 0, at)
 	if !ok {
 		return
 	}

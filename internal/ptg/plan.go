@@ -33,6 +33,15 @@ type Plan struct {
 	out               []OutEdge
 	outOff            []int32 // task i's out-edges are out[outOff[i]:outOff[i+1]]
 	laneMax           []int   // nodes x nodes, row = source; nil without bundles
+	// cross lists the cross-node edges in (consumer, dep) order, recorded by
+	// the point-to-point plan for bundled to group.
+	cross []crossEdge
+}
+
+// crossEdge is one cross-node dependency: the consumer task, the index of
+// the dependency in its Deps, and the position of its out-edge in Plan.out.
+type crossEdge struct {
+	task, dep, out int32
 }
 
 // Out returns the out-edges of task producer, ordered by consumer index,
@@ -70,9 +79,10 @@ func (g *Graph) Plan(mode CoalesceMode) (*Plan, error) {
 	return p, nil
 }
 
-// pointToPoint lays out the graph's out-edges in CSR form and counts one
-// wire message per cross-node dependency: the CoalesceOff plan, computed
-// once by Build and shared by every plan of the graph.
+// pointToPoint lays out the graph's out-edges in CSR form, counts one wire
+// message per cross-node dependency and records those dependencies: the
+// CoalesceOff plan, computed once by Build and shared by every plan of the
+// graph.
 func (g *Graph) pointToPoint() *Plan {
 	n := len(g.Tasks)
 	p := &Plan{
@@ -80,14 +90,15 @@ func (g *Graph) pointToPoint() *Plan {
 		CrossOut: make([]int, g.NumNodes),
 		outOff:   make([]int32, n+1),
 	}
+	cross := 0
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
-		for di := range t.Deps {
-			prod := t.Deps[di].Producer
-			p.outOff[prod+1]++
-			if src := g.Tasks[prod].Node; src != t.Node {
+		for _, d := range t.Deps {
+			p.outOff[d.Producer+1]++
+			if src := g.Tasks[d.Producer].Node; src != t.Node {
 				p.CrossOut[src]++
 				p.CrossIn[t.Node]++
+				cross++
 			}
 		}
 	}
@@ -97,12 +108,17 @@ func (g *Graph) pointToPoint() *Plan {
 	// Walking consumers in index order fills each producer's window in
 	// (consumer, dep) order.
 	p.out = make([]OutEdge, p.outOff[n])
+	p.cross = make([]crossEdge, 0, cross)
 	next := slices.Clone(p.outOff[:n])
 	for i := range g.Tasks {
-		for di := range g.Tasks[i].Deps {
-			prod := g.Tasks[i].Deps[di].Producer
-			p.out[next[prod]] = OutEdge{Consumer: int32(i), Dep: int32(di), Bundle: -1}
-			next[prod]++
+		t := &g.Tasks[i]
+		for di, d := range t.Deps {
+			k := next[d.Producer]
+			p.out[k] = OutEdge{Consumer: int32(i), Dep: int32(di), Bundle: -1}
+			next[d.Producer]++
+			if g.Tasks[d.Producer].Node != t.Node {
+				p.cross = append(p.cross, crossEdge{task: int32(i), dep: int32(di), out: k})
+			}
 		}
 	}
 	return p
@@ -116,46 +132,35 @@ type bundleKey struct {
 
 // bundled builds the CoalesceStep plan: every cross-node dependency joins
 // the bundle of its (producer node, consumer node, producer epoch) triple.
+// It walks only the cross-node edges the point-to-point plan recorded.
 func (g *Graph) bundled() (*Plan, error) {
 	base := g.plan
-	key := func(prod, cons int32) (bundleKey, bool) {
-		p, c := &g.Tasks[prod], &g.Tasks[cons]
-		return bundleKey{src: p.Node, dst: c.Node, epoch: p.Epoch}, p.Node != c.Node
-	}
-	// Number the bundles in first-seen order and size them, then carve
-	// every bundle's member list out of one array and fill it in the same
-	// (task, dep) order.
+	// Number the bundles in first-seen order and size them, remembering
+	// each cross edge's bundle, then carve every bundle's member list out
+	// of one array and fill it in the same (task, dep) order.
 	byKey := map[bundleKey]int32{}
 	var bundles []Bundle
 	var count []int
-	for i := range g.Tasks {
-		for _, d := range g.Tasks[i].Deps {
-			k, cross := key(d.Producer, int32(i))
-			if !cross {
-				continue
-			}
-			bi, ok := byKey[k]
-			if !ok {
-				bi = int32(len(bundles))
-				byKey[k] = bi
-				bundles = append(bundles, Bundle{Src: k.src, Dst: k.dst, Epoch: k.epoch})
-				count = append(count, 0)
-			}
-			bundles[bi].Bytes += d.Bytes
-			count[bi]++
+	of := make([]int32, len(base.cross))
+	for k, c := range base.cross {
+		cons := &g.Tasks[c.task]
+		d := cons.Deps[c.dep]
+		prod := &g.Tasks[d.Producer]
+		key := bundleKey{src: prod.Node, dst: cons.Node, epoch: prod.Epoch}
+		bi, ok := byKey[key]
+		if !ok {
+			bi = int32(len(bundles))
+			byKey[key] = bi
+			bundles = append(bundles, Bundle{Src: key.src, Dst: key.dst, Epoch: key.epoch})
+			count = append(count, 0)
 		}
+		bundles[bi].Bytes += int(d.Bytes)
+		count[bi]++
+		of[k] = bi
 	}
-	members := make([]BundleMember, g.stats.CrossDeps)
+	members := make([]BundleMember, len(base.cross))
 	for bi := range bundles {
 		bundles[bi].Members, members = members[:0:count[bi]], members[count[bi]:]
-	}
-	for i := range g.Tasks {
-		for di, d := range g.Tasks[i].Deps {
-			if k, cross := key(d.Producer, int32(i)); cross {
-				b := &bundles[byKey[k]]
-				b.Members = append(b.Members, BundleMember{Task: int32(i), Dep: int32(di)})
-			}
-		}
 	}
 
 	p := &Plan{
@@ -166,12 +171,10 @@ func (g *Graph) bundled() (*Plan, error) {
 		outOff:   base.outOff,
 		laneMax:  make([]int, g.NumNodes*g.NumNodes),
 	}
-	for prod := range g.Tasks {
-		for k := p.outOff[prod]; k < p.outOff[prod+1]; k++ {
-			if bk, cross := key(int32(prod), p.out[k].Consumer); cross {
-				p.out[k].Bundle = byKey[bk]
-			}
-		}
+	for k, c := range base.cross {
+		b := &bundles[of[k]]
+		b.Members = append(b.Members, BundleMember{Task: c.task, Dep: c.dep})
+		p.out[c.out].Bundle = of[k]
 	}
 	for i := range bundles {
 		b := &bundles[i]

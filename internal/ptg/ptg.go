@@ -12,22 +12,29 @@
 // reserves at build time (see Env), so every flow is resolved before the
 // graph runs.
 //
-// Layout and ordering contract: Build stores all Deps in one array
-// (compressed sparse row form), each Task's being a capacity-clamped
+// Layout and ordering contract: the built graph is flat, pointer-free
+// data wherever it is per edge. Build stores every dependency as a 16-byte
+// Edge (producer, consumer, transfer, payload size, all int32) in one array
+// (compressed sparse row form), each Task's Deps being a capacity-clamped
 // window, and keeps the order in which a task's dependencies were added,
-// however calls for different consumers interleave. The successor side
-// lives in the graph's execution plan (see Plan): Plan.Out lists each
-// producer's out-edges ordered by consumer index, then dependency index, one
-// edge per dependency — a consumer with two deps on one producer appears
-// twice. Engines release successors in that order, so it fixes their event
-// sequence numbers and injection order; internal/core's golden graph test
-// pins it.
+// however calls for different consumers interleave. The Pack/Unpack
+// closures a Dep may carry live in one per-graph transfer table with an
+// entry only for the edges that have them; Graph.Dep reads an edge's back.
+// Task IDs resolve through an open-addressing table of int32 task indices
+// (see Graph.Lookup), which the Builder also uses to reject duplicates. The
+// successor side lives in the graph's execution plan (see Plan): Plan.Out
+// lists each producer's out-edges ordered by consumer index, then
+// dependency index, one edge per dependency — a consumer with two deps on
+// one producer appears twice. Engines release successors in that order, so
+// it fixes their event sequence numbers and injection order;
+// internal/core's golden graph test pins it.
 package ptg
 
 import (
 	"cmp"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 )
 
@@ -130,17 +137,32 @@ type CostHint struct {
 	CopyPoints int
 }
 
-// Dep is one input dependency of a task. If the producer lives on a
-// different node the dependency carries a payload of Bytes bytes and, when
-// the graph is built with bodies, Pack/Unpack closures that serialize the
-// value out of the producer node's store and deposit it into the consumer
-// node's store.
+// Dep is the Builder's input for one dependency of a task. If the producer
+// lives on a different node the dependency carries a payload of Bytes bytes
+// and, when the graph is built with bodies, Pack/Unpack closures that
+// serialize the value out of the producer node's store and deposit it into
+// the consumer node's store. Build stores it as an Edge, its closures in the
+// graph's transfer table.
 type Dep struct {
+	Bytes  int // payload size; 0 for pure-ordering local deps
+	Pack   func(env Env) []byte
+	Unpack func(env Env, data []byte)
+}
+
+// Edge is one stored dependency of a task: 16 bytes and no pointer. The
+// Pack/Unpack closures of its Dep, if any, are in the graph's transfer
+// table (see Graph.Dep).
+type Edge struct {
 	Producer int32 // task index
 	consumer int32 // the dependent task's index, recorded by the Builder
-	Bytes    int   // payload size; 0 for pure-ordering local deps
-	Pack     func(env Env) []byte
-	Unpack   func(env Env, data []byte)
+	xfer     int32 // 1 + the edge's index in the transfer table; 0 without closures
+	Bytes    int32 // payload size; 0 for pure-ordering local deps
+}
+
+// transfer is one transfer-table entry: the closures of an edge's Dep.
+type transfer struct {
+	pack   func(env Env) []byte
+	unpack func(env Env, data []byte)
 }
 
 // Migration makes a task stealable across ranks of a distributed run: the
@@ -218,7 +240,7 @@ type Task struct {
 	// zero everywhere simply do not admit a bundle plan.
 	Epoch int32
 	Hint  CostHint
-	Deps  []Dep
+	Deps  []Edge
 	Run   func(env Env)
 	// Mig, when non-nil, lets a distributed run migrate this task to
 	// another rank (see Migration). Kept out of the hot path: engines only
@@ -238,16 +260,29 @@ type Graph struct {
 	// Hooks returns the migration hooks of a task whose Mig is non-nil;
 	// engines call it only once a steal is granted. Nil on graphs without
 	// bodies.
-	Hooks func(t *Task) MigrationHooks
-	index map[TaskID]int32
-	stats *Stats
-	plan  *Plan // the point-to-point plan, which holds the out-edges
+	Hooks     func(t *Task) MigrationHooks
+	index     taskIndex
+	transfers []transfer
+	stats     *Stats
+	plan      *Plan // the point-to-point plan, which holds the out-edges
 }
 
 // Lookup returns the index of a task by ID.
 func (g *Graph) Lookup(id TaskID) (int32, bool) {
-	i, ok := g.index[id]
-	return i, ok
+	return g.index.lookup(g.Tasks, id)
+}
+
+// Dep returns the Dep that recorded edge e: its payload size and its
+// Pack/Unpack closures (nil when the edge carries none). Engines read an
+// edge's closures through it, and rewrite passes replay edges into a new
+// Builder with it.
+func (g *Graph) Dep(e Edge) Dep {
+	d := Dep{Bytes: int(e.Bytes)}
+	if e.xfer > 0 {
+		t := &g.transfers[e.xfer-1]
+		d.Pack, d.Unpack = t.pack, t.unpack
+	}
+	return d
 }
 
 // Roots returns the indices of tasks with no dependencies.
@@ -270,43 +305,56 @@ func (g *Graph) CrossNodeDeps() (count, bytes int) {
 
 // Builder accumulates tasks and dependencies and validates the result.
 type Builder struct {
-	numNodes int
-	tasks    []Task
-	index    map[TaskID]int32
-	deps     []Dep // every recorded dependency, in insertion order
-	slots    []int
-	bufSlots []int
+	numNodes  int
+	tasks     []Task
+	index     taskIndex
+	deps      []Edge // every recorded dependency, in insertion order
+	transfers []transfer
+	slots     []int
+	bufSlots  []int
 }
 
 // NewBuilder creates a builder for a graph over numNodes nodes.
 func NewBuilder(numNodes int) *Builder {
-	return &Builder{numNodes: numNodes, index: make(map[TaskID]int32)}
+	return &Builder{numNodes: numNodes}
 }
 
 // Grow reserves room for tasks more tasks and deps more dependencies, so a
 // caller that knows its graph's size builds it in a fixed number of
 // allocations.
 func (b *Builder) Grow(tasks, deps int) {
-	b.tasks = slices.Grow(b.tasks, tasks)
-	b.deps = slices.Grow(b.deps, deps)
-	if len(b.index) == 0 {
-		b.index = make(map[TaskID]int32, tasks)
+	b.tasks = grow(b.tasks, tasks)
+	b.deps = grow(b.deps, deps)
+	b.index.reserve(b.tasks, len(b.tasks)+tasks)
+}
+
+// grow is slices.Grow in exactly one allocation: under the race detector
+// slices.Grow's append(s, make(...)...) also allocates the n-element
+// temporary, doubling what a pre-sized build allocates.
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s)-len(s) {
+		return s
 	}
+	out := make([]T, len(s), len(s)+n)
+	copy(out, s)
+	return out
 }
 
 // AddTask registers a task instance and returns its index. The Deps field
 // of the argument is ignored; use AddDep or AddDepIdx.
 func (b *Builder) AddTask(t Task) (int32, error) {
-	if _, dup := b.index[t.ID]; dup {
-		return 0, fmt.Errorf("ptg: duplicate task %v", t.ID)
-	}
 	if t.Node < 0 || int(t.Node) >= b.numNodes {
 		return 0, fmt.Errorf("ptg: task %v on invalid node %d (have %d)", t.ID, t.Node, b.numNodes)
 	}
-	t.Deps = nil
+	if t.Kind >= NumKinds {
+		return 0, fmt.Errorf("ptg: task %v has invalid kind %v", t.ID, t.Kind)
+	}
 	idx := int32(len(b.tasks))
+	if !b.index.insert(b.tasks, t.ID, idx) {
+		return 0, fmt.Errorf("ptg: duplicate task %v", t.ID)
+	}
+	t.Deps = nil
 	b.tasks = append(b.tasks, t)
-	b.index[t.ID] = idx
 	return idx, nil
 }
 
@@ -350,11 +398,11 @@ func (b *Builder) PresetSlots(slots, bufSlots []int) {
 // AddDep records that consumer depends on producer, naming both by ID; see
 // AddDepIdx.
 func (b *Builder) AddDep(consumer, producer TaskID, d Dep) error {
-	ci, ok := b.index[consumer]
+	ci, ok := b.index.lookup(b.tasks, consumer)
 	if !ok {
 		return fmt.Errorf("ptg: unknown consumer %v", consumer)
 	}
-	pi, ok := b.index[producer]
+	pi, ok := b.index.lookup(b.tasks, producer)
 	if !ok {
 		return fmt.Errorf("ptg: unknown producer %v", producer)
 	}
@@ -362,19 +410,27 @@ func (b *Builder) AddDep(consumer, producer TaskID, d Dep) error {
 }
 
 // AddDepIdx records that task consumer depends on task producer, both given
-// by the index AddTask returned. Cross-node dependencies must carry a
-// positive payload size; Pack/Unpack may be nil when the graph is cost-only
-// (no bodies).
+// by the index AddTask returned. The payload size must fit an Edge's int32,
+// and cross-node dependencies must carry a positive one; Pack/Unpack may be
+// nil when the graph is cost-only (no bodies).
 func (b *Builder) AddDepIdx(consumer, producer int32, d Dep) error {
 	if n := int32(len(b.tasks)); consumer < 0 || consumer >= n || producer < 0 || producer >= n {
 		return fmt.Errorf("ptg: dependency %d -> %d out of range (have %d tasks)", producer, consumer, n)
 	}
-	if b.tasks[consumer].Node != b.tasks[producer].Node && d.Bytes <= 0 {
+	if d.Bytes < 0 || d.Bytes > math.MaxInt32 {
+		return fmt.Errorf("ptg: dep %v -> %v payload of %d bytes outside [0, %d]",
+			b.tasks[producer].ID, b.tasks[consumer].ID, d.Bytes, math.MaxInt32)
+	}
+	if b.tasks[consumer].Node != b.tasks[producer].Node && d.Bytes == 0 {
 		return fmt.Errorf("ptg: cross-node dep %v -> %v needs payload bytes",
 			b.tasks[producer].ID, b.tasks[consumer].ID)
 	}
-	d.Producer, d.consumer = producer, consumer
-	b.deps = append(b.deps, d)
+	e := Edge{Producer: producer, consumer: consumer, Bytes: int32(d.Bytes)}
+	if d.Pack != nil || d.Unpack != nil {
+		b.transfers = append(b.transfers, transfer{pack: d.Pack, unpack: d.Unpack})
+		e.xfer = int32(len(b.transfers))
+	}
+	b.deps = append(b.deps, e)
 	return nil
 }
 
@@ -386,7 +442,7 @@ func (b *Builder) Build() (*Graph, error) {
 	// Deps: each task's window is its run of the consumer-sorted array.
 	// Builders adding dependencies in consumer order (core's) skip the sort,
 	// which is stable, so every consumer keeps its insertion order.
-	byConsumer := func(x, y Dep) int { return cmp.Compare(x.consumer, y.consumer) }
+	byConsumer := func(x, y Edge) int { return cmp.Compare(x.consumer, y.consumer) }
 	if !slices.IsSortedFunc(deps, byConsumer) {
 		slices.SortStableFunc(deps, byConsumer)
 	}
@@ -399,7 +455,7 @@ func (b *Builder) Build() (*Graph, error) {
 		lo = hi
 	}
 	g := &Graph{
-		NumNodes: b.numNodes, Tasks: tasks, index: b.index,
+		NumNodes: b.numNodes, Tasks: tasks, index: b.index, transfers: b.transfers,
 		NodeSlots: b.slots, NodeBufSlots: b.bufSlots,
 	}
 	g.plan = g.pointToPoint()
@@ -409,7 +465,7 @@ func (b *Builder) Build() (*Graph, error) {
 	if g.stats, err = g.analyze(); err != nil {
 		return nil, err
 	}
-	b.tasks, b.index, b.deps = nil, nil, nil
+	*b = Builder{numNodes: b.numNodes, slots: b.slots, bufSlots: b.bufSlots}
 	return g, nil
 }
 
@@ -446,18 +502,19 @@ func (g *Graph) InvalidateStats() {
 // path depth included, along the way.
 func (g *Graph) analyze() (*Stats, error) {
 	n := len(g.Tasks)
-	s := Stats{Tasks: n, KindCounts: make(map[string]int)}
+	s := Stats{Tasks: n}
+	var kinds [NumKinds]int
 	perNode := make([]int, g.NumNodes)
 	indeg := make([]int32, n)
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
 		s.Deps += len(t.Deps)
 		perNode[t.Node]++
-		s.KindCounts[t.Kind.String()]++
+		kinds[t.Kind]++
 		for _, d := range t.Deps {
 			if g.Tasks[d.Producer].Node != t.Node {
 				s.CrossDeps++
-				s.CrossBytes += d.Bytes
+				s.CrossBytes += int(d.Bytes)
 			}
 		}
 		indeg[i] = int32(len(t.Deps))
@@ -488,6 +545,12 @@ func (g *Graph) analyze() (*Stats, error) {
 	}
 	if g.NumNodes > 0 {
 		s.TasksPerNodeMin, s.TasksPerNodeMax = slices.Min(perNode), slices.Max(perNode)
+	}
+	s.KindCounts = make(map[string]int)
+	for k, c := range kinds {
+		if c > 0 {
+			s.KindCounts[Kind(k).String()] = c
+		}
 	}
 	return &s, nil
 }

@@ -234,7 +234,7 @@ func TestCSRLayoutOrder(t *testing.T) {
 	}
 	deps := func(i int) (out []int) {
 		for _, d := range g.Tasks[i].Deps {
-			out = append(out, int(d.Producer), d.Bytes)
+			out = append(out, int(d.Producer), int(d.Bytes))
 		}
 		return out
 	}

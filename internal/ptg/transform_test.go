@@ -58,7 +58,7 @@ func TestApplyTransformsPipeline(t *testing.T) {
 		}
 		for i := range in.Tasks {
 			for _, d := range in.Tasks[i].Deps {
-				if err := nb.AddDep(in.Tasks[i].ID, in.Tasks[d.Producer].ID, d); err != nil {
+				if err := nb.AddDep(in.Tasks[i].ID, in.Tasks[d.Producer].ID, in.Dep(d)); err != nil {
 					return nil, err
 				}
 			}
@@ -78,7 +78,7 @@ func TestApplyTransformsPipeline(t *testing.T) {
 		}
 		for i := range in.Tasks {
 			for _, d := range in.Tasks[i].Deps {
-				if err := nb.AddDep(in.Tasks[i].ID, in.Tasks[d.Producer].ID, d); err != nil {
+				if err := nb.AddDep(in.Tasks[i].ID, in.Tasks[d.Producer].ID, in.Dep(d)); err != nil {
 					return nil, err
 				}
 			}
@@ -155,7 +155,7 @@ func TestApplyTransformsRejectsCycle(t *testing.T) {
 		}
 		for i := range in.Tasks {
 			for _, d := range in.Tasks[i].Deps {
-				if err := nb.AddDep(in.Tasks[i].ID, in.Tasks[d.Producer].ID, d); err != nil {
+				if err := nb.AddDep(in.Tasks[i].ID, in.Tasks[d.Producer].ID, in.Dep(d)); err != nil {
 					return nil, err
 				}
 			}

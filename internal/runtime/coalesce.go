@@ -125,7 +125,7 @@ func newExecBundles(plan *ptg.Plan, nodes []*execNode) []execBundle {
 // coalescing the wire carries a copy, so the producer-side payload buffer is
 // free the moment it is packed (see Options.Coalesce for the ownership
 // contract).
-func packBundle(buf []byte, e ptg.Env, tasks []ptg.Task, members []ptg.BundleMember) []byte {
+func packBundle(buf []byte, e ptg.Env, g *ptg.Graph, members []ptg.BundleMember) []byte {
 	hdr := 4 * (1 + len(members))
 	if cap(buf) >= hdr {
 		buf = buf[:hdr]
@@ -134,10 +134,9 @@ func packBundle(buf []byte, e ptg.Env, tasks []ptg.Task, members []ptg.BundleMem
 	}
 	binary.LittleEndian.PutUint32(buf, uint32(len(members)))
 	for i, m := range members {
-		dep := &tasks[m.Task].Deps[m.Dep]
 		var data []byte
-		if dep.Pack != nil {
-			data = dep.Pack(e)
+		if pack := g.Dep(g.Tasks[m.Task].Deps[m.Dep]).Pack; pack != nil {
+			data = pack(e)
 		}
 		binary.LittleEndian.PutUint32(buf[4+4*i:], uint32(len(data)))
 		buf = append(buf, data...)
@@ -152,7 +151,7 @@ func packBundle(buf []byte, e ptg.Env, tasks []ptg.Task, members []ptg.BundleMem
 // individually, and a sub-slice of the wire buffer must never enter the
 // arena — its capacity aliases the sibling segments. The wire buffer itself
 // is untouched and returns to its lane at the caller.
-func fanOutBundle(e ptg.Env, tasks []ptg.Task, members []ptg.BundleMember, data []byte) error {
+func fanOutBundle(e ptg.Env, g *ptg.Graph, members []ptg.BundleMember, data []byte) error {
 	if len(data) < 4 {
 		return fmt.Errorf("runtime: bundle payload truncated (%d bytes)", len(data))
 	}
@@ -171,13 +170,13 @@ func fanOutBundle(e ptg.Env, tasks []ptg.Task, members []ptg.BundleMember, data 
 		}
 		seg := data[off : off+l]
 		off += l
-		dep := &tasks[m.Task].Deps[m.Dep]
-		if dep.Unpack == nil {
+		unpack := g.Dep(g.Tasks[m.Task].Deps[m.Dep]).Unpack
+		if unpack == nil {
 			continue
 		}
 		cp := GetBuf(l)
 		copy(cp, seg)
-		dep.Unpack(e, cp)
+		unpack(e, cp)
 	}
 	return nil
 }
@@ -192,7 +191,7 @@ func (ex *executor) sendBundle(e ptg.Env, nd *execNode, bi int32) (id fault.MsgI
 			ex.fail(fmt.Errorf("runtime: packing bundle %d->%d panicked: %v", b.Src, b.Dst, r))
 		}
 	}()
-	buf := packBundle(ex.bundles[bi].lane.get(), e, ex.g.Tasks, b.Members)
+	buf := packBundle(ex.bundles[bi].lane.get(), e, ex.g, b.Members)
 	m := newMessage(id, buf)
 	if ex.overlapOn {
 		m.SentNanos = int64(time.Since(ex.t0))
@@ -215,7 +214,7 @@ func (ex *executor) receiveBundle(nd *execNode, m Message, bi int32) (segs, byte
 		}
 	}()
 	members := ex.plan.Bundles[bi].Members
-	if err := fanOutBundle(nd.store, ex.g.Tasks, members, m.Data); err != nil {
+	if err := fanOutBundle(nd.store, ex.g, members, m.Data); err != nil {
 		ex.fail(err)
 		return len(members), len(m.Data)
 	}

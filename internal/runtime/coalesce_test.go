@@ -199,15 +199,43 @@ func TestCoalescedShutdownRace(t *testing.T) {
 	}
 }
 
+// bundleGraph builds a two-node graph in which consumer i, on node 1,
+// depends on producer i, on node 0, through deps[i], and returns it with
+// the bundle members naming those edges in order.
+func bundleGraph(tb testing.TB, deps []ptg.Dep) (*ptg.Graph, []ptg.BundleMember) {
+	tb.Helper()
+	b := ptg.NewBuilder(2)
+	members := make([]ptg.BundleMember, len(deps))
+	for i := range deps {
+		if _, err := b.AddTask(ptg.Task{ID: tid("p", i, 0, 0), Node: 0}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i, d := range deps {
+		c, err := b.AddTask(ptg.Task{ID: tid("c", i, 0, 0), Node: 1})
+		if err == nil {
+			err = b.AddDepIdx(c, int32(i), d)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		members[i] = ptg.BundleMember{Task: c, Dep: 0}
+	}
+	g, err := b.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, members
+}
+
 // TestBundleRoundTripZeroAlloc pins the lane contract: once the arena and
 // lane are warm, a full pack -> fan-out -> recycle cycle of a bundle
 // performs no heap allocation.
 func TestBundleRoundTripZeroAlloc(t *testing.T) {
 	const segBytes, segs = 64, 8
-	tasks := make([]ptg.Task, segs)
-	members := make([]ptg.BundleMember, segs)
-	for i := range tasks {
-		tasks[i].Deps = []ptg.Dep{{
+	deps := make([]ptg.Dep, segs)
+	for i := range deps {
+		deps[i] = ptg.Dep{
 			Bytes: segBytes,
 			Pack: func(ptg.Env) []byte {
 				return GetBuf(segBytes)
@@ -215,15 +243,15 @@ func TestBundleRoundTripZeroAlloc(t *testing.T) {
 			Unpack: func(_ ptg.Env, data []byte) {
 				PutBuf(data)
 			},
-		}}
-		members[i] = ptg.BundleMember{Task: int32(i), Dep: 0}
+		}
 	}
+	g, members := bundleGraph(t, deps)
 	wire := 4*(1+segs) + segs*segBytes
 	lane := newCommLane(wire)
 	var fanErr error
 	allocs := testing.AllocsPerRun(100, func() {
-		buf := packBundle(lane.get(), nil, tasks, members)
-		if err := fanOutBundle(nil, tasks, members, buf); err != nil && fanErr == nil {
+		buf := packBundle(lane.get(), nil, g, members)
+		if err := fanOutBundle(nil, g, members, buf); err != nil && fanErr == nil {
 			fanErr = err
 		}
 		lane.put(buf)
@@ -241,24 +269,23 @@ func TestBundleRoundTripZeroAlloc(t *testing.T) {
 // buffer through its lane.
 func BenchmarkBundleRoundTrip(b *testing.B) {
 	const segBytes, segs = 2048, 8
-	tasks := make([]ptg.Task, segs)
-	members := make([]ptg.BundleMember, segs)
-	for i := range tasks {
-		tasks[i].Deps = []ptg.Dep{{
+	deps := make([]ptg.Dep, segs)
+	for i := range deps {
+		deps[i] = ptg.Dep{
 			Bytes:  segBytes,
 			Pack:   func(ptg.Env) []byte { return GetBuf(segBytes) },
 			Unpack: func(_ ptg.Env, data []byte) { PutBuf(data) },
-		}}
-		members[i] = ptg.BundleMember{Task: int32(i), Dep: 0}
+		}
 	}
+	g, members := bundleGraph(b, deps)
 	wire := 4*(1+segs) + segs*segBytes
 	lane := newCommLane(wire)
 	b.SetBytes(int64(wire))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := packBundle(lane.get(), nil, tasks, members)
-		if err := fanOutBundle(nil, tasks, members, buf); err != nil {
+		buf := packBundle(lane.get(), nil, g, members)
+		if err := fanOutBundle(nil, g, members, buf); err != nil {
 			b.Fatal(err)
 		}
 		lane.put(buf)

@@ -73,7 +73,7 @@ type Options struct {
 	//
 	// Ownership contract: under coalescing the comm goroutine copies each
 	// packed payload into the bundle's wire buffer and immediately recycles
-	// the buffer returned by Dep.Pack into the arena (PutBuf). Pack
+	// the buffer returned by a Dep's Pack into the arena (PutBuf). Pack
 	// implementations must therefore hand over ownership of their returned
 	// buffer — the same convention point-to-point receivers already apply.
 	Coalesce ptg.CoalesceMode
@@ -1021,10 +1021,9 @@ func (ex *executor) sendOne(e ptg.Env, nd *execNode, req ptg.OutEdge) (id fault.
 			ex.fail(fmt.Errorf("runtime: pack for %v panicked: %v", consumer.ID, r))
 		}
 	}()
-	dep := &consumer.Deps[req.Dep]
 	var data []byte
-	if dep.Pack != nil {
-		data = dep.Pack(e)
+	if pack := ex.g.Dep(consumer.Deps[req.Dep]).Pack; pack != nil {
+		data = pack(e)
 	}
 	m := newMessage(id, data)
 	if ex.overlapOn {
@@ -1085,9 +1084,8 @@ func (ex *executor) receiveOne(nd *execNode, m Message) (segs, bytes int) {
 			ex.fail(fmt.Errorf("runtime: unpack for %v panicked: %v", ex.g.Tasks[m.Task].ID, r))
 		}
 	}()
-	dep := &ex.g.Tasks[m.Task].Deps[m.Dep]
-	if dep.Unpack != nil {
-		dep.Unpack(nd.store, m.Data)
+	if unpack := ex.g.Dep(ex.g.Tasks[m.Task].Deps[m.Dep]).Unpack; unpack != nil {
+		unpack(nd.store, m.Data)
 	}
 	if atomic.AddInt32(&ex.pending[m.Task], -1) == 0 {
 		ex.enqueue(m.Task)

@@ -119,23 +119,22 @@ func TestDepositedPayloadsOwnTheirStorage(t *testing.T) {
 	t.Run("fanOutBundle", func(t *testing.T) {
 		sizes := []int{8, 24, 64, 200, 1000, 8}
 		store := NewStoreWithSlots(0, len(sizes))
-		tasks := make([]ptg.Task, len(sizes))
-		members := make([]ptg.BundleMember, len(sizes))
+		deps := make([]ptg.Dep, len(sizes))
 		want := make([][]byte, len(sizes))
 		wireLen := 4 * (1 + len(sizes))
 		for i, n := range sizes {
 			slot := int32(i)
 			want[i] = bytes.Repeat([]byte{byte(i + 1)}, n)
-			tasks[i].Deps = []ptg.Dep{{
+			deps[i] = ptg.Dep{
 				Bytes:  n,
 				Pack:   func(ptg.Env) []byte { return append(GetBuf(n)[:0], want[slot]...) },
 				Unpack: func(e ptg.Env, data []byte) { e.PutBufSlot(slot, data) },
-			}}
-			members[i] = ptg.BundleMember{Task: int32(i)}
+			}
 			wireLen += n
 		}
-		wire := packBundle(make([]byte, 0, wireLen), nil, tasks, members)
-		if err := fanOutBundle(store, tasks, members, wire); err != nil {
+		g, members := bundleGraph(t, deps)
+		wire := packBundle(make([]byte, 0, wireLen), nil, g, members)
+		if err := fanOutBundle(store, g, members, wire); err != nil {
 			t.Fatal(err)
 		}
 		deposits := make([][]byte, len(sizes))
