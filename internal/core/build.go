@@ -93,6 +93,12 @@ func (b *builder) effWidth(t int) int {
 // cfg.WithBodies the graph is executable by internal/runtime; without, it is
 // a cost-only graph for internal/desim.
 func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
+	return buildGraph(v, cfg, nil)
+}
+
+// buildGraph is BuildGraph laid out in st's arrays where they are large
+// enough (nil: none).
+func buildGraph(v Variant, cfg Config, st *ptg.Storage) (*ptg.Graph, error) {
 	cfg = cfg.withDefaults()
 	bd, err := newBuilder(v, cfg)
 	if err != nil {
@@ -100,6 +106,7 @@ func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
 	}
 	var ins, outs [numFlowKeys]haloFlows
 	gb := ptg.NewBuilder(bd.part.Nodes())
+	gb.Reuse(st)
 	gb.Grow(len(bd.tiles)*(bd.epochs+1), 0)
 	if cfg.WithBodies {
 		bd.allocSlots(gb)

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"castencil/internal/grid"
@@ -157,6 +159,59 @@ func TestGoldenSimulate(t *testing.T) {
 		t.Errorf("Simulate(CA) = makespan %d ns, %d messages, %d bytes; want %d, %d, %d",
 			int64(r.Makespan), r.Messages, r.BytesSent, makespan, messages, bytes)
 	}
+}
+
+// TestSimulateReusesGraph checks that Simulate builds into the storage of
+// the graph it replayed last: a repeated call allocates under a third of
+// what a cost-only build of its graph does (each the smallest of three),
+// and its result does not depend on what ran before — a different shape,
+// or concurrent calls racing for the one kept storage.
+func TestSimulateReusesGraph(t *testing.T) {
+	cfg := Config{N: 576, TileRows: 18, P: 2, Steps: 20, StepSize: 5}
+	opts := SimOptions{Machine: machineForTest()}
+	sim := func(cfg Config) *SimResult {
+		r, err := Simulate(CA, cfg, opts)
+		if err != nil {
+			t.Error(err)
+		}
+		return r
+	}
+	least := func(f func()) uint64 {
+		n := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			n = min(n, allocBytes(f))
+		}
+		return n
+	}
+	want := sim(cfg)
+	build := least(func() {
+		if _, err := BuildGraph(CA, cfg.withDefaults()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	again := least(func() { sim(cfg) })
+	t.Logf("cost-only build %d B, repeated Simulate %d B", build, again)
+	if again > build/3 {
+		t.Errorf("a repeated Simulate allocates %d B, a cost-only build of its graph %d B; want under a third", again, build)
+	}
+
+	sim(Config{N: 240, TileRows: 12, P: 2, Steps: 30, StepSize: 3})
+	if got := sim(cfg); !reflect.DeepEqual(got, want) {
+		t.Errorf("after another shape: %+v, want %+v", got, want)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				if got := sim(cfg); !reflect.DeepEqual(got, want) {
+					t.Errorf("concurrent: %+v, want %+v", got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestBuildAllocsPerTask checks the graph build allocates a fixed number of

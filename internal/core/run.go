@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"castencil/internal/desim"
@@ -233,6 +234,44 @@ func CostModel(m *machine.Model, ratio float64) desim.CostFn {
 	}
 }
 
+// maxSpareGraph caps the graph storage Simulate keeps for the next call: a
+// graph larger than this takes long enough to simulate that allocating it
+// afresh costs a small share, and the process should not hold it idle.
+const maxSpareGraph = 64 << 20
+
+// simGraphs holds the storage of the last graph Simulate replayed, which the
+// next Simulate builds into. A process simulating one shape in a loop then
+// allocates its graph once: its heap holds one graph, never one graph
+// being replayed plus the next one's fresh arrays, which a collection that
+// spans the two calls would count live together and double the heap goal.
+var simGraphs graphSpare
+
+type graphSpare struct {
+	mu sync.Mutex
+	st *ptg.Storage
+}
+
+// take hands out the kept storage, if any; concurrent callers get none.
+func (s *graphSpare) take() *ptg.Storage {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.st
+	s.st = nil
+	return st
+}
+
+// put releases g, which nothing may use afterwards, and keeps its storage
+// unless it is over maxSpareGraph.
+func (s *graphSpare) put(g *ptg.Graph) {
+	st := g.Release()
+	if st.Bytes() > maxSpareGraph {
+		return
+	}
+	s.mu.Lock()
+	s.st = st
+	s.mu.Unlock()
+}
+
 // Simulate replays a stencil variant in virtual time on a machine model and
 // returns the predicted performance.
 func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
@@ -248,10 +287,11 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := BuildGraph(v, cfg)
+	g, err := buildGraph(v, cfg, simGraphs.take())
 	if err != nil {
 		return nil, err
 	}
+	defer simGraphs.put(g)
 	fabric := netsim.NewFabric(opts.Machine.Net, part.Nodes())
 	var steal *desim.StealOpts
 	if opts.Steal != nil && len(opts.Steal.Force) > 0 {

@@ -82,14 +82,15 @@ func (g *Graph) Plan(mode CoalesceMode) (*Plan, error) {
 // pointToPoint lays out the graph's out-edges in CSR form, counts one wire
 // message per cross-node dependency and records those dependencies: the
 // CoalesceOff plan, computed once by Build and shared by every plan of the
-// graph.
-func (g *Graph) pointToPoint() *Plan {
+// graph. Its arrays come from st where it has them.
+func (g *Graph) pointToPoint(st *Storage) *Plan {
 	n := len(g.Tasks)
 	p := &Plan{
 		CrossIn:  make([]int, g.NumNodes),
 		CrossOut: make([]int, g.NumNodes),
-		outOff:   make([]int32, n+1),
+		outOff:   take(&st.outOff, n+1),
 	}
+	clear(p.outOff)
 	cross := 0
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
@@ -107,8 +108,8 @@ func (g *Graph) pointToPoint() *Plan {
 	}
 	// Walking consumers in index order fills each producer's window in
 	// (consumer, dep) order.
-	p.out = make([]OutEdge, p.outOff[n])
-	p.cross = make([]crossEdge, 0, cross)
+	p.out = take(&st.out, int(p.outOff[n])) // every entry is written below
+	p.cross = take(&st.cross, cross)[:0]
 	next := slices.Clone(p.outOff[:n])
 	for i := range g.Tasks {
 		t := &g.Tasks[i]

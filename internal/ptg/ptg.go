@@ -21,13 +21,16 @@
 // closures a Dep may carry live in one per-graph transfer table with an
 // entry only for the edges that have them; Graph.Dep reads an edge's back.
 // Task IDs resolve through an open-addressing table of int32 task indices
-// (see Graph.Lookup), which the Builder also uses to reject duplicates. The
-// successor side lives in the graph's execution plan (see Plan): Plan.Out
-// lists each producer's out-edges ordered by consumer index, then
-// dependency index, one edge per dependency — a consumer with two deps on
-// one producer appears twice. Engines release successors in that order, so
-// it fixes their event sequence numbers and injection order;
-// internal/core's golden graph test pins it.
+// (see Graph.Lookup), which the Builder also uses to reject duplicates.
+// These arrays and the plan's out-edges are the graph's Storage: once a
+// graph is done with, Graph.Release hands them back and Builder.Reuse lays
+// the next graph out in them. The successor side lives in the graph's
+// execution plan (see Plan): Plan.Out lists each producer's out-edges
+// ordered by consumer index, then dependency index, one edge per
+// dependency — a consumer with two deps on one producer appears twice.
+// Engines release successors in that order, so it fixes their event
+// sequence numbers and injection order; internal/core's golden graph test
+// pins it.
 package ptg
 
 import (
@@ -262,6 +265,7 @@ type Graph struct {
 	// bodies.
 	Hooks     func(t *Task) MigrationHooks
 	index     taskIndex
+	deps      []Edge // the backing of every task's Deps window
 	transfers []transfer
 	stats     *Stats
 	plan      *Plan // the point-to-point plan, which holds the out-edges
@@ -312,6 +316,7 @@ type Builder struct {
 	transfers []transfer
 	slots     []int
 	bufSlots  []int
+	store     Storage // arrays to build into (see Reuse)
 }
 
 // NewBuilder creates a builder for a graph over numNodes nodes.
@@ -321,21 +326,27 @@ func NewBuilder(numNodes int) *Builder {
 
 // Grow reserves room for tasks more tasks and deps more dependencies, so a
 // caller that knows its graph's size builds it in a fixed number of
-// allocations.
+// allocations — none for the arrays a reused Storage holds.
 func (b *Builder) Grow(tasks, deps int) {
-	b.tasks = grow(b.tasks, tasks)
-	b.deps = grow(b.deps, deps)
-	b.index.reserve(b.tasks, len(b.tasks)+tasks)
+	b.tasks = grow(b.tasks, tasks, &b.store.tasks)
+	b.deps = grow(b.deps, deps, &b.store.deps)
+	b.index.reserve(b.tasks, len(b.tasks)+tasks, &b.store.index)
 }
 
-// grow is slices.Grow in exactly one allocation: under the race detector
+// grow is slices.Grow in at most one allocation: under the race detector
 // slices.Grow's append(s, make(...)...) also allocates the n-element
-// temporary, doubling what a pre-sized build allocates.
-func grow[T any](s []T, n int) []T {
+// temporary, doubling what a pre-sized build allocates. It moves s into
+// *spare instead when that is large enough.
+func grow[T any](s []T, n int, spare *[]T) []T {
 	if n <= cap(s)-len(s) {
 		return s
 	}
-	out := make([]T, len(s), len(s)+n)
+	var out []T
+	if len(s)+n <= cap(*spare) {
+		out, *spare = (*spare)[:len(s)], nil
+	} else {
+		out = make([]T, len(s), len(s)+n)
+	}
 	copy(out, s)
 	return out
 }
@@ -454,11 +465,14 @@ func (b *Builder) Build() (*Graph, error) {
 		tasks[c].Deps = deps[lo:hi:hi]
 		lo = hi
 	}
+	// A reused task array may be longer than this graph: its tail must
+	// not keep the previous graph's bodies alive.
+	clear(tasks[len(tasks):cap(tasks)])
 	g := &Graph{
-		NumNodes: b.numNodes, Tasks: tasks, index: b.index, transfers: b.transfers,
+		NumNodes: b.numNodes, Tasks: tasks, index: b.index, deps: deps, transfers: b.transfers,
 		NodeSlots: b.slots, NodeBufSlots: b.bufSlots,
 	}
-	g.plan = g.pointToPoint()
+	g.plan = g.pointToPoint(&b.store)
 	// Stats are computed eagerly so transforms cannot leave stale summaries
 	// behind: every (re)build refreshes them, and readers share the memo.
 	var err error
