@@ -93,8 +93,8 @@ func ParsePolicy(name string) (Policy, error) { return runtime.ParsePolicy(name)
 
 // CoalesceMode selects halo-bundle coalescing: all cross-node payloads one
 // node produces in one epoch toward one neighbor travel as a single wire
-// message over a persistent communication lane. Coalescing never changes
-// numerics — results stay bitwise identical to the sequential oracle.
+// message. Coalescing never changes numerics — results stay bitwise
+// identical to the sequential oracle.
 type CoalesceMode = ptg.CoalesceMode
 
 // Coalescing modes: off (point-to-point delivery, the default), step

@@ -6,7 +6,9 @@ import (
 	goruntime "runtime"
 	"testing"
 
+	"castencil/internal/fault"
 	"castencil/internal/grid"
+	"castencil/internal/ptg"
 	"castencil/internal/runtime"
 	"castencil/internal/stencil"
 )
@@ -59,6 +61,7 @@ func TestPoisonedArena(t *testing.T) {
 		name string
 		v    Variant
 		cfg  Config
+		opts runtime.Options
 	}
 	var runs []run
 	for _, nine := range []bool{false, true} {
@@ -67,38 +70,55 @@ func TestPoisonedArena(t *testing.T) {
 		wf := cfg
 		wf.Wavefront = 4
 		for _, c := range []run{
-			{"base", Base, cfg},
-			{"ca/s1", CA, ca(1)},
-			{"ca/s4", CA, ca(4)},
-			{"wf/w4", WF, wf},
+			{name: "base", v: Base, cfg: cfg},
+			{name: "ca/s1", v: CA, cfg: ca(1)},
+			{name: "ca/s4", v: CA, cfg: ca(4)},
+			{name: "wf/w4", v: WF, cfg: wf},
 		} {
 			c.name = fmt.Sprintf("%s/nine=%v", c.name, nine)
 			runs = append(runs, c)
 			if c.v != WF {
-				runs = append(runs, run{c.name + "/split", c.v, splitCfg(c.cfg)})
+				runs = append(runs, run{name: c.name + "/split", v: c.v, cfg: splitCfg(c.cfg)})
 			}
 		}
 	}
 	ragged := Config{N: 26, TileRows: 4, P: 3, Q: 2, Steps: 9, StepSize: 2}
-	runs = append(runs, run{"ragged/base", Base, ragged}, run{"ragged/ca", CA, ragged})
+	runs = append(runs, run{name: "ragged/base", v: Base, cfg: ragged}, run{name: "ragged/ca", v: CA, cfg: ragged})
 	rect := Config{N: 40, TileRows: 8, TileCols: 5, P: 2, Steps: 9, StepSize: 4}
-	runs = append(runs, run{"rect/base", Base, rect}, run{"rect/ca", CA, rect}, run{"rect/base/split", Base, splitCfg(rect)})
+	runs = append(runs, run{name: "rect/base", v: Base, cfg: rect}, run{name: "rect/ca", v: CA, cfg: rect},
+		run{name: "rect/base/split", v: Base, cfg: splitCfg(rect)})
 	// At 16 rows a one-deep east/west halo is as large as a 4x4 corner, so
 	// an interior tile packs the corners it owes its diagonal boundary
 	// neighbors at a phase start into the east/west buffers it unpacked.
 	tall := Config{N: 64, TileRows: 16, TileCols: 10, P: 2, Steps: 9, StepSize: 4}
-	runs = append(runs, run{"rect16x10/ca", CA, tall}, run{"rect16x10/ca/split", CA, splitCfg(tall)})
+	runs = append(runs, run{name: "rect16x10/ca", v: CA, cfg: tall}, run{name: "rect16x10/ca/split", v: CA, cfg: splitCfg(tall)})
+	// Bundle wire buffers, the reliable transport's retained originals and
+	// its duplicate and retransmit copies all cycle through the arena too.
+	faulty := &fault.Plan{Seed: 7, Drop: 0.05, Dup: 0.05, Delay: 0.05}
+	caS4 := Config{N: 40, TileRows: 8, P: 2, Steps: 9, StepSize: 4}
+	runs = append(runs,
+		run{name: "coalesce/ca", v: CA, cfg: caS4, opts: runtime.Options{Coalesce: ptg.CoalesceStep}},
+		run{name: "coalesce/ca/faults", v: CA, cfg: caS4, opts: runtime.Options{Coalesce: ptg.CoalesceStep, Fault: faulty}},
+		run{name: "p2p/ca/faults", v: CA, cfg: caS4, opts: runtime.Options{Fault: faulty}})
 	for _, c := range runs {
 		t.Run(c.name, func(t *testing.T) {
 			want := oracle(t, c.cfg)
+			opts := c.opts
+			opts.Workers = 2
 			for i := 1; i <= 2; i++ {
-				res, err := RunReal(c.v, c.cfg, runtime.Options{Workers: 2})
+				res, err := RunReal(c.v, c.cfg, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertOracleBitwise(t, fmt.Sprintf("run %d", i), want, res.Grid)
 				if n := LeftoverBuffers(res.Exec.Stores); n != 0 {
 					t.Errorf("run %d: %d halo payloads left in slots", i, n)
+				}
+				if c.opts.Coalesce != ptg.CoalesceOff && res.Exec.BundlesSent == 0 {
+					t.Errorf("run %d: no bundle sent", i)
+				}
+				if st := res.Exec.Fault; c.opts.Fault != nil && (st.Dropped == 0 || st.Duplicated == 0 || st.Retransmits == 0) {
+					t.Errorf("run %d: fault stats %+v, want drops, duplicates and retransmits", i, st)
 				}
 			}
 		})

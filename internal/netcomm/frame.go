@@ -1,9 +1,9 @@
 // Package netcomm is the TCP transport of a distributed run: the socket
-// analogue of the runtime's in-process comm lanes. It implements
+// analogue of the runtime's in-process message delivery. It implements
 // runtime.Conduit — one long-lived connection per rank pair established at
 // startup, length-prefixed frames carrying the exact bytes the in-process
-// path produces, pre-negotiated size-classed receive buffers, and a
-// writev-based send path that stays allocation-free in the steady state.
+// path produces, data payloads received into the runtime's byte arena, and
+// a writev-based send path that stays allocation-free in the steady state.
 // The runtime's reliable ack/retransmit/dedup layer rides on top unchanged:
 // acks and inter-node steal messages are ordinary messages routed by
 // destination node, so fault injection and recovery work identically over
@@ -200,13 +200,13 @@ func errShort(err error) error {
 	return err
 }
 
-// readFrame reads and decodes one frame from r. getBuf supplies the payload
-// buffer for data frames (nil falls back to make); the returned
-// Frame.Msg.Data is owned by the caller, exactly like an in-process inbox
-// delivery. Control and hello frames allocate — they are cold-path.
+// readFrame reads and decodes one frame from r. A data frame's payload is
+// read into a runtime.GetBuf buffer that the caller owns, exactly like an
+// in-process inbox delivery (see the ownership rule in runtime/pool.go).
+// Control and hello frames allocate — they are cold-path.
 // maxFrame <= 0 means DefaultMaxFrame. A clean EOF at a frame boundary
 // returns io.EOF; a truncation inside a frame returns io.ErrUnexpectedEOF.
-func readFrame(r io.Reader, st *readState, getBuf func(int) []byte, maxFrame int) (Frame, error) {
+func readFrame(r io.Reader, st *readState, maxFrame int) (Frame, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
@@ -229,16 +229,9 @@ func readFrame(r io.Reader, st *readState, getBuf func(int) []byte, maxFrame int
 		}
 		f.Msg = parseDataHeader(st.hdr[:])
 		if pl := body - dataHdrLen; pl > 0 {
-			var buf []byte
-			if getBuf != nil {
-				buf = getBuf(pl)[:pl]
-			} else {
-				buf = make([]byte, pl)
-			}
+			buf := runtime.GetBuf(pl)
 			if _, err := io.ReadFull(r, buf); err != nil {
-				if getBuf != nil {
-					runtime.PutBuf(buf)
-				}
+				runtime.PutBuf(buf)
 				return Frame{}, errShort(err)
 			}
 			f.Msg.Data = buf

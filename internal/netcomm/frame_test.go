@@ -15,7 +15,7 @@ import (
 func mustFrame(t *testing.T, raw []byte) Frame {
 	t.Helper()
 	var st readState
-	f, err := readFrame(bytes.NewReader(raw), &st, nil, 0)
+	f, err := readFrame(bytes.NewReader(raw), &st, 0)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -49,7 +49,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		raw := appendDataFrame(nil, epoch, m)
 		var st readState
-		got, err := readFrame(bytes.NewReader(raw), &st, nil, 0)
+		got, err := readFrame(bytes.NewReader(raw), &st, 0)
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
@@ -61,7 +61,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// wildly; any outcome but a panic is acceptable.
 		var st2 readState
 		for r := bytes.NewReader(payload); ; {
-			if _, err := readFrame(r, &st2, nil, 1<<20); err != nil {
+			if _, err := readFrame(r, &st2, 1<<20); err != nil {
 				break
 			}
 		}
@@ -114,7 +114,7 @@ func TestTornFrames(t *testing.T) {
 	var st readState
 	var got []Frame
 	for {
-		f, err := readFrame(server, &st, nil, 0)
+		f, err := readFrame(server, &st, 0)
 		if err == io.EOF {
 			break
 		}
@@ -146,7 +146,7 @@ func TestShortRead(t *testing.T) {
 	raw := appendDataFrame(nil, 2, runtime.Message{Src: 0, Dst: 1, Task: 3, Data: []byte("0123456789abcdef")})
 	for cut := 0; cut < len(raw); cut++ {
 		var st readState
-		_, err := readFrame(bytes.NewReader(raw[:cut]), &st, nil, 0)
+		_, err := readFrame(bytes.NewReader(raw[:cut]), &st, 0)
 		switch {
 		case cut == 0:
 			if err != io.EOF {
@@ -164,7 +164,7 @@ func TestShortRead(t *testing.T) {
 func TestBadFrames(t *testing.T) {
 	decode := func(raw []byte, maxFrame int) error {
 		var st readState
-		_, err := readFrame(bytes.NewReader(raw), &st, nil, maxFrame)
+		_, err := readFrame(bytes.NewReader(raw), &st, maxFrame)
 		return err
 	}
 	// Oversized length prefix.
@@ -233,7 +233,7 @@ func TestDepositedPayloadsOwnTheirStorage(t *testing.T) {
 	var st readState
 	var got []storage
 	for i, n := range sizes {
-		f, err := readFrame(r, &st, runtime.GetBuf, 0)
+		f, err := readFrame(r, &st, 0)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}

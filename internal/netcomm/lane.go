@@ -11,13 +11,15 @@ import (
 	"castencil/internal/trace"
 )
 
-// lane is the socket analogue of the runtime's commLane: the persistent
-// connection between this rank and one peer, carrying both directions of
-// every (src-node, dst-node) pair the two ranks own. The send side is
-// mutex-serialized (several comm goroutines may route onto one lane) and
-// allocation-free in the steady state: the frame header is encoded into a
-// lane-owned array and the payload rides the same writev as the header
-// (net.Buffers), so payload bytes are handed to the kernel without a copy.
+// lane is the persistent connection between this rank and one peer,
+// carrying both directions of every (src-node, dst-node) pair the two ranks
+// own. The send side is mutex-serialized (several comm goroutines may route
+// onto one lane) and allocation-free in the steady state: the frame header
+// is encoded into a lane-owned array and the payload rides the same writev
+// as the header (net.Buffers), so payload bytes are handed to the kernel
+// without a copy. The lane never owns a payload buffer: the runtime ends a
+// sent message after Send returns, and a received one belongs to the run it
+// is delivered to.
 //
 // Lifecycle: a dropped connection does not fail the run immediately — the
 // dialing side redials with backoff, the accepting side waits for the peer

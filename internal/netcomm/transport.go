@@ -274,9 +274,10 @@ func (t *Transport) acceptLoop() {
 func (t *Transport) handleInbound(c net.Conn) {
 	var st readState
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := readFrame(c, &st, nil, t.maxFrame)
+	f, err := readFrame(c, &st, t.maxFrame)
 	c.SetReadDeadline(time.Time{})
 	if err != nil || f.Kind != kindHello {
+		runtime.PutBuf(f.Msg.Data)
 		c.Close()
 		return
 	}
@@ -302,7 +303,7 @@ func (t *Transport) readLoop(l *lane, c net.Conn) {
 		if sr != nil {
 			sr.armed = true
 		}
-		f, err := readFrame(r, &st, runtime.GetBuf, t.maxFrame)
+		f, err := readFrame(r, &st, t.maxFrame)
 		if err != nil {
 			c.Close()
 			if !t.closed.Load() {
@@ -363,9 +364,7 @@ func (t *Transport) dispatch(l *lane, f Frame, sr *stampReader) {
 		}
 		if f.Epoch != t.epoch.Load() {
 			t.staleFrames.Add(1)
-			if f.Msg.Data != nil {
-				runtime.PutBuf(f.Msg.Data)
-			}
+			runtime.PutBuf(f.Msg.Data)
 			return
 		}
 		if f.Msg.Ack && t.nm != nil {
@@ -376,9 +375,7 @@ func (t *Transport) dispatch(l *lane, f Frame, sr *stampReader) {
 			// No run bound for the current epoch (should not happen: Bind
 			// precedes the start barrier). Drop, don't crash.
 			t.staleFrames.Add(1)
-			if f.Msg.Data != nil {
-				runtime.PutBuf(f.Msg.Data)
-			}
+			runtime.PutBuf(f.Msg.Data)
 			return
 		}
 		b.deliver(f.Msg)

@@ -32,7 +32,6 @@ type Plan struct {
 	CrossIn, CrossOut []int
 	out               []OutEdge
 	outOff            []int32 // task i's out-edges are out[outOff[i]:outOff[i+1]]
-	laneMax           []int   // nodes x nodes, row = source; nil without bundles
 	// cross lists the cross-node edges in (consumer, dep) order, recorded by
 	// the point-to-point plan for bundled to group.
 	cross []crossEdge
@@ -49,15 +48,6 @@ type crossEdge struct {
 func (p *Plan) Out(producer int32) []OutEdge {
 	lo, hi := p.outOff[producer], p.outOff[producer+1]
 	return p.out[lo:hi:hi]
-}
-
-// LaneMax is the wire size of the largest bundle node src sends node dst
-// (0 when the pair exchanges no bundle).
-func (p *Plan) LaneMax(src, dst int32) int {
-	if p.laneMax == nil {
-		return 0
-	}
-	return p.laneMax[int(src)*len(p.CrossIn)+int(dst)]
 }
 
 // Plan resolves a coalescing mode against the graph. CoalesceOff returns
@@ -170,7 +160,6 @@ func (g *Graph) bundled() (*Plan, error) {
 		CrossOut: make([]int, g.NumNodes),
 		out:      slices.Clone(base.out),
 		outOff:   base.outOff,
-		laneMax:  make([]int, g.NumNodes*g.NumNodes),
 	}
 	for k, c := range base.cross {
 		b := &bundles[of[k]]
@@ -181,8 +170,6 @@ func (g *Graph) bundled() (*Plan, error) {
 		b := &bundles[i]
 		p.CrossOut[b.Src]++
 		p.CrossIn[b.Dst]++
-		lane := &p.laneMax[int(b.Src)*g.NumNodes+int(b.Dst)]
-		*lane = max(*lane, b.WireBytes())
 	}
 	if reached := p.reachable(g); reached != len(g.Tasks) {
 		return nil, fmt.Errorf("ptg: bundling by epoch deadlocks the graph (%d of %d tasks reachable); run with coalescing off",

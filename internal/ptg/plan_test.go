@@ -75,9 +75,9 @@ func TestPlanOutEdgeOrder(t *testing.T) {
 	}
 }
 
-// TestPlanCountsAndLanes checks the per-node message counts and lane
-// maxima: one message per cross dep point to point, one per bundle under
-// coalescing, and each ordered pair's lane sized for its largest bundle.
+// TestPlanCountsAndLanes checks the per-node message counts and bundle
+// wire sizes: one message per cross dep point to point, one per bundle
+// under coalescing, and each bundle's wire size its header plus payloads.
 func TestPlanCountsAndLanes(t *testing.T) {
 	b := NewBuilder(2)
 	p0 := bundleTask(t, b, "p0", 0, 0)
@@ -96,8 +96,8 @@ func TestPlanCountsAndLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	off, _ := g.Plan(CoalesceOff)
-	if !slices.Equal(off.CrossOut, []int{3, 0}) || !slices.Equal(off.CrossIn, []int{0, 3}) || off.LaneMax(0, 1) != 0 {
-		t.Errorf("off: out %v in %v lane %d; want [3 0] [0 3] 0", off.CrossOut, off.CrossIn, off.LaneMax(0, 1))
+	if !slices.Equal(off.CrossOut, []int{3, 0}) || !slices.Equal(off.CrossIn, []int{0, 3}) || off.Bundles != nil {
+		t.Errorf("off: out %v in %v bundles %v; want [3 0] [0 3] none", off.CrossOut, off.CrossIn, off.Bundles)
 	}
 	step, err := g.Plan(CoalesceStep)
 	if err != nil {
@@ -107,11 +107,13 @@ func TestPlanCountsAndLanes(t *testing.T) {
 		t.Errorf("step: out %v in %v; want [2 0] [0 2]", step.CrossOut, step.CrossIn)
 	}
 	// Bundle (0->1, e0) carries 24 payload bytes in 2 segments, (0->1, e1)
-	// 40 bytes in 1: the lane is sized for the second.
-	if got, want := step.LaneMax(0, 1), 4*2+40; got != want {
-		t.Errorf("LaneMax(0, 1) = %d, want %d", got, want)
+	// 40 bytes in 1.
+	if len(step.Bundles) != 2 {
+		t.Fatalf("step: %d bundles, want 2", len(step.Bundles))
 	}
-	if got := step.LaneMax(1, 0); got != 0 {
-		t.Errorf("LaneMax(1, 0) = %d, want 0", got)
+	for i, want := range []int{4*3 + 24, 4*2 + 40} {
+		if got := step.Bundles[i].WireBytes(); got != want {
+			t.Errorf("Bundles[%d].WireBytes() = %d, want %d", i, got, want)
+		}
 	}
 }

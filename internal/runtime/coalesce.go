@@ -3,7 +3,6 @@ package runtime
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,103 +12,35 @@ import (
 
 // This file implements the coalesced halo-exchange transport: instead of one
 // message per cross-node dependency, all payloads a node produces in one
-// epoch toward one destination travel as a single *halo bundle* over a
-// persistent per-(src,dst) communication lane. The bundles and lane sizes
-// come from the run's ptg.Plan; the wire format is
+// epoch toward one destination travel as a single *halo bundle*. The
+// bundles come from the run's ptg.Plan; the wire format is
 //
 //	[u32 count] [u32 len_0] ... [u32 len_{count-1}] [payload_0] ... [payload_{count-1}]
 //
 // (little-endian framing, segments in deterministic plan order). The sender
-// packs every member into a lane buffer once the last member is produced;
-// the receiver fans segments out to their per-slot destinations in one inbox
-// delivery and releases all dependent tasks in one batched successor
-// release. Lanes pre-negotiate size-classed reusable buffers at startup, so
-// the steady-state send/receive path performs no heap allocation.
-
-// laneDepth is the number of wire buffers a lane retains. Two bundles of one
-// lane can be in flight at once (the reverse-flow throttling argument that
-// sizes the slot rings at depth 2 applies verbatim to bundles), so two
-// buffers make the steady state allocation-free.
-const laneDepth = 2
-
-// commLane is a persistent communication channel between one ordered node
-// pair: a small free list of preallocated wire buffers sized for the largest
-// bundle the pair exchanges. Get/put race only between the two endpoint comm
-// goroutines, so a mutex-protected stack is plenty.
-type commLane struct {
-	maxWire int // wire size of the pair's largest bundle
-	mu      sync.Mutex
-	free    [][]byte
-}
-
-func newCommLane(maxWire int) *commLane {
-	l := &commLane{maxWire: maxWire}
-	for i := 0; i < laneDepth; i++ {
-		l.free = append(l.free, GetBuf(maxWire)[:0])
-	}
-	return l
-}
-
-// get returns an empty wire buffer with capacity for the lane's largest
-// bundle. If both preallocated buffers are in flight (a burst, or a receiver
-// that has not returned one yet) it falls back to the shared arena.
-func (l *commLane) get() []byte {
-	l.mu.Lock()
-	if n := len(l.free) - 1; n >= 0 {
-		b := l.free[n]
-		l.free[n] = nil
-		l.free = l.free[:n]
-		l.mu.Unlock()
-		return b
-	}
-	l.mu.Unlock()
-	return GetBuf(l.maxWire)[:0]
-}
-
-// put returns a wire buffer to the lane after its segments were fanned out.
-// Buffers beyond the lane depth (or too small to serve a future get) drain
-// to the shared arena instead.
-func (l *commLane) put(b []byte) {
-	if cap(b) < l.maxWire {
-		PutBuf(b)
-		return
-	}
-	l.mu.Lock()
-	if len(l.free) < laneDepth {
-		l.free = append(l.free, b[:0])
-		l.mu.Unlock()
-		return
-	}
-	l.mu.Unlock()
-	PutBuf(b)
-}
+// packs every member into an arena buffer of the bundle's wire size once the
+// last member is produced; the receiver fans segments out to their per-slot
+// destinations in one inbox delivery, returns the wire buffer to the arena
+// (see pool.go for the ownership rule) and releases all dependent tasks in
+// one batched successor release.
 
 // execBundle is the run state of one plan bundle: the countdown of members
-// not yet produced, and the lane it travels on. When remaining hits zero the
-// producing node's comm goroutine packs and sends the bundle.
+// not yet produced. When it hits zero the producing node's comm goroutine
+// packs and sends the bundle.
 type execBundle struct {
-	lane      *commLane
 	remaining atomic.Int32
 }
 
-// newExecBundles arms the plan's bundle countdowns and opens one lane per
-// node pair that exchanges bundles, sized by the plan's lane maximum. It
-// also sizes each node's fan-out scratch for its largest inbound bundle, so
-// the batched release never grows it mid-run.
+// newExecBundles arms the plan's bundle countdowns. It also sizes each
+// node's fan-out scratch for its largest inbound bundle, so the batched
+// release never grows it mid-run.
 func newExecBundles(plan *ptg.Plan, nodes []*execNode) []execBundle {
 	if len(plan.Bundles) == 0 {
 		return nil
 	}
-	n := len(nodes)
 	bundles := make([]execBundle, len(plan.Bundles))
-	lanes := make([]*commLane, n*n)
 	for i := range plan.Bundles {
 		b := &plan.Bundles[i]
-		k := int(b.Src)*n + int(b.Dst)
-		if lanes[k] == nil {
-			lanes[k] = newCommLane(plan.LaneMax(b.Src, b.Dst))
-		}
-		bundles[i].lane = lanes[k]
 		bundles[i].remaining.Store(int32(len(b.Members)))
 		if nd := nodes[b.Dst]; cap(nd.commReady) < len(b.Members) {
 			nd.commReady = make([]int32, 0, len(b.Members))
@@ -126,12 +57,7 @@ func newExecBundles(plan *ptg.Plan, nodes []*execNode) []execBundle {
 // free the moment it is packed (see Options.Coalesce for the ownership
 // contract).
 func packBundle(buf []byte, e ptg.Env, g *ptg.Graph, members []ptg.BundleMember) []byte {
-	hdr := 4 * (1 + len(members))
-	if cap(buf) >= hdr {
-		buf = buf[:hdr]
-	} else {
-		buf = append(buf[:0], make([]byte, hdr)...)
-	}
+	buf = buf[:4*(1+len(members))]
 	binary.LittleEndian.PutUint32(buf, uint32(len(members)))
 	for i, m := range members {
 		var data []byte
@@ -150,7 +76,7 @@ func packBundle(buf []byte, e ptg.Env, g *ptg.Graph, members []ptg.BundleMember)
 // a fresh pooled buffer: consumers own (and later recycle) their payloads
 // individually, and a sub-slice of the wire buffer must never enter the
 // arena — its capacity aliases the sibling segments. The wire buffer itself
-// is untouched and returns to its lane at the caller.
+// is untouched and returns to the arena at the caller.
 func fanOutBundle(e ptg.Env, g *ptg.Graph, members []ptg.BundleMember, data []byte) error {
 	if len(data) < 4 {
 		return fmt.Errorf("runtime: bundle payload truncated (%d bytes)", len(data))
@@ -181,8 +107,8 @@ func fanOutBundle(e ptg.Env, g *ptg.Graph, members []ptg.BundleMember, data []by
 	return nil
 }
 
-// sendBundle packs a completed bundle into a lane buffer and ships it as one
-// wire message.
+// sendBundle packs a completed bundle into an arena buffer and ships it as
+// one wire message.
 func (ex *executor) sendBundle(e ptg.Env, nd *execNode, bi int32) (id fault.MsgID, segs, bytes int) {
 	b := &ex.plan.Bundles[bi]
 	id = fault.BundleMsgID(b.Src, b.Dst, bi)
@@ -191,7 +117,7 @@ func (ex *executor) sendBundle(e ptg.Env, nd *execNode, bi int32) (id fault.MsgI
 			ex.fail(fmt.Errorf("runtime: packing bundle %d->%d panicked: %v", b.Src, b.Dst, r))
 		}
 	}()
-	buf := packBundle(ex.bundles[bi].lane.get(), e, ex.g, b.Members)
+	buf := packBundle(GetBuf(b.WireBytes())[:0], e, ex.g, b.Members)
 	m := newMessage(id, buf)
 	if ex.overlapOn {
 		m.SentNanos = int64(time.Since(ex.t0))
@@ -205,7 +131,7 @@ func (ex *executor) sendBundle(e ptg.Env, nd *execNode, bi int32) (id fault.MsgI
 }
 
 // receiveBundle fans a bundle's segments out on the destination node,
-// returns the wire buffer to its lane, and releases every newly-ready
+// returns the wire buffer to the arena, and releases every newly-ready
 // consumer in one batched enqueue.
 func (ex *executor) receiveBundle(nd *execNode, m Message, bi int32) (segs, bytes int) {
 	defer func() {
@@ -214,14 +140,13 @@ func (ex *executor) receiveBundle(nd *execNode, m Message, bi int32) (segs, byte
 		}
 	}()
 	members := ex.plan.Bundles[bi].Members
-	if err := fanOutBundle(nd.store, ex.g, members, m.Data); err != nil {
+	err := fanOutBundle(nd.store, ex.g, members, m.Data)
+	// All segments are copied out: the wire buffer is done.
+	PutBuf(m.Data)
+	if err != nil {
 		ex.fail(err)
 		return len(members), len(m.Data)
 	}
-	// All segments are copied out: the wire buffer can rejoin its lane
-	// before the consumers run, keeping the lane's free list warm.
-	bytes = len(m.Data)
-	ex.bundles[bi].lane.put(m.Data)
 	ready := nd.commReady[:0]
 	for _, mb := range members {
 		if atomic.AddInt32(&ex.pending[mb.Task], -1) == 0 {
@@ -232,7 +157,7 @@ func (ex *executor) receiveBundle(nd *execNode, m Message, bi int32) (segs, byte
 		ex.enqueueBatch(nd, ready)
 	}
 	nd.commReady = ready[:0]
-	return len(members), bytes
+	return len(members), len(m.Data)
 }
 
 // transfers is the number of member payloads a send request or wire

@@ -228,9 +228,9 @@ func bundleGraph(tb testing.TB, deps []ptg.Dep) (*ptg.Graph, []ptg.BundleMember)
 	return g, members
 }
 
-// TestBundleRoundTripZeroAlloc pins the lane contract: once the arena and
-// lane are warm, a full pack -> fan-out -> recycle cycle of a bundle
-// performs no heap allocation.
+// TestBundleRoundTripZeroAlloc pins the arena contract: once the arena is
+// warm, a full pack -> fan-out -> recycle cycle of a bundle performs no
+// heap allocation.
 func TestBundleRoundTripZeroAlloc(t *testing.T) {
 	const segBytes, segs = 64, 8
 	deps := make([]ptg.Dep, segs)
@@ -247,14 +247,13 @@ func TestBundleRoundTripZeroAlloc(t *testing.T) {
 	}
 	g, members := bundleGraph(t, deps)
 	wire := 4*(1+segs) + segs*segBytes
-	lane := newCommLane(wire)
 	var fanErr error
 	allocs := testing.AllocsPerRun(100, func() {
-		buf := packBundle(lane.get(), nil, g, members)
+		buf := packBundle(GetBuf(wire)[:0], nil, g, members)
 		if err := fanOutBundle(nil, g, members, buf); err != nil && fanErr == nil {
 			fanErr = err
 		}
-		lane.put(buf)
+		PutBuf(buf)
 	})
 	if fanErr != nil {
 		t.Fatal(fanErr)
@@ -266,7 +265,7 @@ func TestBundleRoundTripZeroAlloc(t *testing.T) {
 
 // BenchmarkBundleRoundTrip measures the steady-state coalesced hot path:
 // pack a bundle from pooled payloads, fan it back out, recycle the wire
-// buffer through its lane.
+// buffer into the arena.
 func BenchmarkBundleRoundTrip(b *testing.B) {
 	const segBytes, segs = 2048, 8
 	deps := make([]ptg.Dep, segs)
@@ -279,16 +278,15 @@ func BenchmarkBundleRoundTrip(b *testing.B) {
 	}
 	g, members := bundleGraph(b, deps)
 	wire := 4*(1+segs) + segs*segBytes
-	lane := newCommLane(wire)
 	b.SetBytes(int64(wire))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := packBundle(lane.get(), nil, g, members)
+		buf := packBundle(GetBuf(wire)[:0], nil, g, members)
 		if err := fanOutBundle(nil, g, members, buf); err != nil {
 			b.Fatal(err)
 		}
-		lane.put(buf)
+		PutBuf(buf)
 	}
 }
 

@@ -40,8 +40,10 @@ import (
 // Conduit is the wire transport of a distributed run. internal/netcomm
 // implements it over TCP; tests may substitute their own. All methods are
 // safe for concurrent use. Send is called from compute/communication
-// goroutines and must not retain m.Data past its return (the runtime
-// recycles the buffer immediately).
+// goroutines and must not retain m.Data past its return: the runtime ends
+// the message and returns its buffer to the arena (see pool.go). A
+// conduit delivers each inbound data payload in a buffer of its own from
+// GetBuf, which the receiving run then owns.
 type Conduit interface {
 	// Rank and Ranks report this process's position in the static member
 	// list.
@@ -131,7 +133,7 @@ func (ex *executor) localNode(n int32) bool {
 // in-process receive path applies, the copy this rank holds is dead.
 func (ex *executor) sendRemote(m Message) {
 	err := ex.dist.Net.Send(m)
-	ex.recycle(m)
+	PutBuf(m.Data)
 	if err != nil {
 		ex.fail(err)
 	}

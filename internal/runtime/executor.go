@@ -66,16 +66,14 @@ type Options struct {
 	Policy Policy
 	// Coalesce selects halo-bundle coalescing (default CoalesceOff). With
 	// CoalesceStep/CoalesceAuto, all cross-node payloads one node produces
-	// in one epoch toward one destination travel as a single message over a
-	// persistent communication lane (ptg.CoalesceStep fails the run when
-	// the graph's epochs do not admit a deadlock-free plan; ptg.CoalesceAuto
-	// falls back to point-to-point). Coalescing never changes numerics.
+	// in one epoch toward one destination travel as a single message
+	// (ptg.CoalesceStep fails the run when the graph's epochs do not admit
+	// a deadlock-free plan; ptg.CoalesceAuto falls back to point-to-point).
+	// Coalescing never changes numerics.
 	//
-	// Ownership contract: under coalescing the comm goroutine copies each
-	// packed payload into the bundle's wire buffer and immediately recycles
-	// the buffer returned by a Dep's Pack into the arena (PutBuf). Pack
-	// implementations must therefore hand over ownership of their returned
-	// buffer — the same convention point-to-point receivers already apply.
+	// Ownership contract: a Dep's Pack hands its returned buffer over to
+	// the runtime, which returns it to the arena once it is copied into the
+	// bundle's wire buffer (see the ownership rule in pool.go).
 	Coalesce ptg.CoalesceMode
 	// Fault, when non-nil, injects the plan's deterministic faults into
 	// the wire path (dropped/duplicated/delayed/reordered messages, slow
@@ -592,6 +590,7 @@ func (ex *executor) sweepDropped() {
 				ex.dropped.Add(ex.transfers(r.Bundle))
 			case m := <-nd.inbox:
 				ex.dropped.Add(ex.droppedTransfers(m))
+				PutBuf(m.Data)
 			default:
 				drained = false
 			}
@@ -971,6 +970,7 @@ func (ex *executor) deliver(m Message) {
 	}
 	if stopped {
 		ex.dropped.Add(ex.droppedTransfers(m))
+		PutBuf(m.Data)
 		return
 	}
 	select {
@@ -983,6 +983,7 @@ func (ex *executor) deliver(m Message) {
 			case ex.nodes[m.Dst].inbox <- m:
 			case <-ex.commStop:
 				ex.dropped.Add(ex.droppedTransfers(m))
+				PutBuf(m.Data)
 			}
 		}()
 	}

@@ -26,12 +26,11 @@ import (
 // deadline fails the run fast with a structured *fault.Report instead of
 // hanging on a dead node.
 //
-// Ownership: under recovery the sender retains the original payload buffer
-// in its pending table and every delivered copy (original transmission,
-// duplicate, retransmit) is an independent pooled buffer, because
-// receivers consume and recycle their payloads. The retained original is
-// recycled when the ack arrives. Without recovery the zero-copy paths of
-// executor.go/coalesce.go are byte-for-byte unchanged.
+// Ownership follows the arena rule in pool.go: under recovery the sender
+// owns the original payload in its pending table until the ack arrives, and
+// every delivered copy (original transmission, duplicate, retransmit) is a
+// buffer of its own, which its receiver ends. Without recovery the one
+// payload passes through untouched.
 //
 // Acks are control traffic: they bypass fault injection and the
 // Options.Intercept hook, and are not counted in Result.Messages/BytesSent
@@ -121,16 +120,6 @@ func (ex *executor) track(nd *execNode, m Message) Message {
 	return m
 }
 
-// recycle returns the payload of a message this node is done with: a
-// bundle's wire buffer rejoins its lane, a point-to-point payload the arena.
-func (ex *executor) recycle(m Message) {
-	if bi := msgIDOf(m).BundleIndex(); bi >= 0 {
-		ex.bundles[bi].lane.put(m.Data)
-	} else if m.Data != nil {
-		PutBuf(m.Data)
-	}
-}
-
 // copyPayload returns m with an independent pooled copy of its payload, so
 // the retained original survives delivery (receivers consume and recycle
 // what they are handed).
@@ -167,66 +156,43 @@ func (ex *executor) transmitAfter(m Message, d time.Duration) {
 	}()
 }
 
-// inject passes one sequenced-or-not outgoing message through the fault
-// plan's wire. For reliable transport m.Data is the sender-retained
-// original and every delivered copy is independent; without recovery the
-// plan can only delay (drop/dup force recovery on), so the single payload
-// passes through untouched.
+// inject passes one outgoing message through the fault plan's wire. Under
+// recovery m.Data is the sender-retained original and every delivered copy
+// is its own arena buffer; otherwise the plan can only delay (drop and dup
+// force recovery on), and the single payload passes through untouched.
 func (ex *executor) inject(nd *execNode, m Message) {
-	p := ex.fplan
-	if ex.reliable {
-		// Every reliable delivery must be an independent copy even with no
-		// plan active: the original stays in the pending table until acked,
-		// and the receiver consumes and recycles what it is handed.
-		if p == nil {
-			ex.transmit(copyPayload(m))
-			return
-		}
+	var delay time.Duration
+	copies := 1
+	if p := ex.fplan; p != nil {
 		id := msgIDOf(m)
 		if p.ShouldDrop(id, m.Attempt) {
 			ex.fStats.dropped.Add(1)
 			ex.traceFault("drop", nd.id, m, 0)
 			return // the pending-table retransmit will retry
 		}
-		delay := p.DelayOf(id, m.Attempt)
-		if delay > 0 {
+		if delay = p.DelayOf(id, m.Attempt); delay > 0 {
 			ex.fStats.delayed.Add(1)
 			ex.traceFault("delay", nd.id, m, delay)
 		}
-		dup := p.ShouldDup(id, m.Attempt)
-		if dup {
+		if p.ShouldDup(id, m.Attempt) {
+			copies = 2
 			ex.fStats.duplicated.Add(1)
 			ex.traceFault("dup", nd.id, m, 0)
 			// The duplicate is extra physical wire traffic.
 			ex.countCopy(m)
 		}
+	}
+	for ; copies > 0; copies-- {
+		c := m
+		if ex.reliable {
+			c = copyPayload(m)
+		}
 		if delay > 0 {
-			ex.transmitAfter(copyPayload(m), delay)
-			if dup {
-				ex.transmitAfter(copyPayload(m), delay)
-			}
-			return
+			ex.transmitAfter(c, delay)
+		} else {
+			ex.transmit(c)
 		}
-		ex.transmit(copyPayload(m))
-		if dup {
-			ex.transmit(copyPayload(m))
-		}
-		return
 	}
-	// Unreliable wire: only delay/reorder faults are possible here
-	// (NeedsRecovery plans auto-enable the reliable transport).
-	if p == nil {
-		ex.transmit(m)
-		return
-	}
-	id := msgIDOf(m)
-	if delay := p.DelayOf(id, m.Attempt); delay > 0 {
-		ex.fStats.delayed.Add(1)
-		ex.traceFault("delay", nd.id, m, delay)
-		ex.transmitAfter(m, delay)
-		return
-	}
-	ex.transmit(m)
 }
 
 // dispatch is the send-side tail shared by sendOne and sendBundle: with
@@ -263,7 +229,7 @@ func (ex *executor) handleAck(nd *execNode, m Message) {
 		if nd.relPending.Add(-1) == 0 {
 			ex.signalDrain()
 		}
-		ex.recycle(p.m) // the retained original
+		PutBuf(p.m.Data) // the retained original
 	}
 }
 

@@ -14,6 +14,16 @@ import (
 // unpack path performs no heap allocation at all (the persistent-buffer
 // discipline of partitioned-MPI stencils).
 //
+// Ownership rule for wire buffers: every Message.Data is a whole arena
+// buffer (never a sub-slice of another) with exactly one owner, and
+// whoever ends the message returns it with PutBuf. That is the consumer
+// after unpacking it, the sender after a remote send or once an ack
+// settles the retained original, or anyone who discards the message. A
+// Dep's Pack hands its returned buffer over the same way; a point-to-point
+// payload travels as is, a bundle's wire buffer is a fresh arena buffer
+// its sender packs the members into, and a netcomm data frame is read into
+// one.
+//
 // A hand-rolled mutex-protected stack per size class is used instead of
 // sync.Pool: storing slices in a sync.Pool boxes the slice header on every
 // Put (one 24-byte allocation), which would defeat the zero-alloc goal, and

@@ -28,12 +28,8 @@ type Conduit = runtime.Conduit
 // runs.
 type NetTransport = netcomm.Transport
 
-// NetOptions configures NetConnect.
-//
-// Deprecated: for per-run distribution use
-// WithCluster(ClusterOptions{Rank: ..., Ranks: ...}); NetOptions remains
-// for long-lived processes that tune the transport (listener reuse,
-// metrics) before handing it to WithCluster.
+// NetOptions configures NetConnect: a pre-bound listener, the reconnection
+// deadline, the frame limit, tracing and metrics.
 type NetOptions = netcomm.Options
 
 // NetMetricsRegistry is the metrics registry type NetOptions.Metrics
@@ -45,11 +41,10 @@ type NetMetricsRegistry = metrics.Registry
 // rank pair is connected. Close the returned transport when done;
 // o.Rank/o.Addrs are taken from the arguments.
 //
-// Deprecated: one-shot runs should pass membership directly with
-// WithCluster(ClusterOptions{Rank: rank, Ranks: addrs}) and let Run manage
-// the mesh. NetConnect remains the explicit connection path for processes
-// that reuse one mesh across many runs (pass the transport via
-// ClusterOptions.Transport) — results are bitwise identical either way.
+// A process that runs many jobs over one mesh connects once here and passes
+// the transport in ClusterOptions.Transport; a one-shot run passes
+// WithCluster(ClusterOptions{Rank: rank, Ranks: addrs}) and lets Run manage
+// the mesh. Results are bitwise identical either way.
 func NetConnect(rank int, addrs []string, o NetOptions) (*NetTransport, error) {
 	o.Rank, o.Addrs = rank, addrs
 	return netcomm.Connect(o)
