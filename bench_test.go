@@ -276,7 +276,7 @@ func BenchmarkDESEventThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fabric := netsim.NewFabric(m.Net, 16)
-		if _, err := desim.Run(g, desim.Options{Cores: 11, Cost: cost, Fabric: fabric, Policy: desim.Priority}); err != nil {
+		if _, err := desim.Run(g, desim.Options{Cores: 11, Cost: cost, Fabric: fabric}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -71,25 +71,10 @@ type SimResult = core.SimResult
 // RealResult is the outcome of a real execution.
 type RealResult = core.RealResult
 
-// ExecOptions configures RunGraph's runtime (workers per node, scheduling
-// policy, tracing, fault injection, message interception). Run takes the
-// functional Option list instead.
+// ExecOptions configures RunGraph's runtime (workers per node, tracing,
+// fault injection, message interception). Run takes the functional Option
+// list instead.
 type ExecOptions = runtime.Options
-
-// Scheduling policies of the real runtime: the order of each node's
-// injection queue.
-const (
-	FIFO          = runtime.FIFO
-	LIFO          = runtime.LIFO
-	PriorityOrder = runtime.PriorityOrder
-)
-
-// PolicyNames lists the policy names ParsePolicy accepts, for flag help.
-const PolicyNames = runtime.PolicyNames
-
-// ParsePolicy maps a command-line policy name ("fifo", "lifo",
-// "priority") to a Policy.
-func ParsePolicy(name string) (Policy, error) { return runtime.ParsePolicy(name) }
 
 // CoalesceMode selects halo-bundle coalescing: all cross-node payloads one
 // node produces in one epoch toward one neighbor travel as a single wire
@@ -135,12 +120,6 @@ const TransformNames = core.TransformNames
 // ParseTransform maps a command-line transform mode name to a
 // TransformMode.
 func ParseTransform(name string) (TransformMode, error) { return core.ParseTransform(name) }
-
-// Policy orders the real runtime's injection queues: roots and tasks made
-// ready by messages. Every worker also owns a work-stealing deque that
-// holds the successors it releases. Policy choice never changes
-// numerics — only performance.
-type Policy = runtime.Policy
 
 // Machine is a calibrated cluster model.
 type Machine = machine.Model

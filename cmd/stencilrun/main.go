@@ -47,7 +47,6 @@ func main() {
 		{"wavefront", 10, "WF block width w (steps per fused wavefront task)", &s.Wavefront},
 		{"ratio", 1.0, "kernel adjustment ratio (sim only)", &s.Ratio},
 		{"workers", 2, "workers per node (real engine)", &s.Workers},
-		{"sched", "fifo", "real-engine scheduler policy: " + castencil.PolicyNames, &s.Sched},
 		{"coalesce", "off", "halo-bundle coalescing: " + castencil.CoalesceNames, &s.Coalesce},
 		{"transform", "none", "graph transformation: " + castencil.TransformNames + " (split = inner/border overlap)", &s.Transform},
 		{"fault", "", "fault-injection spec, e.g. \"drop=0.01,seed=7\"; grammar: " + castencil.FaultSpecSyntax, &s.Fault},
@@ -207,8 +206,8 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("%s real run (%s): %d nodes x %d workers, elapsed %v, %d messages, %.1f MB sent\n",
-		variant, s.Sched, s.Nodes, s.Workers, res.Exec.Elapsed, res.Exec.Messages, float64(res.Exec.BytesSent)/1e6)
+	fmt.Printf("%s real run: %d nodes x %d workers, elapsed %v, %d messages, %.1f MB sent\n",
+		variant, s.Nodes, s.Workers, res.Exec.Elapsed, res.Exec.Messages, float64(res.Exec.BytesSent)/1e6)
 	if distributed {
 		fmt.Printf("  distributed: %d ranks, grid sha256 %s\n", len(rankAddrs), castencil.GridSHA256(res.Grid))
 		if r.Steal != castencil.StealOff || res.Exec.MigratedTasks > 0 {

@@ -13,7 +13,7 @@ func newSet(t *testing.T) *flag.FlagSet {
 	return fs
 }
 
-// The run flags (-sched, -coalesce, -machine, -fault) bind string fields of
+// The run flags (-coalesce, -machine, -fault) bind string fields of
 // castencil.Spec, as stencilrun declares them, and a spelling is checked when
 // the spec resolves. runFlag binds one such flag on a small spec that
 // resolves on the real engine.
@@ -40,21 +40,6 @@ func resolve(t *testing.T, fs *flag.FlagSet, s *castencil.Spec, args ...string) 
 		opt(&o)
 	}
 	return o, r, nil
-}
-
-func TestSchedFlag(t *testing.T) {
-	fs, s := runFlag(t, "sched", "lifo", func(s *castencil.Spec) *string { return &s.Sched })
-	if o, _, err := resolve(t, fs, s); err != nil || o.Policy != castencil.LIFO {
-		t.Fatalf("default: got (%v, %v), want LIFO", o.Policy, err)
-	}
-	if o, _, err := resolve(t, fs, s, "-sched", "priority"); err != nil || o.Policy != castencil.PriorityOrder {
-		t.Fatalf("got (%v, %v), want PriorityOrder", o.Policy, err)
-	}
-	for _, bad := range []string{"bogus", "steal"} {
-		if _, _, err := resolve(t, fs, s, "-sched", bad); err == nil {
-			t.Fatalf("bad spelling %q accepted", bad)
-		}
-	}
 }
 
 func TestCoalesceFlag(t *testing.T) {

@@ -299,16 +299,15 @@ func TestHintsCAExcessWork(t *testing.T) {
 	}
 }
 
+// TestRunRealAllPolicies runs CA at three workers per node, a count the
+// determinism suites do not sweep, against the reference.
 func TestRunRealAllPolicies(t *testing.T) {
 	cfg := Config{N: 20, TileRows: 5, P: 2, Steps: 6, StepSize: 3}
-	for _, pol := range []runtime.Policy{runtime.FIFO, runtime.LIFO, runtime.PriorityOrder} {
-		res, err := RunReal(CA, cfg, runtime.Options{Workers: 3, Policy: pol})
-		if err != nil {
-			t.Fatalf("policy %v: %v", pol, err)
-		}
-		ref := referenceFor(t, cfg)
-		if d := ref.MaxAbsDiff(res.Grid.At); d != 0 {
-			t.Errorf("policy %v: max diff %v", pol, d)
-		}
+	res, err := RunReal(CA, cfg, runtime.Options{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := referenceFor(t, cfg).MaxAbsDiff(res.Grid.At); d != 0 {
+		t.Errorf("max diff %v", d)
 	}
 }

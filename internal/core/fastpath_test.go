@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"castencil/internal/grid"
+	"castencil/internal/ptg"
 	"castencil/internal/runtime"
 )
 
@@ -167,12 +168,11 @@ func TestFastPathStaysOnOracle(t *testing.T) {
 }
 
 // TestCornerRing pins the three-slot ring of the CA step-size-1 corner flow
-// from an interior producer into a boundary tile (see slotDepth). Under
-// every policy at 1, 2 and 4 workers, runs with the five- and nine-point
-// kernels, the split transform and a ragged 3x2-node grid must match the
-// oracle bitwise and consume every payload. With a two-slot ring the
-// producer refills a slot its consumer has not taken yet, which fails even
-// the one-worker FIFO run.
+// from an interior producer into a boundary tile (see slotDepth). At 1, 2
+// and 4 workers, runs with the five- and nine-point kernels, the split
+// transform and a ragged 3x2-node grid must match the oracle bitwise and
+// consume every payload. With a two-slot ring the producer refills a slot
+// its consumer has not taken yet, which fails even the one-worker run.
 func TestCornerRing(t *testing.T) {
 	five := Config{N: 24, TileRows: 4, P: 2, Steps: 9, StepSize: 1}
 	nine := five
@@ -189,13 +189,11 @@ func TestCornerRing(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			want := oracle(t, c.cfg)
-			for _, sched := range schedVariants() {
-				for _, workers := range []int{1, 2, 4} {
-					res := runSched(t, CA, c.cfg, sched, workers)
-					assertOracleBitwise(t, fmt.Sprintf("%s w=%d", sched, workers), want, res.Grid)
-					if n := LeftoverBuffers(res.Exec.Stores); n != 0 {
-						t.Errorf("%s w=%d: %d unconsumed buffers", sched, workers, n)
-					}
+			for _, workers := range []int{1, 2, 4} {
+				res := runSched(t, CA, c.cfg, workers, ptg.CoalesceOff)
+				assertOracleBitwise(t, fmt.Sprintf("w=%d", workers), want, res.Grid)
+				if n := LeftoverBuffers(res.Exec.Stores); n != 0 {
+					t.Errorf("w=%d: %d unconsumed buffers", workers, n)
 				}
 			}
 		})

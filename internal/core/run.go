@@ -307,7 +307,6 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 		Cores:      opts.Machine.ComputeCores(),
 		Cost:       CostModel(opts.Machine, opts.Ratio),
 		Fabric:     fabric,
-		Policy:     desim.Priority,
 		Trace:      opts.Trace,
 		TraceNode:  opts.TraceNode,
 		Coalesce:   opts.Coalesce,

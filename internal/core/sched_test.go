@@ -10,31 +10,16 @@ import (
 	"castencil/internal/runtime"
 )
 
-// schedVariants enumerates every injection-queue policy of the runtime's
-// scheduler, by the names ParsePolicy accepts on the command line.
-func schedVariants() []string {
-	return []string{"fifo", "lifo", "priority"}
-}
-
-// runSched executes a variant under one named policy and worker count.
-func runSched(t *testing.T, v Variant, cfg Config, sched string, workers int) *RealResult {
+// runSched executes a variant at one worker count and halo-coalescing
+// mode, failing on an error or a dropped transfer.
+func runSched(t *testing.T, v Variant, cfg Config, workers int, coal ptg.CoalesceMode) *RealResult {
 	t.Helper()
-	return runSchedCoalesce(t, v, cfg, sched, workers, ptg.CoalesceOff)
-}
-
-// runSchedCoalesce is runSched with an explicit halo-coalescing mode.
-func runSchedCoalesce(t *testing.T, v Variant, cfg Config, sched string, workers int, coal ptg.CoalesceMode) *RealResult {
-	t.Helper()
-	p, err := runtime.ParsePolicy(sched)
+	res, err := RunReal(v, cfg, runtime.Options{Workers: workers, Coalesce: coal})
 	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunReal(v, cfg, runtime.Options{Workers: workers, Policy: p, Coalesce: coal})
-	if err != nil {
-		t.Fatalf("%s w=%d coalesce=%v: %v", sched, workers, coal, err)
+		t.Fatalf("w=%d coalesce=%v: %v", workers, coal, err)
 	}
 	if res.Exec.Dropped != 0 {
-		t.Fatalf("%s w=%d coalesce=%v: dropped %d transfers", sched, workers, coal, res.Exec.Dropped)
+		t.Fatalf("w=%d coalesce=%v: dropped %d transfers", workers, coal, res.Exec.Dropped)
 	}
 	return res
 }
@@ -61,11 +46,11 @@ func assertGridsBitwiseEqual(t *testing.T, label string, want, got *grid.Tile) {
 }
 
 // TestSchedulerDeterminism is the cross-schedule determinism suite: the
-// Base and CA pipelines, run under every policy at 1, 2 and 4 workers per
-// node and with halo coalescing both off and on, must produce
-// bitwise-identical grids with zero dropped transfers. The reference is one
-// FIFO worker per node with point-to-point delivery — the most sequential
-// schedule the runtime can produce. Coalescing rides in the
+// Base and CA pipelines, run at 1, 2 and 4 workers per node and with halo
+// coalescing both off and on, must produce bitwise-identical grids with
+// zero dropped transfers. The reference is one worker per node with
+// point-to-point delivery — the most sequential schedule the runtime can
+// produce. Coalescing rides in the
 // sweep because it must be invisible to numerics: it reorders and batches
 // message traffic but never changes any task's inputs.
 func TestSchedulerDeterminism(t *testing.T) {
@@ -79,17 +64,15 @@ func TestSchedulerDeterminism(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ref := runSched(t, c.v, c.cfg, "fifo", 1)
+			ref := runSched(t, c.v, c.cfg, 1, ptg.CoalesceOff)
 			for _, coal := range []ptg.CoalesceMode{ptg.CoalesceOff, ptg.CoalesceStep} {
-				for _, sched := range schedVariants() {
-					for _, workers := range []int{1, 2, 4} {
-						if sched == "fifo" && workers == 1 && coal == ptg.CoalesceOff {
-							continue // that is the reference itself
-						}
-						label := fmt.Sprintf("%s w=%d coalesce=%v", sched, workers, coal)
-						got := runSchedCoalesce(t, c.v, c.cfg, sched, workers, coal)
-						assertGridsBitwiseEqual(t, label, ref.Grid, got.Grid)
+				for _, workers := range []int{1, 2, 4} {
+					if workers == 1 && coal == ptg.CoalesceOff {
+						continue // that is the reference itself
 					}
+					label := fmt.Sprintf("w=%d coalesce=%v", workers, coal)
+					got := runSched(t, c.v, c.cfg, workers, coal)
+					assertGridsBitwiseEqual(t, label, ref.Grid, got.Grid)
 				}
 			}
 		})
@@ -100,7 +83,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 // counters surface through RunReal: a multi-worker CA run must account
 // every task to either a local deque hit, a steal, or the injection queue.
 func TestSchedulerDeterminismObservability(t *testing.T) {
-	res := runSched(t, CA, Config{N: 24, TileRows: 6, P: 2, Steps: 8, StepSize: 3}, "fifo", 4)
+	res := runSched(t, CA, Config{N: 24, TileRows: 6, P: 2, Steps: 8, StepSize: 3}, 4, ptg.CoalesceOff)
 	hits, steals := 0, 0
 	for n := range res.Exec.NodeLocalHits {
 		hits += res.Exec.NodeLocalHits[n]

@@ -36,9 +36,9 @@ func TestSplitMatchesReference9Point(t *testing.T) {
 }
 
 // TestSplitDeterminism is the acceptance criterion of the split transform:
-// across both variants, every policy, 1/2/4 workers per node and halo
-// coalescing off and on, the split run's grid is bitwise identical to the
-// unsplit FIFO single-worker reference. Splitting re-partitions each tile
+// across both variants, 1/2/4 workers per node and halo coalescing off and
+// on, the split run's grid is bitwise identical to the unsplit single-worker
+// reference. Splitting re-partitions each tile
 // update into disjoint rect sweeps of the same read-only inputs, so any
 // divergence means a border task ran before its halo arrived or wrote
 // outside its rect.
@@ -53,14 +53,12 @@ func TestSplitDeterminism(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ref := runSched(t, c.v, c.cfg, "fifo", 1) // unsplit reference
+			ref := runSched(t, c.v, c.cfg, 1, ptg.CoalesceOff) // unsplit reference
 			for _, coal := range []ptg.CoalesceMode{ptg.CoalesceOff, ptg.CoalesceStep} {
-				for _, sched := range schedVariants() {
-					for _, workers := range []int{1, 2, 4} {
-						label := fmt.Sprintf("split %s w=%d coalesce=%v", sched, workers, coal)
-						got := runSchedCoalesce(t, c.v, splitCfg(c.cfg), sched, workers, coal)
-						assertGridsBitwiseEqual(t, label, ref.Grid, got.Grid)
-					}
+				for _, workers := range []int{1, 2, 4} {
+					label := fmt.Sprintf("split w=%d coalesce=%v", workers, coal)
+					got := runSched(t, c.v, splitCfg(c.cfg), workers, coal)
+					assertGridsBitwiseEqual(t, label, ref.Grid, got.Grid)
 				}
 			}
 		})

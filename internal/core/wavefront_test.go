@@ -97,9 +97,9 @@ func TestWFRandomizedEquivalence(t *testing.T) {
 }
 
 // TestWFSchedulerDeterminism extends the cross-scheduler determinism suite
-// to the wavefront pipeline: every policy at 1, 2 and 4 workers per node,
-// with halo coalescing off and on, must reproduce the single-worker FIFO
-// point-to-point run bitwise, at two widths and two grid shapes.
+// to the wavefront pipeline: 1, 2 and 4 workers per node, with halo
+// coalescing off and on, must reproduce the single-worker point-to-point
+// run bitwise, at two widths and two grid shapes.
 func TestWFSchedulerDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
@@ -110,17 +110,15 @@ func TestWFSchedulerDeterminism(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ref := runSched(t, WF, c.cfg, "fifo", 1)
+			ref := runSched(t, WF, c.cfg, 1, ptg.CoalesceOff)
 			for _, coal := range []ptg.CoalesceMode{ptg.CoalesceOff, ptg.CoalesceStep} {
-				for _, sched := range schedVariants() {
-					for _, workers := range []int{1, 2, 4} {
-						if sched == "fifo" && workers == 1 && coal == ptg.CoalesceOff {
-							continue // that is the reference itself
-						}
-						label := fmt.Sprintf("%s w=%d coalesce=%v", sched, workers, coal)
-						got := runSchedCoalesce(t, WF, c.cfg, sched, workers, coal)
-						assertGridsBitwiseEqual(t, label, ref.Grid, got.Grid)
+				for _, workers := range []int{1, 2, 4} {
+					if workers == 1 && coal == ptg.CoalesceOff {
+						continue // that is the reference itself
 					}
+					label := fmt.Sprintf("w=%d coalesce=%v", workers, coal)
+					got := runSched(t, WF, c.cfg, workers, coal)
+					assertGridsBitwiseEqual(t, label, ref.Grid, got.Grid)
 				}
 			}
 		})

@@ -7,9 +7,11 @@
 //
 // The simulation is an exact resource-constrained list scheduling: a task
 // starts the moment all its inputs are present on its node AND a core is
-// idle; cores are released at task end; messages leave on the producer
-// node's NIC in completion order (the dedicated communication thread of the
-// paper's PaRSEC configuration).
+// idle; tasks waiting for a core start in the real runtime's order
+// (ptg.ReadyQueue: highest priority first, then ready order); cores are
+// released at task end; messages leave on the producer node's NIC in
+// completion order (the dedicated communication thread of the paper's
+// PaRSEC configuration).
 package desim
 
 import (
@@ -36,8 +38,6 @@ type Options struct {
 	// Fabric models the interconnect. Required when the graph has
 	// cross-node dependencies.
 	Fabric *netsim.Fabric
-	// Policy orders the per-node wait queue when cores are oversubscribed.
-	Policy Policy
 	// Trace, when non-nil, receives an event per task with virtual times.
 	// TraceNode limits collection to one node (<0 = all nodes); traces of
 	// large runs are expensive.
@@ -94,14 +94,6 @@ type StealOpts struct {
 	// thief rank that executes it.
 	Force []ptg.ForcedSteal
 }
-
-// Policy mirrors the real runtime's scheduling disciplines.
-type Policy int
-
-const (
-	FIFO Policy = iota
-	Priority
-)
 
 // Result is the outcome of a simulation.
 type Result struct {
@@ -185,12 +177,6 @@ type event struct {
 	core int32
 }
 
-type waitItem struct {
-	task int32
-	prio int32
-	seq  int64
-}
-
 // minHeap is a binary min-heap under less. It moves values, not
 // interfaces, so a push allocates only when the backing array grows. Every
 // key the simulator uses ends in a unique sequence number, so the pop order
@@ -244,8 +230,8 @@ func (s *sim) schedule(ev event) {
 }
 
 type simNode struct {
-	idleCores []int32 // stack of idle core ids
-	waiting   minHeap[waitItem]
+	idleCores []int32        // stack of idle core ids
+	waiting   ptg.ReadyQueue // tasks ready while every core is busy
 	busy      time.Duration
 }
 
@@ -405,15 +391,6 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		for c := opts.Cores - 1; c >= 0; c-- {
 			nd.idleCores = append(nd.idleCores, int32(c))
 		}
-		nd.waiting.less = func(a, b waitItem) bool { return a.seq < b.seq }
-		if opts.Policy == Priority {
-			nd.waiting.less = func(a, b waitItem) bool {
-				if a.prio != b.prio {
-					return a.prio > b.prio
-				}
-				return a.seq < b.seq
-			}
-		}
 		s.nodes[n] = nd
 	}
 	for i := range g.Tasks {
@@ -466,8 +443,8 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 			// Free the core and pull the next waiter if any.
 			nd := s.nodes[ev.node]
 			nd.idleCores = append(nd.idleCores, ev.core)
-			if nd.waiting.len() > 0 {
-				s.start(nd.waiting.pop().task, ev.at)
+			if idx, ok := nd.waiting.Pop(); ok {
+				s.start(idx, ev.at)
 			}
 		case evMsgArrive:
 			s.satisfy(ev.task, ev.at)
@@ -538,8 +515,7 @@ func (s *sim) taskReady(idx int32, at time.Duration) {
 		s.start(idx, at)
 		return
 	}
-	s.seq++
-	nd.waiting.push(waitItem{task: idx, prio: t.Priority, seq: s.seq})
+	nd.waiting.Push(idx, t.Priority)
 }
 
 // start runs the task on an idle core of its node beginning at time at.

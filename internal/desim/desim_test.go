@@ -139,34 +139,24 @@ func TestOverlapHidesCommunication(t *testing.T) {
 
 func TestPriorityPolicyOrdersWaiters(t *testing.T) {
 	// Single core, a root task, then two waiters with different priority:
-	// high priority runs first under Priority, insertion order under FIFO.
-	build := func() *ptg.Graph {
-		b := ptg.NewBuilder(1)
-		b.AddTask(ptg.Task{ID: tid("root", 0, 0, 0), Node: 0})
-		b.AddTask(ptg.Task{ID: tid("low", 0, 0, 0), Node: 0, Priority: 1})
-		b.AddTask(ptg.Task{ID: tid("high", 0, 0, 0), Node: 0, Priority: 9})
-		b.AddDep(tid("low", 0, 0, 0), tid("root", 0, 0, 0), ptg.Dep{})
-		b.AddDep(tid("high", 0, 0, 0), tid("root", 0, 0, 0), ptg.Dep{})
-		g, _ := b.Build()
-		return g
+	// the high one runs first although the low one was enqueued first.
+	b := ptg.NewBuilder(1)
+	b.AddTask(ptg.Task{ID: tid("root", 0, 0, 0), Node: 0})
+	b.AddTask(ptg.Task{ID: tid("low", 0, 0, 0), Node: 0, Priority: 1})
+	b.AddTask(ptg.Task{ID: tid("high", 0, 0, 0), Node: 0, Priority: 9})
+	b.AddDep(tid("low", 0, 0, 0), tid("root", 0, 0, 0), ptg.Dep{})
+	b.AddDep(tid("high", 0, 0, 0), tid("root", 0, 0, 0), ptg.Dep{})
+	g, _ := b.Build()
+	tr := trace.New()
+	if _, err := Run(g, Options{Cores: 1, Cost: constCost(time.Millisecond), Trace: tr, TraceNode: -1}); err != nil {
+		t.Fatal(err)
 	}
-	order := func(policy Policy) []string {
-		tr := trace.New()
-		_, err := Run(build(), Options{Cores: 1, Cost: constCost(time.Millisecond), Policy: policy, Trace: tr, TraceNode: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var names []string
-		for _, e := range tr.Events() {
-			names = append(names, e.ID.Class)
-		}
-		return names
+	var got []string
+	for _, e := range tr.Events() {
+		got = append(got, e.ID.Class)
 	}
-	if got := order(Priority); got[1] != "high" {
+	if got[1] != "high" {
 		t.Errorf("priority order = %v", got)
-	}
-	if got := order(FIFO); got[1] != "low" {
-		t.Errorf("fifo order = %v (low was enqueued first)", got)
 	}
 }
 
@@ -257,7 +247,7 @@ func TestBusyTimeAndOccupancy(t *testing.T) {
 }
 
 func TestWaitQueueFIFOAmongEqualPriorities(t *testing.T) {
-	// Priority policy with equal priorities must preserve ready order.
+	// Equal priorities must preserve ready order.
 	b := ptg.NewBuilder(1)
 	b.AddTask(ptg.Task{ID: tid("root", 0, 0, 0), Node: 0})
 	for i := 0; i < 4; i++ {
@@ -266,7 +256,7 @@ func TestWaitQueueFIFOAmongEqualPriorities(t *testing.T) {
 	}
 	g, _ := b.Build()
 	tr := trace.New()
-	if _, err := Run(g, Options{Cores: 1, Cost: constCost(time.Millisecond), Policy: Priority, Trace: tr, TraceNode: -1}); err != nil {
+	if _, err := Run(g, Options{Cores: 1, Cost: constCost(time.Millisecond), Trace: tr, TraceNode: -1}); err != nil {
 		t.Fatal(err)
 	}
 	events := tr.Events()

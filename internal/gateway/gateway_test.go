@@ -119,7 +119,7 @@ func TestGatewayCacheHitServedWithoutBackend(t *testing.T) {
 	// hit, served without touching the backend, bitwise-equal result.
 	respec := quickSpec(7)
 	respec.Workers = 2
-	respec.Sched = "lifo"
+	respec.Coalesce = "step"
 	j2, err := g.Submit(respec)
 	if err != nil {
 		t.Fatal(err)

@@ -61,9 +61,6 @@ type Interceptor func(m Message, deliver func(Message))
 type Options struct {
 	// Workers is the number of compute goroutines per node (default 1).
 	Workers int
-	// Policy orders each node's injection queue (default FIFO). The
-	// choice never changes numerics — only who runs what, when.
-	Policy Policy
 	// Coalesce selects halo-bundle coalescing (default CoalesceOff). With
 	// CoalesceStep/CoalesceAuto, all cross-node payloads one node produces
 	// in one epoch toward one destination travel as a single message
@@ -197,8 +194,8 @@ type execNode struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	// queue is the node-level injection queue (root seeding, the comm
-	// goroutine, the steal agent). Guarded by mu.
-	queue readyQueue
+	// goroutine, the steal agent), highest priority first. Guarded by mu.
+	queue ptg.ReadyQueue
 	// wakeSeq, guarded by mu, is bumped by deque producers that want to
 	// wake parked workers; a parker re-checks it before sleeping, which
 	// closes the lost-wakeup race with lock-free deque pushes.
@@ -439,7 +436,6 @@ func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) 
 		nd := &execNode{
 			id:     int32(n),
 			store:  NewStoreWithSlots(slots, bufSlots),
-			queue:  newReadyQueue(opts.Policy),
 			deques: make([]*deque, opts.Workers),
 			sendQ:  make(chan ptg.OutEdge, sends+1),
 			inbox:  make(chan Message, recvs+1),
@@ -515,7 +511,7 @@ func (ex *executor) run() (*Result, error) {
 	}
 
 	// Seed the local roots before any worker starts, so the first worker to
-	// pop already chooses among all of them (queue policy holds from the
+	// pop already chooses among all of them (priority order holds from the
 	// first task on).
 	for _, r := range g.Roots() {
 		if ex.localNode(g.Tasks[r].Node) {
@@ -703,7 +699,7 @@ func (ex *executor) enqueue(idx int32) {
 	t := &ex.g.Tasks[idx]
 	nd := ex.nodes[t.Node]
 	nd.mu.Lock()
-	nd.queue.push(idx, t.Priority)
+	nd.queue.Push(idx, t.Priority)
 	nd.cond.Signal()
 	nd.mu.Unlock()
 }
@@ -726,7 +722,7 @@ func (ex *executor) enqueueBatch(nd *execNode, tasks []int32) {
 	}
 	nd.mu.Lock()
 	for _, idx := range tasks {
-		nd.queue.push(idx, ex.g.Tasks[idx].Priority)
+		nd.queue.Push(idx, ex.g.Tasks[idx].Priority)
 	}
 	if len(tasks) == 1 {
 		nd.cond.Signal()
@@ -765,10 +761,10 @@ func (ex *executor) worker(nd *execNode, core int32, wg *sync.WaitGroup) {
 			idx, stolen, ok = ex.findWork(nd, core, own)
 			if !ok {
 				nd.mu.Lock()
-				if nd.wakeSeq == seq && nd.queue.size() == 0 && !ex.done.Load() {
+				if nd.wakeSeq == seq && nd.queue.Len() == 0 && !ex.done.Load() {
 					nd.parks.Add(1)
 					ex.noteStarve()
-					for nd.wakeSeq == seq && nd.queue.size() == 0 && !ex.done.Load() {
+					for nd.wakeSeq == seq && nd.queue.Len() == 0 && !ex.done.Load() {
 						nd.cond.Wait()
 					}
 				}
@@ -803,7 +799,7 @@ func (ex *executor) findWork(nd *execNode, core int32, own *deque) (idx int32, s
 		}
 	}
 	nd.mu.Lock()
-	idx, ok = nd.queue.pop()
+	idx, ok = nd.queue.Pop()
 	nd.mu.Unlock()
 	return idx, false, ok
 }

@@ -166,16 +166,15 @@ func TestRunFanOutFanIn(t *testing.T) {
 	}
 }
 
+// TestRunAllPolicies runs a two-node chain at two workers per node, where
+// the injection queue and the workers' deques both feed the workers.
 func TestRunAllPolicies(t *testing.T) {
-	for _, p := range []Policy{FIFO, LIFO, PriorityOrder} {
-		g := buildChain(t, 30, 2)
-		res, err := Run(g, Options{Workers: 2, Policy: p})
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		if res.Completed != 30 {
-			t.Errorf("%v: completed %d", p, res.Completed)
-		}
+	res, err := Run(buildChain(t, 30, 2), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 30 {
+		t.Errorf("completed %d", res.Completed)
 	}
 }
 
@@ -196,7 +195,7 @@ func TestPriorityOrderRespected(t *testing.T) {
 		})
 	}
 	g, _ := b.Build()
-	if _, err := Run(g, Options{Workers: 1, Policy: PriorityOrder}); err != nil {
+	if _, err := Run(g, Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Every root is queued before the worker starts, so the order is exact.
@@ -375,7 +374,7 @@ func TestRandomDAGStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(g, Options{Workers: rng.Intn(3) + 1, Policy: Policy(rng.Intn(3))})
+		res, err := Run(g, Options{Workers: rng.Intn(3) + 1})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -9,29 +9,6 @@ import (
 	"castencil/internal/trace"
 )
 
-func TestParsePolicy(t *testing.T) {
-	cases := []struct {
-		in     string
-		policy Policy
-	}{
-		{"fifo", FIFO},
-		{"LIFO", LIFO},
-		{"priority", PriorityOrder},
-	}
-	for _, c := range cases {
-		p, err := ParsePolicy(c.in)
-		if err != nil || p != c.policy {
-			t.Errorf("ParsePolicy(%q) = %v,%v; want %v", c.in, p, err, c.policy)
-		}
-	}
-	// The scheduler-architecture spellings are gone: one scheduler remains.
-	for _, bad := range []string{"steal", "ws", "work-stealing", "shared", "prio", "bogus", ""} {
-		if _, err := ParsePolicy(bad); err == nil {
-			t.Errorf("ParsePolicy accepted %q", bad)
-		}
-	}
-}
-
 // TestWorkStealingChain re-runs the cross-node pipeline tests at several
 // worker counts: same result, same message accounting.
 func TestWorkStealingChain(t *testing.T) {
@@ -169,13 +146,13 @@ func TestWorkStealingWorkersOutnumberTasks(t *testing.T) {
 	}
 }
 
-// TestWorkStealingRandomDAGStress mirrors TestRandomDAGStress across the
-// injection-queue policies, cross-node messages included.
+// TestWorkStealingRandomDAGStress mirrors TestRandomDAGStress across worker
+// counts, cross-node messages included.
 func TestWorkStealingRandomDAGStress(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		nodes := trial%3 + 1
 		g := buildChain(t, 40, nodes)
-		res, err := Run(g, Options{Workers: trial%4 + 1, Policy: Policy(trial % 3)})
+		res, err := Run(g, Options{Workers: trial%4 + 1})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -196,24 +173,21 @@ func TestWorkStealingPanicPropagates(t *testing.T) {
 	}
 }
 
-// TestSchedulerEquivalence runs the same dataflow under every policy and
-// worker count and checks the computed values agree — the runtime-level
-// half of the determinism invariant (the stencil-level half lives in
-// internal/core).
+// TestSchedulerEquivalence runs the same dataflow at every worker count and
+// checks the computed values agree — the runtime-level half of the
+// determinism invariant (the stencil-level half lives in internal/core).
 func TestSchedulerEquivalence(t *testing.T) {
-	for _, pol := range []Policy{FIFO, LIFO, PriorityOrder} {
-		for _, workers := range []int{1, 2, 4} {
-			g := buildChain(t, 24, 3)
-			res, err := Run(g, Options{Workers: workers, Policy: pol})
-			if err != nil {
-				t.Fatalf("%v w=%d: %v", pol, workers, err)
-			}
-			if res.Completed != 24 || res.Dropped != 0 {
-				t.Fatalf("%v w=%d: completed=%d dropped=%d", pol, workers, res.Completed, res.Dropped)
-			}
-			if got := chainValue(res, 23, 3); got != 24 {
-				t.Errorf("%v w=%d: final value = %d, want 24", pol, workers, got)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		g := buildChain(t, 24, 3)
+		res, err := Run(g, Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		if res.Completed != 24 || res.Dropped != 0 {
+			t.Fatalf("w=%d: completed=%d dropped=%d", workers, res.Completed, res.Dropped)
+		}
+		if got := chainValue(res, 23, 3); got != 24 {
+			t.Errorf("w=%d: final value = %d, want 24", workers, got)
 		}
 	}
 }

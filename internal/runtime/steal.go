@@ -385,7 +385,7 @@ func (ag *stealAgent) maybeProbe() {
 			continue
 		}
 		nd.mu.Lock()
-		n := nd.queue.size()
+		n := nd.queue.Len()
 		nd.mu.Unlock()
 		if n > 0 {
 			ag.hungry = false
@@ -467,12 +467,12 @@ func (ex *executor) stealPop() (int32, bool) {
 			continue
 		}
 		nd.mu.Lock()
-		if depth := nd.queue.size(); depth >= 2 {
+		if depth := nd.queue.Len(); depth >= 2 {
 			var kept [8]int32
 			nk := 0
 			found := int32(-1)
-			for nk < len(kept) && nd.queue.size() > 1 {
-				idx, ok := nd.queue.pop()
+			for nk < len(kept) && nd.queue.Len() > 1 {
+				idx, ok := nd.queue.Pop()
 				if !ok {
 					break
 				}
@@ -484,7 +484,7 @@ func (ex *executor) stealPop() (int32, bool) {
 				nk++
 			}
 			for i := 0; i < nk; i++ {
-				nd.queue.push(kept[i], ex.g.Tasks[kept[i]].Priority)
+				nd.queue.Push(kept[i], ex.g.Tasks[kept[i]].Priority)
 			}
 			nd.mu.Unlock()
 			if found >= 0 {
@@ -506,7 +506,7 @@ func (ex *executor) stealPop() (int32, bool) {
 				return idx, true
 			}
 			nd.mu.Lock()
-			nd.queue.push(idx, t.Priority)
+			nd.queue.Push(idx, t.Priority)
 			nd.cond.Signal()
 			nd.mu.Unlock()
 		}

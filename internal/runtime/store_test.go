@@ -39,49 +39,6 @@ func TestStoreTakeMissingPanics(t *testing.T) {
 	mustPanic(t, "second TakeBufSlot", func() { s.TakeBufSlot(0) })
 }
 
-func TestPolicyString(t *testing.T) {
-	if FIFO.String() != "fifo" || LIFO.String() != "lifo" || PriorityOrder.String() != "priority" {
-		t.Error("policy names wrong")
-	}
-	if Policy(9).String() != "unknown" {
-		t.Error("unknown policy name")
-	}
-}
-
-func TestQueues(t *testing.T) {
-	f := newReadyQueue(FIFO)
-	f.push(1, 0)
-	f.push(2, 0)
-	if v, _ := f.pop(); v != 1 {
-		t.Error("fifo must pop oldest")
-	}
-	l := newReadyQueue(LIFO)
-	l.push(1, 0)
-	l.push(2, 0)
-	if v, _ := l.pop(); v != 2 {
-		t.Error("lifo must pop newest")
-	}
-	p := newReadyQueue(PriorityOrder)
-	p.push(1, 5)
-	p.push(2, 9)
-	p.push(3, 9)
-	if v, _ := p.pop(); v != 2 {
-		t.Error("priority must pop highest, FIFO among ties")
-	}
-	if v, _ := p.pop(); v != 3 {
-		t.Error("tie must go to earlier push")
-	}
-	if v, _ := p.pop(); v != 1 {
-		t.Error("lowest priority last")
-	}
-	if _, ok := p.pop(); ok {
-		t.Error("empty pop must report false")
-	}
-	if f.size() != 1 { // 2 still queued
-		t.Errorf("fifo size = %d", f.size())
-	}
-}
-
 // storage is the address range a slice's backing array covers up to its
 // capacity: everything a holder of the slice may write.
 type storage struct{ lo, hi uintptr }

@@ -15,6 +15,11 @@ import (
 // a body past the bound answers 413 and is not read further.
 const MaxSpecBytes = 1 << 20
 
+// specReadTimeout bounds reading a POST /v1/jobs body, so a body that
+// trickles in cannot hold a handler. It equals the daemons' header timeout;
+// tests shorten it.
+var specReadTimeout = 10 * time.Second
+
 // Handler returns the daemon's HTTP API over the manager: the job routes
 // of Routes plus
 //
@@ -47,13 +52,15 @@ func Handler(m *Manager) http.Handler {
 //
 // Backpressure is explicit: a full admission queue answers 429 with
 // Retry-After, a draining service 503. Malformed or invalid specs answer
-// 400, bodies over MaxSpecBytes 413, before anything queues. The caller
-// adds GET /healthz.
+// 400, bodies over MaxSpecBytes 413, before anything queues; a body not
+// read in full within the header timeout answers 400 too. The caller adds
+// GET /healthz.
 func Routes(c *Core, submit func(Spec) (*Job, error)) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
 		var j *Job
+		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(specReadTimeout))
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 		dec.DisallowUnknownFields()
 		err := dec.Decode(&spec)

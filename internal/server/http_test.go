@@ -7,6 +7,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -138,14 +139,15 @@ func TestHTTPSubmitStatusResult(t *testing.T) {
 func TestHTTPErrors(t *testing.T) {
 	m, srv := newTestServer(t, Config{MaxJobs: 1, QueueSize: 1})
 
-	if resp, _ := postJSON(t, srv.URL+"/v1/jobs", `{not json`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: %d, want 400", resp.StatusCode)
-	}
-	if resp, body := postJSON(t, srv.URL+"/v1/jobs", `{"n":64,"tile":16,"steps":6,"nodes":3}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("invalid spec: %d %s, want 400", resp.StatusCode, body)
-	}
-	if resp, _ := postJSON(t, srv.URL+"/v1/jobs", `{"n":64,"tile":16,"steps":6,"bogus_knob":1}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: %d, want 400", resp.StatusCode)
+	for _, bad := range []struct{ name, body string }{
+		{"malformed body", `{not json`},
+		{"invalid spec", `{"n":64,"tile":16,"steps":6,"nodes":3}`},
+		{"unknown field", `{"n":64,"tile":16,"steps":6,"bogus_knob":1}`},
+		{"removed sched field", `{"n":64,"tile":16,"steps":6,"step_size":3,"sched":"priority"}`},
+	} {
+		if resp, body := postJSON(t, srv.URL+"/v1/jobs", bad.body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", bad.name, resp.StatusCode, body)
+		}
 	}
 	if resp := getJSON(t, srv.URL+"/v1/jobs/job-999999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %d, want 404", resp.StatusCode)
@@ -193,6 +195,32 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 	}
 	if resp, body := postJSON(t, srv.URL+"/v1/jobs", `{"n":64,"tile":16,"steps":6,"step_size":3}`); resp.StatusCode != http.StatusAccepted {
 		t.Errorf("submit after the oversized body: %d %s, want 202", resp.StatusCode, body)
+	}
+}
+
+// TestHTTPSpecBodyDeadline sends a submit whose headers promise a 100-byte
+// body and then only one byte: the handler must give up at the body-read
+// deadline and answer 400 or close the connection, not wait for the rest.
+func TestHTTPSpecBodyDeadline(t *testing.T) {
+	defer func(d time.Duration) { specReadTimeout = d }(specReadTimeout)
+	specReadTimeout = 200 * time.Millisecond
+	_, srv := newTestServer(t, Config{MaxJobs: 1, QueueSize: 4})
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprint(conn, "POST /v1/jobs HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(specReadTimeout + 5*time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("no answer %v after a trickled body: the handler is still reading", time.Since(start))
+	}
+	if err == nil && resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trickled body: status %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -68,16 +68,14 @@ func DefaultFaultRecovery() *FaultRecovery { return fault.DefaultRecovery() }
 type Interceptor = runtime.Interceptor
 
 // RunOptions is the unified option bag for both execution engines. The
-// zero value is a sensible default (one worker per node, FIFO injection
-// queues, no coalescing, no faults). Construct it through
+// zero value is a sensible default (one worker per node, no coalescing, no
+// faults). Construct it through
 // functional options to Run and Sim rather than literally — new fields
 // will be added without breaking that style.
 type RunOptions struct {
 	// Workers is the number of compute goroutines per virtual node in a
 	// real run (default 1).
 	Workers int
-	// Policy orders the real runtime's injection queues.
-	Policy Policy
 	// Coalesce selects halo-bundle coalescing on either engine.
 	Coalesce CoalesceMode
 	// Fault injects a deterministic fault schedule; Recovery overrides the
@@ -133,10 +131,6 @@ type Option func(*RunOptions)
 // WithWorkers sets the number of compute goroutines per virtual node in a
 // real run.
 func WithWorkers(n int) Option { return func(o *RunOptions) { o.Workers = n } }
-
-// WithPolicy selects the injection-queue discipline (FIFO, LIFO,
-// PriorityOrder) of a real run.
-func WithPolicy(p Policy) Option { return func(o *RunOptions) { o.Policy = p } }
 
 // WithCoalesce selects halo-bundle coalescing (CoalesceOff, CoalesceStep,
 // CoalesceAuto).
@@ -208,7 +202,6 @@ func buildRunOptions(opts ...Option) RunOptions {
 func (o RunOptions) real() ExecOptions {
 	return ExecOptions{
 		Workers:    o.Workers,
-		Policy:     o.Policy,
 		Coalesce:   o.Coalesce,
 		Fault:      o.Fault,
 		Recovery:   o.Recovery,

@@ -57,11 +57,9 @@ type Spec struct {
 	Seed uint64 `json:"seed,omitempty" role:"result"`
 
 	// Workers is the per-node worker count of a real run; 0 leaves it to
-	// the caller (stencild divides its worker budget across jobs). Sched
-	// is the real engine's injection-queue policy (PolicyNames), Coalesce
-	// the halo-bundle mode (CoalesceNames).
+	// the caller (stencild divides its worker budget across jobs).
+	// Coalesce is the halo-bundle mode (CoalesceNames).
 	Workers  int    `json:"workers,omitempty" role:"exec"`
-	Sched    string `json:"sched,omitempty" role:"exec"`
 	Coalesce string `json:"coalesce,omitempty" role:"exec"`
 	// Transform selects a graph-transformation pass (TransformNames).
 	// Rejected for the wf variant and for plan=auto (the planner may pick
@@ -225,13 +223,6 @@ func (s Spec) Options() (*Resolved, error) {
 	}
 	if s.Workers > 0 {
 		r.Options = append(r.Options, WithWorkers(s.Workers))
-	}
-	if s.Sched != "" {
-		pol, err := ParsePolicy(s.Sched)
-		if err != nil {
-			return nil, err
-		}
-		r.Options = append(r.Options, WithPolicy(pol))
 	}
 	mode, err := ParseCoalesce(s.Coalesce)
 	if err != nil {

@@ -11,26 +11,23 @@ func TestBuildRunOptions(t *testing.T) {
 	if o := buildRunOptions(); o.TraceNode != -1 {
 		t.Errorf("default TraceNode = %d, want -1", o.TraceNode)
 	}
-	s := Spec{N: 64, Tile: 16, Steps: 4, Workers: 4, Sched: "priority", Coalesce: "step",
+	s := Spec{N: 64, Tile: 16, Steps: 4, Workers: 4, Coalesce: "step",
 		Fault: "drop=0.01,seed=7", Machine: "Stampede2"}
 	r, err := s.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := buildRunOptions(append(r.Options, nil)...) // nil options are skipped
-	if o.Workers != 4 || o.Policy != PriorityOrder || o.Coalesce != CoalesceStep ||
+	if o.Workers != 4 || o.Coalesce != CoalesceStep ||
 		o.Fault == nil || o.Fault.Drop != 0.01 || o.Fault.Seed != 7 || o.Machine.Name != "Stampede2" {
 		t.Errorf("options not applied: %+v", o)
 	}
-	s.Sched, s.Coalesce, s.Fault, s.Machine = "", "", "off", ""
+	s.Coalesce, s.Fault, s.Machine = "", "off", ""
 	if r, err = s.Options(); err != nil {
 		t.Fatal(err)
 	}
-	if o := buildRunOptions(r.Options...); o.Policy != FIFO || o.Coalesce != CoalesceOff || o.Fault != nil || o.Machine.Name != "NaCL" {
+	if o := buildRunOptions(r.Options...); o.Coalesce != CoalesceOff || o.Fault != nil || o.Machine.Name != "NaCL" {
 		t.Errorf("defaults not applied: %+v", o)
-	}
-	if _, err := ParsePolicy("steal"); err == nil {
-		t.Error("ParsePolicy accepted the removed scheduler name steal")
 	}
 }
 
