@@ -97,30 +97,6 @@ const CoalesceNames = ptg.CoalesceNames
 // ParseCoalesce maps a command-line coalescing mode name to a CoalesceMode.
 func ParseCoalesce(name string) (CoalesceMode, error) { return ptg.ParseCoalesce(name) }
 
-// TransformMode selects a graph-transformation pass applied to the built
-// task graph before execution. TransformSplit rewrites each tile update
-// into an interior task (no fresh-halo dependencies, so it runs while
-// halos are in flight) plus thin border tasks carrying the original halo
-// flows — communication–computation overlap without touching numerics:
-// results stay bitwise identical to the untransformed graph on both
-// engines. Not supported with the WF variant (its fused tasks have no
-// halo-free interior to split off).
-type TransformMode = core.TransformMode
-
-// Graph-transformation modes.
-const (
-	TransformNone  = core.TransformNone
-	TransformSplit = core.TransformSplit
-)
-
-// TransformNames lists the mode names ParseTransform accepts, for flag
-// help.
-const TransformNames = core.TransformNames
-
-// ParseTransform maps a command-line transform mode name to a
-// TransformMode.
-func ParseTransform(name string) (TransformMode, error) { return core.ParseTransform(name) }
-
 // Machine is a calibrated cluster model.
 type Machine = machine.Model
 

@@ -48,7 +48,6 @@ func main() {
 		{"ratio", 1.0, "kernel adjustment ratio (sim only)", &s.Ratio},
 		{"workers", 2, "workers per node (real engine)", &s.Workers},
 		{"coalesce", "off", "halo-bundle coalescing: " + castencil.CoalesceNames, &s.Coalesce},
-		{"transform", "none", "graph transformation: " + castencil.TransformNames + " (split = inner/border overlap)", &s.Transform},
 		{"fault", "", "fault-injection spec, e.g. \"drop=0.01,seed=7\"; grammar: " + castencil.FaultSpecSyntax, &s.Fault},
 		{"steal", "", "inter-node work stealing (distributed runs): " + castencil.StealNames, &s.Steal},
 	} {
@@ -181,10 +180,6 @@ func main() {
 		if res.Fault.Any() {
 			fmt.Printf("  fault plan %q masked: %v\n", s.Fault, res.Fault)
 		}
-		if res.InteriorTasks > 0 {
-			fmt.Printf("  split: %d interior + %d border tasks, overlap ratio %.2f\n",
-				res.InteriorTasks, res.BorderTasks, res.OverlapRatio)
-		}
 		if tr != nil {
 			writeTrace(tr, *traceOut, "trace of node 0")
 		}
@@ -221,10 +216,6 @@ func main() {
 	}
 	if res.Exec.Fault.Any() {
 		fmt.Printf("  fault plan %q masked: %v\n", s.Fault, res.Exec.Fault)
-	}
-	if res.Exec.InteriorTasks > 0 {
-		fmt.Printf("  split: %d interior + %d border tasks, overlap ratio %.2f\n",
-			res.Exec.InteriorTasks, res.Exec.BorderTasks, res.Exec.OverlapRatio)
 	}
 	hits, steals, parks := 0, 0, 0
 	for n := range res.Exec.NodeLocalHits {

@@ -107,16 +107,6 @@ func main() {
 			}
 			fmt.Printf("  comm  %d wire msgs, %d transfers, %d bytes, busy %v, util %.0f%%\n",
 				cs.Wire, cs.Transfers, cs.Bytes, cs.Busy.Round(time.Microsecond), 100*util)
-			// Split-transform traces carry inner-task events; report how
-			// much of the comm handling they covered (a trace-level
-			// approximation of the engines' OverlapRatio, which times the
-			// wire itself).
-			if commActive, overlapped := trace.OverlapStats(events); commActive > 0 && st.CountByKind["inner"] > 0 {
-				fmt.Printf("  overlap  %v of %v comm activity hidden behind inner tasks (%.0f%%)\n",
-					time.Duration(overlapped).Round(time.Microsecond),
-					time.Duration(commActive).Round(time.Microsecond),
-					100*float64(overlapped)/float64(commActive))
-			}
 		}
 		fmt.Print(trace.Gantt(events, cores, trace.GanttConfig{Width: *width}))
 		fmt.Println()

@@ -77,21 +77,17 @@ func TestPoisonedArena(t *testing.T) {
 		} {
 			c.name = fmt.Sprintf("%s/nine=%v", c.name, nine)
 			runs = append(runs, c)
-			if c.v != WF {
-				runs = append(runs, run{name: c.name + "/split", v: c.v, cfg: splitCfg(c.cfg)})
-			}
 		}
 	}
 	ragged := Config{N: 26, TileRows: 4, P: 3, Q: 2, Steps: 9, StepSize: 2}
 	runs = append(runs, run{name: "ragged/base", v: Base, cfg: ragged}, run{name: "ragged/ca", v: CA, cfg: ragged})
 	rect := Config{N: 40, TileRows: 8, TileCols: 5, P: 2, Steps: 9, StepSize: 4}
-	runs = append(runs, run{name: "rect/base", v: Base, cfg: rect}, run{name: "rect/ca", v: CA, cfg: rect},
-		run{name: "rect/base/split", v: Base, cfg: splitCfg(rect)})
+	runs = append(runs, run{name: "rect/base", v: Base, cfg: rect}, run{name: "rect/ca", v: CA, cfg: rect})
 	// At 16 rows a one-deep east/west halo is as large as a 4x4 corner, so
 	// an interior tile packs the corners it owes its diagonal boundary
 	// neighbors at a phase start into the east/west buffers it unpacked.
 	tall := Config{N: 64, TileRows: 16, TileCols: 10, P: 2, Steps: 9, StepSize: 4}
-	runs = append(runs, run{name: "rect16x10/ca", v: CA, cfg: tall}, run{name: "rect16x10/ca/split", v: CA, cfg: splitCfg(tall)})
+	runs = append(runs, run{name: "rect16x10/ca", v: CA, cfg: tall})
 	// Bundle wire buffers, the reliable transport's retained originals and
 	// its duplicate and retransmit copies all cycle through the arena too.
 	faulty := &fault.Plan{Seed: 7, Drop: 0.05, Dup: 0.05, Delay: 0.05}

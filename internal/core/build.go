@@ -49,9 +49,7 @@ type tileState struct {
 	// parked[d] is the halo buffer last unpacked from direction d, held
 	// until the same iteration's produce repacks an outgoing halo into it
 	// (see takeParked). produce returns what it leaves to the arena, so
-	// parked is empty between iterations. Split border tasks each park into
-	// their own direction's element; the commit that repacks runs after all
-	// of them.
+	// parked is empty between iterations.
 	parked [grid.NumDirs][]byte
 }
 
@@ -186,9 +184,6 @@ func buildGraph(v Variant, cfg Config, st *ptg.Storage) (*ptg.Graph, error) {
 		}
 	}
 	g, err := gb.Build()
-	if err == nil && cfg.Transform == TransformSplit {
-		g, err = ptg.ApplyTransforms(g, &splitPass{b: bd})
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -611,32 +606,24 @@ func (b *builder) initBody(inf *tileInfo) func(ptg.Env) {
 	}
 }
 
+// computeBody builds a base or CA step: it updates the CA trapezoid region
+// on a boundary tile and the interior otherwise, reading st.cur and writing
+// st.next.
 func (b *builder) computeBody(inf *tileInfo, t int) func(ptg.Env) {
 	return func(e ptg.Env) {
 		st := b.state(e, inf)
 		b.consume(e, st, inf, t)
-		b.apply(st, b.updateRect(inf, t))
+		rect := grid.Rect{R0: 0, C0: 0, H: inf.rows, W: inf.cols}
+		if b.v == CA && inf.boundary {
+			rect = b.region(inf, t)
+		}
+		if b.cfg.NinePoint {
+			stencil.Apply9(b.cfg.Weights9, st.next, st.cur, rect)
+		} else {
+			stencil.Apply(b.cfg.Weights, st.next, st.cur, rect)
+		}
 		st.cur, st.next = st.next, st.cur
 		b.produce(e, st, inf, t)
-	}
-}
-
-// updateRect returns the rectangle tile inf updates at iteration t: the CA
-// trapezoid region on a boundary tile, the interior otherwise.
-func (b *builder) updateRect(inf *tileInfo, t int) grid.Rect {
-	if b.v == CA && inf.boundary {
-		return b.region(inf, t)
-	}
-	return grid.Rect{R0: 0, C0: 0, H: inf.rows, W: inf.cols}
-}
-
-// apply runs the configured stencil over rect, reading st.cur and writing
-// st.next.
-func (b *builder) apply(st *tileState, rect grid.Rect) {
-	if b.cfg.NinePoint {
-		stencil.Apply9(b.cfg.Weights9, st.next, st.cur, rect)
-	} else {
-		stencil.Apply(b.cfg.Weights, st.next, st.cur, rect)
 	}
 }
 
@@ -713,33 +700,24 @@ func (st *tileState) takeParked(d grid.Dir, n int) []byte {
 	return buf
 }
 
-// consume takes and unpacks every incoming flow feeding iteration t (see
-// consumeDir).
+// consume takes and unpacks every incoming flow feeding iteration t,
+// deserializing each wire buffer in place into the ghost region and parking
+// it in st.parked[d] for the iteration's produce to repack.
 func (b *builder) consume(e ptg.Env, st *tileState, inf *tileInfo, t int) {
 	for _, d := range grid.AllDirs {
-		b.consumeDir(e, st, inf, d, t)
+		p := inf.nbr[d]
+		if p == nil {
+			continue
+		}
+		depth, ok := b.flow(p, d.Opposite(), t-1)
+		if !ok {
+			continue
+		}
+		rc := st.cur.RecvRect(d, depth)
+		buf := e.TakeBufSlot(b.slotOf(inf.recvSlot[d], inf, t-1))
+		st.cur.UnpackBytes(rc, buf)
+		st.parked[d] = buf
 	}
-}
-
-// consumeDir takes and unpacks the single incoming flow arriving from
-// direction d for iteration t, if it exists, deserializing the wire buffer
-// in place into the ghost region and parking it in st.parked[d] for the
-// iteration's produce to repack. Split border tasks use it to consume
-// exactly the halo they are gated on; the unsplit path loops it over all
-// directions.
-func (b *builder) consumeDir(e ptg.Env, st *tileState, inf *tileInfo, d grid.Dir, t int) {
-	p := inf.nbr[d]
-	if p == nil {
-		return
-	}
-	depth, ok := b.flow(p, d.Opposite(), t-1)
-	if !ok {
-		return
-	}
-	rc := st.cur.RecvRect(d, depth)
-	buf := e.TakeBufSlot(b.slotOf(inf.recvSlot[d], inf, t-1))
-	st.cur.UnpackBytes(rc, buf)
-	st.parked[d] = buf
 }
 
 // migFlow is one halo flow a migrating task consumes or produces: the slot

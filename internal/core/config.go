@@ -65,48 +65,6 @@ func ParseVariant(name string) (Variant, error) {
 	return Base, fmt.Errorf("core: unknown variant %q (base, ca, wf)", name)
 }
 
-// TransformMode selects an optional graph rewrite applied after BuildGraph
-// (see internal/ptg's Transform framework).
-type TransformMode int
-
-const (
-	// TransformNone runs the graph exactly as built.
-	TransformNone TransformMode = iota
-	// TransformSplit applies inner/border task splitting: each (tile,
-	// iteration) task becomes one interior task that depends only on the
-	// tile's own previous state — so it runs while halos are in flight —
-	// plus thin border tasks gated on the original halo flows, and a
-	// commit task that swaps buffers and publishes outgoing halos. The
-	// rewrite is bitwise-neutral: the split parts cover the exact update
-	// region of the unsplit task.
-	TransformSplit
-)
-
-func (m TransformMode) String() string {
-	switch m {
-	case TransformNone:
-		return "none"
-	case TransformSplit:
-		return "split"
-	}
-	return "unknown"
-}
-
-// TransformNames lists the accepted ParseTransform spellings.
-const TransformNames = "none, split"
-
-// ParseTransform maps a -transform flag value to a TransformMode. The empty
-// string, "none", and "off" select no transform.
-func ParseTransform(name string) (TransformMode, error) {
-	switch name {
-	case "", "none", "off":
-		return TransformNone, nil
-	case "split":
-		return TransformSplit, nil
-	}
-	return TransformNone, fmt.Errorf("core: unknown transform %q (have %s)", name, TransformNames)
-}
-
 // Config describes one stencil problem instance and its decomposition.
 type Config struct {
 	// N is the global grid extent (N x N points).
@@ -144,11 +102,6 @@ type Config struct {
 	// WithBodies builds task bodies and pack/unpack closures for real
 	// execution. Cost-only graphs (for the simulator) are much lighter.
 	WithBodies bool
-	// Transform selects an optional graph rewrite pass (default none).
-	// TransformSplit composes with Base and CA, every worker count,
-	// coalescing, and fault mode; WF tasks are already fused across steps
-	// and are not splittable.
-	Transform TransformMode
 
 	hasDefaults bool
 }
@@ -197,7 +150,7 @@ func (c Config) Partition() (*grid.Partition, error) {
 
 // Validate checks the configuration for a given variant and returns the
 // partition: the one source of the geometry rules, including the CA step
-// size and WF width feasibility and the split-vs-wf exclusion.
+// size and WF width feasibility.
 func (c Config) Validate(v Variant) (*grid.Partition, error) {
 	c = c.withDefaults()
 	if c.Steps < 1 {
@@ -227,11 +180,6 @@ func (c Config) Validate(v Variant) (*grid.Partition, error) {
 		// dimension (ragged edge tiles included).
 		if minDim := p.MinTileDim(); c.Wavefront > minDim {
 			return nil, fmt.Errorf("core: WF Wavefront %d exceeds smallest tile dimension %d", c.Wavefront, minDim)
-		}
-		if c.Transform == TransformSplit {
-			// A WF task already fuses w whole steps into one in-tile sweep;
-			// there is no single-step interior to peel off.
-			return nil, fmt.Errorf("core: transform split is not supported with the wf variant")
 		}
 	}
 	return p, nil

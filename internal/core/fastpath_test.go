@@ -169,8 +169,8 @@ func TestFastPathStaysOnOracle(t *testing.T) {
 
 // TestCornerRing pins the three-slot ring of the CA step-size-1 corner flow
 // from an interior producer into a boundary tile (see slotDepth). At 1, 2
-// and 4 workers, runs with the five- and nine-point kernels, the split
-// transform and a ragged 3x2-node grid must match the oracle bitwise and
+// and 4 workers, runs with the five- and nine-point kernels and a ragged
+// 3x2-node grid must match the oracle bitwise and
 // consume every payload. With a two-slot ring the producer refills a slot
 // its consumer has not taken yet, which fails even the one-worker run.
 func TestCornerRing(t *testing.T) {
@@ -183,7 +183,6 @@ func TestCornerRing(t *testing.T) {
 	}{
 		{"5pt", five},
 		{"9pt", nine},
-		{"split", splitCfg(five)},
 		{"ragged", Config{N: 26, TileRows: 4, P: 3, Q: 2, Steps: 9, StepSize: 1}},
 	}
 	for _, c := range cases {

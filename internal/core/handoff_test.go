@@ -28,13 +28,11 @@ func (e *recordingEnv) PutBufSlot(slot int32, b []byte) {
 	e.Store.PutBufSlot(slot, b)
 }
 
-// tileIter names one iteration of one tile's chain: the unsplit task, or a
-// split iteration's inner, border and commit tasks together.
+// tileIter names one iteration of one tile's chain.
 type tileIter struct{ ti, tj, t int }
 
 // handoff is what a serial run of a graph saw: per tile iteration, the
-// buffers its tasks consumed and the halos its compute (or commit) task
-// produced.
+// buffers its task consumed and the halos it produced.
 type handoff struct {
 	stores        []*runtime.Store
 	took, produce map[tileIter][]*byte
@@ -74,10 +72,7 @@ func runSerially(t *testing.T, g *ptg.Graph) handoff {
 		env := &recordingEnv{Store: h.stores[task.Node]}
 		task.Run(env)
 		key := tileIter{task.ID.I, task.ID.J, task.ID.K}
-		h.took[key] = append(h.took[key], env.took...)
-		if task.ID.Class == "st" {
-			h.produce[key] = env.put
-		}
+		h.took[key], h.produce[key] = env.took, env.put
 		for _, s := range succs[i] {
 			if pending[s]--; pending[s] == 0 {
 				ready = append(ready, s)
@@ -109,9 +104,8 @@ func (h handoff) reuse() (reused, fresh []tileIter) {
 	return reused, fresh
 }
 
-// TestHaloHandoff pins where halo buffers come from: a compute task (or a
-// split iteration's commit) packs each outgoing halo into a buffer its tile
-// unpacked in the same iteration, so in the steady state no halo passes
+// TestHaloHandoff pins where halo buffers come from: a compute task packs
+// each outgoing halo into a buffer its tile unpacked in the same iteration, so in the steady state no halo passes
 // through the runtime arena. Where the sizes differ — an interior CA tile
 // receives one-deep halos from a boundary neighbor but owes it s-deep ones
 // at a phase start — the pack falls back to the arena, and the grid still
@@ -136,8 +130,6 @@ func TestHaloHandoff(t *testing.T) {
 		{"base", Base, one, false},
 		{"base/nine", Base, nine, false},
 		{"wf/w4", WF, wf, false},
-		{"base/split", Base, splitCfg(one), false},
-		{"base/nine/split", Base, splitCfg(nine), false},
 		{"ca/s4", CA, Config{N: 32, TileRows: 4, P: 2, Steps: 9, StepSize: 4}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -178,13 +178,6 @@ type SimResult struct {
 	CommBusy []time.Duration
 	// Fault counts the injected fault schedule and modeled recovery work.
 	Fault fault.Stats
-	// OverlapRatio, InteriorTasks and BorderTasks report the split
-	// transform's communication–computation overlap (see
-	// desim.Result.OverlapRatio); all zero unless Config.Transform splits
-	// the graph.
-	OverlapRatio  float64
-	InteriorTasks int
-	BorderTasks   int
 	// Work-stealing mirror counters, matching runtime.Result's fields of
 	// the same names (all zero without SimOptions.Steal).
 	StealsRemote  int
@@ -336,9 +329,6 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 		Segments:      res.Segments,
 		CommBusy:      busy,
 		Fault:         res.Fault,
-		OverlapRatio:  res.OverlapRatio,
-		InteriorTasks: res.InteriorTasks,
-		BorderTasks:   res.BorderTasks,
 		StealsRemote:  res.StealsRemote,
 		MigratedTasks: res.MigratedTasks,
 		MigratedBytes: res.MigratedBytes,

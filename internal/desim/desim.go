@@ -111,14 +111,6 @@ type Result struct {
 	// Fault counts the injected fault schedule and the modeled recovery
 	// work (all zero without a fault plan).
 	Fault fault.Stats
-	// Overlap observability for split graphs, mirroring the real engine
-	// (all zero when the graph has no inner tasks). OverlapRatio is the
-	// fraction of wire in-flight time during which at least one interior
-	// (KindInner) task was executing; InteriorTasks and BorderTasks count
-	// simulated tasks of those kinds.
-	OverlapRatio  float64
-	InteriorTasks int
-	BorderTasks   int
 	// Work-stealing mirror counters (all zero without Options.Steal),
 	// matching the real runtime.Result fields of the same names exactly:
 	// one steal per forced migration, MigratedBytes = sum of each migrated
@@ -262,15 +254,6 @@ type sim struct {
 	nodeDone   []int
 	pauseUntil []time.Duration
 	ferr       error
-	// Overlap instrumentation, active only when the graph carries KindInner
-	// tasks (trace.OverlapRatio defines the semantics): commIv collects
-	// [departure, arrival) of every cross-node transfer, innerIv the
-	// execution window of every inner task.
-	overlapOn     bool
-	commIv        []trace.Span
-	innerIv       []trace.Span
-	interiorTasks int
-	borderTasks   int
 	// Forced-migration mirror state (nil/empty without Options.Steal):
 	// forced maps a task index to its thief rank, rankNode each rank to its
 	// first owned node (the endpoint its steal messages travel through), and
@@ -395,9 +378,6 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	}
 	for i := range g.Tasks {
 		s.pending[i] = int32(len(g.Tasks[i].Deps))
-		if g.Tasks[i].Kind == ptg.KindInner {
-			s.overlapOn = true
-		}
 	}
 	if err := s.faultInit(); err != nil {
 		return nil, err
@@ -492,11 +472,6 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		res.Bundles = opts.Fabric.Bundles
 		res.Segments = opts.Fabric.Segments
 	}
-	if s.overlapOn {
-		res.OverlapRatio = trace.OverlapRatio(s.commIv, s.innerIv)
-		res.InteriorTasks = s.interiorTasks
-		res.BorderTasks = s.borderTasks
-	}
 	res.StealsRemote = s.migDone
 	res.MigratedTasks = s.migDone
 	res.MigratedBytes = s.migBytes
@@ -535,15 +510,6 @@ func (s *sim) start(idx int32, at time.Duration) {
 	d += s.slowCoreExtra(t.Node, core)
 	nd.busy += d
 	end := at + d
-	if s.overlapOn {
-		switch t.Kind {
-		case ptg.KindInner:
-			s.interiorTasks++
-			s.innerIv = append(s.innerIv, trace.Span{Start: int64(at), End: int64(end)})
-		case ptg.KindBorder:
-			s.borderTasks++
-		}
-	}
 	if s.opts.Trace != nil && (s.opts.TraceNode < 0 || s.opts.TraceNode == t.Node) {
 		s.opts.Trace.Record(trace.Event{
 			ID: t.ID, Kind: t.Kind, Node: t.Node, Core: core, Start: at, End: end,
@@ -599,9 +565,6 @@ func (s *sim) sendMsg(sIdx, di int32, at time.Duration) {
 	if !ok {
 		return
 	}
-	if s.overlapOn {
-		s.commIv = append(s.commIv, trace.Span{Start: int64(at), End: int64(arrive)})
-	}
 	s.schedule(event{at: arrive, kind: evMsgArrive, task: sIdx, node: c.Node})
 }
 
@@ -616,9 +579,6 @@ func (s *sim) sendBundleAt(bi int32, at time.Duration) {
 	arrive, ok := s.sendCross(id, b.WireBytes(), len(b.Members), at)
 	if !ok {
 		return
-	}
-	if s.overlapOn {
-		s.commIv = append(s.commIv, trace.Span{Start: int64(at), End: int64(arrive)})
 	}
 	s.schedule(event{at: arrive, kind: evBundleArrive, task: bi, node: b.Dst})
 }

@@ -28,7 +28,10 @@ import (
 // kindData body — a runtime.Message:
 //
 //	[u8 flags] [i32 src] [i32 dst] [i32 task] [i32 dep] [i32 bundle]
-//	[u64 seq] [i32 attempt] [i64 sentNanos] [payload ...]
+//	[u64 seq] [i32 attempt] [u64 reserved] [payload ...]
+//
+// The reserved word keeps the version-2 header layout: it is written as
+// zero and ignored on receipt.
 //
 // The payload bytes are exactly what the in-process path would hand the
 // destination inbox: a packed dependency payload, a coalesced bundle in
@@ -122,7 +125,7 @@ func putDataHeader(b []byte, epoch uint32, m runtime.Message) int {
 	le.PutUint32(b[26:], uint32(m.Bundle))
 	le.PutUint64(b[30:], m.Seq)
 	le.PutUint32(b[38:], uint32(m.Attempt))
-	le.PutUint64(b[42:], uint64(m.SentNanos))
+	le.PutUint64(b[42:], 0) // reserved
 	return prefixLen + dataHdrLen
 }
 
@@ -131,15 +134,14 @@ func putDataHeader(b []byte, epoch uint32, m runtime.Message) int {
 func parseDataHeader(b []byte) runtime.Message {
 	le := binary.LittleEndian
 	return runtime.Message{
-		Ack:       b[0]&flagAck != 0,
-		Src:       int32(le.Uint32(b[1:])),
-		Dst:       int32(le.Uint32(b[5:])),
-		Task:      int32(le.Uint32(b[9:])),
-		Dep:       int32(le.Uint32(b[13:])),
-		Bundle:    int32(le.Uint32(b[17:])),
-		Seq:       le.Uint64(b[21:]),
-		Attempt:   int32(le.Uint32(b[29:])),
-		SentNanos: int64(le.Uint64(b[33:])),
+		Ack:     b[0]&flagAck != 0,
+		Src:     int32(le.Uint32(b[1:])),
+		Dst:     int32(le.Uint32(b[5:])),
+		Task:    int32(le.Uint32(b[9:])),
+		Dep:     int32(le.Uint32(b[13:])),
+		Bundle:  int32(le.Uint32(b[17:])),
+		Seq:     le.Uint64(b[21:]),
+		Attempt: int32(le.Uint32(b[29:])),
 	}
 }
 

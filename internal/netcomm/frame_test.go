@@ -25,7 +25,7 @@ func mustFrame(t *testing.T, raw []byte) Frame {
 func sameMsg(a, b runtime.Message) bool {
 	return a.Src == b.Src && a.Dst == b.Dst && a.Task == b.Task && a.Dep == b.Dep &&
 		a.Bundle == b.Bundle && a.Seq == b.Seq && a.Ack == b.Ack && a.Attempt == b.Attempt &&
-		a.SentNanos == b.SentNanos && bytes.Equal(a.Data, b.Data)
+		bytes.Equal(a.Data, b.Data)
 }
 
 // FuzzFrameRoundTrip encodes a data frame from fuzzed message fields and
@@ -33,16 +33,16 @@ func sameMsg(a, b runtime.Message) bool {
 // fuzz bytes straight to the decoder, which must reject garbage with an
 // error, never a panic or an over-allocation.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(uint32(1), int32(0), int32(1), int32(7), int32(-1), int32(0), uint64(42), false, int32(0), int64(12345), []byte("halo"))
-	f.Add(uint32(0), int32(3), int32(2), int32(0), int32(9), int32(5), uint64(0), true, int32(3), int64(-1), []byte{})
-	f.Add(uint32(7), int32(-2), int32(-3), int32(1<<20), int32(99), int32(-5), uint64(1<<63), false, int32(-1), int64(1<<40), bytes.Repeat([]byte{0xAB}, 300))
+	f.Add(uint32(1), int32(0), int32(1), int32(7), int32(-1), int32(0), uint64(42), false, int32(0), []byte("halo"))
+	f.Add(uint32(0), int32(3), int32(2), int32(0), int32(9), int32(5), uint64(0), true, int32(3), []byte{})
+	f.Add(uint32(7), int32(-2), int32(-3), int32(1<<20), int32(99), int32(-5), uint64(1<<63), false, int32(-1), bytes.Repeat([]byte{0xAB}, 300))
 	// Steal messages: a probe, and a forced offer carrying its inputs.
-	f.Add(uint32(2), int32(0), int32(2), int32(-1), int32(-1), int32(-4), uint64(3), false, int32(1), int64(0), []byte{})
-	f.Add(uint32(2), int32(2), int32(0), int32(17), int32(-10), int32(-2), uint64(5), false, int32(0), int64(0), []byte("tile inputs"))
-	f.Fuzz(func(t *testing.T, epoch uint32, src, dst, task, dep, bundle int32, seq uint64, ack bool, attempt int32, sentNanos int64, payload []byte) {
+	f.Add(uint32(2), int32(0), int32(2), int32(-1), int32(-1), int32(-4), uint64(3), false, int32(1), []byte{})
+	f.Add(uint32(2), int32(2), int32(0), int32(17), int32(-10), int32(-2), uint64(5), false, int32(0), []byte("tile inputs"))
+	f.Fuzz(func(t *testing.T, epoch uint32, src, dst, task, dep, bundle int32, seq uint64, ack bool, attempt int32, payload []byte) {
 		m := runtime.Message{
 			Src: src, Dst: dst, Task: task, Dep: dep, Bundle: bundle,
-			Seq: seq, Ack: ack, Attempt: attempt, SentNanos: sentNanos,
+			Seq: seq, Ack: ack, Attempt: attempt,
 		}
 		if len(payload) > 0 {
 			m.Data = payload

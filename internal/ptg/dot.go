@@ -6,20 +6,13 @@ import (
 	"sort"
 )
 
-// dotStyle maps a task kind to its Graphviz shape and fill. Inner and
-// border tasks (products of the splitting transform) get distinct shapes so
-// a transformed graph is visually distinguishable from the unsplit one at a
-// glance: interiors are rounded, borders are trapezoids (thin strips).
+// dotStyle maps a task kind to its Graphviz shape and fill.
 func dotStyle(k Kind) (shape, fill string) {
 	switch k {
 	case KindInit:
 		return "ellipse", "lightgrey"
 	case KindBoundary:
 		return "box", "lightsalmon"
-	case KindInner:
-		return "box", "lightblue"
-	case KindBorder:
-		return "trapezium", "lightyellow"
 	default:
 		return "box", "white"
 	}
@@ -28,8 +21,7 @@ func dotStyle(k Kind) (shape, fill string) {
 // WriteDOT renders the graph in Graphviz DOT format for debugging: tasks
 // grouped into per-node clusters with nested per-epoch rank groups (so a
 // node's timeline reads top to bottom and epochs align horizontally),
-// per-kind shapes — inner/border tasks from the splitting transform render
-// distinctly — and cross-node dependencies drawn bold with their payload
+// per-kind shapes, and cross-node dependencies drawn bold with their payload
 // sizes. Output is deterministic for golden-file testing. Intended for
 // small graphs (a few hundred tasks); use ComputeStats for anything larger.
 func (g *Graph) WriteDOT(w io.Writer, title string) error {

@@ -6,8 +6,8 @@ import (
 )
 
 // dotTestGraph hand-builds a two-node, two-epoch graph exercising every
-// task kind the renderer styles: init, interior, boundary, and the split
-// transform's inner/border pair, with one cross-node dependency.
+// task kind the renderer styles — init, interior and boundary — with one
+// cross-node dependency.
 func dotTestGraph(t *testing.T) *Graph {
 	t.Helper()
 	b := NewBuilder(2)
@@ -18,15 +18,13 @@ func dotTestGraph(t *testing.T) *Graph {
 	}
 	init0 := TaskID{Class: "in", I: 0}
 	init1 := TaskID{Class: "in", I: 1}
-	inner := TaskID{Class: "si", I: 0, K: 1}
-	border := TaskID{Class: "sbE", I: 0, K: 1}
-	commit := TaskID{Class: "st", I: 0, K: 1}
+	inner := TaskID{Class: "st", I: 0, K: 1}
+	edge := TaskID{Class: "st", J: 1, K: 1}
 	bnd := TaskID{Class: "st", I: 1, K: 1}
 	add(init0, 0, KindInit, 0)
 	add(init1, 1, KindInit, 0)
-	add(inner, 0, KindInner, 1)
-	add(border, 0, KindBorder, 1)
-	add(commit, 0, KindInterior, 1)
+	add(inner, 0, KindInterior, 1)
+	add(edge, 0, KindBoundary, 1)
 	add(bnd, 1, KindBoundary, 1)
 	dep := func(consumer, producer TaskID, d Dep) {
 		if err := b.AddDep(consumer, producer, d); err != nil {
@@ -34,10 +32,8 @@ func dotTestGraph(t *testing.T) *Graph {
 		}
 	}
 	dep(inner, init0, Dep{})
-	dep(border, init0, Dep{})
-	dep(border, init1, Dep{Bytes: 96})
-	dep(commit, inner, Dep{})
-	dep(commit, border, Dep{})
+	dep(edge, init0, Dep{})
+	dep(edge, init1, Dep{Bytes: 96})
 	dep(bnd, init1, Dep{})
 	g, err := b.Build()
 	if err != nil {
@@ -47,17 +43,17 @@ func dotTestGraph(t *testing.T) *Graph {
 }
 
 // TestWriteDOTGolden pins the exact DOT rendering: per-node clusters,
-// nested per-epoch rank groups, per-kind shapes (inner = lightblue box,
-// border = lightyellow trapezium), and bold red cross-node edges labeled
-// with their payload size. A rendering change must update this golden
-// deliberately.
+// nested per-epoch rank groups, per-kind shapes (init = grey ellipse,
+// interior = white box, boundary = salmon box), and bold red cross-node
+// edges labeled with their payload size. A rendering change must update
+// this golden deliberately.
 func TestWriteDOTGolden(t *testing.T) {
 	g := dotTestGraph(t)
 	var sb strings.Builder
-	if err := g.WriteDOT(&sb, "split sample"); err != nil {
+	if err := g.WriteDOT(&sb, "sample"); err != nil {
 		t.Fatal(err)
 	}
-	const want = `digraph "split sample" {
+	const want = `digraph "sample" {
   rankdir=TB;
   node [shape=box, fontsize=10];
   subgraph cluster_node0 {
@@ -66,9 +62,8 @@ func TestWriteDOTGolden(t *testing.T) {
       t0 [label="in(0,0,0)", shape=ellipse, style=filled, fillcolor=lightgrey];
     }
     { rank=same; // epoch 1
-      t2 [label="si(0,0,1)", shape=box, style=filled, fillcolor=lightblue];
-      t3 [label="sbE(0,0,1)", shape=trapezium, style=filled, fillcolor=lightyellow];
-      t4 [label="st(0,0,1)", shape=box, style=filled, fillcolor=white];
+      t2 [label="st(0,0,1)", shape=box, style=filled, fillcolor=white];
+      t3 [label="st(0,1,1)", shape=box, style=filled, fillcolor=lightsalmon];
     }
   }
   subgraph cluster_node1 {
@@ -77,15 +72,13 @@ func TestWriteDOTGolden(t *testing.T) {
       t1 [label="in(1,0,0)", shape=ellipse, style=filled, fillcolor=lightgrey];
     }
     { rank=same; // epoch 1
-      t5 [label="st(1,0,1)", shape=box, style=filled, fillcolor=lightsalmon];
+      t4 [label="st(1,0,1)", shape=box, style=filled, fillcolor=lightsalmon];
     }
   }
   t0 -> t2;
   t0 -> t3;
   t1 -> t3 [style=bold, color=red, label="96B"];
-  t2 -> t4;
-  t3 -> t4;
-  t1 -> t5;
+  t1 -> t4;
 }
 `
 	if got := sb.String(); got != want {

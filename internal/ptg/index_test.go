@@ -142,7 +142,7 @@ func TestBuilderRejectsBadKind(t *testing.T) {
 	if _, err := b.AddTask(Task{ID: id("a", 0, 0, 0), Kind: NumKinds}); err == nil {
 		t.Error("kind out of range must be rejected")
 	}
-	if _, err := b.AddTask(Task{ID: id("a", 0, 0, 0), Kind: KindBorder}); err != nil {
+	if _, err := b.AddTask(Task{ID: id("a", 0, 0, 0), Kind: KindBoundary}); err != nil {
 		t.Errorf("a rejected task must not occupy its ID: %v", err)
 	}
 }

@@ -68,19 +68,10 @@ const (
 	// (drops, duplicates, delays, retransmits, dedup, pauses); graph tasks
 	// never carry it.
 	KindFault
-	// KindInner and KindBorder label the products of the inner/border
-	// splitting transform (see Transform and core's split pass): an inner
-	// task updates the part of a tile that needs no freshly arrived halo
-	// data — it can run while messages are in flight — while a border task
-	// is the thin strip gated on one halo arrival. They appear after
-	// KindFault so trace CSVs written before the transform existed keep
-	// their kind encoding.
-	KindInner
-	KindBorder
 	NumKinds
 )
 
-var kindNames = [NumKinds]string{"init", "interior", "boundary", "comm", "fault", "inner", "border"}
+var kindNames = [NumKinds]string{"init", "interior", "boundary", "comm", "fault"}
 
 func (k Kind) String() string {
 	if k >= NumKinds {
@@ -391,21 +382,6 @@ func (b *Builder) AllocBufSlot(node int32) int32 {
 	return s
 }
 
-// PresetSlots seeds the builder's per-node slot counters from an existing
-// graph's NodeSlots/NodeBufSlots. Rewrite passes (see Transform) reuse the
-// original graph's task bodies and Pack/Unpack closures, which address
-// store slots by the indices assigned at first build; preseeding keeps
-// those indices valid in the rewritten graph while still allowing a pass
-// to allocate additional slots on top.
-func (b *Builder) PresetSlots(slots, bufSlots []int) {
-	if slots != nil {
-		b.slots = append([]int(nil), slots...)
-	}
-	if bufSlots != nil {
-		b.bufSlots = append([]int(nil), bufSlots...)
-	}
-}
-
 // AddDep records that consumer depends on producer, naming both by ID; see
 // AddDepIdx.
 func (b *Builder) AddDep(consumer, producer TaskID, d Dep) error {
@@ -473,8 +449,8 @@ func (b *Builder) Build() (*Graph, error) {
 		NodeSlots: b.slots, NodeBufSlots: b.bufSlots,
 	}
 	g.plan = g.pointToPoint(&b.store)
-	// Stats are computed eagerly so transforms cannot leave stale summaries
-	// behind: every (re)build refreshes them, and readers share the memo.
+	// Stats are computed eagerly, by the same pass that checks for cycles,
+	// and readers share the memo.
 	var err error
 	if g.stats, err = g.analyze(); err != nil {
 		return nil, err
@@ -496,19 +472,12 @@ type Stats struct {
 
 // ComputeStats returns the graph's summary statistics, including the length
 // (in tasks) of the longest dependency chain. Stats are computed eagerly at
-// Build() and memoized; a rewrite pass that mutates a graph in place must
-// call InvalidateStats. The returned value owns its KindCounts map, so
+// Build() and memoized. The returned value owns its KindCounts map, so
 // callers may mutate it freely.
 func (g *Graph) ComputeStats() Stats {
 	s := *g.stats
 	s.KindCounts = maps.Clone(s.KindCounts)
 	return s
-}
-
-// InvalidateStats recomputes the memoized stats from the task list. A built
-// graph is acyclic, so the recomputation cannot fail.
-func (g *Graph) InvalidateStats() {
-	g.stats, _ = g.analyze()
 }
 
 // analyze is the graph's one topological pass (Kahn's algorithm over the

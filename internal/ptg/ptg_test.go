@@ -130,6 +130,42 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
+// TestStatsEagerAndInvalidate checks Build memoizes stats eagerly and that
+// each read returns a copy owning its map, so a caller's mutation cannot
+// poison the memo. Stats are never invalidated now: a built graph is
+// immutable.
+func TestStatsEagerAndInvalidate(t *testing.T) {
+	b := NewBuilder(1)
+	chain := []TaskID{{Class: "a"}, {Class: "m"}, {Class: "z"}}
+	for _, tid := range chain {
+		if _, err := b.AddTask(Task{ID: tid, Kind: KindInterior}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < len(chain); i++ {
+		if err := b.AddDep(chain[i], chain[i-1], Dep{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := g.ComputeStats()
+	s2 := g.ComputeStats()
+	if s1.Tasks != 3 || s1.Deps != 2 || s1.CriticalPathTasks != 3 {
+		t.Fatalf("unexpected stats: %+v", s1)
+	}
+	if s2.Tasks != s1.Tasks || s2.CriticalPathTasks != s1.CriticalPathTasks {
+		t.Fatalf("memoized read diverged: %+v vs %+v", s1, s2)
+	}
+	// The returned copy owns its map: mutating it must not poison the memo.
+	s1.KindCounts["interior"] = -1
+	if s3 := g.ComputeStats(); s3.KindCounts["interior"] != 3 {
+		t.Fatalf("caller mutation leaked into the stats memo: %+v", s3)
+	}
+}
+
 func TestMultipleDepsFromSameProducer(t *testing.T) {
 	// A CA boundary task consumes both an edge and a corner flow from the
 	// same producer: the producer gets one out-edge per dependency and the

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"castencil/internal/fault"
 	"castencil/internal/ptg"
@@ -119,9 +118,6 @@ func (ex *executor) sendBundle(e ptg.Env, nd *execNode, bi int32) (id fault.MsgI
 	}()
 	buf := packBundle(GetBuf(b.WireBytes())[:0], e, ex.g, b.Members)
 	m := newMessage(id, buf)
-	if ex.overlapOn {
-		m.SentNanos = int64(time.Since(ex.t0))
-	}
 	ex.messages.Add(1)
 	ex.bytesSent.Add(int64(len(buf)))
 	ex.bundlesSent.Add(1)

@@ -220,8 +220,6 @@ func (ex *executor) distExchangeStats(res *Result) error {
 		res.BundleSegments += o.BundleSegments
 		res.Completed += o.Completed
 		res.Dropped += o.Dropped
-		res.InteriorTasks += o.InteriorTasks
-		res.BorderTasks += o.BorderTasks
 		res.StealsRemote += o.StealsRemote
 		res.MigratedTasks += o.MigratedTasks
 		res.MigratedBytes += o.MigratedBytes

@@ -41,14 +41,7 @@ type Message struct {
 	Seq     uint64
 	Ack     bool
 	Attempt int32
-	// SentNanos is the dispatch timestamp (nanoseconds since the run's t0),
-	// stamped only when the graph carries inner tasks from the split
-	// transform: the receiver closes the in-flight interval behind
-	// Result.OverlapRatio. Zero on other runs and on ack messages.
-	// Retransmitted copies keep the original timestamp, so a recovered
-	// message counts as in flight from its first transmission.
-	SentNanos int64
-	Data      []byte
+	Data    []byte
 }
 
 // Interceptor lets tests and examples wrap message delivery (to inject
@@ -158,15 +151,6 @@ type Result struct {
 	// Fault counts injected faults and the recovery work that masked
 	// them (all zero without a fault plan / the reliable transport).
 	Fault fault.Stats
-	// Overlap observability for split graphs (all zero when the graph has
-	// no inner tasks — the instrumentation is pay-for-use). OverlapRatio
-	// is the fraction of wire in-flight time during which at least one
-	// interior (KindInner) task was executing somewhere: how much of the
-	// communication the split transform actually hid behind compute.
-	// InteriorTasks and BorderTasks count executed tasks of those kinds.
-	OverlapRatio  float64
-	InteriorTasks int
-	BorderTasks   int
 	// Inter-node work stealing (all zero without an active Options.Steal).
 	// StealsRemote counts migrated tasks this rank executed for a peer;
 	// MigratedTasks counts tasks this rank shipped out, MigratedBytes the
@@ -260,16 +244,6 @@ type executor struct {
 
 	nodeTasks []atomic.Int64
 	nodeBusy  []atomic.Int64 // nanoseconds
-
-	// Overlap instrumentation (see overlap.go), active only when the graph
-	// carries KindInner tasks. innerIv[node*Workers+core] is owned by that
-	// worker goroutine; commIv[node] by that node's comm goroutine — both
-	// are read only after the run's WaitGroup settles.
-	overlapOn     bool
-	innerIv       [][]span
-	commIv        [][]span
-	interiorTasks atomic.Int64
-	borderTasks   atomic.Int64
 
 	completed atomic.Int64
 	total     int64
@@ -404,13 +378,6 @@ func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) 
 	}
 	for i := range g.Tasks {
 		ex.pending[i] = int32(len(g.Tasks[i].Deps))
-		if g.Tasks[i].Kind == ptg.KindInner {
-			ex.overlapOn = true
-		}
-	}
-	if ex.overlapOn {
-		ex.innerIv = make([][]span, g.NumNodes*opts.Workers)
-		ex.commIv = make([][]span, g.NumNodes)
 	}
 
 	ex.nodes = make([]*execNode, g.NumNodes)
@@ -645,18 +612,6 @@ func (ex *executor) result(elapsed time.Duration) *Result {
 		res.NodeSteals[i] = int(nd.steals.Load())
 		res.NodeParks[i] = int(nd.parks.Load())
 	}
-	if ex.overlapOn {
-		var comm, inner []span
-		for _, iv := range ex.commIv {
-			comm = append(comm, iv...)
-		}
-		for _, iv := range ex.innerIv {
-			inner = append(inner, iv...)
-		}
-		res.OverlapRatio = trace.OverlapRatio(comm, inner)
-		res.InteriorTasks = int(ex.interiorTasks.Load())
-		res.BorderTasks = int(ex.borderTasks.Load())
-	}
 	return res
 }
 
@@ -831,16 +786,6 @@ func (ex *executor) runTask(nd *execNode, core int32, idx int32, stolen bool, re
 			d = old + (d-old)/8
 		}
 		ex.stealAvg[nd.id].Store(d)
-	}
-	if ex.overlapOn {
-		switch t.Kind {
-		case ptg.KindInner:
-			ex.interiorTasks.Add(1)
-			s := int(nd.id)*ex.opts.Workers + int(core)
-			ex.innerIv[s] = append(ex.innerIv[s], span{Start: int64(start), End: int64(end)})
-		case ptg.KindBorder:
-			ex.borderTasks.Add(1)
-		}
 	}
 	if ex.fplan != nil {
 		ex.notePause(nd, int(completed))
@@ -1023,9 +968,6 @@ func (ex *executor) sendOne(e ptg.Env, nd *execNode, req ptg.OutEdge) (id fault.
 		data = pack(e)
 	}
 	m := newMessage(id, data)
-	if ex.overlapOn {
-		m.SentNanos = int64(time.Since(ex.t0))
-	}
 	ex.messages.Add(1)
 	ex.bytesSent.Add(int64(len(data)))
 	ex.dispatch(nd, m)
@@ -1052,9 +994,6 @@ func (ex *executor) receive(nd *execNode, m Message) {
 		}
 		ex.agent.post(m)
 		return
-	}
-	if ex.overlapOn && m.SentNanos > 0 {
-		ex.commIv[nd.id] = append(ex.commIv[nd.id], span{Start: m.SentNanos, End: int64(time.Since(ex.t0))})
 	}
 	var start time.Duration
 	if ex.traceComm {

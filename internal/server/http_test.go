@@ -144,6 +144,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"invalid spec", `{"n":64,"tile":16,"steps":6,"nodes":3}`},
 		{"unknown field", `{"n":64,"tile":16,"steps":6,"bogus_knob":1}`},
 		{"removed sched field", `{"n":64,"tile":16,"steps":6,"step_size":3,"sched":"priority"}`},
+		{"removed transform field", `{"n":64,"tile":16,"steps":6,"step_size":3,"transform":"split"}`},
 	} {
 		if resp, body := postJSON(t, srv.URL+"/v1/jobs", bad.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", bad.name, resp.StatusCode, body)

@@ -312,7 +312,6 @@ func TestSpecValidation(t *testing.T) {
 		{N: 64, Tile: 16, Steps: 4, Plan: "manual"},
 		{N: 64, Tile: 16, Steps: 4, Priority: "urgent"},
 		{N: 64, Tile: 16, Steps: 4, Workers: -1},
-		{N: 64, Tile: 16, Steps: 4, Transform: "mystery"},
 		{N: 64, Tile: 16, Steps: 4, Machine: "Cray-1"},
 		{N: 64, Tile: 16, Steps: 4, TimeoutMS: -1},
 		{N: 64, Tile: 16, Steps: 4, StepSize: 64, Variant: "ca"},  // step > tile

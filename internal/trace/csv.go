@@ -63,6 +63,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: line %d column %s: %v", ln+2, csvHeader[i+1], err)
 			}
 		}
+		if v[3] < 0 || v[3] >= int64(ptg.NumKinds) {
+			return nil, fmt.Errorf("trace: line %d column kind: %d outside [0, %d)", ln+2, v[3], ptg.NumKinds)
+		}
 		t.Record(Event{
 			ID:     ptg.TaskID{Class: rec[0], I: int(v[0]), J: int(v[1]), K: int(v[2])},
 			Kind:   ptg.Kind(v[3]),

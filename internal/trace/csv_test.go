@@ -36,15 +36,20 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVRejectsGarbage(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty input must fail")
+	row := func(kind string) string {
+		return strings.Join(csvHeader, ",") + "\nst,0,0,0," + kind + ",0,0,0,1,0,0,0\n"
 	}
-	if _, err := ReadCSV(strings.NewReader("a,b\n1,2\n")); err == nil {
-		t.Error("wrong header must fail")
-	}
-	bad := strings.Join(csvHeader, ",") + "\nst,x,0,0,1,0,0,0,1,0,0,0\n"
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
-		t.Error("non-numeric field must fail")
+	for _, c := range []struct{ name, data, want string }{
+		{"empty", "", "empty"},
+		{"wrong header", "a,b\n1,2\n", "header"},
+		{"non-numeric field", strings.Join(csvHeader, ",") + "\nst,x,0,0,1,0,0,0,1,0,0,0\n", "line 2 column i"},
+		{"retired kind 5", row("5"), "line 2 column kind"},
+		{"kind 300", row("300"), "line 2 column kind"},
+		{"kind -1", row("-1"), "line 2 column kind"},
+	} {
+		if _, err := ReadCSV(strings.NewReader(c.data)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -142,6 +147,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add(v12)
 	f.Add([]byte("class,i,j,k,kind,node,core,start_ns,end_ns\ninit,0,0,0,0,0,0,0,1000000\n"))
 	f.Add([]byte(strings.Join(csvHeader, ",") + "\n\"a,\"\"b\",1,-2,3,300,5000000000,7,+8,9,2,0,-1\n"))
+	f.Add([]byte(strings.Join(csvHeader, ",") + "\nsi,0,0,1,5,0,0,0,1,0,0,0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadCSV(bytes.NewReader(data))
 		if err != nil {
@@ -200,35 +206,5 @@ func TestCSVRoundTripCommEvent(t *testing.T) {
 	}
 	if g := got.Events()[0]; g.Msgs != 4 || g.Bytes != 2048 {
 		t.Errorf("round-tripped comm event = %+v", g)
-	}
-}
-
-// TestCSVRoundTripSplitKinds checks the split transform's task kinds —
-// KindInner (5) and KindBorder (6), appended after KindFault so older
-// numeric kind values keep their meaning — survive a write/read cycle and
-// render with their own Gantt glyphs.
-func TestCSVRoundTripSplitKinds(t *testing.T) {
-	tr := New()
-	tr.Record(ev(0, 0, ptg.KindInner, 0, 8))
-	tr.Record(ev(0, 1, ptg.KindBorder, 2, 4))
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := got.Events()
-	if len(events) != 2 || events[0].Kind != ptg.KindInner || events[1].Kind != ptg.KindBorder {
-		t.Fatalf("split kinds lost in round trip: %+v", events)
-	}
-	if int(ptg.KindInner) != 5 || int(ptg.KindBorder) != 6 {
-		t.Fatalf("split kind codes moved: inner=%d border=%d (CSV back-compat requires 5, 6)",
-			int(ptg.KindInner), int(ptg.KindBorder))
-	}
-	chart := Gantt(events, 2, GanttConfig{Width: 20})
-	if !strings.Contains(chart, ",") || !strings.Contains(chart, "b") {
-		t.Errorf("Gantt chart missing split glyphs:\n%s", chart)
 	}
 }

@@ -250,8 +250,6 @@ func Gantt(events []Event, cores int, cfg GanttConfig) string {
 			ptg.KindInterior: '.',
 			ptg.KindInit:     'i',
 			ptg.KindComm:     'c',
-			ptg.KindInner:    ',',
-			ptg.KindBorder:   'b',
 		}
 	}
 	if len(events) == 0 {

@@ -44,9 +44,8 @@ type WireStats struct {
 	Steals     int
 	StealBytes int
 	// Busy is the union of the rank's wire-activity windows: overlapping
-	// transfers on different lanes count once (merged-span math, the same
-	// interval union the overlap instrumentation uses). Steal frames count:
-	// the socket is busy either way.
+	// transfers on different lanes count once (MergeSpans). Steal frames
+	// count: the socket is busy either way.
 	Busy time.Duration
 	// Util is Busy over the caller's span (0 when no span was given).
 	Util float64
@@ -90,4 +89,38 @@ func SummarizeWire(wire []Event, span time.Duration) []WireStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
 	return out
+}
+
+// Span is a half-open time interval in nanoseconds (relative to a run's
+// origin).
+type Span struct{ Start, End int64 }
+
+// MergeSpans sorts spans and coalesces overlapping/adjacent ones into a
+// disjoint union, in place.
+func MergeSpans(sp []Span) []Span {
+	if len(sp) < 2 {
+		return sp
+	}
+	sort.Slice(sp, func(i, j int) bool { return sp[i].Start < sp[j].Start })
+	out := sp[:1]
+	for _, v := range sp[1:] {
+		last := &out[len(out)-1]
+		if v.Start <= last.End {
+			if v.End > last.End {
+				last.End = v.End
+			}
+			continue
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// SpanTotal sums the lengths of a disjoint span list.
+func SpanTotal(sp []Span) int64 {
+	var t int64
+	for _, v := range sp {
+		t += v.End - v.Start
+	}
+	return t
 }

@@ -69,3 +69,19 @@ func TestSummarizeWire(t *testing.T) {
 		t.Errorf("util without a span must stay 0, got %v", got[0].Util)
 	}
 }
+
+func TestMergeSpans(t *testing.T) {
+	got := MergeSpans([]Span{{5, 9}, {0, 3}, {2, 4}, {9, 12}, {20, 21}})
+	want := []Span{{0, 4}, {5, 12}, {20, 21}}
+	if len(got) != len(want) {
+		t.Fatalf("merged to %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("merged to %v, want %v", got, want)
+		}
+	}
+	if total := SpanTotal(got); total != 12 {
+		t.Errorf("SpanTotal = %d, want 12", total)
+	}
+}

@@ -61,10 +61,6 @@ type Spec struct {
 	// Coalesce is the halo-bundle mode (CoalesceNames).
 	Workers  int    `json:"workers,omitempty" role:"exec"`
 	Coalesce string `json:"coalesce,omitempty" role:"exec"`
-	// Transform selects a graph-transformation pass (TransformNames).
-	// Rejected for the wf variant and for plan=auto (the planner may pick
-	// wf).
-	Transform string `json:"transform,omitempty" role:"exec"`
 	// Fault is a fault-injection spec (FaultSpecSyntax). Machine names the
 	// model a sim run prices against and plan=auto plans on (default
 	// NaCL); Ratio is the kernel-adjustment ratio of both (0 = 1).
@@ -200,12 +196,6 @@ func (s Spec) Options() (*Resolved, error) {
 	r.Config = Config{N: s.N, TileRows: s.Tile, P: p, Steps: s.Steps, StepSize: s.StepSize, Wavefront: s.Wavefront}
 	if s.Seed != 0 {
 		r.Config.Init = HashInit(s.Seed)
-	}
-	if r.Config.Transform, err = ParseTransform(s.Transform); err != nil {
-		return nil, err
-	}
-	if r.auto && r.Config.Transform != TransformNone {
-		return nil, fmt.Errorf("castencil: transform %q cannot combine with plan=auto (the planner may pick wf)", s.Transform)
 	}
 	v := r.Variant
 	if r.auto {
