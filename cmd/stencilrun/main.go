@@ -88,12 +88,18 @@ func main() {
 	m := r.Machine
 
 	if *dotOut != "" {
-		g, err := core.BuildGraph(r.Variant, r.Config)
+		// Count before building: a paper-scale config would build
+		// hundreds of thousands of tasks only to be refused.
+		tasks, err := core.TaskCount(r.Variant, r.Config)
 		if err != nil {
 			fail(err)
 		}
-		if len(g.Tasks) > 2000 {
-			fail(fmt.Errorf("graph has %d tasks; DOT export is for small configs (<= 2000)", len(g.Tasks)))
+		if tasks > 2000 {
+			fail(fmt.Errorf("graph has %d tasks; DOT export is for small configs (<= 2000)", tasks))
+		}
+		g, err := core.BuildGraph(r.Variant, r.Config)
+		if err != nil {
+			fail(err)
 		}
 		f, err := os.Create(*dotOut)
 		if err != nil {

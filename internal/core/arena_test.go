@@ -148,10 +148,12 @@ func allocBytes(f func()) uint64 {
 	return m1.TotalAlloc - m0.TotalAlloc
 }
 
-// TestRunReusesTileStores gates the tile arena: once a first run has
-// returned its tile stores, a second run of the same shape allocates its
-// graph and its gathered answer and, beyond those, under 5% of its tile
-// pairs' bytes.
+// TestRunReusesTileStores gates the tile arena and the graph pool: once a
+// first run has returned its tile stores and its graph, a second run of the
+// same shape allocates its gathered answer and, beyond it, under 5% of its
+// tile pairs' bytes; and it allocates no graph: no more than a tenth of a
+// graph's bytes over a run of a graph built beforehand, which allocates the
+// answer and the executor's state too.
 func TestRunReusesTileStores(t *testing.T) {
 	cfg := Config{N: 256, TileRows: 64, P: 2, Steps: 4}
 	opts := runtime.Options{Workers: 1}
@@ -163,18 +165,35 @@ func TestRunReusesTileStores(t *testing.T) {
 	solve()
 	built := cfg
 	built.WithBodies = true
+	var g *ptg.Graph
 	graph := allocBytes(func() {
-		if _, err := BuildGraph(Base, built); err != nil {
+		var err error
+		if g, err = BuildGraph(Base, built); err != nil {
 			t.Fatal(err)
 		}
+	})
+	part, _ := cfg.Partition()
+	prebuilt := allocBytes(func() {
+		res, err := runtime.Run(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Gather(part, res.Stores); err != nil {
+			t.Fatal(err)
+		}
+		releaseTiles(part, res.Stores)
 	})
 	run := allocBytes(solve)
 	tiles := 16 * 2 * 66 * 66 * 8 // 4 x 4 tiles of 64 x 64, one-deep ghosts
 	answer := cfg.N * cfg.N * 8
-	extra := int64(run) - int64(graph) - int64(answer)
-	if 20*extra > int64(tiles) {
-		t.Errorf("second run allocated %d B beyond its graph (%d B) and answer (%d B), want <= 5%% of the %d B of tile pairs",
-			extra, graph, answer, tiles)
+	t.Logf("second run %d B: answer %d B; prebuilt graph's run %d B, graph %d B", run, answer, prebuilt, graph)
+	if extra := int64(run) - int64(answer); 20*extra > int64(tiles) {
+		t.Errorf("second run allocated %d B beyond its answer (%d B), want <= 5%% of the %d B of tile pairs",
+			extra, answer, tiles)
+	}
+	if extra := int64(run) - int64(prebuilt); 10*extra > int64(graph) {
+		t.Errorf("second run allocated %d B over a run of a prebuilt graph, want <= a tenth of the graph's %d B",
+			extra, graph)
 	}
 }
 

@@ -91,16 +91,17 @@ func (b *builder) effWidth(t int) int {
 // cfg.WithBodies the graph is executable by internal/runtime; without, it is
 // a cost-only graph for internal/desim.
 func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
-	return buildGraph(v, cfg, nil)
+	g, _, err := buildGraph(v, cfg, nil)
+	return g, err
 }
 
 // buildGraph is BuildGraph laid out in st's arrays where they are large
-// enough (nil: none).
-func buildGraph(v Variant, cfg Config, st *ptg.Storage) (*ptg.Graph, error) {
+// enough (nil: none), plus the builder whose cfg its bodies read when run.
+func buildGraph(v Variant, cfg Config, st *ptg.Storage) (*ptg.Graph, *builder, error) {
 	cfg = cfg.withDefaults()
 	bd, err := newBuilder(v, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var ins, outs [numFlowKeys]haloFlows
 	gb := ptg.NewBuilder(bd.part.Nodes())
@@ -144,7 +145,7 @@ func buildGraph(v Variant, cfg Config, st *ptg.Storage) (*ptg.Graph, error) {
 				deps += 1 + in.count
 			}
 			if _, err := gb.AddTask(task); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
@@ -157,7 +158,7 @@ func buildGraph(v Variant, cfg Config, st *ptg.Storage) (*ptg.Graph, error) {
 			c := bd.task(inf, t)
 			// Serial self-dependency: the tile's double buffer.
 			if err := gb.AddDepIdx(c, c-1, ptg.Dep{}); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			in := &ins[bd.flowKey(t-1)]
 			for _, d := range grid.AllDirs {
@@ -178,19 +179,19 @@ func buildGraph(v Variant, cfg Config, st *ptg.Storage) (*ptg.Graph, error) {
 					}
 				}
 				if err := gb.AddDepIdx(c, bd.task(p, t-1), dep); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 		}
 	}
 	g, err := gb.Build()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cfg.WithBodies {
 		g.Hooks = bd.migHooks
 	}
-	return g, nil
+	return g, bd, nil
 }
 
 func taskID(ti, tj, t int) ptg.TaskID {
@@ -232,10 +233,7 @@ func newBuilder(v Variant, cfg Config) (*builder, error) {
 		}
 	}
 
-	bd.epochs = cfg.Steps
-	if v == WF {
-		bd.epochs = (cfg.Steps + cfg.Wavefront - 1) / cfg.Wavefront
-	}
+	bd.epochs = cfg.epochs(v)
 	for k := range bd.keyIter {
 		bd.keyIter[k] = -2
 	}

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"castencil/internal/grid"
@@ -146,6 +147,26 @@ func (c Config) withDefaults() Config {
 func (c Config) Partition() (*grid.Partition, error) {
 	c = c.withDefaults()
 	return grid.NewPartition(c.N, c.TileRows, c.TileCols, c.P, c.Q)
+}
+
+// epochs is the number of compute tasks per tile: Steps for the per-step
+// variants, ceil(Steps/w) wavefront blocks for WF.
+func (c Config) epochs(v Variant) int {
+	if v == WF {
+		return (c.Steps + c.Wavefront - 1) / c.Wavefront
+	}
+	return c.Steps
+}
+
+// TaskCount returns the number of tasks BuildGraph builds for v under cfg,
+// epochs+1 per tile, from the partition alone (at most math.MaxInt).
+func TaskCount(v Variant, cfg Config) (int, error) {
+	cfg = cfg.withDefaults()
+	p, err := cfg.Validate(v)
+	if err != nil {
+		return 0, err
+	}
+	return p.Tiles() * min(cfg.epochs(v)+1, math.MaxInt/p.Tiles()), nil
 }
 
 // Validate checks the configuration for a given variant and returns the

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"castencil/internal/desim"
@@ -31,10 +30,10 @@ type RealResult struct {
 	Exec *runtime.Result
 }
 
-// RunReal builds the graph with bodies and executes it on the concurrent
-// runtime, gathering the final grid. The tile stores come from the runtime
-// arena and return to it after the gather, so a process solving many
-// problems reuses one set of tile buffers.
+// RunReal executes the graph with bodies on the concurrent runtime and
+// gathers the final grid. The graph comes from the process's graph pool and
+// the tile stores from the runtime arena; both go back after the run, so
+// solving one shape many times builds one graph and one set of tile buffers.
 func RunReal(v Variant, cfg Config, opts runtime.Options) (*RealResult, error) {
 	cfg = cfg.withDefaults()
 	cfg.WithBodies = true
@@ -42,7 +41,7 @@ func RunReal(v Variant, cfg Config, opts runtime.Options) (*RealResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := BuildGraph(v, cfg)
+	e, err := graphs.get(v, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +50,8 @@ func RunReal(v Variant, cfg Config, opts runtime.Options) (*RealResult, error) {
 		// runtime's barriers and the tiles gather below all ride in it.
 		opts.Dist.Net.Begin()
 	}
-	res, err := runtime.Run(g, opts)
+	res, err := runtime.Run(e.g, opts)
+	graphs.put(e)
 	if err != nil {
 		return nil, err
 	}
@@ -227,44 +227,6 @@ func CostModel(m *machine.Model, ratio float64) desim.CostFn {
 	}
 }
 
-// maxSpareGraph caps the graph storage Simulate keeps for the next call: a
-// graph larger than this takes long enough to simulate that allocating it
-// afresh costs a small share, and the process should not hold it idle.
-const maxSpareGraph = 64 << 20
-
-// simGraphs holds the storage of the last graph Simulate replayed, which the
-// next Simulate builds into. A process simulating one shape in a loop then
-// allocates its graph once: its heap holds one graph, never one graph
-// being replayed plus the next one's fresh arrays, which a collection that
-// spans the two calls would count live together and double the heap goal.
-var simGraphs graphSpare
-
-type graphSpare struct {
-	mu sync.Mutex
-	st *ptg.Storage
-}
-
-// take hands out the kept storage, if any; concurrent callers get none.
-func (s *graphSpare) take() *ptg.Storage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.st
-	s.st = nil
-	return st
-}
-
-// put releases g, which nothing may use afterwards, and keeps its storage
-// unless it is over maxSpareGraph.
-func (s *graphSpare) put(g *ptg.Graph) {
-	st := g.Release()
-	if st.Bytes() > maxSpareGraph {
-		return
-	}
-	s.mu.Lock()
-	s.st = st
-	s.mu.Unlock()
-}
-
 // Simulate replays a stencil variant in virtual time on a machine model and
 // returns the predicted performance.
 func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
@@ -280,11 +242,11 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := buildGraph(v, cfg, simGraphs.take())
+	e, err := graphs.get(v, cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer simGraphs.put(g)
+	defer graphs.put(e)
 	fabric := netsim.NewFabric(opts.Machine.Net, part.Nodes())
 	var steal *desim.StealOpts
 	if opts.Steal != nil && len(opts.Steal.Force) > 0 {
@@ -296,7 +258,7 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 			Force:  opts.Steal.Force,
 		}
 	}
-	res, err := desim.Run(g, desim.Options{
+	res, err := desim.Run(e.g, desim.Options{
 		Cores:      opts.Machine.ComputeCores(),
 		Cost:       CostModel(opts.Machine, opts.Ratio),
 		Fabric:     fabric,

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"castencil/internal/ptg"
 	"castencil/internal/runtime"
 )
 
@@ -279,6 +280,51 @@ func TestJacobi1DViaDTD(t *testing.T) {
 			if want := ref[tl*tw+i+1]; got[i] != want {
 				t.Fatalf("tile %d cell %d: %v != %v (bitwise)", tl, i, got[i], want)
 			}
+		}
+	}
+}
+
+// TestConcurrentRunsOneGraph runs one DTD graph from four goroutines at once.
+// Its chain leaves every epoch at zero, so bundling would deadlock: the
+// graph resolves that once, every CoalesceStep run gets the same error and
+// every CoalesceAuto run falls back to point-to-point and computes x.
+func TestConcurrentRunsOneGraph(t *testing.T) {
+	ins := New(3)
+	ins.Seed("x", 0, []float64{1})
+	for i := 0; i < 12; i++ {
+		ins.Insert("inc", i%3, func(c Ctx) {
+			v := c.Read("x")
+			c.Write("x", []float64{v[0] + 1})
+		}, RW("x"))
+	}
+	g, err := ins.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stepErrs := make([]error, 4)
+	for i := range stepErrs {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, stepErrs[i] = runtime.Run(g, runtime.Options{Workers: 2, Coalesce: ptg.CoalesceStep})
+		}()
+		go func() {
+			defer wg.Done()
+			res, err := runtime.Run(g, runtime.Options{Workers: 2, Coalesce: ptg.CoalesceAuto})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got, err := ins.Fetch(res.Stores, "x"); err != nil || got[0] != 13 {
+				t.Errorf("auto run: x = %v (%v), want 13", got, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range stepErrs {
+		if err == nil || err != stepErrs[0] {
+			t.Errorf("step run %d: error %v, want the one memoized deadlock error %v", i, err, stepErrs[0])
 		}
 	}
 }

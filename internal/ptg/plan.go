@@ -54,19 +54,20 @@ func (p *Plan) Out(producer int32) []OutEdge {
 // the point-to-point plan Build computed. CoalesceStep bundles every
 // cross-node dependency by (producer node, consumer node, producer epoch)
 // and fails when bundling would deadlock the graph (see Bundles);
-// CoalesceAuto falls back to the point-to-point plan instead.
+// CoalesceAuto falls back to the point-to-point plan instead. Both resolve
+// bundling once per graph, and every later or concurrent call shares it.
 func (g *Graph) Plan(mode CoalesceMode) (*Plan, error) {
 	if mode == CoalesceOff || g.stats.CrossDeps == 0 {
 		return g.plan, nil
 	}
-	p, err := g.bundled()
-	if err != nil {
+	g.bundleOnce.Do(func() { g.bundle, g.bundleErr = g.bundled() })
+	if g.bundleErr != nil {
 		if mode == CoalesceAuto {
 			return g.plan, nil
 		}
-		return nil, err
+		return nil, g.bundleErr
 	}
-	return p, nil
+	return g.bundle, nil
 }
 
 // pointToPoint lays out the graph's out-edges in CSR form, counts one wire

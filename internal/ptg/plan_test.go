@@ -2,6 +2,7 @@ package ptg
 
 import (
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -114,6 +115,87 @@ func TestPlanCountsAndLanes(t *testing.T) {
 	for i, want := range []int{4*3 + 24, 4*2 + 40} {
 		if got := step.Bundles[i].WireBytes(); got != want {
 			t.Errorf("Bundles[%d].WireBytes() = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// chainGraph builds a chain bouncing between two nodes, its epochs given:
+// all zero deadlocks under bundling, advancing ones bundle one hop each.
+func chainGraph(t *testing.T, epochs ...int32) *Graph {
+	t.Helper()
+	b := NewBuilder(2)
+	for i, e := range epochs {
+		if _, err := b.AddTask(Task{ID: id("c", i, 0, 0), Node: int32(i % 2), Epoch: e}); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := b.AddDepIdx(int32(i), int32(i-1), Dep{Bytes: 8}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestPlanMemoized checks a graph resolves its bundled plan once: a repeated
+// Plan call returns the same *Plan (or, where bundling deadlocks, the same
+// error and the point-to-point fallback) without allocating, and concurrent
+// first callers agree on one plan.
+func TestPlanMemoized(t *testing.T) {
+	g := chainGraph(t, 0, 1, 2, 3)
+	step, err := g.Plan(CoalesceStep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := g.Plan(CoalesceStep); again != step {
+		t.Error("a second CoalesceStep plan is a new one")
+	}
+	if auto, _ := g.Plan(CoalesceAuto); auto != step {
+		t.Error("CoalesceAuto did not share the CoalesceStep plan")
+	}
+	if n := testing.AllocsPerRun(100, func() { g.Plan(CoalesceStep) }); n != 0 {
+		t.Errorf("a repeated Plan allocates %v times, want 0", n)
+	}
+
+	dead := chainGraph(t, 0, 0, 0, 0)
+	_, err1 := dead.Plan(CoalesceStep)
+	_, err2 := dead.Plan(CoalesceStep)
+	if err1 == nil || err1 != err2 {
+		t.Errorf("deadlocking graph: errors %v and %v, want one memoized error", err1, err2)
+	}
+	off, _ := dead.Plan(CoalesceOff)
+	if auto, err := dead.Plan(CoalesceAuto); auto != off || err != nil {
+		t.Errorf("deadlocking graph: auto plan %p (%v), want the point-to-point %p", auto, err, off)
+	}
+	if n := testing.AllocsPerRun(100, func() { dead.Plan(CoalesceStep); dead.Plan(CoalesceAuto) }); n != 0 {
+		t.Errorf("a repeated plan of a deadlocking graph allocates %v times, want 0", n)
+	}
+
+	g = chainGraph(t, 0, 1, 2, 3)
+	plans := make([]*Plan, 8)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mode := CoalesceStep
+			if i%2 == 1 {
+				mode = CoalesceAuto
+			}
+			plans[i], _ = g.Plan(mode)
+		}()
+	}
+	wg.Wait()
+	if plans[0] == nil || len(plans[0].Bundles) != 3 {
+		t.Fatalf("concurrent caller 0 got plan %+v, want 3 bundles", plans[0])
+	}
+	for i, p := range plans {
+		if p != plans[0] {
+			t.Errorf("concurrent caller %d got plan %p, caller 0 %p", i, p, plans[0])
 		}
 	}
 }

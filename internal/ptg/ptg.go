@@ -39,6 +39,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"sync"
 )
 
 // TaskID names a task instance: a class (e.g. "jacobi") plus up to three
@@ -260,6 +261,10 @@ type Graph struct {
 	transfers []transfer
 	stats     *Stats
 	plan      *Plan // the point-to-point plan, which holds the out-edges
+	// The CoalesceStep plan, or why it deadlocks, resolved once (see Plan).
+	bundleOnce sync.Once
+	bundle     *Plan
+	bundleErr  error
 }
 
 // Lookup returns the index of a task by ID.

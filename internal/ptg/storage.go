@@ -27,6 +27,18 @@ func (s *Storage) Bytes() int {
 		cap(s.cross)*int(unsafe.Sizeof(crossEdge{}))
 }
 
+// Bytes is the graph's footprint: its Storage, its transfer table and, once
+// resolved, its bundled plan; not the closures or Migrations of its tasks.
+func (g *Graph) Bytes() int {
+	p, b := g.plan, g.bundle
+	n := (&Storage{g.Tasks, g.deps, g.index.slots, p.out, p.outOff, p.cross}).Bytes() +
+		cap(g.transfers)*int(unsafe.Sizeof(transfer{}))
+	if b != nil {
+		n += cap(b.out)*int(unsafe.Sizeof(OutEdge{})) + len(p.cross)*int(unsafe.Sizeof(BundleMember{}))
+	}
+	return n
+}
+
 // Release ends the graph's life and returns its storage for Builder.Reuse.
 // The graph, its plans and every Task or Deps slice read from it must not
 // be used afterwards: the next graph built into the storage overwrites

@@ -32,17 +32,18 @@ import (
 
 // Classes: class 0 holds up to 64 elements; above it, every power of two is
 // split into poolSubClasses equal steps, so a buffer's capacity exceeds the
-// request by at most 1/8 (a 258x258 tile store gets 73 728 floats, not the
-// 131 072 of the next power of two). The classes cover capacities up to
-// 1<<poolMaxBits elements (1 GiB in the byte arena); larger buffers bypass
-// the pool entirely. The top classes exist for coalesced halo bundles, whose
-// wire buffers aggregate every per-dependency payload of a (src node, dst
-// node, epoch) triple and so run an order of magnitude larger than any
-// single halo message.
+// request by at most 1/32. The float arena holds every tile store of a real
+// run between solves, so its rounding is live heap: a 258x258 tile store
+// gets 67 584 floats, not the 131 072 of the next power of two. The classes
+// cover capacities up to 1<<poolMaxBits elements (1 GiB in the byte arena);
+// larger buffers bypass the pool entirely. The top classes exist for
+// coalesced halo bundles, whose wire buffers aggregate every per-dependency
+// payload of a (src node, dst node, epoch) triple and so run an order of
+// magnitude larger than any single halo message.
 const (
 	poolMinBits    = 6 // smallest class: 64 elements
 	poolMaxBits    = 30
-	poolStepBits   = 3
+	poolStepBits   = 5
 	poolSubClasses = 1 << poolStepBits
 	poolMaxClass   = (poolMaxBits - poolMinBits) * poolSubClasses
 	poolClasses    = poolMaxClass + 1

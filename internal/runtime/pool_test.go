@@ -2,8 +2,8 @@ package runtime
 
 import "testing"
 
-// TestSizeClasses checks the eight-per-octave classes: every request above
-// the smallest class gets a capacity within 1/8 of it, and every class's
+// TestSizeClasses checks the 32-per-octave classes: every request above
+// the smallest class gets a capacity within 1/32 of it, and every class's
 // capacity returns home to that same class, so a recycled buffer serves the
 // next request of its size.
 func TestSizeClasses(t *testing.T) {
@@ -14,8 +14,8 @@ func TestSizeClasses(t *testing.T) {
 	}
 	for n := 1<<poolMinBits + 1; n <= 1<<22; n++ {
 		c := sizeClass(n)
-		if c < 0 || classCap(c) < n || 8*classCap(c) > 9*n {
-			t.Fatalf("sizeClass(%d) = %d with capacity %d, want a capacity in [n, 1.125n]", n, c, classCap(c))
+		if c < 0 || classCap(c) < n || 32*classCap(c) > 33*n {
+			t.Fatalf("sizeClass(%d) = %d with capacity %d, want a capacity in [n, 1.03125n]", n, c, classCap(c))
 		}
 	}
 	for c := 0; c <= poolMaxClass; c++ {
@@ -44,12 +44,12 @@ func TestPoolReuse(t *testing.T) {
 		t.Fatalf("Get(100) returned len %d", len(a))
 	}
 	p.put(a)
-	b := p.get(97) // same class (97..104): must reuse a's backing array
+	b := p.get(99) // same class (99..100): must reuse a's backing array
 	if &a[0] != &b[0] {
 		t.Error("pool did not reuse the recycled buffer for a same-class Get")
 	}
-	if len(b) != 97 {
-		t.Errorf("reused Get(97) has len %d", len(b))
+	if len(b) != 99 {
+		t.Errorf("reused Get(99) has len %d", len(b))
 	}
 }
 
@@ -75,7 +75,7 @@ func TestPoolOversizedBypass(t *testing.T) {
 // needs no half-gigabyte of real buffers.
 func TestPoolRetainedCap(t *testing.T) {
 	var p slicePool[float64]
-	small, big := p.get(100), p.get(1000) // capacities 104 and 1024
+	small, big := p.get(100), p.get(1000) // capacities 100 and 1008
 	p.retained.Store(poolMaxRetained - 8*200)
 	p.put(big)
 	if got := p.retained.Load(); got != poolMaxRetained-8*200 {
@@ -85,8 +85,8 @@ func TestPoolRetainedCap(t *testing.T) {
 		t.Error("a buffer put past the cap was retained")
 	}
 	p.put(small)
-	if got := p.retained.Load(); got != poolMaxRetained-8*200+8*104 {
-		t.Errorf("put under the cap: retained %d bytes, want %d", got, poolMaxRetained-8*200+8*104)
+	if got := p.retained.Load(); got != poolMaxRetained-8*200+8*100 {
+		t.Errorf("put under the cap: retained %d bytes, want %d", got, poolMaxRetained-8*200+8*100)
 	}
 	if b := p.get(100); &b[0] != &small[0] {
 		t.Error("a buffer put under the cap was not retained")
