@@ -153,20 +153,23 @@ func (c Config) Partition() (*grid.Partition, error) {
 // variants, ceil(Steps/w) wavefront blocks for WF.
 func (c Config) epochs(v Variant) int {
 	if v == WF {
-		return (c.Steps + c.Wavefront - 1) / c.Wavefront
+		return c.Steps/c.Wavefront + min(c.Steps%c.Wavefront, 1)
 	}
 	return c.Steps
 }
 
 // TaskCount returns the number of tasks BuildGraph builds for v under cfg,
-// epochs+1 per tile, from the partition alone (at most math.MaxInt).
+// epochs+1 per tile, from the partition alone (saturating at math.MaxInt).
 func TaskCount(v Variant, cfg Config) (int, error) {
 	cfg = cfg.withDefaults()
 	p, err := cfg.Validate(v)
 	if err != nil {
 		return 0, err
 	}
-	return p.Tiles() * min(cfg.epochs(v)+1, math.MaxInt/p.Tiles()), nil
+	if e := cfg.epochs(v); e < math.MaxInt/p.Tiles() {
+		return p.Tiles() * (e + 1), nil
+	}
+	return math.MaxInt, nil
 }
 
 // Validate checks the configuration for a given variant and returns the

@@ -11,6 +11,11 @@ import (
 // runs long enough that building it afresh costs a small share. Tests lower it.
 var maxSpareGraph = 64 << 20
 
+// taskBytes is what the pool counts per task of a graph: with its share of
+// the storage, plans, transfers, Migrations and closures, a graph holds
+// 340–970 B live per task over the shapes of TestGraphPoolEstimate.
+const taskBytes = 512
+
 // graphKey is what fixes a graph's structure: its variant and the fields of
 // its Config (defaults applied) other than Init, Boundary, Weights and
 // Weights9, which task bodies read through the builder when they run.
@@ -20,8 +25,8 @@ type graphKey struct {
 	ninePoint, withBodies                                   bool
 }
 
-// prepared is a built graph, the builder it reads inputs through, and its
-// footprint while idle.
+// prepared is a built graph, the builder it reads inputs through, and the
+// bytes the pool counts for it.
 type prepared struct {
 	key   graphKey
 	g     *ptg.Graph
@@ -41,41 +46,54 @@ type graphPool struct {
 
 // get hands out a graph of v's shape under cfg (defaults applied, validated)
 // bound to cfg's inputs. An idle one leaves the pool, so concurrent runs get
-// their own; a miss builds into the oldest idle graph's released storage.
+// their own. A miss that fits beside the idle graphs builds afresh; else it
+// evicts the oldest ones, as put would for it, and builds into the first
+// one's storage, so no graph is built while one it replaces is live.
 func (p *graphPool) get(v Variant, cfg Config) (*prepared, error) {
 	key := graphKey{v, cfg.N, cfg.TileRows, cfg.TileCols, cfg.P, cfg.Q, cfg.Steps,
 		cfg.StepSize, cfg.Wavefront, cfg.NinePoint, cfg.WithBodies}
 	p.mu.Lock()
-	i := slices.IndexFunc(p.idle, func(e *prepared) bool { return e.key == key })
-	var e *prepared
-	if len(p.idle) > 0 {
-		e = p.idle[max(i, 0)]
-		p.idle = slices.Delete(p.idle, max(i, 0), max(i, 0)+1)
+	if i := slices.IndexFunc(p.idle, func(e *prepared) bool { return e.key == key }); i >= 0 {
+		e := p.idle[i]
+		p.idle = slices.Delete(p.idle, i, i+1)
 		p.bytes -= e.bytes
-	}
-	p.mu.Unlock()
-	if i >= 0 {
+		p.mu.Unlock()
 		e.bd.cfg = cfg
 		return e, nil
 	}
+	tasks, _ := TaskCount(v, cfg)
+	// Any count over the cap evicts every idle graph; min keeps it in range.
+	oldest := p.evict(min(tasks, maxSpareGraph) * taskBytes)
+	p.mu.Unlock()
 	var st *ptg.Storage
-	if e != nil {
-		st = e.g.Release()
+	if oldest != nil {
+		st = oldest.g.Release()
 	}
 	g, bd, err := buildGraph(v, cfg, st)
 	return &prepared{key: key, g: g, bd: bd}, err
 }
 
-// put returns e once its run, and every goroutine of it, has ended, then
-// evicts the oldest idle graphs until the pool is within maxSpareGraph.
+// put returns e once its run, and every goroutine of it, has ended, without
+// the run's Init and Boundary, which may hold caller data of any size.
 func (p *graphPool) put(e *prepared) {
-	// The graph, plus per task its 16 B Migration and up to 48 B of body
-	// and Pack/Unpack closures (see TestBuildBytesPerTask).
-	e.bytes = e.g.Bytes() + 64*len(e.g.Tasks)
+	e.bd.cfg.Init, e.bd.cfg.Boundary = nil, nil
+	e.bytes = len(e.g.Tasks) * taskBytes
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.idle = append(p.idle, e)
-	for p.bytes += e.bytes; p.bytes > maxSpareGraph; p.idle = slices.Delete(p.idle, 0, 1) {
+	p.bytes += e.bytes
+	p.evict(0)
+}
+
+// evict drops the oldest idle graphs until need more bytes fit within
+// maxSpareGraph and returns the first one dropped, or nil. p.mu is held.
+func (p *graphPool) evict(need int) (first *prepared) {
+	for len(p.idle) > 0 && p.bytes+need > maxSpareGraph {
+		if first == nil {
+			first = p.idle[0]
+		}
 		p.bytes -= p.idle[0].bytes
+		p.idle = slices.Delete(p.idle, 0, 1)
 	}
+	return first
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	goruntime "runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -15,26 +17,29 @@ import (
 )
 
 // TestGraphPoolEvictsOldest gates the pool's bound: with the cap lowered to
-// 1 MiB, ten graphs of distinct shapes taken before any goes back leave the
+// 2 MiB, ten graphs of distinct shapes taken before any goes back leave the
 // pool's idle bytes within the cap after every put, counted exactly, and
 // the graphs kept are always the newest ones returned. A later hit hands
-// out the kept graph itself; a miss builds into the oldest idle graph's
-// storage, which leaves the pool.
+// out the kept graph itself. A miss the pool has room for builds afresh and
+// keeps every idle graph; a miss without room evicts the oldest idle graphs
+// until the new one fits and builds into the first one's storage.
 func TestGraphPoolEvictsOldest(t *testing.T) {
 	old := maxSpareGraph
-	maxSpareGraph = 1 << 20
+	maxSpareGraph = 2 << 20
 	t.Cleanup(func() { maxSpareGraph = old })
 	var p graphPool
-	shape := func(steps int) Config {
-		return Config{N: 96, TileRows: 8, P: 2, Steps: steps, StepSize: 4}.withDefaults()
-	}
-	var held []*prepared
-	for steps := 1; steps <= 10; steps++ {
-		e, err := p.get(CA, shape(steps))
+	need := func(steps int) int { return 144 * (steps + 1) * taskBytes } // 12x12 tiles
+	get := func(steps int) *prepared {
+		t.Helper()
+		e, err := p.get(CA, Config{N: 96, TileRows: 8, P: 2, Steps: steps, StepSize: 4}.withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
-		held = append(held, e)
+		return e
+	}
+	var held []*prepared
+	for steps := 1; steps <= 10; steps++ {
+		held = append(held, get(steps))
 	}
 	for i, e := range held {
 		p.put(e)
@@ -53,22 +58,95 @@ func TestGraphPoolEvictsOldest(t *testing.T) {
 		t.Fatalf("the pool kept %d of %d graphs; the test wants some kept and some evicted", n, len(held))
 	}
 	newest := held[len(held)-1]
-	if e, _ := p.get(CA, shape(10)); e != newest {
+	if get(10) != newest {
 		t.Error("a hit did not hand out the idle graph of its shape")
 	}
-	oldest, n := p.idle[0], len(p.idle)
-	e, err := p.get(CA, shape(1))
-	if err != nil {
-		t.Fatal(err)
+
+	idle := slices.Clone(p.idle)
+	if p.bytes+need(1) > maxSpareGraph {
+		t.Fatalf("%d idle bytes leave no room for a %d B graph", p.bytes, need(1))
 	}
-	if e == held[0] || len(p.idle) != n-1 || slices.Contains(p.idle, oldest) || oldest.g.Tasks != nil {
-		t.Error("a miss did not build into the released storage of the oldest idle graph")
+	fresh := get(1)
+	if !slices.Equal(p.idle, idle) || slices.Contains(held, fresh) {
+		t.Error("a miss the pool had room for did not build afresh and keep every idle graph")
+	}
+
+	p.put(newest)
+	oldest := p.idle[0]
+	if p.bytes+need(11) <= maxSpareGraph {
+		t.Fatalf("%d idle bytes leave room for a %d B graph", p.bytes, need(11))
+	}
+	get(11)
+	if slices.Contains(p.idle, oldest) || oldest.g.Tasks != nil || p.bytes+need(11) > maxSpareGraph && len(p.idle) > 0 {
+		t.Error("a miss without room did not evict the oldest idle graphs and build into the first one's storage")
+	}
+}
+
+// TestGraphPoolAlternatingShapes gates the pool on the paper sweeps'
+// pattern, a Base and a CA solve of one config in turn: once each has run,
+// both stay idle and every later call hits. An idle graph holds no
+// caller-supplied initial condition or boundary.
+func TestGraphPoolAlternatingShapes(t *testing.T) {
+	var p graphPool
+	cfg := Config{N: 96, TileRows: 8, P: 2, Steps: 6, StepSize: 3, Init: stencil.HashInit(1)}.withDefaults()
+	first := map[Variant]*prepared{}
+	for round := range 3 {
+		for _, v := range []Variant{Base, CA} {
+			e, err := p.get(v, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 0 {
+				first[v] = e
+			} else if e != first[v] {
+				t.Errorf("round %d: %v missed", round, v)
+			}
+			p.put(e)
+			if e.bd.cfg.Init != nil || e.bd.cfg.Boundary != nil {
+				t.Fatalf("an idle %v graph holds its run's Init or Boundary", v)
+			}
+		}
+	}
+}
+
+// TestGraphPoolEstimate keeps taskBytes, what the pool counts per task,
+// within a factor of two of what a graph with its bundled plan resolved
+// holds live per task, on the benchmark's shapes and on nine-point graphs
+// and 1 to 64 nodes, for every variant.
+func TestGraphPoolEstimate(t *testing.T) {
+	for _, cfg := range []Config{
+		{N: 96, TileRows: 8, P: 2, Steps: 10, StepSize: 4, Wavefront: 4, NinePoint: true},
+		{N: 256, TileRows: 8, P: 4, Steps: 12, StepSize: 4, Wavefront: 4, WithBodies: true, NinePoint: true},
+		{N: 128, TileRows: 4, P: 8, Steps: 6, StepSize: 2, Wavefront: 2, WithBodies: true},
+		{N: 128, TileRows: 32, Steps: 20, StepSize: 4, Wavefront: 4, WithBodies: true},
+		{N: 512, TileRows: 16, P: 2, Steps: 48, StepSize: 4, Wavefront: 4, WithBodies: true},
+		{N: 2048, TileRows: 256, P: 2, Steps: 50, StepSize: 15, Wavefront: 15, WithBodies: true},
+		{N: 11520, TileRows: 288, P: 2, Steps: 50, StepSize: 15, Wavefront: 15},
+	} {
+		for _, v := range []Variant{Base, CA, WF} {
+			var m0, m1 goruntime.MemStats
+			goruntime.GC()
+			goruntime.ReadMemStats(&m0)
+			g, err := BuildGraph(v, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Plan(ptg.CoalesceAuto)
+			goruntime.GC()
+			goruntime.ReadMemStats(&m1)
+			per := (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / float64(len(g.Tasks))
+			goruntime.KeepAlive(g)
+			t.Logf("%v N=%d P=%d Steps=%d: %.0f B per task", v, cfg.N, cfg.P, cfg.Steps, per)
+			if per > 2*taskBytes || taskBytes > 2*per {
+				t.Errorf("%v N=%d P=%d Steps=%d: %.0f B live per task, the pool counts %d", v, cfg.N, cfg.P, cfg.Steps, per, taskBytes)
+			}
+		}
 	}
 }
 
 // TestTaskCount pins TaskCount's arithmetic to the graphs BuildGraph builds:
 // every variant, ragged edge tiles, rectangular tiles and node grids, and a
-// truncated final CA phase or WF block.
+// truncated final CA phase or WF block; and its saturation.
 func TestTaskCount(t *testing.T) {
 	for _, cfg := range []Config{
 		{N: 51, TileRows: 8, P: 2, Steps: 7, StepSize: 3, Wavefront: 3},
@@ -84,6 +162,12 @@ func TestTaskCount(t *testing.T) {
 			if got, err := TaskCount(v, cfg); err != nil || got != want.Tasks {
 				t.Errorf("%v %+v: TaskCount = %d (%v), want %d", v, cfg, got, err, want.Tasks)
 			}
+		}
+	}
+	for _, v := range []Variant{Base, CA, WF} {
+		cfg := Config{N: 32, TileRows: 8, Steps: math.MaxInt, StepSize: 3, Wavefront: 3}
+		if got, err := TaskCount(v, cfg); err != nil || got != math.MaxInt {
+			t.Errorf("%v at Steps math.MaxInt: TaskCount = %d (%v), want math.MaxInt", v, got, err)
 		}
 	}
 	if _, err := TaskCount(CA, Config{N: 32, TileRows: 4, StepSize: 5, Steps: 3}); err == nil {

@@ -1,7 +1,5 @@
 package ptg
 
-import "unsafe"
-
 // Storage is the per-task and per-edge backing of a built graph: the task
 // list, the edge array, the task index and the point-to-point plan's
 // out-edge and cross-edge arrays. Graph.Release hands it back once the
@@ -15,28 +13,6 @@ type Storage struct {
 	out    []OutEdge
 	outOff []int32
 	cross  []crossEdge
-}
-
-// Bytes is the storage's footprint.
-func (s *Storage) Bytes() int {
-	return cap(s.tasks)*int(unsafe.Sizeof(Task{})) +
-		cap(s.deps)*int(unsafe.Sizeof(Edge{})) +
-		cap(s.index)*4 +
-		cap(s.out)*int(unsafe.Sizeof(OutEdge{})) +
-		cap(s.outOff)*4 +
-		cap(s.cross)*int(unsafe.Sizeof(crossEdge{}))
-}
-
-// Bytes is the graph's footprint: its Storage, its transfer table and, once
-// resolved, its bundled plan; not the closures or Migrations of its tasks.
-func (g *Graph) Bytes() int {
-	p, b := g.plan, g.bundle
-	n := (&Storage{g.Tasks, g.deps, g.index.slots, p.out, p.outOff, p.cross}).Bytes() +
-		cap(g.transfers)*int(unsafe.Sizeof(transfer{}))
-	if b != nil {
-		n += cap(b.out)*int(unsafe.Sizeof(OutEdge{})) + len(p.cross)*int(unsafe.Sizeof(BundleMember{}))
-	}
-	return n
 }
 
 // Release ends the graph's life and returns its storage for Builder.Reuse.
