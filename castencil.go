@@ -28,7 +28,7 @@
 //	plan, _ := castencil.ParseFaultPlan("drop=0.01,dup=0.01,seed=7")
 //	out, err := castencil.Run(castencil.CA, cfg,
 //	    castencil.WithWorkers(4),
-//	    castencil.WithCoalesce(castencil.CoalesceAuto),
+//	    castencil.WithCoalesce(castencil.CoalesceStep),
 //	    castencil.WithFaultPlan(plan))
 package castencil
 
@@ -82,17 +82,13 @@ type ExecOptions = runtime.Options
 // identical to the sequential oracle.
 type CoalesceMode = ptg.CoalesceMode
 
-// Coalescing modes: off (point-to-point delivery, the default), step
-// (required — the run fails when the graph does not admit a deadlock-free
-// bundle plan), auto (coalesce when possible, fall back to point-to-point).
+// Coalescing modes: off (point-to-point delivery, the default) and step
+// (the run fails when the graph does not admit a deadlock-free bundle
+// plan).
 const (
 	CoalesceOff  = ptg.CoalesceOff
 	CoalesceStep = ptg.CoalesceStep
-	CoalesceAuto = ptg.CoalesceAuto
 )
-
-// CoalesceNames lists the mode names ParseCoalesce accepts, for flag help.
-const CoalesceNames = ptg.CoalesceNames
 
 // ParseCoalesce maps a command-line coalescing mode name to a CoalesceMode.
 func ParseCoalesce(name string) (CoalesceMode, error) { return ptg.ParseCoalesce(name) }

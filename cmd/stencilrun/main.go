@@ -47,7 +47,7 @@ func main() {
 		{"wavefront", 10, "WF block width w (steps per fused wavefront task)", &s.Wavefront},
 		{"ratio", 1.0, "kernel adjustment ratio (sim only)", &s.Ratio},
 		{"workers", 2, "workers per node (real engine)", &s.Workers},
-		{"coalesce", "off", "halo-bundle coalescing: " + castencil.CoalesceNames, &s.Coalesce},
+		{"coalesce", "off", "halo-bundle coalescing: off, step", &s.Coalesce},
 		{"fault", "", "fault-injection spec, e.g. \"drop=0.01,seed=7\"; grammar: " + castencil.FaultSpecSyntax, &s.Fault},
 		{"steal", "", "inter-node work stealing (distributed runs): " + castencil.StealNames, &s.Steal},
 	} {

@@ -91,13 +91,13 @@ func (b *builder) effWidth(t int) int {
 // cfg.WithBodies the graph is executable by internal/runtime; without, it is
 // a cost-only graph for internal/desim.
 func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
-	g, _, err := buildGraph(v, cfg, nil)
+	g, _, err := buildGraph(v, cfg)
 	return g, err
 }
 
-// buildGraph is BuildGraph laid out in st's arrays where they are large
-// enough (nil: none), plus the builder whose cfg its bodies read when run.
-func buildGraph(v Variant, cfg Config, st *ptg.Storage) (*ptg.Graph, *builder, error) {
+// buildGraph is BuildGraph plus the builder whose cfg its bodies read when
+// run.
+func buildGraph(v Variant, cfg Config) (*ptg.Graph, *builder, error) {
 	cfg = cfg.withDefaults()
 	bd, err := newBuilder(v, cfg)
 	if err != nil {
@@ -105,7 +105,6 @@ func buildGraph(v Variant, cfg Config, st *ptg.Storage) (*ptg.Graph, *builder, e
 	}
 	var ins, outs [numFlowKeys]haloFlows
 	gb := ptg.NewBuilder(bd.part.Nodes())
-	gb.Reuse(st)
 	gb.Grow(len(bd.tiles)*(bd.epochs+1), 0)
 	if cfg.WithBodies {
 		bd.allocSlots(gb)

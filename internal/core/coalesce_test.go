@@ -101,27 +101,6 @@ func TestCoalesceSimMatchesReal(t *testing.T) {
 	}
 }
 
-// TestCoalesceAutoFallsBack checks CoalesceAuto on the stencil pipelines is
-// equivalent to step mode (the epoch-stamped graphs always admit a plan).
-func TestCoalesceAutoFallsBack(t *testing.T) {
-	cfg := Config{N: 48, TileRows: 8, P: 2, Steps: 6, StepSize: 2}
-	auto, err := RunReal(CA, cfg, runtime.Options{Workers: 2, Coalesce: ptg.CoalesceAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Exec.BundlesSent == 0 {
-		t.Error("auto mode sent no bundles on a CA graph that admits a plan")
-	}
-	st, err := RunReal(CA, cfg, runtime.Options{Workers: 2, Coalesce: ptg.CoalesceStep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Exec.BundlesSent != st.Exec.BundlesSent {
-		t.Errorf("auto sent %d bundles, step sent %d", auto.Exec.BundlesSent, st.Exec.BundlesSent)
-	}
-	assertGridsBitwiseEqual(t, "auto vs step", st.Grid, auto.Grid)
-}
-
 // BenchmarkExecutorCoalesce compares the full concurrent engine with halo
 // coalescing off and on, on the comm-inclusive shapes of
 // BenchmarkExecutorReal (many small tiles, so the message path dominates).

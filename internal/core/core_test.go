@@ -299,9 +299,9 @@ func TestHintsCAExcessWork(t *testing.T) {
 	}
 }
 
-// TestRunRealAllPolicies runs CA at three workers per node, a count the
+// TestRunRealThreeWorkers runs CA at three workers per node, a count the
 // determinism suites do not sweep, against the reference.
-func TestRunRealAllPolicies(t *testing.T) {
+func TestRunRealThreeWorkers(t *testing.T) {
 	cfg := Config{N: 20, TileRows: 5, P: 2, Steps: 6, StepSize: 3}
 	res, err := RunReal(CA, cfg, runtime.Options{Workers: 3})
 	if err != nil {

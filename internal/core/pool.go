@@ -12,7 +12,7 @@ import (
 var maxSpareGraph = 64 << 20
 
 // taskBytes is what the pool counts per task of a graph: with its share of
-// the storage, plans, transfers, Migrations and closures, a graph holds
+// the arrays, plans, transfers, Migrations and closures, a graph holds
 // 340–970 B live per task over the shapes of TestGraphPoolEstimate.
 const taskBytes = 512
 
@@ -46,9 +46,7 @@ type graphPool struct {
 
 // get hands out a graph of v's shape under cfg (defaults applied, validated)
 // bound to cfg's inputs. An idle one leaves the pool, so concurrent runs get
-// their own. A miss that fits beside the idle graphs builds afresh; else it
-// evicts the oldest ones, as put would for it, and builds into the first
-// one's storage, so no graph is built while one it replaces is live.
+// their own. A miss builds afresh.
 func (p *graphPool) get(v Variant, cfg Config) (*prepared, error) {
 	key := graphKey{v, cfg.N, cfg.TileRows, cfg.TileCols, cfg.P, cfg.Q, cfg.Steps,
 		cfg.StepSize, cfg.Wavefront, cfg.NinePoint, cfg.WithBodies}
@@ -61,20 +59,15 @@ func (p *graphPool) get(v Variant, cfg Config) (*prepared, error) {
 		e.bd.cfg = cfg
 		return e, nil
 	}
-	tasks, _ := TaskCount(v, cfg)
-	// Any count over the cap evicts every idle graph; min keeps it in range.
-	oldest := p.evict(min(tasks, maxSpareGraph) * taskBytes)
 	p.mu.Unlock()
-	var st *ptg.Storage
-	if oldest != nil {
-		st = oldest.g.Release()
-	}
-	g, bd, err := buildGraph(v, cfg, st)
+	g, bd, err := buildGraph(v, cfg)
 	return &prepared{key: key, g: g, bd: bd}, err
 }
 
 // put returns e once its run, and every goroutine of it, has ended, without
-// the run's Init and Boundary, which may hold caller data of any size.
+// the run's Init and Boundary, which may hold caller data of any size. It
+// then drops the oldest idle graphs while their bytes exceed maxSpareGraph,
+// so a graph larger than the cap on its own is not kept.
 func (p *graphPool) put(e *prepared) {
 	e.bd.cfg.Init, e.bd.cfg.Boundary = nil, nil
 	e.bytes = len(e.g.Tasks) * taskBytes
@@ -82,18 +75,8 @@ func (p *graphPool) put(e *prepared) {
 	defer p.mu.Unlock()
 	p.idle = append(p.idle, e)
 	p.bytes += e.bytes
-	p.evict(0)
-}
-
-// evict drops the oldest idle graphs until need more bytes fit within
-// maxSpareGraph and returns the first one dropped, or nil. p.mu is held.
-func (p *graphPool) evict(need int) (first *prepared) {
-	for len(p.idle) > 0 && p.bytes+need > maxSpareGraph {
-		if first == nil {
-			first = p.idle[0]
-		}
+	for p.bytes > maxSpareGraph {
 		p.bytes -= p.idle[0].bytes
 		p.idle = slices.Delete(p.idle, 0, 1)
 	}
-	return first
 }

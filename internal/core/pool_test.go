@@ -20,15 +20,13 @@ import (
 // 2 MiB, ten graphs of distinct shapes taken before any goes back leave the
 // pool's idle bytes within the cap after every put, counted exactly, and
 // the graphs kept are always the newest ones returned. A later hit hands
-// out the kept graph itself. A miss the pool has room for builds afresh and
-// keeps every idle graph; a miss without room evicts the oldest idle graphs
-// until the new one fits and builds into the first one's storage.
+// out the kept graph itself, a miss builds afresh and keeps every idle
+// graph, and a graph over the cap on its own is not kept at put.
 func TestGraphPoolEvictsOldest(t *testing.T) {
 	old := maxSpareGraph
 	maxSpareGraph = 2 << 20
 	t.Cleanup(func() { maxSpareGraph = old })
 	var p graphPool
-	need := func(steps int) int { return 144 * (steps + 1) * taskBytes } // 12x12 tiles
 	get := func(steps int) *prepared {
 		t.Helper()
 		e, err := p.get(CA, Config{N: 96, TileRows: 8, P: 2, Steps: steps, StepSize: 4}.withDefaults())
@@ -63,22 +61,17 @@ func TestGraphPoolEvictsOldest(t *testing.T) {
 	}
 
 	idle := slices.Clone(p.idle)
-	if p.bytes+need(1) > maxSpareGraph {
-		t.Fatalf("%d idle bytes leave no room for a %d B graph", p.bytes, need(1))
-	}
 	fresh := get(1)
 	if !slices.Equal(p.idle, idle) || slices.Contains(held, fresh) {
-		t.Error("a miss the pool had room for did not build afresh and keep every idle graph")
+		t.Error("a miss did not build afresh and keep every idle graph")
 	}
 
-	p.put(newest)
-	oldest := p.idle[0]
-	if p.bytes+need(11) <= maxSpareGraph {
-		t.Fatalf("%d idle bytes leave room for a %d B graph", p.bytes, need(11))
-	}
-	get(11)
-	if slices.Contains(p.idle, oldest) || oldest.g.Tasks != nil || p.bytes+need(11) > maxSpareGraph && len(p.idle) > 0 {
-		t.Error("a miss without room did not evict the oldest idle graphs and build into the first one's storage")
+	// A graph counted over the cap on its own, as every paper-scale graph
+	// is, is dropped at put.
+	big := get(40)
+	p.put(big)
+	if big.bytes <= maxSpareGraph || slices.Contains(p.idle, big) || p.bytes > maxSpareGraph {
+		t.Errorf("a %d B graph was kept under a %d B cap", big.bytes, maxSpareGraph)
 	}
 }
 
@@ -131,7 +124,7 @@ func TestGraphPoolEstimate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.Plan(ptg.CoalesceAuto)
+			g.Plan(ptg.CoalesceStep)
 			goruntime.GC()
 			goruntime.ReadMemStats(&m1)
 			per := (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / float64(len(g.Tasks))
@@ -146,7 +139,8 @@ func TestGraphPoolEstimate(t *testing.T) {
 
 // TestTaskCount pins TaskCount's arithmetic to the graphs BuildGraph builds:
 // every variant, ragged edge tiles, rectangular tiles and node grids, and a
-// truncated final CA phase or WF block; and its saturation.
+// truncated final CA phase or WF block; its saturation; and the tile
+// grids too large for an int.
 func TestTaskCount(t *testing.T) {
 	for _, cfg := range []Config{
 		{N: 51, TileRows: 8, P: 2, Steps: 7, StepSize: 3, Wavefront: 3},
@@ -172,6 +166,16 @@ func TestTaskCount(t *testing.T) {
 	}
 	if _, err := TaskCount(CA, Config{N: 32, TileRows: 4, StepSize: 5, Steps: 3}); err == nil {
 		t.Error("TaskCount accepted a CA step size over the tile size")
+	}
+	// A tile grid of 2^64 tiles wrapped to 0, and one of (MaxInt)^2 to 1.
+	for _, n := range []int{1 << 32, math.MaxInt} {
+		if got, err := TaskCount(Base, Config{N: n, TileRows: 1, Steps: 5}); err == nil {
+			t.Errorf("N=%d in 1x1 tiles: TaskCount = %d, want an error", n, got)
+		}
+	}
+	// ceil(N/tile) must not wrap for N near MaxInt: one tile, two tasks.
+	if got, err := TaskCount(Base, Config{N: math.MaxInt, TileRows: math.MaxInt, Steps: 1}); err != nil || got != 2 {
+		t.Errorf("N=MaxInt in one tile: TaskCount = %d (%v), want 2", got, err)
 	}
 }
 

@@ -48,8 +48,7 @@ type Options struct {
 	// (src node, dst node, epoch) triple travel as one wire message, costing
 	// one NIC occupancy per side and one wire latency instead of one per
 	// dependency. CoalesceStep fails the run when the graph does not admit a
-	// deadlock-free bundle plan; CoalesceAuto silently falls back to
-	// point-to-point delivery.
+	// deadlock-free bundle plan.
 	Coalesce ptg.CoalesceMode
 	// Fault, when non-nil, injects the plan's deterministic fault schedule
 	// into the virtual wire. Decisions are keyed by graph identity exactly

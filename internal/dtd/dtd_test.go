@@ -287,7 +287,7 @@ func TestJacobi1DViaDTD(t *testing.T) {
 // TestConcurrentRunsOneGraph runs one DTD graph from four goroutines at once.
 // Its chain leaves every epoch at zero, so bundling would deadlock: the
 // graph resolves that once, every CoalesceStep run gets the same error and
-// every CoalesceAuto run falls back to point-to-point and computes x.
+// every CoalesceOff run computes x.
 func TestConcurrentRunsOneGraph(t *testing.T) {
 	ins := New(3)
 	ins.Seed("x", 0, []float64{1})
@@ -311,13 +311,13 @@ func TestConcurrentRunsOneGraph(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			res, err := runtime.Run(g, runtime.Options{Workers: 2, Coalesce: ptg.CoalesceAuto})
+			res, err := runtime.Run(g, runtime.Options{Workers: 2, Coalesce: ptg.CoalesceOff})
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			if got, err := ins.Fetch(res.Stores, "x"); err != nil || got[0] != 13 {
-				t.Errorf("auto run: x = %v (%v), want 13", got, err)
+				t.Errorf("point-to-point run: x = %v (%v), want 13", got, err)
 			}
 		}()
 	}

@@ -31,6 +31,9 @@ func NewPartition(n, tileRows, tileCols, p, q int) (*Partition, error) {
 		TR: ceilDiv(n, tileRows), TC: ceilDiv(n, tileCols),
 		P: p, Q: q,
 	}
+	if pt.TR > math.MaxInt/pt.TC {
+		return nil, fmt.Errorf("grid: tile grid %dx%d has more tiles than an int holds", pt.TR, pt.TC)
+	}
 	if p > pt.TR || q > pt.TC {
 		return nil, fmt.Errorf("grid: process grid %dx%d exceeds tile grid %dx%d", p, q, pt.TR, pt.TC)
 	}
@@ -47,7 +50,7 @@ func SquareGrid(nodes int) (p, q int, err error) {
 	return r, r, nil
 }
 
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
+func ceilDiv(a, b int) int { return a/b + min(a%b, 1) }
 
 // Tiles returns the number of tiles.
 func (p *Partition) Tiles() int { return p.TR * p.TC }

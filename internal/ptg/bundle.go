@@ -24,14 +24,7 @@ const (
 	// message. Building the bundle plan fails if bundling would deadlock
 	// the graph (see Graph.Bundles).
 	CoalesceStep
-	// CoalesceAuto behaves like CoalesceStep when the graph admits a
-	// deadlock-free bundle plan and silently falls back to CoalesceOff
-	// otherwise (e.g. graphs whose tasks carry no epoch information).
-	CoalesceAuto
 )
-
-// CoalesceNames lists the names ParseCoalesce accepts, for flag help text.
-const CoalesceNames = "off, step, auto"
 
 // ParseCoalesce maps a command-line mode name to a CoalesceMode.
 func ParseCoalesce(name string) (CoalesceMode, error) {
@@ -40,10 +33,8 @@ func ParseCoalesce(name string) (CoalesceMode, error) {
 		return CoalesceOff, nil
 	case "step":
 		return CoalesceStep, nil
-	case "auto":
-		return CoalesceAuto, nil
 	}
-	return CoalesceOff, fmt.Errorf("ptg: unknown coalesce mode %q (valid: %s)", name, CoalesceNames)
+	return CoalesceOff, fmt.Errorf("ptg: unknown coalesce mode %q (valid: off, step)", name)
 }
 
 func (m CoalesceMode) String() string {
@@ -52,8 +43,6 @@ func (m CoalesceMode) String() string {
 		return "off"
 	case CoalesceStep:
 		return "step"
-	case CoalesceAuto:
-		return "auto"
 	}
 	return fmt.Sprintf("CoalesceMode(%d)", uint8(m))
 }

@@ -139,7 +139,7 @@ func TestParseCoalesce(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		want CoalesceMode
-	}{{"off", CoalesceOff}, {"none", CoalesceOff}, {"", CoalesceOff}, {"step", CoalesceStep}, {"auto", CoalesceAuto}} {
+	}{{"off", CoalesceOff}, {"none", CoalesceOff}, {"", CoalesceOff}, {"step", CoalesceStep}} {
 		got, err := ParseCoalesce(c.name)
 		if err != nil || got != c.want {
 			t.Errorf("ParseCoalesce(%q) = %v, %v; want %v", c.name, got, err, c.want)
@@ -148,7 +148,9 @@ func TestParseCoalesce(t *testing.T) {
 			t.Errorf("%v.String() = %q, want %q", got, got.String(), c.name)
 		}
 	}
-	if _, err := ParseCoalesce("bogus"); err == nil {
-		t.Error("ParseCoalesce accepted an unknown mode")
+	for _, name := range []string{"bogus", "auto"} {
+		if _, err := ParseCoalesce(name); err == nil {
+			t.Errorf("ParseCoalesce accepted the unknown mode %q", name)
+		}
 	}
 }

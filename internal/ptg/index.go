@@ -52,7 +52,7 @@ func (x *taskIndex) lookup(tasks []Task, id TaskID) (int32, bool) {
 // insert records that task idx, about to be appended to tasks, is named
 // id, unless a task of tasks already is: it reports whether id was new.
 func (x *taskIndex) insert(tasks []Task, id TaskID, idx int32) bool {
-	x.reserve(tasks, len(tasks)+1, nil)
+	x.reserve(tasks, len(tasks)+1)
 	pos, found := x.probe(tasks, id)
 	if !found {
 		x.slots[pos] = idx + 1
@@ -61,9 +61,8 @@ func (x *taskIndex) insert(tasks []Task, id TaskID, idx int32) bool {
 }
 
 // reserve sizes the table for n tasks at most half full, rehashing the
-// tasks already indexed when it must grow. The new table is *spare's
-// array when that is large enough (a nil spare offers none).
-func (x *taskIndex) reserve(tasks []Task, n int, spare *[]int32) {
+// tasks already indexed when it must grow.
+func (x *taskIndex) reserve(tasks []Task, n int) {
 	if 2*n <= len(x.slots) {
 		return
 	}
@@ -71,12 +70,7 @@ func (x *taskIndex) reserve(tasks []Task, n int, spare *[]int32) {
 	for size < 2*n {
 		size, shift = 2*size, shift-1
 	}
-	var none []int32
-	if spare == nil {
-		spare = &none
-	}
-	x.slots, x.shift = take(spare, size), shift
-	clear(x.slots)
+	x.slots, x.shift = make([]int32, size), shift
 	mask := size - 1
 	for i := range tasks {
 		pos := int(hashID(tasks[i].ID) >> shift)

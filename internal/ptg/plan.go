@@ -22,8 +22,8 @@ type OutEdge struct {
 // runs.
 type Plan struct {
 	// Bundles is the resolved bundle list, in first-seen order over
-	// consumers and their deps. It is nil when coalescing is off, when the
-	// graph has no cross-node dependency, or when CoalesceAuto fell back.
+	// consumers and their deps. It is nil when coalescing is off or the
+	// graph has no cross-node dependency.
 	// Wire messages number bundle i as i+1 (see fault.BundleMsgID).
 	Bundles []Bundle
 	// CrossIn and CrossOut count, per node, the wire messages the node
@@ -53,18 +53,15 @@ func (p *Plan) Out(producer int32) []OutEdge {
 // Plan resolves a coalescing mode against the graph. CoalesceOff returns
 // the point-to-point plan Build computed. CoalesceStep bundles every
 // cross-node dependency by (producer node, consumer node, producer epoch)
-// and fails when bundling would deadlock the graph (see Bundles);
-// CoalesceAuto falls back to the point-to-point plan instead. Both resolve
-// bundling once per graph, and every later or concurrent call shares it.
+// and fails when bundling would deadlock the graph (see Bundles). It
+// resolves bundling once per graph, and every later or concurrent call
+// shares it.
 func (g *Graph) Plan(mode CoalesceMode) (*Plan, error) {
 	if mode == CoalesceOff || g.stats.CrossDeps == 0 {
 		return g.plan, nil
 	}
 	g.bundleOnce.Do(func() { g.bundle, g.bundleErr = g.bundled() })
 	if g.bundleErr != nil {
-		if mode == CoalesceAuto {
-			return g.plan, nil
-		}
 		return nil, g.bundleErr
 	}
 	return g.bundle, nil
@@ -73,15 +70,14 @@ func (g *Graph) Plan(mode CoalesceMode) (*Plan, error) {
 // pointToPoint lays out the graph's out-edges in CSR form, counts one wire
 // message per cross-node dependency and records those dependencies: the
 // CoalesceOff plan, computed once by Build and shared by every plan of the
-// graph. Its arrays come from st where it has them.
-func (g *Graph) pointToPoint(st *Storage) *Plan {
+// graph.
+func (g *Graph) pointToPoint() *Plan {
 	n := len(g.Tasks)
 	p := &Plan{
 		CrossIn:  make([]int, g.NumNodes),
 		CrossOut: make([]int, g.NumNodes),
-		outOff:   take(&st.outOff, n+1),
+		outOff:   make([]int32, n+1),
 	}
-	clear(p.outOff)
 	cross := 0
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
@@ -99,8 +95,8 @@ func (g *Graph) pointToPoint(st *Storage) *Plan {
 	}
 	// Walking consumers in index order fills each producer's window in
 	// (consumer, dep) order.
-	p.out = take(&st.out, int(p.outOff[n])) // every entry is written below
-	p.cross = take(&st.cross, cross)[:0]
+	p.out = make([]OutEdge, p.outOff[n])
+	p.cross = make([]crossEdge, 0, cross)
 	next := slices.Clone(p.outOff[:n])
 	for i := range g.Tasks {
 		t := &g.Tasks[i]

@@ -143,8 +143,7 @@ func chainGraph(t *testing.T, epochs ...int32) *Graph {
 
 // TestPlanMemoized checks a graph resolves its bundled plan once: a repeated
 // Plan call returns the same *Plan (or, where bundling deadlocks, the same
-// error and the point-to-point fallback) without allocating, and concurrent
-// first callers agree on one plan.
+// error) without allocating, and concurrent first callers agree on one plan.
 func TestPlanMemoized(t *testing.T) {
 	g := chainGraph(t, 0, 1, 2, 3)
 	step, err := g.Plan(CoalesceStep)
@@ -153,9 +152,6 @@ func TestPlanMemoized(t *testing.T) {
 	}
 	if again, _ := g.Plan(CoalesceStep); again != step {
 		t.Error("a second CoalesceStep plan is a new one")
-	}
-	if auto, _ := g.Plan(CoalesceAuto); auto != step {
-		t.Error("CoalesceAuto did not share the CoalesceStep plan")
 	}
 	if n := testing.AllocsPerRun(100, func() { g.Plan(CoalesceStep) }); n != 0 {
 		t.Errorf("a repeated Plan allocates %v times, want 0", n)
@@ -167,11 +163,7 @@ func TestPlanMemoized(t *testing.T) {
 	if err1 == nil || err1 != err2 {
 		t.Errorf("deadlocking graph: errors %v and %v, want one memoized error", err1, err2)
 	}
-	off, _ := dead.Plan(CoalesceOff)
-	if auto, err := dead.Plan(CoalesceAuto); auto != off || err != nil {
-		t.Errorf("deadlocking graph: auto plan %p (%v), want the point-to-point %p", auto, err, off)
-	}
-	if n := testing.AllocsPerRun(100, func() { dead.Plan(CoalesceStep); dead.Plan(CoalesceAuto) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { dead.Plan(CoalesceStep) }); n != 0 {
 		t.Errorf("a repeated plan of a deadlocking graph allocates %v times, want 0", n)
 	}
 
@@ -182,11 +174,7 @@ func TestPlanMemoized(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mode := CoalesceStep
-			if i%2 == 1 {
-				mode = CoalesceAuto
-			}
-			plans[i], _ = g.Plan(mode)
+			plans[i], _ = g.Plan(CoalesceStep)
 		}()
 	}
 	wg.Wait()

@@ -22,12 +22,10 @@
 // entry only for the edges that have them; Graph.Dep reads an edge's back.
 // Task IDs resolve through an open-addressing table of int32 task indices
 // (see Graph.Lookup), which the Builder also uses to reject duplicates.
-// These arrays and the plan's out-edges are the graph's Storage: once a
-// graph is done with, Graph.Release hands them back and Builder.Reuse lays
-// the next graph out in them. The successor side lives in the graph's
-// execution plan (see Plan): Plan.Out lists each producer's out-edges
-// ordered by consumer index, then dependency index, one edge per
-// dependency — a consumer with two deps on one producer appears twice.
+// The successor side lives in the graph's execution plan (see Plan):
+// Plan.Out lists each producer's out-edges ordered by consumer index, then
+// dependency index, one edge per dependency — a consumer with two deps on
+// one producer appears twice.
 // Engines release successors in that order, so it fixes their event
 // sequence numbers and injection order; internal/core's golden graph test
 // pins it.
@@ -274,8 +272,7 @@ func (g *Graph) Lookup(id TaskID) (int32, bool) {
 
 // Dep returns the Dep that recorded edge e: its payload size and its
 // Pack/Unpack closures (nil when the edge carries none). Engines read an
-// edge's closures through it, and rewrite passes replay edges into a new
-// Builder with it.
+// edge's closures through it.
 func (g *Graph) Dep(e Edge) Dep {
 	d := Dep{Bytes: int(e.Bytes)}
 	if e.xfer > 0 {
@@ -312,7 +309,6 @@ type Builder struct {
 	transfers []transfer
 	slots     []int
 	bufSlots  []int
-	store     Storage // arrays to build into (see Reuse)
 }
 
 // NewBuilder creates a builder for a graph over numNodes nodes.
@@ -322,27 +318,21 @@ func NewBuilder(numNodes int) *Builder {
 
 // Grow reserves room for tasks more tasks and deps more dependencies, so a
 // caller that knows its graph's size builds it in a fixed number of
-// allocations — none for the arrays a reused Storage holds.
+// allocations.
 func (b *Builder) Grow(tasks, deps int) {
-	b.tasks = grow(b.tasks, tasks, &b.store.tasks)
-	b.deps = grow(b.deps, deps, &b.store.deps)
-	b.index.reserve(b.tasks, len(b.tasks)+tasks, &b.store.index)
+	b.tasks = grow(b.tasks, tasks)
+	b.deps = grow(b.deps, deps)
+	b.index.reserve(b.tasks, len(b.tasks)+tasks)
 }
 
 // grow is slices.Grow in at most one allocation: under the race detector
 // slices.Grow's append(s, make(...)...) also allocates the n-element
-// temporary, doubling what a pre-sized build allocates. It moves s into
-// *spare instead when that is large enough.
-func grow[T any](s []T, n int, spare *[]T) []T {
+// temporary, doubling what a pre-sized build allocates.
+func grow[T any](s []T, n int) []T {
 	if n <= cap(s)-len(s) {
 		return s
 	}
-	var out []T
-	if len(s)+n <= cap(*spare) {
-		out, *spare = (*spare)[:len(s)], nil
-	} else {
-		out = make([]T, len(s), len(s)+n)
-	}
+	out := make([]T, len(s), len(s)+n)
 	copy(out, s)
 	return out
 }
@@ -446,14 +436,11 @@ func (b *Builder) Build() (*Graph, error) {
 		tasks[c].Deps = deps[lo:hi:hi]
 		lo = hi
 	}
-	// A reused task array may be longer than this graph: its tail must
-	// not keep the previous graph's bodies alive.
-	clear(tasks[len(tasks):cap(tasks)])
 	g := &Graph{
 		NumNodes: b.numNodes, Tasks: tasks, index: b.index, deps: deps, transfers: b.transfers,
 		NodeSlots: b.slots, NodeBufSlots: b.bufSlots,
 	}
-	g.plan = g.pointToPoint(&b.store)
+	g.plan = g.pointToPoint()
 	// Stats are computed eagerly, by the same pass that checks for cycles,
 	// and readers share the memo.
 	var err error

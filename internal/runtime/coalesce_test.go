@@ -13,22 +13,22 @@ import (
 // TestCoalesceStepErrorsOnChain pins the mode semantics on a graph whose
 // epoch stamps make bundling cyclic (the cross-node chain leaves every task
 // at epoch 0, so the first bundle would wait on tasks the bundle itself
-// feeds): step mode must refuse to run, auto mode must fall back to
-// point-to-point delivery and still complete.
+// feeds): step mode must refuse to run, and the same graph must still
+// complete with coalescing off.
 func TestCoalesceStepErrorsOnChain(t *testing.T) {
 	g := buildChain(t, 12, 3)
 	if _, err := Run(g, Options{Workers: 1, Coalesce: ptg.CoalesceStep}); err == nil {
 		t.Error("step mode ran a graph whose bundling deadlocks")
 	}
-	res, err := Run(g, Options{Workers: 1, Coalesce: ptg.CoalesceAuto})
+	res, err := Run(g, Options{Workers: 1, Coalesce: ptg.CoalesceOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BundlesSent != 0 {
-		t.Errorf("auto fallback sent %d bundles on an unbundlable graph", res.BundlesSent)
+		t.Errorf("point-to-point run sent %d bundles", res.BundlesSent)
 	}
 	if res.Dropped != 0 {
-		t.Errorf("auto fallback dropped %d transfers", res.Dropped)
+		t.Errorf("point-to-point run dropped %d transfers", res.Dropped)
 	}
 }
 

@@ -55,10 +55,9 @@ type Options struct {
 	// Workers is the number of compute goroutines per node (default 1).
 	Workers int
 	// Coalesce selects halo-bundle coalescing (default CoalesceOff). With
-	// CoalesceStep/CoalesceAuto, all cross-node payloads one node produces
-	// in one epoch toward one destination travel as a single message
-	// (ptg.CoalesceStep fails the run when the graph's epochs do not admit
-	// a deadlock-free plan; ptg.CoalesceAuto falls back to point-to-point).
+	// CoalesceStep, all cross-node payloads one node produces in one epoch
+	// toward one destination travel as a single message (the run fails
+	// when the graph's epochs do not admit a deadlock-free plan).
 	// Coalescing never changes numerics.
 	//
 	// Ownership contract: a Dep's Pack hands its returned buffer over to

@@ -322,6 +322,7 @@ func TestSpecValidation(t *testing.T) {
 		{N: 64, Tile: 16, Steps: 4, Fault: "drop=2"},
 		{N: 1, Tile: 1, Steps: 1, Nodes: math.MaxInt64}, // hostile: must not hang
 		{N: 1, Tile: 1, Steps: 1, Nodes: 1 << 62},
+		{Variant: "base", N: 1 << 32, Tile: 1, Steps: 1}, // 2^64 tiles wrap an int to 0
 	}
 	for i, spec := range cases {
 		if _, err := m.Submit(spec); err == nil {

@@ -17,7 +17,7 @@ import (
 //
 //	res, err := castencil.Run(castencil.CA, cfg,
 //	    castencil.WithWorkers(4),
-//	    castencil.WithCoalesce(castencil.CoalesceAuto),
+//	    castencil.WithCoalesce(castencil.CoalesceStep),
 //	    castencil.WithFaultPlan(plan))
 
 // FaultPlan is a deterministic, seedable fault-injection schedule: dropped,
@@ -132,8 +132,7 @@ type Option func(*RunOptions)
 // real run.
 func WithWorkers(n int) Option { return func(o *RunOptions) { o.Workers = n } }
 
-// WithCoalesce selects halo-bundle coalescing (CoalesceOff, CoalesceStep,
-// CoalesceAuto).
+// WithCoalesce selects halo-bundle coalescing (CoalesceOff, CoalesceStep).
 func WithCoalesce(m CoalesceMode) Option { return func(o *RunOptions) { o.Coalesce = m } }
 
 // WithFaultPlan injects a deterministic fault schedule. Plans that drop,

@@ -58,7 +58,7 @@ type Spec struct {
 
 	// Workers is the per-node worker count of a real run; 0 leaves it to
 	// the caller (stencild divides its worker budget across jobs).
-	// Coalesce is the halo-bundle mode (CoalesceNames).
+	// Coalesce is the halo-bundle mode: off (default) or step.
 	Workers  int    `json:"workers,omitempty" role:"exec"`
 	Coalesce string `json:"coalesce,omitempty" role:"exec"`
 	// Fault is a fault-injection spec (FaultSpecSyntax). Machine names the
