@@ -200,19 +200,6 @@ func BenchmarkKernel9Point(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelVarCoeff(b *testing.B) {
-	src := grid.NewTile(288, 288, 1)
-	dst := grid.NewTile(288, 288, 1)
-	cf := stencil.NewCoeff(288, 288)
-	cf.Fill(func(int, int) stencil.Weights { return stencil.Jacobi() })
-	b.SetBytes(288 * 288 * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stencil.ApplyVar(cf, dst, src)
-		dst, src = src, dst
-	}
-}
-
 // BenchmarkHaloPack measures edge pack+unpack of a 15-deep CA halo.
 func BenchmarkHaloPack(b *testing.B) {
 	t := grid.NewTile(288, 288, 15)

@@ -42,8 +42,8 @@ func ParseSteal(name string) (StealMode, error) { return runtime.ParseSteal(name
 
 // ForcedSteal pins one task (by graph index) to a thief rank: when it
 // becomes ready on its owning rank it migrates unconditionally. Forced
-// migrations are deterministic, so the simulator mirrors them exactly —
-// the lever behind the sim==real parity tests.
+// migrations are deterministic, which is what the exact migration counts
+// of the steal tests rest on. Real runs only: Sim refuses them.
 type ForcedSteal = runtime.ForcedSteal
 
 // StealPolicy configures inter-node work stealing. Every rank of a run must

@@ -164,7 +164,6 @@ func main() {
 	if r.Engine == "sim" {
 		res, err := castencil.Sim(variant, cfg, opts...)
 		if err != nil {
-			reportFault(err)
 			fail(err)
 		}
 		fmt.Printf("%s on %s, %d nodes, N=%d tile=%d steps=%d", variant, m.Name, s.Nodes, s.N, s.Tile, s.Steps)
@@ -182,9 +181,6 @@ func main() {
 		if res.Bundles > 0 {
 			fmt.Printf("  coalescing (%s): %d bundles carrying %d transfers, fill %.1f\n",
 				s.Coalesce, res.Bundles, res.Segments, res.BundleFill())
-		}
-		if res.Fault.Any() {
-			fmt.Printf("  fault plan %q masked: %v\n", s.Fault, res.Fault)
 		}
 		if tr != nil {
 			writeTrace(tr, *traceOut, "trace of node 0")

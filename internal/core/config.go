@@ -159,17 +159,14 @@ func (c Config) epochs(v Variant) int {
 }
 
 // TaskCount returns the number of tasks BuildGraph builds for v under cfg,
-// epochs+1 per tile, from the partition alone (saturating at math.MaxInt).
+// epochs+1 per tile, from the partition alone.
 func TaskCount(v Variant, cfg Config) (int, error) {
 	cfg = cfg.withDefaults()
 	p, err := cfg.Validate(v)
 	if err != nil {
 		return 0, err
 	}
-	if e := cfg.epochs(v); e < math.MaxInt/p.Tiles() {
-		return p.Tiles() * (e + 1), nil
-	}
-	return math.MaxInt, nil
+	return p.Tiles() * (cfg.epochs(v) + 1), nil
 }
 
 // Validate checks the configuration for a given variant and returns the
@@ -205,6 +202,10 @@ func (c Config) Validate(v Variant) (*grid.Partition, error) {
 		if minDim := p.MinTileDim(); c.Wavefront > minDim {
 			return nil, fmt.Errorf("core: WF Wavefront %d exceeds smallest tile dimension %d", c.Wavefront, minDim)
 		}
+	}
+	// Graphs number their tasks with an int32 index.
+	if e := c.epochs(v); e >= math.MaxInt32 || p.Tiles() > math.MaxInt32/(e+1) {
+		return nil, fmt.Errorf("core: %d tiles x (%d epochs + 1) tasks overflow a graph's int32 task index", p.Tiles(), e)
 	}
 	return p, nil
 }

@@ -65,14 +65,18 @@ func (p *graphPool) get(v Variant, cfg Config) (*prepared, error) {
 }
 
 // put returns e once its run, and every goroutine of it, has ended, without
-// the run's Init and Boundary, which may hold caller data of any size. It
-// then drops the oldest idle graphs while their bytes exceed maxSpareGraph,
-// so a graph larger than the cap on its own is not kept.
+// the run's Init and Boundary, which may hold caller data of any size. A
+// graph larger than maxSpareGraph on its own is dropped and evicts nothing;
+// otherwise put keeps e and drops the oldest idle graphs while their bytes
+// exceed the cap.
 func (p *graphPool) put(e *prepared) {
 	e.bd.cfg.Init, e.bd.cfg.Boundary = nil, nil
 	e.bytes = len(e.g.Tasks) * taskBytes
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if e.bytes > maxSpareGraph {
+		return
+	}
 	p.idle = append(p.idle, e)
 	p.bytes += e.bytes
 	for p.bytes > maxSpareGraph {

@@ -67,11 +67,14 @@ func TestGraphPoolEvictsOldest(t *testing.T) {
 	}
 
 	// A graph counted over the cap on its own, as every paper-scale graph
-	// is, is dropped at put.
+	// is, is dropped at put, and every graph idle before it stays idle.
 	big := get(40)
 	p.put(big)
 	if big.bytes <= maxSpareGraph || slices.Contains(p.idle, big) || p.bytes > maxSpareGraph {
 		t.Errorf("a %d B graph was kept under a %d B cap", big.bytes, maxSpareGraph)
+	}
+	if !slices.Equal(p.idle, idle) {
+		t.Errorf("putting a %d B graph left %d of %d idle graphs", big.bytes, len(p.idle), len(idle))
 	}
 }
 
@@ -139,8 +142,8 @@ func TestGraphPoolEstimate(t *testing.T) {
 
 // TestTaskCount pins TaskCount's arithmetic to the graphs BuildGraph builds:
 // every variant, ragged edge tiles, rectangular tiles and node grids, and a
-// truncated final CA phase or WF block; its saturation; and the tile
-// grids too large for an int.
+// truncated final CA phase or WF block; and the configs whose tile grid
+// overflows an int or whose task count overflows the int32 task index.
 func TestTaskCount(t *testing.T) {
 	for _, cfg := range []Config{
 		{N: 51, TileRows: 8, P: 2, Steps: 7, StepSize: 3, Wavefront: 3},
@@ -160,8 +163,22 @@ func TestTaskCount(t *testing.T) {
 	}
 	for _, v := range []Variant{Base, CA, WF} {
 		cfg := Config{N: 32, TileRows: 8, Steps: math.MaxInt, StepSize: 3, Wavefront: 3}
-		if got, err := TaskCount(v, cfg); err != nil || got != math.MaxInt {
-			t.Errorf("%v at Steps math.MaxInt: TaskCount = %d (%v), want math.MaxInt", v, got, err)
+		if got, err := TaskCount(v, cfg); err == nil {
+			t.Errorf("%v at Steps math.MaxInt: TaskCount = %d, want an error", v, got)
+		}
+	}
+	// One tile of MaxInt32 tasks is the largest graph; one more task is not.
+	if got, err := TaskCount(Base, Config{N: 8, TileRows: 8, Steps: math.MaxInt32 - 1}); err != nil || got != math.MaxInt32 {
+		t.Errorf("one tile, MaxInt32 tasks: TaskCount = %d (%v)", got, err)
+	}
+	for _, cfg := range []Config{
+		{N: 8, TileRows: 8, Steps: math.MaxInt32},
+		{N: 1 << 31, TileRows: 1, Steps: 1},
+		{N: 1 << 20, TileRows: 1, Steps: 1 << 30},
+		{N: 1 << 30, TileRows: 1 << 15, Steps: 1},
+	} {
+		if got, err := TaskCount(Base, cfg); err == nil {
+			t.Errorf("N=%d tile=%d steps=%d: TaskCount = %d, want an error", cfg.N, cfg.TileRows, cfg.Steps, got)
 		}
 	}
 	if _, err := TaskCount(CA, Config{N: 32, TileRows: 4, StepSize: 5, Steps: 3}); err == nil {

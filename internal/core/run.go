@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"castencil/internal/desim"
-	"castencil/internal/fault"
 	"castencil/internal/grid"
 	"castencil/internal/machine"
 	"castencil/internal/memmodel"
@@ -139,28 +138,11 @@ type SimOptions struct {
 	// Coalesce aggregates per-epoch halo payloads into per-neighbor
 	// bundles (see runtime.Options.Coalesce for the modes).
 	Coalesce ptg.CoalesceMode
-	// Fault injects a deterministic fault schedule into the virtual wire;
-	// the same plan injects the byte-identical schedule in a real run (see
-	// runtime.Options.Fault). Recovery configures the modeled reliable
-	// transport (auto-enabled for plans that need it).
-	Fault    *fault.Plan
-	Recovery *fault.Recovery
 	// Ctx bounds the simulation in wall-clock time (nil = uninterruptible);
 	// a cancelled or deadline-exceeded context stops the event loop with a
 	// *ptg.CancelError. OnProgress streams (completed, total) task counts.
 	Ctx        context.Context
 	OnProgress func(done, total int64)
-	// Steal mirrors a distributed run's forced work-stealing migrations in
-	// virtual time (see desim.StealOpts). Node placement follows
-	// runtime.RankOfNode over Steal.Ranks, exactly as a real distributed
-	// run places nodes.
-	Steal *SimSteal
-}
-
-// SimSteal scripts forced migrations for a simulated distributed run.
-type SimSteal struct {
-	Ranks int
-	Force []runtime.ForcedSteal
 }
 
 // SimResult reports a simulated run.
@@ -176,14 +158,7 @@ type SimResult struct {
 	// CommBusy is each node's communication-thread busy time; divide by
 	// Makespan for comm-thread occupancy.
 	CommBusy []time.Duration
-	// Fault counts the injected fault schedule and modeled recovery work.
-	Fault fault.Stats
-	// Work-stealing mirror counters, matching runtime.Result's fields of
-	// the same names (all zero without SimOptions.Steal).
-	StealsRemote  int
-	MigratedTasks int
-	MigratedBytes int
-	Sim           *desim.Result
+	Sim      *desim.Result
 }
 
 // BundleFill returns the mean member transfers per coalesced bundle (0
@@ -248,16 +223,6 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 	}
 	defer graphs.put(e)
 	fabric := netsim.NewFabric(opts.Machine.Net, part.Nodes())
-	var steal *desim.StealOpts
-	if opts.Steal != nil && len(opts.Steal.Force) > 0 {
-		nodes := part.Nodes()
-		ranks := opts.Steal.Ranks
-		steal = &desim.StealOpts{
-			Ranks:  ranks,
-			RankOf: func(node int) int { return runtime.RankOfNode(node, nodes, ranks) },
-			Force:  opts.Steal.Force,
-		}
-	}
 	res, err := desim.Run(e.g, desim.Options{
 		Cores:      opts.Machine.ComputeCores(),
 		Cost:       CostModel(opts.Machine, opts.Ratio),
@@ -265,11 +230,8 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 		Trace:      opts.Trace,
 		TraceNode:  opts.TraceNode,
 		Coalesce:   opts.Coalesce,
-		Fault:      opts.Fault,
-		Recovery:   opts.Recovery,
 		Ctx:        opts.Ctx,
 		OnProgress: opts.OnProgress,
-		Steal:      steal,
 	})
 	if err != nil {
 		return nil, err
@@ -283,17 +245,13 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 		busy[n] = fabric.CommBusy(n)
 	}
 	return &SimResult{
-		Makespan:      res.Makespan,
-		GFLOPS:        flops / res.Makespan.Seconds() / 1e9,
-		Messages:      res.Messages,
-		BytesSent:     res.BytesSent,
-		Bundles:       res.Bundles,
-		Segments:      res.Segments,
-		CommBusy:      busy,
-		Fault:         res.Fault,
-		StealsRemote:  res.StealsRemote,
-		MigratedTasks: res.MigratedTasks,
-		MigratedBytes: res.MigratedBytes,
-		Sim:           res,
+		Makespan:  res.Makespan,
+		GFLOPS:    flops / res.Makespan.Seconds() / 1e9,
+		Messages:  res.Messages,
+		BytesSent: res.BytesSent,
+		Bundles:   res.Bundles,
+		Segments:  res.Segments,
+		CommBusy:  busy,
+		Sim:       res,
 	}, nil
 }

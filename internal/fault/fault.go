@@ -10,12 +10,13 @@
 // Every message-level decision is a pure function of the plan's seed and
 // the message's graph identity (source node, destination node, consumer
 // task/dependency or bundle id) plus the delivery attempt — never of
-// arrival order or wall-clock time. The real executor and the virtual-time
-// engine therefore inject byte-identical fault schedules for the same graph
-// and plan, which is what lets the determinism suite prove that recovery
-// masks every schedule without perturbing numerics. The time-domain faults
-// (slow cores, comm stall, node pause) are deterministic per engine but
-// inherently timing-shaped; they perturb performance, never data.
+// arrival order or wall-clock time. Every run of the same graph and plan
+// therefore injects the byte-identical fault schedule, whatever the
+// worker count, scheduling or transport, which is what lets the
+// determinism suite prove that recovery masks every schedule without
+// perturbing numerics. The time-domain faults (slow cores, comm stall,
+// node pause) are inherently timing-shaped; they perturb performance,
+// never data.
 package fault
 
 import (
@@ -25,12 +26,12 @@ import (
 	"time"
 )
 
-// MsgID is the engine-independent identity of one wire transfer: the
+// MsgID is the schedule-independent identity of one wire transfer: the
 // consumer task and dependency index for a point-to-point message, or the
-// 1-based bundle id for a coalesced halo bundle (Task/Dep zero). Both
-// engines build their identities with EdgeMsgID and BundleMsgID from the
-// same ptg.Plan, so the identity — and every fault decision keyed on it —
-// is identical across them.
+// 1-based bundle id for a coalesced halo bundle (Task/Dep zero). The
+// runtime builds identities with EdgeMsgID and BundleMsgID from the
+// graph's ptg.Plan, so the identity — and every fault decision keyed on
+// it — is the same in every run of that graph.
 type MsgID struct {
 	Src, Dst  int32
 	Task, Dep int32
@@ -63,8 +64,7 @@ func (id MsgID) String() string {
 }
 
 // SlowCore makes one compute core transiently slow: the first Tasks tasks
-// that core executes each take Extra longer (a sleep in the real engine, an
-// added cost in the virtual-time engine).
+// that core executes each take Extra longer (a sleep in the worker loop).
 type SlowCore struct {
 	Node, Core int32
 	Extra      time.Duration

@@ -130,20 +130,6 @@ func (p *Partition) NodeCoords(rank int) (pi, pj int) {
 	return rank / p.Q, rank % p.Q
 }
 
-// LocalTiles returns the tile coordinates owned by a rank, row-major.
-func (p *Partition) LocalTiles(rank int) [][2]int {
-	pi, pj := p.NodeCoords(rank)
-	rlo, rhi := blockRange(pi, p.TR, p.P)
-	clo, chi := blockRange(pj, p.TC, p.Q)
-	out := make([][2]int, 0, (rhi-rlo)*(chi-clo))
-	for ti := rlo; ti < rhi; ti++ {
-		for tj := clo; tj < chi; tj++ {
-			out = append(out, [2]int{ti, tj})
-		}
-	}
-	return out
-}
-
 // Neighbor returns the tile coordinates of the neighbor of (ti, tj) in
 // direction d and whether it exists (false at the global boundary).
 func (p *Partition) Neighbor(ti, tj int, d Dir) (ni, nj int, ok bool) {
@@ -176,19 +162,6 @@ func (p *Partition) RemoteNeighbors(ti, tj int, diag bool) []Dir {
 // scheme carries a deep ghost region.
 func (p *Partition) IsNodeBoundary(ti, tj int) bool {
 	return len(p.RemoteNeighbors(ti, tj, false)) > 0
-}
-
-// BoundaryTiles counts the node-boundary tiles of the whole partition.
-func (p *Partition) BoundaryTiles() int {
-	n := 0
-	for ti := 0; ti < p.TR; ti++ {
-		for tj := 0; tj < p.TC; tj++ {
-			if p.IsNodeBoundary(ti, tj) {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 func (p *Partition) String() string {

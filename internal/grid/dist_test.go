@@ -82,8 +82,8 @@ func TestTileOrigin(t *testing.T) {
 }
 
 func TestLocalTilesPartitionTheGrid(t *testing.T) {
-	// Every tile must be owned by exactly one node, Owner must agree with
-	// LocalTiles, and ownership blocks must be contiguous.
+	// Every tile must be owned by exactly one node, and each node's tiles
+	// must form one contiguous block.
 	for _, cfg := range [][4]int{
 		{23, 3, 2, 2}, // ragged tiles, 2x2 nodes
 		{64, 8, 2, 2},
@@ -91,45 +91,55 @@ func TestLocalTilesPartitionTheGrid(t *testing.T) {
 		{16, 1, 4, 4},  // one tile per node
 	} {
 		pt := mustPartition(t, cfg[0], cfg[1], cfg[1], cfg[2], cfg[3])
-		seen := make(map[[2]int]int)
-		for rank := 0; rank < pt.Nodes(); rank++ {
-			for _, tc := range pt.LocalTiles(rank) {
-				if prev, dup := seen[tc]; dup {
-					t.Fatalf("%v: tile %v owned by ranks %d and %d", cfg, tc, prev, rank)
-				}
-				seen[tc] = rank
-				if got := pt.Owner(tc[0], tc[1]); got != rank {
-					t.Fatalf("%v: Owner(%v) = %d but LocalTiles says %d", cfg, tc, got, rank)
-				}
+		counts := ownerCounts(pt)
+		lo := make([][2]int, pt.Nodes())
+		hi := make([][2]int, pt.Nodes())
+		for rank := range lo {
+			lo[rank] = [2]int{pt.TR, pt.TC}
+			hi[rank] = [2]int{-1, -1}
+		}
+		for ti := 0; ti < pt.TR; ti++ {
+			for tj := 0; tj < pt.TC; tj++ {
+				rank := pt.Owner(ti, tj)
+				lo[rank] = [2]int{min(lo[rank][0], ti), min(lo[rank][1], tj)}
+				hi[rank] = [2]int{max(hi[rank][0], ti), max(hi[rank][1], tj)}
 			}
 		}
-		if len(seen) != pt.Tiles() {
-			t.Fatalf("%v: %d tiles owned, want %d", cfg, len(seen), pt.Tiles())
+		total := 0
+		for rank, n := range counts {
+			total += n
+			if box := (hi[rank][0] - lo[rank][0] + 1) * (hi[rank][1] - lo[rank][1] + 1); n != box {
+				t.Fatalf("%v: rank %d owns %d tiles spread over a %d-tile box", cfg, rank, n, box)
+			}
+		}
+		if total != pt.Tiles() {
+			t.Fatalf("%v: %d tiles owned, want %d", cfg, total, pt.Tiles())
 		}
 	}
+}
+
+// ownerCounts counts the tiles Owner assigns to each node; it panics on an
+// owner out of range.
+func ownerCounts(pt *Partition) []int {
+	counts := make([]int, pt.Nodes())
+	for ti := 0; ti < pt.TR; ti++ {
+		for tj := 0; tj < pt.TC; tj++ {
+			counts[pt.Owner(ti, tj)]++
+		}
+	}
+	return counts
 }
 
 func TestBlockDistributionBalance(t *testing.T) {
 	// Block sizes along a dimension differ by at most one tile.
 	pt := mustPartition(t, 23, 3, 4, 4, 1) // 8 tile-rows over 4 procs
-	counts := make(map[int]int)
-	for _, tc := range pt.LocalTiles(0) {
-		_ = tc
-	}
-	for rank := 0; rank < pt.Nodes(); rank++ {
-		counts[rank] = len(pt.LocalTiles(rank))
-	}
-	min, max := pt.Tiles(), 0
+	counts := ownerCounts(pt)
+	lo, hi := pt.Tiles(), 0
 	for _, c := range counts {
-		if c < min {
-			min = c
-		}
-		if c > max {
-			max = c
-		}
+		lo, hi = min(lo, c), max(hi, c)
 	}
-	if max-min > pt.TC { // one tile-row of imbalance at most
-		t.Errorf("tile counts too imbalanced: min %d max %d", min, max)
+	if hi-lo > pt.TC { // one tile-row of imbalance at most
+		t.Errorf("tile counts too imbalanced: min %d max %d", lo, hi)
 	}
 }
 
@@ -165,22 +175,6 @@ func TestRemoteNeighborsAndBoundary(t *testing.T) {
 	cardOnly := pt.RemoteNeighbors(1, 1, false)
 	if len(cardOnly) != 2 {
 		t.Errorf("cardinal remote neighbors = %v, want S,E", cardOnly)
-	}
-}
-
-func TestBoundaryTilesCount(t *testing.T) {
-	// 2x2 nodes, each owning a KxK tile block: every tile adjacent to the
-	// internal cuts is a boundary tile: 2 strips of 2K tiles... For K=2,
-	// tiles adjacent to the vertical or horizontal cut form a plus-shape:
-	// rows 1-2 (8 tiles) + cols 1-2 (8 tiles) - overlap 4 = 12.
-	pt := mustPartition(t, 40, 10, 10, 2, 2)
-	if got := pt.BoundaryTiles(); got != 12 {
-		t.Errorf("BoundaryTiles = %d, want 12", got)
-	}
-	// Single node: no remote neighbors at all.
-	pt1 := mustPartition(t, 40, 10, 10, 1, 1)
-	if got := pt1.BoundaryTiles(); got != 0 {
-		t.Errorf("single-node BoundaryTiles = %d, want 0", got)
 	}
 }
 

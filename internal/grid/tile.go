@@ -165,17 +165,6 @@ func (t *Tile) Clone() *Tile {
 	return c
 }
 
-// CopyInteriorFrom copies the interior (non-ghost) region of src, which must
-// have identical interior dimensions (halo depths may differ).
-func (t *Tile) CopyInteriorFrom(src *Tile) {
-	if t.Rows != src.Rows || t.Cols != src.Cols {
-		panic(fmt.Sprintf("grid: interior mismatch %dx%d vs %dx%d", t.Rows, t.Cols, src.Rows, src.Cols))
-	}
-	for r := 0; r < t.Rows; r++ {
-		copy(t.Row(r, 0, t.Cols), src.Row(r, 0, src.Cols))
-	}
-}
-
 // Rect describes a rectangle in a tile's ghost-inclusive coordinate space.
 type Rect struct {
 	R0, C0 int // top-left corner (ghost coordinates allowed)

@@ -196,24 +196,6 @@ func TestFillGhostPreservesInterior(t *testing.T) {
 	}
 }
 
-func TestCopyInteriorFromDifferentHalos(t *testing.T) {
-	src := NewTile(4, 4, 1)
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			src.Set(r, c, float64(r*4+c))
-		}
-	}
-	dst := NewTile(4, 4, 5)
-	dst.FillGhost(9)
-	dst.CopyInteriorFrom(src)
-	if !InteriorEqual(src, dst) {
-		t.Error("interiors must match after CopyInteriorFrom")
-	}
-	if dst.At(-1, 0) != 9 {
-		t.Error("ghosts must be untouched")
-	}
-}
-
 func TestInteriorEqualDetectsDifference(t *testing.T) {
 	a, b := NewTile(3, 3, 0), NewTile(3, 3, 2)
 	if !InteriorEqual(a, b) {

@@ -66,12 +66,6 @@ type Fabric struct {
 	// fill — the aggregation factor the coalescing optimization achieves.
 	Bundles  int
 	Segments int
-	// MigMsgs and MigBytes count work-stealing migration transfers (task
-	// state out, results back). They are deliberately NOT folded into
-	// Messages/BytesSent: the real engine keeps steal messages out of its
-	// halo message counters too, so sim==real parity holds for both families.
-	MigMsgs  int
-	MigBytes int
 }
 
 // NewFabric creates a fabric connecting n nodes with the given network model.
@@ -107,12 +101,6 @@ func (f *Fabric) Send(src, dst int, bytes int, ready time.Duration) time.Duratio
 	}
 	f.Messages++
 	f.BytesSent += bytes
-	return f.transfer(src, dst, bytes, ready)
-}
-
-// transfer charges one message's NIC occupancy on both sides and its wire
-// latency, returning when it is fully received.
-func (f *Fabric) transfer(src, dst int, bytes int, ready time.Duration) time.Duration {
 	ser := f.Serialization(bytes)
 
 	start := ready
@@ -149,51 +137,6 @@ func (f *Fabric) SendBundle(src, dst int, bytes, segments int, ready time.Durati
 	return done
 }
 
-// SendMigration schedules one work-stealing migration transfer (task inputs
-// toward the thief, or results back toward the victim). The NIC math is
-// exactly Send's — steal messages ride the same comm threads and wire — but
-// the traffic is accounted in MigMsgs/MigBytes instead of
-// Messages/BytesSent, as the real engine accounts it.
-func (f *Fabric) SendMigration(src, dst int, bytes int, ready time.Duration) time.Duration {
-	if src == dst {
-		return ready
-	}
-	f.MigMsgs++
-	f.MigBytes += bytes
-	return f.transfer(src, dst, bytes, ready)
-}
-
-// SendDropped charges a transmission that leaves src but never reaches its
-// destination — a fault-injected drop. The sender NIC pays full
-// serialization (the bytes left the node) and the message counts as wire
-// traffic, mirroring the real engine's accounting, but the receiver is
-// untouched and no arrival time exists.
-func (f *Fabric) SendDropped(src int, bytes int, ready time.Duration) {
-	f.Messages++
-	f.BytesSent += bytes
-	ser := f.Serialization(bytes)
-	start := ready
-	if f.commFree[src] > start {
-		start = f.commFree[src]
-	}
-	f.commFree[src] = start + ser
-	f.commBusy[src] += ser
-}
-
-// Free returns the virtual time at which a node's communication thread is
-// next idle.
-func (f *Fabric) Free(node int) time.Duration { return f.commFree[node] }
-
-// Block makes a node's communication thread unavailable until the given
-// virtual time (if that is later than its current horizon) without
-// accruing busy time — a fault-injected stall or whole-node pause, during
-// which the thread does no useful work.
-func (f *Fabric) Block(node int, until time.Duration) {
-	if until > f.commFree[node] {
-		f.commFree[node] = until
-	}
-}
-
 // CommBusy returns the accumulated communication-thread busy time of a
 // node — how long its dedicated comm thread spent packing, matching and
 // streaming messages. Comparing it to the makespan shows whether a run is
@@ -210,8 +153,6 @@ func (f *Fabric) Reset() {
 	f.BytesSent = 0
 	f.Bundles = 0
 	f.Segments = 0
-	f.MigMsgs = 0
-	f.MigBytes = 0
 }
 
 func (f *Fabric) String() string {

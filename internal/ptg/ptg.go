@@ -160,7 +160,7 @@ type transfer struct {
 
 // Migration makes a task stealable across ranks of a distributed run: the
 // exact sizes of its input state going out and its results coming back,
-// which both engines price identically. Graph.Hooks builds the code that
+// which the gated steal mode prices. Graph.Hooks builds the code that
 // moves the bytes. A task with a nil Mig never migrates.
 type Migration struct {
 	InBytes  int
@@ -188,7 +188,7 @@ type MigrationHooks struct {
 
 // ForcedSteal pins one migratable task (by graph index) to a thief rank of
 // a distributed run: once ready, the task executes there instead of on its
-// home rank. Both engines follow the same script, which is what makes
+// home rank. Every rank follows the same script, which is what makes
 // migration deterministic.
 type ForcedSteal struct {
 	Task  int32

@@ -67,7 +67,7 @@ type Options struct {
 	// Fault, when non-nil, injects the plan's deterministic faults into
 	// the wire path (dropped/duplicated/delayed/reordered messages, slow
 	// cores, comm stalls, node pauses). Message-level decisions are keyed
-	// by graph identity, so a simulated run with the same plan injects a
+	// by graph identity, so every run of the same plan injects a
 	// byte-identical schedule. Plans that drop or duplicate (or pause
 	// nodes) auto-enable the reliable transport with DefaultRecovery when
 	// Recovery is nil.

@@ -12,8 +12,8 @@ import (
 //
 // Injection sits between send accounting and delivery: every outgoing wire
 // message consults the fault.Plan — keyed purely by the message's graph
-// identity and delivery attempt, so real and simulated runs inject
-// byte-identical schedules — and is then dropped, duplicated, delayed or
+// identity and delivery attempt, so every run of a plan injects the
+// byte-identical schedule — and is then dropped, duplicated, delayed or
 // passed through. The time-domain faults (slow cores, comm stall, node
 // pause) hook the worker loop, the send path and the completion path.
 //
@@ -33,9 +33,8 @@ import (
 // payload passes through untouched.
 //
 // Acks are control traffic: they bypass fault injection and the
-// Options.Intercept hook, and are not counted in Result.Messages/BytesSent
-// (the virtual-time engine models them as free, so the counters stay
-// engine-identical).
+// Options.Intercept hook, and are not counted in Result.Messages/BytesSent,
+// so those counters hold data traffic only.
 //
 // This is the runtime's only reliable-delivery layer. Steal-protocol
 // messages (steal.go) ride it like halos, through their rank's endpoint
@@ -279,7 +278,7 @@ func (ex *executor) retransmitDue(nd *execNode) {
 		m := p.m
 		m.Attempt = p.attempt
 		ex.traceFault("retransmit", nd.id, m, 0)
-		// A retransmission is real wire traffic, like in the simulator.
+		// A retransmission is real wire traffic and counts as such.
 		ex.countCopy(m)
 		ex.inject(nd, m)
 	}

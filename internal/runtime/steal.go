@@ -94,8 +94,8 @@ func ParseSteal(name string) (StealMode, error) {
 }
 
 // ForcedSteal pins one task's execution to a thief rank (see
-// ptg.ForcedSteal): the simulator follows the same script exactly, which is
-// what the sim==real parity suite leans on.
+// ptg.ForcedSteal): every rank follows the same script, so a forced plan
+// migrates exactly its tasks, run after run.
 type ForcedSteal = ptg.ForcedSteal
 
 // StealPolicy configures inter-node work stealing for a distributed run.

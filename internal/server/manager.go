@@ -260,7 +260,7 @@ func (m *Manager) run(ctx context.Context, j *Job, t *castencil.NetTransport) er
 		if err != nil {
 			return err
 		}
-		m.account(res.Sim.Tasks, res.Messages, res.BytesSent, res.Bundles, res.Segments, res.Fault.Retransmits, 0)
+		m.account(res.Sim.Tasks, res.Messages, res.BytesSent, res.Bundles, res.Segments, 0, 0)
 		j.mu.Lock()
 		j.sim = res
 		j.mu.Unlock()

@@ -320,24 +320,30 @@ func TestSpecValidation(t *testing.T) {
 		{N: 64, Tile: 16, Steps: 4, Coalesce: "sideways"},
 		{N: 64, Tile: 16, Steps: 4, Machine: "Frontier"},
 		{N: 64, Tile: 16, Steps: 4, Fault: "drop=2"},
-		{N: 1, Tile: 1, Steps: 1, Nodes: math.MaxInt64}, // hostile: must not hang
-		{N: 1, Tile: 1, Steps: 1, Nodes: 1 << 62},
-		{Variant: "base", N: 1 << 32, Tile: 1, Steps: 1}, // 2^64 tiles wrap an int to 0
+		{N: 64, Tile: 16, Steps: 4, Engine: "sim", Fault: "drop=0.01,seed=1"}, // the simulator has no faults
 	}
-	for i, spec := range cases {
+	hostile := []Spec{ // must be refused in O(1), never built
+		{N: 1, Tile: 1, Steps: 1, Nodes: math.MaxInt64},
+		{N: 1, Tile: 1, Steps: 1, Nodes: 1 << 62},
+		{Variant: "base", N: 1 << 32, Tile: 1, Steps: 1},       // 2^64 tiles wrap an int to 0
+		{Variant: "base", N: 1 << 31, Tile: 1, Steps: 1},       // 2^62 tiles
+		{Variant: "base", N: 1 << 20, Tile: 1, Steps: 1 << 30}, // 2^40 tiles x 2^30 steps
+		{N: 1 << 30, Tile: 1 << 15, Steps: 1},                  // 2^31 tasks overflow int32
+	}
+	for i, spec := range append(cases, hostile...) {
 		if _, err := m.Submit(spec); err == nil {
 			t.Errorf("case %d (%+v): accepted, want rejection", i, spec)
 		}
 	}
-	for _, nodes := range []int{math.MaxInt64, 1 << 62} { // O(1) rejection
+	for _, spec := range hostile {
 		best := time.Hour
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			_ = Spec{N: 1, Tile: 1, Steps: 1, Nodes: nodes}.Validate()
+			_, _ = NewJob(spec)
 			best = min(best, time.Since(start))
 		}
 		if best > time.Millisecond {
-			t.Errorf("rejecting nodes=%d took %v", nodes, best)
+			t.Errorf("rejecting %+v took %v", spec, best)
 		}
 	}
 	if n := len(m.Jobs()); n != 0 {

@@ -73,54 +73,3 @@ func (ref *Reference9) Run(iters int) {
 
 // At returns the current value at global coordinates.
 func (ref *Reference9) At(gr, gc int) float64 { return ref.cur.At(gr, gc) }
-
-// Coeff stores per-point coefficients for a variable-coefficient stencil
-// (the paper's section III-A distinguishes constant- from variable-
-// coefficient stencils). Each field has one value per tile interior point,
-// row-major.
-type Coeff struct {
-	Rows, Cols    int
-	C, N, S, W, E []float64
-}
-
-// NewCoeff allocates a coefficient field for a rows x cols tile.
-func NewCoeff(rows, cols int) *Coeff {
-	n := rows * cols
-	return &Coeff{
-		Rows: rows, Cols: cols,
-		C: make([]float64, n), N: make([]float64, n), S: make([]float64, n),
-		W: make([]float64, n), E: make([]float64, n),
-	}
-}
-
-// Fill sets every point's coefficients from a function of tile-local
-// coordinates.
-func (cf *Coeff) Fill(f func(r, c int) Weights) {
-	for r := 0; r < cf.Rows; r++ {
-		for c := 0; c < cf.Cols; c++ {
-			i := r*cf.Cols + c
-			w := f(r, c)
-			cf.C[i], cf.N[i], cf.S[i], cf.W[i], cf.E[i] = w.C, w.N, w.S, w.W, w.E
-		}
-	}
-}
-
-// ApplyVar performs a variable-coefficient five-point sweep over the whole
-// tile interior. The coefficient field must match the tile's interior.
-func ApplyVar(cf *Coeff, dst, src *grid.Tile) {
-	if cf.Rows != src.Rows || cf.Cols != src.Cols {
-		panic("stencil: coefficient field does not match tile")
-	}
-	for r := 0; r < src.Rows; r++ {
-		d := dst.Row(r, 0, src.Cols)
-		c0 := src.Row(r, -1, src.Cols+2)
-		n0 := src.Row(r-1, 0, src.Cols)
-		s0 := src.Row(r+1, 0, src.Cols)
-		base := r * cf.Cols
-		for c := 0; c < src.Cols; c++ {
-			i := base + c
-			d[c] = cf.C[i]*c0[c+1] + cf.W[i]*c0[c] + cf.E[i]*c0[c+2] +
-				cf.N[i]*n0[c] + cf.S[i]*s0[c]
-		}
-	}
-}

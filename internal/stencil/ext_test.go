@@ -2,7 +2,6 @@ package stencil
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"castencil/internal/grid"
@@ -43,58 +42,4 @@ func TestJacobi9PreservesConstant(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestApplyVarMatchesConstantApply(t *testing.T) {
-	// A variable-coefficient field where every point holds the same
-	// weights must reproduce the constant-coefficient kernel bitwise.
-	rng := rand.New(rand.NewSource(11))
-	w := Weights{C: 0.2, N: 0.1, S: 0.3, W: 0.25, E: 0.15}
-	src := grid.NewTile(6, 5, 1)
-	for r := -1; r <= 6; r++ {
-		for c := -1; c <= 5; c++ {
-			src.Set(r, c, rng.Float64())
-		}
-	}
-	cf := NewCoeff(6, 5)
-	cf.Fill(func(int, int) Weights { return w })
-
-	want := grid.NewTile(6, 5, 1)
-	got := grid.NewTile(6, 5, 1)
-	Step(w, want, src)
-	ApplyVar(cf, got, src)
-	if !grid.InteriorEqual(want, got) {
-		t.Error("variable-coefficient kernel diverges from constant kernel")
-	}
-}
-
-func TestApplyVarSpatialVariation(t *testing.T) {
-	// Coefficients that zero out everything except the center must copy
-	// the tile; a field that scales by position must scale accordingly.
-	src := grid.NewTile(3, 3, 1)
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 3; c++ {
-			src.Set(r, c, 1)
-		}
-	}
-	cf := NewCoeff(3, 3)
-	cf.Fill(func(r, c int) Weights { return Weights{C: float64(r*3 + c)} })
-	dst := grid.NewTile(3, 3, 1)
-	ApplyVar(cf, dst, src)
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 3; c++ {
-			if dst.At(r, c) != float64(r*3+c) {
-				t.Fatalf("(%d,%d) = %v, want %d", r, c, dst.At(r, c), r*3+c)
-			}
-		}
-	}
-}
-
-func TestApplyVarPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ApplyVar with mismatched field should panic")
-		}
-	}()
-	ApplyVar(NewCoeff(2, 2), grid.NewTile(3, 3, 1), grid.NewTile(3, 3, 1))
 }

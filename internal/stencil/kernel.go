@@ -177,10 +177,6 @@ func Step(w Weights, dst, src *grid.Tile) {
 	Apply(w, dst, src, Interior(src))
 }
 
-// Flops returns the flop count of updating the given number of points at
-// the paper's 9 flops/update accounting.
-func Flops(points int) float64 { return 9 * float64(points) }
-
 // Boundary is a fixed (Dirichlet) boundary condition: it returns the value
 // of any point outside the global N x N domain.
 type Boundary func(gr, gc int) float64

@@ -247,12 +247,6 @@ func TestFillBoundaryOnlyOutsideDomain(t *testing.T) {
 	}
 }
 
-func TestFlops(t *testing.T) {
-	if Flops(1000) != 9000 {
-		t.Errorf("Flops(1000) = %v", Flops(1000))
-	}
-}
-
 func TestNewReferencePanicsOnBadSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -22,10 +22,10 @@ import (
 
 // FaultPlan is a deterministic, seedable fault-injection schedule: dropped,
 // duplicated, delayed and reordered wire messages, transiently slow cores,
-// comm-thread stalls and whole-node pauses. Message-level decisions are
-// pure functions of (seed, message identity), so the real runtime and the
-// virtual-time simulator inject byte-identical schedules for the same
-// plan. Build one directly or parse a spec string with ParseFaultPlan.
+// comm-thread stalls and whole-node pauses, injected by the real runtime.
+// Message-level decisions are pure functions of (seed, message identity),
+// so every run of the same plan injects the byte-identical schedule. Build
+// one directly or parse a spec string with ParseFaultPlan.
 type FaultPlan = fault.Plan
 
 // FaultRecovery is the reliable-transport policy layered under a fault
@@ -39,7 +39,7 @@ type FaultRecovery = fault.Recovery
 type FaultReport = fault.Report
 
 // FaultStats counts injected faults and the recovery work that masked
-// them; available on both engines' results.
+// them; available on a real run's result.
 type FaultStats = fault.Stats
 
 // Fault-plan building blocks for time-domain faults.
@@ -78,9 +78,10 @@ type RunOptions struct {
 	Workers int
 	// Coalesce selects halo-bundle coalescing on either engine.
 	Coalesce CoalesceMode
-	// Fault injects a deterministic fault schedule; Recovery overrides the
-	// reliable-transport policy (nil auto-enables the default for plans
-	// that drop, duplicate or pause).
+	// Fault injects a deterministic fault schedule into a real run;
+	// Recovery overrides the reliable-transport policy (nil auto-enables
+	// the default for plans that drop, duplicate or pause). Sim refuses
+	// both: the simulator models a lossless wire.
 	Fault    *FaultPlan
 	Recovery *FaultRecovery
 	// Trace collects per-task events (real or virtual time). TraceComm
@@ -110,9 +111,8 @@ type RunOptions struct {
 	Conduit Conduit
 	// Steal configures inter-node work stealing for a distributed run
 	// (zero value = off). Steal messages ride the transport like halos and
-	// are reliable exactly when the run is. In Sim, forced migrations are
-	// mirrored in virtual time; dynamic modes have no virtual-time analogue
-	// and are ignored.
+	// are reliable exactly when the run is. Sim models steal-free runs:
+	// it refuses forced migrations and ignores the dynamic modes.
 	Steal StealPolicy
 	// Ctx bounds the run on either engine: a cancelled or deadline-exceeded
 	// context stops workers and communication goroutines promptly (task
@@ -135,15 +135,16 @@ func WithWorkers(n int) Option { return func(o *RunOptions) { o.Workers = n } }
 // WithCoalesce selects halo-bundle coalescing (CoalesceOff, CoalesceStep).
 func WithCoalesce(m CoalesceMode) Option { return func(o *RunOptions) { o.Coalesce = m } }
 
-// WithFaultPlan injects a deterministic fault schedule. Plans that drop,
-// duplicate or pause auto-enable the reliable transport with the default
-// recovery policy unless WithRecovery overrides it.
+// WithFaultPlan injects a deterministic fault schedule into a real run
+// (Sim refuses it). Plans that drop, duplicate or pause auto-enable the
+// reliable transport with the default recovery policy unless WithRecovery
+// overrides it.
 func WithFaultPlan(p *FaultPlan) Option { return func(o *RunOptions) { o.Fault = p } }
 
 // WithRecovery overrides the reliable-transport policy (ack timeout,
-// backoff, degradation deadline). Passing a policy without a fault plan
-// still sequences and acknowledges every message — useful for measuring
-// recovery overhead on a clean wire.
+// backoff, degradation deadline) of a real run; Sim refuses it. Passing a
+// policy without a fault plan still sequences and acknowledges every
+// message — useful for measuring recovery overhead on a clean wire.
 func WithRecovery(r *FaultRecovery) Option { return func(o *RunOptions) { o.Recovery = r } }
 
 // WithTrace collects per-task execution events into t.
@@ -220,28 +221,9 @@ func (o RunOptions) sim() core.SimOptions {
 		Trace:      o.Trace,
 		TraceNode:  o.TraceNode,
 		Coalesce:   o.Coalesce,
-		Fault:      o.Fault,
-		Recovery:   o.Recovery,
 		Ctx:        o.Ctx,
 		OnProgress: o.Progress,
-		Steal:      o.simSteal(),
 	}
-}
-
-// simSteal mirrors forced migrations into the simulator: the rank count
-// comes from the cluster configuration (the transport if one is attached,
-// the member list otherwise), exactly as a real run would place nodes.
-// Dynamic steal modes are wall-clock-driven and have no virtual-time
-// analogue, so only the forced schedule crosses over.
-func (o RunOptions) simSteal() *core.SimSteal {
-	if len(o.Steal.Force) == 0 {
-		return nil
-	}
-	ranks := len(o.RankAddrs)
-	if o.Conduit != nil {
-		ranks = o.Conduit.Ranks()
-	}
-	return &core.SimSteal{Ranks: ranks, Force: o.Steal.Force}
 }
 
 // Run executes a stencil variant on the concurrent runtime — numerically
@@ -294,6 +276,9 @@ func Sim(v Variant, cfg Config, opts ...Option) (*SimResult, error) {
 	o := buildRunOptions(opts...)
 	if o.Machine == nil {
 		return nil, fmt.Errorf("castencil: Sim requires WithMachine")
+	}
+	if o.Fault != nil || o.Recovery != nil || len(o.Steal.Force) > 0 {
+		return nil, fmt.Errorf("castencil: Sim models lossless, steal-free runs; fault plans, recovery policies and forced steals need Run")
 	}
 	return core.Simulate(v, cfg, o.sim())
 }

@@ -34,6 +34,29 @@ func TestSimRequiresMachine(t *testing.T) {
 	}
 }
 
+// TestSimRefusesFaultsAndSteals: the simulator models lossless, steal-free
+// runs, so a fault plan, a recovery policy or a forced steal is an error,
+// while a dynamic steal mode is ignored.
+func TestSimRefusesFaultsAndSteals(t *testing.T) {
+	cfg := castencil.Config{N: 64, TileRows: 16, P: 2, Steps: 4, StepSize: 2}
+	nacl := castencil.WithMachine(castencil.NaCL())
+	for name, opt := range map[string]castencil.Option{
+		"fault plan": castencil.WithFaultPlan(&castencil.FaultPlan{Seed: 1, Drop: 0.01}),
+		"recovery":   castencil.WithRecovery(castencil.DefaultFaultRecovery()),
+		"forced steal": castencil.WithCluster(castencil.ClusterOptions{
+			Steal: castencil.StealPolicy{Force: []castencil.ForcedSteal{{Task: 0, Thief: 1}}},
+		}),
+	} {
+		if _, err := castencil.Sim(castencil.CA, cfg, nacl, opt); err == nil {
+			t.Errorf("Sim with a %s: no error", name)
+		}
+	}
+	greedy := castencil.WithCluster(castencil.ClusterOptions{Steal: castencil.StealPolicy{Mode: castencil.StealGreedy}})
+	if _, err := castencil.Sim(castencil.CA, cfg, nacl, greedy); err != nil {
+		t.Errorf("Sim with a dynamic steal mode: %v", err)
+	}
+}
+
 // TestFacadeFaultDeterminism is the facade-level determinism claim: a
 // maskable fault schedule (drops, duplicates, delays — all recoverable)
 // leaves the numerics bitwise identical to the clean run, on both variants

@@ -61,9 +61,10 @@ type Spec struct {
 	// Coalesce is the halo-bundle mode: off (default) or step.
 	Workers  int    `json:"workers,omitempty" role:"exec"`
 	Coalesce string `json:"coalesce,omitempty" role:"exec"`
-	// Fault is a fault-injection spec (FaultSpecSyntax). Machine names the
-	// model a sim run prices against and plan=auto plans on (default
-	// NaCL); Ratio is the kernel-adjustment ratio of both (0 = 1).
+	// Fault is a fault-injection spec (FaultSpecSyntax), real engine
+	// only. Machine names the model a sim run prices against and
+	// plan=auto plans on (default NaCL); Ratio is the kernel-adjustment
+	// ratio of both (0 = 1).
 	Fault   string  `json:"fault,omitempty" role:"policy"`
 	Machine string  `json:"machine,omitempty" role:"policy"`
 	Ratio   float64 `json:"ratio,omitempty" role:"policy"`
@@ -221,6 +222,9 @@ func (s Spec) Options() (*Resolved, error) {
 	plan, err := ParseFaultPlan(s.Fault)
 	if err != nil {
 		return nil, err
+	}
+	if plan != nil && c.Engine == "sim" {
+		return nil, fmt.Errorf("castencil: fault=%q needs the real engine; the simulator models a lossless wire", s.Fault)
 	}
 	r.Options = append(r.Options, WithCoalesce(mode), WithFaultPlan(plan))
 	if err := s.checkRanks(c.Engine, c.Nodes); err != nil {
