@@ -216,9 +216,8 @@ func RunPETScReal(n int, w Weights, init Init, bnd Boundary, ranks, iters int) (
 }
 
 // Plan is the outcome of the automatic kernel-family planner; PlanResult is
-// one evaluated candidate. Plan.BestFamily names the winning family (Base,
-// CA or WF); Plan.Apply(cfg) returns that variant and cfg with its parameter
-// set.
+// one evaluated candidate. Plan.Candidates[0] is the winner (Base, CA or
+// WF); Plan.Apply(cfg) returns that variant and cfg with its parameter set.
 type (
 	Plan       = core.Plan
 	PlanResult = core.PlanResult

@@ -8,16 +8,16 @@ import (
 )
 
 // This file is the unified distribution API: one ClusterOptions bag covers
-// everything a multi-process run needs — membership, transport reuse,
-// inter-node work stealing, and recovery policy — applied with a single
-// WithCluster option.
+// everything a multi-process run needs — the transport, inter-node work
+// stealing, and recovery policy — applied with a single WithCluster option.
 //
-//	// One-shot: Run connects the mesh itself and closes it after.
+//	t, err := castencil.NetConnect(rank, addrs, castencil.NetOptions{})
+//	...
+//	defer t.Close()
 //	res, err := castencil.Run(castencil.CA, cfg,
 //	    castencil.WithCluster(castencil.ClusterOptions{
-//	        Rank:  rank,
-//	        Ranks: addrs,
-//	        Steal: castencil.StealPolicy{Mode: castencil.StealGated},
+//	        Transport: t,
+//	        Steal:     castencil.StealPolicy{Mode: castencil.StealGated},
 //	    }))
 
 // StealMode selects the inter-node work-stealing policy of a distributed
@@ -83,33 +83,24 @@ func (p StealPolicy) runtimePolicy() *runtime.StealPolicy {
 	return rp
 }
 
-// ClusterOptions gathers the whole distributed-run configuration. Exactly
-// one of Ranks (one-shot: Run connects the TCP mesh and closes it when the
-// run returns) or Transport (reuse: an already-connected mesh shared across
-// runs, see NetConnect) should be set; Transport wins when both are.
+// ClusterOptions gathers the whole distributed-run configuration.
 type ClusterOptions struct {
-	// Rank is this process's index into Ranks (ignored with Transport,
-	// which knows its own rank).
-	Rank int
-	// Ranks is the full static member list — one host:port per rank, the
-	// identical list on every rank.
-	Ranks []string
-	// Transport reuses an established conduit instead of connecting per
-	// run (stencild keeps one mesh across jobs).
+	// Transport is the established mesh the run goes over (see
+	// NetConnect); it knows this process's rank and the rank count, and
+	// stays open for further runs (stencild keeps one mesh across jobs).
 	Transport Conduit
 	// Steal configures inter-node work stealing (zero value = off).
 	Steal StealPolicy
-	// Recovery overrides the reliable-transport policy for both the mesh
-	// connection and the run (nil keeps the defaults).
+	// Recovery overrides the run's reliable-transport policy (nil keeps
+	// the default). The mesh's own reconnection deadline is set when it is
+	// connected, in NetOptions.Recovery.
 	Recovery *FaultRecovery
 }
 
 // WithCluster configures a multi-process distributed real run from one
-// options bag — membership or transport, work stealing, recovery.
+// options bag — transport, work stealing, recovery.
 func WithCluster(c ClusterOptions) Option {
 	return func(o *RunOptions) {
-		o.Rank = c.Rank
-		o.RankAddrs = c.Ranks
 		o.Conduit = c.Transport
 		o.Steal = c.Steal
 		if c.Recovery != nil {

@@ -144,21 +144,28 @@ func main() {
 		fail(err)
 	}
 	if plan != nil {
-		fmt.Printf("autoplan: %s (%.1f GFLOP/s predicted on %s)\n", plan.Candidates[0], plan.BestGFLOPS, m.Name)
+		best := plan.Candidates[0]
+		fmt.Printf("autoplan: %s (%.1f GFLOP/s predicted on %s)\n", best, best.GFLOPS, m.Name)
 	}
 	variant, cfg := r.Variant, r.Config
 	opts := r.Options
-	if distributed {
-		opts = append(opts, castencil.WithCluster(castencil.ClusterOptions{
-			Rank:  rank,
-			Ranks: rankAddrs,
-			Steal: castencil.StealPolicy{Mode: r.Steal, Machine: m},
-		}))
-	}
 	var tr *castencil.Trace
 	if *traceOut != "" {
 		tr = castencil.NewTrace()
 		opts = append(opts, castencil.WithTrace(tr), castencil.WithTraceNode(0), castencil.WithTraceComm())
+	}
+	var mesh *castencil.NetTransport
+	if distributed {
+		// The mesh takes the default recovery policy, as the run does, and
+		// records its wire events in the run's trace.
+		mesh, err = castencil.NetConnect(rank, rankAddrs, castencil.NetOptions{Trace: tr})
+		if err != nil {
+			fail(err)
+		}
+		opts = append(opts, castencil.WithCluster(castencil.ClusterOptions{
+			Transport: mesh,
+			Steal:     castencil.StealPolicy{Mode: r.Steal, Machine: m},
+		}))
 	}
 
 	if r.Engine == "sim" {
@@ -189,6 +196,9 @@ func main() {
 	}
 
 	res, err := castencil.Run(variant, cfg, opts...)
+	if mesh != nil {
+		mesh.Close()
+	}
 	if err != nil {
 		reportFault(err)
 		fail(err)

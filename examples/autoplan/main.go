@@ -41,7 +41,8 @@ func main() {
 		if ratio == 1 {
 			kernel = "original"
 		}
-		fmt.Printf("%-12s %-10s %12.1f %12.1f\n", kernel, plan.Candidates[0].String(), plan.BestGFLOPS, base)
+		best := plan.Candidates[0]
+		fmt.Printf("%-12s %-10s %12.1f %12.1f\n", kernel, best.String(), best.GFLOPS, base)
 	}
 
 	// The full candidate table for one plan: every parameter is probed both

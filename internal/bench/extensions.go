@@ -139,7 +139,8 @@ func AutoPlanReport(p Params) (*Report, error) {
 						base = c.GFLOPS
 					}
 				}
-				t.AddRow(itoa(nodes), f1(ratio), plan.Candidates[0].String(), f1(plan.BestGFLOPS), f1(base), pct(plan.BestGFLOPS/base))
+				best := plan.Candidates[0]
+				t.AddRow(itoa(nodes), f1(ratio), best.String(), f1(best.GFLOPS), f1(base), pct(best.GFLOPS/base))
 			}
 		}
 		r.Tables = append(r.Tables, t)

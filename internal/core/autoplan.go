@@ -43,28 +43,22 @@ func (c PlanResult) String() string {
 
 // Plan is AutoPlan's outcome.
 type Plan struct {
-	// BestStepSize is the recommended CA step size; 0 unless the winning
-	// family is CA (legacy two-way field, kept for compatibility).
-	BestStepSize int
-	BestGFLOPS   float64
-	// BestFamily is the winning kernel family; BestWidth is the wavefront
-	// width when it is WF (0 otherwise).
-	BestFamily Variant
-	BestWidth  int
-	// Candidates lists every evaluated configuration, best first.
+	// Candidates lists every evaluated configuration, best first:
+	// Candidates[0] is the recommendation.
 	Candidates []PlanResult
 }
 
 // Apply returns the recommended variant and cfg with the winning family's
 // parameter (CA step size or WF width) set.
 func (p *Plan) Apply(cfg Config) (Variant, Config) {
-	switch p.BestFamily {
+	best := p.Candidates[0]
+	switch best.Family {
 	case CA:
-		cfg.StepSize = p.BestStepSize
+		cfg.StepSize = best.StepSize
 	case WF:
-		cfg.Wavefront = p.BestWidth
+		cfg.Wavefront = best.Width
 	}
-	return p.BestFamily, cfg
+	return best.Family, cfg
 }
 
 // DefaultPlanCandidates is the parameter candidate set AutoPlan probes when
@@ -136,10 +130,5 @@ func AutoPlan(cfg Config, m *machine.Model, ratio float64, candidates []int) (*P
 		}
 	}
 	sortPlanCandidates(plan.Candidates)
-	best := plan.Candidates[0]
-	plan.BestGFLOPS = best.GFLOPS
-	plan.BestFamily = best.Family
-	plan.BestStepSize = best.StepSize
-	plan.BestWidth = best.Width
 	return plan, nil
 }

@@ -47,7 +47,7 @@ func TestAutoPlanPicksCAWhenCommBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.BestFamily == Base {
+	if plan.Candidates[0].Family == Base {
 		t.Errorf("planner should pick temporal blocking when comm-bound: %+v", plan.Candidates)
 	}
 	base := 0.0
@@ -148,8 +148,5 @@ func TestAutoPlanDeterministic(t *testing.T) {
 		if a.Candidates[i] != b.Candidates[i] {
 			t.Errorf("candidate %d differs: %+v vs %+v", i, a.Candidates[i], b.Candidates[i])
 		}
-	}
-	if a.BestFamily != b.BestFamily || a.BestStepSize != b.BestStepSize || a.BestWidth != b.BestWidth {
-		t.Errorf("recommendations differ: %+v vs %+v", a, b)
 	}
 }

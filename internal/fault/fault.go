@@ -1,11 +1,11 @@
 // Package fault is the deterministic fault-injection and recovery layer of
 // the runtime: a seedable Plan describes which wire messages are dropped,
-// duplicated, delayed or reordered, which cores run transiently slow, where
-// a communication goroutine stalls and when a whole node pauses; a Recovery
-// policy describes how the transport masks the message-level faults
-// (sequence numbers, acknowledgements, retransmit with exponential backoff,
+// duplicated or delayed and when a whole node pauses; a Recovery policy
+// describes how the transport masks the message-level faults (sequence
+// numbers, acknowledgements, retransmit with exponential backoff,
 // receiver-side dedup) and when a run should stop waiting and fail fast
-// with a structured Report.
+// with a structured Report. Every fault a Plan can inject is one the
+// reliable transport either masks bitwise or ends in a Report.
 //
 // Every message-level decision is a pure function of the plan's seed and
 // the message's graph identity (source node, destination node, consumer
@@ -14,9 +14,10 @@
 // therefore injects the byte-identical fault schedule, whatever the
 // worker count, scheduling or transport, which is what lets the
 // determinism suite prove that recovery masks every schedule without
-// perturbing numerics. The time-domain faults (slow cores, comm stall,
-// node pause) are inherently timing-shaped; they perturb performance,
-// never data.
+// perturbing numerics. A delay lets later traffic overtake the delayed
+// message, so it also scrambles delivery order. A node pause is
+// timing-shaped: shorter than the recovery deadline it only stalls the
+// run, longer it ends the run in a Report.
 package fault
 
 import (
@@ -63,23 +64,6 @@ func (id MsgID) String() string {
 	return fmt.Sprintf("msg task=%d dep=%d (%d->%d)", id.Task, id.Dep, id.Src, id.Dst)
 }
 
-// SlowCore makes one compute core transiently slow: the first Tasks tasks
-// that core executes each take Extra longer (a sleep in the worker loop).
-type SlowCore struct {
-	Node, Core int32
-	Extra      time.Duration
-	Tasks      int
-}
-
-// CommStall injects one stall episode into a node's communication
-// goroutine: before handling its (After+1)-th outgoing wire message the
-// goroutine blocks for Stall.
-type CommStall struct {
-	Node  int32
-	After int
-	Stall time.Duration
-}
-
 // NodePause suspends a whole node — workers and communication goroutine —
 // for Pause once the node has completed AfterTasks tasks. A pause longer
 // than the recovery deadline makes the run fail fast with a Report instead
@@ -105,36 +89,27 @@ type Plan struct {
 	// Dup is the probability that a delivered attempt arrives twice.
 	Dup float64
 	// Delay is the probability that a delivered attempt arrives DelayBy
-	// late.
+	// late, letting later traffic on the same lane overtake it —
+	// differential delay is how the plan scrambles delivery order
+	// deterministically.
 	Delay float64
 	// DelayBy is the added latency of a delayed message (default 200us).
 	DelayBy time.Duration
-	// Reorder is the probability that a message is deferred by ReorderBy,
-	// letting later traffic on the same lane overtake it — differential
-	// delay is how the plan scrambles delivery order deterministically.
-	Reorder float64
-	// ReorderBy is the deferral of a reordered message (default 100us).
-	ReorderBy time.Duration
 
-	// SlowCores, CommStalls and Pauses are the time-domain faults.
-	SlowCores  []SlowCore
-	CommStalls []CommStall
-	Pauses     []NodePause
+	// Pauses are the whole-node freezes.
+	Pauses []NodePause
 }
 
-// Default fault magnitudes.
-const (
-	DefaultDelayBy   = 200 * time.Microsecond
-	DefaultReorderBy = 100 * time.Microsecond
-)
+// DefaultDelayBy is the added latency of a delayed message when the plan
+// leaves DelayBy zero.
+const DefaultDelayBy = 200 * time.Microsecond
 
 // Active reports whether the plan injects anything at all.
 func (p *Plan) Active() bool {
 	if p == nil {
 		return false
 	}
-	return p.Drop > 0 || p.Dup > 0 || p.Delay > 0 || p.Reorder > 0 ||
-		len(p.SlowCores) > 0 || len(p.CommStalls) > 0 || len(p.Pauses) > 0
+	return p.Drop > 0 || p.Dup > 0 || p.Delay > 0 || len(p.Pauses) > 0
 }
 
 // NeedsRecovery reports whether the plan injects faults that only a
@@ -155,7 +130,7 @@ func (p *Plan) Validate() error {
 	for _, pr := range []struct {
 		name string
 		v    float64
-	}{{"drop", p.Drop}, {"dup", p.Dup}, {"delay", p.Delay}, {"reorder", p.Reorder}} {
+	}{{"drop", p.Drop}, {"dup", p.Dup}, {"delay", p.Delay}} {
 		if !(pr.v >= 0 && pr.v <= 1) { // written so NaN fails too
 			return fmt.Errorf("fault: %s probability %v outside [0,1]", pr.name, pr.v)
 		}
@@ -163,18 +138,8 @@ func (p *Plan) Validate() error {
 	if p.Drop >= 1 {
 		return fmt.Errorf("fault: drop probability 1 makes every retransmit fail; use < 1")
 	}
-	if p.DelayBy < 0 || p.ReorderBy < 0 {
+	if p.DelayBy < 0 {
 		return fmt.Errorf("fault: negative delay")
-	}
-	for _, s := range p.SlowCores {
-		if s.Extra < 0 || s.Tasks < 0 {
-			return fmt.Errorf("fault: negative slow-core window")
-		}
-	}
-	for _, s := range p.CommStalls {
-		if s.Stall < 0 || s.After < 0 {
-			return fmt.Errorf("fault: negative comm stall")
-		}
 	}
 	for _, s := range p.Pauses {
 		if s.Pause < 0 || s.AfterTasks < 0 {
@@ -189,7 +154,6 @@ const (
 	saltDrop uint64 = 0x9e3779b97f4a7c15
 	saltDup  uint64 = 0xd1b54a32d192ed03
 	saltDel  uint64 = 0x8bb84b93962eacc9
-	saltOrd  uint64 = 0x2545f4914f6cdd1d
 )
 
 // mix64 is the splitmix64 finalizer — a full-avalanche 64-bit mixer.
@@ -223,58 +187,16 @@ func (p *Plan) ShouldDup(id MsgID, attempt int32) bool {
 }
 
 // DelayOf returns the extra latency injected into a delivered attempt:
-// the sum of the delay fault (if drawn) and the reorder deferral (if
-// drawn). Zero means the message travels fault-free.
+// DelayBy if the delay fault is drawn, zero when the message travels
+// fault-free.
 func (p *Plan) DelayOf(id MsgID, attempt int32) time.Duration {
-	if p == nil {
+	if p == nil || !(p.Delay > 0 && p.unit(id, attempt, saltDel) < p.Delay) {
 		return 0
 	}
-	var d time.Duration
-	if p.Delay > 0 && p.unit(id, attempt, saltDel) < p.Delay {
-		if p.DelayBy > 0 {
-			d += p.DelayBy
-		} else {
-			d += DefaultDelayBy
-		}
+	if p.DelayBy > 0 {
+		return p.DelayBy
 	}
-	if p.Reorder > 0 && p.unit(id, attempt, saltOrd) < p.Reorder {
-		if p.ReorderBy > 0 {
-			d += p.ReorderBy
-		} else {
-			d += DefaultReorderBy
-		}
-	}
-	return d
-}
-
-// CoreExtra returns the added execution time of the taskSeq-th task (0-based)
-// that core of node runs, per the plan's slow-core windows.
-func (p *Plan) CoreExtra(node, core int32, taskSeq int) time.Duration {
-	if p == nil {
-		return 0
-	}
-	var d time.Duration
-	for _, s := range p.SlowCores {
-		if s.Node == node && s.Core == core && taskSeq < s.Tasks {
-			d += s.Extra
-		}
-	}
-	return d
-}
-
-// StallAt returns the stall injected before node's nth outgoing wire
-// message (0-based). Each CommStall entry fires exactly once.
-func (p *Plan) StallAt(node int32, nth int) time.Duration {
-	if p == nil {
-		return 0
-	}
-	var d time.Duration
-	for _, s := range p.CommStalls {
-		if s.Node == node && s.After == nth {
-			d += s.Stall
-		}
-	}
-	return d
+	return DefaultDelayBy
 }
 
 // PauseAt returns the pause injected when node completes its nth task
@@ -301,7 +223,7 @@ type Stats struct {
 	// Injected faults.
 	Dropped    int // delivery attempts lost on the wire
 	Duplicated int // attempts delivered twice
-	Delayed    int // attempts delivered late (delay and/or reorder)
+	Delayed    int // attempts delivered late
 	// Recovery work.
 	Retransmits int // attempts resent after an ack timeout
 	DupDrops    int // deliveries suppressed by receiver-side dedup
@@ -328,16 +250,13 @@ func (s Stats) String() string {
 
 // Recovery is the reliable-delivery policy that masks message-level
 // faults: every sequenced message is retained by the sender until acked;
-// an unacked message is retransmitted after Timeout, then Timeout*Backoff,
-// then Timeout*Backoff^2 ... capped at MaxTimeout; a message still unacked
-// Deadline after its first send fails the run fast with a Report.
+// an unacked message is retransmitted after Timeout, then 2*Timeout,
+// 4*Timeout ... capped at 250ms (or at Timeout, when that is larger); a
+// message still unacked Deadline after its first send fails the run fast
+// with a Report.
 type Recovery struct {
 	// Timeout is the initial ack timeout (default 25ms).
 	Timeout time.Duration
-	// Backoff multiplies the timeout per retransmit (default 2).
-	Backoff float64
-	// MaxTimeout caps the backed-off timeout (default 250ms).
-	MaxTimeout time.Duration
 	// Deadline is the total time a message may stay unacked before the
 	// run degrades gracefully — fails fast with a Report instead of
 	// hanging on a dead or paused node (default 5s).
@@ -346,35 +265,26 @@ type Recovery struct {
 
 // Recovery defaults.
 const (
-	DefaultTimeout    = 25 * time.Millisecond
-	DefaultBackoff    = 2.0
-	DefaultMaxTimeout = 250 * time.Millisecond
-	DefaultDeadline   = 5 * time.Second
+	DefaultTimeout  = 25 * time.Millisecond
+	DefaultDeadline = 5 * time.Second
+)
+
+// The fixed retransmit schedule: the ack timeout doubles per retransmit up
+// to maxTimeout.
+const (
+	backoff    = 2
+	maxTimeout = 250 * time.Millisecond
 )
 
 // DefaultRecovery returns the default reliable-delivery policy.
 func DefaultRecovery() *Recovery {
-	return &Recovery{
-		Timeout:    DefaultTimeout,
-		Backoff:    DefaultBackoff,
-		MaxTimeout: DefaultMaxTimeout,
-		Deadline:   DefaultDeadline,
-	}
+	return &Recovery{Timeout: DefaultTimeout, Deadline: DefaultDeadline}
 }
 
 // WithDefaults fills zero fields with the default policy values.
 func (r Recovery) WithDefaults() Recovery {
 	if r.Timeout <= 0 {
 		r.Timeout = DefaultTimeout
-	}
-	if r.Backoff < 1 {
-		r.Backoff = DefaultBackoff
-	}
-	if r.MaxTimeout <= 0 {
-		r.MaxTimeout = DefaultMaxTimeout
-	}
-	if r.MaxTimeout < r.Timeout {
-		r.MaxTimeout = r.Timeout
 	}
 	if r.Deadline <= 0 {
 		r.Deadline = DefaultDeadline
@@ -383,20 +293,15 @@ func (r Recovery) WithDefaults() Recovery {
 }
 
 // TimeoutAt returns the ack timeout armed after delivery attempt
-// `attempt` (0 = the original send): Timeout*Backoff^attempt, capped at
-// MaxTimeout. Call on a policy with defaults filled.
+// `attempt` (0 = the original send): Timeout*2^attempt, capped at
+// max(250ms, Timeout). Call on a policy with defaults filled.
 func (r Recovery) TimeoutAt(attempt int32) time.Duration {
-	d := float64(r.Timeout)
-	for i := int32(0); i < attempt; i++ {
-		d *= r.Backoff
-		if d >= float64(r.MaxTimeout) {
-			return r.MaxTimeout
-		}
+	limit := max(maxTimeout, r.Timeout)
+	d := r.Timeout
+	for i := int32(0); i < attempt && d < limit; i++ {
+		d *= backoff
 	}
-	if t := time.Duration(d); t < r.MaxTimeout {
-		return t
-	}
-	return r.MaxTimeout
+	return min(d, limit)
 }
 
 // Report is the structured outcome of graceful degradation: a message
@@ -439,17 +344,15 @@ func (r *Report) Error() string {
 // --- plan spec parsing (the -fault flag) ---
 
 // SpecSyntax documents the ParsePlan grammar, for flag help.
-const SpecSyntax = "drop=P,dup=P,delay=P[,delayby=DUR],reorder=P[,reorderby=DUR],seed=N" +
-	",slow=NODE:CORE:EXTRA:TASKS,stall=NODE:AFTER:DUR,pause=NODE:AFTER:DUR"
+const SpecSyntax = "drop=P,dup=P,delay=P[,delayby=DUR],seed=N,pause=NODE:AFTER:DUR"
 
 // ParsePlan parses a fault-plan spec string like
 //
 //	drop=0.01,dup=0.02,delay=0.05,delayby=200us,seed=7,pause=2:10:50ms
 //
-// Keys: drop, dup, delay, reorder (probabilities in [0,1]); delayby,
-// reorderby (durations); seed (uint64); slow=NODE:CORE:EXTRA:TASKS,
-// stall=NODE:AFTER:DUR and pause=NODE:AFTER:DUR (repeatable). An empty
-// spec (or "off"/"none") returns nil — no faults.
+// Keys: drop, dup, delay (probabilities in [0,1]); delayby (a duration);
+// seed (uint64); pause=NODE:AFTER:DUR (repeatable). An empty spec (or
+// "off"/"none") returns nil — no faults.
 func ParsePlan(spec string) (*Plan, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "off" || spec == "none" {
@@ -473,30 +376,14 @@ func ParsePlan(spec string) (*Plan, error) {
 			p.Dup, err = strconv.ParseFloat(v, 64)
 		case "delay":
 			p.Delay, err = strconv.ParseFloat(v, 64)
-		case "reorder":
-			p.Reorder, err = strconv.ParseFloat(v, 64)
 		case "delayby":
 			p.DelayBy, err = time.ParseDuration(v)
-		case "reorderby":
-			p.ReorderBy, err = time.ParseDuration(v)
 		case "seed":
 			p.Seed, err = strconv.ParseUint(v, 0, 64)
-		case "slow":
-			var s SlowCore
-			s, err = parseSlow(v)
-			p.SlowCores = append(p.SlowCores, s)
-		case "stall":
-			var n int32
-			var after int
-			var d time.Duration
-			n, after, d, err = parseNodeEpisode(k, v)
-			p.CommStalls = append(p.CommStalls, CommStall{Node: n, After: after, Stall: d})
 		case "pause":
-			var n int32
-			var after int
-			var d time.Duration
-			n, after, d, err = parseNodeEpisode(k, v)
-			p.Pauses = append(p.Pauses, NodePause{Node: n, AfterTasks: after, Pause: d})
+			var np NodePause
+			np, err = parsePause(v)
+			p.Pauses = append(p.Pauses, np)
 		default:
 			return nil, fmt.Errorf("fault: unknown spec key %q (syntax: %s)", k, SpecSyntax)
 		}
@@ -510,48 +397,24 @@ func ParsePlan(spec string) (*Plan, error) {
 	return p, nil
 }
 
-func parseSlow(v string) (SlowCore, error) {
-	parts := strings.Split(v, ":")
-	if len(parts) != 4 {
-		return SlowCore{}, fmt.Errorf("want NODE:CORE:EXTRA:TASKS")
-	}
-	node, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return SlowCore{}, err
-	}
-	core, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return SlowCore{}, err
-	}
-	extra, err := time.ParseDuration(parts[2])
-	if err != nil {
-		return SlowCore{}, err
-	}
-	tasks, err := strconv.Atoi(parts[3])
-	if err != nil {
-		return SlowCore{}, err
-	}
-	return SlowCore{Node: int32(node), Core: int32(core), Extra: extra, Tasks: tasks}, nil
-}
-
-func parseNodeEpisode(key, v string) (int32, int, time.Duration, error) {
+func parsePause(v string) (NodePause, error) {
 	parts := strings.Split(v, ":")
 	if len(parts) != 3 {
-		return 0, 0, 0, fmt.Errorf("want NODE:AFTER:DUR")
+		return NodePause{}, fmt.Errorf("want NODE:AFTER:DUR")
 	}
 	node, err := strconv.Atoi(parts[0])
 	if err != nil {
-		return 0, 0, 0, err
+		return NodePause{}, err
 	}
 	after, err := strconv.Atoi(parts[1])
 	if err != nil {
-		return 0, 0, 0, err
+		return NodePause{}, err
 	}
 	d, err := time.ParseDuration(parts[2])
 	if err != nil {
-		return 0, 0, 0, err
+		return NodePause{}, err
 	}
-	return int32(node), after, d, nil
+	return NodePause{Node: int32(node), AfterTasks: after, Pause: d}, nil
 }
 
 // String renders the plan back into (canonical) spec syntax.
@@ -571,18 +434,8 @@ func (p *Plan) String() string {
 	if p.DelayBy > 0 {
 		parts = append(parts, "delayby="+p.DelayBy.String())
 	}
-	add("reorder", p.Reorder)
-	if p.ReorderBy > 0 {
-		parts = append(parts, "reorderby="+p.ReorderBy.String())
-	}
 	if p.Seed != 0 {
 		parts = append(parts, "seed="+strconv.FormatUint(p.Seed, 10))
-	}
-	for _, s := range p.SlowCores {
-		parts = append(parts, fmt.Sprintf("slow=%d:%d:%v:%d", s.Node, s.Core, s.Extra, s.Tasks))
-	}
-	for _, s := range p.CommStalls {
-		parts = append(parts, fmt.Sprintf("stall=%d:%d:%v", s.Node, s.After, s.Stall))
 	}
 	for _, s := range p.Pauses {
 		parts = append(parts, fmt.Sprintf("pause=%d:%d:%v", s.Node, s.AfterTasks, s.Pause))

@@ -12,7 +12,7 @@ import (
 // queries agree, different seeds/attempts decorrelate, and the empirical
 // rate tracks the configured probability.
 func TestDecisionsDeterministic(t *testing.T) {
-	p := &Plan{Seed: 7, Drop: 0.3, Dup: 0.2, Delay: 0.1, Reorder: 0.05}
+	p := &Plan{Seed: 7, Drop: 0.3, Dup: 0.2, Delay: 0.1}
 	for i := 0; i < 1000; i++ {
 		id := MsgID{Src: int32(i % 5), Dst: int32(i % 7), Task: int32(i), Dep: int32(i % 3)}
 		for a := int32(0); a < 3; a++ {
@@ -77,7 +77,7 @@ func TestSeedAndAttemptDecorrelate(t *testing.T) {
 }
 
 func TestParsePlanRoundTrip(t *testing.T) {
-	spec := "drop=0.01,dup=0.02,delay=0.05,delayby=200µs,seed=7,pause=2:10:50ms,stall=1:5:2ms,slow=0:1:50µs:100"
+	spec := "drop=0.01,dup=0.02,delay=0.05,delayby=200µs,seed=7,pause=2:10:50ms,pause=1:5:2ms"
 	p, err := ParsePlan(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -88,21 +88,16 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	if p.DelayBy != 200*time.Microsecond {
 		t.Fatalf("DelayBy = %v", p.DelayBy)
 	}
-	if len(p.Pauses) != 1 || p.Pauses[0] != (NodePause{Node: 2, AfterTasks: 10, Pause: 50 * time.Millisecond}) {
+	if len(p.Pauses) != 2 || p.Pauses[0] != (NodePause{Node: 2, AfterTasks: 10, Pause: 50 * time.Millisecond}) ||
+		p.Pauses[1] != (NodePause{Node: 1, AfterTasks: 5, Pause: 2 * time.Millisecond}) {
 		t.Fatalf("Pauses = %+v", p.Pauses)
-	}
-	if len(p.CommStalls) != 1 || p.CommStalls[0] != (CommStall{Node: 1, After: 5, Stall: 2 * time.Millisecond}) {
-		t.Fatalf("CommStalls = %+v", p.CommStalls)
-	}
-	if len(p.SlowCores) != 1 || p.SlowCores[0] != (SlowCore{Node: 0, Core: 1, Extra: 50 * time.Microsecond, Tasks: 100}) {
-		t.Fatalf("SlowCores = %+v", p.SlowCores)
 	}
 	// String() renders a spec ParsePlan accepts back to an equal plan.
 	p2, err := ParsePlan(p.String())
 	if err != nil {
 		t.Fatalf("re-parse %q: %v", p.String(), err)
 	}
-	if p2.Drop != p.Drop || p2.Seed != p.Seed || len(p2.Pauses) != 1 {
+	if p2.Drop != p.Drop || p2.Seed != p.Seed || len(p2.Pauses) != 2 {
 		t.Fatalf("round trip lost fields: %q -> %+v", p.String(), p2)
 	}
 }
@@ -110,9 +105,11 @@ func TestParsePlanRoundTrip(t *testing.T) {
 // badSpecs are fault specs ParsePlan must reject.
 var badSpecs = []string{
 	"drop=1.5", "drop=x", "nope=1", "drop", "delayby=zz",
-	"pause=1:2", "slow=1:2:3", "drop=1",
+	"pause=1:2", "pause=1:2:3:4", "drop=1",
 	// NaN compares false against both bounds of [0,1].
 	"drop=NaN", "dup=nan", "delay=NaN,delayby=1ms",
+	// Keys of the timing-only injections, which the plan no longer has.
+	"slow=0:0:1ms:1", "stall=0:1:1ms", "reorder=0.1", "reorderby=1ms",
 }
 
 func TestParsePlanErrors(t *testing.T) {
@@ -133,8 +130,8 @@ func TestParsePlanErrors(t *testing.T) {
 // probability in [0,1] and renders through String() to a spec that parses
 // back to the same rendering.
 func FuzzParsePlan(f *testing.F) {
-	f.Add("drop=0.01,dup=0.02,delay=0.05,delayby=200µs,seed=7,pause=2:10:50ms,stall=1:5:2ms,slow=0:1:50µs:100")
-	f.Add("reorder=0.5,reorderby=1ms,seed=0x10")
+	f.Add("drop=0.01,dup=0.02,delay=0.05,delayby=200µs,seed=7,pause=2:10:50ms,pause=1:5:2ms")
+	f.Add("delay=0.5,delayby=1ms,seed=0x10")
 	for _, s := range append(badSpecs, "", "off", "none") {
 		f.Add(s)
 	}
@@ -143,7 +140,7 @@ func FuzzParsePlan(f *testing.F) {
 		if err != nil || p == nil {
 			return
 		}
-		for _, v := range []float64{p.Drop, p.Dup, p.Delay, p.Reorder} {
+		for _, v := range []float64{p.Drop, p.Dup, p.Delay} {
 			if !(v >= 0 && v <= 1) {
 				t.Fatalf("ParsePlan(%q) accepted probability %v", spec, v)
 			}
@@ -160,12 +157,25 @@ func FuzzParsePlan(f *testing.F) {
 }
 
 func TestRecoveryBackoff(t *testing.T) {
-	r := Recovery{Timeout: 10 * time.Millisecond, Backoff: 2, MaxTimeout: 35 * time.Millisecond}.WithDefaults()
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 35 * time.Millisecond, 35 * time.Millisecond}
-	for a, w := range want {
-		if got := r.TimeoutAt(int32(a)); got != w {
-			t.Errorf("TimeoutAt(%d) = %v, want %v", a, got, w)
+	ms := time.Millisecond
+	for _, c := range []struct {
+		timeout time.Duration
+		want    []time.Duration
+	}{
+		// The timeout doubles per retransmit, capped at 250ms.
+		{40 * ms, []time.Duration{40 * ms, 80 * ms, 160 * ms, 250 * ms, 250 * ms}},
+		// A timeout above the cap is never lowered to it.
+		{400 * ms, []time.Duration{400 * ms, 400 * ms}},
+	} {
+		r := Recovery{Timeout: c.timeout}.WithDefaults()
+		for a, w := range c.want {
+			if got := r.TimeoutAt(int32(a)); got != w {
+				t.Errorf("Timeout %v: TimeoutAt(%d) = %v, want %v", c.timeout, a, got, w)
+			}
 		}
+	}
+	if got := (Recovery{Timeout: 10 * ms}).TimeoutAt(1 << 30); got != 250*ms {
+		t.Errorf("TimeoutAt(2^30) = %v, want the 250ms cap", got)
 	}
 	d := Recovery{}.WithDefaults()
 	if d.Timeout != DefaultTimeout || d.Deadline != DefaultDeadline {
@@ -193,20 +203,7 @@ func TestReportIsError(t *testing.T) {
 }
 
 func TestTimeDomainFaults(t *testing.T) {
-	p := &Plan{
-		SlowCores:  []SlowCore{{Node: 1, Core: 0, Extra: time.Millisecond, Tasks: 2}},
-		CommStalls: []CommStall{{Node: 0, After: 3, Stall: 5 * time.Millisecond}},
-		Pauses:     []NodePause{{Node: 2, AfterTasks: 4, Pause: 7 * time.Millisecond}},
-	}
-	if p.CoreExtra(1, 0, 0) != time.Millisecond || p.CoreExtra(1, 0, 1) != time.Millisecond {
-		t.Error("slow window not applied")
-	}
-	if p.CoreExtra(1, 0, 2) != 0 || p.CoreExtra(0, 0, 0) != 0 {
-		t.Error("slow window leaked")
-	}
-	if p.StallAt(0, 3) != 5*time.Millisecond || p.StallAt(0, 2) != 0 || p.StallAt(1, 3) != 0 {
-		t.Error("stall misapplied")
-	}
+	p := &Plan{Pauses: []NodePause{{Node: 2, AfterTasks: 4, Pause: 7 * time.Millisecond}}}
 	if p.PauseAt(2, 4) != 7*time.Millisecond || p.PauseAt(2, 5) != 0 {
 		t.Error("pause misapplied")
 	}

@@ -107,8 +107,8 @@ func TestGatewayCacheHitServedWithoutBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1 := waitDone(t, j1)
-	if j1.CacheStatus() != "miss" {
-		t.Fatalf("first job cache status %q, want miss", j1.CacheStatus())
+	if j1.Snapshot().Cache != "miss" {
+		t.Fatalf("first job cache status %q, want miss", j1.Snapshot().Cache)
 	}
 	if r1.GridSHA256 == "" || r1.GridData == "" {
 		t.Fatal("backend result missing grid sha or data")
@@ -125,8 +125,8 @@ func TestGatewayCacheHitServedWithoutBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2 := waitDone(t, j2)
-	if j2.CacheStatus() != "hit" {
-		t.Fatalf("repeat cache status %q, want hit", j2.CacheStatus())
+	if j2.Snapshot().Cache != "hit" {
+		t.Fatalf("repeat cache status %q, want hit", j2.Snapshot().Cache)
 	}
 	if b.submitted() != before {
 		t.Fatalf("cache hit touched the backend: %d submissions, want %d", b.submitted(), before)
@@ -179,7 +179,7 @@ func TestGatewaySingleflightExecutesOnce(t *testing.T) {
 		if rw.GridSHA256 != rl.GridSHA256 {
 			t.Fatal("singleflight waiter got a different grid sha than the leader")
 		}
-		if got := w.CacheStatus(); got != "coalesced" && got != "hit" {
+		if got := w.Snapshot().Cache; got != "coalesced" && got != "hit" {
 			t.Fatalf("waiter cache status %q, want coalesced (or hit if the leader already landed)", got)
 		}
 	}
@@ -204,8 +204,8 @@ func TestGatewayBypassForcesReexecution(t *testing.T) {
 	spec.Cache = "bypass"
 	j := mustSubmit(t, g, spec)
 	r2 := waitDone(t, j)
-	if j.CacheStatus() != "bypass" {
-		t.Fatalf("cache status %q, want bypass", j.CacheStatus())
+	if j.Snapshot().Cache != "bypass" {
+		t.Fatalf("cache status %q, want bypass", j.Snapshot().Cache)
 	}
 	if b.submitted() != before+1 {
 		t.Fatalf("bypass did not re-execute: %d submissions, want %d", b.submitted(), before+1)
@@ -217,8 +217,8 @@ func TestGatewayBypassForcesReexecution(t *testing.T) {
 	// The bypass refreshed the cache entry: a plain repeat hits.
 	j3 := mustSubmit(t, g, quickSpec(13))
 	waitDone(t, j3)
-	if j3.CacheStatus() != "hit" {
-		t.Fatalf("post-bypass repeat status %q, want hit", j3.CacheStatus())
+	if j3.Snapshot().Cache != "hit" {
+		t.Fatalf("post-bypass repeat status %q, want hit", j3.Snapshot().Cache)
 	}
 }
 

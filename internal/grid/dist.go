@@ -125,11 +125,6 @@ func (p *Partition) Owner(ti, tj int) int {
 	return pi*p.Q + pj
 }
 
-// NodeCoords returns the process-grid coordinates of a rank.
-func (p *Partition) NodeCoords(rank int) (pi, pj int) {
-	return rank / p.Q, rank % p.Q
-}
-
 // Neighbor returns the tile coordinates of the neighbor of (ti, tj) in
 // direction d and whether it exists (false at the global boundary).
 func (p *Partition) Neighbor(ti, tj int, d Dir) (ni, nj int, ok bool) {

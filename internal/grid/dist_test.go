@@ -177,13 +177,3 @@ func TestRemoteNeighborsAndBoundary(t *testing.T) {
 		t.Errorf("cardinal remote neighbors = %v, want S,E", cardOnly)
 	}
 }
-
-func TestNodeCoordsRoundTrip(t *testing.T) {
-	pt := mustPartition(t, 100, 10, 10, 3, 2)
-	for rank := 0; rank < pt.Nodes(); rank++ {
-		pi, pj := pt.NodeCoords(rank)
-		if pi*pt.Q+pj != rank {
-			t.Errorf("rank %d -> (%d,%d) does not round-trip", rank, pi, pj)
-		}
-	}
-}

@@ -54,20 +54,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by n (negative allowed).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a fixed-bucket distribution: observation counts per
 // upper-bound bucket plus a running sum, enough to expose Prometheus
 // histograms and answer approximate quantile queries locally.
@@ -167,9 +153,8 @@ type metric struct {
 	kind   kind
 	labels string // pre-rendered {k="v",...} or ""
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
-	gf     func() int64 // gauge callback (nil unless a GaugeFunc)
+	gf     func() int64 // gauge callback
 }
 
 // Registry holds registered instruments and renders them (prometheus.go).
@@ -232,18 +217,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 		m.c = &Counter{}
 	}
 	return m.c
-}
-
-// Gauge returns the gauge registered under name+labels, creating it on
-// first use.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	m := r.lookup(name, help, kindGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m.g == nil {
-		m.g = &Gauge{}
-	}
-	return m.g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape time

@@ -26,11 +26,16 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Error("distinct label sets shared an instrument")
 	}
 
-	g := r.Gauge("queue_depth", "depth", nil)
-	g.Set(7)
-	g.Add(-3)
-	if g.Value() != 4 {
-		t.Errorf("gauge = %d, want 4", g.Value())
+	// A gauge is read from its callback at every scrape.
+	depth := int64(7)
+	r.GaugeFunc("queue_depth", "depth", nil, func() int64 { return depth })
+	depth -= 3
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\nqueue_depth 4\n") {
+		t.Errorf("gauge exposition lacks the live value 4:\n%s", b.String())
 	}
 }
 
@@ -87,7 +92,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("stencild_jobs_total", "jobs by terminal state", Labels{"state": "done"}).Add(3)
 	r.Counter("stencild_jobs_total", "jobs by terminal state", Labels{"state": "cancelled"}).Add(1)
-	r.Gauge("stencild_queue_depth", "queued jobs", nil).Set(2)
+	r.GaugeFunc("stencild_queue_depth", "queued jobs", nil, func() int64 { return 2 })
 	r.GaugeFunc("stencild_running", "running jobs", nil, func() int64 { return 5 })
 	h := r.Histogram("stencild_job_duration_seconds", "job wall time", []float64{0.1, 1}, nil)
 	h.Observe(0.05)

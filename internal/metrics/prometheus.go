@@ -76,8 +76,6 @@ func writeSeries(w io.Writer, m *metric) error {
 		v := int64(0)
 		if m.gf != nil {
 			v = m.gf()
-		} else if m.g != nil {
-			v = m.g.Value()
 		}
 		_, err := fmt.Fprintf(w, "%s%s %d\n", m.name, m.labels, v)
 		return err

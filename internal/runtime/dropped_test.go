@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"castencil/internal/ptg"
@@ -18,8 +17,7 @@ import (
 // readies A onto the worker's deque; A runs and posts its send request
 // strictly after shutdown. Whichever way the communication goroutine meets
 // that request — draining it unpacked, or packing it and having delivery
-// refused after completion (possibly delayed through the interceptor) —
-// exactly one transfer is dropped.
+// refused after completion — exactly one transfer is dropped.
 func TestDroppedCountsDiscardedTransfers(t *testing.T) {
 	b := ptg.NewBuilder(2)
 	mustAdd := func(task ptg.Task) {
@@ -50,14 +48,7 @@ func TestDroppedCountsDiscardedTransfers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var intercepted atomic.Int64
-	res, err := Run(g, Options{Workers: 1, Intercept: func(m Message, deliver func(Message)) {
-		// Forward immediately: by construction the run is already complete,
-		// so deliver refuses the message and counts it as dropped — the
-		// "interceptor finishing after completion" path.
-		intercepted.Add(1)
-		deliver(m)
-	}})
+	res, err := Run(g, Options{Workers: 1})
 	if err == nil {
 		t.Fatal("run with a panicking task reported no error")
 	}
@@ -65,14 +56,13 @@ func TestDroppedCountsDiscardedTransfers(t *testing.T) {
 		t.Fatal("failed run returned no partial result")
 	}
 	if res.Dropped != 1 {
-		t.Errorf("Dropped = %d, want 1 (intercepted=%d, messages=%d)",
-			res.Dropped, intercepted.Load(), res.Messages)
+		t.Errorf("Dropped = %d, want 1 (messages=%d)", res.Dropped, res.Messages)
 	}
 	// The transfer is dropped either before packing (drained from the send
 	// queue, never counted as a message) or after (packed, counted, then
-	// refused delivery); Messages must agree with which happened.
-	if res.Messages != int(intercepted.Load()) {
-		t.Errorf("Messages = %d but interceptor saw %d", res.Messages, intercepted.Load())
+	// refused delivery): at most the one message went out.
+	if res.Messages > 1 {
+		t.Errorf("Messages = %d, want at most the one transfer", res.Messages)
 	}
 }
 

@@ -44,12 +44,6 @@ type Message struct {
 	Data    []byte
 }
 
-// Interceptor lets tests and examples wrap message delivery (to inject
-// delays, reordering, duplication checks...). It runs on the sender's
-// communication goroutine; it must eventually call deliver exactly once for
-// the message, possibly from another goroutine.
-type Interceptor func(m Message, deliver func(Message))
-
 // Options configures an execution.
 type Options struct {
 	// Workers is the number of compute goroutines per node (default 1).
@@ -65,12 +59,11 @@ type Options struct {
 	// bundle's wire buffer (see the ownership rule in pool.go).
 	Coalesce ptg.CoalesceMode
 	// Fault, when non-nil, injects the plan's deterministic faults into
-	// the wire path (dropped/duplicated/delayed/reordered messages, slow
-	// cores, comm stalls, node pauses). Message-level decisions are keyed
-	// by graph identity, so every run of the same plan injects a
-	// byte-identical schedule. Plans that drop or duplicate (or pause
-	// nodes) auto-enable the reliable transport with DefaultRecovery when
-	// Recovery is nil.
+	// the wire path (dropped, duplicated and delayed messages, node
+	// pauses). Message-level decisions are keyed by graph identity, so
+	// every run of the same plan injects a byte-identical schedule. Plans
+	// that drop or duplicate (or pause nodes) auto-enable the reliable
+	// transport with DefaultRecovery when Recovery is nil.
 	Fault *fault.Plan
 	// Recovery, when non-nil, enables the reliable transport: per-lane
 	// sequence numbers, ack + retransmit with exponential backoff,
@@ -86,8 +79,6 @@ type Options struct {
 	// core index Workers — one past the compute cores), carrying the
 	// transfer count and wire bytes. Requires Trace.
 	TraceComm bool
-	// Intercept, when non-nil, wraps every inter-node message.
-	Intercept Interceptor
 	// Ctx, when non-nil, bounds the execution: when it is cancelled or its
 	// deadline passes, workers stop picking up tasks, the communication
 	// goroutines drain, and Run returns a *ptg.CancelError (wrapping the
@@ -203,12 +194,9 @@ type execNode struct {
 	commReady []int32
 
 	// Fault-injection/recovery state (see fault.go; all nil/zero without
-	// a plan or the reliable transport). rel and outSeq are comm-goroutine
-	// owned; coreSeq[c] is owned by the worker goroutine of core c;
+	// a plan or the reliable transport). rel is comm-goroutine owned;
 	// pauseUntil (unix nanos) gates the whole node through maybePause.
 	rel        *relState
-	outSeq     int
-	coreSeq    []int
 	pauseUntil atomic.Int64
 	// relPending mirrors len(rel.outstanding) for readers outside the comm
 	// goroutine: the distributed drain (dist.go) waits for it to reach zero
@@ -411,9 +399,6 @@ func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) 
 		}
 		if ex.reliable {
 			nd.rel = newRelState(g.NumNodes)
-		}
-		if ex.fplan != nil {
-			nd.coreSeq = make([]int, opts.Workers)
 		}
 		nd.store.node = n
 		nd.cond = sync.NewCond(&nd.mu)
@@ -766,11 +751,6 @@ func (ex *executor) runTask(nd *execNode, core int32, idx int32, stolen bool, re
 	}()
 	t := &ex.g.Tasks[idx]
 	start := time.Since(ex.t0)
-	if extra := ex.slowCoreExtra(nd, core); extra > 0 {
-		// A transiently slow core: the task simply takes longer, inside
-		// its timed window, so traces and busy accounting show the drag.
-		ex.sleepInterruptible(extra)
-	}
 	if t.Run != nil {
 		t.Run(nd.store)
 	}
@@ -889,7 +869,7 @@ func (ex *executor) comm(nd *execNode, wg *sync.WaitGroup) {
 }
 
 // deliver enqueues a message at its destination node. Deliveries after
-// shutdown (an interceptor completing late, or any message racing the
+// shutdown (a delayed copy landing late, or any message racing the
 // drain) are counted as dropped instead of being parked forever in a dead
 // inbox. Inboxes are sized for the plain dataflow's exact message count;
 // recovery traffic (acks, duplicates, retransmissions) can exceed that, so
@@ -933,7 +913,6 @@ func (ex *executor) deliver(m Message) {
 // payload — and, when comm tracing is on, records the handling as a
 // KindComm event on the node's comm pseudo-core (index Workers).
 func (ex *executor) send(e ptg.Env, nd *execNode, req ptg.OutEdge) {
-	ex.maybeStall(nd)
 	var start time.Duration
 	if ex.traceComm {
 		start = time.Since(ex.t0)

@@ -9,7 +9,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"castencil/internal/fault"
 	"castencil/internal/ptg"
 	"castencil/internal/trace"
 )
@@ -225,29 +227,14 @@ func TestRunPanicDoesNotHangDependents(t *testing.T) {
 	}
 }
 
-func TestInterceptorReordering(t *testing.T) {
-	// Deliver messages in pairs, swapped: the dataflow must still complete
-	// correctly because messages are tag-addressed, not order-dependent.
-	var mu sync.Mutex
-	var held *Message
-	intercept := func(m Message, deliver func(Message)) {
-		mu.Lock()
-		if held == nil {
-			cp := m
-			held = &cp
-			mu.Unlock()
-			return
-		}
-		prev := *held
-		held = nil
-		mu.Unlock()
-		deliver(m) // swapped order
-		deliver(prev)
-	}
-	// Independent concurrent transfers (an even number, so the held
-	// message always gets flushed by its pair): node 0 produces 8 values,
-	// node 1 consumes each.
+func TestDelayPlanReordering(t *testing.T) {
+	// A delay plan holds back some messages while later ones overtake
+	// them: the dataflow must still complete correctly because messages
+	// are tag-addressed, not order-dependent.
 	const pairs = 8
+	plan := &fault.Plan{Seed: 4, Delay: 0.5, DelayBy: 2 * time.Millisecond}
+	// Independent concurrent transfers: node 0 produces 8 values, node 1
+	// consumes each.
 	b := ptg.NewBuilder(2)
 	for i := 0; i < pairs; i++ {
 		i := i
@@ -270,26 +257,37 @@ func TestInterceptorReordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, Options{Workers: 2, Intercept: intercept})
+	res, err := Run(g, Options{Workers: 2, Fault: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Completed != 2*pairs {
 		t.Errorf("completed = %d", res.Completed)
 	}
+	// Some messages held back and some not: delivery order differs from
+	// send order.
+	if d := res.Fault.Delayed; d == 0 || d == pairs {
+		t.Errorf("delayed %d of %d messages; the plan must delay some but not all", d, pairs)
+	}
 }
 
-func TestInterceptorAsyncDelivery(t *testing.T) {
-	intercept := func(m Message, deliver func(Message)) {
-		go deliver(m)
-	}
+func TestDelayPlanAsyncDelivery(t *testing.T) {
+	// Every message is delayed, so each one reaches its consumer's inbox
+	// from a background goroutine rather than the sender's comm goroutine.
+	plan := &fault.Plan{Delay: 1, DelayBy: 100 * time.Microsecond}
 	g := buildChain(t, 25, 4)
-	res, err := Run(g, Options{Workers: 1, Intercept: intercept})
+	res, err := Run(g, Options{Workers: 1, Fault: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Completed != 25 {
 		t.Errorf("completed = %d", res.Completed)
+	}
+	if got := chainValue(res, 24, 4); got != 25 {
+		t.Errorf("final value = %d, want 25", got)
+	}
+	if res.Fault.Delayed != res.Messages || res.Messages != 24 {
+		t.Errorf("delayed %d of %d messages, want all 24", res.Fault.Delayed, res.Messages)
 	}
 }
 
@@ -404,38 +402,29 @@ func TestPerNodeStats(t *testing.T) {
 }
 
 func TestDuplicatedMessageIsDetected(t *testing.T) {
-	// The transport contract is exactly-once delivery. A faulty
-	// interceptor that duplicates a message must surface as an error
-	// (write-once slot violation), never as silent corruption. The consumer
-	// also waits on a second message, which reaches its node's inbox only
-	// after both copies of the first: the duplicate always lands while the
-	// first copy still occupies the slot.
-	var once sync.Once
-	intercept := func(m Message, deliver func(Message)) {
-		deliver(m)
-		once.Do(func() { deliver(m) })
-	}
+	// Buffer slots are write-once: a second payload landing in an occupied
+	// slot must surface as a run error, never as silent corruption. Two
+	// deps of one consumer unpack into the same slot. The consumer runs
+	// only once both have arrived, so the second unpack always finds the
+	// first payload still there, and the violation happens on the
+	// receiving node's comm goroutine.
 	b := ptg.NewBuilder(2)
-	in := []int32{b.AllocBufSlot(1), b.AllocBufSlot(1)}
-	b.AddTask(ptg.Task{ID: tid("c", 0, 0, 0), Node: 1, Run: func(e ptg.Env) {
-		for _, s := range in {
-			e.TakeBufSlot(s)
-		}
-	}})
-	for i, s := range in {
-		s := s
+	in := b.AllocBufSlot(1)
+	b.AddTask(ptg.Task{ID: tid("c", 0, 0, 0), Node: 1, Run: func(e ptg.Env) { e.TakeBufSlot(in) }})
+	for i := 0; i < 2; i++ {
 		b.AddTask(ptg.Task{ID: tid("p", i, 0, 0), Node: 0})
 		b.AddDep(tid("c", 0, 0, 0), tid("p", i, 0, 0), ptg.Dep{
 			Bytes:  1,
 			Pack:   func(ptg.Env) []byte { return []byte{1} },
-			Unpack: func(e ptg.Env, data []byte) { e.PutBufSlot(s, data) },
+			Unpack: func(e ptg.Env, data []byte) { e.PutBufSlot(in, data) },
 		})
 	}
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(g, Options{Workers: 1, Intercept: intercept}); err == nil {
-		t.Error("duplicated delivery must fail the run")
+	_, err = Run(g, Options{Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "produced twice") {
+		t.Errorf("second write into one slot: err = %v, want a write-once violation", err)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // message consults the fault.Plan — keyed purely by the message's graph
 // identity and delivery attempt, so every run of a plan injects the
 // byte-identical schedule — and is then dropped, duplicated, delayed or
-// passed through. The time-domain faults (slow cores, comm stall, node
-// pause) hook the worker loop, the send path and the completion path.
+// passed through. A node pause hooks the completion path and holds the
+// node's workers and communication goroutine.
 //
 // Recovery is a reliable transport layered over the same send/receive
 // paths: every data message carries a per-(src,dst)-lane sequence number;
@@ -32,9 +32,9 @@ import (
 // buffer of its own, which its receiver ends. Without recovery the one
 // payload passes through untouched.
 //
-// Acks are control traffic: they bypass fault injection and the
-// Options.Intercept hook, and are not counted in Result.Messages/BytesSent,
-// so those counters hold data traffic only.
+// Acks are control traffic: they bypass fault injection and are not
+// counted in Result.Messages/BytesSent, so those counters hold data
+// traffic only.
 //
 // This is the runtime's only reliable-delivery layer. Steal-protocol
 // messages (steal.go) ride it like halos, through their rank's endpoint
@@ -131,16 +131,6 @@ func copyPayload(m Message) Message {
 	return m
 }
 
-// transmit hands a message to the interceptor (if any) or delivers it
-// directly — the pre-fault-layer wire.
-func (ex *executor) transmit(m Message) {
-	if ex.opts.Intercept != nil {
-		ex.opts.Intercept(m, ex.deliver)
-	} else {
-		ex.deliver(m)
-	}
-}
-
 // transmitAfter delivers a message after an injected delay. The background
 // goroutine is tracked so Run's final accounting sweep sees every copy.
 func (ex *executor) transmitAfter(m Message, d time.Duration) {
@@ -151,7 +141,7 @@ func (ex *executor) transmitAfter(m Message, d time.Duration) {
 		case <-time.After(d):
 		case <-ex.finished:
 		}
-		ex.transmit(m)
+		ex.deliver(m)
 	}()
 }
 
@@ -189,7 +179,7 @@ func (ex *executor) inject(nd *execNode, m Message) {
 		if delay > 0 {
 			ex.transmitAfter(c, delay)
 		} else {
-			ex.transmit(c)
+			ex.deliver(c)
 		}
 	}
 }
@@ -213,9 +203,9 @@ func (ex *executor) countCopy(m Message) {
 }
 
 // ack sends the acknowledgement for a received sequenced message. Acks
-// bypass fault injection and interception, and are not counted as wire
-// messages (see the file comment). An ack keeps its message's Dep, so the
-// ack of a steal message is steal traffic on the wire too.
+// bypass fault injection and are not counted as wire messages (see the
+// file comment). An ack keeps its message's Dep, so the ack of a steal
+// message is steal traffic on the wire too.
 func (ex *executor) ack(nd *execNode, m Message) {
 	ex.deliver(Message{Src: nd.id, Dst: m.Src, Dep: m.Dep, Seq: m.Seq, Ack: true})
 }
@@ -284,20 +274,6 @@ func (ex *executor) retransmitDue(nd *execNode) {
 	}
 }
 
-// maybeStall injects the plan's comm-goroutine stall before the node's
-// nth outgoing wire message (retransmissions do not advance the count).
-func (ex *executor) maybeStall(nd *execNode) {
-	if ex.fplan == nil {
-		return
-	}
-	n := nd.outSeq
-	nd.outSeq++
-	if st := ex.fplan.StallAt(nd.id, n); st > 0 {
-		ex.traceFault("stall", nd.id, Message{Src: nd.id, Dst: nd.id}, st)
-		ex.sleepInterruptible(st)
-	}
-}
-
 // notePauses arms a whole-node pause when the node's completed-task count
 // crosses a plan threshold. Called from the completing worker.
 func (ex *executor) notePause(nd *execNode, completed int) {
@@ -337,18 +313,6 @@ func (ex *executor) sleepInterruptible(d time.Duration) {
 	case <-time.After(d):
 	case <-ex.finished:
 	}
-}
-
-// slowCoreExtra returns (and advances) the slow-core penalty for the next
-// task the given core of the node executes. Each (node, core) counter is
-// only touched by the worker goroutine that owns the core.
-func (ex *executor) slowCoreExtra(nd *execNode, core int32) time.Duration {
-	if ex.fplan == nil || len(ex.fplan.SlowCores) == 0 {
-		return 0
-	}
-	seq := nd.coreSeq[core]
-	nd.coreSeq[core]++
-	return ex.fplan.CoreExtra(nd.id, core, seq)
 }
 
 // faultStats snapshots the run's fault counters.

@@ -195,24 +195,28 @@ func TestFaultReliableNoPlanClean(t *testing.T) {
 	}
 }
 
-func TestFaultSlowCoreAndStall(t *testing.T) {
-	// Time-domain faults perturb only the schedule, never the numerics or
-	// the message counts.
-	plan := &fault.Plan{
-		SlowCores:  []fault.SlowCore{{Node: 1, Core: 0, Extra: 200 * time.Microsecond, Tasks: 5}},
-		CommStalls: []fault.CommStall{{Node: 0, After: 1, Stall: time.Millisecond}},
-	}
-	g := buildChain(t, 12, 2)
-	res, err := Run(g, Options{Workers: 2, Fault: plan})
+func TestFaultSpuriousRetransmitDeduplicated(t *testing.T) {
+	// Every message is delayed far past the ack timeout, so the sender
+	// retransmits messages the wire never lost. The late originals and the
+	// spare copies all reach the receiver, which must drop every copy after
+	// the first: the run stays exact with nothing injected but delay.
+	plan := &fault.Plan{Seed: 2, Delay: 1, DelayBy: 20 * time.Millisecond}
+	rec := &fault.Recovery{Timeout: 2 * time.Millisecond, Deadline: 10 * time.Second}
+	g := buildChain(t, 8, 2)
+	res, err := Run(g, Options{Workers: 1, Fault: plan, Recovery: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := chainValue(res, 11, 2); got != 12 {
-		t.Errorf("final value = %d, want 12", got)
+	if got := chainValue(res, 7, 2); got != 8 {
+		t.Errorf("final value = %d, want 8", got)
 	}
-	if res.Messages != 11 || res.Fault.Any() {
-		t.Errorf("time-domain faults altered wire accounting: messages %d, fault %+v", res.Messages, res.Fault)
+	if res.Fault.Dropped != 0 || res.Fault.Duplicated != 0 {
+		t.Fatalf("a delay-only plan injected drops or dups: %+v", res.Fault)
 	}
+	if res.Fault.Retransmits < 1 || res.Fault.DupDrops < 1 {
+		t.Errorf("no spurious retransmit was sent and deduplicated: %+v", res.Fault)
+	}
+	auditWire(t, res, 7)
 }
 
 func TestFaultTraceEvents(t *testing.T) {

@@ -139,12 +139,9 @@ func (j *Job) Plan() *castencil.Plan { return read(j, &j.plan) }
 // result is built from RealResult or SimResult.
 func (j *Job) Result() *Result { return read(j, &j.res) }
 
-// CacheStatus reports how the fleet cache treated this job: "hit", "miss",
-// "coalesced" (merged into an identical in-flight job), "bypass", or
-// "uncacheable" ("" on a daemon).
-func (j *Job) CacheStatus() string { return read(j, &j.cache) }
-
-// SetCacheStatus records the fleet cache disposition.
+// SetCacheStatus records how the fleet cache treated this job: "hit",
+// "miss", "coalesced" (merged into an identical in-flight job), "bypass",
+// or "uncacheable". The View reports it as Cache ("" on a daemon).
 func (j *Job) SetCacheStatus(s string) {
 	j.mu.Lock()
 	j.cache = s
@@ -239,8 +236,9 @@ func (j *Job) Snapshot() View {
 		v.Error = j.err.Error()
 	}
 	if j.plan != nil {
-		s, g := j.plan.BestStepSize, j.plan.BestGFLOPS
-		fam, w := j.plan.BestFamily.String(), j.plan.BestWidth
+		best := j.plan.Candidates[0]
+		s, g := best.StepSize, best.GFLOPS
+		fam, w := best.Family.String(), best.Width
 		v.PlanStepSize, v.PlanGFLOPS = &s, &g
 		v.PlanFamily, v.PlanWidth = &fam, &w
 	}

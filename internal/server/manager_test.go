@@ -321,6 +321,11 @@ func TestSpecValidation(t *testing.T) {
 		{N: 64, Tile: 16, Steps: 4, Machine: "Frontier"},
 		{N: 64, Tile: 16, Steps: 4, Fault: "drop=2"},
 		{N: 64, Tile: 16, Steps: 4, Engine: "sim", Fault: "drop=0.01,seed=1"}, // the simulator has no faults
+		// Keys of the timing-only injections the fault plan no longer has.
+		{N: 64, Tile: 16, Steps: 4, Fault: "reorder=0.1"},
+		{N: 64, Tile: 16, Steps: 4, Fault: "reorderby=1ms"},
+		{N: 64, Tile: 16, Steps: 4, Fault: "slow=0:0:1ms:1"},
+		{N: 64, Tile: 16, Steps: 4, Fault: "stall=0:1:1ms"},
 	}
 	hostile := []Spec{ // must be refused in O(1), never built
 		{N: 1, Tile: 1, Steps: 1, Nodes: math.MaxInt64},
@@ -366,11 +371,12 @@ func TestAutoPlanJob(t *testing.T) {
 		t.Fatal("plan=auto job recorded no plan")
 	}
 	v := j.Snapshot()
-	if v.PlanStepSize == nil || *v.PlanStepSize != plan.BestStepSize {
-		t.Errorf("view plan step = %v, want %d", v.PlanStepSize, plan.BestStepSize)
+	best := plan.Candidates[0]
+	if v.PlanStepSize == nil || *v.PlanStepSize != best.StepSize {
+		t.Errorf("view plan step = %v, want %d", v.PlanStepSize, best.StepSize)
 	}
-	if v.PlanFamily == nil || *v.PlanFamily != plan.BestFamily.String() {
-		t.Errorf("view plan family = %v, want %q", v.PlanFamily, plan.BestFamily)
+	if v.PlanFamily == nil || *v.PlanFamily != best.Family.String() {
+		t.Errorf("view plan family = %v, want %q", v.PlanFamily, best.Family)
 	}
 	// Replay the planner's choice directly: grids must match bitwise.
 	variant, cfg := plan.Apply(castencil.Config{N: 64, TileRows: 16, P: 1, Steps: 6, Init: castencil.HashInit(3)})

@@ -34,12 +34,6 @@ func Heat(alpha float64) Weights {
 	return Weights{C: 1 - 4*alpha, N: alpha, S: alpha, W: alpha, E: alpha}
 }
 
-// SpectralRadiusBound returns the sum of absolute weights; iteration is
-// non-expansive (max-norm stable) when it is <= 1.
-func (w Weights) SpectralRadiusBound() float64 {
-	return math.Abs(w.C) + math.Abs(w.N) + math.Abs(w.S) + math.Abs(w.W) + math.Abs(w.E)
-}
-
 // Apply performs the five-point update for every point of rect, reading from
 // src and writing to dst. The rect is expressed in the tiles' shared
 // interior coordinate system and may extend into ghost cells (the CA
@@ -280,25 +274,6 @@ func (ref *Reference) MaxAbsDiff(other func(gr, gc int) float64) float64 {
 	for r := 0; r < ref.N; r++ {
 		for c := 0; c < ref.N; c++ {
 			d := math.Abs(ref.At(r, c) - other(r, c))
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
-// Residual returns the max-norm Jacobi residual |x - J(x)| of the current
-// iterate — zero exactly at the fixed point. Used by the heat/Laplace
-// examples to track convergence.
-func (ref *Reference) Residual() float64 {
-	Step(ref.W, ref.nxt, ref.cur)
-	max := 0.0
-	for r := 0; r < ref.N; r++ {
-		cur := ref.cur.Row(r, 0, ref.N)
-		nxt := ref.nxt.Row(r, 0, ref.N)
-		for c := range cur {
-			d := math.Abs(cur[c] - nxt[c])
 			if d > max {
 				max = d
 			}

@@ -27,8 +27,8 @@ func TestApplySinglePoint(t *testing.T) {
 
 func TestJacobiWeightsAverage(t *testing.T) {
 	w := Jacobi()
-	if w.SpectralRadiusBound() != 1 {
-		t.Errorf("Jacobi weights sum to %v, want 1", w.SpectralRadiusBound())
+	if sum := w.C + w.N + w.S + w.W + w.E; sum != 1 {
+		t.Errorf("Jacobi weights sum to %v, want 1", sum)
 	}
 	src := grid.NewTile(3, 3, 1)
 	dst := grid.NewTile(3, 3, 1)
@@ -48,13 +48,18 @@ func TestJacobiWeightsAverage(t *testing.T) {
 }
 
 func TestHeatWeightsStable(t *testing.T) {
-	if b := Heat(0.25).SpectralRadiusBound(); b > 2-1 { // 1-4a + 4a = 1 for a<=0.25
-		if b != 1 {
-			t.Errorf("Heat(0.25) bound = %v, want 1", b)
+	// For alpha <= 0.25 every weight is non-negative and they sum to 1, so
+	// a step is a convex combination: max-norm non-expansive.
+	for _, alpha := range []float64{0.1, 0.25} {
+		w := Heat(alpha)
+		for _, v := range []float64{w.C, w.N, w.S, w.W, w.E} {
+			if v < 0 {
+				t.Errorf("Heat(%v) has negative weight %v", alpha, v)
+			}
 		}
-	}
-	if b := Heat(0.1).SpectralRadiusBound(); math.Abs(b-1) > 1e-15 {
-		t.Errorf("Heat(0.1) bound = %v, want 1", b)
+		if sum := w.C + w.N + w.S + w.W + w.E; math.Abs(sum-1) > 1e-15 {
+			t.Errorf("Heat(%v) weights sum to %v, want 1", alpha, sum)
+		}
 	}
 }
 
@@ -173,9 +178,6 @@ func TestReferenceConstantFixedPoint(t *testing.T) {
 				t.Fatalf("(%d,%d) = %v, want 3", r, c, ref.At(r, c))
 			}
 		}
-	}
-	if res := ref.Residual(); res != 0 {
-		t.Errorf("residual at fixed point = %v", res)
 	}
 }
 

@@ -13,10 +13,8 @@ import (
 
 // This file is the facade over the distributed transport: the handful of
 // types a multi-process caller needs without importing internal packages.
-// The one-shot path is WithCluster with Rank/Ranks (Run connects and closes
-// the mesh itself); long-lived processes (stencild, benchmarks) connect once
-// with NetConnect and pass the transport to each run in
-// ClusterOptions.Transport.
+// A process connects the mesh once with NetConnect and passes the
+// transport to each run in ClusterOptions.Transport.
 
 // Conduit is the wire transport of a distributed run — what
 // ClusterOptions.Transport accepts. NetTransport is the TCP implementation;
@@ -39,12 +37,9 @@ type NetMetricsRegistry = metrics.Registry
 // NetConnect establishes the distributed mesh for rank among addrs (the
 // full static member list, identical on every rank) and blocks until every
 // rank pair is connected. Close the returned transport when done;
-// o.Rank/o.Addrs are taken from the arguments.
-//
-// A process that runs many jobs over one mesh connects once here and passes
-// the transport in ClusterOptions.Transport; a one-shot run passes
-// WithCluster(ClusterOptions{Rank: rank, Ranks: addrs}) and lets Run manage
-// the mesh. Results are bitwise identical either way.
+// o.Rank/o.Addrs are taken from the arguments. Pass the transport to each
+// run in ClusterOptions.Transport; any number of sequential runs may share
+// it.
 func NetConnect(rank int, addrs []string, o NetOptions) (*NetTransport, error) {
 	o.Rank, o.Addrs = rank, addrs
 	return netcomm.Connect(o)

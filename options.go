@@ -6,7 +6,6 @@ import (
 
 	"castencil/internal/core"
 	"castencil/internal/fault"
-	"castencil/internal/netcomm"
 	"castencil/internal/ptg"
 	"castencil/internal/runtime"
 )
@@ -21,8 +20,9 @@ import (
 //	    castencil.WithFaultPlan(plan))
 
 // FaultPlan is a deterministic, seedable fault-injection schedule: dropped,
-// duplicated, delayed and reordered wire messages, transiently slow cores,
-// comm-thread stalls and whole-node pauses, injected by the real runtime.
+// duplicated and delayed wire messages and whole-node pauses, injected by
+// the real runtime. The reliable transport masks each of them bitwise or
+// ends the run in a structured *FaultReport.
 // Message-level decisions are pure functions of (seed, message identity),
 // so every run of the same plan injects the byte-identical schedule. Build
 // one directly or parse a spec string with ParseFaultPlan.
@@ -42,12 +42,9 @@ type FaultReport = fault.Report
 // them; available on a real run's result.
 type FaultStats = fault.Stats
 
-// Fault-plan building blocks for time-domain faults.
-type (
-	SlowCore  = fault.SlowCore
-	CommStall = fault.CommStall
-	NodePause = fault.NodePause
-)
+// NodePause freezes a whole node once it has completed a number of tasks:
+// the fault-plan building block for a paused or dead node.
+type NodePause = fault.NodePause
 
 // FaultSpecSyntax documents the -fault spec grammar ParseFaultPlan
 // accepts, for flag help.
@@ -61,11 +58,6 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) { return fault.ParsePlan(sp
 // what a fault plan that drops, duplicates or pauses enables on its own
 // when no explicit recovery is configured.
 func DefaultFaultRecovery() *FaultRecovery { return fault.DefaultRecovery() }
-
-// Interceptor wraps every inter-node message of a RunGraph execution
-// (ExecOptions.Intercept; a testing hook — recovery traffic such as acks
-// bypasses it).
-type Interceptor = runtime.Interceptor
 
 // RunOptions is the unified option bag for both execution engines. The
 // zero value is a sensible default (one worker per node, no coalescing, no
@@ -96,18 +88,11 @@ type RunOptions struct {
 	// Ratio is the paper's kernel-adjustment ratio for simulated runs
 	// (0 or 1 = full kernel).
 	Ratio float64
-	// Rank and RankAddrs configure a true multi-process distributed real
-	// run: RankAddrs is the full static member list (host:port per rank,
-	// identical on every rank) and Rank is this process's index into it.
-	// Run establishes the TCP mesh, executes this rank's slice of the
-	// graph, and tears the mesh down. Only rank 0's RealResult carries the
-	// gathered Grid (and the globally-summed counters); other ranks get a
-	// nil Grid and their local counter view.
-	Rank      int
-	RankAddrs []string
-	// Conduit reuses an already-established transport for a distributed
-	// run instead of connecting per run (stencild keeps one mesh across
-	// many jobs). Overrides RankAddrs.
+	// Conduit is the established transport of a multi-process distributed
+	// real run (see NetConnect): Run executes this rank's slice of the
+	// graph over it and leaves it open for the next run. Only rank 0's
+	// RealResult carries the gathered Grid (and the globally-summed
+	// counters); other ranks get a nil Grid and their local counter view.
 	Conduit Conduit
 	// Steal configures inter-node work stealing for a distributed run
 	// (zero value = off). Steal messages ride the transport like halos and
@@ -142,7 +127,7 @@ func WithCoalesce(m CoalesceMode) Option { return func(o *RunOptions) { o.Coales
 func WithFaultPlan(p *FaultPlan) Option { return func(o *RunOptions) { o.Fault = p } }
 
 // WithRecovery overrides the reliable-transport policy (ack timeout,
-// backoff, degradation deadline) of a real run; Sim refuses it. Passing a
+// degradation deadline) of a real run; Sim refuses it. Passing a
 // policy without a fault plan still sequences and acknowledges every
 // message — useful for measuring recovery overhead on a clean wire.
 func WithRecovery(r *FaultRecovery) Option { return func(o *RunOptions) { o.Recovery = r } }
@@ -232,42 +217,10 @@ func (o RunOptions) sim() core.SimOptions {
 func Run(v Variant, cfg Config, opts ...Option) (*RealResult, error) {
 	o := buildRunOptions(opts...)
 	ro := o.real()
-	net := o.Conduit
-	if net == nil && len(o.RankAddrs) > 0 {
-		t, err := netcomm.Connect(netcomm.Options{
-			Rank:     o.Rank,
-			Addrs:    o.RankAddrs,
-			Recovery: derefRecovery(o.Recovery),
-			Trace:    traceForComm(o),
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer t.Close()
-		net = t
-	}
-	if net != nil {
+	if net := o.Conduit; net != nil {
 		ro.Dist = &runtime.Dist{Rank: net.Rank(), Ranks: net.Ranks(), Net: net}
 	}
 	return core.RunReal(v, cfg, ro)
-}
-
-// derefRecovery adapts the option bag's pointer form to netcomm's value
-// form (zero value = defaults).
-func derefRecovery(r *FaultRecovery) FaultRecovery {
-	if r == nil {
-		return FaultRecovery{}
-	}
-	return *r
-}
-
-// traceForComm forwards the run's trace to the transport only when comm
-// tracing was requested, matching the in-process TraceComm gate.
-func traceForComm(o RunOptions) *Trace {
-	if o.TraceComm {
-		return o.Trace
-	}
-	return nil
 }
 
 // Sim predicts a stencil variant's performance on a machine model in
