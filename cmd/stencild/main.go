@@ -21,8 +21,10 @@
 //	curl -s localhost:8421/v1/jobs/job-000001
 //	curl -sN localhost:8421/v1/jobs/job-000001/stream
 //
-//	# fetch the terminal result (grid checksum; ?grid=1 adds the data)
+//	# fetch the terminal result (grid checksum; ?grid=1 adds the data
+//	# base64-encoded), or the grid itself as raw float64-LE bytes
 //	curl -s localhost:8421/v1/jobs/job-000001/result
+//	curl -s localhost:8421/v1/jobs/job-000001/grid -o grid.bin
 //
 //	# scrape metrics
 //	curl -s localhost:8421/metrics

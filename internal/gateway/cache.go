@@ -15,8 +15,8 @@ type entry struct {
 
 // cache is the content-addressed result store: fingerprint -> terminal
 // result, bounded by both an entry count and a byte budget (the byte size
-// of an entry is its result's response body, grid data included, so the
-// budget tracks real memory, not job counts). Eviction is strict LRU — a
+// of an entry is its raw grid plus its report's JSON, so the budget tracks
+// real memory, not job counts). Eviction is strict LRU — a
 // repeated fleet working set stays resident while one-off jobs age out.
 // Methods require the gateway mutex.
 type cache struct {

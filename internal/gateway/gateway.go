@@ -16,6 +16,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -353,7 +355,8 @@ func (g *Gateway) exec(ctx context.Context, j *Job) (*server.Result, error) {
 
 // execOn runs j on one backend: submit, follow the job's stream to its
 // terminal line (three lost reads mean the backend was lost mid-job), fetch
-// the result and size it by its body. Errors but errPermanent are retryable.
+// the result and size it by the bytes it holds. Errors but errPermanent are
+// retryable.
 func (g *Gateway) execOn(ctx context.Context, b *backend, j *Job, attempt int) (*server.Result, int64, error) {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
@@ -381,18 +384,11 @@ func (g *Gateway) execOn(ctx context.Context, b *backend, j *Job, attempt int) (
 	}
 	switch v.State {
 	case server.StateDone:
-		resp, body, err := g.call(ctx, b, "GET", path+"/result?grid=1", nil)
-		if err == nil && resp.StatusCode != http.StatusOK {
-			err = errors.New(resp.Status)
-		}
-		var res server.Result
-		if err == nil {
-			err = json.Unmarshal(body, &res)
-		}
+		res, size, err := g.fetchResult(ctx, b, path, j)
 		if err != nil {
 			return nil, 0, fmt.Errorf("backend %s result fetch: %w", b.addr, err)
 		}
-		return &res, int64(len(body)), nil
+		return res, size, nil
 	case server.StateCancelled:
 		return nil, 0, permanent(context.Canceled)
 	default:
@@ -400,25 +396,84 @@ func (g *Gateway) execOn(ctx context.Context, b *backend, j *Job, attempt int) (
 	}
 }
 
-// call makes one request to a backend, bounded by the request timeout, and
-// reads the whole response body.
-func (g *Gateway) call(ctx context.Context, b *backend, method, path string, body []byte) (*http.Response, []byte, error) {
+// fetchResult reads a done backend job's report without its grid, then a
+// real job's grid as raw bytes from /grid. The grid's length comes from the
+// spec the gateway submitted, not from the backend, and its sha256 must
+// equal the report's grid_sha256 before anything caches it. The size is
+// what the result holds: the grid plus the report's JSON.
+func (g *Gateway) fetchResult(ctx context.Context, b *backend, path string, j *Job) (*server.Result, int64, error) {
+	resp, body, err := g.call(ctx, b, "GET", path+"/result", nil)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = errors.New(resp.Status)
+	}
+	res := new(server.Result)
+	if err == nil {
+		err = json.Unmarshal(body, res)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	if j.Engine() != "real" {
+		return res, int64(len(body)), nil
+	}
+	n := int64(j.Spec.N)
+	if res.Grid, err = g.fetchGrid(ctx, b, path+"/grid", n*n*8); err != nil {
+		return nil, 0, err
+	}
+	if sum := sha256.Sum256(res.Grid); hex.EncodeToString(sum[:]) != res.GridSHA256 {
+		return nil, 0, fmt.Errorf("grid bytes do not match grid_sha256 %q", res.GridSHA256)
+	}
+	return res, int64(len(res.Grid) + len(body)), nil
+}
+
+// fetchGrid reads a /grid body of exactly size bytes into one slice. A
+// Content-Length other than size is refused before anything is allocated;
+// a short body fails the read.
+func (g *Gateway) fetchGrid(ctx context.Context, b *backend, path string, size int64) ([]byte, error) {
+	var grid []byte
+	err := g.send(ctx, b, "GET", path, nil, func(resp *http.Response) error {
+		switch {
+		case resp.StatusCode != http.StatusOK:
+			return fmt.Errorf("%s: %s", path, resp.Status)
+		case resp.ContentLength != size:
+			return fmt.Errorf("%s: Content-Length %d, want %d", path, resp.ContentLength, size)
+		}
+		grid = make([]byte, size)
+		_, err := io.ReadFull(resp.Body, grid)
+		return err
+	})
+	return grid, err
+}
+
+// send makes one request to a backend, bounded by the request timeout, and
+// hands the response to read before closing its body.
+func (g *Gateway) send(ctx context.Context, b *backend, method, path string, body []byte, read func(*http.Response) error) error {
 	ctx, cancel := context.WithTimeout(ctx, g.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, b.base+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := g.pool.client.Do(req)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	// A doubling bytes.Buffer allocates ~2x a grid-sized body; io.ReadAll ~3x.
-	var data bytes.Buffer
-	_, err = data.ReadFrom(resp.Body)
-	return resp, data.Bytes(), err
+	return read(resp)
+}
+
+// call makes one request to a backend and reads the whole (JSON) response
+// body.
+func (g *Gateway) call(ctx context.Context, b *backend, method, path string, body []byte) (*http.Response, []byte, error) {
+	var resp *http.Response
+	var data []byte
+	err := g.send(ctx, b, method, path, body, func(r *http.Response) (err error) {
+		resp = r
+		data, err = io.ReadAll(r.Body)
+		return err
+	})
+	return resp, data, err
 }
 
 // submitTo posts the spec, classifying the response: 202 succeeds (the

@@ -110,8 +110,8 @@ func TestGatewayCacheHitServedWithoutBackend(t *testing.T) {
 	if j1.Snapshot().Cache != "miss" {
 		t.Fatalf("first job cache status %q, want miss", j1.Snapshot().Cache)
 	}
-	if r1.GridSHA256 == "" || r1.GridData == "" {
-		t.Fatal("backend result missing grid sha or data")
+	if r1.GridSHA256 == "" || r1.Grid == nil {
+		t.Fatal("backend result missing grid sha or bytes")
 	}
 	before := b.submitted()
 
@@ -131,7 +131,7 @@ func TestGatewayCacheHitServedWithoutBackend(t *testing.T) {
 	if b.submitted() != before {
 		t.Fatalf("cache hit touched the backend: %d submissions, want %d", b.submitted(), before)
 	}
-	if r2.GridSHA256 != r1.GridSHA256 || r2.GridData != r1.GridData {
+	if r2.GridSHA256 != r1.GridSHA256 || !bytes.Equal(r2.Grid, r1.Grid) {
 		t.Fatal("cache hit is not bitwise-equal to the original result")
 	}
 	if hits, _ := g.Metrics().CounterValue("stencilgate_cache_hits_total", nil); hits != 1 {
@@ -515,21 +515,31 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// hostileBackend accepts every job and serves its stream with stream.
-func hostileBackend(t *testing.T, stream func(http.ResponseWriter, *http.Request)) (*httptest.Server, *atomic.Int64) {
-	var streams atomic.Int64
+// hostileBackend accepts every job and serves the job routes in routes,
+// keyed by path suffix ("/stream", "/result", "/grid"), counting the
+// requests to each.
+func hostileBackend(t *testing.T, routes map[string]http.HandlerFunc) (*httptest.Server, map[string]*atomic.Int64) {
+	hits := make(map[string]*atomic.Int64, len(routes))
+	for suffix := range routes {
+		hits[suffix] = new(atomic.Int64)
+	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == "POST" && r.URL.Path == "/v1/jobs":
+		if r.Method == "POST" && r.URL.Path == "/v1/jobs" {
 			w.WriteHeader(http.StatusAccepted)
 			_ = json.NewEncoder(w).Encode(server.View{ID: "job-000001", State: server.StateQueued})
-		case strings.HasSuffix(r.URL.Path, "/stream"):
-			streams.Add(1)
-			stream(w, r)
+			return
 		}
+		for suffix, serve := range routes {
+			if strings.HasSuffix(r.URL.Path, suffix) {
+				hits[suffix].Add(1)
+				serve(w, r)
+				return
+			}
+		}
+		http.NotFound(w, r)
 	}))
 	t.Cleanup(srv.Close)
-	return srv, &streams
+	return srv, hits
 }
 
 // ownedBy returns a quick spec whose rendezvous owner is addr among addrs.
@@ -566,7 +576,7 @@ func TestGatewayHostileStreamFailsOver(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			good := startBackend(t, 1, 16)
-			hostile, streams := hostileBackend(t, stream)
+			hostile, hits := hostileBackend(t, map[string]http.HandlerFunc{"/stream": stream})
 			g := startGateway(t, Config{Backends: []string{hostile.URL}}, good)
 			g.timeout = 200 * time.Millisecond
 			hostileAddr, _ := normalizeAddr(hostile.URL)
@@ -576,7 +586,7 @@ func TestGatewayHostileStreamFailsOver(t *testing.T) {
 			if got.GridSHA256 == "" {
 				t.Fatal("failed-over job has no grid sha")
 			}
-			if n := streams.Load(); n != 3 {
+			if n := hits["/stream"].Load(); n != 3 {
 				t.Fatalf("hostile stream read %d times, want 3 lost reads", n)
 			}
 			if fo, _ := g.Metrics().CounterValue("stencilgate_failovers_total", nil); fo != 1 {

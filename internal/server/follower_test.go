@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -139,6 +140,11 @@ func TestDistributedJobMatchesSingleProcess(t *testing.T) {
 	}
 	if r := buildResult(fj, true); r.GridSHA256 != "" || r.GridData != "" {
 		t.Error("follower /result must omit the grid fingerprint")
+	}
+	rec := httptest.NewRecorder()
+	serveGrid(rec, nil, fj)
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("follower /grid answered %d, want 404", rec.Code)
 	}
 
 	if err := lead.Shutdown(context.Background()); err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	castencil "castencil"
@@ -48,7 +49,14 @@ func Handler(m *Manager) http.Handler {
 //	GET  /v1/jobs/{id}/stream  NDJSON progress stream until terminal
 //	POST /v1/jobs/{id}/cancel  request cancellation
 //	GET  /v1/jobs/{id}/result  terminal result (add ?grid=1 for the field data)
+//	GET  /v1/jobs/{id}/grid    the final field as raw float64-LE bytes
 //	GET  /metrics              Prometheus text exposition
+//
+// /grid is the field in its native form (application/octet-stream, the
+// bytes of castencil.GridBytes with an exact Content-Length): the fleet
+// gateway fetches it on every miss and caches it as is. A non-terminal job
+// answers 409, a job without a grid (sim, failed, cancelled, a distributed
+// follower) 404.
 //
 // Backpressure is explicit: a full admission queue answers 429 with
 // Retry-After, a draining service 503. Malformed or invalid specs answer
@@ -117,6 +125,7 @@ func Routes(c *Core, submit func(Spec) (*Job, error)) *http.ServeMux {
 		}
 		writeJSON(w, http.StatusOK, buildResult(j, r.URL.Query().Get("grid") != ""))
 	}))
+	mux.HandleFunc("GET /v1/jobs/{id}/grid", job(serveGrid))
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", job(streamJob))
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -152,11 +161,15 @@ type Result struct {
 	GridN      int    `json:"grid_n,omitempty"`
 	GridSHA256 string `json:"grid_sha256,omitempty"`
 	GridData   string `json:"grid_data,omitempty"` // base64 float64-LE, on request
-	Tasks      int    `json:"tasks,omitempty"`
-	Messages   int    `json:"messages,omitempty"`
-	BytesSent  int    `json:"bytes_sent,omitempty"`
-	Steals     int    `json:"steals,omitempty"`
-	ElapsedMS  int64  `json:"elapsed_ms,omitempty"`
+	// Grid is a stored result's field in its raw form (what /grid serves);
+	// ?grid=1 encodes it on demand. It is shared by every job the result
+	// lands on and never written after it is stored.
+	Grid      []byte `json:"-"`
+	Tasks     int    `json:"tasks,omitempty"`
+	Messages  int    `json:"messages,omitempty"`
+	BytesSent int    `json:"bytes_sent,omitempty"`
+	Steals    int    `json:"steals,omitempty"`
+	ElapsedMS int64  `json:"elapsed_ms,omitempty"`
 
 	// Sim-engine outcome.
 	MakespanMS float64 `json:"makespan_ms,omitempty"`
@@ -165,13 +178,13 @@ type Result struct {
 
 // buildResult is a terminal job's report. A stored result (a fleet job's
 // backend result) is served under the job's own view, its field bytes
-// stripped unless asked for.
+// encoded only when asked for.
 func buildResult(j *Job, withGrid bool) Result {
 	if res := j.Result(); res != nil {
 		out := *res
 		out.View = j.Snapshot()
-		if !withGrid {
-			out.GridData = ""
+		if withGrid && out.Grid != nil {
+			out.GridData = base64.StdEncoding.EncodeToString(out.Grid)
 		}
 		return out
 	}
@@ -203,6 +216,30 @@ func buildResult(j *Job, withGrid bool) Result {
 		out.BytesSent = res.BytesSent
 	}
 	return out
+}
+
+// serveGrid answers /grid: a stored result's raw bytes as they are, a
+// daemon job's field written row by row from its RealResult.
+func serveGrid(w http.ResponseWriter, r *http.Request, j *Job) {
+	if !j.State().Terminal() {
+		writeErr(w, http.StatusConflict, fmt.Errorf("job %s is %s, not terminal", j.ID, j.State()))
+		return
+	}
+	raw := func(size int) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(size))
+	}
+	if res := j.RealResult(); res != nil && res.Grid != nil {
+		raw(res.Grid.Rows * res.Grid.Cols * 8)
+		_ = castencil.WriteGrid(w, res.Grid) // a failed write is the client gone
+		return
+	}
+	if res := j.Result(); res != nil && res.Grid != nil {
+		raw(len(res.Grid))
+		_, _ = w.Write(res.Grid)
+		return
+	}
+	writeErr(w, http.StatusNotFound, fmt.Errorf("job %s has no grid", j.ID))
 }
 
 // streamJob writes newline-delimited JSON snapshots until the job is

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"castencil/internal/metrics"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Manager, *httptest.Server) {
@@ -377,4 +379,49 @@ func TestJobTableRetention(t *testing.T) {
 	if err := m.Cancel(blocker.ID); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzSubmit posts arbitrary bodies to POST /v1/jobs over a core whose
+// executor is a stub, so a valid spec never runs: the handler must not
+// panic, and every body answers 202, 400, 413 or 429.
+func FuzzSubmit(f *testing.F) {
+	for _, v := range []string{"base", "ca", "wf"} {
+		f.Add([]byte(`{"engine":"real","variant":"` + v + `","n":64,"tile":16,"steps":6,"seed":7,"workers":1}`))
+	}
+	for _, spec := range hostileSpecs {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"n":64,"tile":16,"ste`))
+	f.Add([]byte(`{"n":64,"tile":16,"steps":6,"bogus":1}`))
+	f.Add([]byte(`{"variant":"` + strings.Repeat("x", MaxSpecBytes) + `"}`))
+
+	c := NewCore(CoreConfig{
+		IDPrefix:     "fuzz",
+		MetricPrefix: "fuzz",
+		Slots:        1,
+		QueueBound:   8,
+		Registry:     metrics.NewRegistry(),
+		Exec:         func(context.Context, *Job) (*Result, error) { return nil, nil },
+	})
+	f.Cleanup(func() { _ = c.Shutdown(context.Background()) })
+	h := Routes(c, func(spec Spec) (*Job, error) {
+		j, err := NewJob(spec)
+		if err != nil {
+			return nil, err
+		}
+		return j, c.Admit(j, false)
+	})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+		default:
+			t.Fatalf("POST /v1/jobs %.80q: status %d", body, rec.Code)
+		}
+	})
 }

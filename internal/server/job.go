@@ -115,6 +115,9 @@ func read[T any](j *Job, p *T) T {
 	return *p
 }
 
+// Engine is the job's resolved engine, "real" or "sim".
+func (j *Job) Engine() string { return j.run.Engine }
+
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 

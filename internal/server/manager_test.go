@@ -299,6 +299,17 @@ func TestGracefulShutdown(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// hostileSpecs describe graphs far too large to build: admission must
+// refuse them in O(1).
+var hostileSpecs = []Spec{
+	{N: 1, Tile: 1, Steps: 1, Nodes: math.MaxInt64},
+	{N: 1, Tile: 1, Steps: 1, Nodes: 1 << 62},
+	{Variant: "base", N: 1 << 32, Tile: 1, Steps: 1},       // 2^64 tiles wrap an int to 0
+	{Variant: "base", N: 1 << 31, Tile: 1, Steps: 1},       // 2^62 tiles
+	{Variant: "base", N: 1 << 20, Tile: 1, Steps: 1 << 30}, // 2^40 tiles x 2^30 steps
+	{N: 1 << 30, Tile: 1 << 15, Steps: 1},                  // 2^31 tasks overflow int32
+}
+
 // TestSpecValidation: bad specs are rejected at admission with a useful
 // error, before anything queues.
 func TestSpecValidation(t *testing.T) {
@@ -327,20 +338,12 @@ func TestSpecValidation(t *testing.T) {
 		{N: 64, Tile: 16, Steps: 4, Fault: "slow=0:0:1ms:1"},
 		{N: 64, Tile: 16, Steps: 4, Fault: "stall=0:1:1ms"},
 	}
-	hostile := []Spec{ // must be refused in O(1), never built
-		{N: 1, Tile: 1, Steps: 1, Nodes: math.MaxInt64},
-		{N: 1, Tile: 1, Steps: 1, Nodes: 1 << 62},
-		{Variant: "base", N: 1 << 32, Tile: 1, Steps: 1},       // 2^64 tiles wrap an int to 0
-		{Variant: "base", N: 1 << 31, Tile: 1, Steps: 1},       // 2^62 tiles
-		{Variant: "base", N: 1 << 20, Tile: 1, Steps: 1 << 30}, // 2^40 tiles x 2^30 steps
-		{N: 1 << 30, Tile: 1 << 15, Steps: 1},                  // 2^31 tasks overflow int32
-	}
-	for i, spec := range append(cases, hostile...) {
+	for i, spec := range append(cases, hostileSpecs...) {
 		if _, err := m.Submit(spec); err == nil {
 			t.Errorf("case %d (%+v): accepted, want rejection", i, spec)
 		}
 	}
-	for _, spec := range hostile {
+	for _, spec := range hostileSpecs {
 		best := time.Hour
 		for i := 0; i < 3; i++ {
 			start := time.Now()

@@ -1,11 +1,12 @@
 package castencil
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"math"
+	"io"
 
+	"castencil/internal/grid"
 	"castencil/internal/metrics"
 	"castencil/internal/netcomm"
 	"castencil/internal/runtime"
@@ -45,26 +46,39 @@ func NetConnect(rank int, addrs []string, o NetOptions) (*NetTransport, error) {
 	return netcomm.Connect(o)
 }
 
-// GridBytes serializes a gathered grid row-major as little-endian float64 —
-// the canonical byte form under the determinism fingerprint.
-func GridBytes(g *Tile) []byte {
-	out := make([]byte, 0, g.Rows*g.Cols*8)
-	var buf [8]byte
+// WriteGrid writes a gathered grid row-major as little-endian float64 —
+// the canonical byte form under the determinism fingerprint — through one
+// row buffer, so no N²·8 copy is built. GridBytes, GridSHA256 and the
+// service's /grid route all encode through it.
+func WriteGrid(w io.Writer, g *Tile) error {
+	var row []byte
 	for r := 0; r < g.Rows; r++ {
-		for _, v := range g.Row(r, 0, g.Cols) {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			out = append(out, buf[:]...)
+		row = g.PackBytes(grid.Rect{R0: r, H: 1, W: g.Cols}, row)
+		if _, err := w.Write(row); err != nil {
+			return err
 		}
 	}
-	return out
+	return nil
 }
 
-// GridSHA256 fingerprints a gathered grid: sha256 over GridBytes, hex
-// encoded — the same fingerprint stencild serves, so a distributed run can
-// be checked bitwise against a single-process one without shipping data.
+// GridBytes is the grid's canonical byte form (WriteGrid) as one slice.
+func GridBytes(g *Tile) []byte {
+	out := bytes.NewBuffer(make([]byte, 0, g.Rows*g.Cols*8))
+	_ = WriteGrid(out, g) // a bytes.Buffer write never fails
+	return out.Bytes()
+}
+
+// GridSHA256 fingerprints a gathered grid: sha256 over its canonical bytes,
+// hex encoded — the same fingerprint stencild serves, so a distributed run
+// can be checked bitwise against a single-process one without shipping
+// data.
 func GridSHA256(g *Tile) string {
-	sum := sha256.Sum256(GridBytes(g))
-	return hex.EncodeToString(sum[:])
+	d := sha256.New()
+	_ = WriteGrid(d, g) // a hash write never fails
+	// The digits stay on the stack; the string is the one copy.
+	var digits [2 * sha256.Size]byte
+	hex.Encode(digits[:], d.Sum(nil))
+	return string(digits[:])
 }
 
 // RankOfNode is the static node→rank placement every rank agrees on:

@@ -9,6 +9,9 @@
 #   2. tenant fair-share backpressure: a second gateway sized to one queued
 #      job per tenant answers 429 + Retry-After on the overflow submission;
 #   3. the stencilgate_* metric families are live.
+# Along the way it fetches the miss's and the hit's /grid from the gateway:
+# raw float64 bytes (application/octet-stream, n²·8 of them) whose sha256
+# is the job's grid_sha256.
 # Requires curl and jq.
 set -euo pipefail
 
@@ -106,6 +109,29 @@ if [ "$(curl -sf "http://$GW/v1/jobs/$ID2" | jq -r .cache)" != hit ]; then
   exit 1
 fi
 
+check_grid() { # $1 = gateway job id; the raw grid must hash to $SHA1
+  local body=/tmp/fleet-smoke-grid hdr=/tmp/fleet-smoke-gridh size sum
+  curl -sf -D "$hdr" -o "$body" "http://$GW/v1/jobs/$1/grid"
+  if ! grep -qi '^content-type: application/octet-stream' "$hdr"; then
+    echo "fleet-smoke: $1/grid is not application/octet-stream" >&2
+    cat "$hdr" >&2
+    exit 1
+  fi
+  size=$(wc -c <"$body")
+  if [ "$size" != $((128 * 128 * 8)) ]; then
+    echo "fleet-smoke: $1/grid is $size bytes, want $((128 * 128 * 8))" >&2
+    exit 1
+  fi
+  sum=$(sha256sum "$body" | cut -d' ' -f1)
+  if [ "$sum" != "$SHA1" ]; then
+    echo "fleet-smoke: $1/grid hashes to $sum, want $SHA1" >&2
+    exit 1
+  fi
+}
+check_grid "$ID1"
+check_grid "$ID2"
+echo "fleet-smoke: raw grid   miss and hit /grid hash to the job's grid_sha256"
+
 read -r ID3 SHA3 <<<"$(submit_and_wait "$GW" "{$SPEC,\"cache\":\"bypass\"}")"
 if [ "$(backend_submissions)" -le "$AFTER" ]; then
   echo "fleet-smoke: cache=bypass did not re-execute on a backend" >&2
@@ -160,4 +186,4 @@ if [ "${HITS:-0}" -lt 1 ]; then
   exit 1
 fi
 
-echo "fleet-smoke: OK (cache hit without backend, bitwise-identical grids, tenant 429, metrics live)"
+echo "fleet-smoke: OK (cache hit without backend, bitwise-identical grids, raw /grid bytes, tenant 429, metrics live)"
