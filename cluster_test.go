@@ -48,20 +48,22 @@ func connectFacadeMesh(t *testing.T) [2]*castencil.NetTransport {
 	return ts
 }
 
-// TestWithClusterStealRun drives the facade's steal plumbing end to end: a
-// two-rank run over WithCluster with each steal mode must stay bitwise
-// identical to the single-process run — on the skewed shape where the two
-// ranks own 15 and 10 tiles — with the same halo message count as a
-// transport-only WithCluster run (stealing never adds halo traffic).
-func TestWithClusterStealRun(t *testing.T) {
+// TestWithClusterRun drives the facade's cluster option end to end: a
+// two-rank run over WithCluster — on the skewed shape where the two ranks
+// own 15 and 10 tiles — must stay bitwise identical to the single-process
+// run with the same halo message count, with the transport alone and with
+// a recovery policy riding along.
+func TestWithClusterRun(t *testing.T) {
 	cfg := castencil.Config{N: 80, TileRows: 16, P: 2, Steps: 6, Wavefront: 2}
 	single, err := castencil.Run(castencil.WF, cfg, castencil.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := connectFacadeMesh(t)
-	runPair := func(opt func(r int) castencil.Option) [2]*castencil.RealResult {
-		t.Helper()
+	for name, rec := range map[string]*castencil.FaultRecovery{
+		"transport": nil,
+		"recovery":  castencil.DefaultFaultRecovery(),
+	} {
 		var res [2]*castencil.RealResult
 		var errs [2]error
 		var wg sync.WaitGroup
@@ -69,37 +71,21 @@ func TestWithClusterStealRun(t *testing.T) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				res[r], errs[r] = castencil.Run(castencil.WF, cfg, castencil.WithWorkers(1), opt(r))
+				res[r], errs[r] = castencil.Run(castencil.WF, cfg, castencil.WithWorkers(1),
+					castencil.WithCluster(castencil.ClusterOptions{Transport: ts[r], Recovery: rec}))
 			}(r)
 		}
 		wg.Wait()
 		for r, err := range errs {
 			if err != nil {
-				t.Fatalf("rank %d: %v", r, err)
+				t.Fatalf("%s: rank %d: %v", name, r, err)
 			}
 		}
-		return res
-	}
-
-	plain := runPair(func(r int) castencil.Option {
-		return castencil.WithCluster(castencil.ClusterOptions{Transport: ts[r]})
-	})
-	for _, mode := range []castencil.StealMode{castencil.StealOff, castencil.StealGreedy, castencil.StealGated} {
-		neu := runPair(func(r int) castencil.Option {
-			return castencil.WithCluster(castencil.ClusterOptions{
-				Transport: ts[r],
-				Steal:     castencil.StealPolicy{Mode: mode},
-			})
-		})
-		if !sameGrids(t, single.Grid, neu[0].Grid) {
-			t.Errorf("steal mode %v: cluster grid diverged from single-process run", mode)
+		if !sameGrids(t, single.Grid, res[0].Grid) {
+			t.Errorf("%s: cluster grid diverged from single-process run", name)
 		}
-		if neu[0].Exec.Messages != plain[0].Exec.Messages {
-			t.Errorf("steal mode %v: halo messages %d != transport-only run %d",
-				mode, neu[0].Exec.Messages, plain[0].Exec.Messages)
+		if res[0].Exec.Messages != single.Exec.Messages {
+			t.Errorf("%s: halo messages %d != single-process run %d", name, res[0].Exec.Messages, single.Exec.Messages)
 		}
-	}
-	if !sameGrids(t, single.Grid, plain[0].Grid) {
-		t.Error("transport-only WithCluster run diverged from single-process run")
 	}
 }

@@ -49,7 +49,6 @@ func main() {
 		{"workers", 2, "workers per node (real engine)", &s.Workers},
 		{"coalesce", "off", "halo-bundle coalescing: off, step", &s.Coalesce},
 		{"fault", "", "fault-injection spec, e.g. \"drop=0.01,seed=7\"; grammar: " + castencil.FaultSpecSyntax, &s.Fault},
-		{"steal", "", "inter-node work stealing (distributed runs): " + castencil.StealNames, &s.Steal},
 	} {
 		switch p := f.field.(type) {
 		case *string:
@@ -162,10 +161,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		opts = append(opts, castencil.WithCluster(castencil.ClusterOptions{
-			Transport: mesh,
-			Steal:     castencil.StealPolicy{Mode: r.Steal, Machine: m},
-		}))
+		opts = append(opts, castencil.WithCluster(castencil.ClusterOptions{Transport: mesh}))
 	}
 
 	if r.Engine == "sim" {
@@ -217,10 +213,6 @@ func main() {
 		variant, s.Nodes, s.Workers, res.Exec.Elapsed, res.Exec.Messages, float64(res.Exec.BytesSent)/1e6)
 	if distributed {
 		fmt.Printf("  distributed: %d ranks, grid sha256 %s\n", len(rankAddrs), castencil.GridSHA256(res.Grid))
-		if r.Steal != castencil.StealOff || res.Exec.MigratedTasks > 0 {
-			fmt.Printf("  steal (%s): %d tasks migrated, %.1f KB migration traffic, %d remote steals\n",
-				r.Steal, res.Exec.MigratedTasks, float64(res.Exec.MigratedBytes)/1e3, res.Exec.StealsRemote)
-		}
 	}
 	if res.Exec.BundlesSent > 0 {
 		fmt.Printf("  coalescing (%s): %d bundles carrying %d transfers, fill %.1f\n",

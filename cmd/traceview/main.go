@@ -64,8 +64,8 @@ func main() {
 		tr = ft
 		fmt.Println("== wire: distributed transport, per-rank socket activity ==")
 		for _, ws := range trace.SummarizeWire(wire, span) {
-			fmt.Printf("  rank %d  %5d sends  %5d recvs  %9d bytes  %4d steals  %9d steal-bytes  busy %-10v  util %3.0f%%\n",
-				ws.Rank, ws.Sends, ws.Recvs, ws.Bytes, ws.Steals, ws.StealBytes, ws.Busy.Round(time.Microsecond), 100*ws.Util)
+			fmt.Printf("  rank %d  %5d sends  %5d recvs  %9d bytes  busy %-10v  util %3.0f%%\n",
+				ws.Rank, ws.Sends, ws.Recvs, ws.Bytes, ws.Busy.Round(time.Microsecond), 100*ws.Util)
 		}
 		fmt.Println()
 	}

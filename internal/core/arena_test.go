@@ -119,16 +119,13 @@ func TestPoisonedArena(t *testing.T) {
 			}
 		})
 	}
-	t.Run("forced-steal", func(t *testing.T) {
-		cfg := stealSkewed()
-		ts := connectMeshN(t, 2)
-		opts := runtime.Options{Workers: 1, Steal: &runtime.StealPolicy{Force: forcedPlan(t, WF, cfg, 2, 0, 1, 3)}}
+	t.Run("distributed", func(t *testing.T) {
+		cfg := skewedShape()
+		ts := connectMesh(t, 2)
+		opts := runtime.Options{Workers: 1}
 		want := oracle(t, cfg)
 		for i := 1; i <= 2; i++ {
-			dist := runStealMesh(t, WF, cfg, opts, ts)
-			if dist[0].Exec.MigratedTasks == 0 {
-				t.Fatal("the forced plan migrated nothing")
-			}
+			dist := runMesh(t, WF, cfg, opts, ts)
 			assertOracleBitwise(t, fmt.Sprintf("run %d", i), want, dist[0].Grid)
 			for r, res := range dist {
 				if n := LeftoverBuffers(res.Exec.Stores); n != 0 {

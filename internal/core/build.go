@@ -110,10 +110,7 @@ func buildGraph(v Variant, cfg Config) (*ptg.Graph, *builder, error) {
 		bd.allocSlots(gb)
 	}
 	// Tasks: one chain per tile, epochs 0 (init) .. epochs — one task per
-	// step for Base/CA, one per wavefront block for WF. Their migration
-	// sizes share one backing array, sized exactly so the pointers into it
-	// stay valid.
-	migs := make([]ptg.Migration, 0, len(bd.tiles)*bd.epochs)
+	// step for Base/CA, one per wavefront block for WF.
 	deps := 0
 	for i := range bd.tiles {
 		inf := &bd.tiles[i]
@@ -135,12 +132,6 @@ func buildGraph(v Variant, cfg Config) (*ptg.Graph, *builder, error) {
 				task.Run = bd.body(inf, t)
 			}
 			if t > 0 {
-				// The full ghost-inclusive tile plus every consumed halo
-				// travel to a thief, the tile plus every produced halo
-				// travel back (see migHooks); init never migrates.
-				full := fullRect(inf).Bytes()
-				migs = append(migs, ptg.Migration{InBytes: full + 8*in.points, OutBytes: full + 8*out.points})
-				task.Mig = &migs[len(migs)-1]
 				deps += 1 + in.count
 			}
 			if _, err := gb.AddTask(task); err != nil {
@@ -186,9 +177,6 @@ func buildGraph(v Variant, cfg Config) (*ptg.Graph, *builder, error) {
 	g, err := gb.Build()
 	if err != nil {
 		return nil, nil, err
-	}
-	if cfg.WithBodies {
-		g.Hooks = bd.migHooks
 	}
 	return g, bd, nil
 }
@@ -717,115 +705,12 @@ func (b *builder) consume(e ptg.Env, st *tileState, inf *tileInfo, t int) {
 	}
 }
 
-// migFlow is one halo flow a migrating task consumes or produces: the slot
-// it rides on and its exact payload size.
-type migFlow struct {
-	slot  int32
-	bytes int
-}
-
-// migFlows returns the halo flows the compute task of tile inf at iteration
-// t consumes and those it produces — the flows tileHalo counts.
-func (b *builder) migFlows(inf *tileInfo, t int) (ins, outs []migFlow) {
-	var in, out [numFlowKeys]haloFlows
-	b.tileHalo(inf, &in, &out)
-	hin, hout := &in[b.flowKey(t-1)], &out[b.flowKey(t)]
-	for _, d := range grid.AllDirs {
-		if rc := hin.rect[d]; rc.Size() > 0 {
-			ins = append(ins, migFlow{slot: b.slotOf(inf.recvSlot[d], inf, t-1), bytes: rc.Bytes()})
-		}
-		if rc := hout.rect[d]; rc.Size() > 0 {
-			outs = append(outs, migFlow{slot: b.slotOf(inf.sendSlot[d], inf.nbr[d], t), bytes: rc.Bytes()})
-		}
-	}
-	return ins, outs
-}
-
 // fullRect is tile inf's complete ghost-inclusive storage.
 func fullRect(inf *tileInfo) grid.Rect {
 	return grid.Rect{
 		R0: -inf.halo, C0: -inf.halo,
 		H: inf.rows + 2*inf.halo, W: inf.cols + 2*inf.halo,
 	}
-}
-
-// migHooks builds the steal-protocol hooks of a migratable stencil task
-// (see ptg.MigrationHooks); the graph calls it only when a steal is granted.
-//
-// Determinism argument: the payload ships cur's complete storage (interior
-// and every ghost cell), so the thief executes the byte-identical kernel
-// input a local run would have. The thief-side next buffer differs from the
-// victim's only in ghost cells that are provably dead — every later read of
-// a ghost is preceded by a halo consume or an in-task write — so the grid a
-// committed migration leaves behind is bitwise-identical to local execution.
-func (b *builder) migHooks(task *ptg.Task) ptg.MigrationHooks {
-	inf := b.tile(task.ID.I, task.ID.J)
-	ins, outs := b.migFlows(inf, task.ID.K)
-	full := fullRect(inf)
-	inBytes, outBytes := task.Mig.InBytes, task.Mig.OutBytes
-	return ptg.MigrationHooks{
-		PackIn: func(e ptg.Env) []byte {
-			return packMig(e, b.state(e, inf).cur, full, ins, inBytes)
-		},
-		Deposit: func(e ptg.Env, data []byte) {
-			unpackMig(e, migState(e, inf, b.cfg).cur, full, ins, data)
-		},
-		PackOut: func(e ptg.Env) []byte {
-			return packMig(e, b.state(e, inf).cur, full, outs, outBytes)
-		},
-		Commit: func(e ptg.Env, data []byte) {
-			// The shipped result lands in next and the double buffer swaps,
-			// so cur holds exactly what a local execution's swap would have
-			// left.
-			st := b.state(e, inf)
-			unpackMig(e, st.next, full, outs, data)
-			st.cur, st.next = st.next, st.cur
-		},
-	}
-}
-
-// packMig serializes a size-byte migration payload: the full storage of
-// tile, then the payloads of flows, which it consumes.
-func packMig(e ptg.Env, tile *grid.Tile, full grid.Rect, flows []migFlow, size int) []byte {
-	data := runtime.GetBuf(size)[:size]
-	off := full.Bytes()
-	tile.PackBytes(full, data[:off])
-	for _, f := range flows {
-		buf := e.TakeBufSlot(f.slot)
-		copy(data[off:off+f.bytes], buf)
-		runtime.PutBuf(buf)
-		off += f.bytes
-	}
-	return data
-}
-
-// unpackMig installs a packMig payload: the full storage into tile, the
-// flow payloads into their slots.
-func unpackMig(e ptg.Env, tile *grid.Tile, full grid.Rect, flows []migFlow, data []byte) {
-	off := full.Bytes()
-	tile.UnpackBytes(full, data[:off])
-	for _, f := range flows {
-		buf := runtime.GetBuf(f.bytes)[:f.bytes]
-		copy(buf, data[off:off+f.bytes])
-		e.PutBufSlot(f.slot, buf)
-		off += f.bytes
-	}
-}
-
-// migState fetches — or, on a thief rank executing its first migrated task
-// of this tile, creates — the tile's double-buffer state. The fresh next
-// buffer gets the fixed global boundary in its out-of-domain ghosts (init
-// fills them exactly once in a local run); its remaining cells are dead
-// until written, per the determinism argument above.
-func migState(e ptg.Env, inf *tileInfo, cfg Config) *tileState {
-	if v := e.GetSlot(inf.stateSlot); v != nil {
-		return v.(*tileState)
-	}
-	cur, next := arenaTile(inf), arenaTile(inf)
-	stencil.FillBoundary(next, inf.r0, inf.c0, cfg.N, cfg.Boundary)
-	st := &tileState{cur: cur, next: next, r0: inf.r0, c0: inf.c0}
-	e.PutSlot(inf.stateSlot, st)
-	return st
 }
 
 // poisonTiles, set only by tests, fills every tile buffer arenaTile hands
@@ -836,8 +721,7 @@ var poisonTiles bool
 // runtime arena, which RunReal returns after the gather. The storage is not
 // cleared, and need not be: init writes the interior, FillBoundary the
 // out-of-domain ghosts, and every other ghost cell is written by a halo
-// unpack before any kernel reads it (the argument migHooks makes for a
-// thief's fresh buffers).
+// unpack before any kernel reads it.
 func arenaTile(inf *tileInfo) *grid.Tile {
 	data := runtime.GetFloats(fullRect(inf).Size())
 	if poisonTiles {

@@ -94,7 +94,7 @@ func succsOf(out []ptg.OutEdge) []int32 {
 // order of every task's Deps and successors, and hints — for
 // every variant, both stencils, with and without bodies.
 // The constants were captured before the flat (CSR) graph build landed and
-// re-pinned once, when per-task migration sizes left the hash; a
+// re-pinned once, when the inter-node stealing sizes left the hash; a
 // graph-representation change must reproduce them bit for bit.
 func TestGoldenGraphs(t *testing.T) {
 	// 51 = 6*8 + 3: ragged edge tiles; 7 steps with s = w = 3: a truncated
@@ -250,8 +250,8 @@ func TestBuildAllocsPerTask(t *testing.T) {
 
 // TestBuildGraphBytesPerTask gates the size of the cost-only graph, on
 // TestBuildAllocsPerTask's shape and by its two-Steps method: each added
-// task may cost at most 330 bytes in all — the task, its migration sizes,
-// its edges and out-edges, its slots in the task index and what Build's
+// task may cost at most 330 bytes in all — the task, its edges and
+// out-edges, its slots in the task index and what Build's
 // one topological pass allocates. Each build is measured as its smallest
 // of three, as in TestBuildBytesPerTask.
 func TestBuildGraphBytesPerTask(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 var maxSpareGraph = 64 << 20
 
 // taskBytes is what the pool counts per task of a graph: with its share of
-// the arrays, plans, transfers, Migrations and closures, a graph holds
+// the arrays, plans, transfers and closures, a graph holds
 // 340–970 B live per task over the shapes of TestGraphPoolEstimate.
 const taskBytes = 512
 

@@ -67,9 +67,9 @@ func RunReal(v Variant, cfg Config, opts runtime.Options) (*RealResult, error) {
 	return &RealResult{Grid: full, Partition: part, Exec: res}, nil
 }
 
-// releaseTiles returns the buffers of every tile state in the stores — the
-// owner's, and on a thief rank the ones its migrated tasks created — to the
-// runtime arena, and clears the states so nothing aliases recycled memory.
+// releaseTiles returns the buffers of every tile state in its owner's store
+// to the runtime arena, and clears the states so nothing aliases recycled
+// memory.
 func releaseTiles(p *grid.Partition, stores []*runtime.Store) {
 	for i, slot := range stateSlots(p) {
 		v := stores[p.Owner(i/p.TC, i%p.TC)].GetSlot(slot)

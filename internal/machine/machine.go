@@ -76,13 +76,6 @@ func (n Network) TransferTime(msgBytes int) time.Duration {
 	return n.Latency + time.Duration(ser*float64(time.Second))
 }
 
-// MigrationTime returns the modeled round-trip cost of migrating a task to
-// another rank: shipping its input state over plus its results back. The
-// gated steal policy compares this against the thief's expected local wait.
-func (n Network) MigrationTime(inBytes, outBytes int) time.Duration {
-	return n.TransferTime(inBytes) + n.TransferTime(outBytes)
-}
-
 // PercentOfPeak returns the NetPIPE-style efficiency for a message size:
 // achieved bandwidth (including the latency term) over theoretical peak,
 // in percent. This is the y-axis of Figure 5.

@@ -5,9 +5,9 @@
 // path produces, data payloads received into the runtime's byte arena, and
 // a writev-based send path that stays allocation-free in the steady state.
 // The runtime's reliable ack/retransmit/dedup layer rides on top unchanged:
-// acks and inter-node steal messages are ordinary messages routed by
-// destination node, so fault injection and recovery work identically over
-// sockets, and one frame kind carries every runtime.Message.
+// acks are ordinary messages routed by destination node, so fault injection
+// and recovery work identically over sockets, and one frame kind carries
+// every runtime.Message.
 package netcomm
 
 import (
@@ -34,11 +34,10 @@ import (
 // zero and ignored on receipt.
 //
 // The payload bytes are exactly what the in-process path would hand the
-// destination inbox: a packed dependency payload, a coalesced bundle in
-// the [u32 count][u32 len_i...][payload_i...] format of coalesce.go, or a
-// steal message's migration blob. A steal message (runtime.Message.IsSteal)
-// carries the negated protocol kind in dep and the negated exchange id in
-// bundle; the transport counts it, and its ack, as steal traffic.
+// destination inbox: a packed dependency payload, or a coalesced bundle in
+// the [u32 count][u32 len_i...][payload_i...] format of coalesce.go. The
+// transport decodes the header fields as they come; the runtime checks them
+// against its graph before it delivers the message.
 //
 // kindHello body (handshake, one per fresh connection, dialer speaks first):
 //
@@ -50,8 +49,8 @@ import (
 //
 //	[u16 fromRank] [u8 op] [u16 tagLen] [tag ...] [payload ...]
 //
-// Version 1 had four more frame kinds (4-7) for the steal protocol; version
-// 2 retired them, and a decoder rejects them as unknown.
+// Version 1 had four more frame kinds (4-7); version 2 retired them, and a
+// decoder rejects them as unknown.
 const (
 	prefixLen  = 9
 	dataHdrLen = 1 + 5*4 + 8 + 4 + 8

@@ -36,7 +36,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint32(1), int32(0), int32(1), int32(7), int32(-1), int32(0), uint64(42), false, int32(0), []byte("halo"))
 	f.Add(uint32(0), int32(3), int32(2), int32(0), int32(9), int32(5), uint64(0), true, int32(3), []byte{})
 	f.Add(uint32(7), int32(-2), int32(-3), int32(1<<20), int32(99), int32(-5), uint64(1<<63), false, int32(-1), bytes.Repeat([]byte{0xAB}, 300))
-	// Steal messages: a probe, and a forced offer carrying its inputs.
+	// Negative addressing fields: the transport carries them as they come
+	// (the runtime, not the frame codec, refuses them).
 	f.Add(uint32(2), int32(0), int32(2), int32(-1), int32(-1), int32(-4), uint64(3), false, int32(1), []byte{})
 	f.Add(uint32(2), int32(2), int32(0), int32(17), int32(-10), int32(-2), uint64(5), false, int32(0), []byte("tile inputs"))
 	f.Fuzz(func(t *testing.T, epoch uint32, src, dst, task, dep, bundle int32, seq uint64, ack bool, attempt int32, payload []byte) {

@@ -223,10 +223,7 @@ func (l *lane) close() {
 // reconnection (or the peer's death report); a frame whose write fails is
 // retried on the next connection, so a transparent reconnect loses at most
 // what the kernel already buffered (which the runtime's reliable transport
-// recovers — see DESIGN.md on failure semantics). Steal messages are also
-// accounted apart (Stats.StealFramesSent/StealBytesSent and the
-// "wire:steal" trace class), so migration traffic never pollutes the
-// halo-exchange wire numbers.
+// recovers — see DESIGN.md on failure semantics).
 func (l *lane) sendData(epoch uint32, m runtime.Message) error {
 	var hdr [laneHdrLen]byte
 	n := putDataHeader(hdr[:], epoch, m)
@@ -237,14 +234,7 @@ func (l *lane) sendData(epoch uint32, m runtime.Message) error {
 	if l.t.nm != nil && m.Seq != 0 && !m.Ack {
 		l.noteRTTSend(m)
 	}
-	wire := n + len(m.Data)
-	if m.IsSteal() {
-		l.t.stealFramesSent.Add(1)
-		l.t.stealBytesSent.Add(int64(wire))
-		l.traceSend(start, "wire:steal", int(m.Task), wire)
-		return nil
-	}
-	l.traceSend(start, "wire:send", int(m.Bundle), wire)
+	l.traceSend(start, "wire:send", int(m.Bundle), n+len(m.Data))
 	return nil
 }
 

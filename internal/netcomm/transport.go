@@ -66,17 +66,13 @@ type binding struct {
 	fail     func(error)
 }
 
-// Stats is a snapshot of the transport's wire counters. Steal messages and
-// their acks (runtime.Message.IsSteal) count in both the general totals and
-// the Steal* breakdown, so halo-only traffic is FramesSent-StealFramesSent.
+// Stats is a snapshot of the transport's wire counters.
 type Stats struct {
-	FramesSent, FramesRecv           int64
-	BytesSent, BytesRecv             int64
-	StealFramesSent, StealFramesRecv int64
-	StealBytesSent, StealBytesRecv   int64
-	Reconnects                       int64
-	Dials                            int64
-	StaleFrames                      int64
+	FramesSent, FramesRecv int64
+	BytesSent, BytesRecv   int64
+	Reconnects             int64
+	Dials                  int64
+	StaleFrames            int64
 }
 
 // Transport implements runtime.Conduit over TCP. Construct with Connect; one
@@ -106,12 +102,10 @@ type Transport struct {
 	tr *trace.Trace
 	nm *netMetrics
 
-	framesSent, framesRecv           atomic.Int64
-	bytesSent, bytesRecv             atomic.Int64
-	stealFramesSent, stealFramesRecv atomic.Int64
-	stealBytesSent, stealBytesRecv   atomic.Int64
-	reconnects, dials                atomic.Int64
-	staleFrames                      atomic.Int64
+	framesSent, framesRecv atomic.Int64
+	bytesSent, bytesRecv   atomic.Int64
+	reconnects, dials      atomic.Int64
+	staleFrames            atomic.Int64
 }
 
 // Connect establishes the full mesh for Options.Rank: it listens on its own
@@ -348,16 +342,10 @@ func (t *Transport) dispatch(l *lane, f Frame, sr *stampReader) {
 	}
 	switch f.Kind {
 	case kindData:
-		class, k := "wire:recv", int(f.Msg.Bundle)
-		if f.Msg.IsSteal() {
-			t.stealFramesRecv.Add(1)
-			t.stealBytesRecv.Add(int64(wire))
-			class, k = "wire:steal", int(f.Msg.Task)
-		}
 		if sr != nil {
 			t0 := t.runT0()
 			t.tr.Record(trace.Event{
-				ID:   ptg.TaskID{Class: class, I: l.peer, J: t.rank, K: k},
+				ID:   ptg.TaskID{Class: "wire:recv", I: l.peer, J: t.rank, K: int(f.Msg.Bundle)},
 				Kind: ptg.KindComm, Node: int32(t.rank), Core: 0,
 				Start: sr.stamp.Sub(t0), End: time.Since(t0), Msgs: 1, Bytes: wire,
 			})
@@ -606,17 +594,13 @@ func (t *Transport) Connected() (up, want int) {
 // Stats snapshots the wire counters.
 func (t *Transport) Stats() Stats {
 	return Stats{
-		FramesSent:      t.framesSent.Load(),
-		FramesRecv:      t.framesRecv.Load(),
-		BytesSent:       t.bytesSent.Load(),
-		BytesRecv:       t.bytesRecv.Load(),
-		StealFramesSent: t.stealFramesSent.Load(),
-		StealFramesRecv: t.stealFramesRecv.Load(),
-		StealBytesSent:  t.stealBytesSent.Load(),
-		StealBytesRecv:  t.stealBytesRecv.Load(),
-		Reconnects:      t.reconnects.Load(),
-		Dials:           t.dials.Load(),
-		StaleFrames:     t.staleFrames.Load(),
+		FramesSent:  t.framesSent.Load(),
+		FramesRecv:  t.framesRecv.Load(),
+		BytesSent:   t.bytesSent.Load(),
+		BytesRecv:   t.bytesRecv.Load(),
+		Reconnects:  t.reconnects.Load(),
+		Dials:       t.dials.Load(),
+		StaleFrames: t.staleFrames.Load(),
 	}
 }
 

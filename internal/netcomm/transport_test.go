@@ -213,8 +213,7 @@ func TestTransientHelloRefused(t *testing.T) {
 // after warm-up, sending a payload-bearing message and receiving one back
 // performs zero heap allocations on the persistent lane (header array +
 // writev on the way out, pooled size-classed buffer on the way in) — for a
-// halo and its echo, and for a steal offer carrying task inputs out and its
-// return carrying results back.
+// halo and its echo.
 func TestZeroAllocLaneRoundTrip(t *testing.T) {
 	ts := newMesh(t, 2, nil)
 	for _, tr := range ts {
@@ -224,35 +223,30 @@ func TestZeroAllocLaneRoundTrip(t *testing.T) {
 	got1, _ := bindSink(t, ts[1], 2)
 
 	const payloadLen = 512
-	for _, c := range []struct {
-		name     string
-		out, ret int32 // Dep of the outbound message and of its answer
-	}{{"halo", 0, 0}, {"steal", -2, -3}} {
-		roundTrip := func() {
-			out := runtime.GetBuf(payloadLen)
-			if err := ts[0].Send(runtime.Message{Src: 0, Dst: 1, Task: 1, Dep: c.out, Data: out}); err != nil {
-				t.Fatal(err)
-			}
-			runtime.PutBuf(out)
-			in := <-got1
-			echo := runtime.GetBuf(payloadLen)
-			copy(echo, in.Data)
-			runtime.PutBuf(in.Data)
-			if err := ts[1].Send(runtime.Message{Src: 1, Dst: 0, Task: 2, Dep: c.ret, Data: echo}); err != nil {
-				t.Fatal(err)
-			}
-			runtime.PutBuf(echo)
-			back := <-got0
-			runtime.PutBuf(back.Data)
+	roundTrip := func() {
+		out := runtime.GetBuf(payloadLen)
+		if err := ts[0].Send(runtime.Message{Src: 0, Dst: 1, Task: 1, Data: out}); err != nil {
+			t.Fatal(err)
 		}
-		// Warm up: first sends populate the kernel iovec cache and the
-		// buffer pool's size classes.
-		for i := 0; i < 100; i++ {
-			roundTrip()
+		runtime.PutBuf(out)
+		in := <-got1
+		echo := runtime.GetBuf(payloadLen)
+		copy(echo, in.Data)
+		runtime.PutBuf(in.Data)
+		if err := ts[1].Send(runtime.Message{Src: 1, Dst: 0, Task: 2, Data: echo}); err != nil {
+			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
-			t.Errorf("%s lane round trip allocates %.1f times per message pair, want 0", c.name, allocs)
-		}
+		runtime.PutBuf(echo)
+		back := <-got0
+		runtime.PutBuf(back.Data)
+	}
+	// Warm up: first sends populate the kernel iovec cache and the buffer
+	// pool's size classes.
+	for i := 0; i < 100; i++ {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Errorf("lane round trip allocates %.1f times per message pair, want 0", allocs)
 	}
 }
 

@@ -158,68 +158,6 @@ type transfer struct {
 	unpack func(env Env, data []byte)
 }
 
-// Migration makes a task stealable across ranks of a distributed run: the
-// exact sizes of its input state going out and its results coming back,
-// which the gated steal mode prices. Graph.Hooks builds the code that
-// moves the bytes. A task with a nil Mig never migrates.
-type Migration struct {
-	InBytes  int
-	OutBytes int
-}
-
-// MigrationHooks move one task's state between ranks. PackIn and PackOut
-// produce exactly Migration.InBytes and OutBytes bytes.
-type MigrationHooks struct {
-	// PackIn serializes the task's input state (tile contents plus every
-	// already-delivered input payload, which it consumes) from the home
-	// store. Runs on the victim rank before the task leaves.
-	PackIn func(env Env) []byte
-	// Deposit installs a PackIn payload into the thief rank's store for the
-	// task's node, creating state as needed, so Run can execute unchanged.
-	Deposit func(env Env, data []byte)
-	// PackOut serializes (and consumes) everything Run produced on the
-	// thief: the post-step tile contents and every output payload.
-	PackOut func(env Env) []byte
-	// Commit installs a PackOut payload into the home store — after it the
-	// store is bitwise-identical to a local execution's, and the task's
-	// successors may be released.
-	Commit func(env Env, data []byte)
-}
-
-// ForcedSteal pins one migratable task (by graph index) to a thief rank of
-// a distributed run: once ready, the task executes there instead of on its
-// home rank. Every rank follows the same script, which is what makes
-// migration deterministic.
-type ForcedSteal struct {
-	Task  int32
-	Thief int
-}
-
-// PinForced validates a forced-steal script against the graph, whose nodes
-// rankOf places on ranks ranks, and indexes it by task: every task must
-// exist, be migratable and move to another rank, at most once.
-func (g *Graph) PinForced(force []ForcedSteal, ranks int, rankOf func(node int) int) (map[int32]int, error) {
-	pins := make(map[int32]int, len(force))
-	for _, f := range force {
-		if f.Task < 0 || int(f.Task) >= len(g.Tasks) {
-			return nil, fmt.Errorf("ptg: forced steal task %d out of range", f.Task)
-		}
-		t := &g.Tasks[f.Task]
-		switch _, dup := pins[f.Task]; {
-		case t.Mig == nil:
-			return nil, fmt.Errorf("ptg: forced steal task %v is not migratable", t.ID)
-		case f.Thief < 0 || f.Thief >= ranks:
-			return nil, fmt.Errorf("ptg: forced steal thief rank %d out of range [0,%d)", f.Thief, ranks)
-		case f.Thief == rankOf(int(t.Node)):
-			return nil, fmt.Errorf("ptg: forced steal task %v already lives on rank %d", t.ID, f.Thief)
-		case dup:
-			return nil, fmt.Errorf("ptg: task %v forced twice", t.ID)
-		}
-		pins[f.Task] = f.Thief
-	}
-	return pins, nil
-}
-
 // Task is one node of the graph.
 type Task struct {
 	ID       TaskID
@@ -235,10 +173,6 @@ type Task struct {
 	Hint  CostHint
 	Deps  []Edge
 	Run   func(env Env)
-	// Mig, when non-nil, lets a distributed run migrate this task to
-	// another rank (see Migration). Kept out of the hot path: engines only
-	// consult it on the steal protocol's slow path.
-	Mig *Migration
 }
 
 // Graph is an immutable task graph over a fixed set of nodes.
@@ -250,15 +184,11 @@ type Graph struct {
 	// none). Engines size their stores from these.
 	NodeSlots    []int
 	NodeBufSlots []int
-	// Hooks returns the migration hooks of a task whose Mig is non-nil;
-	// engines call it only once a steal is granted. Nil on graphs without
-	// bodies.
-	Hooks     func(t *Task) MigrationHooks
-	index     taskIndex
-	deps      []Edge // the backing of every task's Deps window
-	transfers []transfer
-	stats     *Stats
-	plan      *Plan // the point-to-point plan, which holds the out-edges
+	index        taskIndex
+	deps         []Edge // the backing of every task's Deps window
+	transfers    []transfer
+	stats        *Stats
+	plan         *Plan // the point-to-point plan, which holds the out-edges
 	// The CoalesceStep plan, or why it deadlocks, resolved once (see Plan).
 	bundleOnce sync.Once
 	bundle     *Plan

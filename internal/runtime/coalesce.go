@@ -167,10 +167,9 @@ func (ex *executor) transfers(bi int32) int64 {
 }
 
 // msgTransfers is transfers for an in-flight message. Acks are control
-// traffic and steal messages migration traffic, not data transfers, so a
-// discarded one counts for nothing.
+// traffic, not data transfers, so a discarded one counts for nothing.
 func (ex *executor) msgTransfers(m Message) int64 {
-	if m.Ack || m.IsSteal() {
+	if m.Ack {
 		return 0
 	}
 	return ex.transfers(msgIDOf(m).BundleIndex())

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
@@ -18,8 +19,9 @@ import (
 //
 // Lifecycle of a distributed run, per rank:
 //
-//  1. Bind the conduit (inbound wire messages feed ex.deliver, transport
-//     failures feed ex.fail) and enter the "start" barrier, so every rank's
+//  1. Bind the conduit (inbound wire messages feed ex.fromWire, which checks
+//     them against the graph before ex.deliver; transport failures feed
+//     ex.fail) and enter the "start" barrier, so every rank's
 //     lanes are up before epoch 0 seeds its roots.
 //  2. Run the local slice of the graph. ex.deliver routes by destination
 //     node: local nodes go to their inbox, remote nodes onto the wire. Acks
@@ -127,6 +129,63 @@ func (ex *executor) localNode(n int32) bool {
 	return ex.dist == nil || ex.nodeRank[n] == int32(ex.dist.Rank)
 }
 
+// errBadMessage is the cause of a run failed by a wire message that does not
+// address this run's graph (see fromWire).
+var errBadMessage = errors.New("runtime: bad wire message")
+
+// fromWire is the entry point of every message a conduit decodes off the
+// wire. A peer's frame is untrusted input: before deliver indexes anything
+// with it, the message must name nodes of the graph, a destination this rank
+// owns, and either a cross-node dependency of a task on that destination
+// whose producer lives on the source, or a plan bundle from source to
+// destination (acks carry no address beyond the node pair). Anything else
+// fails the run with errBadMessage instead of panicking the rank.
+func (ex *executor) fromWire(m Message) {
+	if err := ex.checkWire(m); err != nil {
+		PutBuf(m.Data)
+		ex.fail(err)
+		return
+	}
+	ex.deliver(m)
+}
+
+// checkWire validates a wire message's addressing (see fromWire).
+func (ex *executor) checkWire(m Message) error {
+	g := ex.g
+	nodes := int32(g.NumNodes)
+	switch {
+	case m.Src < 0 || m.Src >= nodes:
+		return fmt.Errorf("%w: src node %d out of range [0,%d)", errBadMessage, m.Src, nodes)
+	case m.Dst < 0 || m.Dst >= nodes:
+		return fmt.Errorf("%w: dst node %d out of range [0,%d)", errBadMessage, m.Dst, nodes)
+	case !ex.localNode(m.Dst):
+		return fmt.Errorf("%w: dst node %d is not owned by rank %d", errBadMessage, m.Dst, ex.dist.Rank)
+	case m.Ack && !ex.reliable:
+		return fmt.Errorf("%w: ack from node %d, but this run has no reliable transport", errBadMessage, m.Src)
+	case m.Ack:
+		return nil
+	case m.Bundle < 0 || int(m.Bundle) > len(ex.plan.Bundles):
+		return fmt.Errorf("%w: bundle %d out of range [0,%d]", errBadMessage, m.Bundle, len(ex.plan.Bundles))
+	case m.Bundle > 0:
+		if b := &ex.plan.Bundles[m.Bundle-1]; b.Src != m.Src || b.Dst != m.Dst {
+			return fmt.Errorf("%w: bundle %d runs %d->%d, not %d->%d", errBadMessage, m.Bundle, b.Src, b.Dst, m.Src, m.Dst)
+		}
+		return nil
+	case m.Task < 0 || int(m.Task) >= len(g.Tasks):
+		return fmt.Errorf("%w: task %d out of range [0,%d)", errBadMessage, m.Task, len(g.Tasks))
+	}
+	t := &g.Tasks[m.Task]
+	switch {
+	case t.Node != m.Dst:
+		return fmt.Errorf("%w: task %v lives on node %d, not dst %d", errBadMessage, t.ID, t.Node, m.Dst)
+	case m.Dep < 0 || int(m.Dep) >= len(t.Deps):
+		return fmt.Errorf("%w: dep %d of task %v out of range [0,%d)", errBadMessage, m.Dep, t.ID, len(t.Deps))
+	case g.Tasks[t.Deps[m.Dep].Producer].Node != m.Src:
+		return fmt.Errorf("%w: dep %d of task %v is not produced on src %d", errBadMessage, m.Dep, t.ID, m.Src)
+	}
+	return nil
+}
+
 // sendRemote ships a message whose destination node lives on another rank
 // and recycles the local payload buffer: the bytes are on the wire (or the
 // send failed and the run is over), so by the same ownership convention the
@@ -220,9 +279,6 @@ func (ex *executor) distExchangeStats(res *Result) error {
 		res.BundleSegments += o.BundleSegments
 		res.Completed += o.Completed
 		res.Dropped += o.Dropped
-		res.StealsRemote += o.StealsRemote
-		res.MigratedTasks += o.MigratedTasks
-		res.MigratedBytes += o.MigratedBytes
 		res.Fault.Add(o.Fault)
 		for i := range res.NodeTasks {
 			if i < len(o.NodeTasks) {

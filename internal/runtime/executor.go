@@ -23,8 +23,7 @@ import (
 // dependency, addressed by consumer task and dependency index — or, when
 // Bundle is positive, a coalesced halo bundle carrying many such payloads as
 // length-prefixed segments (see internal/runtime/coalesce.go for the wire
-// format). A negative Dep marks a steal-protocol message instead (IsSteal;
-// see steal.go for how it uses Task, Dep and Bundle).
+// format).
 type Message struct {
 	Src, Dst int32
 	Task     int32 // consumer task index (point-to-point only)
@@ -99,14 +98,6 @@ type Options struct {
 	// after a successful run rank 0's Result carries the globally summed
 	// counters, and only local nodes' Stores hold data.
 	Dist *Dist
-	// Steal, when non-nil and active, enables inter-node work stealing on a
-	// distributed run (see steal.go): starving ranks migrate ready tasks —
-	// with their input tiles — from data-affine peers. Steal messages are
-	// ordinary wire messages, so they are reliable exactly when the run is
-	// (Recovery, or a plan that needs it). Requires Dist. Every rank must be
-	// configured with the same policy. Migration never changes numerics:
-	// the final grid is bitwise-identical to a run without stealing.
-	Steal *StealPolicy
 }
 
 // Result summarizes a completed execution.
@@ -141,15 +132,6 @@ type Result struct {
 	// Fault counts injected faults and the recovery work that masked
 	// them (all zero without a fault plan / the reliable transport).
 	Fault fault.Stats
-	// Inter-node work stealing (all zero without an active Options.Steal).
-	// StealsRemote counts migrated tasks this rank executed for a peer;
-	// MigratedTasks counts tasks this rank shipped out, MigratedBytes the
-	// wire bytes their migration round trips moved (input state + results).
-	// After the distributed epilogue rank 0 holds the global sums; steal
-	// traffic is never folded into Messages/BytesSent.
-	StealsRemote  int
-	MigratedTasks int
-	MigratedBytes int
 }
 
 // BundleFill returns the average number of member payloads per coalesced
@@ -168,7 +150,7 @@ type execNode struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	// queue is the node-level injection queue (root seeding, the comm
-	// goroutine, the steal agent), highest priority first. Guarded by mu.
+	// goroutine), highest priority first. Guarded by mu.
 	queue ptg.ReadyQueue
 	// wakeSeq, guarded by mu, is bumped by deque producers that want to
 	// wake parked workers; a parker re-checks it before sleeping, which
@@ -186,9 +168,6 @@ type execNode struct {
 	// point-to-point edge, or any member edge of a completed bundle.
 	sendQ chan ptg.OutEdge
 	inbox chan Message
-	// stealOut carries the steal agent's outbound messages; nil except on
-	// the rank's steal endpoint (see steal.go).
-	stealOut chan Message
 	// commReady is the comm goroutine's scratch for batched successor
 	// release after a bundle fan-out (only that goroutine touches it).
 	commReady []int32
@@ -255,17 +234,6 @@ type executor struct {
 	// drainSig is raised when a node's unacknowledged reliable count drops
 	// to zero and when the run fails: the distributed drain waits on it.
 	drainSig chan struct{}
-
-	// Inter-node work stealing (see steal.go; all nil/zero unless
-	// Options.Steal is active). stealAvg[n] is a per-node EWMA of task
-	// nanos feeding the cost gate; the three counters are the migration
-	// accounting behind Result.StealsRemote/MigratedTasks/MigratedBytes.
-	agent         *stealAgent
-	forcedSteal   map[int32]int
-	stealAvg      []atomic.Int64
-	stealsRemote  atomic.Int64
-	migratedTasks atomic.Int64
-	migratedBytes atomic.Int64
 
 	messages       atomic.Int64
 	bytesSent      atomic.Int64
@@ -405,18 +373,11 @@ func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) 
 		ex.nodes[n] = nd
 	}
 	ex.bundles = newExecBundles(plan, ex.nodes)
-	if opts.Steal.active() {
-		ag, err := newStealAgent(ex)
-		if err != nil {
-			return nil, err
-		}
-		ex.agent = ag
-	}
 	return ex, nil
 }
 
-// run executes the prepared run: it starts the workers, comm goroutines and
-// steal agent of the local nodes, waits for completion (and, distributed,
+// run executes the prepared run: it starts the workers and comm goroutines
+// of the local nodes, waits for completion (and, distributed,
 // for the drain), and settles the accounting into the Result.
 func (ex *executor) run() (*Result, error) {
 	g, opts := ex.g, ex.opts
@@ -429,7 +390,7 @@ func (ex *executor) run() (*Result, error) {
 	// epoch 0: every rank's lanes are up and bound before any data frame can
 	// be produced, so no rank ever receives wire traffic it has no run for.
 	if ex.dist != nil {
-		if err := ex.dist.Net.Bind(g.NumNodes, ex.deliver, ex.fail); err != nil {
+		if err := ex.dist.Net.Bind(g.NumNodes, ex.fromWire, ex.fail); err != nil {
 			return nil, err
 		}
 		if err := ex.dist.Net.Barrier("start"); err != nil {
@@ -481,10 +442,6 @@ func (ex *executor) run() (*Result, error) {
 		}
 		wg.Add(1)
 		go ex.comm(nd, &wg)
-	}
-	if ex.agent != nil {
-		wg.Add(1)
-		go ex.agent.run(&wg)
 	}
 	if ex.total == 0 {
 		// An idle rank (more ranks than populated nodes, or a graph whose
@@ -585,9 +542,6 @@ func (ex *executor) result(elapsed time.Duration) *Result {
 		NodeSteals:     make([]int, n),
 		NodeParks:      make([]int, n),
 		Fault:          ex.faultStats(),
-		StealsRemote:   int(ex.stealsRemote.Load()),
-		MigratedTasks:  int(ex.migratedTasks.Load()),
-		MigratedBytes:  int(ex.migratedBytes.Load()),
 	}
 	for i, nd := range ex.nodes {
 		res.NodeTasks[i] = int(ex.nodeTasks[i].Load())
@@ -629,12 +583,8 @@ func (ex *executor) finish() {
 	}
 }
 
-// enqueue makes a task ready on its owning node (or diverts it to the steal
-// agent when it is pinned to a remote thief).
+// enqueue makes a task ready on its owning node.
 func (ex *executor) enqueue(idx int32) {
-	if ex.divert(idx) {
-		return
-	}
 	t := &ex.g.Tasks[idx]
 	nd := ex.nodes[t.Node]
 	nd.mu.Lock()
@@ -644,21 +594,9 @@ func (ex *executor) enqueue(idx int32) {
 }
 
 // enqueueBatch makes several tasks ready on one node's injection queue under
-// a single lock acquisition — the batched release of goroutines that own no
-// deque (a bundle fan-out on the comm goroutine, a migration commit on the
-// steal agent).
+// a single lock acquisition — the batched release of a bundle fan-out on the
+// comm goroutine, which owns no deque.
 func (ex *executor) enqueueBatch(nd *execNode, tasks []int32) {
-	if ex.forcedSteal != nil {
-		kept := tasks[:0]
-		for _, idx := range tasks {
-			if !ex.divert(idx) {
-				kept = append(kept, idx)
-			}
-		}
-		if tasks = kept; len(tasks) == 0 {
-			return
-		}
-	}
 	nd.mu.Lock()
 	for _, idx := range tasks {
 		nd.queue.Push(idx, ex.g.Tasks[idx].Priority)
@@ -702,7 +640,6 @@ func (ex *executor) worker(nd *execNode, core int32, wg *sync.WaitGroup) {
 				nd.mu.Lock()
 				if nd.wakeSeq == seq && nd.queue.Len() == 0 && !ex.done.Load() {
 					nd.parks.Add(1)
-					ex.noteStarve()
 					for nd.wakeSeq == seq && nd.queue.Len() == 0 && !ex.done.Load() {
 						nd.cond.Wait()
 					}
@@ -757,15 +694,6 @@ func (ex *executor) runTask(nd *execNode, core int32, idx int32, stolen bool, re
 	end := time.Since(ex.t0)
 	completed := ex.nodeTasks[nd.id].Add(1)
 	ex.nodeBusy[nd.id].Add(int64(end - start))
-	if ex.stealAvg != nil {
-		// EWMA of task duration, feeding the steal cost gate. Racy
-		// read-modify-write is fine: it is a smoothed estimate.
-		d := int64(end - start)
-		if old := ex.stealAvg[nd.id].Load(); old > 0 {
-			d = old + (d-old)/8
-		}
-		ex.stealAvg[nd.id].Store(d)
-	}
 	if ex.fplan != nil {
 		ex.notePause(nd, int(completed))
 	}
@@ -776,11 +704,26 @@ func (ex *executor) runTask(nd *execNode, core int32, idx int32, stolen bool, re
 		})
 	}
 
+	// Walk the out-edges in plan order: local deps are satisfied directly,
+	// cross-node deps are handed to the communication goroutine. A bundled
+	// edge only decrements its bundle's countdown; the completion that
+	// zeroes it posts one send request for the whole bundle.
+	for _, e := range ex.plan.Out(idx) {
+		switch {
+		case e.Bundle >= 0:
+			if ex.bundles[e.Bundle].remaining.Add(-1) == 0 {
+				nd.sendQ <- e
+			}
+		case ex.g.Tasks[e.Consumer].Node != nd.id:
+			nd.sendQ <- e
+		case atomic.AddInt32(&ex.pending[e.Consumer], -1) == 0:
+			ready = append(ready, e.Consumer)
+		}
+	}
 	// Locality-first successor placement: newly-ready local successors go
 	// straight onto this worker's own deque — no lock, no wakeup. The
 	// worker pops one back immediately (LIFO), so siblings only need waking
 	// when there is surplus beyond that.
-	ready = ex.releaseSuccs(nd, idx, ready)
 	d := nd.deques[core]
 	for _, s := range ready {
 		d.push(s)
@@ -792,35 +735,6 @@ func (ex *executor) runTask(nd *execNode, core int32, idx int32, stolen bool, re
 		nd.wake(p)
 	}
 
-	ex.completeTask()
-	return ready
-}
-
-// releaseSuccs walks a completed task's out-edges in plan order: local deps
-// are satisfied directly (newly ready tasks appended to ready, unless pinned
-// to a remote thief — those divert to the steal agent), cross-node deps are
-// handed to the communication goroutine. A bundled edge only decrements its
-// bundle's countdown; the completion that zeroes it posts one send request
-// for the whole bundle. Shared by runTask and the migration commit.
-func (ex *executor) releaseSuccs(nd *execNode, idx int32, ready []int32) []int32 {
-	for _, e := range ex.plan.Out(idx) {
-		switch {
-		case e.Bundle >= 0:
-			if ex.bundles[e.Bundle].remaining.Add(-1) == 0 {
-				nd.sendQ <- e
-			}
-		case ex.g.Tasks[e.Consumer].Node != nd.id:
-			nd.sendQ <- e
-		case atomic.AddInt32(&ex.pending[e.Consumer], -1) == 0 && !ex.divert(e.Consumer):
-			ready = append(ready, e.Consumer)
-		}
-	}
-	return ready
-}
-
-// completeTask advances the run's completion counters — the tail shared by
-// runTask and the migration commit.
-func (ex *executor) completeTask() {
 	done := ex.completed.Add(1)
 	if ex.opts.OnProgress != nil && (done%ex.progressEvery == 0 || done == ex.total) {
 		ex.opts.OnProgress(done, ex.total)
@@ -828,6 +742,7 @@ func (ex *executor) completeTask() {
 	if done == ex.total {
 		ex.finish()
 	}
+	return ready
 }
 
 // comm is the per-node communication goroutine: it serializes outgoing
@@ -857,9 +772,6 @@ func (ex *executor) comm(nd *execNode, wg *sync.WaitGroup) {
 		case m := <-nd.inbox:
 			ex.maybePause(nd)
 			ex.receive(nd, m)
-		case m := <-nd.stealOut:
-			ex.maybePause(nd)
-			ex.dispatch(nd, m)
 		case <-tickC:
 			ex.retransmitDue(nd)
 		case <-ex.commStop:
@@ -962,17 +874,6 @@ func (ex *executor) receive(nd *execNode, m Message) {
 	if ex.reliable && m.Seq != 0 && ex.dedup(nd, m) {
 		return
 	}
-	if m.IsSteal() {
-		if ex.agent == nil {
-			// A peer steals while this rank does not: the ranks were handed
-			// different policies, which would strand the migration.
-			PutBuf(m.Data)
-			ex.fail(fmt.Errorf("runtime: steal message from node %d, but this rank runs without Options.Steal", m.Src))
-			return
-		}
-		ex.agent.post(m)
-		return
-	}
 	var start time.Duration
 	if ex.traceComm {
 		start = time.Since(ex.t0)
@@ -993,12 +894,13 @@ func (ex *executor) receive(nd *execNode, m Message) {
 }
 
 func (ex *executor) receiveOne(nd *execNode, m Message) (segs, bytes int) {
+	t := &ex.g.Tasks[m.Task]
 	defer func() {
 		if r := recover(); r != nil {
-			ex.fail(fmt.Errorf("runtime: unpack for %v panicked: %v", ex.g.Tasks[m.Task].ID, r))
+			ex.fail(fmt.Errorf("runtime: unpack for %v panicked: %v", t.ID, r))
 		}
 	}()
-	if unpack := ex.g.Dep(ex.g.Tasks[m.Task].Deps[m.Dep]).Unpack; unpack != nil {
+	if unpack := ex.g.Dep(t.Deps[m.Dep]).Unpack; unpack != nil {
 		unpack(nd.store, m.Data)
 	}
 	if atomic.AddInt32(&ex.pending[m.Task], -1) == 0 {

@@ -35,12 +35,6 @@ import (
 // Acks are control traffic: they bypass fault injection and are not
 // counted in Result.Messages/BytesSent, so those counters hold data
 // traffic only.
-//
-// This is the runtime's only reliable-delivery layer. Steal-protocol
-// messages (steal.go) ride it like halos, through their rank's endpoint
-// node: they are sequenced, injected, acked, deduplicated and retransmitted
-// by the same code and count in Result.Fault, but never in Messages,
-// BytesSent or Dropped — migration traffic is accounted apart.
 
 // laneSeq identifies one sequenced message on one ordered node pair: the
 // peer node (destination for the sender's pending table, source for the
@@ -193,21 +187,17 @@ func (ex *executor) dispatch(nd *execNode, m Message) {
 	ex.inject(nd, m)
 }
 
-// countCopy counts a duplicated or retransmitted copy of m as wire traffic,
-// unless m is a steal message (see the file comment).
+// countCopy counts a duplicated or retransmitted copy of m as wire traffic.
 func (ex *executor) countCopy(m Message) {
-	if !m.IsSteal() {
-		ex.messages.Add(1)
-		ex.bytesSent.Add(int64(len(m.Data)))
-	}
+	ex.messages.Add(1)
+	ex.bytesSent.Add(int64(len(m.Data)))
 }
 
 // ack sends the acknowledgement for a received sequenced message. Acks
 // bypass fault injection and are not counted as wire messages (see the
-// file comment). An ack keeps its message's Dep, so the ack of a steal
-// message is steal traffic on the wire too.
+// file comment).
 func (ex *executor) ack(nd *execNode, m Message) {
-	ex.deliver(Message{Src: nd.id, Dst: m.Src, Dep: m.Dep, Seq: m.Seq, Ack: true})
+	ex.deliver(Message{Src: nd.id, Dst: m.Src, Seq: m.Seq, Ack: true})
 }
 
 // handleAck retires the pending entry an ack settles. Comm-goroutine only.

@@ -26,7 +26,6 @@ func TestFingerprintIgnoresNonResultFields(t *testing.T) {
 	}
 	add("workers", func(s *Spec) { s.Workers = 7 })
 	add("coalesce", func(s *Spec) { s.Coalesce = "step" })
-	add("steal", func(s *Spec) { s.Steal = "greedy"; s.Ranks = 4 })
 	add("ranks", func(s *Spec) { s.Ranks = 4 })
 	add("priority", func(s *Spec) { s.Priority = "high" })
 	add("timeout", func(s *Spec) { s.TimeoutMS = 5000 })

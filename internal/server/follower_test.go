@@ -198,37 +198,6 @@ func TestDistributedAdmission(t *testing.T) {
 	_ = fol.Shutdown(context.Background())
 }
 
-// TestStealAdmission covers the "steal" spec field: resolved with the
-// canonical parser at admission, refused outside distributed jobs, and
-// carried into the resolved spec so rank 0 and every follower derive
-// the identical policy from the broadcast bytes.
-func TestStealAdmission(t *testing.T) {
-	spec := quickSpec(1)
-	spec.Steal = "greedy"
-	if _, err := spec.Options(); err == nil || !strings.Contains(err.Error(), "distributed") {
-		t.Errorf("single-process steal spec: got %v", err)
-	}
-	spec.Nodes = 4
-	spec.Ranks = 2
-	spec.Steal = "sneaky"
-	if _, err := spec.Options(); err == nil {
-		t.Error("unknown steal mode accepted")
-	}
-	for name, want := range map[string]castencil.StealMode{
-		"": castencil.StealOff, "off": castencil.StealOff,
-		"greedy": castencil.StealGreedy, "gated": castencil.StealGated,
-	} {
-		spec.Steal = name
-		b, err := spec.Options()
-		if err != nil {
-			t.Fatalf("steal=%q: %v", name, err)
-		}
-		if b.Steal != want {
-			t.Errorf("steal=%q resolved to %v, want %v", name, b.Steal, want)
-		}
-	}
-}
-
 // TestHealthzTransport checks the daemon's liveness surface of the mesh:
 // all ranks connected reports 200 with the transport line; a vanished peer
 // flips it to 503 degraded.

@@ -147,6 +147,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"unknown field", `{"n":64,"tile":16,"steps":6,"bogus_knob":1}`},
 		{"removed sched field", `{"n":64,"tile":16,"steps":6,"step_size":3,"sched":"priority"}`},
 		{"removed transform field", `{"n":64,"tile":16,"steps":6,"step_size":3,"transform":"split"}`},
+		{"removed steal field", `{"n":64,"tile":16,"nodes":4,"steps":6,"step_size":3,"ranks":2,"steal":"greedy"}`},
 	} {
 		if resp, body := postJSON(t, srv.URL+"/v1/jobs", bad.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", bad.name, resp.StatusCode, body)
@@ -397,6 +398,7 @@ func FuzzSubmit(f *testing.F) {
 	}
 	f.Add([]byte(`{"n":64,"tile":16,"ste`))
 	f.Add([]byte(`{"n":64,"tile":16,"steps":6,"bogus":1}`))
+	f.Add([]byte(`{"n":64,"tile":16,"nodes":4,"steps":6,"ranks":2,"steal":"greedy"}`))
 	f.Add([]byte(`{"variant":"` + strings.Repeat("x", MaxSpecBytes) + `"}`))
 
 	c := NewCore(CoreConfig{

@@ -248,10 +248,7 @@ func (m *Manager) run(ctx context.Context, j *Job, t *castencil.NetTransport) er
 	opts := append([]castencil.Option{castencil.WithContext(ctx), castencil.WithProgress(j.ReportProgress)}, r.Options...)
 	opts = append(opts, castencil.WithWorkers(m.workersFor(j)))
 	if t != nil {
-		opts = append(opts, castencil.WithCluster(castencil.ClusterOptions{
-			Transport: t,
-			Steal:     castencil.StealPolicy{Mode: r.Steal, Machine: r.Machine},
-		}))
+		opts = append(opts, castencil.WithCluster(castencil.ClusterOptions{Transport: t}))
 	}
 	start := time.Now()
 	if r.Engine == "sim" {

@@ -38,14 +38,8 @@ type WireStats struct {
 	Sends int // frames written (wire:send)
 	Recvs int // frames read (wire:recv)
 	Bytes int
-	// Steals and StealBytes count the work-stealing protocol's frames
-	// (wire:steal, both directions), kept out of Sends/Recvs/Bytes so
-	// migration traffic is never misattributed to halo exchange.
-	Steals     int
-	StealBytes int
 	// Busy is the union of the rank's wire-activity windows: overlapping
-	// transfers on different lanes count once (MergeSpans). Steal frames
-	// count: the socket is busy either way.
+	// transfers on different lanes count once (MergeSpans).
 	Busy time.Duration
 	// Util is Busy over the caller's span (0 when no span was given).
 	Util float64
@@ -66,17 +60,12 @@ func SummarizeWire(wire []Event, span time.Duration) []WireStats {
 			s = &WireStats{Rank: e.Node}
 			byRank[e.Node] = s
 		}
-		switch e.ID.Class {
-		case "wire:steal":
-			s.Steals++
-			s.StealBytes += e.Bytes
-		case "wire:recv":
+		if e.ID.Class == "wire:recv" {
 			s.Recvs++
-			s.Bytes += e.Bytes
-		default:
+		} else {
 			s.Sends++
-			s.Bytes += e.Bytes
 		}
+		s.Bytes += e.Bytes
 		spans[e.Node] = append(spans[e.Node], Span{Start: int64(e.Start), End: int64(e.End)})
 	}
 	out := make([]WireStats, 0, len(byRank))

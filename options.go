@@ -94,11 +94,6 @@ type RunOptions struct {
 	// RealResult carries the gathered Grid (and the globally-summed
 	// counters); other ranks get a nil Grid and their local counter view.
 	Conduit Conduit
-	// Steal configures inter-node work stealing for a distributed run
-	// (zero value = off). Steal messages ride the transport like halos and
-	// are reliable exactly when the run is. Sim models steal-free runs:
-	// it refuses forced migrations and ignores the dynamic modes.
-	Steal StealPolicy
 	// Ctx bounds the run on either engine: a cancelled or deadline-exceeded
 	// context stops workers and communication goroutines promptly (task
 	// granularity) and the run returns a *CancelError wrapping the context
@@ -192,7 +187,6 @@ func (o RunOptions) real() ExecOptions {
 		Recovery:   o.Recovery,
 		Trace:      o.Trace,
 		TraceComm:  o.TraceComm,
-		Steal:      o.Steal.runtimePolicy(),
 		Ctx:        o.Ctx,
 		OnProgress: o.Progress,
 	}
@@ -230,8 +224,8 @@ func Sim(v Variant, cfg Config, opts ...Option) (*SimResult, error) {
 	if o.Machine == nil {
 		return nil, fmt.Errorf("castencil: Sim requires WithMachine")
 	}
-	if o.Fault != nil || o.Recovery != nil || len(o.Steal.Force) > 0 {
-		return nil, fmt.Errorf("castencil: Sim models lossless, steal-free runs; fault plans, recovery policies and forced steals need Run")
+	if o.Fault != nil || o.Recovery != nil {
+		return nil, fmt.Errorf("castencil: Sim models lossless runs; fault plans and recovery policies need Run")
 	}
 	return core.Simulate(v, cfg, o.sim())
 }

@@ -73,9 +73,6 @@ type Spec struct {
 	// least 2, at most the run's virtual nodes, real engine only. 0 (the
 	// default) runs single-process.
 	Ranks int `json:"ranks,omitempty" role:"exec"`
-	// Steal selects the inter-node work-stealing mode of a distributed run
-	// (StealNames); anything but off needs Ranks.
-	Steal string `json:"steal,omitempty" role:"exec"`
 
 	// Priority is the admission class: "high", "normal" (default) or
 	// "low". TimeoutMS is the run deadline in milliseconds (0 = the
@@ -130,10 +127,7 @@ type Resolved struct {
 	Options []Option
 	// Machine is the model a sim run prices against and plan=auto plans
 	// on.
-	Machine *Machine
-	// Steal is the work-stealing mode a distributed run's ClusterOptions
-	// carry (with Machine as the gated mode's price model).
-	Steal    StealMode
+	Machine  *Machine
 	Priority Priority
 	Timeout  time.Duration
 
@@ -229,12 +223,6 @@ func (s Spec) Options() (*Resolved, error) {
 	r.Options = append(r.Options, WithCoalesce(mode), WithFaultPlan(plan))
 	if err := s.checkRanks(c.Engine, c.Nodes); err != nil {
 		return nil, err
-	}
-	if r.Steal, err = ParseSteal(s.Steal); err != nil {
-		return nil, err
-	}
-	if r.Steal != StealOff && s.Ranks == 0 {
-		return nil, fmt.Errorf("castencil: steal=%q needs a distributed run (ranks >= 2)", s.Steal)
 	}
 	if r.Priority, err = parsePriority(s.Priority); err != nil {
 		return nil, err
