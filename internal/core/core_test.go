@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"castencil/internal/grid"
 	"castencil/internal/ptg"
 	"castencil/internal/runtime"
 	"castencil/internal/stencil"
@@ -97,9 +96,7 @@ func TestCAEqualsBaseBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !grid.InteriorEqual(base.Grid, ca.Grid) {
-		t.Fatal("base and CA results differ")
-	}
+	assertGridsBitwiseEqual(t, "CA vs base", base.Grid, ca.Grid)
 }
 
 func TestRandomizedEquivalence(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"castencil/internal/grid"
 	"castencil/internal/runtime"
 	"castencil/internal/stencil"
 )
@@ -147,7 +146,5 @@ func TestNinePointEqualGrids(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !grid.InteriorEqual(b.Grid, c.Grid) {
-		t.Error("9-point base and CA differ")
-	}
+	assertGridsBitwiseEqual(t, "9-point CA vs base", b.Grid, c.Grid)
 }

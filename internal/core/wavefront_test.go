@@ -58,9 +58,7 @@ func TestWFEqualsBaseBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !grid.InteriorEqual(base.Grid, wf.Grid) {
-		t.Fatal("base and WF results differ")
-	}
+	assertGridsBitwiseEqual(t, "WF vs base", base.Grid, wf.Grid)
 }
 
 func TestWFNinePointMatchesOracle(t *testing.T) {

@@ -343,31 +343,3 @@ func (t *Tile) RecvRect(d Dir, depth int) Rect {
 	}
 	return t.HaloCornerRect(d, depth)
 }
-
-// FillGhost sets every ghost cell (all cells outside the interior) to v.
-func (t *Tile) FillGhost(v float64) {
-	for r := -t.Halo; r < t.Rows+t.Halo; r++ {
-		for c := -t.Halo; c < t.Cols+t.Halo; c++ {
-			if r >= 0 && r < t.Rows && c >= 0 && c < t.Cols {
-				continue
-			}
-			t.Set(r, c, v)
-		}
-	}
-}
-
-// InteriorEqual reports whether two tiles hold bitwise-identical interiors.
-func InteriorEqual(a, b *Tile) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for r := 0; r < a.Rows; r++ {
-		ar, br := a.Row(r, 0, a.Cols), b.Row(r, 0, b.Cols)
-		for c := range ar {
-			if ar[c] != br[c] {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -174,43 +174,6 @@ func TestOppositeIsInvolution(t *testing.T) {
 	}
 }
 
-func TestFillGhostPreservesInterior(t *testing.T) {
-	tl := NewTile(3, 3, 2)
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 3; c++ {
-			tl.Set(r, c, 7)
-		}
-	}
-	tl.FillGhost(-1)
-	for r := -2; r < 5; r++ {
-		for c := -2; c < 5; c++ {
-			interior := r >= 0 && r < 3 && c >= 0 && c < 3
-			want := -1.0
-			if interior {
-				want = 7
-			}
-			if tl.At(r, c) != want {
-				t.Fatalf("At(%d,%d) = %v, want %v", r, c, tl.At(r, c), want)
-			}
-		}
-	}
-}
-
-func TestInteriorEqualDetectsDifference(t *testing.T) {
-	a, b := NewTile(3, 3, 0), NewTile(3, 3, 2)
-	if !InteriorEqual(a, b) {
-		t.Error("zero tiles should be interior-equal")
-	}
-	b.Set(2, 2, 1e-300)
-	if InteriorEqual(a, b) {
-		t.Error("differing tiles reported equal")
-	}
-	c := NewTile(3, 4, 0)
-	if InteriorEqual(a, c) {
-		t.Error("different shapes reported equal")
-	}
-}
-
 func TestSendRecvRectDualityProperty(t *testing.T) {
 	// Property: for any tile shape, depth, and direction, the sender's
 	// SendRect and the receiver's RecvRect (opposite direction) have

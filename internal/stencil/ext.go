@@ -28,16 +28,28 @@ const Flops9PerUpdate = 17
 func Apply9(w Weights9, dst, src *grid.Tile, rc grid.Rect) {
 	for r := 0; r < rc.H; r++ {
 		row := rc.R0 + r
-		d := dst.Row(row, rc.C0, rc.W)
-		c0 := src.Row(row, rc.C0-1, rc.W+2)
-		n0 := src.Row(row-1, rc.C0-1, rc.W+2)
-		s0 := src.Row(row+1, rc.C0-1, rc.W+2)
-		for c := 0; c < rc.W; c++ {
-			d[c] = w.C*c0[c+1] + w.W*c0[c] + w.E*c0[c+2] +
-				w.N*n0[c+1] + w.S*s0[c+1] +
-				w.NW*n0[c] + w.NE*n0[c+2] +
-				w.SW*s0[c] + w.SE*s0[c+2]
-		}
+		row9(w,
+			dst.Row(row, rc.C0, rc.W),
+			src.Row(row, rc.C0-1, rc.W+2),
+			src.Row(row-1, rc.C0-1, rc.W+2),
+			src.Row(row+1, rc.C0-1, rc.W+2))
+	}
+}
+
+// row9 computes one row of the nine-point update in one fixed order. c0, n0
+// and s0 span [C0-1, C0+W+1); d spans [C0, C0+W).
+func row9(w Weights9, d, c0, n0, s0 []float64) {
+	wc, wn, ws, ww, we := w.C, w.N, w.S, w.W, w.E
+	wnw, wne, wsw, wse := w.NW, w.NE, w.SW, w.SE
+	n := len(d)
+	cw, cc, ce := c0[:n], c0[1:n+1], c0[2:n+2]
+	nw, nc, ne := n0[:n], n0[1:n+1], n0[2:n+2]
+	sw, sc, se := s0[:n], s0[1:n+1], s0[2:n+2]
+	for c := range d { // bce: row9
+		d[c] = wc*cc[c] + ww*cw[c] + we*ce[c] +
+			wn*nc[c] + ws*sc[c] +
+			wnw*nw[c] + wne*ne[c] +
+			wsw*sw[c] + wse*se[c]
 	}
 }
 

@@ -32,7 +32,7 @@ func TestJacobiWeightsAverage(t *testing.T) {
 	}
 	src := grid.NewTile(3, 3, 1)
 	dst := grid.NewTile(3, 3, 1)
-	src.FillGhost(0)
+	fillGhost(src, 0)
 	for r := 0; r < 3; r++ {
 		for c := 0; c < 3; c++ {
 			src.Set(r, c, 4)
@@ -233,13 +233,13 @@ func TestFillBoundaryOnlyOutsideDomain(t *testing.T) {
 	// A tile in the middle of the domain gets no boundary values at all; a
 	// corner tile gets them only on its outside faces.
 	mid := grid.NewTile(4, 4, 2)
-	mid.FillGhost(5)
+	fillGhost(mid, 5)
 	FillBoundary(mid, 10, 10, 100, ConstBoundary(-1))
 	if mid.At(-1, 0) != 5 || mid.At(4, 4) != 5 {
 		t.Error("interior tile ghosts must be untouched by FillBoundary")
 	}
 	corner := grid.NewTile(4, 4, 2)
-	corner.FillGhost(5)
+	fillGhost(corner, 5)
 	FillBoundary(corner, 0, 0, 100, ConstBoundary(-1))
 	if corner.At(-1, 2) != -1 || corner.At(2, -2) != -1 {
 		t.Error("out-of-domain ghosts must hold boundary values")

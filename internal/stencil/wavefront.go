@@ -58,7 +58,7 @@ func WavefrontRegions(rows, cols, wb int, hasNeighbor func(d grid.Dir) bool) []g
 // returned tile holds the final level's data (cur when the depth is even,
 // next when odd); every updated point is bitwise identical to len(regions)
 // successive Apply sweeps with ideal halo refreshes in between, because each
-// row uses the same unrolled row kernels in the same order.
+// row uses the same row kernels in the same order.
 func Wavefront(w Weights, cur, next *grid.Tile, regions []grid.Rect) *grid.Tile {
 	wb := len(regions)
 	bufs := [2]*grid.Tile{cur, next}
@@ -86,18 +86,6 @@ func Wavefront(w Weights, cur, next *grid.Tile, regions []grid.Rect) *grid.Tile 
 		}
 	}
 	return bufs[wb%2]
-}
-
-// row9 computes one row of the nine-point update, evaluating the exact
-// expression of Apply9 in the same order (bitwise identity). c0, n0 and s0
-// span [C0-1, C0+W+1); d spans [C0, C0+W).
-func row9(w Weights9, d, c0, n0, s0 []float64) {
-	for c := range d {
-		d[c] = w.C*c0[c+1] + w.W*c0[c] + w.E*c0[c+2] +
-			w.N*n0[c+1] + w.S*s0[c+1] +
-			w.NW*n0[c] + w.NE*n0[c+2] +
-			w.SW*s0[c] + w.SE*s0[c+2]
-	}
 }
 
 // Wavefront9 is Wavefront for the nine-point stencil. The diagonal terms
