@@ -16,6 +16,13 @@ import (
 // (no port races) and tears it down with the test.
 func connectMesh(t testing.TB, n int) []*netcomm.Transport {
 	t.Helper()
+	return connectMeshWith(t, n, nil)
+}
+
+// connectMeshWith is connectMesh with every rank's options passed through
+// mut first (nil: unchanged).
+func connectMeshWith(t testing.TB, n int, mut func(o *netcomm.Options)) []*netcomm.Transport {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for r := range lns {
@@ -33,7 +40,11 @@ func connectMesh(t testing.TB, n int) []*netcomm.Transport {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ts[r], errs[r] = netcomm.Connect(netcomm.Options{Rank: r, Addrs: addrs, Listener: lns[r]})
+			o := netcomm.Options{Rank: r, Addrs: addrs, Listener: lns[r]}
+			if mut != nil {
+				mut(&o)
+			}
+			ts[r], errs[r] = netcomm.Connect(o)
 		}(r)
 	}
 	wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"castencil/internal/ptg"
+	"castencil/internal/runtime"
 )
 
 // maxSpareGraph caps the bytes of idle graphs the pool keeps: a larger graph
@@ -18,20 +19,26 @@ const taskBytes = 512
 
 // graphKey is what fixes a graph's structure: its variant and the fields of
 // its Config (defaults applied) other than Init, Boundary, Weights and
-// Weights9, which task bodies read through the builder when they run.
+// Weights9, which task bodies read through the builder when they run. Rank
+// is the distributed rank that runs it (0 in a single process): it fixes
+// which nodes' executor arrays are sized, so ranks that share a process
+// each keep their own graph.
 type graphKey struct {
 	v                                                       Variant
 	n, tileRows, tileCols, p, q, steps, stepSize, wavefront int
 	ninePoint, withBodies                                   bool
+	rank                                                    int
 }
 
-// prepared is a built graph, the builder it reads inputs through, and the
-// bytes the pool counts for it.
+// prepared is a built graph, the builder it reads inputs through, the
+// executor arrays its last clean real run handed back, and the bytes the
+// pool counts for it.
 type prepared struct {
-	key   graphKey
-	g     *ptg.Graph
-	bd    *builder
-	bytes int
+	key    graphKey
+	g      *ptg.Graph
+	bd     *builder
+	arrays runtime.Arrays
+	bytes  int
 }
 
 // graphs holds the process's idle prepared graphs, oldest first: RunReal and
@@ -45,11 +52,11 @@ type graphPool struct {
 }
 
 // get hands out a graph of v's shape under cfg (defaults applied, validated)
-// bound to cfg's inputs. An idle one leaves the pool, so concurrent runs get
-// their own. A miss builds afresh.
-func (p *graphPool) get(v Variant, cfg Config) (*prepared, error) {
+// bound to cfg's inputs, for a run on the given rank. An idle one leaves the
+// pool, so concurrent runs get their own. A miss builds afresh.
+func (p *graphPool) get(v Variant, cfg Config, rank int) (*prepared, error) {
 	key := graphKey{v, cfg.N, cfg.TileRows, cfg.TileCols, cfg.P, cfg.Q, cfg.Steps,
-		cfg.StepSize, cfg.Wavefront, cfg.NinePoint, cfg.WithBodies}
+		cfg.StepSize, cfg.Wavefront, cfg.NinePoint, cfg.WithBodies, rank}
 	p.mu.Lock()
 	if i := slices.IndexFunc(p.idle, func(e *prepared) bool { return e.key == key }); i >= 0 {
 		e := p.idle[i]

@@ -29,7 +29,7 @@ func TestGraphPoolEvictsOldest(t *testing.T) {
 	var p graphPool
 	get := func(steps int) *prepared {
 		t.Helper()
-		e, err := p.get(CA, Config{N: 96, TileRows: 8, P: 2, Steps: steps, StepSize: 4}.withDefaults())
+		e, err := p.get(CA, Config{N: 96, TileRows: 8, P: 2, Steps: steps, StepSize: 4}.withDefaults(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestGraphPoolAlternatingShapes(t *testing.T) {
 	first := map[Variant]*prepared{}
 	for round := range 3 {
 		for _, v := range []Variant{Base, CA} {
-			e, err := p.get(v, cfg)
+			e, err := p.get(v, cfg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

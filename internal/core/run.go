@@ -19,9 +19,12 @@ import (
 // RealResult is the outcome of a real (numerically exact) execution.
 type RealResult struct {
 	// Grid holds the final iterate over the whole domain, gathered from
-	// all node stores. In a distributed run only rank 0 materializes it;
-	// on other ranks Grid is nil. It is the only copy of the tile data:
-	// once gathered, the tiles' storage goes back to the runtime arena.
+	// all node stores. In a distributed run only rank 0 materializes it:
+	// the other ranks stream their tiles into it through the conduit's
+	// gather, with no staging copy on either side, and on them Grid is nil.
+	// It is the only copy of the tile data: once gathered, the tiles'
+	// storage goes back to the runtime arena. On a pooled graph it is the
+	// only allocation of a solve that grows with the grid's points.
 	Grid      *grid.Tile
 	Partition *grid.Partition
 	// Exec carries the run's counters. Its Stores keep their slots, but
@@ -30,9 +33,11 @@ type RealResult struct {
 }
 
 // RunReal executes the graph with bodies on the concurrent runtime and
-// gathers the final grid. The graph comes from the process's graph pool and
-// the tile stores from the runtime arena; both go back after the run, so
-// solving one shape many times builds one graph and one set of tile buffers.
+// gathers the final grid. The graph comes from the process's graph pool
+// with the executor's per-run arrays (runtime.Arrays) beside it, and the
+// tile buffers from the runtime arena; all of them go back after the run, so
+// solving one shape many times builds one graph, one set of executor arrays
+// and one set of tile buffers.
 func RunReal(v Variant, cfg Config, opts runtime.Options) (*RealResult, error) {
 	cfg = cfg.withDefaults()
 	cfg.WithBodies = true
@@ -40,7 +45,11 @@ func RunReal(v Variant, cfg Config, opts runtime.Options) (*RealResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := graphs.get(v, cfg)
+	rank := 0
+	if opts.Dist != nil {
+		rank = opts.Dist.Rank
+	}
+	e, err := graphs.get(v, cfg, rank)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +58,7 @@ func RunReal(v Variant, cfg Config, opts runtime.Options) (*RealResult, error) {
 		// runtime's barriers and the tiles gather below all ride in it.
 		opts.Dist.Net.Begin()
 	}
-	res, err := runtime.Run(e.g, opts)
+	res, err := runtime.RunWith(e.g, opts, &e.arrays)
 	graphs.put(e)
 	if err != nil {
 		return nil, err
@@ -94,12 +103,17 @@ func Gather(p *grid.Partition, stores []*runtime.Store) (*grid.Tile, error) {
 			if err != nil {
 				return nil, err
 			}
-			for r := 0; r < st.cur.Rows; r++ {
-				copy(out.Row(st.r0+r, st.c0, st.cur.Cols), st.cur.Row(r, 0, st.cur.Cols))
-			}
+			placeTile(out, st)
 		}
 	}
 	return out, nil
+}
+
+// placeTile copies a tile's final interior to its place in the global grid.
+func placeTile(out *grid.Tile, st *tileState) {
+	for r := 0; r < st.cur.Rows; r++ {
+		copy(out.Row(st.r0+r, st.c0, st.cur.Cols), st.cur.Row(r, 0, st.cur.Cols))
+	}
 }
 
 // finalState returns tile (ti, tj)'s state from its owner's store, given
@@ -217,7 +231,7 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := graphs.get(v, cfg)
+	e, err := graphs.get(v, cfg, 0)
 	if err != nil {
 		return nil, err
 	}

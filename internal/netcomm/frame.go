@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"castencil/internal/runtime"
 )
@@ -49,8 +50,15 @@ import (
 //
 //	[u16 fromRank] [u8 op] [u16 tagLen] [tag ...] [payload ...]
 //
+// A ctl payload is read into a runtime.GetBuf buffer of its own. A gather
+// travels as a stream: each rank other than 0 sends one opGather frame per
+// record, then one opGatherEnd frame whose payload is the [u32 count] of
+// records it sent; rank 0 answers each rank with one payload-less
+// opGatherOK.
+//
 // Version 1 had four more frame kinds (4-7); version 2 retired them, and a
-// decoder rejects them as unknown.
+// decoder rejects them as unknown. Version 3 replaced the one-frame gather,
+// which carried a rank's whole payload, with the stream above.
 const (
 	prefixLen  = 9
 	dataHdrLen = 1 + 5*4 + 8 + 4 + 8
@@ -63,7 +71,7 @@ const (
 	flagAck = byte(1 << 0)
 
 	helloMagic   = uint32(0x43415354) // "CAST"
-	protoVersion = uint16(2)
+	protoVersion = uint16(3)
 
 	// DefaultMaxFrame bounds a frame body so a corrupt or hostile length
 	// prefix cannot ask the receiver to allocate unbounded memory. Large
@@ -78,7 +86,12 @@ const (
 	opGatherOK = byte(3)
 	opAbort    = byte(4)
 	opJob      = byte(5)
+	// opGatherEnd closes a rank's gather stream (see kindCtl above).
+	opGatherEnd = byte(6)
 )
+
+// ctlHdrLen is a ctl body's fixed part before the tag: from, op, tag length.
+const ctlHdrLen = 2 + 1 + 2
 
 // Hello is a decoded handshake frame.
 type Hello struct {
@@ -171,18 +184,26 @@ func appendHelloFrame(dst []byte, rank, ranks int) []byte {
 
 // appendCtlFrame appends a control frame.
 func appendCtlFrame(dst []byte, epoch uint32, from int, op byte, tag string, payload []byte) []byte {
+	n := len(dst)
+	hdr := prefixLen + ctlHdrLen + len(tag)
+	dst = slices.Grow(dst, hdr+len(payload))[:n+hdr]
+	putCtlHeader(dst[n:], epoch, from, op, tag, len(payload))
+	return append(dst, payload...)
+}
+
+// putCtlHeader encodes the frame prefix, the fixed ctl header and tag of a
+// control frame carrying n payload bytes into b (which must have room for
+// them) and returns the header length, so the payload can ride a writev of
+// its own.
+func putCtlHeader(b []byte, epoch uint32, from int, op byte, tag string, n int) int {
 	le := binary.LittleEndian
-	body := 2 + 1 + 2 + len(tag) + len(payload)
-	var b [prefixLen + 5]byte
-	le.PutUint32(b[:], uint32(body))
+	le.PutUint32(b, uint32(ctlHdrLen+len(tag)+n))
 	b[4] = kindCtl
 	le.PutUint32(b[5:], epoch)
 	le.PutUint16(b[9:], uint16(from))
 	b[11] = op
 	le.PutUint16(b[12:], uint16(len(tag)))
-	dst = append(dst, b[:]...)
-	dst = append(dst, tag...)
-	return append(dst, payload...)
+	return prefixLen + ctlHdrLen + copy(b[prefixLen+ctlHdrLen:], tag)
 }
 
 // readState is the per-connection scratch a frame reader reuses across
@@ -201,12 +222,23 @@ func errShort(err error) error {
 	return err
 }
 
-// readFrame reads and decodes one frame from r. A data frame's payload is
-// read into a runtime.GetBuf buffer that the caller owns, exactly like an
-// in-process inbox delivery (see the ownership rule in runtime/pool.go).
-// Control and hello frames allocate — they are cold-path.
-// maxFrame <= 0 means DefaultMaxFrame. A clean EOF at a frame boundary
-// returns io.EOF; a truncation inside a frame returns io.ErrUnexpectedEOF.
+// oversizeError is readFrame's error for a frame whose body exceeds the
+// reader's limit. Nothing of the body has been read: the frame is still
+// delimited, so a reader that skips the body keeps the stream in step.
+type oversizeError struct{ body, limit int }
+
+func (e *oversizeError) Error() string {
+	return fmt.Sprintf("netcomm: frame body %d exceeds limit %d", e.body, e.limit)
+}
+
+// readFrame reads and decodes one frame from r. A data frame's payload, and
+// a control frame's, is read into a runtime.GetBuf buffer that the caller
+// owns, exactly like an in-process inbox delivery (see the ownership rule
+// in runtime/pool.go). maxFrame <= 0 means DefaultMaxFrame. A clean EOF at
+// a frame boundary returns io.EOF; a truncation inside a frame returns
+// io.ErrUnexpectedEOF. Once the prefix is read, the returned Frame carries
+// its Kind and Epoch even alongside an error; nothing else of it is valid
+// then.
 func readFrame(r io.Reader, st *readState, maxFrame int) (Frame, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
@@ -218,35 +250,34 @@ func readFrame(r io.Reader, st *readState, maxFrame int) (Frame, error) {
 	body := int(le.Uint32(st.prefix[:]))
 	f := Frame{Kind: st.prefix[4], Epoch: le.Uint32(st.prefix[5:])}
 	if body > maxFrame {
-		return Frame{}, fmt.Errorf("netcomm: frame body %d exceeds limit %d", body, maxFrame)
+		return f, &oversizeError{body: body, limit: maxFrame}
 	}
 	switch f.Kind {
 	case kindData:
 		if body < dataHdrLen {
-			return Frame{}, fmt.Errorf("netcomm: data frame body %d shorter than header %d", body, dataHdrLen)
+			return f, fmt.Errorf("netcomm: data frame body %d shorter than header %d", body, dataHdrLen)
 		}
 		if _, err := io.ReadFull(r, st.hdr[:]); err != nil {
-			return Frame{}, errShort(err)
+			return f, errShort(err)
 		}
 		f.Msg = parseDataHeader(st.hdr[:])
 		if pl := body - dataHdrLen; pl > 0 {
-			buf := runtime.GetBuf(pl)
-			if _, err := io.ReadFull(r, buf); err != nil {
-				runtime.PutBuf(buf)
-				return Frame{}, errShort(err)
+			buf, err := readPayload(r, pl)
+			if err != nil {
+				return f, err
 			}
 			f.Msg.Data = buf
 		}
 	case kindHello:
 		if body != helloLen {
-			return Frame{}, fmt.Errorf("netcomm: hello frame body %d, want %d", body, helloLen)
+			return f, fmt.Errorf("netcomm: hello frame body %d, want %d", body, helloLen)
 		}
 		b := st.hdr[:helloLen]
 		if _, err := io.ReadFull(r, b); err != nil {
-			return Frame{}, errShort(err)
+			return f, errShort(err)
 		}
 		if m := le.Uint32(b); m != helloMagic {
-			return Frame{}, fmt.Errorf("netcomm: bad hello magic %#x", m)
+			return f, fmt.Errorf("netcomm: bad hello magic %#x", m)
 		}
 		f.Hello = Hello{
 			Version: le.Uint16(b[4:]),
@@ -254,31 +285,52 @@ func readFrame(r io.Reader, st *readState, maxFrame int) (Frame, error) {
 			Ranks:   int(le.Uint16(b[8:])),
 		}
 		if f.Hello.Version != protoVersion {
-			return Frame{}, fmt.Errorf("netcomm: protocol version %d, want %d", f.Hello.Version, protoVersion)
+			return f, fmt.Errorf("netcomm: protocol version %d, want %d", f.Hello.Version, protoVersion)
 		}
 		if b[10] != 0 {
-			return Frame{}, fmt.Errorf("netcomm: hello flags %#x, want 0", b[10])
+			return f, fmt.Errorf("netcomm: hello flags %#x, want 0", b[10])
 		}
 	case kindCtl:
-		if body < 5 {
-			return Frame{}, fmt.Errorf("netcomm: ctl frame body %d too short", body)
+		if body < ctlHdrLen {
+			return f, fmt.Errorf("netcomm: ctl frame body %d too short", body)
 		}
-		b := make([]byte, body)
+		b := st.hdr[:ctlHdrLen]
 		if _, err := io.ReadFull(r, b); err != nil {
-			return Frame{}, errShort(err)
+			return f, errShort(err)
 		}
 		tagLen := int(le.Uint16(b[3:]))
-		if 5+tagLen > body {
-			return Frame{}, fmt.Errorf("netcomm: ctl tag length %d overruns body %d", tagLen, body)
+		if ctlHdrLen+tagLen > body {
+			return f, fmt.Errorf("netcomm: ctl tag length %d overruns body %d", tagLen, body)
 		}
-		f.Ctl = Ctl{
-			From:    int(le.Uint16(b)),
-			Op:      b[2],
-			Tag:     string(b[5 : 5+tagLen]),
-			Payload: b[5+tagLen:],
+		f.Ctl = Ctl{From: int(le.Uint16(b)), Op: b[2]}
+		tag := st.hdr[:0]
+		if tagLen > len(st.hdr) {
+			tag = make([]byte, 0, tagLen)
+		}
+		tag = tag[:tagLen]
+		if _, err := io.ReadFull(r, tag); err != nil {
+			return f, errShort(err)
+		}
+		f.Ctl.Tag = string(tag)
+		if pl := body - ctlHdrLen - tagLen; pl > 0 {
+			buf, err := readPayload(r, pl)
+			if err != nil {
+				return f, err
+			}
+			f.Ctl.Payload = buf
 		}
 	default:
-		return Frame{}, fmt.Errorf("netcomm: unknown frame kind %d", f.Kind)
+		return f, fmt.Errorf("netcomm: unknown frame kind %d", f.Kind)
 	}
 	return f, nil
+}
+
+// readPayload reads the next n bytes of r into a runtime.GetBuf buffer.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := runtime.GetBuf(n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		runtime.PutBuf(buf)
+		return nil, errShort(err)
+	}
+	return buf, nil
 }

@@ -1,8 +1,10 @@
 package netcomm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -284,55 +286,96 @@ func (t *Transport) handleInbound(c net.Conn) {
 }
 
 // readLoop decodes and dispatches frames from lane l's connection until it
-// drops.
+// drops. A read error of the connection, at a frame boundary or inside a
+// frame, only drops the lane, which reconnects: the peer writes a frame
+// whose write failed again on the next connection, the reliable layer
+// retransmits lost data, and a gather stream's end count reports a lost
+// record. A frame that arrived but does not decode is another matter: what
+// it carried is lost, and badFrame fails its epoch. A frame over the limit
+// is the one such error the stream survives.
 func (t *Transport) readLoop(l *lane, c net.Conn) {
 	var st readState
-	var sr *stampReader
-	var r = ioReader(c)
-	if t.tr != nil {
-		sr = &stampReader{r: c}
-		r = sr
-	}
+	fr := &frameReader{c: c, stamps: t.tr != nil}
 	for {
-		if sr != nil {
-			sr.armed = true
-		}
-		f, err := readFrame(r, &st, t.maxFrame)
+		fr.armed = true
+		f, err := readFrame(fr, &st, t.maxFrame)
 		if err != nil {
+			var big *oversizeError
+			switch {
+			case fr.err != nil || t.closed.Load():
+			case errors.As(err, &big):
+				// The frame is still delimited: fail its epoch, skip its
+				// body and keep reading, so the lane stays up to carry the
+				// abort and the runs after it.
+				t.badFrame(l, f, err)
+				if _, err = io.CopyN(io.Discard, fr, int64(big.body)); err == nil {
+					continue
+				}
+			default:
+				t.badFrame(l, f, err)
+			}
 			c.Close()
 			if !t.closed.Load() {
 				l.drop(c, err)
 			}
 			return
 		}
-		t.dispatch(l, f, sr)
+		t.dispatch(l, f, fr.stamp)
 	}
 }
 
-// ioReader exists so readLoop's reader variable has an interface type
-// whether or not the stamp wrapper is in play.
-func ioReader(c net.Conn) interface{ Read([]byte) (int, error) } { return c }
-
-// stampReader notes the arrival time of the first byte of each frame, so
-// wire:recv trace events measure transfer time, not idle blocking.
-type stampReader struct {
-	r     interface{ Read([]byte) (int, error) }
-	armed bool
-	stamp time.Time
+// badFrame fails, on every rank, the epoch of frame f from l's peer, which
+// arrived but did not decode. The epoch is the frame's own when its kind is
+// one that carries it, else the current one. Locally the epoch's pending and
+// future collectives and its bound run fail with the cause; the abort to the
+// peers is sent in the background, because the lane it came from may first
+// have to reconnect.
+func (t *Transport) badFrame(l *lane, f Frame, cause error) {
+	epoch := f.Epoch
+	if f.Kind != kindData && f.Kind != kindCtl {
+		epoch = t.epoch.Load()
+	}
+	reason := fmt.Sprintf("bad frame from rank %d: %v", l.peer, cause)
+	t.col.abort(epoch, &AbortError{Rank: t.rank, Reason: reason})
+	if epoch == t.epoch.Load() {
+		t.failRun(&AbortError{Rank: t.rank, Reason: reason})
+	}
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		t.broadcastAbort(epoch, reason)
+	}()
 }
 
-func (s *stampReader) Read(p []byte) (int, error) {
-	n, err := s.r.Read(p)
-	if s.armed && n > 0 {
-		s.stamp = time.Now()
-		s.armed = false
+// frameReader is readLoop's view of its connection. It keeps the
+// connection's own read error apart from readFrame's decode errors, and,
+// when the transport traces, it notes the arrival of each frame's first
+// byte (the first read after readLoop arms it), so wire:recv trace events
+// measure transfer time, not idle blocking.
+type frameReader struct {
+	c      net.Conn
+	err    error // the connection's read error, once it failed
+	stamps bool
+	armed  bool
+	stamp  time.Time
+}
+
+func (r *frameReader) Read(p []byte) (int, error) {
+	n, err := r.c.Read(p)
+	if r.stamps && r.armed && n > 0 {
+		r.stamp = time.Now()
+		r.armed = false
+	}
+	if err != nil {
+		r.err = err
 	}
 	return n, err
 }
 
-// dispatch routes one decoded frame. Data frames from a stale epoch are
+// dispatch routes one decoded frame whose first byte arrived at stamp
+// (set when the transport traces). Data frames from a stale epoch are
 // dropped (their payload recycled); control frames feed the collectives.
-func (t *Transport) dispatch(l *lane, f Frame, sr *stampReader) {
+func (t *Transport) dispatch(l *lane, f Frame, stamp time.Time) {
 	wire := prefixLen + frameBodyLen(f)
 	t.framesRecv.Add(1)
 	t.bytesRecv.Add(int64(wire))
@@ -342,12 +385,12 @@ func (t *Transport) dispatch(l *lane, f Frame, sr *stampReader) {
 	}
 	switch f.Kind {
 	case kindData:
-		if sr != nil {
+		if t.tr != nil {
 			t0 := t.runT0()
 			t.tr.Record(trace.Event{
 				ID:   ptg.TaskID{Class: "wire:recv", I: l.peer, J: t.rank, K: int(f.Msg.Bundle)},
 				Kind: ptg.KindComm, Node: int32(t.rank), Core: 0,
-				Start: sr.stamp.Sub(t0), End: time.Since(t0), Msgs: 1, Bytes: wire,
+				Start: stamp.Sub(t0), End: time.Since(t0), Msgs: 1, Bytes: wire,
 			})
 		}
 		if f.Epoch != t.epoch.Load() {
@@ -368,6 +411,9 @@ func (t *Transport) dispatch(l *lane, f Frame, sr *stampReader) {
 		}
 		b.deliver(f.Msg)
 	case kindCtl:
+		// The lane, not the frame, says who sent it: a peer cannot speak
+		// for another rank.
+		it := ctlItem{from: l.peer, op: f.Ctl.Op, payload: f.Ctl.Payload}
 		switch f.Ctl.Op {
 		case opJob:
 			select {
@@ -375,13 +421,16 @@ func (t *Transport) dispatch(l *lane, f Frame, sr *stampReader) {
 			case <-t.closeCh:
 			}
 		case opAbort:
-			err := &AbortError{Rank: f.Ctl.From, Reason: string(f.Ctl.Payload)}
+			err := &AbortError{Rank: l.peer, Reason: string(f.Ctl.Payload)}
+			runtime.PutBuf(f.Ctl.Payload)
 			t.col.abort(f.Epoch, err)
 			if f.Epoch == t.epoch.Load() {
 				t.failRun(err)
 			}
+		case opGather, opGatherEnd:
+			t.col.deposit(f.Epoch, opGather, f.Ctl.Tag, anyRank, it)
 		default:
-			t.col.deposit(f.Epoch, f.Ctl.Op, f.Ctl.Tag, f.Ctl.From, f.Ctl.Payload)
+			t.col.deposit(f.Epoch, f.Ctl.Op, f.Ctl.Tag, l.peer, it)
 		}
 	case kindHello:
 		// Late hello on an attached lane: ignore.
@@ -514,46 +563,139 @@ func (t *Transport) Barrier(tag string) error {
 	return nil
 }
 
-// Gather collects one payload per rank at rank 0 (runtime.Conduit).
+// Gather collects one payload per rank at rank 0: a GatherStream of one
+// record per rank, which rank 0 copies out. On rank 0 it returns the
+// payloads indexed by rank, its own included; on other ranks, nil.
 func (t *Transport) Gather(tag string, payload []byte) ([][]byte, error) {
-	ep := t.epoch.Load()
+	var blobs [][]byte
 	if t.rank == 0 {
-		blobs := make([][]byte, len(t.addrs))
+		blobs = make([][]byte, len(t.addrs))
 		blobs[0] = payload
-		for p := 1; p < len(t.addrs); p++ {
-			b, err := t.col.take(ep, opGather, tag, p)
-			if err != nil {
-				return nil, fmt.Errorf("netcomm: gather %q from rank %d: %w", tag, p, err)
-			}
-			blobs[p] = b
-		}
-		for p := 1; p < len(t.addrs); p++ {
-			if err := t.lanes[p].sendBytes(appendCtlFrame(nil, ep, 0, opGatherOK, tag, nil)); err != nil {
-				return nil, fmt.Errorf("netcomm: gather %q release to rank %d: %w", tag, p, err)
-			}
-		}
-		return blobs, nil
 	}
-	if err := t.lanes[0].sendBytes(appendCtlFrame(nil, ep, t.rank, opGather, tag, payload)); err != nil {
-		return nil, fmt.Errorf("netcomm: gather %q to rank 0: %w", tag, err)
+	err := t.GatherStream(tag, func(_ int, emit func([]byte) error) error {
+		return emit(payload)
+	}, func(from int, rec []byte) error {
+		if blobs[from] != nil {
+			return fmt.Errorf("second payload from rank %d", from)
+		}
+		blobs[from] = append([]byte{}, rec...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return blobs, nil
+}
+
+// GatherStream streams every other rank's records to rank 0
+// (runtime.Conduit). A record travels as one ctl frame: its header and the
+// record go out in one writev, so the record is never copied into a frame,
+// and rank 0 reads it into an arena buffer that goes back once recv
+// returns. Each sender closes its stream with a count of what it sent.
+// Rank 0 answers each rank with one opGatherOK once every stream is
+// complete.
+func (t *Transport) GatherStream(tag string, send func(max int, emit func(rec []byte) error) error,
+	recv func(from int, rec []byte) error) error {
+	ep := t.epoch.Load()
+	if prefixLen+ctlHdrLen+len(tag) > laneHdrLen {
+		return fmt.Errorf("netcomm: gather tag %q longer than %d bytes", tag, laneHdrLen-prefixLen-ctlHdrLen)
+	}
+	if t.rank != 0 {
+		return t.gatherSend(ep, tag, send)
+	}
+	sent := make([]int, len(t.addrs)) // records counted so far, per rank
+	open := len(t.addrs) - 1
+	for open > 0 {
+		it, err := t.col.take(ep, opGather, tag, anyRank)
+		if err != nil {
+			return fmt.Errorf("netcomm: gather %q: %w", tag, err)
+		}
+		switch {
+		case sent[it.from] < 0:
+			err = fmt.Errorf("rank %d sent past the end of its stream", it.from)
+		case it.op == opGatherEnd:
+			if len(it.payload) != 4 || int(binary.LittleEndian.Uint32(it.payload)) != sent[it.from] {
+				err = fmt.Errorf("rank %d ended its stream with %x after %d records", it.from, it.payload, sent[it.from])
+			}
+			sent[it.from] = -1
+			open--
+		default:
+			sent[it.from]++
+			err = recv(it.from, it.payload)
+		}
+		runtime.PutBuf(it.payload)
+		if err != nil {
+			reason := fmt.Sprintf("gather %q: %v", tag, err)
+			t.abortEpoch(ep, reason)
+			return fmt.Errorf("netcomm: %s", reason)
+		}
+	}
+	for p := 1; p < len(t.addrs); p++ {
+		if err := t.lanes[p].sendBytes(appendCtlFrame(nil, ep, 0, opGatherOK, tag, nil)); err != nil {
+			return fmt.Errorf("netcomm: gather %q release to rank %d: %w", tag, p, err)
+		}
+	}
+	return nil
+}
+
+// gatherSend is GatherStream on a rank other than 0: it streams send's
+// records to rank 0, each as one frame no larger than this rank's own
+// MaxFrame, then the count, and waits for rank 0's release. A record is
+// refused once the epoch has failed, so a sender stops streaming into a
+// dead gather.
+func (t *Transport) gatherSend(ep uint32, tag string, send func(max int, emit func(rec []byte) error) error) error {
+	l := t.lanes[0]
+	limit := t.maxFrame - ctlHdrLen - len(tag)
+	n := uint32(0)
+	emit := func(rec []byte) error {
+		if err := t.col.epochErr(ep); err != nil {
+			return err
+		}
+		if len(rec) > limit {
+			return fmt.Errorf("record of %d bytes exceeds the %d-byte limit", len(rec), limit)
+		}
+		var hdr [laneHdrLen]byte
+		k := putCtlHeader(hdr[:], ep, t.rank, opGather, tag, len(rec))
+		if _, err := l.write(hdr[:k], rec); err != nil {
+			return err
+		}
+		n++
+		return nil
+	}
+	if err := send(limit, emit); err != nil {
+		reason := fmt.Sprintf("gather %q to rank 0: %v", tag, err)
+		t.abortEpoch(ep, reason)
+		return fmt.Errorf("netcomm: %s", reason)
+	}
+	var count [4]byte
+	binary.LittleEndian.PutUint32(count[:], n)
+	if err := l.sendBytes(appendCtlFrame(nil, ep, t.rank, opGatherEnd, tag, count[:])); err != nil {
+		return fmt.Errorf("netcomm: gather %q to rank 0: %w", tag, err)
 	}
 	if _, err := t.col.take(ep, opGatherOK, tag, 0); err != nil {
-		return nil, fmt.Errorf("netcomm: gather %q ack from rank 0: %w", tag, err)
+		return fmt.Errorf("netcomm: gather %q ack from rank 0: %w", tag, err)
 	}
-	return nil, nil
+	return nil
 }
 
 // Abort broadcasts a failure to all peers and poisons local collectives
 // (runtime.Conduit). Best-effort: unreachable peers are already failing on
 // their own.
-func (t *Transport) Abort(reason string) {
-	ep := t.epoch.Load()
-	t.col.abort(ep, &AbortError{Rank: t.rank, Reason: reason})
+func (t *Transport) Abort(reason string) { t.abortEpoch(t.epoch.Load(), reason) }
+
+// abortEpoch poisons epoch's collectives here and on every peer.
+func (t *Transport) abortEpoch(epoch uint32, reason string) {
+	t.col.abort(epoch, &AbortError{Rank: t.rank, Reason: reason})
+	t.broadcastAbort(epoch, reason)
+}
+
+// broadcastAbort sends an abort of epoch to every peer, waiting out any
+// lane that is reconnecting.
+func (t *Transport) broadcastAbort(epoch uint32, reason string) {
 	for _, l := range t.lanes {
-		if l == nil {
-			continue
+		if l != nil {
+			_ = l.sendBytes(appendCtlFrame(nil, epoch, t.rank, opAbort, "", []byte(reason)))
 		}
-		_ = l.sendBytes(appendCtlFrame(nil, ep, t.rank, opAbort, "", []byte(reason)))
 	}
 }
 

@@ -1,15 +1,19 @@
 package netcomm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"castencil/internal/core"
 	"castencil/internal/fault"
 	"castencil/internal/runtime"
 )
@@ -108,6 +112,56 @@ func TestBarrierAndGather(t *testing.T) {
 					}
 				} else if blobs != nil {
 					t.Errorf("rank %d gather returned blobs", tr.Rank())
+				}
+			}(tr)
+		}
+		wg.Wait()
+	}
+}
+
+// TestGatherStreamOrder streams two records from every rank other than 0
+// across three ranks and two epochs: rank 0 must receive each rank's
+// records in the order they were emitted, and none of its own.
+func TestGatherStreamOrder(t *testing.T) {
+	ts := newMesh(t, 3, nil)
+	for epoch := 0; epoch < 2; epoch++ {
+		var wg sync.WaitGroup
+		for _, tr := range ts {
+			wg.Add(1)
+			go func(tr *Transport) {
+				defer wg.Done()
+				tr.Begin()
+				if err := tr.Barrier("start"); err != nil {
+					t.Errorf("rank %d barrier: %v", tr.Rank(), err)
+					return
+				}
+				got := make([][]string, tr.Ranks())
+				err := tr.GatherStream("stats", func(_ int, emit func([]byte) error) error {
+					for _, part := range []string{"a", "b"} {
+						if err := emit([]byte(fmt.Sprintf("rank-%d/%s", tr.Rank(), part))); err != nil {
+							return err
+						}
+					}
+					return nil
+				}, func(from int, rec []byte) error {
+					got[from] = append(got[from], string(rec))
+					return nil
+				})
+				if err != nil {
+					t.Errorf("rank %d gather: %v", tr.Rank(), err)
+					return
+				}
+				if tr.Rank() != 0 {
+					return
+				}
+				for r := 1; r < len(got); r++ {
+					want := []string{fmt.Sprintf("rank-%d/a", r), fmt.Sprintf("rank-%d/b", r)}
+					if !slices.Equal(got[r], want) {
+						t.Errorf("records from rank %d: %q, want %q", r, got[r], want)
+					}
+				}
+				if got[0] != nil {
+					t.Errorf("rank 0 received its own records: %q", got[0])
 				}
 			}(tr)
 		}
@@ -350,6 +404,58 @@ func TestReconnectMasksDrop(t *testing.T) {
 	t.Fatal("no delivery after reconnect")
 }
 
+// TestRealRunSurvivesSeveredLane severs the lane of a two-rank Base solve
+// under the reliable transport halfway through rank 1's tasks, while the
+// ranks trade halos. The drop must stay a reconnect: both ranks succeed,
+// and the gathered grid is bitwise the single-process one.
+func TestRealRunSurvivesSeveredLane(t *testing.T) {
+	ts := newMesh(t, 2, func(r int, o *Options) {
+		o.Recovery = fault.Recovery{Deadline: 5 * time.Second}
+	})
+	cfg := core.Config{N: 128, TileRows: 16, P: 2, Steps: 40}
+	single, err := core.RunReal(core.Base, cfg, runtime.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sever sync.Once
+	severed := false
+	res := make([]*core.RealResult, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range ts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opts := runtime.Options{Workers: 1, Recovery: &fault.Recovery{Deadline: 5 * time.Second},
+				Dist: &runtime.Dist{Rank: r, Ranks: 2, Net: ts[r]}}
+			if r == 1 {
+				opts.OnProgress = func(done, total int64) {
+					if done >= total/2 {
+						sever.Do(func() { ts[1].severLane(0); severed = true })
+					}
+				}
+			}
+			res[r], errs[r] = core.RunReal(core.Base, cfg, opts)
+		}()
+	}
+	wg.Wait()
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatalf("run across a severed lane failed: %v", errs)
+	}
+	if !severed || ts[0].Stats().Reconnects+ts[1].Stats().Reconnects == 0 {
+		t.Fatalf("the lane was not severed during the run (severed %v)", severed)
+	}
+	want, got := single.Grid, res[0].Grid
+	for r := 0; r < want.Rows; r++ {
+		wr, gr := want.Row(r, 0, want.Cols), got.Row(r, 0, got.Cols)
+		for c := range wr {
+			if math.Float64bits(wr[c]) != math.Float64bits(gr[c]) {
+				t.Fatalf("grid[%d][%d] = %v, want %v", r, c, gr[c], wr[c])
+			}
+		}
+	}
+}
+
 // TestCloseStopsRedial closes a transport while its lane is redialing a
 // vanished peer: Close must wait for the redial goroutine, which leaves its
 // backoff as soon as the transport closes, and every goroutine the mesh
@@ -460,5 +566,180 @@ func TestJobBroadcast(t *testing.T) {
 	}
 	if err := ts[1].SendJob([]byte("x")); err == nil {
 		t.Error("SendJob from a follower succeeded")
+	}
+}
+
+// gatherBoth runs one gather epoch on a 2-rank mesh: rank 1 streams recs,
+// rank 0 collects them. It returns each rank's Gather error and how long the
+// slower rank took to return.
+func gatherBoth(t *testing.T, ts []*Transport, send func(max int, emit func([]byte) error) error) ([2]error, time.Duration) {
+	t.Helper()
+	var errs [2]error
+	var wg sync.WaitGroup
+	start := time.Now()
+	for r, tr := range ts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = tr.GatherStream("tiles", send, func(int, []byte) error { return nil })
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("gather hung")
+	}
+	return errs, time.Since(start)
+}
+
+// TestGatherOverMaxFrameFailsBothRanks sends a gather record above the
+// frame limit and requires both ranks' Gather to fail promptly, within the
+// recovery deadline, with an error naming the cause; the next epoch must
+// then run on the same lanes. When only rank 0's limit is small, rank 0's
+// reader meets the oversized frame, skips it and aborts the epoch on both
+// ranks; when both limits are small, rank 1 refuses the record itself.
+func TestGatherOverMaxFrameFailsBothRanks(t *testing.T) {
+	const deadline = 2 * time.Second
+	for _, tc := range []struct {
+		name    string
+		rank1   int // rank 1's MaxFrame (0: the default)
+		wantErr string
+	}{
+		{"reader-rejects", 0, "frame body 4106 exceeds limit 1024"},
+		{"sender-refuses", 1024, "record of 4096 bytes exceeds the 1014-byte limit"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := newMesh(t, 2, func(r int, o *Options) {
+				o.Recovery = fault.Recovery{Deadline: deadline}
+				o.MaxFrame = 1024
+				if r == 1 {
+					o.MaxFrame = tc.rank1
+				}
+			})
+			for _, tr := range ts {
+				tr.Begin()
+			}
+			errs, took := gatherBoth(t, ts, func(_ int, emit func([]byte) error) error {
+				return emit(make([]byte, 4096))
+			})
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("rank %d: Gather returned %v, want an error naming %q", r, err, tc.wantErr)
+				}
+			}
+			if took > deadline {
+				t.Errorf("the ranks took %v to fail, past the %v recovery deadline", took, deadline)
+			}
+			if tc.rank1 == 0 {
+				// Rank 0's reader skipped the frame's body: the lane stayed up.
+				for r, tr := range ts {
+					if n := tr.Stats().Reconnects; n != 0 {
+						t.Errorf("rank %d: %d reconnects, want the lane kept up", r, n)
+					}
+				}
+			}
+			for _, tr := range ts {
+				tr.Begin()
+			}
+			errs, _ = gatherBoth(t, ts, func(_ int, emit func([]byte) error) error {
+				return emit([]byte("small"))
+			})
+			if errs[0] != nil || errs[1] != nil {
+				t.Errorf("next epoch's gather failed: %v", errs)
+			}
+		})
+	}
+}
+
+// TestMalformedFrameFailsBothRanks sends rank 0 a gather frame whose tag
+// length overruns its body. The frame arrived but does not decode, so what it
+// carried is lost: rank 0's reader must fail the epoch on both ranks, rank 1
+// learning of it once its lane reconnects, so both ranks' GatherStream
+// return an error naming the bad frame within the recovery deadline.
+func TestMalformedFrameFailsBothRanks(t *testing.T) {
+	const deadline = 2 * time.Second
+	ts := newMesh(t, 2, func(r int, o *Options) {
+		o.Recovery = fault.Recovery{Deadline: deadline}
+	})
+	for _, tr := range ts {
+		tr.Begin()
+	}
+	errs, took := gatherBoth(t, ts, func(_ int, emit func([]byte) error) error {
+		ep := ts[1].epoch.Load()
+		frame := appendCtlFrame(nil, ep, 1, opGather, "tiles", make([]byte, 64))
+		binary.LittleEndian.PutUint16(frame[prefixLen+3:], 0xffff)
+		if err := ts[1].lanes[0].sendBytes(frame); err != nil {
+			return err
+		}
+		for stop := time.Now().Add(deadline); time.Now().Before(stop); time.Sleep(time.Millisecond) {
+			if err := ts[1].col.epochErr(ep); err != nil {
+				return err
+			}
+		}
+		return errors.New("no abort reached rank 1")
+	})
+	for r, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "bad frame from rank 1: netcomm: ctl tag length 65535 overruns body") {
+			t.Errorf("rank %d: Gather returned %v, want an error naming the malformed frame", r, err)
+		}
+	}
+	if took > deadline {
+		t.Errorf("the ranks took %v to fail, past the %v recovery deadline", took, deadline)
+	}
+}
+
+// TestTornFrameReconnects cuts a gather frame: rank 1 writes half of one
+// onto its lane and closes its sending side. A frame cut by its connection
+// is no protocol error, only a drop: rank 0's reader must reconnect the
+// lane, and the gather, whose one real record rank 1 emits once rank 0 has
+// seen the drop, must complete on both ranks with that record.
+func TestTornFrameReconnects(t *testing.T) {
+	ts := newMesh(t, 2, func(r int, o *Options) {
+		o.Recovery = fault.Recovery{Deadline: 5 * time.Second}
+	})
+	for _, tr := range ts {
+		tr.Begin()
+	}
+	var got [][]byte
+	var errs [2]error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		errs[0] = ts[0].GatherStream("tiles", nil, func(_ int, rec []byte) error {
+			got = append(got, slices.Clone(rec))
+			return nil
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		errs[1] = ts[1].GatherStream("tiles", func(_ int, emit func([]byte) error) error {
+			frame := appendCtlFrame(nil, ts[1].epoch.Load(), 1, opGather, "tiles", make([]byte, 64))
+			l := ts[1].lanes[0]
+			l.mu.Lock()
+			c := l.conn.(*net.TCPConn)
+			l.mu.Unlock()
+			if _, err := c.Write(frame[:len(frame)/2]); err != nil {
+				return err
+			}
+			if err := c.CloseWrite(); err != nil {
+				return err
+			}
+			for stop := time.Now().Add(5 * time.Second); ts[0].Stats().Reconnects == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(stop) {
+					return errors.New("rank 0 never dropped the torn lane")
+				}
+			}
+			return emit([]byte("record"))
+		}, nil)
+	}()
+	wg.Wait()
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatalf("gather across a torn frame failed: %v", errs)
+	}
+	if len(got) != 1 || string(got[0]) != "record" {
+		t.Errorf("rank 0 received %q, want the one record", got)
 	}
 }

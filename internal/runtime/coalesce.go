@@ -30,14 +30,16 @@ type execBundle struct {
 	remaining atomic.Int32
 }
 
-// newExecBundles arms the plan's bundle countdowns. It also sizes each
-// node's fan-out scratch for its largest inbound bundle, so the batched
-// release never grows it mid-run.
-func newExecBundles(plan *ptg.Plan, nodes []*execNode) []execBundle {
+// newExecBundles arms the plan's bundle countdowns, in bundles when it has
+// the plan's length. It also sizes each node's fan-out scratch for its
+// largest inbound bundle, so the batched release never grows it mid-run.
+func newExecBundles(plan *ptg.Plan, nodes []*execNode, bundles []execBundle) []execBundle {
 	if len(plan.Bundles) == 0 {
 		return nil
 	}
-	bundles := make([]execBundle, len(plan.Bundles))
+	if len(bundles) != len(plan.Bundles) {
+		bundles = make([]execBundle, len(plan.Bundles))
+	}
 	for i := range plan.Bundles {
 		b := &plan.Bundles[i]
 		bundles[i].remaining.Store(int32(len(b.Members)))

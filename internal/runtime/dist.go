@@ -67,11 +67,16 @@ type Conduit interface {
 	// Barrier blocks until every rank has entered the barrier with the same
 	// tag in the current epoch.
 	Barrier(tag string) error
-	// Gather sends payload to rank 0 and blocks until rank 0 has collected
-	// one payload from every rank. On rank 0 it returns the payloads indexed
-	// by rank (its own included); on other ranks it returns nil after rank 0
-	// acknowledged the collection.
-	Gather(tag string, payload []byte) ([][]byte, error)
+	// GatherStream streams records from every rank other than 0 to rank 0
+	// and blocks until rank 0 has received all of them. On a rank other
+	// than 0 it calls send once: send hands its records to emit one at a
+	// time, each at most max bytes, and emit returns once the record is on
+	// its way, so send may reuse it. On rank 0 it calls recv with every
+	// other rank's records, each rank's in the order they were emitted; rec
+	// is only valid until recv returns. An error from send, emit or recv
+	// fails the gather on every rank.
+	GatherStream(tag string, send func(max int, emit func(rec []byte) error) error,
+		recv func(from int, rec []byte) error) error
 	// Abort broadcasts a failure to all peers: their pending and future
 	// collective calls in this epoch fail, and their bound run (if any) is
 	// failed with the abort as cause.
@@ -139,8 +144,12 @@ var errBadMessage = errors.New("runtime: bad wire message")
 // owns, and either a cross-node dependency of a task on that destination
 // whose producer lives on the source, or a plan bundle from source to
 // destination (acks carry no address beyond the node pair). Anything else
-// fails the run with errBadMessage instead of panicking the rank.
+// fails the run with errBadMessage instead of panicking the rank. The call
+// counts in wireIn, so the run's end can wait out a delivery that read
+// commClosed just before it was set (see run).
 func (ex *executor) fromWire(m Message) {
+	ex.wireIn.Add(1)
+	defer ex.wireIn.Add(-1)
 	if err := ex.checkWire(m); err != nil {
 		PutBuf(m.Data)
 		ex.fail(err)
@@ -250,27 +259,25 @@ func (ex *executor) signalDrain() {
 
 // distExchangeStats folds every rank's counters into rank 0's Result, so the
 // distributed totals are exactly the single-process (and simulator) numbers.
-// Ranks ship their Results as JSON (epilogue traffic, not the hot path);
-// non-zero ranks keep their local view. Per-node arrays merge by addition:
-// each rank reports nonzero entries only for the nodes it owns.
+// Ranks other than 0 ship their Results as one JSON record each (epilogue
+// traffic, not the hot path) and keep their local view. Per-node arrays
+// merge by addition: each rank reports nonzero entries only for the nodes it
+// owns.
 func (ex *executor) distExchangeStats(res *Result) error {
-	payload, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	blobs, err := ex.dist.Net.Gather("stats", payload)
-	if err != nil {
-		return err
-	}
-	if ex.dist.Rank != 0 {
-		return nil
-	}
-	for r, blob := range blobs {
-		if r == ex.dist.Rank || blob == nil {
-			continue
+	seen := make([]bool, ex.dist.Ranks)
+	err := ex.dist.Net.GatherStream("stats", func(_ int, emit func([]byte) error) error {
+		payload, err := json.Marshal(res)
+		if err != nil {
+			return err
 		}
+		return emit(payload)
+	}, func(r int, rec []byte) error {
+		if seen[r] {
+			return fmt.Errorf("runtime: second stats payload from rank %d", r)
+		}
+		seen[r] = true
 		var o Result
-		if err := json.Unmarshal(blob, &o); err != nil {
+		if err := json.Unmarshal(rec, &o); err != nil {
 			return fmt.Errorf("runtime: bad stats payload from rank %d: %v", r, err)
 		}
 		res.Messages += o.Messages
@@ -296,6 +303,15 @@ func (ex *executor) distExchangeStats(res *Result) error {
 			if i < len(o.NodeParks) {
 				res.NodeParks[i] += o.NodeParks[i]
 			}
+		}
+		return nil
+	})
+	if err != nil || ex.dist.Rank != 0 {
+		return err
+	}
+	for r := 1; r < len(seen); r++ {
+		if !seen[r] {
+			return fmt.Errorf("runtime: no stats payload from rank %d", r)
 		}
 	}
 	return nil

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
+
+	"castencil/internal/fault"
 )
 
 // TestRankOfNodeBalanced pins the placement over every mesh up to 64 nodes:
@@ -57,13 +60,16 @@ type wireStub struct {
 	aborted  string
 }
 
-func (s *wireStub) Rank() int                               { return 1 }
-func (s *wireStub) Ranks() int                              { return 2 }
-func (s *wireStub) Begin()                                  {}
-func (s *wireStub) Unbind()                                 {}
-func (s *wireStub) Send(Message) error                      { return nil }
-func (s *wireStub) Abort(reason string)                     { s.aborted = reason }
-func (s *wireStub) Gather(string, []byte) ([][]byte, error) { return nil, nil }
+func (s *wireStub) Rank() int           { return 1 }
+func (s *wireStub) Ranks() int          { return 2 }
+func (s *wireStub) Begin()              {}
+func (s *wireStub) Unbind()             {}
+func (s *wireStub) Send(Message) error  { return nil }
+func (s *wireStub) Abort(reason string) { s.aborted = reason }
+
+func (s *wireStub) GatherStream(_ string, send func(int, func([]byte) error) error, _ func(int, []byte) error) error {
+	return send(1<<20, func([]byte) error { return nil })
+}
 
 func (s *wireStub) Bind(_ int, deliver func(Message), fail func(error)) error {
 	s.deliver, s.fail = deliver, fail
@@ -140,5 +146,85 @@ func TestHostileWireMessage(t *testing.T) {
 				t.Error("the failed run broadcast no abort")
 			}
 		})
+	}
+}
+
+// lateWire is a wireStub for a reliable run whose feeder races the run's
+// end, as a transport's read loop can: the stub acks every sequenced message
+// the rank sends, and in the drain barrier it starts a feeder whose stray
+// ack passes deliver's open check and is then held there (see
+// testDeliverOpen) while the run closes. Once the run unbinds, the feeder
+// delivers one more, as a reader that loaded the binding just before Unbind
+// would.
+type lateWire struct {
+	*wireStub
+	feeder  sync.WaitGroup
+	held    chan struct{} // receives once the stray ack is held
+	unbound chan struct{}
+}
+
+// strayAck is an ack for a sequence number the run never sent.
+var strayAck = Message{Src: 0, Dst: 1, Seq: 1 << 40, Ack: true}
+
+func (s *lateWire) Send(m Message) error {
+	if m.Seq != 0 && !m.Ack {
+		s.deliver(Message{Src: m.Dst, Dst: m.Src, Seq: m.Seq, Ack: true})
+	}
+	return nil
+}
+
+func (s *lateWire) Barrier(tag string) error {
+	if tag == "drain" {
+		s.feeder.Add(1)
+		go func() {
+			defer s.feeder.Done()
+			s.deliver(strayAck)
+			<-s.unbound
+			s.deliver(strayAck)
+		}()
+		<-s.held
+	}
+	return s.wireStub.Barrier(tag)
+}
+
+func (s *lateWire) Unbind() { close(s.unbound) }
+
+// TestLateWireDeliveryLeavesArraysEmpty runs rank 1 of a two-rank chain
+// several times on one Arrays while a wire message races the end of every
+// run. A delivery that found the run open must land before the run sweeps
+// its channels, and one that comes after the run must be dropped, so every
+// run that ends cleanly hands back empty inboxes and send queues: the next
+// run must not consume a message of the last one.
+func TestLateWireDeliveryLeavesArraysEmpty(t *testing.T) {
+	held := make(chan struct{}, 1)
+	testDeliverOpen = func(m Message) {
+		if m.Seq == strayAck.Seq {
+			held <- struct{}{}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	t.Cleanup(func() { testDeliverOpen = nil })
+	g := buildChain(t, 3, 2)
+	var a Arrays
+	for i := 0; i < 5; i++ {
+		in := Message{Src: 0, Dst: 1, Task: 1, Dep: 0, Seq: 1}
+		in.Data = binary.LittleEndian.AppendUint64(GetBuf(8)[:0], 1)
+		stub := &lateWire{wireStub: &wireStub{in: in, fed: make(chan struct{})}, held: held, unbound: make(chan struct{})}
+		res, err := RunWith(g, Options{Workers: 1, Recovery: fault.DefaultRecovery(),
+			Dist: &Dist{Rank: 1, Ranks: 2, Net: stub}}, &a)
+		<-stub.fed
+		stub.feeder.Wait()
+		if err != nil || res.Completed != 1 {
+			t.Fatalf("run %d: completed %v, error %v", i, res, err)
+		}
+		if a.inbox == nil {
+			t.Fatalf("run %d ended cleanly but handed back no arrays", i)
+		}
+		for n := range a.inbox {
+			if len(a.inbox[n]) != 0 || len(a.sendQ[n]) != 0 {
+				t.Fatalf("run %d left node %d with %d inbox and %d send-queue entries",
+					i, n, len(a.inbox[n]), len(a.sendQ[n]))
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -231,6 +232,9 @@ type executor struct {
 	nodeRank   []int32
 	commStop   chan struct{}
 	commClosed atomic.Bool
+	// wireIn counts conduit deliveries in progress (see fromWire): the
+	// run's end waits for it to reach zero after commClosed is set.
+	wireIn atomic.Int64
 	// drainSig is raised when a node's unacknowledged reliable count drops
 	// to zero and when the run fails: the distributed drain waits on it.
 	drainSig chan struct{}
@@ -256,12 +260,38 @@ type executor struct {
 
 	errMu  sync.Mutex
 	runErr error
+
+	// arrays are the run's pending counts, channels and bundle countdowns,
+	// kept together so a clean run can hand them back (see RunWith).
+	arrays Arrays
+}
+
+// Arrays holds the per-run arrays of an executor that the graph's shape
+// sizes: the pending dependency count of every task, every node's send
+// queue and inbox, and the bundle countdowns. A caller that runs one graph
+// many times, one run at a time, keeps an Arrays beside the graph and
+// passes it to RunWith, so repeated runs do not rebuild them. The zero
+// Arrays is empty.
+type Arrays struct {
+	pending []int32
+	sendQ   []chan ptg.OutEdge
+	inbox   []chan Message
+	bundles []execBundle
 }
 
 // Run executes the graph to completion and returns the result. It is an
 // error if the graph deadlocks due to a malformed dependency structure
 // (detected as global quiescence before completion) or if a task panics.
 func Run(g *ptg.Graph, opts Options) (*Result, error) {
+	return RunWith(g, opts, nil)
+}
+
+// RunWith is Run with the per-run arrays taken from a (nil: allocated
+// afresh). The run uses what fits g and its options and allocates the rest.
+// It hands its arrays back to a only when it ends cleanly: then every
+// channel is drained and no goroutine of the run touches them. A failed
+// run drops them and leaves a empty.
+func RunWith(g *ptg.Graph, opts Options, a *Arrays) (*Result, error) {
 	if opts.Ctx != nil {
 		if err := opts.Ctx.Err(); err != nil {
 			return nil, &ptg.CancelError{Engine: "runtime", Total: len(g.Tasks), Err: err}
@@ -271,16 +301,25 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex, err := newExecutor(g, plan, opts)
+	var arr Arrays
+	if a != nil {
+		arr, *a = *a, Arrays{}
+	}
+	ex, err := newExecutor(g, plan, opts, arr)
 	if err != nil {
 		return nil, err
 	}
-	return ex.run()
+	res, err := ex.run()
+	if err == nil && a != nil {
+		*a = ex.arrays
+	}
+	return res, err
 }
 
 // newExecutor validates the options and sets up one run of g under plan:
-// per-node stores, queues and channels, and the bundle countdowns and lanes.
-func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) {
+// per-node stores, queues and channels, and the bundle countdowns and lanes,
+// reusing the arrays of arr that fit.
+func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options, arr Arrays) (*executor, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
@@ -298,7 +337,6 @@ func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) 
 		plan:      plan,
 		opts:      opts,
 		traceComm: opts.Trace != nil && opts.TraceComm,
-		pending:   make([]int32, len(g.Tasks)),
 		total:     int64(len(g.Tasks)),
 		finished:  make(chan struct{}),
 		drainSig:  make(chan struct{}, 1),
@@ -331,8 +369,16 @@ func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) 
 		ex.reliable = true
 		ex.rec = opts.Recovery.WithDefaults()
 	}
+	if len(arr.pending) != len(g.Tasks) {
+		arr.pending = make([]int32, len(g.Tasks))
+	}
 	for i := range g.Tasks {
-		ex.pending[i] = int32(len(g.Tasks[i].Deps))
+		arr.pending[i] = int32(len(g.Tasks[i].Deps))
+	}
+	ex.pending = arr.pending
+	if len(arr.sendQ) != g.NumNodes {
+		arr.sendQ = make([]chan ptg.OutEdge, g.NumNodes)
+		arr.inbox = make([]chan Message, g.NumNodes)
 	}
 
 	ex.nodes = make([]*execNode, g.NumNodes)
@@ -346,8 +392,9 @@ func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) 
 		}
 		// Send queues and inboxes hold every wire message a node sends and
 		// receives in the run (plus, under recovery, the acks for what it
-		// sends), so channel operations never block indefinitely. Nodes of
-		// other ranks never use theirs.
+		// sends), so channel operations never block indefinitely; a larger
+		// one left by an earlier run serves as well. Nodes of other ranks
+		// never use theirs.
 		sends, recvs := 0, 0
 		if ex.localNode(int32(n)) {
 			sends, recvs = plan.CrossOut[n], plan.CrossIn[n]
@@ -355,12 +402,18 @@ func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) 
 				recvs += sends
 			}
 		}
+		if cap(arr.sendQ[n]) <= sends {
+			arr.sendQ[n] = make(chan ptg.OutEdge, sends+1)
+		}
+		if cap(arr.inbox[n]) <= recvs {
+			arr.inbox[n] = make(chan Message, recvs+1)
+		}
 		nd := &execNode{
 			id:     int32(n),
 			store:  NewStoreWithSlots(slots, bufSlots),
 			deques: make([]*deque, opts.Workers),
-			sendQ:  make(chan ptg.OutEdge, sends+1),
-			inbox:  make(chan Message, recvs+1),
+			sendQ:  arr.sendQ[n],
+			inbox:  arr.inbox[n],
 		}
 		for w := range nd.deques {
 			nd.deques[w] = newDeque()
@@ -372,7 +425,9 @@ func newExecutor(g *ptg.Graph, plan *ptg.Plan, opts Options) (*executor, error) 
 		nd.cond = sync.NewCond(&nd.mu)
 		ex.nodes[n] = nd
 	}
-	ex.bundles = newExecBundles(plan, ex.nodes)
+	arr.bundles = newExecBundles(plan, ex.nodes, arr.bundles)
+	ex.bundles = arr.bundles
+	ex.arrays = arr
 	return ex, nil
 }
 
@@ -458,6 +513,12 @@ func (ex *executor) run() (*Result, error) {
 		ex.distDrain()
 		ex.commClosed.Store(true)
 		close(ex.commStop)
+		// A conduit reader may be inside fromWire with a message that raced
+		// the close: wait it out, so that nothing lands in a channel after
+		// the sweep below.
+		for ex.wireIn.Load() != 0 {
+			goruntime.Gosched()
+		}
 	}
 	wg.Wait()
 	// Wait out background deliveries (injected delays, overflow enqueues)
@@ -805,6 +866,9 @@ func (ex *executor) deliver(m Message) {
 		PutBuf(m.Data)
 		return
 	}
+	if testDeliverOpen != nil {
+		testDeliverOpen(m)
+	}
 	select {
 	case ex.nodes[m.Dst].inbox <- m:
 	default:
@@ -820,6 +884,11 @@ func (ex *executor) deliver(m Message) {
 		}()
 	}
 }
+
+// testDeliverOpen, set only by tests, runs in deliver between the check
+// that the run still takes messages and the enqueue, so a test can hold a
+// delivery inside that window while the run ends.
+var testDeliverOpen func(Message)
 
 // send dispatches one send request — a coalesced bundle or a point-to-point
 // payload — and, when comm tracing is on, records the handling as a
